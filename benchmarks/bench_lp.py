@@ -1,29 +1,25 @@
-"""Sparse incremental LP kernel: per-node encoding cost, dense vs delta.
+"""Node-LP kernel: one branch-and-bound node LP solved three ways.
 
-Measures the tentpole of the sparse kernel over widths ``{16, 64, 256}``
-and a branch-and-bound-style frontier of phase-constrained nodes:
+On the 8-32-32-2 ReLU net (138 variables, 64 unstable neurons over the
+unit box) each child node of a branch-and-bound-style frontier is solved
 
-* ``dense_build_s`` -- the historical full dense rebuild per node
-  (per-neuron Python loops, one ``np.zeros(n)`` row at a time);
-* ``base_build_s`` -- the one-off vectorised COO/CSR base assembly;
-* ``delta_build_s`` -- composing one node as *base + phase delta*, the
-  cost every BaB node actually pays after the first;
-* ``dense_solve_s`` / ``sparse_solve_s`` -- HiGHS wall-time per form, so
-  LP *construction* and LP *solve* stay separately visible in the
-  perf trajectory.
+* ``linprog_s`` -- ``build_lp`` + ``scipy.optimize.linprog``, the path
+  for one-off LPs and the kernel's test oracle;
+* ``cold_s`` -- on the persistent HiGHS kernel of
+  :mod:`repro.exact.highs`, without a starting basis;
+* ``hot_s`` -- on the kernel, hot-started from the parent's optimal
+  basis: what every branch-and-bound child actually pays.
 
-Also replays branch-and-bound end-to-end in both forms to confirm the
-kernel changes wall-time only: verdicts, bounds, and ``lp_solves`` must be
-identical.
+The gate: all three reach the same status and the same objective (within
+1e-7 relative) on every node.
 
 Run standalone for the machine-readable record::
 
     PYTHONPATH=src python benchmarks/bench_lp.py [output.json] [--smoke]
 
-(``--smoke`` shrinks widths and node counts to CI-smoke size) or through
-pytest for the human-readable report and the regression gates (delta
-composition >= 5x the dense rebuild at width >= 64; identical BaB results
-across forms).
+(``--smoke`` shrinks the frontier to CI-smoke size) or through pytest
+for the human-readable report, which also gates the hot-started kernel
+at >= 2x faster than ``linprog``.
 """
 
 import sys
@@ -39,193 +35,123 @@ if __package__ in (None, ""):  # standalone: make src/ and repo root importable
             sys.path.insert(0, entry)
 
 from repro.domains import Box
-from repro.exact import BaBSolver, NetworkEncoding
+from repro.exact import NetworkEncoding
+from repro.exact.highs import NodeKernel
 from repro.exact.lp import solve_system
-from repro.nn import fig2_network, random_relu_network
+from repro.nn import random_relu_network
 
 from benchmarks.common import emit_json
 
-WIDTHS = (16, 64, 256)
-NUM_NODES = 24
-SMOKE_WIDTHS = (8, 16)
+DIMS = [8, 32, 32, 2]
+NUM_NODES = 40
 SMOKE_NODES = 6
-INPUT_DIM = 8
+REPEATS = 3
 
 
-def _frontier(enc, rng, num_nodes, max_depth=10):
-    """Phase maps shaped like a BaB frontier: each node fixes a handful of
-    unstable neurons, siblings differing in the last sign."""
+def _frontier(enc, rng, num_nodes, max_depth=8):
+    """``(parent, child)`` phase maps: the child fixes one more unstable
+    neuron than its parent, like a branching step."""
     unstable = enc.unstable_neurons()
-    if not unstable:
-        raise ValueError(
-            "benchmark network is fully stable over the box -- widen the "
-            "box or raise weight_scale so a BaB frontier exists")
-    nodes = []
-    while len(nodes) < num_nodes:
-        depth = int(rng.integers(1, min(max_depth, len(unstable)) + 1))
-        picks = rng.choice(len(unstable), size=depth, replace=False)
-        phases = {unstable[int(j)]: int(rng.choice((-1, 1))) for j in picks}
-        nodes.append(phases)
-    return nodes
+    pairs = []
+    while len(pairs) < num_nodes:
+        depth = int(rng.integers(0, max_depth))
+        picks = rng.choice(len(unstable), size=depth + 1, replace=False)
+        parent = {unstable[int(j)]: int(rng.choice((-1, 1)))
+                  for j in picks[:-1]}
+        child = dict(parent)
+        child[unstable[int(picks[-1])]] = int(rng.choice((-1, 1)))
+        pairs.append((parent, child))
+    return pairs
 
 
-def _avg_time(fn, args_list, repeats=3):
-    """Best-of-``repeats`` average seconds of ``fn`` over all args."""
+def _best_avg(fn, items, repeats=REPEATS):
+    """Best-of-``repeats`` mean seconds of ``fn`` over ``items``."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        for args in args_list:
-            fn(args)
-        best = min(best, (time.perf_counter() - start) / len(args_list))
+        for item in items:
+            fn(item)
+        best = min(best, (time.perf_counter() - start) / len(items))
     return best
 
 
-def run_lp_kernel_suite(widths=WIDTHS, num_nodes=NUM_NODES):
-    """Per-node LP construction and solve timings, dense vs sparse forms."""
-    rng = np.random.default_rng(0)
-    rows = []
-    for width in widths:
-        dims = [INPUT_DIM, width, width, 2]
-        network = random_relu_network(dims, seed=0, weight_scale=0.4)
-        box = Box(-np.ones(INPUT_DIM), np.ones(INPUT_DIM))
-        enc = NetworkEncoding(network, box)
-        nodes = _frontier(enc, rng, num_nodes)
+def run_node_lp_suite(num_nodes=NUM_NODES, seed=0):
+    """Per-node-LP timings of ``linprog``, the cold and the hot kernel,
+    plus the objective-agreement gate's inputs."""
+    rng = np.random.default_rng(seed)
+    network = random_relu_network(DIMS, seed=0, weight_scale=1.0)
+    box = Box(-np.ones(DIMS[0]), np.ones(DIMS[0]))
+    enc = NetworkEncoding(network, box)
+    cost = -enc.output_objective(np.array([1.0, -0.5]))
+    kernel = NodeKernel(enc.build_lp())
+    nodes = []
+    for parent, child in _frontier(enc, rng, num_nodes):
+        parent_res = kernel.solve(cost, *enc.node_bounds(parent))
+        if parent_res.optimal:  # an infeasible parent has no children
+            nodes.append((child, parent_res.basis))
 
-        # One-off base assembly, measured on a fresh encoding that shares
-        # the already-propagated bounds (isolates assembly from symbolic
-        # propagation).
-        fresh = NetworkEncoding(network, box, pre_boxes=enc.pre_boxes)
-        t0 = time.perf_counter()
-        fresh.build_lp(form="sparse")
-        base_build_s = time.perf_counter() - t0
+    def linprog(node):
+        return solve_system(cost, enc.build_lp(node[0]))
 
-        repeats = 3 if width <= 64 else 2
-        dense_build_s = _avg_time(
-            lambda p: enc.build_lp(p, form="dense"), nodes, repeats)
-        delta_build_s = _avg_time(
-            lambda p: enc.build_lp(p, form="sparse"), nodes, repeats)
+    def cold(node):
+        return kernel.solve(cost, *enc.node_bounds(node[0]))
 
-        probe = nodes[len(nodes) // 2]
-        dense_system = enc.build_lp(probe, form="dense")
-        sparse_system = enc.build_lp(probe, form="sparse")
-        objective = enc.output_objective(np.array([1.0, -1.0]))
-        dense_solve_s = _avg_time(
-            lambda s: solve_system(objective, s), [dense_system] * 3, repeats)
-        sparse_solve_s = _avg_time(
-            lambda s: solve_system(objective, s), [sparse_system] * 3, repeats)
+    def hot(node):
+        return kernel.solve(cost, *enc.node_bounds(node[0]), basis=node[1])
 
-        rows.append({
-            "width": width,
-            "num_vars": enc.num_continuous,
-            "num_unstable": len(enc.unstable_neurons()),
-            "frontier_nodes": len(nodes),
-            "nnz": sparse_system.nnz,
-            "base_build_s": base_build_s,
-            "dense_build_s": dense_build_s,
-            "delta_build_s": delta_build_s,
-            "build_speedup": dense_build_s / delta_build_s
-            if delta_build_s > 0 else float("inf"),
-            "dense_solve_s": dense_solve_s,
-            "sparse_solve_s": sparse_solve_s,
-        })
-    return rows
-
-
-def run_bab_forms(node_limit=200):
-    """Branch and bound end-to-end per form: wall-time may move, results
-    (verdict, bound, lp_solves) must not."""
-    workloads = [
-        ("fig2 max n4 over [-1,1.1]^2", fig2_network(),
-         Box(-np.ones(2), np.array([1.1, 1.1])), np.array([1.0]),
-         node_limit),
-        ("random 4-24-16-2", random_relu_network([4, 24, 16, 2], seed=0,
-                                                 weight_scale=1.2),
-         Box(-np.ones(4), np.ones(4)), np.array([1.0, -0.5]), node_limit),
-        # Real width: per-node construction is a visible slice of node cost.
-        ("random 8-64-64-2", random_relu_network([8, 64, 64, 2], seed=1,
-                                                 weight_scale=0.4),
-         Box(-np.ones(8), np.ones(8)), np.array([1.0, -1.0]),
-         max(1, node_limit // 8)),
-    ]
-    rows = []
-    for name, network, box, c, limit in workloads:
-        per_form = {}
-        # "sparse" here is the shipping default (form="auto": delta
-        # composition at real widths, dense fast path on tiny systems),
-        # measured against a forced historical dense rebuild.
-        for label, form in (("dense", "dense"), ("sparse", "auto")):
-            best = float("inf")
-            for _ in range(3):  # best-of-3: LP wall-times are noisy
-                encoding = NetworkEncoding(network, box)  # cold per run
-                start = time.perf_counter()
-                result = BaBSolver(network, box, encoding=encoding,
-                                   node_limit=limit,
-                                   lp_form=form).maximize(c)
-                best = min(best, time.perf_counter() - start)
-            per_form[label] = (result, best)
-        dense, dense_s = per_form["dense"]
-        sparse, sparse_s = per_form["sparse"]
-        rows.append({
-            "workload": name,
-            "status_dense": dense.status,
-            "status_sparse": sparse.status,
-            "upper_bound_dense": dense.upper_bound,
-            "upper_bound_sparse": sparse.upper_bound,
-            "bound_abs_diff": abs(dense.upper_bound - sparse.upper_bound),
-            "lp_solves_dense": dense.lp_solves,
-            "lp_solves_sparse": sparse.lp_solves,
-            "wall_dense_s": dense_s,
-            "wall_sparse_s": sparse_s,
-        })
-    return rows
+    results = {name: [fn(node) for node in nodes]
+               for name, fn in (("linprog", linprog), ("cold", cold),
+                                ("hot", hot))}
+    max_rel_diff = 0.0
+    statuses_agree = True
+    for ref, *others in zip(results["linprog"], results["cold"],
+                            results["hot"]):
+        for res in others:
+            statuses_agree &= res.status == ref.status
+            if ref.optimal and res.optimal:
+                max_rel_diff = max(max_rel_diff, abs(res.value - ref.value)
+                                   / max(1.0, abs(ref.value)))
+    timings = {f"{name}_s": _best_avg(fn, nodes)
+               for name, fn in (("linprog", linprog), ("cold", cold),
+                                ("hot", hot))}
+    system = enc.build_lp()
+    return {
+        "net": "-".join(map(str, DIMS)),
+        "num_vars": system.num_vars,
+        "num_rows": system.num_constraints,
+        "num_unstable": len(enc.unstable_neurons()),
+        "nodes": len(nodes),
+        **timings,
+        "hot_speedup_vs_linprog": timings["linprog_s"] / timings["hot_s"],
+        "cold_speedup_vs_linprog": timings["linprog_s"] / timings["cold_s"],
+        "statuses_agree": bool(statuses_agree),
+        "max_rel_objective_diff": max_rel_diff,
+    }
 
 
-def _row(rows, width):
-    return next(r for r in rows if r["width"] == width)
+def _check(row):
+    assert row["nodes"] > 0
+    assert row["statuses_agree"]
+    assert row["max_rel_objective_diff"] <= 1e-7
 
 
-def test_report_lp_kernel(capsys):
-    rows = run_lp_kernel_suite()
-    lines = ["\nPer-node LP construction, dense rebuild vs base+delta",
-             f"  {'width':>5} | {'unstable':>8} | {'dense [ms]':>10} | "
-             f"{'delta [ms]':>10} | {'speedup':>8} | {'base [ms]':>9}"]
-    for r in rows:
-        lines.append(
-            f"  {r['width']:>5} | {r['num_unstable']:>8} | "
-            f"{1e3 * r['dense_build_s']:>10.3f} | "
-            f"{1e3 * r['delta_build_s']:>10.3f} | "
-            f"{r['build_speedup']:>7.1f}x | {1e3 * r['base_build_s']:>9.3f}")
+def test_report_node_lp(capsys):
+    row = run_node_lp_suite()
     with capsys.disabled():
-        print("\n".join(lines))
-    # The acceptance gate: composing a node as base+delta must clearly beat
-    # rebuilding the dense system once the width is real.
-    for width in (64, 256):
-        assert _row(rows, width)["build_speedup"] >= 5.0
-
-
-def test_report_bab_forms(capsys):
-    rows = run_bab_forms()
-    with capsys.disabled():
-        print("\nBaB end-to-end, dense vs sparse node LPs")
-        for r in rows:
-            print(f"  {r['workload']}: {r['wall_dense_s']:.3f}s -> "
-                  f"{r['wall_sparse_s']:.3f}s, lp_solves "
-                  f"{r['lp_solves_dense']} vs {r['lp_solves_sparse']}")
-    for r in rows:
-        assert r["status_dense"] == r["status_sparse"]
-        assert r["lp_solves_dense"] == r["lp_solves_sparse"]
-        assert r["bound_abs_diff"] <= 1e-9
+        print(f"\nOne node LP on {row['net']} ({row['num_vars']} vars, "
+              f"{row['num_rows']} rows), mean of {row['nodes']} children")
+        for name in ("linprog", "cold", "hot"):
+            print(f"  {name:>8}: {1e3 * row[name + '_s']:7.3f} ms")
+        print(f"  hot-started kernel {row['hot_speedup_vs_linprog']:.1f}x "
+              "faster than linprog")
+    _check(row)
+    assert row["hot_speedup_vs_linprog"] >= 2.0
 
 
 def main(path=None, smoke=False):
-    widths = SMOKE_WIDTHS if smoke else WIDTHS
-    num_nodes = SMOKE_NODES if smoke else NUM_NODES
-    payload = {
-        "smoke": smoke,
-        "lp_kernel": run_lp_kernel_suite(widths, num_nodes),
-        "bab_forms": run_bab_forms(node_limit=50 if smoke else 200),
-    }
-    emit_json("bench_lp", payload, path=path)
+    row = run_node_lp_suite(SMOKE_NODES if smoke else NUM_NODES)
+    _check(row)
+    emit_json("bench_lp", {"smoke": smoke, "node_lp": row}, path=path)
 
 
 if __name__ == "__main__":

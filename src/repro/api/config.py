@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_WORKERS",
     "DEFAULT_METHOD",
     "DEFAULT_DOMAIN",
-    "DEFAULT_LP_FORM",
     "DEFAULT_INTERVAL_PRUNE",
     "DEFAULT_NODE_TIGHTEN",
     "DEFAULT_ENCODING_CACHE",
@@ -63,8 +62,6 @@ DEFAULT_WORKERS = 1
 DEFAULT_METHOD = "auto"
 #: Abstract domain used for layerwise rebuilds (prop2, incremental fixing).
 DEFAULT_DOMAIN = "symbolic"
-#: LP composition form (``"auto"`` picks dense only for tiny systems).
-DEFAULT_LP_FORM = "auto"
 #: Interval pre-pruning of branch-and-bound nodes before their LP solve.
 DEFAULT_INTERVAL_PRUNE = True
 #: Feed batched phase-clamped bounds into each node LP (tighter
@@ -88,7 +85,6 @@ _METHODS = ("symbolic", "split", "exact", "auto")
 #: Mirrors repro.domains.propagate.PROPAGATORS (kept static so this module
 #: stays a leaf; the registry test cross-checks the two).
 _DOMAINS = ("box", "symbolic", "zonotope", "deeppoly")
-_LP_FORMS = ("auto", "sparse", "dense")
 
 
 class LegacyEntryPointWarning(DeprecationWarning):
@@ -133,7 +129,6 @@ class VerifyConfig:
     frontier_width: Optional[int] = None
     method: str = DEFAULT_METHOD
     domain: str = DEFAULT_DOMAIN
-    lp_form: str = DEFAULT_LP_FORM
     interval_prune: bool = DEFAULT_INTERVAL_PRUNE
     node_tighten: bool = DEFAULT_NODE_TIGHTEN
     encoding_cache: str = DEFAULT_ENCODING_CACHE
@@ -164,9 +159,6 @@ class VerifyConfig:
         if self.domain not in _DOMAINS:
             raise ReproError(
                 f"unknown domain {self.domain!r}; choose from {_DOMAINS}")
-        if self.lp_form not in _LP_FORMS:
-            raise ReproError(
-                f"unknown lp_form {self.lp_form!r}; choose from {_LP_FORMS}")
         if self.encoding_cache not in ENCODING_CACHE_POLICIES:
             raise ReproError(
                 f"unknown encoding-cache policy {self.encoding_cache!r}; "
@@ -200,7 +192,6 @@ class VerifyConfig:
             "node_limit": self.node_limit,
             "workers": self.workers,
             "frontier_width": self.frontier_width,
-            "lp_form": self.lp_form,
             "interval_prune": self.interval_prune,
             "node_tighten": self.node_tighten,
         }

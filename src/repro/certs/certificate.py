@@ -52,7 +52,9 @@ __all__ = [
 
 #: Wire/key version: bump when the certificate payload or the key recipe
 #: changes incompatibly (old entries then simply miss, never mislead).
-CERT_VERSION = 1
+#: Version 2: node-LP duals follow the fixed node layout (base rows plus
+#: two phase rows per unstable neuron).
+CERT_VERSION = 2
 
 #: Split budget of the covering check: an adversarial leaf set can force
 #: exponential work, so the check gives up (rejecting the certificate --

@@ -113,7 +113,12 @@ def _lagrangian_upper(system, neg_obj: np.ndarray, lo: np.ndarray,
     """Weak-duality upper bound on the node *maximum* from stored
     multipliers -- sound for any ``dual`` (negative ``lambda`` entries are
     clipped; shape mismatches and non-finite inputs return ``+inf``, i.e.
-    "screen says nothing", the leaf just pays its LP)."""
+    "screen says nothing", the leaf just pays its LP).
+
+    Rows with an infinite right-hand side -- the unfixed phase rows of the
+    fixed node layout -- are vacuous and get multiplier 0 (otherwise
+    ``lambda @ b_ub`` would be ``0 * inf = nan`` and the leaf would always
+    pay its LP)."""
     if dual is None:
         return np.inf
     lam, mu = dual
@@ -129,8 +134,11 @@ def _lagrangian_upper(system, neg_obj: np.ndarray, lo: np.ndarray,
     g = neg_obj.copy()
     rhs = 0.0
     if n_ub:
+        b_ub = np.asarray(system.b_ub, dtype=np.float64)
+        finite = np.isfinite(b_ub)
+        lam = np.where(finite, lam, 0.0)
         g = g + system.a_ub.T @ lam
-        rhs += float(lam @ system.b_ub)
+        rhs += float(lam[finite] @ b_ub[finite])
     if n_eq:
         g = g + system.a_eq.T @ mu
         rhs += float(mu @ system.b_eq)
@@ -171,8 +179,7 @@ def dual_start_screen(solver: BaBSolver, cert: Certificate,
                 if not bool(feasible[j]) or duals[j] is None or \
                         float(upper[j]) <= threshold:
                     continue  # already settled, or nothing stored
-                system = enc.build_lp(leaf, form=solver.lp_form,
-                                      tight_pre=tights[j])
+                system = enc.build_lp(leaf, tight_pre=tights[j])
                 lo, hi = _finite_var_bounds(solver, tights[j], system)
                 upper[j] = min(float(upper[j]), _lagrangian_upper(
                     system, neg_obj, lo, hi, duals[j]))
@@ -228,8 +235,7 @@ def extract_certificate(network: Network, input_box: Box,
         dual = duals.get(_leaf_key(leaf))
         bound = float(upper[j])
         if dual is not None:
-            system = enc.build_lp(leaf, form=solver.lp_form,
-                                  tight_pre=tights[j])
+            system = enc.build_lp(leaf, tight_pre=tights[j])
             lo, hi = _finite_var_bounds(solver, tights[j], system)
             bound = min(bound, _lagrangian_upper(
                 system, neg_obj, lo, hi, dual))

@@ -79,9 +79,6 @@ def _add_engine_args(parser: argparse.ArgumentParser,
                         help="containment method cascade")
     engine.add_argument("--domain", default=None,
                         help="abstract domain for layerwise rebuilds")
-    engine.add_argument("--lp-form", default=None,
-                        choices=("auto", "sparse", "dense"),
-                        help="node-LP composition form")
 
 
 def _config_from_args(args, base=None):
@@ -98,7 +95,6 @@ def _config_from_args(args, base=None):
         node_tighten=getattr(args, "node_tighten", None),
         method=getattr(args, "method", None),
         domain=getattr(args, "domain", None),
-        lp_form=getattr(args, "lp_form", None),
     )
     if frontier_width == 0:
         # 0 is the explicit "back to the solver default" sentinel (None is

@@ -26,7 +26,6 @@ import numpy as np
 from repro.errors import SolverError
 from repro.api.config import (
     DEFAULT_INTERVAL_PRUNE,
-    DEFAULT_LP_FORM,
     DEFAULT_NODE_LIMIT,
     DEFAULT_NODE_TIGHTEN,
     DEFAULT_TOL,
@@ -37,7 +36,8 @@ from repro.api.config import (
 from repro.domains.box import Box
 from repro.domains.batch import phase_clamped_node_bounds
 from repro.exact.encoding import NetworkEncoding, PhaseMap
-from repro.exact.lp import LP_INFEASIBLE, LP_OPTIMAL, solve_lp
+# solve_lp stays bound here: perfbench's tracer looks it up by name.
+from repro.exact.lp import LP_INFEASIBLE, LP_OPTIMAL, solve_lp  # noqa: F401
 from repro.nn.network import Network
 
 __all__ = ["BaBResult", "BaBSolver", "maximize_output", "minimize_output"]
@@ -110,7 +110,6 @@ class BaBSolver:
                  tol: float = DEFAULT_TOL,
                  node_limit: int = DEFAULT_NODE_LIMIT,
                  interval_prune: bool = DEFAULT_INTERVAL_PRUNE,
-                 lp_form: str = DEFAULT_LP_FORM,
                  node_tighten: bool = DEFAULT_NODE_TIGHTEN,
                  workers: int = DEFAULT_WORKERS,
                  frontier_width: Optional[int] = None,
@@ -128,11 +127,6 @@ class BaBSolver:
         #: Screen sibling/frontier nodes with batched phase-clamped interval
         #: bounds before building their LPs (see :meth:`maximize`).
         self.interval_prune = bool(interval_prune)
-        #: ``"sparse"`` composes each node LP as base + delta; ``"dense"``
-        #: keeps the historical full rebuild (same verdicts, for
-        #: comparison); ``"auto"`` (default) picks dense only for tiny
-        #: systems where the delta machinery costs more than it saves.
-        self.lp_form = str(lp_form)
         #: Feed each node's batched phase-clamped pre-activation bounds into
         #: its LP as ``z``-variable bounds (a per-node presolve riding the
         #: same stacked pass as the interval screen).  Off by default: it
@@ -198,7 +192,7 @@ class BaBSolver:
         cuts ``lp_solves`` while preserving soundness, the optimum, and the
         covering-leaves invariant.  With ``node_tighten`` on, the same pass
         additionally hands each surviving node its clamped pre-activation
-        bounds, installed as ``z``-variable bounds in the node's LP delta.
+        bounds, installed as ``z``-variable bounds in the node's LP.
 
         ``start_screen`` optionally replaces the batched screen for the
         *initial-nodes batch only* (signature and return contract of
@@ -207,6 +201,11 @@ class BaBSolver:
         settles warm starts far below the interval screen's reach.
         Branching children always use the stock screen, so a custom
         screen never changes a cold search.
+
+        Node LPs run on the encoding's persistent HiGHS kernel
+        (:meth:`NetworkEncoding.solve_node`): each child hot-starts from its
+        parent's optimal basis, carried on the open-node heap; the root
+        and warm starts solve cold.
 
         ``collect_duals`` (a caller-owned dict) receives the optimal dual
         multipliers ``(dual_ub, dual_eq)`` of every node LP this search
@@ -253,15 +252,12 @@ class BaBSolver:
             if collect_leaves is not None:
                 collect_leaves.append(dict(phases))
 
-        def solve_node(phases: PhaseMap, tight_pre=None):
+        def node_lp(phases: PhaseMap, tight_pre=None, basis=None):
             nonlocal lp_solves
             lp_solves += 1
-            system = enc.build_lp(phases, form=self.lp_form,
-                                  tight_pre=tight_pre)
-            res = solve_lp(neg_obj, system.a_ub, system.b_ub,
-                           system.a_eq, system.b_eq, system.bounds,
-                           label=f"node {lp_solves}",
-                           want_duals=collect_duals is not None)
+            res = enc.solve_node(neg_obj, phases, tight_pre, basis=basis,
+                                 want_duals=collect_duals is not None,
+                                 label=f"node {lp_solves}")
             if collect_duals is not None and res.optimal:
                 collect_duals[tuple(sorted(phases.items()))] = (
                     res.dual_ub if res.dual_ub is not None else np.zeros(0),
@@ -275,8 +271,9 @@ class BaBSolver:
                 incumbent = value
                 witness = x_clipped
 
-        # Max-heap on node upper bounds (negate for heapq).
-        heap: List[Tuple[float, int, PhaseMap, np.ndarray]] = []
+        # Max-heap on node upper bounds (negate for heapq); each entry
+        # carries its LP point and optimal basis (its children's hot start).
+        heap: List[Tuple[float, int, PhaseMap, np.ndarray, object]] = []
 
         # Warm-start economics: how many caller-supplied starts we adopted,
         # and how many of those the float64 re-screen settled LP-free.
@@ -285,8 +282,8 @@ class BaBSolver:
 
         def finish(status: str, bound: float) -> BaBResult:
             # Whatever remains open is part of the covering certificate.
-            for _, __, phases, ___ in heap:
-                record_leaf(phases)
+            for entry in heap:
+                record_leaf(entry[2])
             return BaBResult(status, max(bound, screened_bound), incumbent,
                              witness, nodes, lp_solves,
                              nodes_reused=nodes_reused,
@@ -323,8 +320,7 @@ class BaBSolver:
                     lp_solves_saved += 1
                 record_leaf(start)  # empty / dominated by an earlier start
                 continue
-            res = solve_node(start,
-                             start_tights[j] if start_tights else None)
+            res = node_lp(start, start_tights[j] if start_tights else None)
             if res.status == LP_INFEASIBLE:
                 record_leaf(start)
                 continue
@@ -332,7 +328,8 @@ class BaBSolver:
                 raise SolverError(f"start LP ended with status {res.status}")
             any_feasible = True
             register_feasible(res.x[enc.input_slice])
-            heapq.heappush(heap, (res.value, next(counter), start, res.x))
+            heapq.heappush(heap, (res.value, next(counter), start, res.x,
+                                  res.basis))
         if not any_feasible:
             if screened_bound > -np.inf:
                 # Every LP-checked region was empty, but interval-screened
@@ -344,7 +341,7 @@ class BaBSolver:
                              lp_solves_saved=lp_solves_saved)
 
         while heap:
-            neg_bound, _, phases, x_lp = heapq.heappop(heap)
+            neg_bound, _, phases, x_lp, basis = heapq.heappop(heap)
             bound = -neg_bound
             global_bound = max(bound, incumbent)
 
@@ -391,8 +388,8 @@ class BaBSolver:
                         screened_bound = max(screened_bound, ub_est)
                     record_leaf(child)  # empty region / dominated bound
                     continue
-                res = solve_node(child,
-                                 child_tights[j] if child_tights else None)
+                res = node_lp(child, child_tights[j] if child_tights else None,
+                              basis)
                 if res.status == LP_INFEASIBLE:
                     record_leaf(child)  # the region is empty: settled
                     continue
@@ -409,7 +406,8 @@ class BaBSolver:
                 if child_bound <= incumbent + tol:
                     record_leaf(child)
                     continue
-                heapq.heappush(heap, (-child_bound, next(counter), child, res.x))
+                heapq.heappush(heap, (-child_bound, next(counter), child,
+                                      res.x, res.basis))
 
         status, bound = self._terminal_status(incumbent, screened_bound,
                                               threshold)
@@ -550,7 +548,6 @@ def maximize_output(network: Network, input_box: Box, c: np.ndarray,
                     node_limit: int = DEFAULT_NODE_LIMIT,
                     tol: float = DEFAULT_TOL,
                     interval_prune: bool = DEFAULT_INTERVAL_PRUNE,
-                    lp_form: str = DEFAULT_LP_FORM,
                     workers: int = DEFAULT_WORKERS) -> BaBResult:
     """Deprecated shim: one-shot ``max c @ f(x)`` over ``input_box``.
 
@@ -561,8 +558,7 @@ def maximize_output(network: Network, input_box: Box, c: np.ndarray,
     from repro.api.specs import MaximizeSpec
 
     config = VerifyConfig(node_limit=node_limit, tol=tol,
-                          interval_prune=interval_prune, lp_form=lp_form,
-                          workers=workers)
+                          interval_prune=interval_prune, workers=workers)
     return VerificationEngine(config).verify(
         MaximizeSpec(network=network, input_box=input_box, objective=c,
                      threshold=threshold)).result
@@ -573,7 +569,6 @@ def minimize_output(network: Network, input_box: Box, c: np.ndarray,
                     node_limit: int = DEFAULT_NODE_LIMIT,
                     tol: float = DEFAULT_TOL,
                     interval_prune: bool = DEFAULT_INTERVAL_PRUNE,
-                    lp_form: str = DEFAULT_LP_FORM,
                     workers: int = DEFAULT_WORKERS) -> BaBResult:
     """Deprecated shim: one-shot ``min c @ f(x)`` over ``input_box``.
 
@@ -584,8 +579,7 @@ def minimize_output(network: Network, input_box: Box, c: np.ndarray,
     from repro.api.specs import MaximizeSpec
 
     config = VerifyConfig(node_limit=node_limit, tol=tol,
-                          interval_prune=interval_prune, lp_form=lp_form,
-                          workers=workers)
+                          interval_prune=interval_prune, workers=workers)
     return VerificationEngine(config).verify(
         MaximizeSpec(network=network, input_box=input_box, objective=c,
                      threshold=threshold, minimize=True)).result

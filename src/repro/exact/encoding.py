@@ -15,17 +15,26 @@ Variable layout: input ``x`` first, then per block its pre-activation vector
 ``z_k`` and (when the block has an activation) its post-activation ``a_k``.
 Binary indicators, when requested, are appended at the end.
 
-Sparse incremental kernel
--------------------------
-The default ``form="sparse"`` path assembles the *phase-free* base system
-exactly once per encoding, whole layers at a time as COO triplets collapsed
-into CSR (no per-neuron dense rows), and composes every phase-constrained
-branch-and-bound node as *base + small delta*: the forced neuron's triangle
-rows are masked out and its two phase rows (one equality, one sign
-inequality) are appended.  A child node therefore costs O(nnz) sparse row
-surgery instead of a full dense rebuild -- same feasible set, same verdicts.
-``form="dense"`` keeps the historical dense builder for comparison and for
-the tiny-system fast path measured in ``benchmarks/bench_lp.py``.
+Fixed node layout
+-----------------
+The phase-free base system is assembled exactly once per encoding, whole
+layers at a time as COO triplets collapsed into CSR (no per-neuron dense
+rows).  Its inequality block ends with two *phase rows* per unstable
+neuron, ``a - z <= +inf`` and ``a - slope*z <= +inf``, which stay vacuous
+until a branch fixes the neuron's phase:
+
+* active (``+1``): ``z >= 0`` and the first phase row's bound becomes 0,
+  which with the triangle row ``z - a <= 0`` pins ``a = z``;
+* inactive (``-1``): ``z <= 0`` and the second phase row's bound becomes
+  0, which with ``slope*z - a <= 0`` pins ``a = slope*z``.
+
+Every branch-and-bound node therefore shares one constraint matrix and
+differs from its parent only in a few column bounds and right-hand sides
+(:meth:`NetworkEncoding.node_bounds`).  That is what lets
+:mod:`repro.exact.highs` keep one HiGHS model per encoding and restart
+each child's dual simplex from its parent's basis.  The triangle rows of
+a fixed neuron stay in place: they bound the hull of both pieces, so
+they are redundant but sound.
 
 Encodings themselves are reusable across solves: :meth:`NetworkEncoding.
 for_problem` memoises encodings under a ``(network-weights, box)``
@@ -48,6 +57,8 @@ import scipy.sparse as sp
 from repro.errors import DomainError, UnsupportedLayerError
 from repro.domains.box import Box
 from repro.domains.symbolic import SymbolicPropagator
+from repro.exact.highs import kernel_for
+from repro.exact.lp import LPResult
 from repro.nn.layers import LeakyReLU, ReLU
 from repro.nn.network import Network
 
@@ -65,13 +76,8 @@ PhaseMap = Dict[Tuple[int, int], int]
 #: Constraint matrices may be dense arrays or any scipy.sparse matrix.
 Matrix = Union[np.ndarray, sp.spmatrix]
 
-FORMS = ("auto", "sparse", "dense")
-
-#: ``form="auto"`` builds dense at or below this many variables: tiny
-#: systems (the Fig. 2 scale) solve dense anyway (see
-#: :data:`repro.exact.lp.DENSE_FALLBACK_VARS`) and the per-node delta
-#: machinery only pays for itself at real widths.
-AUTO_DENSE_VARS = 48
+#: Per-node ``(column lower, column upper, b_ub)`` of the fixed layout.
+NodeBounds = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 @dataclass
@@ -125,18 +131,7 @@ class LinearSystem:
         return sum(matrix.shape[0] for matrix in (self.a_ub, self.a_eq)
                    if matrix is not None)
 
-    # ------------------------------------------------------------- conversion
-    def to_dense(self) -> "LinearSystem":
-        """Copy with both constraint matrices densified."""
-        def dense(matrix):
-            if matrix is None:
-                return None
-            return matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-
-        return LinearSystem(self.num_vars, dense(self.a_ub), self.b_ub,
-                            dense(self.a_eq), self.b_eq, list(self.bounds),
-                            self.integer_mask)
-
+    # ------------------------------------------------------------- derivation
     def with_extra_ub(self, rows: np.ndarray, rhs) -> "LinearSystem":
         """New system with extra ``rows @ x <= rhs`` constraints appended,
         preserving the storage form (the sparse-safe ``np.vstack``)."""
@@ -157,31 +152,6 @@ class LinearSystem:
             b_ub = np.concatenate([self.b_ub, rhs])
         return LinearSystem(self.num_vars, a_ub, b_ub, self.a_eq, self.b_eq,
                             list(self.bounds), self.integer_mask)
-
-
-class _RowBuilder:
-    """Accumulates dense rows for one constraint group (legacy dense form)."""
-
-    def __init__(self, num_vars: int):
-        self.num_vars = num_vars
-        self.rows: List[np.ndarray] = []
-        self.rhs: List[float] = []
-
-    def add(self, coeffs: Dict[int, float], rhs: float) -> None:
-        row = np.zeros(self.num_vars)
-        for idx, val in coeffs.items():
-            row[idx] += val
-        self.rows.append(row)
-        self.rhs.append(float(rhs))
-
-    def add_dense(self, row: np.ndarray, rhs: float) -> None:
-        self.rows.append(np.asarray(row, dtype=np.float64))
-        self.rhs.append(float(rhs))
-
-    def matrices(self) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        if not self.rows:
-            return None, None
-        return np.vstack(self.rows), np.asarray(self.rhs)
 
 
 class _CooBuilder:
@@ -227,36 +197,28 @@ class _CooBuilder:
 
 
 @dataclass
-class _NeuronInfo:
-    """Static facts about one activation neuron used by delta composition."""
-
-    z_index: int
-    a_index: int
-    slope: float
-    stability: str
-    tri_row: int = -1  # first of its 3 triangle rows in the base a_ub
-
-
-@dataclass
 class _LPBase:
-    """The phase-free triangle-relaxation system, assembled once.
+    """The phase-free fixed node layout, assembled once per encoding.
 
-    ``ub_row_nnz`` caches per-row nonzero counts of ``a_ub`` so delta
-    composition can drop triangle rows and append phase rows with raw
-    vectorised CSR surgery (no ``scipy`` stacking overhead per node).
+    ``b_ub`` ends with the two ``+inf`` phase rows of every unstable
+    neuron; ``phase_rows`` maps ``(block, neuron)`` to its ``z`` column
+    and the index of its first phase row.
     """
 
     a_eq: Optional[sp.csr_matrix]
     b_eq: Optional[np.ndarray]
     a_ub: Optional[sp.csr_matrix]
     b_ub: Optional[np.ndarray]
-    bounds: List[Tuple[Optional[float], Optional[float]]]
-    info: Dict[Tuple[int, int], _NeuronInfo]
-    ub_row_nnz: Optional[np.ndarray] = None
+    col_lo: np.ndarray
+    col_hi: np.ndarray
+    phase_rows: Dict[Tuple[int, int], Tuple[int, int]]
 
-    def __post_init__(self):
-        if self.a_ub is not None and self.ub_row_nnz is None:
-            self.ub_row_nnz = np.diff(self.a_ub.indptr)
+
+def _bounds_list(lo: np.ndarray, hi: np.ndarray
+                 ) -> List[Tuple[Optional[float], Optional[float]]]:
+    """``linprog``-style bounds: ``None`` for an infinite side."""
+    return [(None if l == -np.inf else float(l), None if h == np.inf else float(h))
+            for l, h in zip(lo.tolist(), hi.tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +299,7 @@ class NetworkEncoding:
         #: assembly happen exactly once (no duplicated work, no torn reads)
         #: and keeps the instrumentation counters exact under threads.
         self._base_lock = threading.Lock()
-        #: Instrumentation: sparse base assemblies / LP compositions.
+        #: Instrumentation: base assemblies / :meth:`build_lp` calls.
         self.base_builds = 0
         self.lp_builds = 0
         with _BUILDS_LOCK:
@@ -450,53 +412,87 @@ class NetworkEncoding:
         return 0.0 if isinstance(act, ReLU) else act.alpha
 
     # ------------------------------------------------------------- LP builder
-    def _resolve_form(self, form: str, num_vars: int) -> str:
-        if form not in FORMS:
-            raise DomainError(f"unknown form {form!r}; choose from {FORMS}")
-        if form == "auto":
-            return "dense" if num_vars <= AUTO_DENSE_VARS else "sparse"
-        return form
-
     def build_lp(self, fixed_phases: Optional[PhaseMap] = None,
-                 form: str = "auto",
                  tight_pre: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
                  ) -> LinearSystem:
-        """Triangle-relaxation LP of the network.
+        """Triangle-relaxation LP of one branch-and-bound node.
 
-        ``fixed_phases`` forces unstable neurons into one linear piece,
-        adding the corresponding sign constraint on the pre-activation --
+        ``fixed_phases`` forces unstable neurons into one linear piece --
         exactly the branching step of ReLU branch-and-bound.  The LP is a
         sound relaxation: every real execution of the network (consistent
         with the fixed phases) satisfies all constraints.
 
-        A phase that *contradicts* the static stability (``-1`` on an
-        always-active neuron, ``+1`` on an always-inactive one) names an
-        empty branch region: the returned system is immediately infeasible
-        instead of silently dropping the constraint.
-
-        ``form="sparse"`` composes the cached phase-free base with a
-        per-node delta; ``form="dense"`` rebuilds the historical dense
-        system (same feasible set, row order interleaved); ``form="auto"``
-        (default) picks dense for tiny systems and sparse otherwise.
+        Every node shares the fixed layout of the module docstring: the
+        matrices are the encoding's one base, and only ``b_ub`` and the
+        variable bounds vary (:meth:`node_bounds`).  Unfixed phase rows
+        carry ``b_ub = +inf``.
 
         ``tight_pre`` optionally supplies per-block ``(lower, upper)``
         pre-activation vectors valid on this node's region (e.g. the
         batched phase-clamped interval pass); they become bounds on the
         ``z`` variables, tightening the relaxation without extra rows.
         """
-        form = self._resolve_form(form, self.num_continuous)
-        fixed_phases = fixed_phases or {}
+        base = self._lp_base()
+        lo, hi, b_ub = self.node_bounds(fixed_phases, tight_pre)
         with self._base_lock:
             self.lp_builds += 1
-        if self._find_contradiction(fixed_phases) is not None:
-            system = self._infeasible_system(form)
-        elif form == "dense":
-            system = self._build_lp_dense(fixed_phases)
-        else:
-            system = self._build_lp_sparse(fixed_phases)
+        return LinearSystem(self.num_continuous, base.a_ub, b_ub, base.a_eq,
+                            base.b_eq, _bounds_list(lo, hi))
+
+    def node_bounds(self, fixed_phases: Optional[PhaseMap] = None,
+                    tight_pre: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
+                    ) -> NodeBounds:
+        """``(column lower, column upper, b_ub)`` of one node's LP.
+
+        Fixing a phase only moves bounds: the neuron's ``z`` column gets
+        its sign bound and one of its two phase rows gets right-hand side
+        0.  A phase that *contradicts* the static stability (``-1`` on an
+        always-active neuron, ``+1`` on an always-inactive one) names an
+        empty branch region: that neuron's ``z`` column gets the empty
+        interval ``[1, -1]``, so the node is infeasible without a solve
+        instead of silently dropping the constraint.
+        """
+        base = self._lp_base()
+        lo = base.col_lo.copy()
+        hi = base.col_hi.copy()
+        b_ub = None if base.b_ub is None else base.b_ub.copy()
+        fixed_phases = fixed_phases or {}
         if tight_pre is not None:
-            self._apply_tight_pre(system, tight_pre)
-        return system
+            self._apply_tight_pre(lo, hi, tight_pre)
+        for pair, phase in fixed_phases.items():
+            if phase not in (1, -1):
+                continue
+            neuron = base.phase_rows.get(pair)
+            if neuron is None:
+                # Stable neurons already carry their piece's equality.
+                continue
+            zi, row = neuron
+            if phase == 1:
+                lo[zi] = max(lo[zi], 0.0)
+                b_ub[row] = 0.0
+            else:
+                hi[zi] = min(hi[zi], 0.0)
+                b_ub[row + 1] = 0.0
+        contradiction = self._find_contradiction(fixed_phases)
+        if contradiction is not None:
+            k, i = contradiction
+            zi = self.z_slices[k].start + i
+            lo[zi], hi[zi] = 1.0, -1.0
+        return lo, hi, b_ub
+
+    def solve_node(self, cost: np.ndarray, fixed_phases: PhaseMap,
+                   tight_pre: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
+                   basis=None, want_duals: bool = False,
+                   label: str = "") -> LPResult:
+        """Solve one node LP (``min cost @ x``) on the calling thread's
+        persistent HiGHS kernel (:func:`repro.exact.highs.kernel_for`),
+        hot-started from a parent's ``basis`` when given.  A solve
+        depends only on the node and ``basis``, never on which thread's
+        kernel ran it.
+        """
+        col_lo, col_hi, b_ub = self.node_bounds(fixed_phases, tight_pre)
+        return kernel_for(self).solve(cost, col_lo, col_hi, b_ub, basis=basis,
+                                      want_duals=want_duals, label=label)
 
     def _find_contradiction(self, fixed_phases: PhaseMap
                             ) -> Optional[Tuple[int, int]]:
@@ -515,26 +511,16 @@ class NetworkEncoding:
                 return (k, i)
         return None
 
-    def _infeasible_system(self, form: str) -> LinearSystem:
-        """A trivially infeasible LP (``0 @ x <= -1``) over the layout."""
-        n = self.num_continuous
-        bounds = self._init_bounds(n)
-        if form == "dense":
-            a_ub: Matrix = np.zeros((1, n))
-        else:
-            a_ub = sp.csr_matrix((1, n))
-        return LinearSystem(n, a_ub, np.array([-1.0]), None, None, bounds)
-
-    def _apply_tight_pre(self, system: LinearSystem,
+    def _apply_tight_pre(self, lo: np.ndarray, hi: np.ndarray,
                          tight_pre: Sequence[Tuple[np.ndarray, np.ndarray]],
                          ) -> None:
-        """Install per-node pre-activation bounds on the ``z`` variables."""
+        """Intersect the ``z`` column bounds with per-node pre-activation
+        bounds (non-finite entries keep the existing bound)."""
         if len(tight_pre) != self.network.num_blocks:
             raise DomainError(
                 f"tight_pre needs one (lower, upper) pair per block, got "
                 f"{len(tight_pre)} for {self.network.num_blocks}"
             )
-        bounds = system.bounds
         for k, (lower, upper) in enumerate(tight_pre):
             sl = self.z_slices[k]
             lower = np.asarray(lower, dtype=np.float64).reshape(-1)
@@ -544,17 +530,10 @@ class NetworkEncoding:
                     f"tight_pre block {k} has {lower.size} entries, expected "
                     f"{sl.stop - sl.start}"
                 )
-            for j in range(lower.size):
-                lo, hi = bounds[sl.start + j]
-                new_lo = float(lower[j]) if np.isfinite(lower[j]) else lo
-                new_hi = float(upper[j]) if np.isfinite(upper[j]) else hi
-                if lo is not None:
-                    new_lo = lo if new_lo is None else max(new_lo, lo)
-                if hi is not None:
-                    new_hi = hi if new_hi is None else min(new_hi, hi)
-                bounds[sl.start + j] = (new_lo, new_hi)
+            lo[sl] = np.maximum(lo[sl], np.where(np.isfinite(lower), lower, -np.inf))
+            hi[sl] = np.minimum(hi[sl], np.where(np.isfinite(upper), upper, np.inf))
 
-    # ------------------------------------------------- sparse base + deltas
+    # ------------------------------------------------------ fixed base layout
     def _lp_base(self) -> _LPBase:
         """The cached phase-free sparse system (assembled exactly once,
         also under concurrent first use -- see ``_base_lock``)."""
@@ -568,13 +547,13 @@ class NetworkEncoding:
                     self._base = base
         return base
 
-    def _init_bounds(self, n: int) -> List[Tuple[Optional[float], Optional[float]]]:
-        """Fresh variable-bounds list: input box, everything else free."""
-        bounds: List[Tuple[Optional[float], Optional[float]]] = [(None, None)] * n
-        box = self.input_box
-        for i in range(box.dim):
-            bounds[i] = (float(box.lower[i]), float(box.upper[i]))
-        return bounds
+    def _init_bounds(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Fresh ``(lower, upper)`` columns: input box, everything else free."""
+        lo = np.full(n, -np.inf)
+        hi = np.full(n, np.inf)
+        lo[self.input_slice] = self.input_box.lower
+        hi[self.input_slice] = self.input_box.upper
+        return lo, hi
 
     def _emit_affine_rows(self, eq: _CooBuilder, k: int, prev_a: slice) -> None:
         """``z_k = W a_{k-1} + b`` for one whole block: the identity
@@ -616,8 +595,11 @@ class NetworkEncoding:
         n = self.num_continuous
         eq = _CooBuilder(n)
         ub = _CooBuilder(n)
-        bounds = self._init_bounds(n)
-        info: Dict[Tuple[int, int], _NeuronInfo] = {}
+        lo, hi = self._init_bounds(n)
+        phase_z: List[np.ndarray] = []
+        phase_a: List[np.ndarray] = []
+        phase_slope: List[np.ndarray] = []
+        phase_pairs: List[Tuple[int, int]] = []
 
         prev_a = self.input_slice
         for k, block in enumerate(self.network.blocks()):
@@ -655,194 +637,37 @@ class NetworkEncoding:
                     ])
                     rhs = np.zeros(3 * m)
                     rhs[2::3] = (slope - lam) * l
-                    start = ub.add_chunk(rows, cols, data, rhs)
-                    lo_a, hi_a = self._unstable_a_bounds(slope, l, u)
-                    for j, i in enumerate(free):
-                        bounds[a0 + int(i)] = (float(lo_a[j]), float(hi_a[j]))
-                        info[(k, int(i))] = _NeuronInfo(
-                            z_index=z0 + int(i), a_index=a0 + int(i),
-                            slope=slope, stability="unstable",
-                            tri_row=start + 3 * j,
-                        )
-                for i in np.flatnonzero(~unstable):
-                    info[(k, int(i))] = _NeuronInfo(
-                        z_index=z0 + int(i), a_index=a0 + int(i), slope=slope,
-                        stability="active" if active[i] else "inactive",
-                    )
+                    ub.add_chunk(rows, cols, data, rhs)
+                    lo[ai], hi[ai] = self._unstable_a_bounds(slope, l, u)
+                    phase_z.append(zi)
+                    phase_a.append(ai)
+                    phase_slope.append(np.full(m, slope))
+                    phase_pairs.extend((k, int(i)) for i in free)
             prev_a = a_sl
+
+        phase_rows: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        if phase_pairs:
+            zi = np.concatenate(phase_z)
+            ai = np.concatenate(phase_a)
+            slopes = np.concatenate(phase_slope)
+            pair = 2 * np.arange(zi.size)
+            # p0: a - z <= +inf; p1: a - slope*z <= +inf (vacuous until a
+            # branch fixes the phase and sets the bound to 0).
+            start = ub.add_chunk(
+                np.concatenate([pair, pair, pair + 1, pair + 1]),
+                np.concatenate([ai, zi, ai, zi]),
+                np.concatenate([np.ones(zi.size), -np.ones(zi.size),
+                                np.ones(zi.size), -slopes]),
+                np.full(2 * zi.size, np.inf))
+            phase_rows = {p: (int(z), start + 2 * j)
+                          for j, (p, z) in enumerate(zip(phase_pairs, zi))}
 
         a_eq, b_eq = eq.matrices()
         a_ub, b_ub = ub.matrices()
-        return _LPBase(a_eq, b_eq, a_ub, b_ub, bounds, info)
-
-    def _build_lp_sparse(self, fixed_phases: PhaseMap) -> LinearSystem:
-        """Compose ``base + delta`` for one branch-and-bound node.
-
-        The delta replaces each forced neuron's triangle rows with its
-        phase equality (``a = z`` or ``a = slope*z``) plus the sign row
-        (``z >= 0`` / ``z <= 0``) -- the same feasible set the dense
-        builder produces, at O(delta) assembly cost.
-        """
-        base = self._lp_base()
-        n = self.num_continuous
-        bounds = list(base.bounds)
-        if not fixed_phases:
-            return LinearSystem(n, base.a_ub, base.b_ub, base.a_eq, base.b_eq,
-                                bounds)
-
-        drop_rows: List[int] = []
-        eq_cols: List[int] = []
-        eq_data: List[float] = []
-        eq_rows: List[int] = []
-        ub_cols: List[int] = []
-        ub_data: List[float] = []
-        num_eq = 0
-        num_ub = 0
-        for pair, phase in fixed_phases.items():
-            if phase not in (1, -1):
-                continue
-            neuron = base.info.get(pair)
-            if neuron is None or neuron.stability != "unstable":
-                # Stable neurons already carry their piece's equality (the
-                # contradictory case was rejected before composition).
-                continue
-            zi, ai = neuron.z_index, neuron.a_index
-            drop_rows.extend((neuron.tri_row, neuron.tri_row + 1,
-                              neuron.tri_row + 2))
-            bounds[ai] = (None, None)
-            if phase == 1:
-                # a = z and -z <= 0.
-                eq_rows.extend((num_eq, num_eq))
-                eq_cols.extend((ai, zi))
-                eq_data.extend((1.0, -1.0))
-                ub_cols.append(zi)
-                ub_data.append(-1.0)
-            else:
-                # a = slope * z and z <= 0.
-                eq_rows.append(num_eq)
-                eq_cols.append(ai)
-                eq_data.append(1.0)
-                if neuron.slope != 0.0:
-                    eq_rows.append(num_eq)
-                    eq_cols.append(zi)
-                    eq_data.append(-neuron.slope)
-                ub_cols.append(zi)
-                ub_data.append(1.0)
-            num_eq += 1
-            num_ub += 1
-
-        # Raw CSR surgery (concatenate data/indices, extend indptr): one
-        # vectorised copy each, no scipy stacking machinery per node.
-        a_eq, b_eq = base.a_eq, base.b_eq
-        if num_eq:
-            row_nnz = np.bincount(np.asarray(eq_rows), minlength=num_eq)
-            if a_eq is None:
-                indptr = np.concatenate([[0], np.cumsum(row_nnz)])
-                a_eq = sp.csr_matrix(
-                    (np.asarray(eq_data), np.asarray(eq_cols), indptr),
-                    shape=(num_eq, n))
-                b_eq = np.zeros(num_eq)
-            else:
-                indptr = np.concatenate([
-                    a_eq.indptr,
-                    a_eq.indptr[-1] + np.cumsum(row_nnz),
-                ])
-                a_eq = sp.csr_matrix(
-                    (np.concatenate([a_eq.data, eq_data]),
-                     np.concatenate([a_eq.indices, eq_cols]),
-                     indptr),
-                    shape=(a_eq.shape[0] + num_eq, n))
-                b_eq = np.concatenate([b_eq, np.zeros(num_eq)])
-
-        a_ub, b_ub = base.a_ub, base.b_ub
-        if a_ub is None:
-            if num_ub:
-                indptr = np.arange(num_ub + 1)
-                a_ub = sp.csr_matrix(
-                    (np.asarray(ub_data), np.asarray(ub_cols), indptr),
-                    shape=(num_ub, n))
-                b_ub = np.zeros(num_ub)
-        elif drop_rows or num_ub:
-            keep = np.ones(a_ub.shape[0], dtype=bool)
-            keep[drop_rows] = False
-            entry_keep = np.repeat(keep, base.ub_row_nnz)
-            kept_nnz = base.ub_row_nnz[keep]
-            indptr = np.empty(kept_nnz.size + num_ub + 1, dtype=np.int64)
-            indptr[0] = 0
-            np.cumsum(np.concatenate([kept_nnz, np.ones(num_ub, np.int64)]),
-                      out=indptr[1:])
-            a_ub = sp.csr_matrix(
-                (np.concatenate([a_ub.data[entry_keep], ub_data]),
-                 np.concatenate([a_ub.indices[entry_keep], ub_cols]),
-                 indptr),
-                shape=(kept_nnz.size + num_ub, n))
-            b_ub = np.concatenate([b_ub[keep], np.zeros(num_ub)])
-
-        return LinearSystem(n, a_ub, b_ub, a_eq, b_eq, bounds)
-
-    # --------------------------------------------------- dense LP (legacy)
-    def _build_lp_dense(self, fixed_phases: PhaseMap) -> LinearSystem:
-        n = self.num_continuous
-        ub = _RowBuilder(n)
-        eq = _RowBuilder(n)
-        bounds: List[Tuple[Optional[float], Optional[float]]] = [(None, None)] * n
-        box = self.input_box
-        for i in range(box.dim):
-            bounds[i] = (float(box.lower[i]), float(box.upper[i]))
-
-        prev_a = self.input_slice
-        for k, block in enumerate(self.network.blocks()):
-            w, b = block.dense.weight, block.dense.bias
-            z_sl, a_sl = self.z_slices[k], self.a_slices[k]
-            # z_k = W a_{k-1} + b
-            for i in range(block.out_dim):
-                row = np.zeros(n)
-                row[z_sl.start + i] = 1.0
-                row[prev_a] = -w[i]
-                eq.add_dense(row, b[i])
-            act = block.activation
-            if act is not None:
-                slope = self._block_slope(act)
-                self._encode_activation_lp(
-                    k, slope, fixed_phases, ub, eq, bounds, z_sl, a_sl
-                )
-            prev_a = a_sl
-
-        a_ub, b_ub = ub.matrices()
-        a_eq, b_eq = eq.matrices()
-        return LinearSystem(n, a_ub, b_ub, a_eq, b_eq, bounds)
-
-    def _encode_activation_lp(self, k: int, slope: float,
-                              fixed_phases: PhaseMap,
-                              ub: _RowBuilder, eq: _RowBuilder,
-                              bounds, z_sl: slice, a_sl: slice) -> None:
-        pre = self.pre_boxes[k]
-        for i in range(z_sl.stop - z_sl.start):
-            zi, ai = z_sl.start + i, a_sl.start + i
-            l, u = float(pre.lower[i]), float(pre.upper[i])
-            phase = fixed_phases.get((k, i))
-            stability = self.neuron_stability(k, i)
-            if phase == 1 or stability == "active":
-                # a = z, and when forced, z >= 0.
-                eq.add({ai: 1.0, zi: -1.0}, 0.0)
-                if phase == 1 and stability == "unstable":
-                    ub.add({zi: -1.0}, 0.0)  # -z <= 0
-            elif phase == -1 or stability == "inactive":
-                # a = slope * z, and when forced, z <= 0.
-                eq.add({ai: 1.0, zi: -slope}, 0.0)
-                if phase == -1 and stability == "unstable":
-                    ub.add({zi: 1.0}, 0.0)  # z <= 0
-            else:
-                # Triangle relaxation: a >= z, a >= slope*z,
-                # a <= lam*(z - l) + slope*l with lam = (u - slope*l)/(u - l).
-                lam = (u - slope * l) / (u - l)
-                ub.add({zi: 1.0, ai: -1.0}, 0.0)        # z - a <= 0
-                ub.add({zi: slope, ai: -1.0}, 0.0)      # slope*z - a <= 0
-                ub.add({ai: 1.0, zi: -lam}, slope * l - lam * l)
-                bounds[ai] = (min(0.0, slope * l), max(u, 0.0))
+        return _LPBase(a_eq, b_eq, a_ub, b_ub, lo, hi, phase_rows)
 
     # ----------------------------------------------------------- MILP builder
-    def build_milp(self, form: str = "auto") -> LinearSystem:
+    def build_milp(self) -> LinearSystem:
         """Exact big-M MILP encoding (one binary per unstable neuron).
 
         For an unstable ReLU neuron with pre-activation bounds ``[l, u]``::
@@ -853,17 +678,9 @@ class NetworkEncoding:
 
         ``delta = 1`` forces the active piece (``a = z``), ``delta = 0`` the
         negative-side piece (``a = slope*z``) -- the classic big-M encoding
-        of the paper's Equation 2 with ``l``/``u`` as the big-M constants.
-        ``form="sparse"`` emits whole layers as CSR triplets; ``"auto"``
-        (default) falls back to dense for tiny systems.
+        of the paper's Equation 2 with ``l``/``u`` as the big-M constants,
+        emitted whole layers at a time as CSR triplets.
         """
-        num_vars = self.num_continuous + len(self.unstable_neurons())
-        form = self._resolve_form(form, num_vars)
-        if form == "dense":
-            return self._build_milp_dense()
-        return self._build_milp_sparse()
-
-    def _build_milp_sparse(self) -> LinearSystem:
         unstable = self.unstable_neurons()
         n = self.num_continuous + len(unstable)
         delta_index = {pair: self.num_continuous + j
@@ -871,9 +688,9 @@ class NetworkEncoding:
 
         eq = _CooBuilder(n)
         ub = _CooBuilder(n)
-        bounds = self._init_bounds(n)
-        for di in delta_index.values():
-            bounds[di] = (0.0, 1.0)
+        lo, hi = self._init_bounds(n)
+        lo[self.num_continuous:] = 0.0
+        hi[self.num_continuous:] = 1.0
 
         prev_a = self.input_slice
         for k, block in enumerate(self.network.blocks()):
@@ -921,66 +738,12 @@ class NetworkEncoding:
                     rhs = np.zeros(4 * m)
                     rhs[3::4] = -(1 - slope) * l
                     ub.add_chunk(rows, cols, data, rhs)
-                    lo_a, hi_a = self._unstable_a_bounds(slope, l, u)
-                    for j, i in enumerate(free):
-                        bounds[a0 + int(i)] = (float(lo_a[j]), float(hi_a[j]))
+                    lo[ai], hi[ai] = self._unstable_a_bounds(slope, l, u)
             prev_a = a_sl
 
         a_eq, b_eq = eq.matrices()
         a_ub, b_ub = ub.matrices()
         integer_mask = np.zeros(n, dtype=bool)
-        for di in delta_index.values():
-            integer_mask[di] = True
-        return LinearSystem(n, a_ub, b_ub, a_eq, b_eq, bounds, integer_mask)
-
-    def _build_milp_dense(self) -> LinearSystem:
-        unstable = self.unstable_neurons()
-        n = self.num_continuous + len(unstable)
-        delta_index = {pair: self.num_continuous + j for j, pair in enumerate(unstable)}
-
-        ub = _RowBuilder(n)
-        eq = _RowBuilder(n)
-        bounds: List[Tuple[Optional[float], Optional[float]]] = [(None, None)] * n
-        box = self.input_box
-        for i in range(box.dim):
-            bounds[i] = (float(box.lower[i]), float(box.upper[i]))
-        for pair, di in delta_index.items():
-            bounds[di] = (0.0, 1.0)
-
-        prev_a = self.input_slice
-        for k, block in enumerate(self.network.blocks()):
-            w, b = block.dense.weight, block.dense.bias
-            z_sl, a_sl = self.z_slices[k], self.a_slices[k]
-            for i in range(block.out_dim):
-                row = np.zeros(n)
-                row[z_sl.start + i] = 1.0
-                row[prev_a] = -w[i]
-                eq.add_dense(row, b[i])
-            act = block.activation
-            if act is not None:
-                slope = self._block_slope(act)
-                pre = self.pre_boxes[k]
-                for i in range(block.out_dim):
-                    zi, ai = z_sl.start + i, a_sl.start + i
-                    l, u = float(pre.lower[i]), float(pre.upper[i])
-                    stability = self.neuron_stability(k, i)
-                    if stability == "active":
-                        eq.add({ai: 1.0, zi: -1.0}, 0.0)
-                    elif stability == "inactive":
-                        eq.add({ai: 1.0, zi: -slope}, 0.0)
-                    else:
-                        di = delta_index[(k, i)]
-                        ub.add({zi: 1.0, ai: -1.0}, 0.0)
-                        ub.add({zi: slope, ai: -1.0}, 0.0)
-                        ub.add({ai: 1.0, zi: -slope, di: -(1 - slope) * u}, 0.0)
-                        ub.add({ai: 1.0, zi: -1.0, di: -(1 - slope) * l},
-                               -(1 - slope) * l)
-                        bounds[ai] = (min(0.0, slope * l), max(u, 0.0))
-            prev_a = a_sl
-
-        a_ub, b_ub = ub.matrices()
-        a_eq, b_eq = eq.matrices()
-        integer_mask = np.zeros(n, dtype=bool)
-        for di in delta_index.values():
-            integer_mask[di] = True
-        return LinearSystem(n, a_ub, b_ub, a_eq, b_eq, bounds, integer_mask)
+        integer_mask[self.num_continuous:] = True
+        return LinearSystem(n, a_ub, b_ub, a_eq, b_eq, _bounds_list(lo, hi),
+                            integer_mask)

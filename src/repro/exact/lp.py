@@ -5,10 +5,11 @@ explicit statuses, consistent ``None`` handling for absent constraint
 groups, and a :class:`SolverError` for genuine backend failures (as opposed
 to the ordinary *infeasible* / *unbounded* verdicts, which are results).
 
-Constraint matrices may be dense ``np.ndarray`` or ``scipy.sparse``; sparse
-systems are handed to HiGHS as-is (no densification), except for *tiny*
-systems where the sparse bookkeeping costs more than it saves -- those are
-densified first (``DENSE_FALLBACK_VARS`` variables or fewer).
+Constraint matrices may be dense ``np.ndarray`` or ``scipy.sparse``; both
+are handed to HiGHS as-is.  This is the path for one-off LPs (bound
+tightening, the MILP relaxations) and the differential oracle of the
+branch-and-bound node kernel, which solves node LPs itself
+(:mod:`repro.exact.highs`).
 """
 
 from __future__ import annotations
@@ -23,30 +24,13 @@ from scipy.optimize import linprog
 from repro.errors import SolverError
 
 __all__ = ["LPResult", "solve_lp", "solve_system",
-           "LP_OPTIMAL", "LP_INFEASIBLE", "LP_UNBOUNDED",
-           "DENSE_FALLBACK_VARS"]
+           "LP_OPTIMAL", "LP_INFEASIBLE", "LP_UNBOUNDED"]
 
 LP_OPTIMAL = "optimal"
 LP_INFEASIBLE = "infeasible"
 LP_UNBOUNDED = "unbounded"
 
 _STATUS_MAP = {0: LP_OPTIMAL, 2: LP_INFEASIBLE, 3: LP_UNBOUNDED}
-
-#: Systems at or below this many variables are solved dense: HiGHS's sparse
-#: ingestion overhead only pays for itself on real widths (measured
-#: crossover is between ~100 and ~250 variables on the bench_lp workloads).
-DENSE_FALLBACK_VARS = 128
-
-
-def _prepare_matrix(matrix, num_vars: int):
-    """Normalise one constraint matrix for HiGHS: CSR for genuinely sparse
-    systems, dense for tiny ones."""
-    if matrix is None or not sp.issparse(matrix):
-        return matrix
-    if num_vars <= DENSE_FALLBACK_VARS:
-        return matrix.toarray()
-    return matrix.tocsr() if matrix.format != "csr" else matrix
-
 
 @dataclass
 class LPResult:
@@ -55,7 +39,9 @@ class LPResult:
     ``value`` and ``x`` are only meaningful when ``status == LP_OPTIMAL``.
     ``dual_ub`` / ``dual_eq`` are the optimal row multipliers (sign
     convention: ``lambda >= 0`` for the ``<=`` rows of a minimisation),
-    populated only when the solve was asked for them.
+    populated only when the solve was asked for them.  ``basis`` is the
+    optimal HiGHS basis of a node-kernel solve, the hot start of the
+    node's children (``None`` from :func:`solve_lp`).
     """
 
     status: str
@@ -63,6 +49,7 @@ class LPResult:
     x: Optional[np.ndarray]
     dual_ub: Optional[np.ndarray] = None
     dual_eq: Optional[np.ndarray] = None
+    basis: Optional[object] = None
 
     @property
     def optimal(self) -> bool:
@@ -81,7 +68,9 @@ def solve_lp(c: np.ndarray,
     """Minimise ``c @ x`` subject to ``a_ub x <= b_ub``, ``a_eq x == b_eq``
     and variable ``bounds`` (default: free variables).
 
-    ``a_ub`` / ``a_eq`` may be dense or ``scipy.sparse`` matrices.
+    ``a_ub`` / ``a_eq`` may be dense or ``scipy.sparse`` matrices.  Rows
+    with ``b_ub = +inf`` are vacuous (the unfixed phase rows of a node
+    LP): they are left out of the solve and get zero multipliers.
 
     Raises :class:`SolverError` if HiGHS reports a numerical failure or an
     iteration/time limit -- conditions a verification result must never be
@@ -94,18 +83,23 @@ def solve_lp(c: np.ndarray,
     computes them anyway; off by default so the hot node-LP path carries
     nothing it does not use.
 
-    Thread-safety: ``linprog``/HiGHS holds no module state and releases the
-    GIL inside the solve, so concurrent calls from the shared worker pool
-    (:func:`repro.core.parallel.run_parallel`) are safe and genuinely
-    overlap -- the property the parallel frontier search relies on.
+    Thread-safety: ``linprog``/HiGHS holds no module state, so concurrent
+    calls from the shared worker pool are safe.
     """
     c = np.asarray(c, dtype=np.float64)
     if bounds is None:
         bounds = [(None, None)] * c.size
+    kept = None
+    if b_ub is not None:
+        b_ub = np.asarray(b_ub, dtype=np.float64)
+        if np.any(b_ub == np.inf):
+            kept = np.flatnonzero(b_ub != np.inf)
+            rows = sp.csr_matrix(a_ub) if sp.issparse(a_ub) else np.asarray(a_ub)
     res = linprog(
         c,
-        A_ub=_prepare_matrix(a_ub, c.size), b_ub=b_ub,
-        A_eq=_prepare_matrix(a_eq, c.size), b_eq=b_eq,
+        A_ub=a_ub if kept is None else (rows[kept] if kept.size else None),
+        b_ub=b_ub if kept is None else (b_ub[kept] if kept.size else None),
+        A_eq=a_eq, b_eq=b_eq,
         bounds=bounds,
         method="highs",
     )
@@ -123,7 +117,9 @@ def solve_lp(c: np.ndarray,
             # conventional nonnegative multipliers (certificate reuse
             # evaluates them as a Lagrangian bound -- repro.certs.reuse).
             if a_ub is not None:
-                dual_ub = -np.asarray(res.ineqlin.marginals, dtype=np.float64)
+                dual_ub = np.zeros(len(b_ub))
+                dual_ub[slice(None) if kept is None else kept] = -np.asarray(
+                    res.ineqlin.marginals, dtype=np.float64)
             if a_eq is not None:
                 dual_eq = -np.asarray(res.eqlin.marginals, dtype=np.float64)
         return LPResult(status=status, value=float(res.fun),

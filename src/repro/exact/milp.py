@@ -8,12 +8,10 @@ solved by HiGHS.  It is exact (up to ``tol``) for the bounded binary MILPs
 produced by :meth:`NetworkEncoding.build_milp`, and generic enough to be
 used as a standalone substrate.
 
-Sparse systems flow through untouched: branching only edits *variable
-bounds*, so one :class:`LinearSystem` -- dense or CSR -- serves every node
-and each relaxation hands the same matrices straight to HiGHS (see
-:func:`repro.exact.lp.solve_lp`).  Tiny sparse systems are densified once
-up front (the solve-side fast path would otherwise re-convert per node);
-nothing is densified or re-stacked per node.
+Branching only edits *variable bounds*, so one :class:`LinearSystem` --
+dense or CSR -- serves every node and each relaxation hands the same
+matrices straight to HiGHS (see :func:`repro.exact.lp.solve_lp`); nothing
+is re-stacked per node.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.api.config import DEFAULT_TOL
 from repro.errors import SolverError
 from repro.exact.encoding import LinearSystem
 from repro.exact.lp import (
-    DENSE_FALLBACK_VARS,
     LP_INFEASIBLE,
     LP_OPTIMAL,
     LP_UNBOUNDED,
@@ -83,10 +80,6 @@ def solve_milp(c: np.ndarray, system: LinearSystem,
     ``maximize`` (the caller's value/bound are negated back).
     """
     c = np.asarray(c, dtype=np.float64)
-    if system.is_sparse and system.num_vars <= DENSE_FALLBACK_VARS:
-        # Tiny sparse system: densify once here rather than letting every
-        # node's solve_lp repeat the conversion.
-        system = system.to_dense()
     if maximize:
         res = solve_milp(-c, system, maximize=False, tol=tol, node_limit=node_limit)
         return MILPResult(

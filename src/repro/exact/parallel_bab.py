@@ -2,11 +2,11 @@
 
 The scalar search of :mod:`repro.exact.bab` expands one node at a time:
 pop the best open node, screen its two children with a batched interval
-pass, build each surviving child's LP as *base + phase delta* on the shared
-:class:`~repro.exact.encoding.NetworkEncoding`, solve, push.  Every stage of
-that loop was built batch-first (PR 1's ``phase_clamped_node_bounds``
-screens N regions in one pass; PR 2's encoding composes any node LP from
-one read-only base), so the search itself is the last sequential piece.
+pass, solve each surviving child's LP on the encoding's hot-started HiGHS
+kernel, push.  Every stage of that loop was built batch-first
+(``phase_clamped_node_bounds`` screens N regions in one pass; every node
+LP shares the encoding's one fixed layout), so the search itself is the
+last sequential piece.
 This module removes it: the **frontier search** expands the top-K open
 nodes per synchronous round and solves all surviving child LPs concurrently
 on the shared worker pool of :mod:`repro.core.parallel`.
@@ -22,11 +22,12 @@ One round
    :func:`~repro.domains.batch.phase_clamped_node_bounds` call: empty
    regions, incumbent-dominated regions and threshold-closed regions settle
    without an LP.
-4. *Solve.*  The survivors' delta-LPs are submitted together to
-   :func:`~repro.core.parallel.run_parallel`; each worker composes
-   ``base + phase delta`` from the one shared read-only encoding (never
-   rebuilding -- the encoding's lazy base assembly is lock-protected) and
-   HiGHS releases the GIL, so the solves genuinely overlap.  Idle workers
+4. *Solve.*  The survivors' node LPs are submitted together to
+   :func:`~repro.core.parallel.run_parallel`; each worker solves on its
+   own thread's kernel for the shared encoding
+   (:meth:`~repro.exact.encoding.NetworkEncoding.solve_node`),
+   hot-started from the popped parent's basis, which travels with the
+   node.  Idle workers
    pick up whatever task is next in the round's queue (pool-level work
    stealing), so heterogeneous node costs do not serialise the round.
 5. *Fold.*  Results are folded back **in submission order** on the
@@ -55,6 +56,9 @@ which children are screened, which LPs are solved, and the order results
 are folded -- is then a pure function of the problem, so ``status`` is
 byte-identical and ``optimum`` bitwise-identical across worker counts:
 ``workers`` only changes how many of a round's LPs are in flight at once.
+Which thread's kernel solves a node does not matter either: a kernel
+solve depends only on the node and its parent's basis
+(:mod:`repro.exact.highs`).
 (Raising ``frontier_width`` for very wide pools changes the trajectory,
 not soundness: bounds/verdicts agree within ``tol``.)
 """
@@ -78,7 +82,8 @@ from repro.exact.bab import (
     BaBSolver,
 )
 from repro.exact.encoding import PhaseMap
-from repro.exact.lp import LP_INFEASIBLE, LP_OPTIMAL, LPResult, solve_lp
+# solve_lp stays bound here: perfbench's tracer looks it up by name.
+from repro.exact.lp import LP_INFEASIBLE, LP_OPTIMAL, LPResult, solve_lp  # noqa: F401
 
 __all__ = ["FRONTIER_WIDTH", "maximize_frontier"]
 
@@ -148,20 +153,17 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                 res.dual_ub if res.dual_ub is not None else np.zeros(0),
                 res.dual_eq if res.dual_eq is not None else np.zeros(0))
 
-    def node_thunk(phases: PhaseMap, tight_pre, label: str
+    def node_thunk(phases: PhaseMap, tight_pre, basis, label: str
                    ) -> Callable[[], LPResult]:
-        """One worker task: compose base + delta, solve.  Reads the shared
-        encoding only (its lazy base assembly is internally locked)."""
+        """One worker task: solve the node on this thread's kernel,
+        hot-started from its parent's ``basis`` (``None``: cold)."""
         def thunk() -> LPResult:
-            system = enc.build_lp(phases, form=solver.lp_form,
-                                  tight_pre=tight_pre)
-            return solve_lp(neg_obj, system.a_ub, system.b_ub,
-                            system.a_eq, system.b_eq, system.bounds,
-                            label=label,
-                            want_duals=collect_duals is not None)
+            return enc.solve_node(neg_obj, phases, tight_pre, basis=basis,
+                                  want_duals=collect_duals is not None,
+                                  label=label)
         return thunk
 
-    def solve_batch(items: List[Tuple[PhaseMap, object]],
+    def solve_batch(items: List[Tuple[PhaseMap, object, object]],
                     stage: str) -> List[LPResult]:
         """Solve one round's surviving node LPs, order-preserving.
 
@@ -173,8 +175,8 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         nonlocal lp_solves
         lp_solves += len(items)
         batches.append(len(items))
-        thunks = [node_thunk(phases, tight, f"{stage} node {j}")
-                  for j, (phases, tight) in enumerate(items)]
+        thunks = [node_thunk(phases, tight, basis, f"{stage} node {j}")
+                  for j, (phases, tight, basis) in enumerate(items)]
         # Re-clamp per batch against the width other callers currently
         # hold: while the pool is occupied elsewhere this degrades to
         # inline execution for the round (results identical) rather than
@@ -193,8 +195,9 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             incumbent = value
             witness = x_clipped
 
-    # Max-heap on node upper bounds (negate for heapq).
-    heap: List[Tuple[float, int, PhaseMap, np.ndarray]] = []
+    # Max-heap on node upper bounds (negate for heapq); each entry carries
+    # its LP point and optimal basis (its children's hot start).
+    heap: List[Tuple[float, int, PhaseMap, np.ndarray, object]] = []
 
     # Warm-start economics: starts adopted from the caller, and how many
     # of them the batched float64 re-screen settled without an LP.
@@ -214,8 +217,8 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
 
     def finish(status: str, bound: float) -> BaBResult:
         # Whatever remains open is part of the covering certificate.
-        for _, __, phases, ___ in heap:
-            record_leaf(phases)
+        for entry in heap:
+            record_leaf(entry[2])
         return result(status, bound)
 
     # ------------------------------------------------------------- warm start
@@ -235,7 +238,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                 record_leaf(start)
             lp_solves_saved = nodes_reused
             return result(BAB_PROVED, float(start_ubs.max()))
-    surviving: List[Tuple[PhaseMap, object]] = []
+    surviving: List[Tuple[PhaseMap, object, object]] = []
     for j, start in enumerate(starts):
         ub_est = float(start_ubs[j]) if solver.interval_prune else None
         # Starts screen against an -inf incumbent: all surviving start LPs
@@ -252,11 +255,13 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                 lp_solves_saved += 1
             record_leaf(start)  # phase constraints emptied the region
             continue
-        surviving.append((start, start_tights[j] if start_tights else None))
+        surviving.append((start, start_tights[j] if start_tights else None,
+                          None))
     any_feasible = False
     if surviving:
         rounds += 1
-        for (start, _), res in zip(surviving, solve_batch(surviving, "start")):
+        for (start, _, __), res in zip(surviving,
+                                       solve_batch(surviving, "start")):
             if res.status == LP_INFEASIBLE:
                 record_leaf(start)
                 continue
@@ -265,7 +270,8 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             any_feasible = True
             capture_duals(start, res)
             register_feasible(res.x[enc.input_slice])
-            heapq.heappush(heap, (res.value, next(counter), start, res.x))
+            heapq.heappush(heap, (res.value, next(counter), start, res.x,
+                                  res.basis))
     if not any_feasible:
         if screened_bound > -np.inf:
             # Every LP-checked region was empty, but interval-screened
@@ -291,19 +297,19 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             return finish(BAB_NODE_LIMIT, global_bound)
 
         # Pop the round's frontier (heap order => bounds non-increasing).
-        popped: List[Tuple[float, PhaseMap, np.ndarray]] = []
+        popped: List[Tuple[PhaseMap, np.ndarray, object]] = []
         while heap and len(popped) < min(width, budget):
-            neg_bound, cnt, phases, x_lp = heapq.heappop(heap)
-            if -neg_bound <= incumbent + tol:
+            entry = heapq.heappop(heap)
+            if -entry[0] <= incumbent + tol:
                 # This and every later node is dominated; leave them open
                 # (the next round's top-of-heap check settles the search).
-                heapq.heappush(heap, (neg_bound, cnt, phases, x_lp))
+                heapq.heappush(heap, entry)
                 break
-            popped.append((-neg_bound, phases, x_lp))
+            popped.append(entry[2:])
 
         rounds += 1
-        children: List[PhaseMap] = []
-        for bound, phases, x_lp in popped:
+        children: List[Tuple[PhaseMap, object]] = []
+        for phases, x_lp, basis in popped:
             nodes += 1
             branch_var = solver._most_violated(x_lp, phases)
             if branch_var is None:
@@ -314,7 +320,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             for phase in (1, -1):
                 child: PhaseMap = dict(phases)
                 child[branch_var] = phase
-                children.append(child)
+                children.append((child, basis))
         if not children:
             batches.append(0)
             continue
@@ -322,9 +328,10 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         # One batched pass screens the whole round's children at once.
         child_ubs = child_feasible = child_tights = None
         if use_screen:
-            child_ubs, child_feasible, child_tights = screen_nodes(children)
+            child_ubs, child_feasible, child_tights = screen_nodes(
+                [child for child, _ in children])
         surviving = []
-        for j, child in enumerate(children):
+        for j, (child, basis) in enumerate(children):
             ub_est = float(child_ubs[j]) if solver.interval_prune else None
             verdict = solver._screen_verdict(
                 ub_est, not use_screen or bool(child_feasible[j]),
@@ -335,11 +342,11 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                 record_leaf(child)  # empty region / dominated bound
                 continue
             surviving.append(
-                (child, child_tights[j] if child_tights else None))
+                (child, child_tights[j] if child_tights else None, basis))
 
-        # Concurrent delta-LP solves; results folded in submission order.
-        for (child, _), res in zip(surviving,
-                                   solve_batch(surviving, f"round{rounds}")):
+        # Concurrent node-LP solves; results folded in submission order.
+        for (child, _, __), res in zip(surviving,
+                                       solve_batch(surviving, f"round{rounds}")):
             if res.status == LP_INFEASIBLE:
                 record_leaf(child)  # the region is empty: settled
                 continue
@@ -354,7 +361,8 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             if child_bound <= incumbent + tol:
                 record_leaf(child)
                 continue
-            heapq.heappush(heap, (-child_bound, next(counter), child, res.x))
+            heapq.heappush(heap, (-child_bound, next(counter), child, res.x,
+                                  res.basis))
 
     status, bound = solver._terminal_status(incumbent, screened_bound,
                                             threshold)

@@ -542,8 +542,12 @@ class TestDefaultsUnified:
             VerifyConfig(method="frobnicate")
         with pytest.raises(ReproError):
             VerifyConfig(domain="nonsense")
-        with pytest.raises(ReproError):
-            VerifyConfig(lp_form="sprase")
+        # The lp_form knob is gone: old documents fail loudly, not silently.
+        with pytest.raises(ReproError, match="lp_form"):
+            VerifyConfig.from_dict({"lp_form": "sparse"})
+        from repro.api.serialize import config_from_json
+        with pytest.raises(ReproError, match="lp_form"):
+            config_from_json(json.dumps({**config.to_dict(), "lp_form": "auto"}))
         with pytest.raises(ReproError):
             VerifyConfig(encoding_cache="maybe")
         with pytest.raises(ReproError):

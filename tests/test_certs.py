@@ -31,6 +31,7 @@ from repro.certs import (
 )
 from repro.domains import Box
 from repro.errors import CertificateError
+from repro.exact import NetworkEncoding
 from repro.nn.builders import random_relu_network
 
 
@@ -256,6 +257,71 @@ class TestSoundness:
         warm = VerificationEngine(VerifyConfig(certs="reuse"),
                                   certs=store).verify(
             _spec(net, box, c, thr))
+        cold = VerificationEngine(VerifyConfig()).verify(
+            _spec(net, box, c, thr))
+        assert warm.provenance.cert_hit is False
+        assert verdict_decision_json(warm) == verdict_decision_json(cold)
+
+
+class TestFixedLayoutDuals:
+    """Node-LP duals follow the fixed node layout (base rows plus two
+    phase rows per unstable neuron)."""
+
+    def test_lagrangian_of_own_duals_reproduces_lp_value(
+            self, threshold_problem):
+        from repro.certs.reuse import (_finite_var_bounds, _lagrangian_upper,
+                                       _screen_batch)
+        from repro.exact import BaBSolver
+
+        net, box, c, _thr = threshold_problem
+        solver = BaBSolver(net, box, node_tighten=True)
+        enc = solver.encoding
+        neg_obj = -enc.output_objective(c)
+        unstable = enc.unstable_neurons()
+        rng = np.random.default_rng(3)
+        leaves = [{}] + [{unstable[int(j)]: int(rng.choice((-1, 1)))
+                          for j in rng.choice(len(unstable), size=2,
+                                              replace=False)}
+                         for _ in range(6)]
+        _upper, feasible, tights = _screen_batch(solver, leaves, c)
+        checked = 0
+        for j, leaf in enumerate(leaves):
+            if not feasible[j]:
+                continue
+            res = enc.solve_node(neg_obj, leaf, tights[j], want_duals=True)
+            if not res.optimal:
+                continue
+            system = enc.build_lp(leaf, tight_pre=tights[j])
+            assert res.dual_ub.size == system.b_ub.size == \
+                enc.build_lp().b_ub.size
+            lo, hi = _finite_var_bounds(solver, tights[j], system)
+            bound = _lagrangian_upper(system, neg_obj, lo, hi,
+                                      (res.dual_ub, res.dual_eq))
+            assert np.isfinite(bound)
+            assert bound == pytest.approx(-res.value, rel=1e-7, abs=1e-7)
+            checked += 1
+        assert checked >= 2
+
+    def test_version_1_certificate_falls_back_to_cold(self,
+                                                      threshold_problem):
+        """A v1 certificate (old row layout) is rejected at validation:
+        the solve runs cold and reaches the same decision."""
+        net, box, c, thr = threshold_problem
+        store = MemCerts()
+        cert = load_certificate(_record(threshold_problem, store))
+        key = next(iter(store.entries))
+        cert.version = 1
+        # The old layout had no phase rows: shorter dual vectors.
+        phase_rows = 2 * len(NetworkEncoding(net, box).unstable_neurons())
+        cert.leaf_duals[:] = [
+            None if d is None else (d[0][:-phase_rows], d[1])
+            for d in cert.leaf_duals]
+        store.entries[key] = certificate_to_json(cert)
+        with pytest.raises(CertificateError, match="version"):
+            validate_certificate(load_certificate(store.entries[key]), net,
+                                 c, thr, VerifyConfig())
+        warm = VerificationEngine(VerifyConfig(certs="reuse"),
+                                  certs=store).verify(_spec(net, box, c, thr))
         cold = VerificationEngine(VerifyConfig()).verify(
             _spec(net, box, c, thr))
         assert warm.provenance.cert_hit is False

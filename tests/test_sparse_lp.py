@@ -1,12 +1,14 @@
-"""Sparse incremental LP kernel: equivalence with the dense builder.
+"""The fixed node layout: one LP layout for every branch-and-bound node.
 
-The sparse path (cached COO/CSR base + per-node delta) must produce the
-*same feasible set* as the historical dense per-neuron builder -- identical
-LP/MILP statuses and optimal values -- across ReLU and LeakyReLU networks,
-fully-stable networks (no inequality rows at all), forced-phase deltas, and
-the contradictory-phase bugfix.  Plus the solver-side regressions: one
-encoding (and one base assembly) per branch-and-bound solve, and the
-fingerprint-keyed encoding cache.
+Every node LP shares the encoding's one sparse base (the phase-free
+triangle relaxation plus two vacuous phase rows per unstable neuron);
+fixing a phase only moves bounds.  These tests pin that layout down --
+shared matrices, phase fixing as bound changes, fully-stable networks,
+the contradictory-phase bugfix -- check the hot-started node kernel
+against the ``linprog`` oracle on it, keep the big-M MILP consistent with
+the same rows, and cover the solver-side regressions: one encoding (and
+one base assembly and one kernel model) per branch-and-bound solve, and
+the fingerprint-keyed encoding cache.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.exact import (
     solve_milp,
     solve_system,
 )
+from repro.exact.highs import NodeKernel
 from repro.nn import Dense, LeakyReLU, Network, ReLU, random_relu_network
 
 
@@ -41,6 +44,13 @@ def _random_net(dims, seed, weight_scale=1.0, leaky_alpha=None):
     return Network(layers, input_dim=dims[0])
 
 
+def _dense_copy(system):
+    """The same system with dense constraint matrices."""
+    return LinearSystem(system.num_vars, system.a_ub.toarray(), system.b_ub,
+                        system.a_eq.toarray(), system.b_eq,
+                        list(system.bounds))
+
+
 def _random_phase_maps(enc, rng, count=4):
     """A few branch-and-bound-style phase maps over the unstable neurons."""
     unstable = enc.unstable_neurons()
@@ -56,16 +66,20 @@ def _random_phase_maps(enc, rng, count=4):
 
 
 def _assert_equivalent(enc, phases, objectives):
-    dense = enc.build_lp(phases, form="dense")
-    sparse = enc.build_lp(phases, form="sparse")
-    assert sparse.is_sparse or sparse.a_ub is None and sparse.a_eq is None
-    assert not dense.is_sparse
+    """The node kernel (cold, then hot-started from the root basis) and
+    ``linprog`` over ``build_lp`` agree on one node."""
+    system = enc.build_lp(phases)
+    assert system.is_sparse
+    kernel = NodeKernel(enc.build_lp())
     for c in objectives:
-        res_d = solve_system(c, dense)
-        res_s = solve_system(c, sparse)
-        assert res_d.status == res_s.status
-        if res_d.optimal:
-            assert res_s.value == pytest.approx(res_d.value, abs=1e-9)
+        oracle = solve_system(c, system)
+        root = kernel.solve(c, *enc.node_bounds())
+        for basis in (None, root.basis):
+            res = kernel.solve(c, *enc.node_bounds(phases), basis=basis)
+            assert res.status == oracle.status
+            if oracle.optimal:
+                assert res.value == pytest.approx(oracle.value, rel=1e-9,
+                                                  abs=1e-9)
 
 
 class TestSparseDenseLP:
@@ -87,19 +101,28 @@ class TestSparseDenseLP:
             _assert_equivalent(enc, phases, objectives)
 
     def test_lp_matrices_match_exactly(self, fig2, enlarged_box2):
-        """Phase-free base: same rows as the dense build, sparsely stored."""
+        """Every node shares the base matrices; only b_ub and the column
+        bounds move, and the layout is the base rows plus 2 per unstable
+        neuron."""
         enc = NetworkEncoding(fig2, enlarged_box2)
-        dense = enc.build_lp(form="dense")
-        sparse = enc.build_lp(form="sparse")
-        np.testing.assert_allclose(sparse.a_eq.toarray(), dense.a_eq)
-        np.testing.assert_allclose(sparse.b_eq, dense.b_eq)
-        np.testing.assert_allclose(sparse.a_ub.toarray(), dense.a_ub)
-        np.testing.assert_allclose(sparse.b_ub, dense.b_ub)
-        assert sparse.bounds == dense.bounds
-        assert sparse.nnz == dense.nnz
+        base = enc.build_lp()
+        unstable = enc.unstable_neurons()
+        phase_rows = 2 * len(unstable)
+        assert np.all(base.b_ub[-phase_rows:] == np.inf)
+        assert np.all(np.isfinite(base.b_ub[:-phase_rows]))
+        rng = np.random.default_rng(0)
+        for phases in _random_phase_maps(enc, rng):
+            node = enc.build_lp(phases)
+            assert node.a_ub is base.a_ub and node.a_eq is base.a_eq
+            np.testing.assert_array_equal(node.b_eq, base.b_eq)
+            np.testing.assert_array_equal(node.b_ub[:-phase_rows],
+                                          base.b_ub[:-phase_rows])
+            assert np.count_nonzero(node.b_ub == 0.0) - \
+                np.count_nonzero(base.b_ub == 0.0) == len(phases)
+        assert base.nnz == base.a_ub.nnz + base.a_eq.nnz
 
     def test_fully_stable_net_has_no_inequalities(self):
-        """All neurons stable: empty ``a_ub`` in both forms."""
+        """All neurons stable: no triangle and no phase rows at all."""
         net = Network([
             Dense(2, 2, weight=np.array([[1.0, 0.5], [-0.5, 1.0]]),
                   bias=np.array([4.0, 5.0])),
@@ -109,20 +132,27 @@ class TestSparseDenseLP:
         box = Box(-np.ones(2), np.ones(2))
         enc = NetworkEncoding(net, box)
         assert enc.unstable_neurons() == []
-        dense = enc.build_lp(form="dense")
-        sparse = enc.build_lp(form="sparse")
-        assert dense.a_ub is None and sparse.a_ub is None
+        system = enc.build_lp()
+        assert system.a_ub is None and system.b_ub is None
         c = enc.output_objective(np.array([1.0]))
-        assert solve_system(c, sparse).value == \
-            pytest.approx(solve_system(c, dense).value, abs=1e-9)
+        _assert_equivalent(enc, {}, [c])
+        assert solve_system(c, system).value == pytest.approx(7.0, abs=1e-9)
 
-    def test_forced_phase_removes_triangle_rows(self, fig2, enlarged_box2):
+    def test_forced_phase_only_moves_bounds(self, fig2, enlarged_box2):
         enc = NetworkEncoding(fig2, enlarged_box2)
-        base = enc.build_lp(form="sparse")
-        forced = enc.build_lp({(0, 0): 1}, form="sparse")
-        # 3 triangle rows out, 1 sign row in.
-        assert forced.a_ub.shape[0] == base.a_ub.shape[0] - 2
-        assert forced.a_eq.shape[0] == base.a_eq.shape[0] + 1
+        base = enc.build_lp()
+        z = enc.z_slices[0].start
+        active = enc.build_lp({(0, 0): 1})
+        inactive = enc.build_lp({(0, 0): -1})
+        for node in (active, inactive):
+            assert node.a_ub.shape == base.a_ub.shape
+            assert node.a_eq.shape == base.a_eq.shape
+        first = base.b_ub.size - 2 * len(enc.unstable_neurons())
+        # Active: z >= 0 and a - z <= 0; inactive: z <= 0, a - slope*z <= 0.
+        assert active.bounds[z] == (0.0, None)
+        assert active.b_ub[first] == 0.0 and active.b_ub[first + 1] == np.inf
+        assert inactive.bounds[z] == (None, 0.0)
+        assert inactive.b_ub[first] == np.inf and inactive.b_ub[first + 1] == 0.0
 
     def test_contradictory_phase_is_infeasible(self):
         """A forced phase fighting static stability must not be silently
@@ -140,40 +170,50 @@ class TestSparseDenseLP:
         assert enc.neuron_stability(0, 1) == "inactive"
         assert enc.neuron_stability(0, 2) == "unstable"
         c = enc.output_objective(np.array([1.0]))
+        kernel = NodeKernel(enc.build_lp())
         for phases in ({(0, 0): -1}, {(0, 1): 1},
                        {(0, 0): -1, (0, 2): 1}):
-            for form in ("dense", "sparse"):
-                res = solve_system(c, enc.build_lp(phases, form=form))
-                assert res.status == "infeasible", (phases, form)
+            res = solve_system(c, enc.build_lp(phases))
+            assert res.status == "infeasible", phases
+            assert kernel.solve(c, *enc.node_bounds(phases)).status == \
+                "infeasible", phases
         # Consistent phases on stable neurons remain no-ops.
+        free = solve_system(c, enc.build_lp()).value
         for phases in ({(0, 0): 1}, {(0, 1): -1}):
             _assert_equivalent(enc, phases, [c])
+            assert solve_system(c, enc.build_lp(phases)).value == free
 
 
 class TestSparseDenseMILP:
     @pytest.mark.parametrize("dims,seed", [([3, 8, 2], 0), ([2, 6, 4, 1], 4)])
     def test_milp_equivalence(self, dims, seed):
+        """The big-M MILP optimum is the branch-and-bound optimum."""
         net = random_relu_network(dims, seed=seed, weight_scale=1.1)
         box = Box(-np.ones(dims[0]), np.ones(dims[0]))
         enc = NetworkEncoding(net, box)
-        dense = enc.build_milp(form="dense")
-        sparse = enc.build_milp(form="sparse")
-        assert sparse.is_sparse and not dense.is_sparse
-        np.testing.assert_array_equal(sparse.integer_mask, dense.integer_mask)
-        assert sparse.bounds == dense.bounds
-        c = enc.output_objective(np.ones(dims[-1]), num_vars=dense.num_vars)
-        res_d = solve_milp(c, dense, maximize=True)
-        res_s = solve_milp(c, sparse, maximize=True)
-        assert res_d.status == res_s.status
-        assert res_s.value == pytest.approx(res_d.value, abs=1e-9)
+        system = enc.build_milp()
+        assert system.is_sparse
+        c = enc.output_objective(np.ones(dims[-1]), num_vars=system.num_vars)
+        milp = solve_milp(c, system, maximize=True)
+        bab = BaBSolver(net, box, encoding=enc).maximize(np.ones(dims[-1]))
+        assert milp.status == bab.status == "optimal"
+        assert milp.value == pytest.approx(bab.optimum, abs=1e-6)
 
     def test_milp_matrices_match_exactly(self, fig2, enlarged_box2):
+        """The MILP shares the LP's equality rows and continuous bounds;
+        its binaries are exactly the appended columns."""
         enc = NetworkEncoding(fig2, enlarged_box2)
-        dense = enc.build_milp(form="dense")
-        sparse = enc.build_milp(form="sparse")
-        np.testing.assert_allclose(sparse.a_eq.toarray(), dense.a_eq)
-        np.testing.assert_allclose(sparse.a_ub.toarray(), dense.a_ub)
-        np.testing.assert_allclose(sparse.b_ub, dense.b_ub)
+        lp = enc.build_lp()
+        milp = enc.build_milp()
+        n = enc.num_continuous
+        np.testing.assert_array_equal(milp.a_eq.toarray()[:, :n],
+                                      lp.a_eq.toarray())
+        assert not milp.a_eq.toarray()[:, n:].any()
+        np.testing.assert_array_equal(milp.b_eq, lp.b_eq)
+        assert milp.bounds[:n] == lp.bounds
+        assert milp.bounds[n:] == [(0.0, 1.0)] * len(enc.unstable_neurons())
+        np.testing.assert_array_equal(np.flatnonzero(milp.integer_mask),
+                                      np.arange(n, milp.num_vars))
 
 
 class TestLinearSystemHelpers:
@@ -188,16 +228,17 @@ class TestLinearSystemHelpers:
 
     def test_nnz_and_is_sparse(self, fig2, enlarged_box2):
         enc = NetworkEncoding(fig2, enlarged_box2)
-        sparse = enc.build_lp(form="sparse")
-        dense = sparse.to_dense()
+        sparse = enc.build_lp()
+        dense = _dense_copy(sparse)
         assert sparse.is_sparse and not dense.is_sparse
         assert sparse.nnz == dense.nnz > 0
         assert sparse.num_constraints == dense.num_constraints
 
     def test_with_extra_ub_both_forms(self, fig2, enlarged_box2):
+        """Extra rows keep the storage form, CSR or dense."""
         enc = NetworkEncoding(fig2, enlarged_box2)
-        for system in (enc.build_lp(form="sparse"),
-                       enc.build_lp(form="dense")):
+        sparse = enc.build_lp()
+        for system in (sparse, _dense_copy(sparse)):
             row = np.zeros(system.num_vars)
             row[enc.output_slice] = -1.0
             bigger = system.with_extra_ub(row, -100.0)
@@ -218,7 +259,9 @@ class TestEncodingReuse:
         result = solver.maximize(np.array([1.0, -0.5]))
         assert NetworkEncoding.builds - before == 1
         assert solver.encoding.base_builds == 1
-        assert solver.encoding.lp_builds == result.lp_solves
+        # One kernel model serves every node LP of the search.
+        assert result.lp_solves > 1
+        assert solver.encoding.lp_builds == 1
 
     def test_for_problem_cache_hits_on_equal_weights(self):
         clear_encoding_cache()
@@ -249,26 +292,6 @@ class TestEncodingReuse:
 
 
 class TestBaBFormEquivalence:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bab_identical_across_forms(self, seed):
-        """The acceptance gate: sparse incremental deltas change nothing
-        about the search -- same verdict, bound (<= 1e-9), nodes, and
-        lp_solves as the dense rebuild."""
-        net = random_relu_network([4, 16, 12, 2], seed=seed, weight_scale=1.1)
-        box = Box(-np.ones(4), np.ones(4))
-        c = np.array([1.0, -0.5])
-        results = {}
-        for form in ("dense", "sparse"):
-            solver = BaBSolver(net, box, node_limit=120, lp_form=form,
-                               encoding=NetworkEncoding(net, box))
-            results[form] = solver.maximize(c)
-        dense, sparse = results["dense"], results["sparse"]
-        assert sparse.status == dense.status
-        assert sparse.nodes == dense.nodes
-        assert sparse.lp_solves == dense.lp_solves
-        assert sparse.upper_bound == pytest.approx(dense.upper_bound, abs=1e-9)
-        assert sparse.incumbent == pytest.approx(dense.incumbent, abs=1e-9)
-
     def test_node_tighten_stays_sound(self):
         net = random_relu_network([3, 12, 8, 1], seed=4, weight_scale=1.3)
         box = Box(-np.ones(3), np.ones(3))
