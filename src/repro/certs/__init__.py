@@ -8,10 +8,13 @@ final covering frontier of settled phase-map leaves, their per-leaf bounds
 and verdicts, their node-LP **dual multipliers**, plus the fingerprints
 pinning what was proved -- and replays it against the *next* network
 version: one batched float64 re-screen of all stored leaves against the
-new weights (phase-clamped interval/affine bounds, tightened per leaf by
-a Lagrangian evaluation of the stored duals -- weak duality makes any
-multipliers sound), then delta-LP re-solves only for the leaves whose
-bounds actually moved.
+new weights (phase-clamped interval/affine bounds, tightened by the
+stored duals through the exact layer's weak-duality evaluator
+:meth:`~repro.exact.encoding.NetworkEncoding.lagrangian_uppers`, one
+vectorised pass over every leaf -- weak duality makes any multipliers
+sound), then delta-LP re-solves only for the leaves whose bounds
+actually moved.  A bad dual row costs only its own leaf an LP; it can
+never flip a verdict.
 
 Soundness contract (the one rule everything here obeys): a stored
 certificate is **never trusted**.  Its leaves are only *hints* -- a warm

@@ -8,9 +8,10 @@ record time.  :func:`reverify_with_certificate` is the other direction:
 given a (possibly perturbed) network, warm-start the solver from the
 stored leaves, settling them with :func:`dual_start_screen` -- one
 batched float64 re-screen against the new weights that combines the
-phase-clamped interval/affine bounds with a per-leaf Lagrangian
-evaluation of the stored duals.  Only the leaves whose bounds actually
-moved past the threshold pay a delta-LP (and, if needed, further
+phase-clamped interval/affine bounds with the exact layer's weak-duality
+evaluator, :meth:`repro.exact.encoding.NetworkEncoding.lagrangian_uppers`,
+run once over all stored leaves at a time.  Only the leaves whose bounds
+actually moved past the threshold pay a delta-LP (and, if needed, further
 branching).
 
 Why duals, and why this is sound
@@ -32,7 +33,9 @@ optimal duals reproduce the LP bound exactly (strong duality), and under
 a small weight perturbation the bound moves by O(perturbation) -- so
 almost every stored leaf re-certifies LP-free.  A corrupt, stale, or
 adversarial certificate can only supply *worse* multipliers, which
-loosen the bound and cost an LP, never flip a verdict.
+loosen the bound and cost an LP, never flip a verdict; a malformed dual
+row (wrong length, non-finite, missing) evaluates to ``+inf`` for its
+own leaf only, so it costs that one leaf its LP.
 
 Branching decisions are weights-independent partitions, which is why
 they transfer across weight perturbations at all: a covering set of
@@ -55,10 +58,10 @@ from repro.certs.certificate import (
     content_fingerprint,
     structural_fingerprint,
 )
-from repro.domains.batch import _block_slope, phase_clamped_affine_bounds
+from repro.domains.batch import phase_clamped_affine_bounds
 from repro.domains.box import Box
 from repro.exact.bab import BaBResult, BaBSolver
-from repro.exact.encoding import PhaseMap
+from repro.exact.encoding import NetworkEncoding, PhaseMap
 from repro.exact.incremental import BranchCertificate
 from repro.nn.network import Network
 
@@ -66,87 +69,17 @@ __all__ = ["extract_certificate", "reverify_with_certificate",
            "dual_start_screen"]
 
 
-def _screen_batch(solver: BaBSolver, phase_maps: List[PhaseMap],
-                  c_vec: np.ndarray):
-    """One batched interval+affine pass: uppers, feasibility, per-block
-    pre-activation bounds, and the ``tight_pre`` lists both the node LPs
-    and the Lagrangian evaluation feed on."""
-    upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
-        solver.network, solver.input_box, phase_maps, c_vec)
-    tights = [[(pre_lo[k][j], pre_hi[k][j]) for k in range(len(pre_lo))]
-              for j in range(len(phase_maps))]
-    return upper, feasible, tights
-
-
-def _finite_var_bounds(solver: BaBSolver, tight: List[Tuple[np.ndarray,
-                                                            np.ndarray]],
-                       system) -> Tuple[np.ndarray, np.ndarray]:
-    """Finite ``[lo, hi]`` per LP variable, from the leaf's phase-clamped
-    bounds (``x`` from the box, ``z`` from the pre-activation intervals,
-    ``a`` from the activation image), intersected with the system's own.
-    Finiteness everywhere is what keeps the Lagrangian's box-minimisation
-    term finite when perturbed reduced costs drift off exact zero."""
-    enc = solver.encoding
-    lo = np.full(enc.num_continuous, -np.inf)
-    hi = np.full(enc.num_continuous, np.inf)
-    lo[enc.input_slice] = solver.input_box.lower
-    hi[enc.input_slice] = solver.input_box.upper
-    for k, block in enumerate(solver.network.blocks()):
-        zl, zu = tight[k]
-        lo[enc.z_slices[k]] = zl
-        hi[enc.z_slices[k]] = zu
-        if block.activation is not None:
-            s = _block_slope(block.activation)
-            # y = max(z, s*z) is nondecreasing for s in [0, 1].
-            lo[enc.a_slices[k]] = np.maximum(zl, s * zl)
-            hi[enc.a_slices[k]] = np.maximum(zu, s * zu)
-    for i, (sys_lo, sys_hi) in enumerate(system.bounds):
-        if sys_lo is not None:
-            lo[i] = max(lo[i], sys_lo)
-        if sys_hi is not None:
-            hi[i] = min(hi[i], sys_hi)
-    return lo, hi
-
-
-def _lagrangian_upper(system, neg_obj: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, dual) -> float:
-    """Weak-duality upper bound on the node *maximum* from stored
-    multipliers -- sound for any ``dual`` (negative ``lambda`` entries are
-    clipped; shape mismatches and non-finite inputs return ``+inf``, i.e.
-    "screen says nothing", the leaf just pays its LP).
-
-    Rows with an infinite right-hand side -- the unfixed phase rows of the
-    fixed node layout -- are vacuous and get multiplier 0 (otherwise
-    ``lambda @ b_ub`` would be ``0 * inf = nan`` and the leaf would always
-    pay its LP)."""
-    if dual is None:
-        return np.inf
-    lam, mu = dual
-    lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    n_ub = 0 if system.b_ub is None else len(system.b_ub)
-    n_eq = 0 if system.b_eq is None else len(system.b_eq)
-    if lam.size != n_ub or mu.size != n_eq:
-        return np.inf
-    if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
-        return np.inf
-    lam = np.maximum(lam, 0.0)  # lambda >= 0 is what makes any value sound
-    g = neg_obj.copy()
-    rhs = 0.0
-    if n_ub:
-        b_ub = np.asarray(system.b_ub, dtype=np.float64)
-        finite = np.isfinite(b_ub)
-        lam = np.where(finite, lam, 0.0)
-        g = g + system.a_ub.T @ lam
-        rhs += float(lam[finite] @ b_ub[finite])
-    if n_eq:
-        g = g + system.a_eq.T @ mu
-        rhs += float(mu @ system.b_eq)
-    g = np.asarray(g).reshape(-1)
-    term = np.where(g > 0, g * lo, g * hi)  # min of g'x over the var box
-    if not np.isfinite(term).all():
-        return np.inf
-    return rhs - float(term.sum())
+def _tighten_uppers(enc: NetworkEncoding, upper: np.ndarray, neg_obj: np.ndarray,
+                    phase_maps: List[PhaseMap], pre_lo: List[np.ndarray],
+                    pre_hi: List[np.ndarray], duals: List,
+                    todo: np.ndarray) -> None:
+    """Lower ``upper[todo]`` to the leaves' weak-duality bounds, one
+    batched evaluation (:meth:`NetworkEncoding.lagrangian_uppers`)."""
+    if todo.size:
+        upper[todo] = np.minimum(upper[todo], enc.lagrangian_uppers(
+            neg_obj, [phase_maps[j] for j in todo],
+            [lo[todo] for lo in pre_lo], [hi[todo] for hi in pre_hi],
+            [duals[j] for j in todo]))
 
 
 def dual_start_screen(solver: BaBSolver, cert: Certificate,
@@ -158,9 +91,10 @@ def dual_start_screen(solver: BaBSolver, cert: Certificate,
     Everything is recomputed in float64 from ``solver``'s actual network:
     feasibility and pre-activation bounds by the batched phase-clamped
     pass, the per-leaf upper bound as the minimum of the interval/affine
-    bound and the Lagrangian evaluation of the stored duals against the
-    freshly built node-LP data.  The certificate contributes multipliers
-    only -- hints whose worst case is a loose bound.
+    bound and the weak-duality bound of the stored duals
+    (:meth:`~repro.exact.encoding.NetworkEncoding.lagrangian_uppers`, one
+    evaluation over every leaf still open).  The certificate contributes
+    multipliers only -- hints whose worst case is a loose bound.
     """
     c_vec = np.asarray(objective, dtype=np.float64).reshape(-1)
 
@@ -169,21 +103,22 @@ def dual_start_screen(solver: BaBSolver, cert: Certificate,
             # Without pruning the solver ignores screen bounds entirely;
             # keep its stock behaviour byte-identical.
             return solver._screen_nodes(phase_maps, c_vec)
-        upper, feasible, tights = _screen_batch(solver, phase_maps, c_vec)
+        upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
+            solver.network, solver.input_box, phase_maps, c_vec)
         duals = cert.leaf_duals
         if len(duals) == len(phase_maps):
             enc = solver.encoding
-            neg_obj = -enc.output_objective(c_vec)
+            stored = np.array([d is not None for d in duals], dtype=bool)
             threshold = float(cert.threshold) + solver.tol
-            for j, leaf in enumerate(phase_maps):
-                if not bool(feasible[j]) or duals[j] is None or \
-                        float(upper[j]) <= threshold:
-                    continue  # already settled, or nothing stored
-                system = enc.build_lp(leaf, tight_pre=tights[j])
-                lo, hi = _finite_var_bounds(solver, tights[j], system)
-                upper[j] = min(float(upper[j]), _lagrangian_upper(
-                    system, neg_obj, lo, hi, duals[j]))
-        return upper, feasible, tights if solver.node_tighten else None
+            # Leaves already settled, empty, or without duals keep theirs.
+            todo = np.flatnonzero(feasible & stored & (upper > threshold))
+            _tighten_uppers(enc, upper, -enc.output_objective(c_vec),
+                            phase_maps, pre_lo, pre_hi, duals, todo)
+        tights = None
+        if solver.node_tighten:
+            tights = [[(lo[j], hi[j]) for lo, hi in zip(pre_lo, pre_hi)]
+                      for j in range(len(phase_maps))]
+        return upper, feasible, tights
 
     return screen
 
@@ -204,9 +139,9 @@ def extract_certificate(network: Network, input_box: Box,
     node LP's optimal multipliers, keyed by canonical phase-map items, as
     carried by ``BranchCertificate.leaf_duals``).  Recording costs **zero
     extra LP solves**: every leaf that was settled by an LP already has
-    its multipliers captured, and each is annotated here with one LP-free
-    Lagrangian evaluation (which at the recording weights reproduces the
-    LP bound exactly -- strong duality).  Leaves settled without an LP
+    its multipliers captured, and all of them are annotated here by one
+    LP-free, batched Lagrangian evaluation (which at the recording weights
+    reproduces each LP bound -- strong duality).  Leaves settled without an LP
     (screen-closed) carry no duals; if a future perturbation drifts one
     open, it pays a single delta-LP whose duals the re-record then picks
     up -- lazy, self-healing refresh.
@@ -218,33 +153,30 @@ def extract_certificate(network: Network, input_box: Box,
     """
     config = config or VerifyConfig()
     c_vec = np.asarray(objective, dtype=np.float64).reshape(-1)
-    solver = BaBSolver.from_config(network, input_box, config)
-    enc = solver.encoding
-    neg_obj = -enc.output_objective(c_vec)
-    upper, feasible, tights = _screen_batch(solver, leaves, c_vec)
+    enc = NetworkEncoding.for_problem(network, input_box)
+    upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
+        network, input_box, leaves, c_vec)
     duals = duals or {}
+    stored: List[Optional[tuple]] = [
+        duals.get(_leaf_key(leaf)) if feasible[j] else None
+        for j, leaf in enumerate(leaves)]
+    todo = np.flatnonzero([d is not None for d in stored])
+    _tighten_uppers(enc, upper, -enc.output_objective(c_vec), leaves,
+                    pre_lo, pre_hi, stored, todo)
     bounds: List[float] = []
     verdicts: List[str] = []
-    stored: List[Optional[tuple]] = []
-    for j, leaf in enumerate(leaves):
-        if not bool(feasible[j]):
+    for j, dual in enumerate(stored):
+        if not feasible[j]:
             bounds.append(-np.inf)
             verdicts.append("empty")
-            stored.append(None)
             continue
-        dual = duals.get(_leaf_key(leaf))
         bound = float(upper[j])
-        if dual is not None:
-            system = enc.build_lp(leaf, tight_pre=tights[j])
-            lo, hi = _finite_var_bounds(solver, tights[j], system)
-            bound = min(bound, _lagrangian_upper(
-                system, neg_obj, lo, hi, dual))
-            dual = (np.asarray(dual[0], dtype=np.float64),
-                    np.asarray(dual[1], dtype=np.float64))
         bounds.append(bound)
         verdicts.append("proved" if bound <= float(threshold) + config.tol
                         else "open")
-        stored.append(dual)
+        if dual is not None:
+            stored[j] = (np.asarray(dual[0], dtype=np.float64),
+                         np.asarray(dual[1], dtype=np.float64))
     return Certificate(
         objective=c_vec.copy(),
         threshold=float(threshold),

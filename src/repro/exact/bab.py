@@ -198,7 +198,9 @@ class BaBSolver:
         *initial-nodes batch only* (signature and return contract of
         :meth:`_screen_nodes`): certificate reuse passes the dual-bound
         screen of :func:`repro.certs.reuse.dual_start_screen` here, which
-        settles warm starts far below the interval screen's reach.
+        settles warm starts far below the interval screen's reach -- one
+        :meth:`NetworkEncoding.lagrangian_uppers` evaluation over all
+        stored leaves, where a bad dual row costs only its leaf an LP.
         Branching children always use the stock screen, so a custom
         screen never changes a cold search.
 
@@ -212,8 +214,8 @@ class BaBSolver:
         solves, keyed by the node's canonical phase-map items.  Free for
         the solver (HiGHS computes marginals anyway) and never consulted
         by the search itself; certificate recording stores them so future
-        re-verifications can re-certify each leaf with one LP-free
-        Lagrangian evaluation (:mod:`repro.certs.reuse`).
+        re-verifications can re-certify every leaf with one LP-free,
+        batched Lagrangian evaluation (:mod:`repro.certs.reuse`).
 
         With ``workers > 1`` (or ``frontier=True``) the search runs as the
         parallel frontier algorithm of :mod:`repro.exact.parallel_bab`:

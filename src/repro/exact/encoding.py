@@ -30,11 +30,13 @@ until a branch fixes the neuron's phase:
 
 Every branch-and-bound node therefore shares one constraint matrix and
 differs from its parent only in a few column bounds and right-hand sides
-(:meth:`NetworkEncoding.node_bounds`).  That is what lets
-:mod:`repro.exact.highs` keep one HiGHS model per encoding and restart
-each child's dual simplex from its parent's basis.  The triangle rows of
-a fixed neuron stay in place: they bound the hull of both pieces, so
-they are redundant but sound.
+(:meth:`NetworkEncoding.node_bounds`, for one node or a batch).  That is
+what lets :mod:`repro.exact.highs` keep one HiGHS model per encoding and
+restart each child's dual simplex from its parent's basis, and what lets
+:meth:`NetworkEncoding.lagrangian_uppers` bound a whole batch of nodes
+by weak duality with one sparse product on the shared matrices.  The
+triangle rows of a fixed neuron stay in place: they bound the hull of
+both pieces, so they are redundant but sound.
 
 Encodings themselves are reusable across solves: :meth:`NetworkEncoding.
 for_problem` memoises encodings under a ``(network-weights, box)``
@@ -202,7 +204,9 @@ class _LPBase:
 
     ``b_ub`` ends with the two ``+inf`` phase rows of every unstable
     neuron; ``phase_rows`` maps ``(block, neuron)`` to its ``z`` column
-    and the index of its first phase row.
+    and the index of its first phase row, and ``stable`` maps every
+    stable activation neuron to its ``z`` column and the phase that
+    contradicts its stability.
     """
 
     a_eq: Optional[sp.csr_matrix]
@@ -212,6 +216,25 @@ class _LPBase:
     col_lo: np.ndarray
     col_hi: np.ndarray
     phase_rows: Dict[Tuple[int, int], Tuple[int, int]]
+    stable: Dict[Tuple[int, int], Tuple[int, int]]
+
+
+def _multipliers(dual, m_ub: int, m_eq: int
+                 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``dual = (lambda, mu)`` as float64 vectors of the layout's row
+    counts, or ``None`` if it is missing, mis-shaped or non-finite."""
+    if dual is None:
+        return None
+    try:
+        lam, mu = dual
+        lam = np.asarray(lam, dtype=np.float64).reshape(-1)
+        mu = np.asarray(mu, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError):
+        return None
+    if lam.size != m_ub or mu.size != m_eq or \
+            not (np.isfinite(lam).all() and np.isfinite(mu).all()):
+        return None
+    return lam, mu
 
 
 def _bounds_list(lo: np.ndarray, hi: np.ndarray
@@ -360,6 +383,10 @@ class NetworkEncoding:
                 # Linear block: post-activation is the pre-activation.
                 self.a_slices.append(self.z_slices[-1])
         self.num_continuous = cursor
+        #: Every block's ``z`` columns, in block order, and their counts.
+        self._z_cols = np.concatenate(
+            [np.arange(sl.start, sl.stop) for sl in self.z_slices])
+        self._z_sizes = [sl.stop - sl.start for sl in self.z_slices]
 
     @property
     def output_slice(self) -> slice:
@@ -439,10 +466,18 @@ class NetworkEncoding:
         return LinearSystem(self.num_continuous, base.a_ub, b_ub, base.a_eq,
                             base.b_eq, _bounds_list(lo, hi))
 
-    def node_bounds(self, fixed_phases: Optional[PhaseMap] = None,
-                    tight_pre: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-                    ) -> NodeBounds:
-        """``(column lower, column upper, b_ub)`` of one node's LP.
+    def node_bounds(self, fixed_phases: Union[None, PhaseMap,
+                                              Sequence[PhaseMap]] = None,
+                    tight_pre=None) -> NodeBounds:
+        """``(column lower, column upper, b_ub)`` of node LPs.
+
+        A batch: ``fixed_phases`` is a list of N phase maps and
+        ``tight_pre`` the ``(pre_lo, pre_hi)`` pair of per-block ``(N,
+        d_k)`` arrays that :func:`~repro.domains.batch.
+        phase_clamped_node_bounds` returns; the result is ``(N, n)``,
+        ``(N, n)`` and ``(N, m_ub)``.  One node -- a phase map (or
+        ``None``) with ``tight_pre`` as per-block ``(lower, upper)``
+        vectors -- is the batch's N=1 case and gives 1-D arrays.
 
         Fixing a phase only moves bounds: the neuron's ``z`` column gets
         its sign bound and one of its two phase rows gets right-hand side
@@ -452,33 +487,136 @@ class NetworkEncoding:
         interval ``[1, -1]``, so the node is infeasible without a solve
         instead of silently dropping the constraint.
         """
+        single = fixed_phases is None or isinstance(fixed_phases, dict)
+        phase_maps = [fixed_phases or {}] if single else fixed_phases
         base = self._lp_base()
-        lo = base.col_lo.copy()
-        hi = base.col_hi.copy()
-        b_ub = None if base.b_ub is None else base.b_ub.copy()
-        fixed_phases = fixed_phases or {}
-        if tight_pre is not None:
-            self._apply_tight_pre(lo, hi, tight_pre)
-        for pair, phase in fixed_phases.items():
-            if phase not in (1, -1):
-                continue
-            neuron = base.phase_rows.get(pair)
-            if neuron is None:
-                # Stable neurons already carry their piece's equality.
-                continue
-            zi, row = neuron
-            if phase == 1:
-                lo[zi] = max(lo[zi], 0.0)
-                b_ub[row] = 0.0
-            else:
-                hi[zi] = min(hi[zi], 0.0)
-                b_ub[row + 1] = 0.0
-        contradiction = self._find_contradiction(fixed_phases)
-        if contradiction is not None:
-            k, i = contradiction
-            zi = self.z_slices[k].start + i
-            lo[zi], hi[zi] = 1.0, -1.0
+        count = len(phase_maps)
+        lo = base.col_lo[None].repeat(count, 0)
+        hi = base.col_hi[None].repeat(count, 0)
+        b_ub = None if base.b_ub is None else base.b_ub[None].repeat(count, 0)
+        if tight_pre is not None and count:
+            pre_lo, pre_hi = zip(*tight_pre) if single else tight_pre
+            lead = () if single else (count,)
+            shapes = [lead + (size,) for size in self._z_sizes]
+            if [np.shape(x) for x in pre_lo] != shapes or \
+                    [np.shape(x) for x in pre_hi] != shapes:
+                raise DomainError(
+                    f"tight_pre needs per-block (lower, upper) bounds of "
+                    f"shapes {shapes}, got {[np.shape(x) for x in pre_lo]}")
+            zc = self._z_cols
+            lower = np.concatenate(pre_lo, axis=-1)
+            upper = np.concatenate(pre_hi, axis=-1)
+            # Non-finite entries (nan fails both tests) keep the base bound.
+            lo[:, zc] = np.maximum(
+                base.col_lo[zc], np.where(lower < np.inf, lower, -np.inf))
+            hi[:, zc] = np.minimum(
+                base.col_hi[zc], np.where(upper > -np.inf, upper, np.inf))
+        # Gather every map's phase moves as flat indices, apply them at once.
+        n = lo.shape[1]
+        m = 0 if b_ub is None else b_ub.shape[1]
+        up: List[int] = []
+        down: List[int] = []
+        rows: List[int] = []
+        empty: List[int] = []
+        for j, phases in enumerate(phase_maps):
+            contradiction = None
+            for pair, phase in phases.items():
+                if phase not in (1, -1):
+                    continue
+                neuron = base.phase_rows.get(pair)
+                if neuron is not None:
+                    (up if phase == 1 else down).append(j * n + neuron[0])
+                    rows.append(j * m + neuron[1] + (phase != 1))
+                elif contradiction is None:
+                    # Stable neurons already carry their piece's equality;
+                    # only the opposite phase (an empty region) moves bounds.
+                    stable = base.stable.get(pair)
+                    if stable is not None and stable[1] == phase:
+                        contradiction = j * n + stable[0]
+            if contradiction is not None:
+                empty.append(contradiction)
+        flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)  # views
+        if rows:
+            b_ub.reshape(-1)[rows] = 0.0
+        # Only strictly wrong-signed bounds move, so a -0.0 keeps its sign.
+        if up:
+            at = np.array(up)
+            flat_lo[at[flat_lo[at] < 0.0]] = 0.0
+        if down:
+            at = np.array(down)
+            flat_hi[at[flat_hi[at] > 0.0]] = 0.0
+        if empty:
+            flat_lo[empty], flat_hi[empty] = 1.0, -1.0
+        if single:
+            return lo[0], hi[0], None if b_ub is None else b_ub[0]
         return lo, hi, b_ub
+
+    def lagrangian_uppers(self, cost: np.ndarray, phase_maps: Sequence[PhaseMap],
+                          pre_lo: Sequence[np.ndarray],
+                          pre_hi: Sequence[np.ndarray],
+                          duals: Sequence) -> np.ndarray:
+        """Weak-duality upper bounds on the maxima of ``-cost @ x`` over
+        N nodes, from any multipliers ``duals[j] = (lambda, mu)``.
+
+        For the node LP ``min cost @ x  s.t.  A_ub x <= b_ub, A_eq x =
+        b_eq, l <= x <= u`` and any ``lambda >= 0``, ``mu``::
+
+            max -cost @ x <= lambda @ b_ub + mu @ b_eq - min_{l<=x<=u} g @ x,
+            g = cost + lambda @ A_ub + mu @ A_eq
+
+        with the box minimum in closed form.  Every node shares the base
+        matrices, so ``g`` is one sparse product for the whole batch, and
+        only the multipliers come from outside.  ``pre_lo``/``pre_hi``
+        (per-block ``(N, d_k)`` pre-activation bounds, as the
+        phase-clamped screen returns) make each variable box finite: the
+        node's columns already bound ``x`` by the input box and ``z`` by
+        these bounds, and each ``a`` column is cut to its ``z`` interval's
+        image, so the box minimum stays finite when reduced costs drift
+        off zero.
+
+        ``lambda`` is clipped to ``>= 0`` and is 0 on rows whose ``b_ub``
+        is ``+inf`` (unfixed phase rows; else ``0 * inf = nan``).  A node
+        whose multipliers are missing, mis-shaped or non-finite, or whose
+        bound is not finite, gets ``+inf`` -- that node alone.
+        """
+        count = len(phase_maps)
+        if count == 0:
+            return np.empty(0)
+        base = self._lp_base()
+        box_lo, box_hi, b_ub = self.node_bounds(phase_maps, (pre_lo, pre_hi))
+        for k, block in enumerate(self.network.blocks()):
+            if block.activation is not None:
+                s = self._block_slope(block.activation)
+                zl, zu, a = pre_lo[k], pre_hi[k], self.a_slices[k]
+                # y = max(z, s*z) is nondecreasing for s in [0, 1].
+                box_lo[:, a] = np.maximum(np.maximum(zl, s * zl), box_lo[:, a])
+                box_hi[:, a] = np.minimum(np.maximum(zu, s * zu), box_hi[:, a])
+
+        m_ub = 0 if base.b_ub is None else base.b_ub.size
+        m_eq = 0 if base.b_eq is None else base.b_eq.size
+        lam = np.zeros((count, m_ub))
+        mu = np.zeros((count, m_eq))
+        valid = np.zeros(count, dtype=bool)
+        for j, dual in enumerate(duals):
+            pair = _multipliers(dual, m_ub, m_eq)
+            if pair is not None:
+                lam[j], mu[j] = pair
+                valid[j] = True
+        g = np.broadcast_to(np.asarray(cost, dtype=np.float64), box_lo.shape)
+        rhs = np.zeros(count)
+        if m_ub:
+            finite = np.isfinite(b_ub)
+            lam = np.where(finite, np.maximum(lam, 0.0), 0.0)
+            g = g + lam @ base.a_ub
+            rhs += np.einsum("ij,ij->i", lam, np.where(finite, b_ub, 0.0))
+        if m_eq:
+            g = g + mu @ base.a_eq
+            rhs += mu @ base.b_eq
+        with np.errstate(invalid="ignore", over="ignore"):
+            term = np.where(g > 0, g * box_lo, g * box_hi)  # min of g @ x
+            bound = rhs - term.sum(axis=1)
+        valid &= np.isfinite(term).all(axis=1) & np.isfinite(bound)
+        return np.where(valid, bound, np.inf)
 
     def solve_node(self, cost: np.ndarray, fixed_phases: PhaseMap,
                    tight_pre: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
@@ -493,45 +631,6 @@ class NetworkEncoding:
         col_lo, col_hi, b_ub = self.node_bounds(fixed_phases, tight_pre)
         return kernel_for(self).solve(cost, col_lo, col_hi, b_ub, basis=basis,
                                       want_duals=want_duals, label=label)
-
-    def _find_contradiction(self, fixed_phases: PhaseMap
-                            ) -> Optional[Tuple[int, int]]:
-        """First forced phase naming an empty branch region, if any."""
-        for (k, i), phase in fixed_phases.items():
-            if phase not in (1, -1):
-                continue
-            if not 0 <= k < self.network.num_blocks:
-                continue
-            block = self.network.block(k)
-            if block.activation is None or not 0 <= i < block.out_dim:
-                continue
-            stability = self.neuron_stability(k, i)
-            if (phase == -1 and stability == "active") or \
-                    (phase == 1 and stability == "inactive"):
-                return (k, i)
-        return None
-
-    def _apply_tight_pre(self, lo: np.ndarray, hi: np.ndarray,
-                         tight_pre: Sequence[Tuple[np.ndarray, np.ndarray]],
-                         ) -> None:
-        """Intersect the ``z`` column bounds with per-node pre-activation
-        bounds (non-finite entries keep the existing bound)."""
-        if len(tight_pre) != self.network.num_blocks:
-            raise DomainError(
-                f"tight_pre needs one (lower, upper) pair per block, got "
-                f"{len(tight_pre)} for {self.network.num_blocks}"
-            )
-        for k, (lower, upper) in enumerate(tight_pre):
-            sl = self.z_slices[k]
-            lower = np.asarray(lower, dtype=np.float64).reshape(-1)
-            upper = np.asarray(upper, dtype=np.float64).reshape(-1)
-            if lower.size != sl.stop - sl.start:
-                raise DomainError(
-                    f"tight_pre block {k} has {lower.size} entries, expected "
-                    f"{sl.stop - sl.start}"
-                )
-            lo[sl] = np.maximum(lo[sl], np.where(np.isfinite(lower), lower, -np.inf))
-            hi[sl] = np.minimum(hi[sl], np.where(np.isfinite(upper), upper, np.inf))
 
     # ------------------------------------------------------ fixed base layout
     def _lp_base(self) -> _LPBase:
@@ -600,6 +699,7 @@ class NetworkEncoding:
         phase_a: List[np.ndarray] = []
         phase_slope: List[np.ndarray] = []
         phase_pairs: List[Tuple[int, int]] = []
+        stable_cols: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
         prev_a = self.input_slice
         for k, block in enumerate(self.network.blocks()):
@@ -613,6 +713,9 @@ class NetworkEncoding:
                 z0, a0 = z_sl.start, a_sl.start
                 self._emit_stable_rows(eq, k, np.flatnonzero(~unstable),
                                        active, slope)
+                stable_cols.update(
+                    ((k, int(i)), (z0 + int(i), -1 if active[i] else 1))
+                    for i in np.flatnonzero(~unstable))
                 free = np.flatnonzero(unstable)
                 if free.size:
                     l = pre.lower[free]
@@ -664,7 +767,8 @@ class NetworkEncoding:
 
         a_eq, b_eq = eq.matrices()
         a_ub, b_ub = ub.matrices()
-        return _LPBase(a_eq, b_eq, a_ub, b_ub, lo, hi, phase_rows)
+        return _LPBase(a_eq, b_eq, a_ub, b_ub, lo, hi, phase_rows,
+                       stable_cols)
 
     # ----------------------------------------------------------- MILP builder
     def build_milp(self) -> LinearSystem:

@@ -320,22 +320,15 @@ class VerificationService:
                 "this server is not a coordinator (no worker registry)")
         return registry.states()
 
-    def wait(self, job_id: str, timeout: Optional[float] = 60.0,
-             poll: float = 0.02) -> JobRecord:
-        """Block until the job reaches a terminal state."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        delay = poll
-        while True:
-            record = self.store.get(job_id)
-            if record.terminal:
-                return record
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {record.state} after {timeout:g}s")
-            time.sleep(delay)
-            # Capped exponential backoff: cheap while jobs are short,
-            # polite while they are long.
-            delay = min(delay * 1.5, 0.5)
+    def wait(self, job_id: str,
+             timeout: Optional[float] = 60.0) -> JobRecord:
+        """Block until the job reaches a terminal state; the store wakes
+        the caller the moment it gets there."""
+        record = self.store.wait_terminal(job_id, timeout)
+        if not record.terminal:
+            raise TimeoutError(
+                f"job {job_id} still {record.state} after {timeout:g}s")
+        return record
 
     def verdict(self, job_id: str):
         """The finished job's :class:`~repro.api.verdict.Verdict` object."""

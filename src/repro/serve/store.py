@@ -291,6 +291,9 @@ class JobStore:
         self.path = path
         self.max_attempts = max_attempts
         self._lock = threading.RLock()
+        #: Notified (holding ``_lock``) at every move into a terminal
+        #: state, so :meth:`wait_terminal` wakes as soon as a job ends.
+        self._terminal = threading.Condition(self._lock)
         # guarded-by: self._lock
         self._conn = sqlite3.connect(path, check_same_thread=False)
         with self._lock:
@@ -356,6 +359,8 @@ class JobStore:
             self._conn.execute(
                 "UPDATE jobs SET job_id = ? WHERE seq = ?", (job_id, seq))
             self._conn.commit()
+            if verdict_json is not None:
+                self._terminal.notify_all()
         return self.get(job_id)
 
     # ------------------------------------------------------------- queries
@@ -427,6 +432,7 @@ class JobStore:
                      "JobDeadlineError", JOB_QUEUED, now))
                 if expired.rowcount:
                     self._conn.commit()
+                    self._terminal.notify_all()
                 row = self._conn.execute(
                     f"SELECT {_ROW_COLUMNS} FROM jobs WHERE state = ? "
                     "AND (not_before IS NULL OR not_before <= ?) "
@@ -443,6 +449,7 @@ class JobStore:
                          f"gave up after {record.attempts} crashed attempts",
                          "ExecutorCrashError", record.job_id))
                     self._conn.commit()
+                    self._terminal.notify_all()
                     continue
                 self._conn.execute(
                     "UPDATE jobs SET state = ?, started_at = ?, "
@@ -526,6 +533,8 @@ class JobStore:
                 (to_state, time.time(), verdict_json, error, error_type,
                  int(cache_hit), job_id, from_state))
             self._conn.commit()
+            if cursor.rowcount == 1 and to_state in TERMINAL_STATES:
+                self._terminal.notify_all()
         if cursor.rowcount != 1:
             raise ServeError(
                 f"job {job_id!r} is not {from_state!r} "
@@ -561,8 +570,27 @@ class JobStore:
                  job_id, JOB_QUEUED))
             self._conn.commit()
             if cursor.rowcount == 1:
+                self._terminal.notify_all()
                 return JOB_CANCELLED
         return self.get(job_id).state
+
+    def wait_terminal(self, job_id: str,
+                      timeout: Optional[float] = None) -> JobRecord:
+        """The job's record once it is terminal, or its latest record when
+        ``timeout`` seconds pass first.  Every terminal transition of this
+        store notifies the waiters while holding the lock the job is
+        re-read under, so no completion is missed."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._terminal:
+            while True:
+                record = self.get(job_id)
+                if record.terminal:
+                    return record
+                remaining = None if deadline is None else \
+                    deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return record
+                self._terminal.wait(remaining)
 
     # -------------------------------------------------------- verdict cache
     def cache_get(self, fingerprint: str) -> Optional[str]:

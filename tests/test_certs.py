@@ -269,8 +269,7 @@ class TestFixedLayoutDuals:
 
     def test_lagrangian_of_own_duals_reproduces_lp_value(
             self, threshold_problem):
-        from repro.certs.reuse import (_finite_var_bounds, _lagrangian_upper,
-                                       _screen_batch)
+        from repro.domains.batch import phase_clamped_affine_bounds
         from repro.exact import BaBSolver
 
         net, box, c, _thr = threshold_problem
@@ -283,24 +282,27 @@ class TestFixedLayoutDuals:
                           for j in rng.choice(len(unstable), size=2,
                                               replace=False)}
                          for _ in range(6)]
-        _upper, feasible, tights = _screen_batch(solver, leaves, c)
-        checked = 0
+        _upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
+            net, box, leaves, c)
+        solved = {}
         for j, leaf in enumerate(leaves):
             if not feasible[j]:
                 continue
-            res = enc.solve_node(neg_obj, leaf, tights[j], want_duals=True)
-            if not res.optimal:
-                continue
-            system = enc.build_lp(leaf, tight_pre=tights[j])
-            assert res.dual_ub.size == system.b_ub.size == \
-                enc.build_lp().b_ub.size
-            lo, hi = _finite_var_bounds(solver, tights[j], system)
-            bound = _lagrangian_upper(system, neg_obj, lo, hi,
-                                      (res.dual_ub, res.dual_eq))
+            tight = [(lo[j], hi[j]) for lo, hi in zip(pre_lo, pre_hi)]
+            res = enc.solve_node(neg_obj, leaf, tight, want_duals=True)
+            if res.optimal:
+                assert res.dual_ub.size == enc.build_lp().b_ub.size
+                solved[j] = res
+        assert len(solved) >= 2
+        rows = sorted(solved)
+        bounds = enc.lagrangian_uppers(
+            neg_obj, [leaves[j] for j in rows],
+            [lo[rows] for lo in pre_lo], [hi[rows] for hi in pre_hi],
+            [(solved[j].dual_ub, solved[j].dual_eq) for j in rows])
+        for j, bound in zip(rows, bounds):
             assert np.isfinite(bound)
-            assert bound == pytest.approx(-res.value, rel=1e-7, abs=1e-7)
-            checked += 1
-        assert checked >= 2
+            assert bound == pytest.approx(-solved[j].value, rel=1e-7,
+                                          abs=1e-7)
 
     def test_version_1_certificate_falls_back_to_cold(self,
                                                       threshold_problem):

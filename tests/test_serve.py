@@ -172,6 +172,49 @@ class TestJobStore:
             assert store.cache_get("fp") == '{"verdict": "x"}'
             assert store.cache_stats() == {"entries": 1, "hits": 2}
 
+    def test_every_terminal_path_wakes_its_waiters(self, maximize_spec):
+        """Cancel, claim-time expiry, finish and fail each notify the
+        waiters: with more threads than cores and fast switching, none
+        sleeps to its timeout (a lost wakeup would)."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobStore() as store:
+                jobs = [_queue_job(store, maximize_spec) for _ in range(12)]
+                jobs.append(store.submit(
+                    _wire(maximize_spec), _CONFIG_JSON, "late",
+                    deadline=time.time() - 1.0))
+                waited = {}
+
+                def waiter(job_id):
+                    start = time.monotonic()
+                    record = store.wait_terminal(job_id, timeout=20.0)
+                    waited[job_id] = (record.state, time.monotonic() - start)
+
+                threads = [threading.Thread(target=waiter, args=(job.job_id,))
+                           for job in jobs]
+                for thread in threads:
+                    thread.start()
+                time.sleep(0.05)
+                for job in jobs[:3]:
+                    store.cancel_queued(job.job_id)
+                for n, claimed in enumerate(iter(store.claim_next, None)):
+                    if n % 2:
+                        store.fail(claimed.job_id, "boom")
+                    else:
+                        store.finish(claimed.job_id, '{"verdict": "x"}')
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert waited[jobs[-1].job_id][0] == JOB_FAILED  # expired at claim
+        assert sorted(state for state, _ in waited.values()) == sorted(
+            [JOB_CANCELLED] * 3 + [JOB_DONE] * 5 + [JOB_FAILED] * 5)
+        assert max(elapsed for _, elapsed in waited.values()) < 10.0
+
     def test_crash_loop_gives_up_at_max_attempts(self, tmp_path,
                                                  maximize_spec):
         path = str(tmp_path / "jobs.sqlite")
@@ -286,6 +329,25 @@ class TestVerificationService:
             assert service.store.cache_stats()["entries"] == 0
             with pytest.raises(ServeError, match="no verdict"):
                 service.verdict(job.job_id)
+
+    def test_wait_returns_as_soon_as_a_long_job_finishes(self,
+                                                         maximize_spec):
+        """The store wakes waiters at the terminal transition: no polling
+        lag, even for a job that runs well past a second."""
+        from repro.serve import InProcessExecutor
+
+        class SlowExecutor(InProcessExecutor):
+            def execute(self, spec_json, config_json, timeout=None):
+                time.sleep(1.5)
+                return super().execute(spec_json, config_json, timeout)
+
+        with VerificationService(executor=SlowExecutor()) as service:
+            record = service.wait(service.submit(maximize_spec).job_id,
+                                  timeout=30)
+            returned = time.time()
+        assert record.state == JOB_DONE
+        assert record.finished_at - record.started_at >= 1.5
+        assert returned - record.finished_at < 0.1
 
     def test_submit_validates_inputs(self, maximize_spec):
         with VerificationService() as service:
