@@ -11,13 +11,16 @@ perturbation sequence over one threshold property -- twice:
   one batched dual re-screen plus delta-LPs only for leaves whose bounds
   actually moved.
 
-Two gates, both asserted (CI runs ``--smoke``):
+Three gates, all asserted (CI runs ``--smoke``):
 
 1. every verdict is byte-identical to its from-scratch twin
    (:func:`verdict_decision_json` -- reuse must never buy speed with
    soundness);
 2. the reuse track saves LP solves -- ``lp_solves_saved > 0`` in smoke
-   mode, and >= 5x fewer total LP solves over the full sequence.
+   mode, and >= 5x fewer total LP solves over the full sequence;
+3. every recorded certificate re-encodes byte-identically, and its
+   leaves pass the covering check (:func:`repro.certs.leaves_cover`,
+   which accepts only partitions).
 
 Run standalone for the machine-readable record::
 
@@ -42,6 +45,8 @@ from repro.api import (
     VerifyConfig,
     verdict_decision_json,
 )
+from repro.api.serialize import certificate_to_json
+from repro.certs import leaves_cover, load_certificate
 from repro.domains import Box
 from repro.nn import random_relu_network
 from repro.serve import JobStore
@@ -70,11 +75,33 @@ def _problem(seed=3):
     return network, box, c, threshold
 
 
+class CheckedCerts:
+    """Certificate provider forwarding to a store, checking every
+    certificate as it is recorded (gate 3)."""
+
+    def __init__(self, store):
+        self.store = store
+        self.checked = 0
+
+    def cert_get(self, cert_key):
+        return self.store.cert_get(cert_key)
+
+    def cert_put(self, cert_key, cert_json):
+        cert = load_certificate(cert_json)
+        assert certificate_to_json(cert) == cert_json, (
+            "recorded certificate did not re-encode byte-identically")
+        assert leaves_cover(cert.leaves), (
+            "recorded certificate leaves are not a partition")
+        self.checked += 1
+        self.store.cert_put(cert_key, cert_json)
+
+
 def bench_recertify(steps=STEPS):
     network, box, c, threshold = _problem()
     store = JobStore()  # the real certificate table, in memory
+    checked = CheckedCerts(store)
     warm_engine = VerificationEngine(VerifyConfig(certs="reuse"),
-                                     certs=store)
+                                     certs=checked)
     cold_engine = VerificationEngine(VerifyConfig())
     rng = np.random.default_rng(7)
 
@@ -104,6 +131,7 @@ def bench_recertify(steps=STEPS):
 
     assert saved_total > 0, "certificate reuse saved no LP solves"
     assert reused_total > 0, "no frontier leaves were ever reused"
+    assert checked.checked > 0, "no certificate was ever recorded"
     ratio = cold_total / max(warm_total, 1)
     if steps >= STEPS:
         assert ratio >= MIN_LP_RATIO, (

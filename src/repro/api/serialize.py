@@ -20,6 +20,8 @@ JSON:
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from typing import Dict, Optional
@@ -249,23 +251,84 @@ def _phase_leaves_from_jsonable(data) -> list:
             for leaf in data]
 
 
-def _leaf_duals_to_jsonable(duals) -> list:
-    # Per leaf: [dual_ub, dual_eq] float lists, or None where the record
-    # solve had no usable multipliers (infeasible leaf, absent rows).
-    return [
-        None if entry is None else
-        [array_to_jsonable(np.asarray(part, dtype=np.float64))
-         for part in entry]
-        for entry in duals
-    ]
+#: Packed dual rows travel as little-endian binary64, whatever the host.
+_DUAL_DTYPE = np.dtype("<f8")
+
+
+def _leaf_duals_to_jsonable(duals) -> Dict:
+    """Pack per-leaf ``(dual_ub, dual_eq)`` pairs into one float64 matrix.
+
+    ``present`` marks the leaves that carry multipliers (``None`` entries
+    -- infeasible or screen-closed leaves -- have no row); every present
+    row is ``dual_ub`` followed by ``dual_eq``, split at ``split``.  The
+    node layout gives every leaf the same row counts, so one ``width``
+    fits all; ``data`` is the base64 of the row-major matrix.
+    """
+    present = [0 if entry is None else 1 for entry in duals]
+    rows = [[np.asarray(part, dtype=np.float64).reshape(-1) for part in entry]
+            for entry in duals if entry is not None]
+    split = rows[0][0].size if rows else 0
+    width = split + rows[0][1].size if rows else 0
+    if any(lam.size != split or mu.size != width - split
+           for lam, mu in rows):
+        raise SerializationError(
+            "leaf duals must share one (dual_ub, dual_eq) shape to pack")
+    matrix = np.array([np.concatenate(row) for row in rows],
+                      dtype=_DUAL_DTYPE).reshape(len(rows), width)
+    return {"present": present, "split": split, "width": width,
+            "data": base64.b64encode(matrix.tobytes()).decode("ascii")}
+
+
+def _wire_int(value, name: str) -> int:
+    # bool is an int subclass; a JSON true is not a count.
+    if type(value) is not int or value < 0:
+        raise SerializationError(
+            f"leaf_duals {name} must be a non-negative integer, got "
+            f"{value!r}")
+    return value
 
 
 def _leaf_duals_from_jsonable(data) -> list:
-    return [
-        None if entry is None else
-        tuple(array_from_jsonable(part) for part in entry)
-        for entry in data
-    ]
+    """Inverse of :func:`_leaf_duals_to_jsonable`: per-leaf ``(dual_ub,
+    dual_eq)`` read-only views into one ``np.frombuffer`` matrix."""
+    if not isinstance(data, dict):
+        raise SerializationError(
+            "leaf_duals must be a packed object with present, split, "
+            f"width and data (certificate wire v3), got "
+            f"{type(data).__name__}")
+    present = data["present"]
+    if not isinstance(present, list) or \
+            any(type(p) is not int or p not in (0, 1) for p in present):
+        raise SerializationError(
+            "leaf_duals present must be a list of 0/1 flags")
+    split = _wire_int(data["split"], "split")
+    width = _wire_int(data["width"], "width")
+    if split > width:
+        raise SerializationError(
+            f"leaf_duals split {split} exceeds width {width}")
+    if not isinstance(data["data"], str):
+        raise SerializationError("leaf_duals data must be a base64 string")
+    try:
+        raw = base64.b64decode(data["data"], validate=True)
+    except binascii.Error as exc:
+        raise SerializationError(f"leaf_duals data is not base64: {exc}"
+                                 ) from None
+    rows = sum(present)
+    if len(raw) != rows * width * _DUAL_DTYPE.itemsize:
+        raise SerializationError(
+            f"leaf_duals data holds {len(raw)} bytes, expected {rows} rows "
+            f"x {width} x {_DUAL_DTYPE.itemsize}")
+    matrix = np.frombuffer(raw, dtype=_DUAL_DTYPE).reshape(rows, width)
+    out: list = []
+    r = 0
+    for flag in present:
+        if flag:
+            row = matrix[r]
+            out.append((row[:split], row[split:]))
+            r += 1
+        else:
+            out.append(None)
+    return out
 
 
 def certificate_to_json(cert, **dumps_kwargs) -> str:
@@ -273,6 +336,9 @@ def certificate_to_json(cert, **dumps_kwargs) -> str:
 
     ``sort_keys`` is forced: the serve-side store persists and compares
     these strings, so one certificate value must map to one byte string.
+    The per-leaf duals -- most of the payload -- travel as one packed
+    little-endian float64 matrix (wire v3, :func:`_leaf_duals_to_jsonable`)
+    rather than as JSON number lists.
     This is the *only* form certificate payloads travel in between
     modules (the ``cert-discipline`` lint rule holds callers to it).
     """
@@ -299,8 +365,10 @@ def certificate_to_json(cert, **dumps_kwargs) -> str:
 def certificate_from_json(text: str):
     """Inverse of :func:`certificate_to_json`.
 
-    Raises :class:`SerializationError` on structural garbage; numeric
-    fields parse strictly.  Callers replaying *untrusted* store content
+    Raises :class:`SerializationError` on structural garbage (a v2
+    payload, whose duals are per-leaf lists, is garbage here); numeric
+    fields parse strictly.  The decoded duals are read-only views into
+    one float64 buffer.  Callers replaying *untrusted* store content
     should go through :func:`repro.certs.load_certificate`, which funnels
     every malformation into one rejection path.
     """
@@ -311,13 +379,21 @@ def certificate_from_json(text: str):
         raise SerializationError(
             f"a certificate document must be a JSON object, got "
             f"{type(data).__name__}")
+    leaves = _phase_leaves_from_jsonable(data["leaves"])
+    leaf_duals = []
+    if "leaf_duals" in data:
+        leaf_duals = _leaf_duals_from_jsonable(data["leaf_duals"])
+    if leaf_duals and len(leaf_duals) != len(leaves):
+        raise SerializationError(
+            f"leaf_duals present mask has {len(leaf_duals)} flags for "
+            f"{len(leaves)} leaves")
     return Certificate(
         objective=array_from_jsonable(data["objective"]),
         threshold=float(data["threshold"]),
-        leaves=_phase_leaves_from_jsonable(data["leaves"]),
+        leaves=leaves,
         leaf_bounds=[float(b) for b in data.get("leaf_bounds", [])],
         leaf_verdicts=[str(v) for v in data.get("leaf_verdicts", [])],
-        leaf_duals=_leaf_duals_from_jsonable(data.get("leaf_duals", [])),
+        leaf_duals=leaf_duals,
         block_dims=[int(d) for d in data["block_dims"]],
         structural_fp=str(data["structural_fp"]),
         content_fp=str(data.get("content_fp", "")),

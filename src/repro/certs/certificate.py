@@ -53,13 +53,13 @@ __all__ = [
 #: Wire/key version: bump when the certificate payload or the key recipe
 #: changes incompatibly (old entries then simply miss, never mislead).
 #: Version 2: node-LP duals follow the fixed node layout (base rows plus
-#: two phase rows per unstable neuron).
-CERT_VERSION = 2
+#: two phase rows per unstable neuron).  Version 3: the duals travel as
+#: one packed little-endian float64 matrix instead of JSON number lists.
+CERT_VERSION = 3
 
-#: Split budget of the covering check: an adversarial leaf set can force
-#: exponential work, so the check gives up (rejecting the certificate --
-#: the sound direction) after this many recursive splits.
-_COVER_SPLIT_BUDGET = 100_000
+#: Memory bound of one chunk of the pairwise disjointness test (bytes of
+#: the ``chunk x n x words`` bit tensor).
+_COVER_CHUNK_BYTES = 1 << 22
 
 
 def _sha256(payload: Dict) -> str:
@@ -180,8 +180,7 @@ def config_digest(config) -> str:
                     if k != "certs"})
 
 
-def leaves_cover(leaves: List[Dict], max_splits: int = _COVER_SPLIT_BUDGET
-                 ) -> bool:
+def leaves_cover(leaves: List[Dict]) -> bool:
     """Do these partial phase assignments jointly cover the whole space?
 
     The warm-start contract of :meth:`BaBSolver.maximize` requires
@@ -190,40 +189,58 @@ def leaves_cover(leaves: List[Dict], max_splits: int = _COVER_SPLIT_BUDGET
     region.  Since stored certificates are untrusted input, the covering
     property is re-derived here before any reuse.
 
-    Recursive partition check: an empty assignment covers its region;
-    otherwise split on one constrained neuron and require both sides
-    covered (assignments not mentioning the neuron cover both).  The
-    split budget bounds adversarial blow-up -- exhausting it returns
-    ``False``, which merely rejects the certificate (sound direction).
+    Every producer of leaves is a branch-and-bound frontier, i.e. a
+    partition, so the check is exact for partitions and rejects anything
+    else.  Each leaf is a cube of ``{+-1}^D`` over the ``D`` neurons any
+    leaf names; one fixing ``d`` of them holds ``2^(D-d)`` points.  Two
+    cubes are disjoint iff some neuron has opposite phases in them, so
+    disjointness of every pair is proved from the +-1 incidence matrix (as
+    bit rows, in chunks of bounded memory, no BLAS), and disjoint cubes
+    cover iff their volumes sum to exactly ``2^D``.  Volumes are Python
+    ints, so the count is exact.  Duplicate leaves are dropped first
+    (repeats are legal solver output); leaves that still overlap, or a
+    phase outside +-1, return ``False`` -- which merely rejects the
+    certificate (sound direction: the solve runs cold).
     """
-    budget = max_splits
-
-    def covers(maps: List[Dict]) -> bool:
-        nonlocal budget
-        if any(not m for m in maps):
-            return True
-        if not maps or budget <= 0:
-            return False
-        budget -= 1
-        # Split on the first leaf's first constrained neuron: every map
-        # either constrains it (one side) or covers both sides as-is.
-        var = next(iter(maps[0]))
-        for side in (1, -1):
-            sub: List[Dict] = []
-            for m in maps:
-                phase = m.get(var)
-                if phase is None:
-                    sub.append(m)
-                elif phase == side:
-                    sub.append({k: v for k, v in m.items() if k != var})
-            if not covers(sub):
+    leaves = list({tuple(sorted(m.items())): m for m in leaves}.values())
+    if not leaves:
+        return False
+    column: Dict = {}
+    rows: List[int] = []
+    cols: List[int] = []
+    phases: List[int] = []
+    for i, leaf in enumerate(leaves):
+        for var, phase in leaf.items():
+            if phase not in (1, -1):
                 return False
-        return True
+            rows.append(i)
+            cols.append(column.setdefault(var, len(column)))
+            phases.append(phase)
+    n, dim = len(leaves), len(column)
+    if sum(1 << (dim - len(leaf)) for leaf in leaves) != 1 << dim:
+        return False  # a disjoint set must fill exactly the whole volume
+    incidence = np.zeros((n, dim), dtype=np.int8)
+    incidence[rows, cols] = phases
+    pos = _bit_rows(incidence > 0)
+    neg = _bit_rows(incidence < 0)
+    chunk = max(1, _COVER_CHUNK_BYTES // max(1, n * pos.shape[1] * 8))
+    for i0 in range(0, n, chunk):
+        i1 = min(n, i0 + chunk)
+        clash = ((pos[i0:i1, None] & neg[None]) |
+                 (neg[i0:i1, None] & pos[None])).any(axis=2)
+        clash[np.arange(i1 - i0), np.arange(i0, i1)] = True  # self-pairs
+        if not clash.all():
+            return False
+    return True
 
-    # Dedupe first: repeated leaves are legal output of the solver but
-    # pure waste for the partition recursion.
-    unique = {tuple(sorted(m.items())): m for m in leaves}
-    return covers([dict(m) for m in unique.values()])
+
+def _bit_rows(mask: np.ndarray) -> np.ndarray:
+    """``(n, D)`` bool -> ``(n, max(1, ceil(D/64)))`` uint64 bit rows."""
+    packed = np.packbits(mask, axis=1)
+    pad = -packed.shape[1] % 8
+    if pad or not packed.shape[1]:
+        packed = np.pad(packed, ((0, 0), (0, pad or 8)))
+    return packed.view(np.uint64)
 
 
 def validate_certificate(cert: Certificate, network: Network,
@@ -275,23 +292,26 @@ def validate_certificate(cert: Certificate, network: Network,
             f"{len(cert.leaves)} leaves")
     if not leaves_cover(cert.leaves):
         raise CertificateError(
-            "certificate leaves do not cover the search space "
-            "(gap or covering check budget exhausted)")
+            "certificate leaves do not partition the search space "
+            "(gap or overlap)")
 
 
 def load_certificate(cert_json: str) -> Certificate:
     """Parse an *untrusted* certificate wire string.
 
-    Every malformation -- garbage bytes, wrong shapes, missing keys --
-    surfaces as one :class:`~repro.errors.CertificateError`, so callers
-    have a single rejection path (and the taxonomy stays visible: the
-    original error rides along as the cause).
+    Every malformation -- garbage bytes, wrong shapes, missing keys,
+    numbers too large for an int (JSON ``1e400`` is ``inf``), nesting too
+    deep to parse -- surfaces as one
+    :class:`~repro.errors.CertificateError`, so callers have a single
+    rejection path (and the taxonomy stays visible: the original error
+    rides along as the cause).
     """
     from repro.api.serialize import certificate_from_json
 
     try:
         return certificate_from_json(cert_json)
-    except (ReproError, ValueError, TypeError, KeyError) as exc:
+    except (ReproError, ValueError, TypeError, KeyError, OverflowError,
+            RecursionError) as exc:
         raise CertificateError(
             f"unreadable certificate payload: {type(exc).__name__}: {exc}"
         ) from exc

@@ -144,7 +144,10 @@ def extract_certificate(network: Network, input_box: Box,
     reproduces each LP bound -- strong duality).  Leaves settled without an LP
     (screen-closed) carry no duals; if a future perturbation drifts one
     open, it pays a single delta-LP whose duals the re-record then picks
-    up -- lazy, self-healing refresh.
+    up -- lazy, self-healing refresh.  Duals not sized for this encoding's
+    node layout (carried over from a certificate recorded under another
+    unstable-neuron set, or from a malformed one) are dropped: they bound
+    nothing here, and the wire packs one row width for every leaf.
 
     ``lp_baseline`` overrides the stored from-scratch LP count (the
     savings denominator): when a *warm-started* solve re-records, the
@@ -157,6 +160,7 @@ def extract_certificate(network: Network, input_box: Box,
     upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
         network, input_box, leaves, c_vec)
     duals = duals or {}
+    m_ub, m_eq = enc.dual_rows()
     stored: List[Optional[tuple]] = [
         duals.get(_leaf_key(leaf)) if feasible[j] else None
         for j, leaf in enumerate(leaves)]
@@ -175,8 +179,10 @@ def extract_certificate(network: Network, input_box: Box,
         verdicts.append("proved" if bound <= float(threshold) + config.tol
                         else "open")
         if dual is not None:
-            stored[j] = (np.asarray(dual[0], dtype=np.float64),
-                         np.asarray(dual[1], dtype=np.float64))
+            lam = np.asarray(dual[0], dtype=np.float64).reshape(-1)
+            mu = np.asarray(dual[1], dtype=np.float64).reshape(-1)
+            stored[j] = (lam, mu) if (lam.size, mu.size) == (m_ub, m_eq) \
+                else None
     return Certificate(
         objective=c_vec.copy(),
         threshold=float(threshold),

@@ -551,6 +551,13 @@ class NetworkEncoding:
             return lo[0], hi[0], None if b_ub is None else b_ub[0]
         return lo, hi, b_ub
 
+    def dual_rows(self) -> Tuple[int, int]:
+        """``(m_ub, m_eq)``: the node layout's row counts, i.e. the sizes a
+        node's multipliers ``(lambda, mu)`` must have."""
+        base = self._lp_base()
+        return (0 if base.b_ub is None else base.b_ub.size,
+                0 if base.b_eq is None else base.b_eq.size)
+
     def lagrangian_uppers(self, cost: np.ndarray, phase_maps: Sequence[PhaseMap],
                           pre_lo: Sequence[np.ndarray],
                           pre_hi: Sequence[np.ndarray],
@@ -592,8 +599,7 @@ class NetworkEncoding:
                 box_lo[:, a] = np.maximum(np.maximum(zl, s * zl), box_lo[:, a])
                 box_hi[:, a] = np.minimum(np.maximum(zu, s * zu), box_hi[:, a])
 
-        m_ub = 0 if base.b_ub is None else base.b_ub.size
-        m_eq = 0 if base.b_eq is None else base.b_eq.size
+        m_ub, m_eq = self.dual_rows()
         lam = np.zeros((count, m_ub))
         mu = np.zeros((count, m_eq))
         valid = np.zeros(count, dtype=bool)

@@ -8,6 +8,7 @@ corrupted, stale, or adversarial payloads may make it slower -- but the
 decision must be byte-identical to a from-scratch solve in every case.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -104,6 +105,227 @@ class TestWire:
         cert = load_certificate(_record(threshold_problem, store))
         assert cert.leaf_duals and any(d is not None
                                        for d in cert.leaf_duals)
+
+
+def _wire_dict(threshold_problem):
+    """A recorded certificate as a parsed wire dict, plus its store key."""
+    store = MemCerts()
+    cert_json = _record(threshold_problem, store)
+    return json.loads(cert_json), next(iter(store.entries))
+
+
+def _assert_cold_fallback(threshold_problem, payload):
+    """Store ``payload`` under the problem's key: the reuse engine must
+    reject it and return the from-scratch decision."""
+    net, box, c, thr = threshold_problem
+    store = MemCerts()
+    store.entries[certificate_key(net, box, c, thr,
+                                  VerifyConfig(certs="reuse"))] = payload
+    warm = VerificationEngine(VerifyConfig(certs="reuse"),
+                              certs=store).verify(_spec(net, box, c, thr))
+    cold = VerificationEngine(VerifyConfig()).verify(_spec(net, box, c, thr))
+    assert warm.provenance.cert_hit is False
+    assert verdict_decision_json(warm) == verdict_decision_json(cold)
+
+
+class TestPackedWire:
+    """Certificate wire v3: the duals travel as one packed little-endian
+    float64 matrix; every malformation of it is a CertificateError."""
+
+    def test_reencode_is_byte_identical(self, threshold_problem):
+        cert_json = _record(threshold_problem, MemCerts())
+        assert certificate_to_json(load_certificate(cert_json)) == cert_json
+        data = json.loads(cert_json)
+        assert data["version"] == 3
+        assert set(data["leaf_duals"]) == {"present", "split", "width",
+                                           "data"}
+
+    def test_decoded_duals_are_read_only_float64_views(
+            self, threshold_problem):
+        cert = load_certificate(_record(threshold_problem, MemCerts()))
+        parts = [part for d in cert.leaf_duals if d is not None
+                 for part in d]
+        assert parts
+        for part in parts:
+            assert part.dtype == np.float64
+            assert not part.flags.writeable
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda d: d.update(data="!!not base64!!"),
+                     id="non-base64"),
+        pytest.param(lambda d: d.update(
+            data=base64.b64encode(base64.b64decode(d["data"])[:-8])
+            .decode()), id="short-bytes"),
+        pytest.param(lambda d: d.update(
+            present=[0] * len(d["present"])), id="present-count-vs-rows"),
+        pytest.param(lambda d: d.update(present=d["present"] + [0]),
+                     id="present-length-vs-leaves"),
+        pytest.param(lambda d: d.update(split=d["width"] + 1),
+                     id="split-over-width"),
+        pytest.param(lambda d: d.update(width=-1), id="negative-width"),
+        pytest.param(lambda d: d.update(present=[2] + d["present"][1:]),
+                     id="present-not-0-1"),
+        pytest.param(lambda d: d.update(present=[True] + d["present"][1:]),
+                     id="present-bool"),
+        pytest.param(lambda d: d.update(data=12345), id="data-not-string"),
+        pytest.param(lambda d: d.update(data=None), id="data-null"),
+        pytest.param(lambda d: d.pop("width"), id="missing-width"),
+        pytest.param(lambda d: d.update(split=1.5), id="split-not-int"),
+    ])
+    def test_malformed_packed_duals_are_rejected(self, threshold_problem,
+                                                 mutate):
+        data, _key = _wire_dict(threshold_problem)
+        mutate(data["leaf_duals"])
+        with pytest.raises(CertificateError, match="unreadable"):
+            load_certificate(json.dumps(data))
+
+    def test_non_finite_dual_row_costs_its_leaf_only(self,
+                                                     threshold_problem):
+        """NaN/inf multipliers survive the wire bit for bit and evaluate
+        to +inf for their own leaf alone; the decision stays cold."""
+        from repro.domains.batch import phase_clamped_affine_bounds
+
+        net, box, c, thr = threshold_problem
+        cert = load_certificate(_record(threshold_problem, MemCerts()))
+        _upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
+            net, box, cert.leaves, c)
+        rows = [j for j, d in enumerate(cert.leaf_duals)
+                if d is not None and feasible[j]]
+        enc = NetworkEncoding.for_problem(net, box)
+        neg_obj = -enc.output_objective(c)
+
+        def uppers(duals):
+            return enc.lagrangian_uppers(
+                neg_obj, [cert.leaves[j] for j in rows],
+                [lo[rows] for lo in pre_lo], [hi[rows] for hi in pre_hi],
+                [duals[j] for j in rows])
+
+        clean = uppers(cert.leaf_duals)
+        assert np.isfinite(clean).all()
+        for bad_value in (np.nan, np.inf):
+            tampered = load_certificate(certificate_to_json(cert))
+            lam, mu = tampered.leaf_duals[rows[0]]
+            lam = lam.copy()
+            lam[0] = bad_value
+            tampered.leaf_duals[rows[0]] = (lam, mu)
+            wire = certificate_to_json(tampered)
+            again = load_certificate(wire)
+            assert certificate_to_json(again) == wire
+            bounds = uppers(again.leaf_duals)
+            assert bounds[0] == np.inf
+            np.testing.assert_array_equal(bounds[1:], clean[1:])
+            store = MemCerts()
+            store.entries[certificate_key(
+                net, box, c, thr, VerifyConfig(certs="reuse"))] = wire
+            spec = _spec(net.perturb(0.002, rng=np.random.default_rng(7)),
+                         box, c, thr)
+            warm = VerificationEngine(VerifyConfig(certs="reuse"),
+                                      certs=store).verify(spec)
+            cold = VerificationEngine(VerifyConfig()).verify(spec)
+            assert warm.provenance.cert_hit is True
+            assert verdict_decision_json(warm) == \
+                verdict_decision_json(cold)
+
+    def test_v2_payload_is_rejected_and_falls_back_cold(
+            self, threshold_problem):
+        data, _key = _wire_dict(threshold_problem)
+        cert = load_certificate(json.dumps(data))
+        data["version"] = 2
+        data["leaf_duals"] = [
+            None if d is None else [part.tolist() for part in d]
+            for d in cert.leaf_duals]
+        payload = json.dumps(data, sort_keys=True)
+        with pytest.raises(CertificateError, match="wire v3"):
+            load_certificate(payload)
+        _assert_cold_fallback(threshold_problem, payload)
+
+    def test_wrong_width_duals_fall_back_without_raising(
+            self, threshold_problem):
+        """A self-consistent packed block of the wrong row width decodes
+        and validates (only the dual count is checked), evaluates to +inf
+        everywhere, and must not crash the re-record: screen-settled
+        leaves keep the stored rows while LP-solved ones get fresh rows
+        of the right width."""
+        net, box, c, thr = threshold_problem
+        data, key = _wire_dict(threshold_problem)
+        duals = data["leaf_duals"]
+        assert 0 < sum(duals["present"]) < len(duals["present"])
+        rows = len(duals["present"])
+        width = duals["width"] + 1
+        duals.update(present=[1] * rows, split=duals["split"] + 1,
+                     width=width,
+                     data=base64.b64encode(
+                         np.zeros((rows, width), "<f8").tobytes()).decode())
+        store = MemCerts()
+        store.entries[key] = json.dumps(data, sort_keys=True)
+        warm = VerificationEngine(VerifyConfig(certs="reuse"),
+                                  certs=store).verify(_spec(net, box, c, thr))
+        cold = VerificationEngine(VerifyConfig()).verify(
+            _spec(net, box, c, thr))
+        assert warm.provenance.cert_hit is True
+        assert verdict_decision_json(warm) == verdict_decision_json(cold)
+        recorded = json.loads(store.entries[key])["leaf_duals"]
+        assert recorded["width"] == sum(
+            NetworkEncoding.for_problem(net, box).dual_rows())
+
+    def test_unstable_set_change_records_cleanly(self, threshold_problem):
+        """Pinning one hidden neuron inactive shrinks the unstable set, so
+        the node layout -- and the dual row width -- changes under a
+        stored certificate.  Carried-over duals of the old width are
+        dropped at re-record instead of breaking the packed matrix."""
+        net, box, c, thr = threshold_problem
+        data, key = _wire_dict(threshold_problem)
+        payload = json.dumps(data, sort_keys=True)
+        old_rows = NetworkEncoding.for_problem(net, box).dual_rows()
+        rerecorded = 0
+        for unit in range(net.blocks()[0].dense.bias.size):
+            pinned = net.copy()
+            pinned.blocks()[0].dense.bias[unit] = -1e3
+            enc = NetworkEncoding.for_problem(pinned, box)
+            assert enc.dual_rows() != old_rows
+            store = MemCerts()
+            store.entries[key] = payload
+            spec = _spec(pinned, box, c, thr)
+            warm = VerificationEngine(VerifyConfig(certs="reuse"),
+                                      certs=store).verify(spec)
+            cold = VerificationEngine(VerifyConfig()).verify(spec)
+            assert verdict_decision_json(warm) == \
+                verdict_decision_json(cold)
+            if store.entries[key] != payload:
+                rerecorded += 1
+                recorded = load_certificate(store.entries[key])
+                assert recorded.leaf_duals
+                for dual in recorded.leaf_duals:
+                    assert dual is None or \
+                        (dual[0].size, dual[1].size) == enc.dual_rows()
+        assert rerecorded
+
+
+class TestUntrustedDecode:
+    """Numbers too large for an int and nesting too deep to parse are
+    rejections like any other malformed payload."""
+
+    @pytest.mark.parametrize("field", ["lp_solves", "version", "leaf"])
+    def test_huge_integer_is_certificate_error(self, threshold_problem,
+                                               field):
+        data, _key = _wire_dict(threshold_problem)
+        if field == "leaf":
+            data["leaves"][0][0][1] = "__BIG__"
+        else:
+            data[field] = "__BIG__"
+        payload = json.dumps(data).replace('"__BIG__"', "1e400")
+        with pytest.raises(CertificateError, match="OverflowError"):
+            load_certificate(payload)
+        _assert_cold_fallback(threshold_problem, payload)
+
+    def test_deep_nesting_is_certificate_error(self, threshold_problem):
+        data, _key = _wire_dict(threshold_problem)
+        data["leaves"] = "__DEEP__"
+        payload = json.dumps(data).replace(
+            '"__DEEP__"', "[" * 100_000 + "]" * 100_000)
+        with pytest.raises(CertificateError, match="RecursionError"):
+            load_certificate(payload)
+        _assert_cold_fallback(threshold_problem, payload)
 
 
 class TestValidation:
