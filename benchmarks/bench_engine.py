@@ -90,9 +90,8 @@ def bench_facade_overhead(calls=OVERHEAD_CALLS):
 
 def _mixed_bag(copies=3, seed=7):
     """A bag of independent mixed specs over a small network (sized so
-    every exact solve runs to optimality well inside the node budget --
-    budget-truncated searches would make the scalar-vs-frontier verdict
-    comparison ill-posed)."""
+    every exact solve runs to optimality well inside the node budget, so
+    the bag exercises complete searches)."""
     network = random_relu_network([4, 12, 8, 2], seed=seed, weight_scale=0.4)
     box = Box(-np.ones(4), np.ones(4))
     c = np.array([1.0, -1.0])
@@ -125,8 +124,7 @@ def _verdict_fingerprint(verdict):
 def bench_submit_throughput(copies=3, repeats=BAG_REPEAT):
     """Submit a mixed bag at each worker count; assert verdict identity."""
     bag = _mixed_bag(copies=copies)
-    frontier_reference = None
-    holds_reference = None
+    reference = None
     sweep = []
     for workers in WORKER_COUNTS:
         engine = VerificationEngine(VerifyConfig(workers=workers))
@@ -138,23 +136,13 @@ def bench_submit_throughput(copies=3, repeats=BAG_REPEAT):
             verdicts = engine.submit(bag)
             best_s = min(best_s, time.perf_counter() - start)
         fingerprints = [_verdict_fingerprint(v) for v in verdicts]
-        holds = [v.holds for v in verdicts]
-        if holds_reference is None:
-            holds_reference = holds
+        # Every worker count runs one search trajectory by construction,
+        # so answers, bounds and LP counts must agree bitwise.
+        if reference is None:
+            reference = fingerprints
         else:
-            # workers=1 runs the scalar best-first search -- a different
-            # algorithm agreeing within tol -- so across *all* counts only
-            # the three-valued answers are gated ...
-            assert holds == holds_reference, (
-                f"submit answers changed at workers={workers}")
-        if workers >= 2:
-            # ... while the frontier runs (workers >= 2) share one
-            # trajectory by construction and must agree bitwise.
-            if frontier_reference is None:
-                frontier_reference = fingerprints
-            else:
-                assert fingerprints == frontier_reference, (
-                    f"frontier verdicts changed at workers={workers}")
+            assert fingerprints == reference, (
+                f"submit verdicts changed at workers={workers}")
         sweep.append({
             "workers": workers,
             "specs": len(bag),

@@ -20,6 +20,9 @@ the low-level solver modules can import the defaults without a cycle.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional
@@ -55,8 +58,8 @@ DEFAULT_NODE_LIMIT = 2000
 DEFAULT_FULL_NODE_LIMIT = 20000
 #: Box budget of the split-refinement containment method.
 DEFAULT_MAX_BOXES = 2000
-#: Worker-pool width; ``>= 2`` switches the exact legs to the parallel
-#: frontier search (verdicts do not depend on the pool width).
+#: Worker-pool width: how many of a branch-and-bound round's node LPs are
+#: in flight at once (verdicts do not depend on the pool width).
 DEFAULT_WORKERS = 1
 #: Containment method cascade (``repro.exact.verify.METHODS``).
 DEFAULT_METHOD = "auto"
@@ -82,6 +85,7 @@ ENCODING_CACHE_POLICIES = ("shared", "private")
 CERT_POLICIES = ("off", "record", "reuse")
 
 _METHODS = ("symbolic", "split", "exact", "auto")
+_COUNT_FIELDS = ("node_limit", "full_node_limit", "max_boxes", "workers")
 #: Mirrors repro.domains.propagate.PROPAGATORS (kept static so this module
 #: stays a leaf; the registry test cross-checks the two).
 _DOMAINS = ("box", "symbolic", "zonotope", "deeppoly")
@@ -124,9 +128,6 @@ class VerifyConfig:
     full_node_limit: int = DEFAULT_FULL_NODE_LIMIT
     max_boxes: int = DEFAULT_MAX_BOXES
     workers: int = DEFAULT_WORKERS
-    #: Nodes expanded per frontier round (``None`` = the solver's fixed
-    #: constant, keeping verdicts independent of the pool width).
-    frontier_width: Optional[int] = None
     method: str = DEFAULT_METHOD
     domain: str = DEFAULT_DOMAIN
     interval_prune: bool = DEFAULT_INTERVAL_PRUNE
@@ -139,6 +140,23 @@ class VerifyConfig:
     certs: str = DEFAULT_CERT_POLICY
 
     def __post_init__(self):
+        # Counts must be true integers: a float such as 1e400 (which JSON
+        # decodes to inf) would otherwise pass the range checks and crash
+        # the solver far from the bad input.
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            try:
+                count = operator.index(value)
+            except TypeError:
+                count = None
+            if count is None or isinstance(value, bool):
+                raise ReproError(f"{name} must be an integer, got {value!r}")
+            # NumPy integers become plain ints, so to_dict stays JSON-safe.
+            object.__setattr__(self, name, count)
+        if isinstance(self.tol, bool) or \
+                not isinstance(self.tol, numbers.Real) or \
+                not math.isfinite(self.tol):
+            raise ReproError(f"tol must be a finite real, got {self.tol!r}")
         if not (self.tol > 0):
             raise ReproError(f"tol must be positive, got {self.tol}")
         if self.node_limit < 1:
@@ -150,9 +168,6 @@ class VerifyConfig:
             raise ReproError(f"max_boxes must be >= 1, got {self.max_boxes}")
         if self.workers < 1:
             raise ReproError(f"workers must be positive, got {self.workers}")
-        if self.frontier_width is not None and self.frontier_width < 1:
-            raise ReproError(
-                f"frontier_width must be >= 1, got {self.frontier_width}")
         if self.method not in _METHODS:
             raise ReproError(
                 f"unknown method {self.method!r}; choose from {_METHODS}")
@@ -191,7 +206,6 @@ class VerifyConfig:
             "tol": self.tol,
             "node_limit": self.node_limit,
             "workers": self.workers,
-            "frontier_width": self.frontier_width,
             "interval_prune": self.interval_prune,
             "node_tighten": self.node_tighten,
         }
@@ -362,7 +376,3 @@ class ServeConfig:
                 f"known: {sorted(known)}")
         return cls(**data)
 
-
-# Not a field default, but the frontier constant belongs to the same audit:
-# repro.exact.parallel_bab.FRONTIER_WIDTH stays the solver-level source for
-# ``frontier_width=None`` so trajectories remain pool-width independent.

@@ -122,8 +122,8 @@ class VerificationEngine:
         With ``workers > 1`` the spec evaluations overlap on the module
         pool of :mod:`repro.core.parallel` (nested frontier solves divert
         or degrade gracefully there).  Verdicts are identical to running
-        each spec alone -- the frontier trajectory depends only on the
-        configured width, never on granted concurrency -- but per-verdict
+        each spec alone -- the frontier trajectory depends only on its
+        fixed round width, never on granted concurrency -- but per-verdict
         ``encoding_reuse`` deltas overlap in time and are only meaningful
         summed over the batch.
 

@@ -20,7 +20,7 @@ Small demonstrations runnable without writing any code:
 
 Every command that touches the exact layer builds one
 :class:`~repro.api.VerifyConfig` from the shared engine flags, so every
-engine knob (``--workers``, ``--frontier-width``, ``--node-tighten``, ...)
+engine knob (``--workers``, ``--node-limit``, ``--node-tighten``, ...)
 is reachable from the command line and defaults stay in one place.
 """
 
@@ -52,9 +52,9 @@ def _add_engine_args(parser: argparse.ArgumentParser,
     if pool_flag:
         engine.add_argument("--workers", type=int, default=None,
                             help="worker-pool width for the exact branch-"
-                                 "and-bound legs; >= 2 switches to the "
-                                 "parallel frontier search, whose verdicts "
-                                 "do not depend on the pool width")
+                                 "and-bound legs: node LPs in flight per "
+                                 "search round (verdicts do not depend on "
+                                 "the pool width)")
     if not full:
         return
     engine.add_argument("--tol", type=float, default=None,
@@ -63,11 +63,6 @@ def _add_engine_args(parser: argparse.ArgumentParser,
                         help="branch-and-bound node budget for local checks")
     engine.add_argument("--full-node-limit", type=int, default=None,
                         help="node budget for global (from-scratch) solves")
-    engine.add_argument("--frontier-width", type=int, default=None,
-                        help="nodes expanded per frontier round; 0 resets "
-                             "a bundled value back to the solver's fixed "
-                             "constant (which keeps verdicts pool-width "
-                             "independent)")
     engine.add_argument("--node-tighten",
                         action=argparse.BooleanOptionalAction, default=None,
                         help="feed batched phase-clamped bounds into each "
@@ -85,22 +80,15 @@ def _config_from_args(args, base=None):
     """Fold the engine flags over ``base`` (default: canonical defaults)."""
     from repro.api import VerifyConfig
 
-    frontier_width = getattr(args, "frontier_width", None)
-    config = (base or VerifyConfig()).with_overrides(
+    return (base or VerifyConfig()).with_overrides(
         workers=getattr(args, "workers", None),
         tol=getattr(args, "tol", None),
         node_limit=getattr(args, "node_limit", None),
         full_node_limit=getattr(args, "full_node_limit", None),
-        frontier_width=frontier_width if frontier_width != 0 else None,
         node_tighten=getattr(args, "node_tighten", None),
         method=getattr(args, "method", None),
         domain=getattr(args, "domain", None),
     )
-    if frontier_width == 0:
-        # 0 is the explicit "back to the solver default" sentinel (None is
-        # "flag not given", which with_overrides must leave alone).
-        config = config.replace(frontier_width=None)
-    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +413,7 @@ def _cmd_verify(args) -> int:
         print(f"auto Dout: {dout}")
     problem = VerificationProblem(network, din, dout)
     # One VerifyConfig carries *every* engine knob (the historical kwargs
-    # path silently dropped --frontier-width / --node-tighten).
+    # path silently dropped --node-tighten).
     config = _config_from_args(args)
     outcome = VerificationEngine(config).baseline(
         problem, state_buffer=0.03).result
@@ -457,7 +445,7 @@ def _cmd_verify_spec(args) -> int:
     spec_doc, config_doc = _load_spec_document(args.spec)
     config = VerifyConfig.from_dict(config_doc or {})
     # Command-line engine flags override whatever the file bundled
-    # (including --no-node-tighten / --frontier-width 0 resets).
+    # (including --no-node-tighten resets).
     config = _config_from_args(args, base=config)
     spec = spec_from_dict(spec_doc)
     certs = None

@@ -139,9 +139,10 @@ class ContinuousVerifier:
 
     @property
     def workers(self) -> int:
-        """Worker-pool width handed to every exact branch-and-bound leg
-        (the parallel frontier search of :mod:`repro.exact.parallel_bab`);
-        verdicts are worker-count independent by construction."""
+        """Worker-pool width handed to every exact branch-and-bound leg:
+        how many of a frontier round's node LPs are in flight at once
+        (:mod:`repro.exact.parallel_bab`); verdicts are worker-count
+        independent by construction."""
         return self.config.workers
 
     @workers.setter

@@ -22,7 +22,6 @@ from repro.exact.bab import (
     maximize_output,
     minimize_output,
 )
-from repro.exact.parallel_bab import FRONTIER_WIDTH, maximize_frontier
 from repro.exact.splitting import SplitResult, check_containment_split
 from repro.exact.tighten import TightenStats, tighten_preactivation_bounds
 from repro.exact.incremental import (
@@ -39,8 +38,6 @@ from repro.exact.verify import (
 __all__ = [
     "BaBResult",
     "BranchCertificate",
-    "FRONTIER_WIDTH",
-    "maximize_frontier",
     "TightenStats",
     "certify_threshold",
     "prove_with_certificate",

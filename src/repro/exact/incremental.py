@@ -87,8 +87,8 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
     a pre-built :class:`NetworkEncoding`; by default one is drawn per the
     config's encoding-cache policy, so certifying several thresholds or
     objectives over one ``(network, box)`` pair builds the LP base exactly
-    once.  ``config.workers > 1`` runs the parallel frontier search; its
-    settled leaves form exactly the same kind of covering certificate.
+    once.  The search's settled leaves form the covering certificate,
+    whatever ``config.workers`` is.
     ``collect_duals`` (a caller-owned dict) additionally captures each
     node LP's optimal dual multipliers and rides back on the returned
     certificate's ``leaf_duals`` -- the raw material certificate
@@ -180,8 +180,8 @@ def prove_with_certificate(network: Network, input_box: Box,
         network, input_box,
         config.replace(node_limit=config.effective_full_node_limit),
         encoding=encoding)
-    # With workers > 1 the leaf re-solve is the frontier warm start: every
-    # certificate leaf is screened in one batched pass and the surviving
-    # leaf LPs are solved concurrently against the (possibly new) encoding.
+    # The leaf re-solve is the frontier warm start: every certificate leaf
+    # is screened in one batched pass and the surviving leaf LPs are solved
+    # as one batch against the (possibly new) encoding.
     return solver.maximize(certificate.objective, threshold=threshold,
                            initial_nodes=certificate.leaves)

@@ -1,19 +1,15 @@
-"""Parallel frontier branch and bound on the shared sparse encoding.
+"""Frontier branch and bound: the search behind :meth:`BaBSolver.maximize`.
 
-The scalar search of :mod:`repro.exact.bab` expands one node at a time:
-pop the best open node, screen its two children with a batched interval
-pass, solve each surviving child's LP on the encoding's hot-started HiGHS
-kernel, push.  Every stage of that loop was built batch-first
-(``phase_clamped_node_bounds`` screens N regions in one pass; every node
-LP shares the encoding's one fixed layout), so the search itself is the
-last sequential piece.
-This module removes it: the **frontier search** expands the top-K open
-nodes per synchronous round and solves all surviving child LPs concurrently
-on the shared worker pool of :mod:`repro.core.parallel`.
+Every stage of a branch-and-bound step is batch-first:
+``phase_clamped_node_bounds`` screens N regions in one pass and every node
+LP shares the encoding's one fixed layout.  The search therefore runs in
+synchronous rounds: each round expands the top-``FRONTIER_WIDTH`` open
+nodes and solves all surviving child LPs together, concurrently on the
+shared worker pool of :mod:`repro.core.parallel` when ``workers > 1``.
 
 One round
 ---------
-1. *Pop.*  Take up to ``frontier_width`` best-bound nodes off the open
+1. *Pop.*  Take up to ``FRONTIER_WIDTH`` best-bound nodes off the open
    heap (stopping early when bounds fall to the incumbent).
 2. *Branch.*  Each popped node contributes its two phase-split children
    (activation-consistent nodes instead register their LP point as a
@@ -35,32 +31,29 @@ One round
 
 Soundness
 ---------
-The scalar invariant -- the true maximum never exceeds
-``max(incumbent, screened_bound, max over open-node bounds)`` -- extends to
-the frontier search with one addition: during a round, nodes that have been
-popped but whose children are still being screened/solved ("in-flight"
-regions) are covered by *their own* LP bounds, which are at least their
-children's bounds (a child's feasible set is a subset of its parent's).
-Every reported global bound is therefore taken as the max over the heap,
-the bounds of the round's popped nodes, the interval-settled regions and
-the incumbent -- a sound upper bound at every instant, including early
+The true maximum never exceeds ``max(incumbent, screened_bound, max over
+open-node bounds)``.  During a round, nodes that have been popped but
+whose children are still being screened/solved ("in-flight" regions) are
+covered by *their own* LP bounds, which are at least their children's
+bounds (a child's feasible set is a subset of its parent's).  Every
+reported global bound is therefore taken as the max over the heap, the
+bounds of the round's popped nodes, the interval-settled regions and the
+incumbent -- a sound upper bound at every instant, including early
 termination inside a round (node limit).  The covering-leaves invariant is
 preserved the same way: every popped node either settles as a leaf or
 contributes both children, each of which settles or returns to the heap.
 
 Determinism
 -----------
-``frontier_width`` is deliberately *independent* of ``workers`` (a fixed
-constant by default).  The sequence of rounds -- which nodes are popped,
-which children are screened, which LPs are solved, and the order results
-are folded -- is then a pure function of the problem, so ``status`` is
+``FRONTIER_WIDTH`` is a fixed constant, deliberately independent of
+``workers``.  The sequence of rounds -- which nodes are popped, which
+children are screened, which LPs are solved, and the order results are
+folded -- is then a pure function of the problem, so ``status`` is
 byte-identical and ``optimum`` bitwise-identical across worker counts:
 ``workers`` only changes how many of a round's LPs are in flight at once.
 Which thread's kernel solves a node does not matter either: a kernel
 solve depends only on the node and its parent's basis
 (:mod:`repro.exact.highs`).
-(Raising ``frontier_width`` for very wide pools changes the trajectory,
-not soundness: bounds/verdicts agree within ``tol``.)
 """
 
 from __future__ import annotations
@@ -87,7 +80,7 @@ from repro.exact.lp import LP_INFEASIBLE, LP_OPTIMAL, LPResult, solve_lp  # noqa
 
 __all__ = ["FRONTIER_WIDTH", "maximize_frontier"]
 
-#: Nodes expanded per synchronous round.  A fixed default (rather than a
+#: Nodes expanded per synchronous round.  A fixed constant (rather than a
 #: multiple of ``workers``) keeps the search trajectory -- and hence the
 #: verdict -- identical across worker counts; see the module docstring.
 FRONTIER_WIDTH = 8
@@ -100,11 +93,9 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                       start_screen=None,
                       collect_duals: Optional[dict] = None,
                       ) -> BaBResult:
-    """Frontier-parallel ``max c @ f(x)`` with :class:`BaBSolver` semantics.
-
-    Same contract as :meth:`BaBSolver.maximize` (thresholds, warm starts,
-    covering leaves); concurrency and per-round batch statistics are
-    reported through the extra :class:`BaBResult` fields.
+    """``max c @ f(x)`` for :meth:`BaBSolver.maximize`, which documents the
+    contract (thresholds, warm starts, covering leaves, duals); per-round
+    batch statistics are reported through the :class:`BaBResult` fields.
     """
     # Imported lazily: repro.core.parallel pulls in the proposition
     # machinery, which sits *above* the exact layer in the import graph.
@@ -119,10 +110,6 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     #: pure churn.  Clamp the in-flight LP concurrency instead; the
     #: trajectory (hence verdict/optimum) never depends on this.
     pool_workers = effective_workers(workers)
-    width = FRONTIER_WIDTH if solver.frontier_width is None \
-        else int(solver.frontier_width)
-    if width < 1:
-        raise SolverError(f"frontier_width must be positive, got {width}")
     objective = enc.output_objective(np.asarray(c, dtype=np.float64))
     neg_obj = -objective  # linprog minimises
     c_vec = np.asarray(c, dtype=np.float64).reshape(-1)
@@ -134,8 +121,11 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     counter = itertools.count()
     incumbent = -np.inf
     witness: Optional[np.ndarray] = None
+    # Sound max over regions the interval screen settled above the
+    # incumbent (threshold mode); folded into every reported bound.
     screened_bound = -np.inf
     use_screen = solver.interval_prune or solver.node_tighten
+    no_screen = (None, None, None)
 
     def screen_nodes(phase_maps: List[PhaseMap]):
         return solver._screen_nodes(phase_maps, c_vec)
@@ -169,8 +159,8 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
 
         ``workers > 1`` submits the whole batch to the shared pool in one
         :func:`run_parallel` call; a single worker (or a single task) runs
-        inline -- identical results either way, so the sequential path is
-        the honest baseline the speedup benchmark compares against.
+        inline -- identical results either way, so ``workers=1`` is the
+        honest baseline the speedup benchmark compares against.
         """
         nonlocal lp_solves
         lp_solves += len(items)
@@ -189,15 +179,70 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                 run_parallel(tasks, workers=run_workers)]
 
     def register_feasible(x_input: np.ndarray) -> None:
+        # Clip the LP's input point into the box and evaluate the real
+        # network: the incumbent is always an achieved value.
         nonlocal incumbent, witness
-        value, x_clipped = solver._feasible_value(c_vec, x_input)
+        x_clipped = solver.input_box.clip_point(x_input)
+        value = float(np.dot(c_vec, np.atleast_1d(
+            solver.network.forward(x_clipped))))
         if value > incumbent:
             incumbent = value
             witness = x_clipped
 
+    def settle_screened(batch: List[Tuple[PhaseMap, object]], screened,
+                        bar: float) -> List[Tuple[PhaseMap, object, object]]:
+        """Settle the ``(phases, parent_basis)`` candidates one batched
+        screen decides: empty regions, regions whose interval bound cannot
+        beat ``bar``, and regions closed below the threshold on intervals
+        alone (folded into ``screened_bound``).  Returns the survivors as
+        ``(phases, tight_pre, basis)`` LP items, in batch order."""
+        nonlocal screened_bound
+        ubs, feasible, tights = screened
+        items = []
+        for j, (phases, basis) in enumerate(batch):
+            if use_screen and not feasible[j]:
+                record_leaf(phases)  # the phase constraints empty the region
+                continue
+            if solver.interval_prune:
+                ub = float(ubs[j])
+                if ub <= bar + tol:
+                    record_leaf(phases)  # dominated by the incumbent
+                    continue
+                if threshold is not None and ub <= threshold + tol:
+                    screened_bound = max(screened_bound, ub)
+                    record_leaf(phases)  # closed below the threshold
+                    continue
+            items.append((phases, tights[j] if tights else None, basis))
+        return items
+
     # Max-heap on node upper bounds (negate for heapq); each entry carries
     # its LP point and optimal basis (its children's hot start).
     heap: List[Tuple[float, int, PhaseMap, np.ndarray, object]] = []
+
+    def solve_and_fold(items: List[Tuple[PhaseMap, object, object]],
+                       stage: str, kind: str) -> bool:
+        """Solve ``items`` as one batch and fold the results in submission
+        order; ``kind="child"`` also settles LPs dominated by the
+        incumbent.  Returns whether any LP was feasible."""
+        any_feasible = False
+        for (phases, _, __), res in zip(items, solve_batch(items, stage)):
+            if res.status == LP_INFEASIBLE:
+                record_leaf(phases)  # the region is empty: settled
+                continue
+            if res.status != LP_OPTIMAL:
+                # An unbounded (or otherwise failed) relaxation can never be
+                # *settled*: node LPs over a bounded input box are bounded,
+                # so this is always a solver/encoding failure to surface.
+                raise SolverError(f"{kind} LP ended with status {res.status}")
+            any_feasible = True
+            capture_duals(phases, res)
+            register_feasible(res.x[enc.input_slice])
+            if kind == "child" and -res.value <= incumbent + tol:
+                record_leaf(phases)
+                continue
+            heapq.heappush(heap, (res.value, next(counter), phases, res.x,
+                                  res.basis))
+        return any_feasible
 
     # Warm-start economics: starts adopted from the caller, and how many
     # of them the batched float64 re-screen settled without an LP.
@@ -225,59 +270,37 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     starts: List[PhaseMap] = (
         [dict(p) for p in initial_nodes] if initial_nodes else [{}]
     )
-    start_ubs = start_feasible = start_tights = None
+    screened = no_screen
     if use_screen:
         # A caller-supplied screen (certificate reuse's dual-bound screen)
         # applies to the warm-start batch only; branching children below
         # always go through the stock batched screen.
-        start_ubs, start_feasible, start_tights = \
-            (start_screen or screen_nodes)(starts)
+        screened = (start_screen or screen_nodes)(starts)
+        start_ubs = screened[0]
         if solver.interval_prune and threshold is not None and \
                 np.all(start_ubs <= threshold + tol):
+            # The covering regions all close on the screen alone: proved
+            # without a single LP.
             for start in starts:
                 record_leaf(start)
             lp_solves_saved = nodes_reused
             return result(BAB_PROVED, float(start_ubs.max()))
-    surviving: List[Tuple[PhaseMap, object, object]] = []
-    for j, start in enumerate(starts):
-        ub_est = float(start_ubs[j]) if solver.interval_prune else None
-        # Starts screen against an -inf incumbent: all surviving start LPs
-        # solve in one concurrent batch, so no earlier start's incumbent
-        # exists yet (the scalar search, solving sequentially, does prune
-        # later starts against earlier ones -- same verdicts, more LPs).
-        verdict = solver._screen_verdict(
-            ub_est, not use_screen or bool(start_feasible[j]),
-            -np.inf, threshold)
-        if verdict != "open":
-            if verdict == "proved":  # region closed below the threshold
-                screened_bound = max(screened_bound, ub_est)
-            if initial_nodes:
-                lp_solves_saved += 1
-            record_leaf(start)  # phase constraints emptied the region
-            continue
-        surviving.append((start, start_tights[j] if start_tights else None,
-                          None))
+    # Starts screen against an -inf incumbent: all surviving start LPs
+    # solve in one batch, so no earlier start's incumbent exists yet.
+    surviving = settle_screened([(start, None) for start in starts],
+                                screened, -np.inf)
+    if initial_nodes:
+        lp_solves_saved = len(starts) - len(surviving)
     any_feasible = False
     if surviving:
         rounds += 1
-        for (start, _, __), res in zip(surviving,
-                                       solve_batch(surviving, "start")):
-            if res.status == LP_INFEASIBLE:
-                record_leaf(start)
-                continue
-            if res.status != LP_OPTIMAL:
-                raise SolverError(f"start LP ended with status {res.status}")
-            any_feasible = True
-            capture_duals(start, res)
-            register_feasible(res.x[enc.input_slice])
-            heapq.heappush(heap, (res.value, next(counter), start, res.x,
-                                  res.basis))
+        any_feasible = solve_and_fold(surviving, "start", "start")
     if not any_feasible:
         if screened_bound > -np.inf:
             # Every LP-checked region was empty, but interval-screened
             # regions cover the rest below the threshold.
             return finish(BAB_PROVED, screened_bound)
-        nodes = len(starts)  # scalar-search parity for the infeasible case
+        nodes = len(starts)  # each empty start counts as one settled node
         return result(BAB_INFEASIBLE, -np.inf)
 
     # ---------------------------------------------------------------- rounds
@@ -298,7 +321,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
 
         # Pop the round's frontier (heap order => bounds non-increasing).
         popped: List[Tuple[PhaseMap, np.ndarray, object]] = []
-        while heap and len(popped) < min(width, budget):
+        while heap and len(popped) < min(FRONTIER_WIDTH, budget):
             entry = heapq.heappop(heap)
             if -entry[0] <= incumbent + tol:
                 # This and every later node is dominated; leave them open
@@ -326,44 +349,20 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             continue
 
         # One batched pass screens the whole round's children at once.
-        child_ubs = child_feasible = child_tights = None
-        if use_screen:
-            child_ubs, child_feasible, child_tights = screen_nodes(
-                [child for child, _ in children])
-        surviving = []
-        for j, (child, basis) in enumerate(children):
-            ub_est = float(child_ubs[j]) if solver.interval_prune else None
-            verdict = solver._screen_verdict(
-                ub_est, not use_screen or bool(child_feasible[j]),
-                incumbent, threshold)
-            if verdict != "open":
-                if verdict == "proved":  # closed below the threshold
-                    screened_bound = max(screened_bound, ub_est)
-                record_leaf(child)  # empty region / dominated bound
-                continue
-            surviving.append(
-                (child, child_tights[j] if child_tights else None, basis))
-
+        screened = screen_nodes([child for child, _ in children]) \
+            if use_screen else no_screen
+        surviving = settle_screened(children, screened, incumbent)
         # Concurrent node-LP solves; results folded in submission order.
-        for (child, _, __), res in zip(surviving,
-                                       solve_batch(surviving, f"round{rounds}")):
-            if res.status == LP_INFEASIBLE:
-                record_leaf(child)  # the region is empty: settled
-                continue
-            if res.status != LP_OPTIMAL:
-                # Same status discipline as the scalar search: an unbounded
-                # (or otherwise failed) child relaxation must surface, not
-                # silently settle as a leaf.
-                raise SolverError(f"child LP ended with status {res.status}")
-            child_bound = -res.value
-            capture_duals(child, res)
-            register_feasible(res.x[enc.input_slice])
-            if child_bound <= incumbent + tol:
-                record_leaf(child)
-                continue
-            heapq.heappush(heap, (-child_bound, next(counter), child, res.x,
-                                  res.basis))
+        solve_and_fold(surviving, f"round{rounds}", "child")
 
-    status, bound = solver._terminal_status(incumbent, screened_bound,
-                                            threshold)
-    return result(status, bound)
+    # No open node remains.  The incumbent can cross the threshold during
+    # the *last* round with no further top-of-heap check to notice it
+    # (refuted, not optimal); interval-settled regions (threshold mode) may
+    # exceed the incumbent, so optimality is not established even though
+    # every region closed below the threshold; otherwise the incumbent is
+    # the exact optimum.  ``result`` folds in ``screened_bound``.
+    if threshold is not None and incumbent > threshold + tol:
+        return result(BAB_REFUTED, incumbent)
+    if screened_bound > incumbent + tol:
+        return result(BAB_PROVED, incumbent)
+    return result(BAB_OPTIMAL, incumbent)

@@ -151,9 +151,8 @@ def _check_containment(network: Network, input_box: Box, target: Box,
                        config: Optional[VerifyConfig] = None) -> ContainmentResult:
     """Internal containment decision (no deprecation): the engine path.
 
-    ``config.workers > 1`` runs the exact branch-and-bound legs as the
-    parallel frontier search (:mod:`repro.exact.parallel_bab`) -- same
-    verdicts, concurrent node LPs.
+    ``config.workers > 1`` solves the exact branch-and-bound legs' node
+    LPs concurrently (:mod:`repro.exact.parallel_bab`) -- same verdicts.
     """
     config = config or VerifyConfig()
     if method not in METHODS:

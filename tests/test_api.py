@@ -532,7 +532,7 @@ class TestDefaultsUnified:
 
     def test_config_validation_and_round_trip(self):
         config = VerifyConfig(workers=4, node_tighten=True,
-                              frontier_width=16, encoding_cache="private")
+                              max_boxes=16, encoding_cache="private")
         assert VerifyConfig.from_dict(config.to_dict()) == config
         with pytest.raises(ReproError):
             VerifyConfig(workers=0)
@@ -548,6 +548,10 @@ class TestDefaultsUnified:
         from repro.api.serialize import config_from_json
         with pytest.raises(ReproError, match="lp_form"):
             config_from_json(json.dumps({**config.to_dict(), "lp_form": "auto"}))
+        # ... and so does frontier_width (the round width is a constant).
+        with pytest.raises(ReproError, match="unknown VerifyConfig keys"):
+            config_from_json(
+                json.dumps({**config.to_dict(), "frontier_width": 8}))
         with pytest.raises(ReproError):
             VerifyConfig(encoding_cache="maybe")
         with pytest.raises(ReproError):

@@ -1,9 +1,9 @@
 """Parallel frontier BaB, pool-reservation safety, and solver-status fixes.
 
 The determinism contract under test: the frontier trajectory depends only
-on ``frontier_width`` (a fixed constant by default), never on ``workers``,
-so statuses are byte-identical and optima bitwise-identical across worker
-counts; and the frontier agrees with the scalar search within tolerance.
+on the fixed round width, never on ``workers``, so statuses are
+byte-identical and optima bitwise-identical across worker counts; and the
+search agrees with the independent big-M MILP oracle within tolerance.
 """
 
 import threading
@@ -22,6 +22,7 @@ from repro.exact import (
     encoding_cache_stats,
     maximize_output,
     prove_with_certificate,
+    solve_milp,
 )
 from repro.core.parallel import reserved_width, run_parallel
 from repro.core import parallel as parallel_mod
@@ -30,11 +31,21 @@ from repro.nn import random_relu_network
 WORKER_MATRIX = (1, 2, 8)
 
 
+def _milp_optimum(net, box, c, maximize):
+    """The exact optimum of ``c @ f(x)`` from the big-M MILP encoding: an
+    oracle independent of the phase-splitting search."""
+    enc = NetworkEncoding(net, box)
+    system = enc.build_milp()
+    objective = enc.output_objective(c, num_vars=system.num_vars)
+    res = solve_milp(objective, system, maximize=maximize)
+    assert res.status == "optimal"
+    return res.value
+
+
 class TestWorkerMatrix:
     def test_fig2_optimum_identical_across_workers(self, fig2, enlarged_box2):
-        scalar = BaBSolver(fig2, enlarged_box2).maximize(np.array([1.0]))
         results = [
-            BaBSolver(fig2, enlarged_box2, workers=w, frontier=True)
+            BaBSolver(fig2, enlarged_box2, workers=w)
             .maximize(np.array([1.0]))
             for w in WORKER_MATRIX
         ]
@@ -43,9 +54,7 @@ class TestWorkerMatrix:
         assert len({r.upper_bound for r in results}) == 1
         assert len({r.lp_solves for r in results}) == 1
         assert len({r.nodes for r in results}) == 1
-        # ... and agreeing with the scalar search and the paper's value.
-        assert results[0].upper_bound == pytest.approx(scalar.upper_bound,
-                                                       abs=1e-9)
+        # ... and agreeing with the paper's value.
         assert results[0].upper_bound == pytest.approx(6.2, abs=1e-6)
 
     @pytest.mark.parametrize("threshold,expected", [
@@ -56,42 +65,39 @@ class TestWorkerMatrix:
                                                     threshold, expected):
         statuses = set()
         for w in WORKER_MATRIX:
-            res = BaBSolver(fig2, enlarged_box2, workers=w, frontier=True) \
+            res = BaBSolver(fig2, enlarged_box2, workers=w) \
                 .maximize(np.array([1.0]), threshold=threshold)
             statuses.add(res.status)
             if expected == "threshold_refuted":
                 assert fig2.forward(res.witness)[0] > threshold
         assert statuses == {expected}
 
-    def test_random_nets_parity_with_scalar(self):
+    def test_random_nets_parity_with_milp(self):
         for seed in range(3):
             net = random_relu_network([3, 10, 8, 2], seed=seed,
                                       weight_scale=0.9)
             box = Box(-np.ones(3), np.ones(3))
             c = np.array([1.0, -0.5])
-            scalar = BaBSolver(net, box).maximize(c)
+            milp = _milp_optimum(net, box, c, maximize=True)
             frontier = BaBSolver(net, box, workers=4).maximize(c)
-            assert frontier.status == scalar.status == "optimal"
-            assert frontier.upper_bound == pytest.approx(
-                scalar.upper_bound, abs=1e-6)
+            assert frontier.status == "optimal"
+            assert frontier.upper_bound == pytest.approx(milp, abs=1e-6)
 
     def test_minimize_through_frontier(self, fig2, enlarged_box2):
-        lo_s = BaBSolver(fig2, enlarged_box2).minimize(np.array([1.0]))
-        lo_f = BaBSolver(fig2, enlarged_box2, workers=2) \
-            .minimize(np.array([1.0]))
-        assert lo_f.status == lo_s.status == "optimal"
-        assert lo_f.upper_bound == pytest.approx(lo_s.upper_bound, abs=1e-9)
+        c = np.array([1.0])
+        milp = _milp_optimum(fig2, enlarged_box2, c, maximize=False)
+        lo_f = BaBSolver(fig2, enlarged_box2, workers=2).minimize(c)
+        assert lo_f.status == "optimal"
+        assert lo_f.upper_bound == pytest.approx(milp, abs=1e-9)
         assert lo_f.workers == 2
 
     def test_frontier_stats_reported(self, fig2, enlarged_box2):
-        scalar = BaBSolver(fig2, enlarged_box2).maximize(np.array([1.0]))
-        frontier = BaBSolver(fig2, enlarged_box2, workers=2) \
-            .maximize(np.array([1.0]))
-        assert scalar.rounds == 0 and scalar.max_batch == 0
-        assert frontier.rounds >= 1
-        assert frontier.max_batch >= 1
-        assert frontier.mean_batch > 0
-        assert frontier.workers == 2
+        stats = [
+            (r.nodes, r.lp_solves, r.rounds, r.max_batch)
+            for r in (BaBSolver(fig2, enlarged_box2, workers=w)
+                      .maximize(np.array([1.0])) for w in (1, 2))
+        ]
+        assert stats[0] == stats[1] and stats[0][2] >= 1
 
     def test_maximize_output_exposes_workers(self, fig2, enlarged_box2):
         res = maximize_output(fig2, enlarged_box2, np.array([1.0]), workers=2)
@@ -265,18 +271,14 @@ class TestFrontierEdgeCases:
         net = random_relu_network([4, 12, 10, 1], seed=2, weight_scale=1.2)
         box = Box(-np.ones(4), np.ones(4))
         outs = [
-            BaBSolver(net, box, node_limit=5, workers=w, frontier=True)
+            BaBSolver(net, box, node_limit=5, workers=w)
             .maximize(np.array([1.0]))
             for w in WORKER_MATRIX
         ]
-        assert len({o.status for o in outs}) == 1
+        assert {o.status for o in outs} == {"node_limit"}
         assert len({o.upper_bound for o in outs}) == 1
-        assert len({o.nodes for o in outs}) == 1
-
-    def test_frontier_width_validated(self, fig2, enlarged_box2):
-        solver = BaBSolver(fig2, enlarged_box2, workers=2, frontier_width=0)
-        with pytest.raises(SolverError):
-            solver.maximize(np.array([1.0]))
+        # The budget counts expanded nodes exactly: never limit + 1.
+        assert {o.nodes for o in outs} == {5}
 
     def test_invalid_workers_rejected(self, fig2, enlarged_box2):
         with pytest.raises(SolverError):

@@ -231,7 +231,7 @@ class TestCanonicalForm:
 class TestConfigWire:
     def test_roundtrip(self):
         config = VerifyConfig(workers=3, tol=1e-7, node_tighten=True,
-                              frontier_width=9)
+                              node_limit=9)
         assert config_from_json(config_to_json(config)) == config
 
     def test_canonical_bytes(self):
@@ -247,3 +247,28 @@ class TestConfigWire:
     def test_non_object_rejected(self):
         with pytest.raises(SerializationError, match="object"):
             config_from_json("[1, 2]")
+
+    @pytest.mark.parametrize("document", [
+        '{"workers": 1e400}',
+        '{"node_limit": 1e400}',
+        '{"workers": 2.5}',
+        '{"workers": true}',
+        '{"full_node_limit": 3.0}',
+        '{"max_boxes": "10"}',
+        '{"tol": true}',
+        '{"tol": 1e400}',
+        '{"tol": "1e-6"}',
+    ])
+    def test_non_integer_counts_rejected_permanently(self, document):
+        from repro.errors import ReproError
+        from repro.serve.resilience import classify_failure
+
+        with pytest.raises(ReproError) as info:
+            config_from_json(document)
+        assert classify_failure(info.value) == (type(info.value).__name__,
+                                                False)
+
+    def test_numpy_integer_counts_accepted(self):
+        config = VerifyConfig(workers=np.int64(2), node_limit=np.int32(7))
+        assert config.workers == 2 and type(config.workers) is int
+        assert config_from_json(config_to_json(config)) == config
