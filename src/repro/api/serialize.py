@@ -235,20 +235,82 @@ def config_from_json(text: str):
 
 
 # ------------------------------------------------------------- certificates
-def _phase_leaves_to_jsonable(leaves) -> list:
-    # PhaseMap items are sorted so one leaf set has one canonical byte
-    # form regardless of solver-side dict insertion order.
-    return [
-        [[int(layer), int(unit), int(phase)]
-         for (layer, unit), phase in sorted(leaf.items())]
-        for leaf in leaves
-    ]
+def _phase_leaves_to_jsonable(leaves: np.ndarray, widths) -> list:
+    """Per-leaf ``[block, unit, phase]`` triples of a phase matrix, in
+    column -- i.e. sorted ``(block, unit)`` -- order, so one leaf set has
+    one canonical byte form."""
+    from repro.exact.encoding import phase_columns
+
+    rows, cols = np.nonzero(leaves)
+    blocks, units = phase_columns(widths)
+    triples = np.stack([blocks[cols], units[cols],
+                        leaves[rows, cols].astype(np.int64)], axis=1).tolist()
+    ends = np.searchsorted(rows, np.arange(len(leaves) + 1)).tolist()
+    return [triples[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
-def _phase_leaves_from_jsonable(data) -> list:
-    return [{(int(layer), int(unit)): int(phase)
-             for layer, unit, phase in leaf}
-            for leaf in data]
+def _phase_leaves_from_jsonable(data, widths) -> np.ndarray:
+    from repro.exact.encoding import phase_matrix
+    from repro.errors import DomainError
+
+    try:
+        return phase_matrix([{(int(layer), int(unit)): int(phase)
+                              for layer, unit, phase in leaf}
+                             for leaf in data], widths)
+    except DomainError as exc:
+        raise SerializationError(f"certificate leaves: {exc}") from None
+
+
+def _wire_int(value, name: str) -> int:
+    """A non-negative integer wire count, or :class:`SerializationError`
+    (never the transient ``OverflowError`` of ``int(1e400)``)."""
+    # bool is an int subclass; a JSON true is not a count.
+    if type(value) is not int or value < 0:
+        raise SerializationError(
+            f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _wire_bytes(data, name: str) -> bytes:
+    if not isinstance(data, str):
+        raise SerializationError(f"{name} must be a base64 string")
+    try:
+        return base64.b64decode(data, validate=True)
+    except binascii.Error as exc:
+        raise SerializationError(f"{name} is not base64: {exc}") from None
+
+
+#: Packed phase rows travel as int8 (0 free, +-1 fixed), row-major.
+_PHASE_DTYPE = np.dtype("i1")
+
+
+def _phase_matrix_to_jsonable(leaves: np.ndarray) -> Dict:
+    """One ``(N, W)`` phase matrix as ``{"width": W, "data": base64}``."""
+    matrix = np.ascontiguousarray(leaves, dtype=_PHASE_DTYPE)
+    return {"width": int(matrix.shape[1]),
+            "data": base64.b64encode(matrix.tobytes()).decode("ascii")}
+
+
+def _phase_matrix_from_jsonable(data) -> np.ndarray:
+    """Inverse of :func:`_phase_matrix_to_jsonable`: a read-only
+    ``np.frombuffer`` view, rejected unless it holds at least one row of
+    values in {-1, 0, 1}."""
+    if not isinstance(data, dict):
+        raise SerializationError(
+            "leaves must be a packed object with width and data "
+            f"(certificate wire v4), got {type(data).__name__}")
+    width = _wire_int(data["width"], "leaves width")
+    raw = _wire_bytes(data["data"], "leaves data")
+    if not width or len(raw) % width:
+        raise SerializationError(
+            f"leaves data holds {len(raw)} bytes, not whole rows of width "
+            f"{width}")
+    if not raw:
+        raise SerializationError("leaves data holds no rows")
+    matrix = np.frombuffer(raw, dtype=_PHASE_DTYPE).reshape(-1, width)
+    if ((matrix < -1) | (matrix > 1)).any():
+        raise SerializationError("leaves data holds a phase outside -1/0/1")
+    return matrix
 
 
 #: Packed dual rows travel as little-endian binary64, whatever the host.
@@ -256,41 +318,21 @@ _DUAL_DTYPE = np.dtype("<f8")
 
 
 def _leaf_duals_to_jsonable(duals) -> Dict:
-    """Pack per-leaf ``(dual_ub, dual_eq)`` pairs into one float64 matrix.
-
-    ``present`` marks the leaves that carry multipliers (``None`` entries
-    -- infeasible or screen-closed leaves -- have no row); every present
-    row is ``dual_ub`` followed by ``dual_eq``, split at ``split``.  The
-    node layout gives every leaf the same row counts, so one ``width``
-    fits all; ``data`` is the base64 of the row-major matrix.
-    """
-    present = [0 if entry is None else 1 for entry in duals]
-    rows = [[np.asarray(part, dtype=np.float64).reshape(-1) for part in entry]
-            for entry in duals if entry is not None]
-    split = rows[0][0].size if rows else 0
-    width = split + rows[0][1].size if rows else 0
-    if any(lam.size != split or mu.size != width - split
-           for lam, mu in rows):
-        raise SerializationError(
-            "leaf duals must share one (dual_ub, dual_eq) shape to pack")
-    matrix = np.array([np.concatenate(row) for row in rows],
-                      dtype=_DUAL_DTYPE).reshape(len(rows), width)
-    return {"present": present, "split": split, "width": width,
+    """A :class:`~repro.exact.encoding.PackedDuals` as one object:
+    ``present`` flags the leaves that carry multipliers, every present row
+    is ``dual_ub`` followed by ``dual_eq`` split at ``split``, and
+    ``data`` is the base64 of the row-major float64 matrix."""
+    matrix = np.ascontiguousarray(duals.matrix, dtype=_DUAL_DTYPE)
+    return {"present": duals.present.astype(int).tolist(),
+            "split": int(duals.split), "width": int(matrix.shape[1]),
             "data": base64.b64encode(matrix.tobytes()).decode("ascii")}
 
 
-def _wire_int(value, name: str) -> int:
-    # bool is an int subclass; a JSON true is not a count.
-    if type(value) is not int or value < 0:
-        raise SerializationError(
-            f"leaf_duals {name} must be a non-negative integer, got "
-            f"{value!r}")
-    return value
+def _leaf_duals_from_jsonable(data):
+    """Inverse of :func:`_leaf_duals_to_jsonable`; the matrix is a
+    read-only ``np.frombuffer`` view."""
+    from repro.exact.encoding import PackedDuals
 
-
-def _leaf_duals_from_jsonable(data) -> list:
-    """Inverse of :func:`_leaf_duals_to_jsonable`: per-leaf ``(dual_ub,
-    dual_eq)`` read-only views into one ``np.frombuffer`` matrix."""
     if not isinstance(data, dict):
         raise SerializationError(
             "leaf_duals must be a packed object with present, split, "
@@ -301,34 +343,19 @@ def _leaf_duals_from_jsonable(data) -> list:
             any(type(p) is not int or p not in (0, 1) for p in present):
         raise SerializationError(
             "leaf_duals present must be a list of 0/1 flags")
-    split = _wire_int(data["split"], "split")
-    width = _wire_int(data["width"], "width")
+    split = _wire_int(data["split"], "leaf_duals split")
+    width = _wire_int(data["width"], "leaf_duals width")
     if split > width:
         raise SerializationError(
             f"leaf_duals split {split} exceeds width {width}")
-    if not isinstance(data["data"], str):
-        raise SerializationError("leaf_duals data must be a base64 string")
-    try:
-        raw = base64.b64decode(data["data"], validate=True)
-    except binascii.Error as exc:
-        raise SerializationError(f"leaf_duals data is not base64: {exc}"
-                                 ) from None
+    raw = _wire_bytes(data["data"], "leaf_duals data")
     rows = sum(present)
     if len(raw) != rows * width * _DUAL_DTYPE.itemsize:
         raise SerializationError(
             f"leaf_duals data holds {len(raw)} bytes, expected {rows} rows "
             f"x {width} x {_DUAL_DTYPE.itemsize}")
     matrix = np.frombuffer(raw, dtype=_DUAL_DTYPE).reshape(rows, width)
-    out: list = []
-    r = 0
-    for flag in present:
-        if flag:
-            row = matrix[r]
-            out.append((row[:split], row[split:]))
-            r += 1
-        else:
-            out.append(None)
-    return out
+    return PackedDuals(matrix, np.array(present, dtype=bool), split)
 
 
 def certificate_to_json(cert, **dumps_kwargs) -> str:
@@ -336,20 +363,26 @@ def certificate_to_json(cert, **dumps_kwargs) -> str:
 
     ``sort_keys`` is forced: the serve-side store persists and compares
     these strings, so one certificate value must map to one byte string.
-    The per-leaf duals -- most of the payload -- travel as one packed
-    little-endian float64 matrix (wire v3, :func:`_leaf_duals_to_jsonable`)
-    rather than as JSON number lists.
+    The leaves travel as one packed int8 phase matrix (wire v4,
+    :func:`_phase_matrix_to_jsonable`) and the per-leaf duals -- most of
+    the payload -- as one packed little-endian float64 matrix (since v3,
+    :func:`_leaf_duals_to_jsonable`), rather than as JSON lists.
     This is the *only* form certificate payloads travel in between
     modules (the ``cert-discipline`` lint rule holds callers to it).
     """
+    from repro.exact.encoding import PackedDuals
+
+    duals = cert.leaf_duals
+    if duals is None:
+        duals = PackedDuals.pack([None] * len(cert.leaves))
     data = {
         "version": int(cert.version),
         "objective": array_to_jsonable(cert.objective),
         "threshold": float_to_jsonable(cert.threshold),
-        "leaves": _phase_leaves_to_jsonable(cert.leaves),
+        "leaves": _phase_matrix_to_jsonable(cert.leaves),
         "leaf_bounds": [float_to_jsonable(b) for b in cert.leaf_bounds],
         "leaf_verdicts": [str(v) for v in cert.leaf_verdicts],
-        "leaf_duals": _leaf_duals_to_jsonable(cert.leaf_duals),
+        "leaf_duals": _leaf_duals_to_jsonable(duals),
         "block_dims": [int(d) for d in cert.block_dims],
         "structural_fp": str(cert.structural_fp),
         "content_fp": str(cert.content_fp),
@@ -365,12 +398,13 @@ def certificate_to_json(cert, **dumps_kwargs) -> str:
 def certificate_from_json(text: str):
     """Inverse of :func:`certificate_to_json`.
 
-    Raises :class:`SerializationError` on structural garbage (a v2
-    payload, whose duals are per-leaf lists, is garbage here); numeric
-    fields parse strictly.  The decoded duals are read-only views into
-    one float64 buffer.  Callers replaying *untrusted* store content
-    should go through :func:`repro.certs.load_certificate`, which funnels
-    every malformation into one rejection path.
+    Raises :class:`SerializationError` on structural garbage (a v3
+    payload, whose leaves are per-leaf triples, is garbage here); numeric
+    fields parse strictly.  The decoded leaves and duals are read-only
+    views into one int8 and one float64 buffer.  Callers replaying
+    *untrusted* store content should go through
+    :func:`repro.certs.load_certificate`, which funnels every malformation
+    into one rejection path.
     """
     from repro.certs.certificate import Certificate
 
@@ -379,11 +413,11 @@ def certificate_from_json(text: str):
         raise SerializationError(
             f"a certificate document must be a JSON object, got "
             f"{type(data).__name__}")
-    leaves = _phase_leaves_from_jsonable(data["leaves"])
-    leaf_duals = []
+    leaves = _phase_matrix_from_jsonable(data["leaves"])
+    leaf_duals = None
     if "leaf_duals" in data:
         leaf_duals = _leaf_duals_from_jsonable(data["leaf_duals"])
-    if leaf_duals and len(leaf_duals) != len(leaves):
+    if leaf_duals is not None and len(leaf_duals) != len(leaves):
         raise SerializationError(
             f"leaf_duals present mask has {len(leaf_duals)} flags for "
             f"{len(leaves)} leaves")
@@ -441,16 +475,18 @@ def _provenance_from_jsonable(data: Dict):
 
     return Provenance(
         elapsed=float(data["elapsed"]),
-        lp_solves=int(data["lp_solves"]),
-        nodes=int(data["nodes"]),
-        rounds=int(data["rounds"]),
-        workers=int(data["workers"]),
-        encoding_reuse={str(k): int(v)
+        lp_solves=_wire_int(data["lp_solves"], "provenance lp_solves"),
+        nodes=_wire_int(data["nodes"], "provenance nodes"),
+        rounds=_wire_int(data["rounds"], "provenance rounds"),
+        workers=_wire_int(data["workers"], "provenance workers"),
+        encoding_reuse={str(k): _wire_int(v, f"encoding_reuse {k}")
                         for k, v in data.get("encoding_reuse", {}).items()},
         cached=bool(data.get("cached", False)),
         # .get defaults: pre-certificate wire documents lack these keys.
-        nodes_reused=int(data.get("nodes_reused", 0)),
-        lp_solves_saved=int(data.get("lp_solves_saved", 0)),
+        nodes_reused=_wire_int(data.get("nodes_reused", 0),
+                               "provenance nodes_reused"),
+        lp_solves_saved=_wire_int(data.get("lp_solves_saved", 0),
+                                  "provenance lp_solves_saved"),
         cert_hit=bool(data.get("cert_hit", False)),
     )
 
@@ -488,14 +524,16 @@ def _bab_result_from_jsonable(data: Dict):
         upper_bound=float(data["upper_bound"]),
         incumbent=float(data["incumbent"]),
         witness=_opt_array_from_jsonable(data.get("witness")),
-        nodes=int(data["nodes"]),
-        lp_solves=int(data["lp_solves"]),
-        rounds=int(data.get("rounds", 0)),
-        max_batch=int(data.get("max_batch", 0)),
+        nodes=_wire_int(data["nodes"], "result nodes"),
+        lp_solves=_wire_int(data["lp_solves"], "result lp_solves"),
+        rounds=_wire_int(data.get("rounds", 0), "result rounds"),
+        max_batch=_wire_int(data.get("max_batch", 0), "result max_batch"),
         mean_batch=float(data.get("mean_batch", 0.0)),
-        workers=int(data.get("workers", 1)),
-        nodes_reused=int(data.get("nodes_reused", 0)),
-        lp_solves_saved=int(data.get("lp_solves_saved", 0)),
+        workers=_wire_int(data.get("workers", 1), "result workers"),
+        nodes_reused=_wire_int(data.get("nodes_reused", 0),
+                               "result nodes_reused"),
+        lp_solves_saved=_wire_int(data.get("lp_solves_saved", 0),
+                                  "result lp_solves_saved"),
     )
 
 
@@ -531,7 +569,8 @@ def _certificate_to_jsonable(cert) -> Dict:
     return {
         "objective": array_to_jsonable(cert.objective),
         "threshold": float_to_jsonable(cert.threshold),
-        "leaves": _phase_leaves_to_jsonable(cert.leaves),
+        "leaves": _phase_leaves_to_jsonable(cert.leaves,
+                                            cert.block_dims[1:]),
         "block_dims": [int(d) for d in cert.block_dims],
     }
 
@@ -539,11 +578,12 @@ def _certificate_to_jsonable(cert) -> Dict:
 def _certificate_from_jsonable(data: Dict):
     from repro.exact.incremental import BranchCertificate
 
+    block_dims = [int(d) for d in data["block_dims"]]
     return BranchCertificate(
         objective=array_from_jsonable(data["objective"]),
         threshold=float(data["threshold"]),
-        leaves=_phase_leaves_from_jsonable(data["leaves"]),
-        block_dims=[int(d) for d in data["block_dims"]],
+        leaves=_phase_leaves_from_jsonable(data["leaves"], block_dims[1:]),
+        block_dims=block_dims,
     )
 
 

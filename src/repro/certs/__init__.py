@@ -4,12 +4,14 @@ The paper's engineering loop re-verifies after every weight change, and a
 from-scratch branch and bound pays the full search each time even though
 consecutive networks differ by a small perturbation.  This package turns a
 *proved* threshold solve into a persistent :class:`Certificate` -- the
-final covering frontier of settled phase-map leaves, their per-leaf bounds
-and verdicts, their node-LP **dual multipliers**, plus the fingerprints
-pinning what was proved -- and replays it against the *next* network
-version: one batched float64 re-screen of all stored leaves against the
-new weights (phase-clamped interval/affine bounds, tightened by the
-stored duals through the exact layer's weak-duality evaluator
+final covering frontier of settled leaves as one int8 phase matrix (a
+row per leaf, a column per neuron), their per-leaf bounds and verdicts,
+their node-LP **dual multipliers** packed as one float64 matrix, plus the
+fingerprints pinning what was proved -- and replays it against the
+*next* network version: one batched float64 re-screen of all stored
+leaves against the new weights (phase-clamped interval/affine bounds,
+tightened by the stored duals, matched to leaves by row index, through
+the exact layer's weak-duality evaluator
 :meth:`~repro.exact.encoding.NetworkEncoding.lagrangian_uppers`, one
 vectorised pass over every leaf -- weak duality makes any multipliers
 sound), then delta-LP re-solves only for the leaves whose bounds

@@ -2,14 +2,14 @@
 
 A :class:`Certificate` extends the solver-level
 :class:`~repro.exact.incremental.BranchCertificate` (a bare covering set
-of phase-map leaves) with everything a *store* needs to hand it to a
-future, slightly different problem:
+of leaves, one int8 row of a phase matrix each) with everything a *store*
+needs to hand it to a future, slightly different problem:
 
 * per-leaf bounds and verdicts from the batched float64 screen at record
   time (provenance -- the reuse path re-derives them, never trusts them);
 * per-leaf LP **dual multipliers**, the delta-verification workhorse: on
-  reuse they re-certify leaves against the *new* weights via one LP-free
-  Lagrangian evaluation each, sound for any multipliers (weak duality);
+  reuse they re-certify leaves against the *new* weights via one LP-free,
+  batched Lagrangian evaluation, sound for any multipliers (weak duality);
 * a **structural** network fingerprint (architecture only, no weights) so
   lookups tolerate weight-only changes -- the whole point of delta
   verification -- plus the **content** fingerprint of the exact network
@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import CertificateError, ReproError
+from repro.exact.encoding import PackedDuals
 from repro.nn.network import Network
 from repro.api.serialize import (
     array_to_jsonable,
@@ -55,7 +56,9 @@ __all__ = [
 #: Version 2: node-LP duals follow the fixed node layout (base rows plus
 #: two phase rows per unstable neuron).  Version 3: the duals travel as
 #: one packed little-endian float64 matrix instead of JSON number lists.
-CERT_VERSION = 3
+#: Version 4: the leaves travel as one packed int8 phase matrix instead of
+#: per-leaf ``[block, unit, phase]`` triples.
+CERT_VERSION = 4
 
 #: Memory bound of one chunk of the pairwise disjointness test (bytes of
 #: the ``chunk x n x words`` bit tensor).
@@ -128,8 +131,11 @@ def certificate_key(network: Network, input_box, objective: np.ndarray,
 class Certificate:
     """A persistable, re-checkable record of one proved threshold solve.
 
-    ``leaves`` is the covering frontier of settled phase maps (the same
-    invariant as :class:`~repro.exact.incremental.BranchCertificate`);
+    ``leaves`` is the covering frontier of settled regions as one
+    read-only ``(N, W)`` int8 phase matrix (one row per leaf, one column
+    per neuron in block order, ``W = sum(block_dims[1:])``; 0 free, +-1
+    fixed -- :func:`~repro.exact.encoding.phase_matrix`), the same
+    invariant as :class:`~repro.exact.incremental.BranchCertificate`;
     ``leaf_bounds`` / ``leaf_verdicts`` are the batched-screen results at
     record time.  All of it is advisory: the reuse path re-screens every
     leaf in float64 against the network it is actually given.
@@ -137,19 +143,20 @@ class Certificate:
 
     objective: np.ndarray
     threshold: float
-    leaves: List[Dict] = field(default_factory=list)
+    leaves: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0), dtype=np.int8))
     #: Screened objective upper bound per leaf at record time.
     leaf_bounds: List[float] = field(default_factory=list)
     #: Screen verdict per leaf at record time: "proved" (closed below the
     #: threshold on intervals alone), "empty", or "open" (needed its LP).
     leaf_verdicts: List[str] = field(default_factory=list)
-    #: Optimal LP dual multipliers per leaf, ``(dual_ub, dual_eq)`` arrays
-    #: or ``None`` -- the delta-verification workhorse.  On reuse they are
-    #: evaluated as a Lagrangian bound against the *new* network's
-    #: constraint data, which is sound for **any** multipliers (weak
-    #: duality): corrupt or stale duals loosen the bound and cost an LP,
-    #: never an unsound verdict.
-    leaf_duals: List[Optional[tuple]] = field(default_factory=list)
+    #: Optimal LP dual multipliers per leaf, packed: ``leaf_duals[j]`` is
+    #: leaf ``j``'s ``(dual_ub, dual_eq)`` or ``None`` -- the
+    #: delta-verification workhorse.  On reuse they are evaluated as a
+    #: Lagrangian bound against the *new* network's constraint data, which
+    #: is sound for **any** multipliers (weak duality): corrupt or stale
+    #: duals loosen the bound and cost an LP, never an unsound verdict.
+    leaf_duals: Optional[PackedDuals] = None
     block_dims: List[int] = field(default_factory=list)
     #: Architecture fingerprint lookups key on (weight-tolerant).
     structural_fp: str = ""
@@ -180,8 +187,11 @@ def config_digest(config) -> str:
                     if k != "certs"})
 
 
-def leaves_cover(leaves: List[Dict]) -> bool:
-    """Do these partial phase assignments jointly cover the whole space?
+def leaves_cover(leaves) -> bool:
+    """Do these leaves jointly cover the whole space?
+
+    ``leaves`` is an ``(N, W)`` int8 phase matrix, or a list of phase-map
+    dicts (whose neurons then get columns in order of first mention).
 
     The warm-start contract of :meth:`BaBSolver.maximize` requires
     ``initial_nodes`` to cover the search space -- a certificate with a
@@ -194,35 +204,48 @@ def leaves_cover(leaves: List[Dict]) -> bool:
     else.  Each leaf is a cube of ``{+-1}^D`` over the ``D`` neurons any
     leaf names; one fixing ``d`` of them holds ``2^(D-d)`` points.  Two
     cubes are disjoint iff some neuron has opposite phases in them, so
-    disjointness of every pair is proved from the +-1 incidence matrix (as
-    bit rows, in chunks of bounded memory, no BLAS), and disjoint cubes
-    cover iff their volumes sum to exactly ``2^D``.  Volumes are Python
-    ints, so the count is exact.  Duplicate leaves are dropped first
-    (repeats are legal solver output); leaves that still overlap, or a
-    phase outside +-1, return ``False`` -- which merely rejects the
-    certificate (sound direction: the solve runs cold).
+    disjointness of every pair is proved from the matrix (as bit rows, in
+    chunks of bounded memory, no BLAS), and disjoint cubes cover iff their
+    volumes sum to exactly ``2^D``.  Volumes are Python ints, so the count
+    is exact.  Duplicate leaves are dropped first (repeats are legal
+    solver output); leaves that still overlap, or a phase outside +-1,
+    return ``False`` -- which merely rejects the certificate (sound
+    direction: the solve runs cold).
     """
-    leaves = list({tuple(sorted(m.items())): m for m in leaves}.values())
-    if not leaves:
+    if not isinstance(leaves, np.ndarray):
+        column: Dict = {}
+        rows: List[int] = []
+        cols: List[int] = []
+        phases: List[int] = []
+        for i, leaf in enumerate(leaves):
+            for var, phase in leaf.items():
+                if phase not in (1, -1):
+                    return False
+                rows.append(i)
+                cols.append(column.setdefault(var, len(column)))
+                phases.append(phase)
+        leaves = np.zeros((len(leaves), len(column)), dtype=np.int8)
+        leaves[rows, cols] = phases
+    if leaves.ndim != 2 or not len(leaves) or \
+            ((leaves < -1) | (leaves > 1)).any():
         return False
-    column: Dict = {}
-    rows: List[int] = []
-    cols: List[int] = []
-    phases: List[int] = []
-    for i, leaf in enumerate(leaves):
-        for var, phase in leaf.items():
-            if phase not in (1, -1):
-                return False
-            rows.append(i)
-            cols.append(column.setdefault(var, len(column)))
-            phases.append(phase)
-    n, dim = len(leaves), len(column)
-    if sum(1 << (dim - len(leaf)) for leaf in leaves) != 1 << dim:
+    leaves = leaves.astype(np.int8, copy=False)
+    if leaves.shape[1]:
+        # Rows as opaque byte strings: a 1-D unique, far cheaper than
+        # np.unique(axis=0).
+        rows = np.ascontiguousarray(leaves).view(
+            np.dtype((np.void, leaves.shape[1])))
+        leaves = leaves[np.unique(rows.ravel(), return_index=True)[1]]
+    else:
+        leaves = leaves[:1]  # every leaf is the whole (0-neuron) space
+    fixed = leaves != 0
+    dim = int(fixed.any(axis=0).sum())
+    volume = sum(1 << (dim - d) for d in fixed.sum(axis=1).tolist())
+    if volume != 1 << dim:
         return False  # a disjoint set must fill exactly the whole volume
-    incidence = np.zeros((n, dim), dtype=np.int8)
-    incidence[rows, cols] = phases
-    pos = _bit_rows(incidence > 0)
-    neg = _bit_rows(incidence < 0)
+    n = len(leaves)
+    pos = _bit_rows(leaves > 0)
+    neg = _bit_rows(leaves < 0)
     chunk = max(1, _COVER_CHUNK_BYTES // max(1, n * pos.shape[1] * 8))
     for i0 in range(0, n, chunk):
         i1 = min(n, i0 + chunk)
@@ -275,21 +298,18 @@ def validate_certificate(cert: Certificate, network: Network,
     if float(cert.threshold) != float(threshold):
         raise CertificateError(
             f"certificate threshold {cert.threshold} != {threshold}")
-    if not cert.leaves:
-        raise CertificateError("certificate has no leaves")
-    n_blocks = len(dims) - 1
-    for leaf in cert.leaves:
-        for (block, unit), phase in leaf.items():
-            if phase not in (1, -1):
-                raise CertificateError(f"leaf phase {phase!r} is not +/-1")
-            if not (0 <= block < n_blocks and 0 <= unit < dims[block + 1]):
-                raise CertificateError(
-                    f"leaf names neuron ({block}, {unit}) outside the "
-                    f"architecture {dims}")
-    if cert.leaf_duals and len(cert.leaf_duals) != len(cert.leaves):
+    leaves = cert.leaves
+    width = sum(dims[1:])
+    if not isinstance(leaves, np.ndarray) or leaves.dtype != np.int8 or \
+            leaves.ndim != 2 or leaves.shape[1] != width:
         raise CertificateError(
-            f"{len(cert.leaf_duals)} dual entries for "
-            f"{len(cert.leaves)} leaves")
+            f"certificate leaves are not an int8 phase matrix with one "
+            f"column per neuron of the architecture {dims}")
+    if not len(leaves):
+        raise CertificateError("certificate has no leaves")
+    if cert.leaf_duals is not None and len(cert.leaf_duals) != len(leaves):
+        raise CertificateError(
+            f"{len(cert.leaf_duals)} dual entries for {len(leaves)} leaves")
     if not leaves_cover(cert.leaves):
         raise CertificateError(
             "certificate leaves do not partition the search space "

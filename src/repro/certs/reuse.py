@@ -12,7 +12,9 @@ phase-clamped interval/affine bounds with the exact layer's weak-duality
 evaluator, :meth:`repro.exact.encoding.NetworkEncoding.lagrangian_uppers`,
 run once over all stored leaves at a time.  Only the leaves whose bounds
 actually moved past the threshold pay a delta-LP (and, if needed, further
-branching).
+branching).  Leaves travel as rows of one int8 phase matrix from the wire
+to the Lagrangian, and each stored dual row is matched to its leaf by
+index, so no step loops over the leaves in Python.
 
 Why duals, and why this is sound
 --------------------------------
@@ -34,8 +36,8 @@ a small weight perturbation the bound moves by O(perturbation) -- so
 almost every stored leaf re-certifies LP-free.  A corrupt, stale, or
 adversarial certificate can only supply *worse* multipliers, which
 loosen the bound and cost an LP, never flip a verdict; a malformed dual
-row (wrong length, non-finite, missing) evaluates to ``+inf`` for its
-own leaf only, so it costs that one leaf its LP.
+row (non-finite, missing) evaluates to ``+inf`` for its own leaf only,
+so it costs that one leaf its LP.
 
 Branching decisions are weights-independent partitions, which is why
 they transfer across weight perturbations at all: a covering set of
@@ -61,7 +63,7 @@ from repro.certs.certificate import (
 from repro.domains.batch import phase_clamped_affine_bounds
 from repro.domains.box import Box
 from repro.exact.bab import BaBResult, BaBSolver
-from repro.exact.encoding import NetworkEncoding, PhaseMap
+from repro.exact.encoding import NetworkEncoding, PackedDuals, as_phase_matrix
 from repro.exact.incremental import BranchCertificate
 from repro.nn.network import Network
 
@@ -70,84 +72,80 @@ __all__ = ["extract_certificate", "reverify_with_certificate",
 
 
 def _tighten_uppers(enc: NetworkEncoding, upper: np.ndarray, neg_obj: np.ndarray,
-                    phase_maps: List[PhaseMap], pre_lo: List[np.ndarray],
-                    pre_hi: List[np.ndarray], duals: List,
+                    phases: np.ndarray, pre_lo: List[np.ndarray],
+                    pre_hi: List[np.ndarray], duals: PackedDuals,
                     todo: np.ndarray) -> None:
     """Lower ``upper[todo]`` to the leaves' weak-duality bounds, one
     batched evaluation (:meth:`NetworkEncoding.lagrangian_uppers`)."""
     if todo.size:
         upper[todo] = np.minimum(upper[todo], enc.lagrangian_uppers(
-            neg_obj, [phase_maps[j] for j in todo],
-            [lo[todo] for lo in pre_lo], [hi[todo] for hi in pre_hi],
-            [duals[j] for j in todo]))
+            neg_obj, phases[todo], [lo[todo] for lo in pre_lo],
+            [hi[todo] for hi in pre_hi], duals.take(todo)))
 
 
 def dual_start_screen(solver: BaBSolver, cert: Certificate,
                       objective: np.ndarray) -> Callable:
     """The warm-start re-screen of certificate reuse, shaped like
     :meth:`BaBSolver._screen_nodes` so :meth:`BaBSolver.maximize` can use
-    it verbatim for its ``initial_nodes`` batch.
+    it verbatim for its ``initial_nodes`` batch (the certificate's phase
+    matrix).
 
     Everything is recomputed in float64 from ``solver``'s actual network:
     feasibility and pre-activation bounds by the batched phase-clamped
     pass, the per-leaf upper bound as the minimum of the interval/affine
     bound and the weak-duality bound of the stored duals
     (:meth:`~repro.exact.encoding.NetworkEncoding.lagrangian_uppers`, one
-    evaluation over every leaf still open).  The certificate contributes
-    multipliers only -- hints whose worst case is a loose bound.
+    evaluation over every leaf still open, each matched to its dual row
+    by index).  The certificate contributes multipliers only -- hints
+    whose worst case is a loose bound.
     """
     c_vec = np.asarray(objective, dtype=np.float64).reshape(-1)
 
-    def screen(phase_maps: List[PhaseMap]):
+    def screen(phases: np.ndarray):
         if not solver.interval_prune:
             # Without pruning the solver ignores screen bounds entirely;
             # keep its stock behaviour byte-identical.
-            return solver._screen_nodes(phase_maps, c_vec)
+            return solver._screen_nodes(phases, c_vec)
         upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
-            solver.network, solver.input_box, phase_maps, c_vec)
+            solver.network, solver.input_box, phases, c_vec)
         duals = cert.leaf_duals
-        if len(duals) == len(phase_maps):
+        if duals is not None and len(duals) == len(phases):
             enc = solver.encoding
-            stored = np.array([d is not None for d in duals], dtype=bool)
             threshold = float(cert.threshold) + solver.tol
             # Leaves already settled, empty, or without duals keep theirs.
-            todo = np.flatnonzero(feasible & stored & (upper > threshold))
+            todo = np.flatnonzero(feasible & duals.present &
+                                  (upper > threshold))
             _tighten_uppers(enc, upper, -enc.output_objective(c_vec),
-                            phase_maps, pre_lo, pre_hi, duals, todo)
-        tights = None
-        if solver.node_tighten:
-            tights = [[(lo[j], hi[j]) for lo, hi in zip(pre_lo, pre_hi)]
-                      for j in range(len(phase_maps))]
-        return upper, feasible, tights
+                            phases, pre_lo, pre_hi, duals, todo)
+        return upper, feasible, (pre_lo, pre_hi) if solver.node_tighten \
+            else None
 
     return screen
 
 
-def _leaf_key(leaf: PhaseMap) -> tuple:
-    return tuple(sorted(leaf.items()))
-
-
 def extract_certificate(network: Network, input_box: Box,
                         objective: np.ndarray, threshold: float,
-                        result: BaBResult, leaves: List[PhaseMap],
+                        result: BaBResult, leaves,
                         config: Optional[VerifyConfig] = None,
                         lp_baseline: Optional[int] = None,
-                        duals: Optional[dict] = None) -> Certificate:
-    """Package a proved solve's covering leaves as a store-ready artifact.
+                        duals: Optional[list] = None) -> Certificate:
+    """Package a proved solve's covering leaves (their phase matrix, or a
+    list of phase maps) as a store-ready artifact.
 
-    ``duals`` is the ``collect_duals`` capture of the proving solve (each
-    node LP's optimal multipliers, keyed by canonical phase-map items, as
-    carried by ``BranchCertificate.leaf_duals``).  Recording costs **zero
-    extra LP solves**: every leaf that was settled by an LP already has
-    its multipliers captured, and all of them are annotated here by one
+    ``duals`` is the ``collect_duals`` capture of the proving solve: one
+    ``(dual_ub, dual_eq)`` or ``None`` per leaf, by row index, as carried
+    by ``BranchCertificate.leaf_duals``.  Recording costs **zero extra LP
+    solves**: every leaf that was settled by an LP already has its
+    multipliers captured, and all of them are annotated here by one
     LP-free, batched Lagrangian evaluation (which at the recording weights
-    reproduces each LP bound -- strong duality).  Leaves settled without an LP
-    (screen-closed) carry no duals; if a future perturbation drifts one
-    open, it pays a single delta-LP whose duals the re-record then picks
-    up -- lazy, self-healing refresh.  Duals not sized for this encoding's
-    node layout (carried over from a certificate recorded under another
-    unstable-neuron set, or from a malformed one) are dropped: they bound
-    nothing here, and the wire packs one row width for every leaf.
+    reproduces each LP bound -- strong duality).  Leaves settled without
+    an LP (screen-closed) carry no duals; if a future perturbation drifts
+    one open, it pays a single delta-LP whose duals the re-record then
+    picks up -- lazy, self-healing refresh.  Duals not sized for this
+    encoding's node layout (carried over from a certificate recorded under
+    another unstable-neuron set, or from a malformed one) are dropped:
+    they bound nothing here, and the wire packs one row width for every
+    leaf.
 
     ``lp_baseline`` overrides the stored from-scratch LP count (the
     savings denominator): when a *warm-started* solve re-records, the
@@ -157,39 +155,29 @@ def extract_certificate(network: Network, input_box: Box,
     config = config or VerifyConfig()
     c_vec = np.asarray(objective, dtype=np.float64).reshape(-1)
     enc = NetworkEncoding.for_problem(network, input_box)
+    leaves = np.array(as_phase_matrix(leaves, enc.phase_widths))
+    leaves.setflags(write=False)
     upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
         network, input_box, leaves, c_vec)
-    duals = duals or {}
-    m_ub, m_eq = enc.dual_rows()
-    stored: List[Optional[tuple]] = [
-        duals.get(_leaf_key(leaf)) if feasible[j] else None
-        for j, leaf in enumerate(leaves)]
-    todo = np.flatnonzero([d is not None for d in stored])
+    if duals is None or len(duals) != len(leaves):
+        duals = [None] * len(leaves)
+    sizes = enc.dual_rows()
+    packed = PackedDuals.pack([
+        dual if dual is not None and feasible[j] and
+        (np.size(dual[0]), np.size(dual[1])) == sizes else None
+        for j, dual in enumerate(duals)])
     _tighten_uppers(enc, upper, -enc.output_objective(c_vec), leaves,
-                    pre_lo, pre_hi, stored, todo)
-    bounds: List[float] = []
-    verdicts: List[str] = []
-    for j, dual in enumerate(stored):
-        if not feasible[j]:
-            bounds.append(-np.inf)
-            verdicts.append("empty")
-            continue
-        bound = float(upper[j])
-        bounds.append(bound)
-        verdicts.append("proved" if bound <= float(threshold) + config.tol
-                        else "open")
-        if dual is not None:
-            lam = np.asarray(dual[0], dtype=np.float64).reshape(-1)
-            mu = np.asarray(dual[1], dtype=np.float64).reshape(-1)
-            stored[j] = (lam, mu) if (lam.size, mu.size) == (m_ub, m_eq) \
-                else None
+                    pre_lo, pre_hi, packed, np.flatnonzero(packed.present))
+    bounds = np.where(feasible, upper, -np.inf)
+    verdicts = np.where(~feasible, "empty", np.where(
+        bounds <= float(threshold) + config.tol, "proved", "open"))
     return Certificate(
         objective=c_vec.copy(),
         threshold=float(threshold),
-        leaves=[dict(leaf) for leaf in leaves],
-        leaf_bounds=bounds,
-        leaf_verdicts=verdicts,
-        leaf_duals=stored,
+        leaves=leaves,
+        leaf_bounds=bounds.tolist(),
+        leaf_verdicts=verdicts.tolist(),
+        leaf_duals=packed,
         block_dims=network.block_dims(),
         structural_fp=structural_fingerprint(network),
         content_fp=content_fingerprint(network),
@@ -228,27 +216,25 @@ def reverify_with_certificate(network: Network, input_box: Box,
     solver = BaBSolver.from_config(
         network, input_box,
         config.replace(node_limit=config.effective_full_node_limit))
-    new_leaves: List[PhaseMap] = []
-    new_duals: dict = {}
+    new_leaves: List[np.ndarray] = []
+    new_duals: list = []
+    # Leaves the screen settles LP-free keep their stored multipliers for
+    # the re-record (still the freshest available); leaves the search
+    # re-solves get this run's.
     result = solver.maximize(
         np.asarray(objective, dtype=np.float64), threshold=float(threshold),
-        initial_nodes=[dict(leaf) for leaf in cert.leaves],
+        initial_nodes=cert.leaves, initial_duals=cert.leaf_duals,
         collect_leaves=new_leaves,
         start_screen=dual_start_screen(solver, cert, objective),
         collect_duals=new_duals)
-    # Leaves the screen settled LP-free keep their stored multipliers for
-    # the re-record (still the freshest available); leaves the search
-    # re-solved get this run's (setdefault: fresh captures win).
-    for j, leaf in enumerate(cert.leaves):
-        if j < len(cert.leaf_duals) and cert.leaf_duals[j] is not None:
-            new_duals.setdefault(_leaf_key(leaf), cert.leaf_duals[j])
     if result.status not in ("threshold_proved", "optimal") or \
             result.upper_bound > float(threshold) + config.tol:
         return result, None
     certificate = BranchCertificate(
         objective=np.asarray(objective, dtype=np.float64).copy(),
         threshold=float(threshold),
-        leaves=new_leaves,
+        leaves=np.array(new_leaves, dtype=np.int8).reshape(
+            len(new_leaves), cert.leaves.shape[1]),
         block_dims=network.block_dims(),
         leaf_duals=new_duals,
     )

@@ -505,19 +505,21 @@ def _block_slope(act) -> float:
 
 
 def phase_clamped_node_bounds(
-        network: Network, input_box: Box, phase_maps: Sequence[Dict],
+        network: Network, input_box: Box, phases,
         c: Optional[np.ndarray] = None,
 ) -> Tuple[Optional[np.ndarray], np.ndarray, List[np.ndarray], List[np.ndarray]]:
     """One clamped interval pass over N phase-constrained regions, returning
     everything a branch-and-bound node needs.
 
-    Each entry of ``phase_maps`` is a branch-and-bound ``PhaseMap``
-    (``{(block, neuron): +1 | -1}``); its region is the subset of
-    ``input_box`` where the signed pre-activation constraints hold.  The
-    batch propagates plain intervals, clamping each fixed neuron's
-    pre-activation range to its half-line -- sound because every real
-    execution of the region satisfies both the interval enclosure and the
-    sign constraint.
+    ``phases`` is the ``(N, W)`` int8 phase matrix of the regions (one
+    column per neuron in block order, 0 free, +-1 fixed; see
+    :func:`repro.exact.encoding.phase_matrix`, which also converts a
+    sequence of ``PhaseMap`` dicts passed here instead).  Row ``j``'s
+    region is the subset of ``input_box`` where its signed pre-activation
+    constraints hold.  The batch propagates plain intervals, clamping each
+    fixed neuron's pre-activation range to its half-line -- sound because
+    every real execution of the region satisfies both the interval
+    enclosure and the sign constraint.
 
     Returns ``(upper, feasible, pre_lo, pre_hi)``:
 
@@ -527,10 +529,13 @@ def phase_clamped_node_bounds(
       are marked infeasible (their region is empty);
     * ``pre_lo`` / ``pre_hi`` -- per-block ``(N, d_k)`` post-clamp
       pre-activation bounds, the per-node ``z``-variable tightening fed to
-      :meth:`repro.exact.encoding.NetworkEncoding.build_lp` (meaningless on
-      infeasible rows).
+      :meth:`repro.exact.encoding.NetworkEncoding.node_bounds`
+      (meaningless on infeasible rows).
     """
-    n = len(phase_maps)
+    from repro.exact.encoding import as_phase_matrix
+
+    phases = as_phase_matrix(phases, network.block_dims()[1:])
+    n = len(phases)
     if n == 0:
         empty_upper = None if c is None else np.empty(0)
         return empty_upper, np.empty(0, dtype=bool), [], []
@@ -540,6 +545,7 @@ def phase_clamped_node_bounds(
     pre_lo: List[np.ndarray] = []
     pre_hi: List[np.ndarray] = []
 
+    offset = 0
     for k, block in enumerate(network.blocks()):
         w, b = block.dense.weight, block.dense.bias
         center = 0.5 * (lo + hi)
@@ -547,6 +553,8 @@ def phase_clamped_node_bounds(
         zc = center @ w.T + b
         zr = radius @ np.abs(w).T
         zl, zu = zc - zr, zc + zr
+        fixed = phases[:, offset:offset + block.out_dim]
+        offset += block.out_dim
         act = block.activation
         if act is None:
             pre_lo.append(zl)
@@ -555,15 +563,9 @@ def phase_clamped_node_bounds(
             continue
         slope = _block_slope(act)
 
-        d = block.out_dim
-        phases = np.zeros((n, d), dtype=np.int8)
-        for j, phase_map in enumerate(phase_maps):
-            for (blk, i), phase in phase_map.items():
-                if blk == k:
-                    phases[j, i] = phase
-        if phases.any():
-            zl = np.where(phases == 1, np.maximum(zl, 0.0), zl)
-            zu = np.where(phases == -1, np.minimum(zu, 0.0), zu)
+        if fixed.any():
+            zl = np.where(fixed == 1, np.maximum(zl, 0.0), zl)
+            zu = np.where(fixed == -1, np.minimum(zu, 0.0), zu)
             empty = zl > zu
             if empty.any():
                 feasible &= ~np.any(empty, axis=1)
@@ -586,18 +588,18 @@ def phase_clamped_node_bounds(
 
 
 def phase_clamped_objective_bounds(
-        network: Network, input_box: Box, phase_maps: Sequence[Dict],
+        network: Network, input_box: Box, phases,
         c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Interval upper bounds of ``c @ f(x)`` over N phase-constrained regions
     (see :func:`phase_clamped_node_bounds`, of which this keeps only the
     ``(upper_bounds, feasible)`` pair)."""
     upper, feasible, _, __ = phase_clamped_node_bounds(
-        network, input_box, phase_maps, c)
+        network, input_box, phases, c)
     return upper, feasible
 
 
 def phase_clamped_affine_bounds(
-        network: Network, input_box: Box, phase_maps: Sequence[Dict],
+        network: Network, input_box: Box, phases,
         c: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], List[np.ndarray]]:
     """Backward affine (CROWN-style) upper bounds over N phase-constrained
@@ -618,8 +620,8 @@ def phase_clamped_affine_bounds(
     the interval and affine bounds; both are sound, so the minimum is.
     """
     upper_iv, feasible, pre_lo, pre_hi = phase_clamped_node_bounds(
-        network, input_box, phase_maps, c)
-    n = len(phase_maps)
+        network, input_box, phases, c)
+    n = len(feasible)
     if n == 0:
         return upper_iv, feasible, pre_lo, pre_hi
     c_vec = np.asarray(c, dtype=np.float64).reshape(-1)

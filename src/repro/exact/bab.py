@@ -19,7 +19,7 @@ global upper bound drops below (proved) or the incumbent rises above
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.api.config import (
 )
 from repro.domains.box import Box
 from repro.domains.batch import phase_clamped_node_bounds
-from repro.exact.encoding import NetworkEncoding, PhaseMap
+from repro.exact.encoding import NetworkEncoding, PackedDuals
 # solve_lp stays bound here: perfbench's tracer looks it up by name.
 from repro.exact.lp import solve_lp  # noqa: F401
 from repro.nn.network import Network
@@ -153,20 +153,24 @@ class BaBSolver:
     # ------------------------------------------------------------------ main
     def maximize(self, c: np.ndarray,
                  threshold: Optional[float] = None,
-                 initial_nodes: Optional[List[PhaseMap]] = None,
-                 collect_leaves: Optional[List[PhaseMap]] = None,
+                 initial_nodes=None,
+                 collect_leaves: Optional[List[np.ndarray]] = None,
                  start_screen: Optional[Callable] = None,
-                 collect_duals: Optional[dict] = None) -> BaBResult:
+                 collect_duals: Optional[List] = None,
+                 initial_duals: Optional[PackedDuals] = None) -> BaBResult:
         """Maximise ``c @ f(x)`` over the input box.
 
         With ``threshold`` set, stops early once ``max <= threshold`` is
         proved or refuted (see module docstring).
 
-        ``initial_nodes`` replaces the root with a caller-supplied list of
-        phase maps whose regions must jointly cover the search space -- the
+        Search nodes are rows of the encoding's phase matrix
+        (:func:`~repro.exact.encoding.phase_matrix`): one int8 column per
+        neuron, 0 free, +-1 fixed.  ``initial_nodes`` replaces the root
+        with a caller-supplied ``(N, W)`` phase matrix (or list of phase
+        maps) whose regions must jointly cover the search space -- the
         warm-start mechanism of :mod:`repro.exact.incremental`.
 
-        ``collect_leaves`` (a caller-owned list) receives the phase map of
+        ``collect_leaves`` (a caller-owned list) receives the phase row of
         every region the search *settled* -- pruned, proven, refined to a
         consistent LP, or still open at early termination.  Together these
         leaves cover the entire space, so they form a reusable branching
@@ -198,9 +202,11 @@ class BaBSolver:
         parent's optimal basis, carried on the open-node heap; the root
         and warm starts solve cold.
 
-        ``collect_duals`` (a caller-owned dict) receives the optimal dual
-        multipliers ``(dual_ub, dual_eq)`` of every node LP this search
-        solves, keyed by the node's canonical phase-map items.  Free for
+        ``collect_duals`` (a caller-owned list, with ``collect_leaves``)
+        receives one entry per collected leaf, by position: the optimal
+        dual multipliers ``(dual_ub, dual_eq)`` of the leaf's own node LP,
+        else its ``initial_duals`` entry when it is a warm start (the
+        multipliers a certificate stored for it), else ``None``.  Free for
         the solver (HiGHS computes marginals anyway) and never consulted
         by the search itself; certificate recording stores them so future
         re-verifications can re-certify every leaf with one LP-free,
@@ -218,34 +224,37 @@ class BaBSolver:
                                  initial_nodes=initial_nodes,
                                  collect_leaves=collect_leaves,
                                  start_screen=start_screen,
-                                 collect_duals=collect_duals)
+                                 collect_duals=collect_duals,
+                                 initial_duals=initial_duals)
 
     # ------------------------------------------------------- search pieces
-    def _screen_nodes(self, phase_maps: List[PhaseMap], c_vec: np.ndarray):
-        """One batched clamped-interval pass over candidate nodes:
-        objective upper bounds (when pruning), feasibility, and -- with
-        ``node_tighten`` -- per-node pre-activation tightenings: the stock
-        screen of every batch the search settles."""
+    def _screen_nodes(self, phases: np.ndarray, c_vec: np.ndarray):
+        """One batched clamped-interval pass over the candidate nodes of a
+        phase matrix: objective upper bounds (when pruning), feasibility,
+        and -- with ``node_tighten`` -- the per-block ``(pre_lo, pre_hi)``
+        pre-activation tightenings: the stock screen of every batch the
+        search settles."""
         upper, feasible, pre_lo, pre_hi = phase_clamped_node_bounds(
-            self.network, self.input_box, phase_maps,
+            self.network, self.input_box, phases,
             c_vec if self.interval_prune else None)
-        tights = None
-        if self.node_tighten:
-            tights = [[(pre_lo[k][j], pre_hi[k][j])
-                       for k in range(len(pre_lo))]
-                      for j in range(len(phase_maps))]
-        return upper, feasible, tights
+        return upper, feasible, (pre_lo, pre_hi) if self.node_tighten \
+            else None
 
     def _most_violated(self, x: np.ndarray,
-                       phases: PhaseMap) -> Optional[Tuple[int, int]]:
-        """The free unstable neuron whose LP values most violate a = act(z)."""
+                       phases: np.ndarray) -> Optional[int]:
+        """The phase-matrix column of the free unstable neuron whose LP
+        values most violate a = act(z)."""
         enc = self.encoding
-        worst: Optional[Tuple[int, int]] = None
+        phase_row = enc._lp_base().phase_row  # >= 0 exactly when unstable
+        worst: Optional[int] = None
         worst_gap = self.tol
+        offset = 0
         for k, block in enumerate(self.network.blocks()):
             act = block.activation
+            offset += block.out_dim
             if act is None:
                 continue
+            start = offset - block.out_dim
             slope = getattr(act, "alpha", 0.0)
             z = x[enc.z_slices[k]]
             a = x[enc.a_slices[k]]
@@ -255,11 +264,10 @@ class BaBSolver:
                 gap = gaps[i]
                 if gap <= worst_gap:
                     break
-                if (k, int(i)) in phases:
+                column = start + int(i)
+                if phases[column] or phase_row[column] < 0:
                     continue
-                if enc.neuron_stability(k, int(i)) != "unstable":
-                    continue
-                worst = (k, int(i))
+                worst = column
                 worst_gap = gap
                 break
         return worst

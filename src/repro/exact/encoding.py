@@ -48,10 +48,11 @@ re-runs symbolic propagation or base assembly (paper Sec. VI, proof reuse).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,6 +67,11 @@ from repro.nn.network import Network
 
 __all__ = [
     "PhaseMap",
+    "PackedDuals",
+    "as_phase_matrix",
+    "phase_columns",
+    "phase_maps",
+    "phase_matrix",
     "LinearSystem",
     "NetworkEncoding",
     "encoding_cache_stats",
@@ -74,6 +80,123 @@ __all__ = [
 
 #: Phase assignment for branching: ``{(block, neuron): +1 (active) | -1 (inactive)}``.
 PhaseMap = Dict[Tuple[int, int], int]
+
+
+def phase_matrix(maps: Sequence[PhaseMap], widths: Sequence[int]) -> np.ndarray:
+    """The ``(N, W)`` int8 *phase matrix* of N phase maps.
+
+    One row per map and one column per neuron in block order: ``widths``
+    are the blocks' neuron counts, ``W = sum(widths)``, and neuron ``(k,
+    i)`` sits in column ``sum(widths[:k]) + i``.  0 means free, +-1 fixed.
+    Raises :class:`DomainError` for a neuron outside ``widths`` or a
+    phase other than +-1.
+    """
+    offsets = [0, *itertools.accumulate(widths)]
+    rows: List[int] = []
+    cols: List[int] = []
+    values: List[int] = []
+    for j, phases in enumerate(maps):
+        for (block, unit), phase in phases.items():
+            if phase not in (1, -1) or not (
+                    0 <= block < len(widths) and 0 <= unit < widths[block]):
+                raise DomainError(
+                    f"phase {phase!r} of neuron ({block}, {unit}) does not "
+                    f"fit blocks of widths {list(widths)}")
+            rows.append(j)
+            cols.append(offsets[block] + unit)
+            values.append(phase)
+    matrix = np.zeros((len(maps), offsets[-1]), dtype=np.int8)
+    if rows:
+        matrix[rows, cols] = values
+    return matrix
+
+
+def phase_columns(widths: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(blocks, units)``: the neuron ``(blocks[c], units[c])`` of every
+    phase-matrix column ``c``."""
+    blocks = np.repeat(np.arange(len(widths)), widths)
+    units = np.arange(len(blocks)) - np.repeat(
+        np.cumsum(widths) - np.asarray(widths), widths)
+    return blocks, units
+
+
+def phase_maps(matrix: np.ndarray, widths: Sequence[int]) -> List[PhaseMap]:
+    """Inverse of :func:`phase_matrix`: one phase map per row, its items
+    in column order."""
+    blocks, units = (part.tolist() for part in phase_columns(widths))
+    maps = []
+    for row in np.asarray(matrix):
+        cols = np.flatnonzero(row).tolist()
+        maps.append({(blocks[c], units[c]): int(row[c]) for c in cols})
+    return maps
+
+
+def as_phase_matrix(phases, widths: Sequence[int]) -> np.ndarray:
+    """``phases`` as an ``(N, W)`` int8 phase matrix: an array passes
+    through (shape-checked), a sequence of phase maps is converted."""
+    if not isinstance(phases, np.ndarray):
+        return phase_matrix(phases, widths)
+    width = int(sum(widths))
+    if phases.ndim != 2 or phases.shape[1] != width:
+        raise DomainError(
+            f"phase matrix of shape {phases.shape} does not have {width} "
+            f"neuron columns")
+    return phases.astype(np.int8, copy=False)
+
+
+@dataclass(frozen=True)
+class PackedDuals:
+    """Per-node multipliers ``(lambda, mu)`` packed as one float64 matrix.
+
+    ``present`` marks the nodes that carry multipliers; row ``r`` of
+    ``matrix`` belongs to the ``r``-th present node and holds ``lambda``
+    followed by ``mu``, split at ``split``.  The fixed node layout gives
+    every node the same row counts, so one width fits all -- this is the
+    certificate wire's dual block as it decodes.
+    """
+
+    matrix: np.ndarray
+    present: np.ndarray
+    split: int
+
+    @classmethod
+    def pack(cls, entries: Sequence[Optional[Tuple]]) -> "PackedDuals":
+        """Pack per-node ``(lambda, mu)`` pairs (``None``: no multipliers);
+        every pair must have the same two lengths."""
+        present = np.array([entry is not None for entry in entries],
+                           dtype=bool)
+        rows = [[np.asarray(part, dtype=np.float64).reshape(-1)
+                 for part in entry] for entry in entries if entry is not None]
+        split = rows[0][0].size if rows else 0
+        width = split + rows[0][1].size if rows else 0
+        if any(lam.size != split or mu.size != width - split
+               for lam, mu in rows):
+            raise DomainError(
+                "node duals must share one (dual_ub, dual_eq) shape to pack")
+        matrix = np.array([np.concatenate(row) for row in rows],
+                          dtype=np.float64).reshape(len(rows), width)
+        return cls(matrix, present, split)
+
+    def __len__(self) -> int:
+        return self.present.size
+
+    def __iter__(self) -> Iterator[Optional[Tuple[np.ndarray, np.ndarray]]]:
+        """Each node's ``(lambda, mu)`` views into ``matrix``, or ``None``."""
+        rows = iter(self.matrix)
+        for present in self.present.tolist():
+            if present:
+                row = next(rows)
+                yield row[:self.split], row[self.split:]
+            else:
+                yield None
+
+    def take(self, index) -> "PackedDuals":
+        """The multipliers of the nodes ``index`` selects, in its order."""
+        index = np.arange(len(self))[index]
+        keep = self.present[index]
+        rank = np.cumsum(self.present) - 1  # matrix row of a present node
+        return PackedDuals(self.matrix[rank[index[keep]]], keep, self.split)
+
 
 #: Constraint matrices may be dense arrays or any scipy.sparse matrix.
 Matrix = Union[np.ndarray, sp.spmatrix]
@@ -203,10 +326,10 @@ class _LPBase:
     """The phase-free fixed node layout, assembled once per encoding.
 
     ``b_ub`` ends with the two ``+inf`` phase rows of every unstable
-    neuron; ``phase_rows`` maps ``(block, neuron)`` to its ``z`` column
-    and the index of its first phase row, and ``stable`` maps every
-    stable activation neuron to its ``z`` column and the phase that
-    contradicts its stability.
+    neuron.  Per phase-matrix column (one per neuron, block order):
+    ``phase_row`` is the index of an unstable neuron's first phase row
+    (-1 for other neurons), and ``contradicts`` is the phase that
+    contradicts a stable activation neuron's stability (0 for others).
     """
 
     a_eq: Optional[sp.csr_matrix]
@@ -215,26 +338,8 @@ class _LPBase:
     b_ub: Optional[np.ndarray]
     col_lo: np.ndarray
     col_hi: np.ndarray
-    phase_rows: Dict[Tuple[int, int], Tuple[int, int]]
-    stable: Dict[Tuple[int, int], Tuple[int, int]]
-
-
-def _multipliers(dual, m_ub: int, m_eq: int
-                 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """``dual = (lambda, mu)`` as float64 vectors of the layout's row
-    counts, or ``None`` if it is missing, mis-shaped or non-finite."""
-    if dual is None:
-        return None
-    try:
-        lam, mu = dual
-        lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-        mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError):
-        return None
-    if lam.size != m_ub or mu.size != m_eq or \
-            not (np.isfinite(lam).all() and np.isfinite(mu).all()):
-        return None
-    return lam, mu
+    phase_row: np.ndarray
+    contradicts: np.ndarray
 
 
 def _bounds_list(lo: np.ndarray, hi: np.ndarray
@@ -383,10 +488,11 @@ class NetworkEncoding:
                 # Linear block: post-activation is the pre-activation.
                 self.a_slices.append(self.z_slices[-1])
         self.num_continuous = cursor
-        #: Every block's ``z`` columns, in block order, and their counts.
+        #: Every block's ``z`` columns, in block order -- the LP column of
+        #: each phase-matrix column -- and the blocks' neuron counts.
         self._z_cols = np.concatenate(
             [np.arange(sl.start, sl.stop) for sl in self.z_slices])
-        self._z_sizes = [sl.stop - sl.start for sl in self.z_slices]
+        self.phase_widths = [sl.stop - sl.start for sl in self.z_slices]
 
     @property
     def output_slice(self) -> slice:
@@ -466,44 +572,49 @@ class NetworkEncoding:
         return LinearSystem(self.num_continuous, base.a_ub, b_ub, base.a_eq,
                             base.b_eq, _bounds_list(lo, hi))
 
-    def node_bounds(self, fixed_phases: Union[None, PhaseMap,
-                                              Sequence[PhaseMap]] = None,
-                    tight_pre=None) -> NodeBounds:
+    def node_bounds(self, fixed_phases=None, tight_pre=None) -> NodeBounds:
         """``(column lower, column upper, b_ub)`` of node LPs.
 
-        A batch: ``fixed_phases`` is a list of N phase maps and
+        A batch: ``fixed_phases`` is an ``(N, W)`` phase matrix (or a
+        sequence of N phase maps, converted by :func:`phase_matrix`) and
         ``tight_pre`` the ``(pre_lo, pre_hi)`` pair of per-block ``(N,
         d_k)`` arrays that :func:`~repro.domains.batch.
         phase_clamped_node_bounds` returns; the result is ``(N, n)``,
-        ``(N, n)`` and ``(N, m_ub)``.  One node -- a phase map (or
-        ``None``) with ``tight_pre`` as per-block ``(lower, upper)``
-        vectors -- is the batch's N=1 case and gives 1-D arrays.
+        ``(N, n)`` and ``(N, m_ub)``.  One node -- a phase map, one phase
+        row, or ``None`` with ``tight_pre`` as per-block ``(lower,
+        upper)`` vectors -- is the batch's N=1 case and gives 1-D arrays.
 
         Fixing a phase only moves bounds: the neuron's ``z`` column gets
         its sign bound and one of its two phase rows gets right-hand side
         0.  A phase that *contradicts* the static stability (``-1`` on an
         always-active neuron, ``+1`` on an always-inactive one) names an
-        empty branch region: that neuron's ``z`` column gets the empty
-        interval ``[1, -1]``, so the node is infeasible without a solve
-        instead of silently dropping the constraint.
+        empty branch region: the ``z`` column of the node's first such
+        neuron gets the empty interval ``[1, -1]``, so the node is
+        infeasible without a solve instead of silently dropping the
+        constraint.
         """
-        single = fixed_phases is None or isinstance(fixed_phases, dict)
-        phase_maps = [fixed_phases or {}] if single else fixed_phases
+        if fixed_phases is None:
+            fixed_phases = {}
+        row = isinstance(fixed_phases, np.ndarray) and fixed_phases.ndim == 1
+        single = row or isinstance(fixed_phases, dict)
+        phases = as_phase_matrix(
+            fixed_phases[None] if row else
+            [fixed_phases] if single else fixed_phases, self.phase_widths)
         base = self._lp_base()
-        count = len(phase_maps)
+        count = len(phases)
         lo = base.col_lo[None].repeat(count, 0)
         hi = base.col_hi[None].repeat(count, 0)
         b_ub = None if base.b_ub is None else base.b_ub[None].repeat(count, 0)
+        zc = self._z_cols
         if tight_pre is not None and count:
             pre_lo, pre_hi = zip(*tight_pre) if single else tight_pre
             lead = () if single else (count,)
-            shapes = [lead + (size,) for size in self._z_sizes]
+            shapes = [lead + (size,) for size in self.phase_widths]
             if [np.shape(x) for x in pre_lo] != shapes or \
                     [np.shape(x) for x in pre_hi] != shapes:
                 raise DomainError(
                     f"tight_pre needs per-block (lower, upper) bounds of "
                     f"shapes {shapes}, got {[np.shape(x) for x in pre_lo]}")
-            zc = self._z_cols
             lower = np.concatenate(pre_lo, axis=-1)
             upper = np.concatenate(pre_hi, axis=-1)
             # Non-finite entries (nan fails both tests) keep the base bound.
@@ -511,42 +622,33 @@ class NetworkEncoding:
                 base.col_lo[zc], np.where(lower < np.inf, lower, -np.inf))
             hi[:, zc] = np.minimum(
                 base.col_hi[zc], np.where(upper > -np.inf, upper, np.inf))
-        # Gather every map's phase moves as flat indices, apply them at once.
-        n = lo.shape[1]
-        m = 0 if b_ub is None else b_ub.shape[1]
-        up: List[int] = []
-        down: List[int] = []
-        rows: List[int] = []
-        empty: List[int] = []
-        for j, phases in enumerate(phase_maps):
-            contradiction = None
-            for pair, phase in phases.items():
-                if phase not in (1, -1):
-                    continue
-                neuron = base.phase_rows.get(pair)
-                if neuron is not None:
-                    (up if phase == 1 else down).append(j * n + neuron[0])
-                    rows.append(j * m + neuron[1] + (phase != 1))
-                elif contradiction is None:
-                    # Stable neurons already carry their piece's equality;
-                    # only the opposite phase (an empty region) moves bounds.
-                    stable = base.stable.get(pair)
-                    if stable is not None and stable[1] == phase:
-                        contradiction = j * n + stable[0]
-            if contradiction is not None:
-                empty.append(contradiction)
-        flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)  # views
-        if rows:
-            b_ub.reshape(-1)[rows] = 0.0
-        # Only strictly wrong-signed bounds move, so a -0.0 keeps its sign.
-        if up:
-            at = np.array(up)
-            flat_lo[at[flat_lo[at] < 0.0]] = 0.0
-        if down:
-            at = np.array(down)
-            flat_hi[at[flat_hi[at] > 0.0]] = 0.0
-        if empty:
-            flat_lo[empty], flat_hi[empty] = 1.0, -1.0
+        # Every fixed neuron at once, as (node, column) pairs: an unstable
+        # neuron's phase row opens and only a strictly wrong-signed bound
+        # of its z column moves, so a -0.0 keeps its sign.
+        r, c = np.nonzero(phases)
+        if r.size:
+            v = phases[r, c]
+            z = self._z_cols[c]
+            row = base.phase_row[c]
+            free = row >= 0
+            down = v < 0
+            if b_ub is not None:
+                b_ub[r[free], row[free] + down[free]] = 0.0
+            at = r[free & ~down], z[free & ~down]
+            bound = lo[at]
+            lo[at] = np.where(bound < 0.0, 0.0, bound)
+            down &= free
+            at = r[down], z[down]
+            bound = hi[at]
+            hi[at] = np.where(bound > 0.0, 0.0, bound)
+            # Stable neurons already carry their piece's equality; only the
+            # opposite phase (an empty region) moves bounds, on the node's
+            # first such column (pairs come in row-major order).
+            wrong = np.flatnonzero(v == base.contradicts[c])
+            if wrong.size:
+                wrong = wrong[np.unique(r[wrong], return_index=True)[1]]
+                at = r[wrong], z[wrong]
+                lo[at], hi[at] = 1.0, -1.0
         if single:
             return lo[0], hi[0], None if b_ub is None else b_ub[0]
         return lo, hi, b_ub
@@ -558,12 +660,13 @@ class NetworkEncoding:
         return (0 if base.b_ub is None else base.b_ub.size,
                 0 if base.b_eq is None else base.b_eq.size)
 
-    def lagrangian_uppers(self, cost: np.ndarray, phase_maps: Sequence[PhaseMap],
+    def lagrangian_uppers(self, cost: np.ndarray, phases,
                           pre_lo: Sequence[np.ndarray],
                           pre_hi: Sequence[np.ndarray],
-                          duals: Sequence) -> np.ndarray:
+                          duals: PackedDuals) -> np.ndarray:
         """Weak-duality upper bounds on the maxima of ``-cost @ x`` over
-        N nodes, from any multipliers ``duals[j] = (lambda, mu)``.
+        the N nodes of the phase matrix ``phases``, from any multipliers
+        ``duals[j] = (lambda, mu)``.
 
         For the node LP ``min cost @ x  s.t.  A_ub x <= b_ub, A_eq x =
         b_eq, l <= x <= u`` and any ``lambda >= 0``, ``mu``::
@@ -583,14 +686,17 @@ class NetworkEncoding:
 
         ``lambda`` is clipped to ``>= 0`` and is 0 on rows whose ``b_ub``
         is ``+inf`` (unfixed phase rows; else ``0 * inf = nan``).  A node
-        whose multipliers are missing, mis-shaped or non-finite, or whose
-        bound is not finite, gets ``+inf`` -- that node alone.
+        whose multipliers are missing or non-finite, or whose bound is not
+        finite, gets ``+inf`` -- that node alone; multipliers not shaped
+        for this layout (``split``/width) give every node ``+inf``.
         """
-        count = len(phase_maps)
+        count = len(phases)
+        if len(duals) != count:
+            raise DomainError(f"{len(duals)} dual entries for {count} nodes")
         if count == 0:
             return np.empty(0)
         base = self._lp_base()
-        box_lo, box_hi, b_ub = self.node_bounds(phase_maps, (pre_lo, pre_hi))
+        box_lo, box_hi, b_ub = self.node_bounds(phases, (pre_lo, pre_hi))
         for k, block in enumerate(self.network.blocks()):
             if block.activation is not None:
                 s = self._block_slope(block.activation)
@@ -603,11 +709,12 @@ class NetworkEncoding:
         lam = np.zeros((count, m_ub))
         mu = np.zeros((count, m_eq))
         valid = np.zeros(count, dtype=bool)
-        for j, dual in enumerate(duals):
-            pair = _multipliers(dual, m_ub, m_eq)
-            if pair is not None:
-                lam[j], mu[j] = pair
-                valid[j] = True
+        rows = duals.matrix
+        if duals.split == m_ub and rows.shape[1] == m_ub + m_eq:
+            finite = np.isfinite(rows).all(axis=1)
+            at = np.flatnonzero(duals.present)[finite]
+            lam[at], mu[at] = rows[finite, :m_ub], rows[finite, m_ub:]
+            valid[at] = True
         g = np.broadcast_to(np.asarray(cost, dtype=np.float64), box_lo.shape)
         rhs = np.zeros(count)
         if m_ub:
@@ -624,11 +731,12 @@ class NetworkEncoding:
         valid &= np.isfinite(term).all(axis=1) & np.isfinite(bound)
         return np.where(valid, bound, np.inf)
 
-    def solve_node(self, cost: np.ndarray, fixed_phases: PhaseMap,
+    def solve_node(self, cost: np.ndarray, fixed_phases,
                    tight_pre: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
                    basis=None, want_duals: bool = False,
                    label: str = "") -> LPResult:
-        """Solve one node LP (``min cost @ x``) on the calling thread's
+        """Solve one node LP (``min cost @ x``; the node a phase map or
+        one phase row, see :meth:`node_bounds`) on the calling thread's
         persistent HiGHS kernel (:func:`repro.exact.highs.kernel_for`),
         hot-started from a parent's ``basis`` when given.  A solve
         depends only on the node and ``basis``, never on which thread's
@@ -704,8 +812,9 @@ class NetworkEncoding:
         phase_z: List[np.ndarray] = []
         phase_a: List[np.ndarray] = []
         phase_slope: List[np.ndarray] = []
-        phase_pairs: List[Tuple[int, int]] = []
-        stable_cols: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        phase_cols: List[np.ndarray] = []
+        offsets = np.concatenate([[0], np.cumsum(self.phase_widths)])
+        contradicts = np.zeros(offsets[-1], dtype=np.int8)
 
         prev_a = self.input_slice
         for k, block in enumerate(self.network.blocks()):
@@ -717,11 +826,10 @@ class NetworkEncoding:
                 pre = self.pre_boxes[k]
                 active, inactive, unstable = self._stability_masks(k)
                 z0, a0 = z_sl.start, a_sl.start
-                self._emit_stable_rows(eq, k, np.flatnonzero(~unstable),
-                                       active, slope)
-                stable_cols.update(
-                    ((k, int(i)), (z0 + int(i), -1 if active[i] else 1))
-                    for i in np.flatnonzero(~unstable))
+                stable = np.flatnonzero(~unstable)
+                self._emit_stable_rows(eq, k, stable, active, slope)
+                contradicts[offsets[k] + stable] = np.where(active[stable],
+                                                            -1, 1)
                 free = np.flatnonzero(unstable)
                 if free.size:
                     l = pre.lower[free]
@@ -751,11 +859,11 @@ class NetworkEncoding:
                     phase_z.append(zi)
                     phase_a.append(ai)
                     phase_slope.append(np.full(m, slope))
-                    phase_pairs.extend((k, int(i)) for i in free)
+                    phase_cols.append(offsets[k] + free)
             prev_a = a_sl
 
-        phase_rows: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        if phase_pairs:
+        phase_row = np.full(offsets[-1], -1, dtype=np.int64)
+        if phase_cols:
             zi = np.concatenate(phase_z)
             ai = np.concatenate(phase_a)
             slopes = np.concatenate(phase_slope)
@@ -768,13 +876,13 @@ class NetworkEncoding:
                 np.concatenate([np.ones(zi.size), -np.ones(zi.size),
                                 np.ones(zi.size), -slopes]),
                 np.full(2 * zi.size, np.inf))
-            phase_rows = {p: (int(z), start + 2 * j)
-                          for j, (p, z) in enumerate(zip(phase_pairs, zi))}
+            phase_row[np.concatenate(phase_cols)] = \
+                start + 2 * np.arange(zi.size)
 
         a_eq, b_eq = eq.matrices()
         a_ub, b_ub = ub.matrices()
-        return _LPBase(a_eq, b_eq, a_ub, b_ub, lo, hi, phase_rows,
-                       stable_cols)
+        return _LPBase(a_eq, b_eq, a_ub, b_ub, lo, hi, phase_row,
+                       contradicts)
 
     # ----------------------------------------------------------- MILP builder
     def build_milp(self) -> LinearSystem:

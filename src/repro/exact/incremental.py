@@ -43,7 +43,7 @@ from repro.api.config import (
 )
 from repro.domains.box import Box
 from repro.exact.bab import BaBResult, BaBSolver
-from repro.exact.encoding import NetworkEncoding, PhaseMap
+from repro.exact.encoding import NetworkEncoding
 from repro.nn.network import Network
 
 __all__ = ["BranchCertificate", "prove_with_certificate", "certify_threshold"]
@@ -53,19 +53,23 @@ __all__ = ["BranchCertificate", "prove_with_certificate", "certify_threshold"]
 class BranchCertificate:
     """A covering set of settled branch-and-bound leaves.
 
-    ``block_dims`` pins the architecture the phase maps refer to;
-    ``threshold`` and ``objective`` record what was proved.
+    ``leaves`` is their ``(N, W)`` int8 phase matrix (one row per leaf,
+    one column per neuron, see :func:`~repro.exact.encoding.
+    phase_matrix`); ``block_dims`` pins the architecture the columns refer
+    to; ``threshold`` and ``objective`` record what was proved.
     """
 
     objective: np.ndarray
     threshold: float
-    leaves: List[PhaseMap] = field(default_factory=list)
+    leaves: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0), dtype=np.int8))
     block_dims: List[int] = field(default_factory=list)
-    #: Optimal node-LP dual multipliers captured during the proving solve,
-    #: keyed by canonical phase-map items -- advisory bookkeeping for
-    #: certificate recording (:mod:`repro.certs`), never consulted when
-    #: re-proving from the leaves alone.
-    leaf_duals: Optional[dict] = None
+    #: Per-leaf node-LP dual multipliers ``(dual_ub, dual_eq)`` (or
+    #: ``None``) captured during the proving solve, aligned with the rows
+    #: of ``leaves`` -- advisory bookkeeping for certificate recording
+    #: (:mod:`repro.certs`), never consulted when re-proving from the
+    #: leaves alone.
+    leaf_duals: Optional[list] = None
 
     @property
     def num_leaves(self) -> int:
@@ -89,8 +93,8 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
     objectives over one ``(network, box)`` pair builds the LP base exactly
     once.  The search's settled leaves form the covering certificate,
     whatever ``config.workers`` is.
-    ``collect_duals`` (a caller-owned dict) additionally captures each
-    node LP's optimal dual multipliers and rides back on the returned
+    ``collect_duals`` (a caller-owned list) additionally captures each
+    leaf's optimal node-LP dual multipliers and rides back on the returned
     certificate's ``leaf_duals`` -- the raw material certificate
     recording (:mod:`repro.certs`) persists.
     """
@@ -100,7 +104,7 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
         network, input_box,
         config.replace(node_limit=config.effective_full_node_limit),
         encoding=encoding)
-    leaves: List[PhaseMap] = []
+    leaves: List[np.ndarray] = []
     result = solver.maximize(np.asarray(c, dtype=np.float64),
                              threshold=threshold, collect_leaves=leaves,
                              collect_duals=collect_duals)
@@ -110,7 +114,8 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
     certificate = BranchCertificate(
         objective=np.asarray(c, dtype=np.float64).copy(),
         threshold=float(threshold),
-        leaves=leaves,
+        leaves=np.array(leaves, dtype=np.int8).reshape(
+            len(leaves), sum(solver.encoding.phase_widths)),
         block_dims=network.block_dims(),
         leaf_duals=collect_duals,
     )

@@ -11,17 +11,21 @@ One round
 ---------
 1. *Pop.*  Take up to ``FRONTIER_WIDTH`` best-bound nodes off the open
    heap (stopping early when bounds fall to the incumbent).
-2. *Branch.*  Each popped node contributes its two phase-split children
+2. *Branch.*  Each popped node -- one int8 row of the encoding's phase
+   matrix -- contributes its two phase-split children
    (activation-consistent nodes instead register their LP point as a
    feasible incumbent and settle).
-3. *Screen.*  All children of the round are screened with **one**
+3. *Screen.*  All children of the round are stacked into one phase matrix
+   and screened with **one**
    :func:`~repro.domains.batch.phase_clamped_node_bounds` call: empty
    regions, incumbent-dominated regions and threshold-closed regions settle
    without an LP.
-4. *Solve.*  The survivors' node LPs are submitted together to
+4. *Solve.*  The survivors' LP bounds come from one
+   :meth:`~repro.exact.encoding.NetworkEncoding.node_bounds` call, and
+   their node LPs are submitted together to
    :func:`~repro.core.parallel.run_parallel`; each worker solves on its
    own thread's kernel for the shared encoding
-   (:meth:`~repro.exact.encoding.NetworkEncoding.solve_node`),
+   (:func:`~repro.exact.highs.kernel_for`),
    hot-started from the popped parent's basis, which travels with the
    node.  Idle workers
    pick up whatever task is next in the round's queue (pool-level work
@@ -74,7 +78,8 @@ from repro.exact.bab import (
     BaBResult,
     BaBSolver,
 )
-from repro.exact.encoding import PhaseMap
+from repro.exact.encoding import PackedDuals, as_phase_matrix
+from repro.exact.highs import kernel_for
 # solve_lp stays bound here: perfbench's tracer looks it up by name.
 from repro.exact.lp import LP_INFEASIBLE, LP_OPTIMAL, LPResult, solve_lp  # noqa: F401
 
@@ -88,14 +93,20 @@ FRONTIER_WIDTH = 8
 
 def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                       threshold: Optional[float] = None,
-                      initial_nodes: Optional[List[PhaseMap]] = None,
-                      collect_leaves: Optional[List[PhaseMap]] = None,
+                      initial_nodes=None,
+                      collect_leaves: Optional[List[np.ndarray]] = None,
                       start_screen=None,
-                      collect_duals: Optional[dict] = None,
+                      collect_duals: Optional[List] = None,
+                      initial_duals: Optional[PackedDuals] = None,
                       ) -> BaBResult:
     """``max c @ f(x)`` for :meth:`BaBSolver.maximize`, which documents the
     contract (thresholds, warm starts, covering leaves, duals); per-round
     batch statistics are reported through the :class:`BaBResult` fields.
+
+    A node is one int8 row of the encoding's phase matrix; each batch --
+    the warm starts, then every round's children -- is screened as one
+    ``(N, W)`` matrix, and its surviving node LPs get their bounds from
+    one :meth:`~repro.exact.encoding.NetworkEncoding.node_bounds` call.
     """
     # Imported lazily: repro.core.parallel pulls in the proposition
     # machinery, which sits *above* the exact layer in the import graph.
@@ -113,6 +124,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     objective = enc.output_objective(np.asarray(c, dtype=np.float64))
     neg_obj = -objective  # linprog minimises
     c_vec = np.asarray(c, dtype=np.float64).reshape(-1)
+    want_duals = collect_duals is not None
 
     lp_solves = 0
     nodes = 0
@@ -127,33 +139,29 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     use_screen = solver.interval_prune or solver.node_tighten
     no_screen = (None, None, None)
 
-    def screen_nodes(phase_maps: List[PhaseMap]):
-        return solver._screen_nodes(phase_maps, c_vec)
+    def screen_nodes(phases: np.ndarray):
+        return solver._screen_nodes(phases, c_vec)
 
-    def record_leaf(phases: PhaseMap) -> None:
-        if collect_leaves is not None:
-            collect_leaves.append(dict(phases))
-
-    def capture_duals(phases: PhaseMap, res: LPResult) -> None:
+    def record_leaf(phases: np.ndarray, dual) -> None:
         # Called on the coordinating thread only (results are folded in
-        # submission order after each batch), so the caller's dict needs
+        # submission order after each batch), so the caller's lists need
         # no locking.
-        if collect_duals is not None and res.optimal:
-            collect_duals[tuple(sorted(phases.items()))] = (
-                res.dual_ub if res.dual_ub is not None else np.zeros(0),
-                res.dual_eq if res.dual_eq is not None else np.zeros(0))
+        if collect_leaves is not None:
+            collect_leaves.append(phases)
+            if collect_duals is not None:
+                collect_duals.append(dual)
 
-    def node_thunk(phases: PhaseMap, tight_pre, basis, label: str
+    def node_thunk(col_lo, col_hi, b_ub, basis, label: str
                    ) -> Callable[[], LPResult]:
         """One worker task: solve the node on this thread's kernel,
         hot-started from its parent's ``basis`` (``None``: cold)."""
         def thunk() -> LPResult:
-            return enc.solve_node(neg_obj, phases, tight_pre, basis=basis,
-                                  want_duals=collect_duals is not None,
-                                  label=label)
+            return kernel_for(enc).solve(neg_obj, col_lo, col_hi, b_ub,
+                                         basis=basis, want_duals=want_duals,
+                                         label=label)
         return thunk
 
-    def solve_batch(items: List[Tuple[PhaseMap, object, object]],
+    def solve_batch(phases: np.ndarray, tight, bases: List,
                     stage: str) -> List[LPResult]:
         """Solve one round's surviving node LPs, order-preserving.
 
@@ -163,10 +171,15 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         honest baseline the speedup benchmark compares against.
         """
         nonlocal lp_solves
-        lp_solves += len(items)
-        batches.append(len(items))
-        thunks = [node_thunk(phases, tight, basis, f"{stage} node {j}")
-                  for j, (phases, tight, basis) in enumerate(items)]
+        lp_solves += len(bases)
+        batches.append(len(bases))
+        if not bases:
+            return []
+        col_lo, col_hi, b_ub = enc.node_bounds(phases, tight)
+        thunks = [node_thunk(col_lo[j], col_hi[j],
+                             None if b_ub is None else b_ub[j], basis,
+                             f"{stage} node {j}")
+                  for j, basis in enumerate(bases)]
         # Re-clamp per batch against the width other callers currently
         # hold: while the pool is occupied elsewhere this degrades to
         # inline execution for the round (results identical) rather than
@@ -189,45 +202,55 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             incumbent = value
             witness = x_clipped
 
-    def settle_screened(batch: List[Tuple[PhaseMap, object]], screened,
-                        bar: float) -> List[Tuple[PhaseMap, object, object]]:
-        """Settle the ``(phases, parent_basis)`` candidates one batched
-        screen decides: empty regions, regions whose interval bound cannot
-        beat ``bar``, and regions closed below the threshold on intervals
-        alone (folded into ``screened_bound``).  Returns the survivors as
-        ``(phases, tight_pre, basis)`` LP items, in batch order."""
+    def settle_screened(batch: List[Tuple[np.ndarray, object, object]],
+                        screened, bar: float) -> List[int]:
+        """Settle the ``(phases, parent_basis, dual)`` candidates one
+        batched screen decides: empty regions, regions whose interval bound
+        cannot beat ``bar``, and regions closed below the threshold on
+        intervals alone (folded into ``screened_bound``).  Returns the
+        survivors' batch indices, in batch order."""
         nonlocal screened_bound
-        ubs, feasible, tights = screened
-        items = []
-        for j, (phases, basis) in enumerate(batch):
+        ubs, feasible, _ = screened
+        keep = []
+        for j, (phases, _, dual) in enumerate(batch):
             if use_screen and not feasible[j]:
-                record_leaf(phases)  # the phase constraints empty the region
+                record_leaf(phases, dual)  # the phase constraints empty it
                 continue
             if solver.interval_prune:
                 ub = float(ubs[j])
                 if ub <= bar + tol:
-                    record_leaf(phases)  # dominated by the incumbent
+                    record_leaf(phases, dual)  # dominated by the incumbent
                     continue
                 if threshold is not None and ub <= threshold + tol:
                     screened_bound = max(screened_bound, ub)
-                    record_leaf(phases)  # closed below the threshold
+                    record_leaf(phases, dual)  # closed below the threshold
                     continue
-            items.append((phases, tights[j] if tights else None, basis))
-        return items
+            keep.append(j)
+        return keep
 
     # Max-heap on node upper bounds (negate for heapq); each entry carries
-    # its LP point and optimal basis (its children's hot start).
-    heap: List[Tuple[float, int, PhaseMap, np.ndarray, object]] = []
+    # its phase row, LP point, optimal basis (its children's hot start)
+    # and the multipliers recorded if it settles as a leaf.
+    heap: List[Tuple] = []
 
-    def solve_and_fold(items: List[Tuple[PhaseMap, object, object]],
+    def solve_and_fold(batch: List[Tuple[np.ndarray, object, object]],
+                       phases: np.ndarray, keep: List[int], pre,
                        stage: str, kind: str) -> bool:
-        """Solve ``items`` as one batch and fold the results in submission
-        order; ``kind="child"`` also settles LPs dominated by the
-        incumbent.  Returns whether any LP was feasible."""
+        """Solve the ``keep`` survivors of ``batch`` (rows of ``phases``;
+        ``pre`` the screen's per-block tightenings or ``None``) as one
+        batch and fold the results in submission order; ``kind="child"``
+        also settles LPs dominated by the incumbent.  Returns whether any
+        LP was feasible."""
+        tight = None if pre is None else (
+            [lo[keep] for lo in pre[0]], [hi[keep] for hi in pre[1]])
+        results = solve_batch(
+            phases if len(keep) == len(phases) else phases[keep], tight,
+            [batch[j][1] for j in keep], stage)
         any_feasible = False
-        for (phases, _, __), res in zip(items, solve_batch(items, stage)):
+        for j, res in zip(keep, results):
+            row, _, dual = batch[j]
             if res.status == LP_INFEASIBLE:
-                record_leaf(phases)  # the region is empty: settled
+                record_leaf(row, dual)  # the region is empty: settled
                 continue
             if res.status != LP_OPTIMAL:
                 # An unbounded (or otherwise failed) relaxation can never be
@@ -235,18 +258,23 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                 # so this is always a solver/encoding failure to surface.
                 raise SolverError(f"{kind} LP ended with status {res.status}")
             any_feasible = True
-            capture_duals(phases, res)
+            if want_duals:
+                dual = (res.dual_ub if res.dual_ub is not None
+                        else np.zeros(0),
+                        res.dual_eq if res.dual_eq is not None
+                        else np.zeros(0))
             register_feasible(res.x[enc.input_slice])
             if kind == "child" and -res.value <= incumbent + tol:
-                record_leaf(phases)
+                record_leaf(row, dual)
                 continue
-            heapq.heappush(heap, (res.value, next(counter), phases, res.x,
-                                  res.basis))
+            heapq.heappush(heap, (res.value, next(counter), row, res.x,
+                                  res.basis, dual))
         return any_feasible
 
     # Warm-start economics: starts adopted from the caller, and how many
     # of them the batched float64 re-screen settled without an LP.
-    nodes_reused = len(initial_nodes) if initial_nodes else 0
+    warm = initial_nodes is not None and len(initial_nodes) > 0
+    nodes_reused = len(initial_nodes) if warm else 0
     lp_solves_saved = 0
 
     def result(status: str, bound: float) -> BaBResult:
@@ -263,13 +291,14 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     def finish(status: str, bound: float) -> BaBResult:
         # Whatever remains open is part of the covering certificate.
         for entry in heap:
-            record_leaf(entry[2])
+            record_leaf(entry[2], entry[5])
         return result(status, bound)
 
     # ------------------------------------------------------------- warm start
-    starts: List[PhaseMap] = (
-        [dict(p) for p in initial_nodes] if initial_nodes else [{}]
-    )
+    starts = as_phase_matrix(initial_nodes, enc.phase_widths) if warm else \
+        np.zeros((1, sum(enc.phase_widths)), dtype=np.int8)
+    if initial_duals is None or len(initial_duals) != len(starts):
+        initial_duals = [None] * len(starts)
     screened = no_screen
     if use_screen:
         # A caller-supplied screen (certificate reuse's dual-bound screen)
@@ -281,20 +310,22 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                 np.all(start_ubs <= threshold + tol):
             # The covering regions all close on the screen alone: proved
             # without a single LP.
-            for start in starts:
-                record_leaf(start)
+            for start, dual in zip(starts, initial_duals):
+                record_leaf(start, dual)
             lp_solves_saved = nodes_reused
             return result(BAB_PROVED, float(start_ubs.max()))
     # Starts screen against an -inf incumbent: all surviving start LPs
     # solve in one batch, so no earlier start's incumbent exists yet.
-    surviving = settle_screened([(start, None) for start in starts],
-                                screened, -np.inf)
-    if initial_nodes:
+    start_batch = [(start, None, dual)
+                   for start, dual in zip(starts, initial_duals)]
+    surviving = settle_screened(start_batch, screened, -np.inf)
+    if warm:
         lp_solves_saved = len(starts) - len(surviving)
     any_feasible = False
     if surviving:
         rounds += 1
-        any_feasible = solve_and_fold(surviving, "start", "start")
+        any_feasible = solve_and_fold(start_batch, starts, surviving,
+                                      screened[2], "start", "start")
     if not any_feasible:
         if screened_bound > -np.inf:
             # Every LP-checked region was empty, but interval-screened
@@ -320,7 +351,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             return finish(BAB_NODE_LIMIT, global_bound)
 
         # Pop the round's frontier (heap order => bounds non-increasing).
-        popped: List[Tuple[PhaseMap, np.ndarray, object]] = []
+        popped: List[Tuple] = []
         while heap and len(popped) < min(FRONTIER_WIDTH, budget):
             entry = heapq.heappop(heap)
             if -entry[0] <= incumbent + tol:
@@ -331,29 +362,30 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             popped.append(entry[2:])
 
         rounds += 1
-        children: List[Tuple[PhaseMap, object]] = []
-        for phases, x_lp, basis in popped:
+        children: List[Tuple[np.ndarray, object, object]] = []
+        for phases, x_lp, basis, dual in popped:
             nodes += 1
-            branch_var = solver._most_violated(x_lp, phases)
-            if branch_var is None:
+            column = solver._most_violated(x_lp, phases)
+            if column is None:
                 # LP solution is activation-consistent: bound is attained.
                 register_feasible(x_lp[enc.input_slice])
-                record_leaf(phases)
+                record_leaf(phases, dual)
                 continue
             for phase in (1, -1):
-                child: PhaseMap = dict(phases)
-                child[branch_var] = phase
-                children.append((child, basis))
+                child = phases.copy()
+                child[column] = phase
+                children.append((child, basis, None))
         if not children:
             batches.append(0)
             continue
 
         # One batched pass screens the whole round's children at once.
-        screened = screen_nodes([child for child, _ in children]) \
-            if use_screen else no_screen
+        rows = np.stack([child for child, _, _ in children])
+        screened = screen_nodes(rows) if use_screen else no_screen
         surviving = settle_screened(children, screened, incumbent)
         # Concurrent node-LP solves; results folded in submission order.
-        solve_and_fold(surviving, f"round{rounds}", "child")
+        solve_and_fold(children, rows, surviving, screened[2],
+                       f"round{rounds}", "child")
 
     # No open node remains.  The incumbent can cross the threshold during
     # the *last* round with no further top-of-heap check to notice it

@@ -169,10 +169,11 @@ def job_fingerprint(spec, config) -> str:
     already define (canonical JSON), extended with *every* solver knob.
     Matching fingerprints guarantee identical verdict values (within one
     ``FINGERPRINT_VERSION``); the converse is deliberately not promised:
-    the hash is conservatively over-precise (e.g. ``workers=2`` vs ``8``
-    provably cannot change a frontier verdict, but ``1`` vs ``2`` selects
-    a different search algorithm, so no knob is exempted -- a spurious
-    cache miss merely re-solves, while a spurious hit would be unsound).
+    the hash is conservatively over-precise.  ``workers``, for one,
+    provably cannot change a verdict -- it only sets how many of a
+    search round's node LPs are in flight -- yet it is hashed like every
+    other knob: no knob is exempted, because a spurious cache miss merely
+    re-solves, while a spurious hit would be unsound.
     """
     from repro.api.specs import Spec, spec_from_dict, spec_to_dict
 

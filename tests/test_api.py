@@ -198,8 +198,7 @@ class TestEngineLegacyEquivalence:
         assert verdict.holds is True and verdict.certified
         assert verdict.certificate.num_leaves == legacy_cert.num_leaves
         assert verdict.certificate.block_dims == legacy_cert.block_dims
-        for la, lb in zip(verdict.certificate.leaves, legacy_cert.leaves):
-            assert la == lb
+        assert np.array_equal(verdict.certificate.leaves, legacy_cert.leaves)
 
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     @pytest.mark.parametrize("kind", [1, 2, 3, 4, 5, 6])

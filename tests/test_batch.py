@@ -20,6 +20,7 @@ from repro.domains import (
 )
 from repro.errors import DomainError, MonitorError, ShapeError
 from repro.exact import BaBSolver, maximize_output
+from repro.exact.encoding import phase_maps
 from repro.monitor import BoxMonitor, screen_states
 from repro.nn import Dense, LeakyReLU, Network, ReLU, random_relu_network
 
@@ -252,6 +253,7 @@ class TestBaBIntervalPruning:
         leaves = []
         opt = solver.maximize(np.array([1.0]), collect_leaves=leaves)
         assert opt.status == "optimal"
+        leaves = phase_maps(np.array(leaves), net.block_dims()[1:])
         for x in box.sample(200, rng):
             pre = []
             values = x

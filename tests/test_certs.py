@@ -33,6 +33,7 @@ from repro.certs import (
 from repro.domains import Box
 from repro.errors import CertificateError
 from repro.exact import NetworkEncoding
+from repro.exact.encoding import PackedDuals
 from repro.nn.builders import random_relu_network
 
 
@@ -88,7 +89,7 @@ class TestWire:
         again = certificate_from_json(certificate_to_json(cert))
         assert again.structural_fp == cert.structural_fp
         assert again.content_fp == cert.content_fp
-        assert again.leaves == cert.leaves
+        assert np.array_equal(again.leaves, cert.leaves)
         assert again.leaf_bounds == cert.leaf_bounds
         assert again.leaf_verdicts == cert.leaf_verdicts
         assert again.lp_solves == cert.lp_solves
@@ -136,7 +137,8 @@ class TestPackedWire:
         cert_json = _record(threshold_problem, MemCerts())
         assert certificate_to_json(load_certificate(cert_json)) == cert_json
         data = json.loads(cert_json)
-        assert data["version"] == 3
+        assert data["version"] == 4
+        assert set(data["leaves"]) == {"width", "data"}
         assert set(data["leaf_duals"]) == {"present", "split", "width",
                                            "data"}
 
@@ -179,6 +181,74 @@ class TestPackedWire:
         with pytest.raises(CertificateError, match="unreadable"):
             load_certificate(json.dumps(data))
 
+    def test_leaf_matrix_round_trips_byte_identically(
+            self, threshold_problem):
+        cert_json = _record(threshold_problem, MemCerts())
+        cert = load_certificate(cert_json)
+        net = threshold_problem[0]
+        assert cert.leaves.dtype == np.int8
+        assert cert.leaves.shape[1] == sum(net.block_dims()[1:])
+        assert not cert.leaves.flags.writeable
+        assert set(np.unique(cert.leaves)) <= {-1, 0, 1}
+        wire = json.loads(cert_json)["leaves"]
+        assert base64.b64decode(wire["data"]) == cert.leaves.tobytes()
+        copy = load_certificate(cert_json)
+        copy.leaves = np.array(cert.leaves)  # a fresh, writable matrix
+        assert certificate_to_json(copy) == cert_json
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda d: d.update(width=d["width"] + 1),
+                     id="width-not-dividing-bytes"),
+        pytest.param(lambda d: d.update(width=0), id="zero-width"),
+        pytest.param(lambda d: d.update(width=-3), id="negative-width"),
+        pytest.param(lambda d: d.update(width=2.0), id="float-width"),
+        pytest.param(lambda d: d.update(width=True), id="bool-width"),
+        pytest.param(lambda d: d.update(width="29"), id="string-width"),
+        pytest.param(lambda d: d.update(
+            data=base64.b64encode(base64.b64decode(d["data"])[:-1])
+            .decode()), id="short-bytes"),
+        pytest.param(lambda d: d.update(data=base64.b64encode(
+            b"\x02" + base64.b64decode(d["data"])[1:]).decode()),
+            id="value-2"),
+        pytest.param(lambda d: d.update(data=base64.b64encode(
+            b"\xff" * len(base64.b64decode(d["data"]))).decode()),
+            id="all-minus-1-not-a-partition"),
+        pytest.param(lambda d: d.update(data="!!not base64!!"),
+                     id="non-base64"),
+        pytest.param(lambda d: d.update(data=""), id="empty-matrix"),
+        pytest.param(lambda d: d.update(data=None), id="data-null"),
+        pytest.param(lambda d: d.pop("width"), id="missing-width"),
+    ])
+    def test_malformed_packed_leaves_fall_back_cold(self, threshold_problem,
+                                                    mutate):
+        data, _key = _wire_dict(threshold_problem)
+        mutate(data["leaves"])
+        payload = json.dumps(data, sort_keys=True)
+        with pytest.raises(CertificateError):
+            net, _box, c, thr = threshold_problem
+            validate_certificate(load_certificate(payload), net, c, thr,
+                                 VerifyConfig(certs="reuse"))
+        _assert_cold_fallback(threshold_problem, payload)
+
+    def test_v3_leaf_triples_are_rejected_and_fall_back_cold(
+            self, threshold_problem):
+        """A v3 payload (leaves as per-leaf ``[block, unit, phase]``
+        triples) misses by key in a store; forced under a v4 key, it is
+        unreadable and the solve runs cold."""
+        from repro.exact.encoding import phase_maps
+
+        net = threshold_problem[0]
+        data, _key = _wire_dict(threshold_problem)
+        cert = load_certificate(json.dumps(data))
+        data["version"] = 3
+        data["leaves"] = [[[k, i, p] for (k, i), p in leaf.items()]
+                          for leaf in phase_maps(cert.leaves,
+                                                 net.block_dims()[1:])]
+        payload = json.dumps(data, sort_keys=True)
+        with pytest.raises(CertificateError, match="wire v4"):
+            load_certificate(payload)
+        _assert_cold_fallback(threshold_problem, payload)
+
     def test_non_finite_dual_row_costs_its_leaf_only(self,
                                                      threshold_problem):
         """NaN/inf multipliers survive the wire bit for bit and evaluate
@@ -196,18 +266,19 @@ class TestPackedWire:
 
         def uppers(duals):
             return enc.lagrangian_uppers(
-                neg_obj, [cert.leaves[j] for j in rows],
+                neg_obj, cert.leaves[rows],
                 [lo[rows] for lo in pre_lo], [hi[rows] for hi in pre_hi],
-                [duals[j] for j in rows])
+                duals.take(rows))
 
         clean = uppers(cert.leaf_duals)
         assert np.isfinite(clean).all()
         for bad_value in (np.nan, np.inf):
             tampered = load_certificate(certificate_to_json(cert))
-            lam, mu = tampered.leaf_duals[rows[0]]
-            lam = lam.copy()
-            lam[0] = bad_value
-            tampered.leaf_duals[rows[0]] = (lam, mu)
+            packed = tampered.leaf_duals
+            matrix = packed.matrix.copy()
+            matrix[int(packed.present[:rows[0]].sum()), 0] = bad_value
+            tampered.leaf_duals = PackedDuals(matrix, packed.present,
+                                              packed.split)
             wire = certificate_to_json(tampered)
             again = load_certificate(wire)
             assert certificate_to_json(again) == wire
@@ -310,11 +381,15 @@ class TestUntrustedDecode:
                                                field):
         data, _key = _wire_dict(threshold_problem)
         if field == "leaf":
-            data["leaves"][0][0][1] = "__BIG__"
+            # Wire v4 reads the leaves' width strictly: no int() to
+            # overflow, a plain SerializationError instead.
+            data["leaves"]["width"] = "__BIG__"
         else:
             data[field] = "__BIG__"
         payload = json.dumps(data).replace('"__BIG__"', "1e400")
-        with pytest.raises(CertificateError, match="OverflowError"):
+        with pytest.raises(CertificateError,
+                           match="SerializationError" if field == "leaf"
+                           else "OverflowError"):
             load_certificate(payload)
         _assert_cold_fallback(threshold_problem, payload)
 
@@ -374,7 +449,10 @@ class TestValidation:
         net, _box, c, thr = threshold_problem
         store = MemCerts()
         cert = load_certificate(_record(threshold_problem, store))
-        cert.leaf_duals.append(None)
+        duals = cert.leaf_duals
+        cert.leaf_duals = PackedDuals(duals.matrix,
+                                      np.append(duals.present, False),
+                                      duals.split)
         with pytest.raises(CertificateError, match="dual"):
             validate_certificate(cert, net, c, thr, VerifyConfig())
 
@@ -448,10 +526,10 @@ class TestSoundness:
         key = next(iter(store.entries))
         cert = load_certificate(cert_json)
         rng = np.random.default_rng(0)
-        cert.leaf_duals[:] = [
-            None if d is None else tuple(
-                rng.normal(scale=1e6, size=part.shape) for part in d)
-            for d in cert.leaf_duals]
+        duals = cert.leaf_duals
+        cert.leaf_duals = PackedDuals(
+            rng.normal(scale=1e6, size=duals.matrix.shape), duals.present,
+            duals.split)
         store.entries[key] = certificate_to_json(cert)
         perturbed = net.perturb(0.002, rng=np.random.default_rng(7))
         warm = VerificationEngine(VerifyConfig(certs="reuse"),
@@ -471,10 +549,10 @@ class TestSoundness:
         cert = load_certificate(key_json)
         if len(cert.leaves) < 2:
             pytest.skip("frontier collapsed to one leaf")
-        del cert.leaves[0]
+        cert.leaves = cert.leaves[1:]
         del cert.leaf_bounds[0]
         del cert.leaf_verdicts[0]
-        del cert.leaf_duals[0]
+        cert.leaf_duals = cert.leaf_duals.take(slice(1, None))
         store.entries[key] = certificate_to_json(cert)
         warm = VerificationEngine(VerifyConfig(certs="reuse"),
                                   certs=store).verify(
@@ -520,7 +598,8 @@ class TestFixedLayoutDuals:
         bounds = enc.lagrangian_uppers(
             neg_obj, [leaves[j] for j in rows],
             [lo[rows] for lo in pre_lo], [hi[rows] for hi in pre_hi],
-            [(solved[j].dual_ub, solved[j].dual_eq) for j in rows])
+            PackedDuals.pack([(solved[j].dual_ub, solved[j].dual_eq)
+                              for j in rows]))
         for j, bound in zip(rows, bounds):
             assert np.isfinite(bound)
             assert bound == pytest.approx(-solved[j].value, rel=1e-7,
@@ -537,9 +616,12 @@ class TestFixedLayoutDuals:
         cert.version = 1
         # The old layout had no phase rows: shorter dual vectors.
         phase_rows = 2 * len(NetworkEncoding(net, box).unstable_neurons())
-        cert.leaf_duals[:] = [
-            None if d is None else (d[0][:-phase_rows], d[1])
-            for d in cert.leaf_duals]
+        duals = cert.leaf_duals
+        cert.leaf_duals = PackedDuals(
+            np.delete(duals.matrix,
+                      np.arange(duals.split - phase_rows, duals.split),
+                      axis=1),
+            duals.present, duals.split - phase_rows)
         store.entries[key] = certificate_to_json(cert)
         with pytest.raises(CertificateError, match="version"):
             validate_certificate(load_certificate(store.entries[key]), net,
@@ -629,3 +711,61 @@ class TestContinuousLoop:
         assert "reused 4 nodes" in text
         assert "saved 7 LPs" in text
         assert "certificate reuse saved 7 LP solves" in text
+
+
+class TestRecordGate:
+    """The recording gate of ``benchmarks/bench_recertify.py`` in tier-1:
+    over a short perturbation sequence under ``certs="reuse"`` against a
+    real in-memory ``JobStore``, every recorded certificate re-encodes
+    byte-identically and its leaves pass the covering check, and every
+    warm decision equals its from-scratch twin."""
+
+    class CheckedCerts:
+        """Certificate provider forwarding to a store, checking every
+        certificate as it is recorded."""
+
+        def __init__(self, store):
+            self.store = store
+            self.checked = 0
+
+        def cert_get(self, cert_key):
+            return self.store.cert_get(cert_key)
+
+        def cert_put(self, cert_key, cert_json):
+            from repro.certs import leaves_cover
+
+            cert = load_certificate(cert_json)
+            assert certificate_to_json(cert) == cert_json
+            assert leaves_cover(cert.leaves)
+            self.checked += 1
+            self.store.cert_put(cert_key, cert_json)
+
+    def test_recorded_certificates_reencode_cover_and_match_cold(self):
+        from repro.serve import JobStore
+
+        net = random_relu_network([4, 12, 8, 1], seed=3)
+        box = Box(-np.ones(4), np.ones(4))
+        c = np.ones(1)
+        opt = VerificationEngine(VerifyConfig()).verify(MaximizeSpec(
+            network=net, input_box=box, objective=c)).result.upper_bound
+        threshold = opt + 0.1 * abs(opt)
+        store = JobStore()
+        checked = self.CheckedCerts(store)
+        warm_engine = VerificationEngine(VerifyConfig(certs="reuse"),
+                                         certs=checked)
+        cold_engine = VerificationEngine(VerifyConfig())
+        rng = np.random.default_rng(7)
+        saved = hits = 0
+        try:
+            for _step in range(4):
+                spec = _spec(net, box, c, threshold)
+                warm = warm_engine.verify(spec)
+                cold = cold_engine.verify(spec)
+                assert verdict_decision_json(warm) == \
+                    verdict_decision_json(cold)
+                saved += warm.provenance.lp_solves_saved
+                hits += warm.provenance.cert_hit
+                net = net.perturb(0.002, rng=rng)
+        finally:
+            store.close()
+        assert checked.checked > 0 and hits > 0 and saved > 0

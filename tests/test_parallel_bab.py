@@ -24,6 +24,7 @@ from repro.exact import (
     prove_with_certificate,
     solve_milp,
 )
+from repro.exact.encoding import phase_maps
 from repro.core.parallel import reserved_width, run_parallel
 from repro.core import parallel as parallel_mod
 from repro.nn import random_relu_network
@@ -292,6 +293,7 @@ class TestFrontierEdgeCases:
         solver.maximize(np.array([1.0]), threshold=12.0,
                         collect_leaves=leaves)
         assert leaves
+        leaves = phase_maps(np.array(leaves), fig2.block_dims()[1:])
 
         def pre_activation(x, k):
             hidden = fig2.forward_blocks(x, k)

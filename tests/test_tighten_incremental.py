@@ -13,6 +13,7 @@ from repro.exact import (
     prove_with_certificate,
     tighten_preactivation_bounds,
 )
+from repro.exact.encoding import phase_maps
 from repro.nn import random_relu_network
 
 
@@ -140,7 +141,7 @@ class TestBranchCertificate:
                 pre.append(z)
                 v = blk.forward(v)
             covered = False
-            for leaf in cert.leaves:
+            for leaf in phase_maps(cert.leaves, net.block_dims()[1:]):
                 ok = True
                 for (k, i), phase in leaf.items():
                     z = pre[k][i]

@@ -103,8 +103,23 @@ class TestSolvedVerdictRoundTrips:
         clone = _roundtrip(verdict)
         assert clone.certificate.num_leaves == verdict.certificate.num_leaves
         assert clone.certificate.block_dims == verdict.certificate.block_dims
-        assert clone.certificate.leaves == verdict.certificate.leaves
+        assert np.array_equal(clone.certificate.leaves,
+                              verdict.certificate.leaves)
         assert clone.certificate.compatible_with(fig2)
+
+    @pytest.mark.parametrize("triple", [[0, 9, 1], [5, 0, 1], [0, 0, 2]])
+    def test_certificate_leaf_outside_architecture_rejected(
+            self, engine, fig2, enlarged_box2, triple):
+        """The verdict's certificate leaves decode into a phase matrix of
+        the recorded architecture; a triple naming a neuron outside it,
+        or a phase other than +-1, is a SerializationError."""
+        verdict = engine.verify(ThresholdSpec(
+            network=fig2, input_box=enlarged_box2,
+            objective=np.array([1.0]), threshold=12.0))
+        data = json.loads(verdict_to_json(verdict))
+        data["certificate"]["leaves"][0].append(triple)
+        with pytest.raises(SerializationError, match="certificate leaves"):
+            verdict_from_json(json.dumps(data))
 
     def test_proposition(self, engine, fig2, unit_box2, enlarged_box2):
         problem = VerificationProblem(
@@ -226,6 +241,50 @@ class TestCanonicalForm:
     def test_not_a_verdict_rejected(self):
         with pytest.raises(SerializationError, match="not a wire"):
             verdict_to_dict(object())
+
+
+_PROVENANCE_COUNTS = ("lp_solves", "nodes", "rounds", "workers",
+                      "nodes_reused", "lp_solves_saved",
+                      "encoding_reuse.misses")
+_RESULT_COUNTS = ("nodes", "lp_solves", "rounds", "max_batch", "workers",
+                  "nodes_reused", "lp_solves_saved")
+
+
+class TestVerdictWireCounts:
+    """A count that is not a non-negative JSON integer makes the verdict
+    decoder raise the permanent SerializationError -- never the
+    OverflowError of ``int(1e400)``, which the retry machinery would call
+    transient and retry."""
+
+    @pytest.fixture(scope="class")
+    def wire(self):
+        from repro.nn import fig2_network
+
+        verdict = VerificationEngine(VerifyConfig()).verify(MaximizeSpec(
+            network=fig2_network(),
+            input_box=Box(-np.ones(2), np.array([1.1, 1.1])),
+            objective=np.array([1.0])))
+        return verdict_to_json(verdict)
+
+    @pytest.mark.parametrize("value", ["1e400", "2.5", "true", "-1"])
+    @pytest.mark.parametrize("field", [
+        *(f"provenance.{name}" for name in _PROVENANCE_COUNTS),
+        *(f"result.{name}" for name in _RESULT_COUNTS)])
+    def test_bad_count_is_permanent_serialization_error(self, wire, field,
+                                                        value):
+        from repro.serve.resilience import classify_failure
+
+        data = json.loads(wire)
+        *path, key = field.split(".")
+        node = data
+        for part in path:
+            node = node[part]
+        assert type(node[key]) is int
+        node[key] = "__BAD__"
+        document = json.dumps(data).replace('"__BAD__"', value)
+        with pytest.raises(SerializationError, match="non-negative") as info:
+            verdict_from_json(document)
+        assert classify_failure(info.value) == ("SerializationError", False)
 
 
 class TestConfigWire:
