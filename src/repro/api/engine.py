@@ -20,7 +20,9 @@ and future sharding/async layers extend the engine, not N signatures.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ReproError
@@ -56,6 +58,10 @@ __all__ = ["VerificationEngine", "verify", "submit"]
 _PROP_METHOD_DEFAULTS: Dict[int, Optional[str]] = {
     1: None, 2: "exact", 4: None, 5: None, 6: "symbolic",
 }
+
+#: Certificate keys whose last decoded certificate one engine remembers,
+#: least recently used out (a decoded vehicle-head certificate is ~0.5 MB).
+CERT_MEMO_SIZE = 8
 
 
 class _Run:
@@ -95,12 +101,22 @@ class VerificationEngine:
     whether proved threshold solves record certificates and whether a
     stored one may warm-start a solve; with no provider the policy is
     inert and every solve runs from scratch.
+
+    The engine remembers, per certificate key, the last wire string it
+    decoded and the :class:`~repro.certs.Certificate` it decoded to (at
+    most :data:`CERT_MEMO_SIZE` keys), so re-certifying against an
+    unchanged stored string skips the parse.  Validation and the float64
+    re-screen still run on every use.
     """
 
     def __init__(self, config: Optional[VerifyConfig] = None, *,
                  certs=None):
         self.config = config or VerifyConfig()
         self.certs = certs
+        self._cert_lock = threading.Lock()
+        # cert key -> (cert_json, Certificate), least recently used first.
+        # guarded-by: self._cert_lock
+        self._cert_memo: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------ jobs
     def verify(self, spec: Spec, config: Optional[VerifyConfig] = None) -> Verdict:
@@ -311,7 +327,8 @@ class VerificationEngine:
 
     def _reuse_certificate(self, spec: ThresholdSpec, cfg: VerifyConfig,
                            key: str):
-        """Try one stored certificate: fetch, parse, validate, warm-start.
+        """Try one stored certificate: fetch, parse (unless remembered),
+        validate, warm-start.
 
         Returns ``(result, certificate, True, lp_baseline)`` on a usable
         hit -- ``lp_baseline`` the stored from-scratch LP count savings
@@ -323,12 +340,11 @@ class VerificationEngine:
         cert_json = self.certs.cert_get(key)
         if cert_json is None:
             return None, None, False, 0
-        from repro.certs import (load_certificate, reverify_with_certificate,
-                                 validate_certificate)
+        from repro.certs import reverify_with_certificate, validate_certificate
         from repro.errors import CertificateError
 
         try:
-            stored = load_certificate(cert_json)
+            stored = self._decode_certificate(key, cert_json)
             validate_certificate(stored, spec.network, spec.objective,
                                  spec.threshold, cfg)
         except CertificateError:
@@ -339,6 +355,29 @@ class VerificationEngine:
             spec.network, spec.input_box, spec.objective, spec.threshold,
             stored, config=cfg)
         return result, certificate, True, int(stored.lp_solves)
+
+    def _decode_certificate(self, key: str, cert_json: str):
+        """``load_certificate(cert_json)``, or the certificate this engine
+        last decoded under ``key`` if that came from an equal string.
+
+        Only a successful decode is remembered; a malformed string raises
+        :class:`~repro.errors.CertificateError` on every lookup.  The
+        returned object is shared and must be treated as read-only.
+        """
+        from repro.certs import load_certificate
+
+        with self._cert_lock:
+            entry = self._cert_memo.get(key)
+            if entry is not None and entry[0] == cert_json:
+                self._cert_memo.move_to_end(key)
+                return entry[1]
+        stored = load_certificate(cert_json)
+        with self._cert_lock:
+            self._cert_memo[key] = (cert_json, stored)
+            self._cert_memo.move_to_end(key)
+            while len(self._cert_memo) > CERT_MEMO_SIZE:
+                self._cert_memo.popitem(last=False)
+        return stored
 
     def _verify_maximize(self, spec: MaximizeSpec,
                          cfg: VerifyConfig) -> MaximizeVerdict:

@@ -118,6 +118,13 @@ def network_to_jsonable(network: Network) -> Dict:
     }
 
 
+#: Layer ``config()`` entries that are integer sizes (checked as wire
+#: counts before a layer constructor sees them).
+_INT_LAYER_CONFIG = frozenset({"in_dim", "out_dim", "in_channels",
+                               "out_channels", "kernel_size", "stride",
+                               "pool_size"})
+
+
 def network_from_jsonable(data: Dict) -> Network:
     layers = []
     for spec in data["layers"]:
@@ -126,8 +133,12 @@ def network_from_jsonable(data: Dict) -> Network:
             raise SerializationError(f"unknown layer class {cls_name!r}")
         arrays = {name: array_from_jsonable(arr)
                   for name, arr in spec["arrays"].items()}
-        layers.append(_LAYER_CLASSES[cls_name]._from_parts(spec["config"], arrays))
-    return Network(layers, input_dim=int(data["input_dim"]))
+        config = spec["config"]
+        for name in _INT_LAYER_CONFIG.intersection(config):
+            _wire_int(config[name], f"{cls_name} config {name}")
+        layers.append(_LAYER_CLASSES[cls_name]._from_parts(config, arrays))
+    return Network(layers,
+                   input_dim=_wire_int(data["input_dim"], "network input_dim"))
 
 
 # ---------------------------------------------------------------- artifacts
@@ -559,8 +570,9 @@ def _containment_result_from_jsonable(data: Dict):
         counterexample=_opt_array_from_jsonable(data.get("counterexample")),
         violation=float(data.get("violation", 0.0)),
         elapsed=float(data.get("elapsed", 0.0)),
-        lp_solves=int(data.get("lp_solves", 0)),
-        nodes=int(data.get("nodes", 0)),
+        lp_solves=_wire_int(data.get("lp_solves", 0),
+                            "containment lp_solves"),
+        nodes=_wire_int(data.get("nodes", 0), "containment nodes"),
         detail=data.get("detail", ""),
     )
 
@@ -605,7 +617,7 @@ def _subproblem_from_jsonable(data: Dict):
         holds=data["holds"],
         elapsed=float(data["elapsed"]),
         detail=data.get("detail", ""),
-        lp_solves=int(data.get("lp_solves", 0)),
+        lp_solves=_wire_int(data.get("lp_solves", 0), "subproblem lp_solves"),
     )
 
 
@@ -694,10 +706,12 @@ def _continuous_result_from_jsonable(data: Dict):
         winning_max_subproblem_time=float(
             data.get("winning_max_subproblem_time", 0.0)),
         winning_time=float(data.get("winning_time", 0.0)),
-        encoding_reuse={str(k): int(v)
+        encoding_reuse={str(k): _wire_int(v, f"continuous encoding_reuse {k}")
                         for k, v in data.get("encoding_reuse", {}).items()},
-        nodes_reused=int(data.get("nodes_reused", 0)),
-        lp_solves_saved=int(data.get("lp_solves_saved", 0)),
+        nodes_reused=_wire_int(data.get("nodes_reused", 0),
+                               "continuous nodes_reused"),
+        lp_solves_saved=_wire_int(data.get("lp_solves_saved", 0),
+                                  "continuous lp_solves_saved"),
     )
 
 
@@ -720,9 +734,20 @@ def _baseline_outcome_from_jsonable(data: Dict):
         artifacts=artifacts_from_jsonable(data["artifacts"]),
         elapsed=float(data["elapsed"]),
         detail=data.get("detail", ""),
-        lp_solves=int(data.get("lp_solves", 0)),
-        nodes=int(data.get("nodes", 0)),
+        lp_solves=_wire_int(data.get("lp_solves", 0), "baseline lp_solves"),
+        nodes=_wire_int(data.get("nodes", 0), "baseline nodes"),
     )
+
+
+def _verdict_tag(verdict) -> str:
+    """The wire tag of a Verdict's exact class, or SerializationError."""
+    from repro.api import verdict as verdict_module
+
+    for tag, cls_name in VERDICT_TAGS.items():
+        if type(verdict) is getattr(verdict_module, cls_name):
+            return tag
+    raise SerializationError(
+        f"not a wire-serializable Verdict: {type(verdict).__name__}")
 
 
 def verdict_to_dict(verdict) -> Dict:
@@ -733,16 +758,7 @@ def verdict_to_dict(verdict) -> Dict:
     (non-finite floats travel as ``"inf"``/``"-inf"``/``"nan"`` strings),
     so remote executors can ship verdicts back over any JSON channel.
     """
-    from repro.api import verdict as verdict_module
-
-    tag = None
-    for candidate, cls_name in VERDICT_TAGS.items():
-        if type(verdict) is getattr(verdict_module, cls_name):
-            tag = candidate
-            break
-    if tag is None:
-        raise SerializationError(
-            f"not a wire-serializable Verdict: {type(verdict).__name__}")
+    tag = _verdict_tag(verdict)
     data: Dict = {
         "verdict": tag,
         "spec_type": verdict.spec_type,
@@ -881,17 +897,22 @@ def verdict_decision_json(verdict) -> str:
     property along a different trajectory (that is the point), so its
     soundness gate compares decisions: what was asked, what was answered,
     and how the solver terminated.  Everything else is cost, not answer.
+
+    The decision is the wire tag, ``spec_type``, ``holds`` and, for the
+    branch-and-bound verdicts (``threshold``/``maximize``), the search's
+    ``result.status`` -- read straight off the verdict, without building
+    the :func:`verdict_to_dict` payload, and byte-identical to projecting
+    these four keys out of it.
     """
-    data = verdict_to_dict(verdict)
+    tag = _verdict_tag(verdict)
     decision = {
-        "verdict": data["verdict"],
-        "spec_type": data["spec_type"],
-        "holds": data["holds"],
+        "verdict": tag,
+        "spec_type": verdict.spec_type,
+        "holds": verdict.holds,
     }
-    result = data.get("result")
-    if isinstance(result, dict) and "status" in result:
-        status = result["status"]
-        if data["holds"] is True and status in ("optimal",
+    if tag in ("threshold", "maximize"):
+        status = verdict.result.status
+        if verdict.holds is True and status in ("optimal",
                                                 "threshold_proved"):
             # Both statuses certify the same decision (bound at or below
             # the threshold); which one a search lands on depends on

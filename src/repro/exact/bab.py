@@ -197,10 +197,12 @@ class BaBSolver:
         Branching children always use the stock screen, so a custom
         screen never changes a cold search.
 
-        Node LPs run on the encoding's persistent HiGHS kernel
-        (:meth:`NetworkEncoding.solve_node`): each child hot-starts from its
-        parent's optimal basis, carried on the open-node heap; the root
-        and warm starts solve cold.
+        Node LPs run on the encoding's persistent HiGHS kernel: a round
+        gets every node's column bounds and ``b_ub`` from one
+        :meth:`NetworkEncoding.node_bounds` call and solves each node on
+        :func:`~repro.exact.highs.kernel_for` ``(encoding).solve``.  Each
+        child hot-starts from its parent's optimal basis, carried on the
+        open-node heap; the root and warm starts solve cold.
 
         ``collect_duals`` (a caller-owned list, with ``collect_leaves``)
         receives one entry per collected leaf, by position: the optimal

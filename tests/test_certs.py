@@ -20,6 +20,7 @@ from repro.api import (
     ThresholdSpec,
     VerificationEngine,
     VerifyConfig,
+    canonical_verdict_json,
     certificate_from_json,
     certificate_to_json,
     verdict_decision_json,
@@ -743,29 +744,276 @@ class TestRecordGate:
     def test_recorded_certificates_reencode_cover_and_match_cold(self):
         from repro.serve import JobStore
 
-        net = random_relu_network([4, 12, 8, 1], seed=3)
-        box = Box(-np.ones(4), np.ones(4))
-        c = np.ones(1)
-        opt = VerificationEngine(VerifyConfig()).verify(MaximizeSpec(
-            network=net, input_box=box, objective=c)).result.upper_bound
-        threshold = opt + 0.1 * abs(opt)
         store = JobStore()
         checked = self.CheckedCerts(store)
         warm_engine = VerificationEngine(VerifyConfig(certs="reuse"),
                                          certs=checked)
         cold_engine = VerificationEngine(VerifyConfig())
-        rng = np.random.default_rng(7)
         saved = hits = 0
         try:
-            for _step in range(4):
-                spec = _spec(net, box, c, threshold)
+            for spec in _tuning_sequence():
                 warm = warm_engine.verify(spec)
                 cold = cold_engine.verify(spec)
                 assert verdict_decision_json(warm) == \
                     verdict_decision_json(cold)
                 saved += warm.provenance.lp_solves_saved
                 hits += warm.provenance.cert_hit
-                net = net.perturb(0.002, rng=rng)
         finally:
             store.close()
         assert checked.checked > 0 and hits > 0 and saved > 0
+
+
+def _tuning_sequence(steps=4):
+    """The record gate's update sequence: one threshold proof of a
+    [4, 12, 8, 1] net, then of ``steps - 1`` successive perturbations."""
+    net = random_relu_network([4, 12, 8, 1], seed=3)
+    box = Box(-np.ones(4), np.ones(4))
+    c = np.ones(1)
+    opt = VerificationEngine(VerifyConfig()).verify(MaximizeSpec(
+        network=net, input_box=box, objective=c)).result.upper_bound
+    threshold = opt + 0.1 * abs(opt)
+    rng = np.random.default_rng(7)
+    specs = []
+    for _step in range(steps):
+        specs.append(_spec(net, box, c, threshold))
+        net = net.perturb(0.002, rng=rng)
+    return specs
+
+
+class SameCerts:
+    """A read-only provider that answers every key with one wire string
+    (and drops every record)."""
+
+    def __init__(self, cert_json):
+        self.cert_json = cert_json
+
+    def cert_get(self, cert_key):
+        return self.cert_json
+
+    def cert_put(self, cert_key, cert_json):
+        pass
+
+
+@pytest.fixture
+def cert_calls(monkeypatch):
+    """Counts ``load_certificate``/``validate_certificate`` calls the
+    engine makes, and the ``CertificateError`` each of them raised."""
+    import repro.certs
+
+    calls = {"load": 0, "validate": 0, "load_errors": 0,
+             "validate_errors": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            try:
+                return fn(*args, **kwargs)
+            except CertificateError:
+                calls[f"{name}_errors"] += 1
+                raise
+        return wrapper
+
+    monkeypatch.setattr(repro.certs, "load_certificate",
+                        counted("load", repro.certs.load_certificate))
+    monkeypatch.setattr(repro.certs, "validate_certificate",
+                        counted("validate",
+                                repro.certs.validate_certificate))
+    return calls
+
+
+def _cold(spec):
+    return VerificationEngine(VerifyConfig()).verify(spec)
+
+
+class TestCertificateMemo:
+    """The engine's decoded-certificate memo: a hit skips only the
+    parse.  Validation and the re-screen still run, a changed string is
+    decoded afresh, and the decisions, verdicts and recorded certificates
+    are those of an engine without it."""
+
+    def test_hit_skips_load_but_still_validates(self, threshold_problem,
+                                                cert_calls):
+        net, box, c, thr = threshold_problem
+        provider = SameCerts(_record(threshold_problem, MemCerts()))
+        engine = VerificationEngine(VerifyConfig(certs="reuse"),
+                                    certs=provider)
+        rng = np.random.default_rng(11)
+        for step in range(3):
+            spec = _spec(net.perturb(0.002, rng=rng), box, c, thr)
+            warm = engine.verify(spec)
+            assert warm.provenance.cert_hit is True
+            assert verdict_decision_json(warm) == \
+                verdict_decision_json(_cold(spec))
+            assert cert_calls["load"] == 1
+            assert cert_calls["validate"] == step + 1
+
+    @pytest.mark.parametrize("other", ["threshold", "network"])
+    def test_remembered_certificate_asked_elsewhere_runs_cold(
+            self, threshold_problem, cert_calls, other):
+        net, box, c, thr = threshold_problem
+        cert_json = _record(threshold_problem, MemCerts())
+        if other == "threshold":
+            spec = _spec(net, box, c, thr + 1.0)
+        else:
+            spec = _spec(random_relu_network([3, 9, 6, 1], seed=5),
+                         box, c, thr)
+        engine = VerificationEngine(VerifyConfig(certs="reuse"),
+                                    certs=SameCerts(cert_json))
+        assert engine.verify(_spec(net, box, c, thr)).provenance.cert_hit
+        fresh = VerificationEngine(VerifyConfig(certs="reuse"),
+                                   certs=SameCerts(cert_json)).verify(spec)
+        loads = cert_calls["load"]
+        for _ in range(2):
+            verdict = engine.verify(spec)
+            assert verdict.provenance.cert_hit is False
+            assert canonical_verdict_json(verdict) == \
+                canonical_verdict_json(fresh)
+            assert verdict_decision_json(verdict) == \
+                verdict_decision_json(_cold(spec))
+        # The first ask decoded under the new key; the second hit the
+        # memo, and validation rejected the certificate both times.
+        assert cert_calls["load"] == loads + 1
+        assert cert_calls["validate_errors"] == 3
+
+    def test_one_byte_change_misses_and_runs_cold(self, threshold_problem,
+                                                  cert_calls):
+        net, box, c, thr = threshold_problem
+        store = MemCerts()
+        engine = VerificationEngine(VerifyConfig(certs="reuse"),
+                                    certs=store)
+        spec = _spec(net, box, c, thr)
+        assert engine.verify(spec).provenance.cert_hit is False
+        assert engine.verify(spec).provenance.cert_hit is True
+        key, cert_json = next(iter(store.entries.items()))
+        assert (cert_calls["load"], cert_calls["load_errors"]) == (1, 0)
+        store.entries[key] = "[" + cert_json[1:]
+        verdict = engine.verify(spec)
+        assert (cert_calls["load"], cert_calls["load_errors"]) == (2, 1)
+        assert verdict.provenance.cert_hit is False
+        assert verdict_decision_json(verdict) == \
+            verdict_decision_json(_cold(spec))
+
+    def test_long_lived_engine_matches_fresh_engines(self, cert_calls):
+        from repro.api.engine import CERT_MEMO_SIZE
+        from repro.serve import JobStore
+
+        stores = JobStore(), JobStore()
+        config = VerifyConfig(certs="reuse")
+        long_lived = VerificationEngine(config, certs=stores[0])
+        loads = {}
+        try:
+            for spec in _tuning_sequence(steps=6):
+                key = certificate_key(spec.network, spec.input_box,
+                                      spec.objective, spec.threshold,
+                                      config)
+                before = cert_calls["load"]
+                kept = long_lived.verify(spec)
+                loads["long_lived"] = loads.get("long_lived", 0) + \
+                    cert_calls["load"] - before
+                before = cert_calls["load"]
+                fresh = VerificationEngine(config,
+                                           certs=stores[1]).verify(spec)
+                loads["fresh"] = loads.get("fresh", 0) + \
+                    cert_calls["load"] - before
+                assert verdict_decision_json(kept) == \
+                    verdict_decision_json(fresh)
+                assert canonical_verdict_json(kept) == \
+                    canonical_verdict_json(fresh)
+                assert kept.result.lp_solves == fresh.result.lp_solves
+                assert stores[0].cert_get(key) == stores[1].cert_get(key)
+            memo = dict(long_lived._cert_memo)
+            assert 0 < len(memo) <= CERT_MEMO_SIZE
+            for key, (cert_json, cert) in memo.items():
+                assert certificate_to_json(cert) == cert_json
+            # The sequence has updates that settle without re-recording,
+            # so the long-lived engine decoded strictly fewer strings.
+            assert loads["long_lived"] < loads["fresh"]
+        finally:
+            for store in stores:
+                store.close()
+
+    def test_submit_shares_the_memo_across_pool_threads(
+            self, threshold_problem, cert_calls):
+        net, box, c, thr = threshold_problem
+        provider = SameCerts(_record(threshold_problem, MemCerts(),
+                                     workers=2))
+        engine = VerificationEngine(VerifyConfig(certs="reuse", workers=2),
+                                    certs=provider)
+        rng = np.random.default_rng(5)
+        specs = [_spec(net.perturb(0.002, rng=rng), box, c, thr)
+                 for _ in range(4)]
+        verdicts = engine.submit(specs)
+        assert all(v.provenance.cert_hit for v in verdicts)
+        for spec, verdict in zip(specs, verdicts):
+            assert verdict_decision_json(verdict) == \
+                verdict_decision_json(_cold(spec))
+        assert len(engine._cert_memo) == 1
+        assert cert_calls["validate"] == len(specs)
+
+    def test_concurrent_decodes_keep_the_memo_consistent(
+            self, threshold_problem, monkeypatch):
+        """More threads than cores, a short switch interval, two keys
+        more than the cap and two spellings of one certificate per key
+        (every other lookup misses and replaces): every lookup returns
+        the certificate of the string it asked about, and the memo stays
+        within its cap with consistent entries."""
+        import sys
+        import threading
+
+        import repro.api.engine
+
+        monkeypatch.setattr(repro.api.engine, "CERT_MEMO_SIZE", 2)
+        cert_json = _record(threshold_problem, MemCerts())
+        spellings = (cert_json, json.dumps(json.loads(cert_json), indent=1))
+        engine = VerificationEngine(VerifyConfig(certs="reuse"))
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(200):
+                    text = spellings[int(rng.integers(2))]
+                    cert = engine._decode_certificate(
+                        f"key{int(rng.integers(4))}", text)
+                    if certificate_to_json(cert) != cert_json:
+                        errors.append("decoded the wrong certificate")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        memo = engine._cert_memo
+        assert len(memo) <= 2
+        for text, cert in memo.values():
+            assert text in spellings
+            assert certificate_to_json(cert) == cert_json
+
+    def test_memo_never_exceeds_its_cap(self, threshold_problem,
+                                        monkeypatch):
+        import repro.api.engine
+
+        monkeypatch.setattr(repro.api.engine, "CERT_MEMO_SIZE", 2)
+        net, box, c, thr = threshold_problem
+        cert_json = _record(threshold_problem, MemCerts())
+        engine = VerificationEngine(VerifyConfig(certs="reuse"),
+                                    certs=SameCerts(cert_json))
+        config = VerifyConfig(certs="reuse")
+        keys = []
+        for shift in (0.0, 1.0, 2.0, 3.0):
+            spec = _spec(net, box, c, thr + shift)
+            engine.verify(spec)
+            keys.append(certificate_key(net, box, c, thr + shift, config))
+            assert len(engine._cert_memo) <= 2
+        # Least recently used out: the last two keys remain.
+        assert list(engine._cert_memo) == keys[-2:]

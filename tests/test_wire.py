@@ -286,6 +286,102 @@ class TestVerdictWireCounts:
             verdict_from_json(document)
         assert classify_failure(info.value) == ("SerializationError", False)
 
+    @pytest.mark.parametrize("value", ["1e400", "2.5", "true", "-1"])
+    @pytest.mark.parametrize("kind,path", [
+        ("containment", ("result", "lp_solves")),
+        ("containment", ("result", "nodes")),
+        ("proposition", ("result", "subproblems", 0, "lp_solves")),
+        ("continuous", ("result", "encoding_reuse", "hits")),
+        ("continuous", ("result", "nodes_reused")),
+        ("continuous", ("result", "lp_solves_saved")),
+        ("baseline", ("result", "lp_solves")),
+        ("baseline", ("result", "nodes")),
+    ])
+    def test_bad_payload_count_is_permanent_serialization_error(
+            self, fig2, unit_box2, kind, path, value):
+        from repro.serve.resilience import classify_failure
+
+        wire = verdict_to_json(_payload_verdicts(fig2, unit_box2)[kind])
+        assert verdict_to_json(verdict_from_json(wire)) == wire
+        with pytest.raises(SerializationError, match="non-negative") as info:
+            verdict_from_json(_with_bad_value(wire, path, value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+
+def _with_bad_value(document: str, path, value: str) -> str:
+    """``document`` with the JSON integer at ``path`` replaced by the
+    literal ``value``."""
+    data = json.loads(document)
+    *parents, key = path
+    node = data
+    for part in parents:
+        node = node[part]
+    assert type(node[key]) is int
+    node[key] = "__BAD__"
+    return json.dumps(data).replace('"__BAD__"', value)
+
+
+def _payload_verdicts(fig2, box):
+    """One hand-built verdict per tag whose payload carries its own
+    counts (containment, proposition subproblem, continuous, baseline)."""
+    from repro.api.verdict import (
+        BaselineVerdict,
+        ContinuousVerdict,
+        PropositionVerdict,
+    )
+    from repro.core.continuous import ContinuousResult
+    from repro.core.propositions import PropositionResult, SubproblemReport
+    from repro.core.verifier import BaselineOutcome
+    from repro.exact.verify import ContainmentResult
+
+    common = {"holds": True, "provenance": Provenance(), "detail": ""}
+    problem = VerificationProblem(fig2, box, Box(-50 * np.ones(1),
+                                                 50 * np.ones(1)))
+    return {
+        "containment": ContainmentVerdict(
+            spec_type="containment", **common, result=ContainmentResult(
+                holds=True, method="exact", lp_solves=3, nodes=2)),
+        "proposition": PropositionVerdict(
+            spec_type="proposition", **common, result=PropositionResult(
+                proposition="prop3", holds=True, subproblems=[
+                    SubproblemReport("s0", True, 0.5, lp_solves=2)])),
+        "continuous": ContinuousVerdict(
+            spec_type="continuous", **common, result=ContinuousResult(
+                holds=True, strategy="prop3",
+                encoding_reuse={"hits": 1, "misses": 2},
+                nodes_reused=3, lp_solves_saved=4)),
+        "baseline": BaselineVerdict(
+            spec_type="baseline", **common, result=BaselineOutcome(
+                holds=True, artifacts=ProofArtifacts(problem=problem),
+                elapsed=1.0, lp_solves=5, nodes=6)),
+    }
+
+
+class TestSpecWireCounts:
+    """The network sizes of a spec decode strictly too: a bad
+    ``input_dim`` or Dense ``in_dim``/``out_dim`` is a permanent
+    SerializationError, not an ``OverflowError`` the retry machinery
+    would call transient."""
+
+    @pytest.mark.parametrize("value", ["1e400", "2.5", "true", "-1"])
+    @pytest.mark.parametrize("path", [
+        ("network", "input_dim"),
+        ("network", "layers", 0, "config", "in_dim"),
+        ("network", "layers", 0, "config", "out_dim"),
+        ("network", "layers", 2, "config", "in_dim"),
+    ])
+    def test_bad_network_size_is_permanent_serialization_error(
+            self, fig2, unit_box2, path, value):
+        from repro.api import spec_from_json, spec_to_json
+        from repro.serve.resilience import classify_failure
+
+        wire = spec_to_json(MaximizeSpec(network=fig2, input_box=unit_box2,
+                                         objective=np.array([1.0])))
+        assert spec_to_json(spec_from_json(wire)) == wire
+        with pytest.raises(SerializationError, match="non-negative") as info:
+            spec_from_json(_with_bad_value(wire, path, value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
 
 class TestConfigWire:
     def test_roundtrip(self):
@@ -331,3 +427,102 @@ class TestConfigWire:
         config = VerifyConfig(workers=np.int64(2), node_limit=np.int32(7))
         assert config.workers == 2 and type(config.workers) is int
         assert config_from_json(config_to_json(config)) == config
+
+
+def _reference_decision_json(verdict) -> str:
+    """The decision projected out of the full wire dict -- the definition
+    ``verdict_decision_json`` must reproduce byte for byte."""
+    data = verdict_to_dict(verdict)
+    decision = {key: data[key] for key in ("verdict", "spec_type", "holds")}
+    result = data.get("result")
+    if isinstance(result, dict) and "status" in result:
+        status = result["status"]
+        if data["holds"] is True and status in ("optimal",
+                                                "threshold_proved"):
+            status = "proved"
+        decision["status"] = status
+    return json.dumps(decision, allow_nan=False, sort_keys=True)
+
+
+class TestDecisionJson:
+    """``verdict_decision_json`` reads its four fields off the verdict;
+    for every tag it equals the projection of the full wire dict."""
+
+    @pytest.fixture(scope="class")
+    def verdicts(self):
+        from repro.exact.bab import BaBResult
+        from repro.nn import fig2_network
+
+        fig2 = fig2_network()
+        unit = Box(-np.ones(2), np.ones(2))
+        box = Box(-np.ones(2), np.array([1.1, 1.1]))
+        c = np.array([1.0])
+        engine = VerificationEngine(VerifyConfig())
+        solved = {
+            "containment": engine.verify(ContainmentSpec(
+                network=fig2, input_box=box,
+                target=Box(-50 * np.ones(1), 50 * np.ones(1)))),
+            "containment_refuted": engine.verify(ContainmentSpec(
+                network=fig2, input_box=box,
+                target=Box(np.array([100.0]), np.array([200.0])),
+                method="exact")),
+            "range": engine.verify(OutputRangeSpec(network=fig2,
+                                                   input_box=box)),
+            "threshold_certified": engine.verify(ThresholdSpec(
+                network=fig2, input_box=box, objective=c, threshold=12.0)),
+            "threshold_refuted": engine.verify(ThresholdSpec(
+                network=fig2, input_box=box, objective=c, threshold=1.0)),
+            "maximize": engine.verify(MaximizeSpec(
+                network=fig2, input_box=box, objective=c)),
+            "maximize_threshold_holds": engine.verify(MaximizeSpec(
+                network=fig2, input_box=box, objective=c, threshold=12.0)),
+            "maximize_threshold_fails": engine.verify(MaximizeSpec(
+                network=fig2, input_box=box, objective=c, threshold=1.0)),
+            "minimize": engine.verify(MaximizeSpec(
+                network=fig2, input_box=box, objective=c, minimize=True)),
+            "baseline_solved": engine.baseline(VerificationProblem(
+                fig2, unit, Box(-50 * np.ones(1), 50 * np.ones(1)))),
+            "maximize_node_limit": MaximizeVerdict(
+                spec_type="maximize", holds=None, provenance=Provenance(),
+                detail="", result=BaBResult(
+                    status="node_limit", upper_bound=float("inf"),
+                    incumbent=float("-inf"), witness=None, nodes=7,
+                    lp_solves=3)),
+            "failed": FailedVerdict(
+                spec_type="threshold", holds=None, provenance=Provenance(),
+                detail="ShapeError: boom", error="boom",
+                error_type="ShapeError"),
+        }
+        assert solved["threshold_certified"].certificate is not None
+        assert solved["threshold_refuted"].certificate is None
+        assert solved["threshold_refuted"].holds is False
+        return {**solved, **_payload_verdicts(fig2, unit)}
+
+    @pytest.mark.parametrize("name", [
+        "containment", "containment_refuted", "range",
+        "threshold_certified", "threshold_refuted", "maximize",
+        "maximize_threshold_holds", "maximize_threshold_fails", "minimize",
+        "maximize_node_limit", "proposition", "continuous", "baseline",
+        "baseline_solved", "failed"])
+    def test_matches_the_wire_dict_projection(self, verdicts, name):
+        from repro.api import verdict_decision_json
+
+        verdict = verdicts[name]
+        assert verdict_decision_json(verdict) == \
+            _reference_decision_json(verdict)
+
+    def test_tags_and_statuses_are_all_exercised(self, verdicts):
+        from repro.api.serialize import VERDICT_TAGS
+
+        decisions = [json.loads(_reference_decision_json(v))
+                     for v in verdicts.values()]
+        assert {d["verdict"] for d in decisions} == set(VERDICT_TAGS)
+        statuses = {d.get("status") for d in decisions}
+        assert {"proved", "node_limit", None} <= statuses
+        assert len(statuses - {"proved", "node_limit", None}) >= 1
+
+    def test_not_a_verdict_rejected(self):
+        from repro.api import verdict_decision_json
+
+        with pytest.raises(SerializationError, match="not a wire"):
+            verdict_decision_json(object())
