@@ -282,7 +282,7 @@ class VerificationEngine:
             # Capture node-LP duals only when a store could record them.
             result, certificate = _certify_threshold(
                 spec.network, spec.input_box, spec.objective, spec.threshold,
-                config=cfg, collect_duals=[] if key is not None else None)
+                config=cfg, collect_duals=key is not None)
         if key is not None and certificate is not None and \
                 not (cert_hit and result.lp_solves == 0):
             # Record (REPLACE) the *latest* proved network's covering

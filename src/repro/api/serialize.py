@@ -205,7 +205,8 @@ def artifacts_from_jsonable(data: Dict) -> ProofArtifacts:
 
         recipe = data["netabs"]
         netabs = build_abstraction(network, problem.din,
-                                   num_groups=int(recipe["num_groups"]),
+                                   num_groups=_wire_int(recipe["num_groups"],
+                                                        "netabs num_groups"),
                                    margin=float(recipe["margin"]))
     output_range = None
     if data.get("output_range") is not None:
@@ -260,12 +261,22 @@ def _phase_leaves_to_jsonable(leaves: np.ndarray, widths) -> list:
     return [triples[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
+def _wire_phase(value) -> int:
+    """A fixed neuron's phase: the JSON integer -1 or +1."""
+    if type(value) is not int or value not in (1, -1):
+        raise SerializationError(
+            f"certificate leaves: a phase must be -1 or +1, got {value!r}")
+    return value
+
+
 def _phase_leaves_from_jsonable(data, widths) -> np.ndarray:
     from repro.exact.encoding import phase_matrix
     from repro.errors import DomainError
 
     try:
-        return phase_matrix([{(int(layer), int(unit)): int(phase)
+        return phase_matrix([{(_wire_int(layer, "certificate leaf block"),
+                               _wire_int(unit, "certificate leaf unit")):
+                              _wire_phase(phase)
                               for layer, unit, phase in leaf}
                              for leaf in data], widths)
     except DomainError as exc:
@@ -590,7 +601,8 @@ def _certificate_to_jsonable(cert) -> Dict:
 def _certificate_from_jsonable(data: Dict):
     from repro.exact.incremental import BranchCertificate
 
-    block_dims = [int(d) for d in data["block_dims"]]
+    block_dims = [_wire_int(d, "certificate block_dims entry")
+                  for d in data["block_dims"]]
     return BranchCertificate(
         objective=array_from_jsonable(data["objective"]),
         threshold=float(data["threshold"]),

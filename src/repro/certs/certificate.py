@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -139,6 +139,10 @@ class Certificate:
     ``leaf_bounds`` / ``leaf_verdicts`` are the batched-screen results at
     record time.  All of it is advisory: the reuse path re-screens every
     leaf in float64 against the network it is actually given.
+
+    The covering verdict of the leaves (:meth:`covers`) is kept on the
+    object while its leaves cannot change, so a decoded certificate used
+    again pays the covering check once.
     """
 
     objective: np.ndarray
@@ -171,13 +175,42 @@ class Certificate:
     #: ``lp_solves_saved`` is compared against.
     lp_solves: int = 0
     version: int = CERT_VERSION
+    #: ``(leaves, leaves_cover(leaves))`` from the last :meth:`covers`
+    #: call on an immutable leaf matrix.
+    _cover: Optional[Tuple[np.ndarray, bool]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def num_leaves(self) -> int:
         return len(self.leaves)
 
+    def covers(self) -> bool:
+        """:func:`leaves_cover` of ``leaves``, computed once per immutable
+        leaf matrix -- a read-only view of ``bytes``, as the wire decoder
+        returns -- so the verdict cannot go stale.  Writeable leaves, or a
+        matrix swapped in since, are checked afresh.  (Threads sharing one
+        certificate may both compute it; either stores the same value.)"""
+        leaves = self.leaves
+        memo = self._cover
+        if memo is not None and memo[0] is leaves:
+            return memo[1]
+        verdict = leaves_cover(leaves)
+        if _immutable(leaves):
+            self._cover = (leaves, verdict)
+        return verdict
+
     def compatible_with(self, network: Network) -> bool:
         return network.block_dims() == list(self.block_dims)
+
+
+def _immutable(array) -> bool:
+    """Is ``array`` read-only down to an immutable ``bytes`` buffer (so no
+    one can make it writeable again)?"""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return isinstance(array, bytes)
 
 
 def config_digest(config) -> str:
@@ -276,6 +309,10 @@ def validate_certificate(cert: Certificate, network: Network,
     *not* make the stored bounds trusted -- it only establishes that the
     leaves are a well-formed covering partition for this architecture, so
     they are safe to hand to the solver as warm starts.
+
+    Every check runs on every call except the covering check, whose
+    verdict depends on the leaves alone and is kept on ``cert`` once its
+    leaves are immutable (:meth:`Certificate.covers`).
     """
     if int(cert.version) != CERT_VERSION:
         raise CertificateError(
@@ -310,7 +347,7 @@ def validate_certificate(cert: Certificate, network: Network,
     if cert.leaf_duals is not None and len(cert.leaf_duals) != len(leaves):
         raise CertificateError(
             f"{len(cert.leaf_duals)} dual entries for {len(leaves)} leaves")
-    if not leaves_cover(cert.leaves):
+    if not cert.covers():
         raise CertificateError(
             "certificate leaves do not partition the search space "
             "(gap or overlap)")

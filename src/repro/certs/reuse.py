@@ -62,7 +62,7 @@ from repro.certs.certificate import (
 )
 from repro.domains.batch import phase_clamped_affine_bounds
 from repro.domains.box import Box
-from repro.exact.bab import BaBResult, BaBSolver
+from repro.exact.bab import BaBResult, BaBSolver, CoveringLeaves
 from repro.exact.encoding import NetworkEncoding, PackedDuals, as_phase_matrix
 from repro.exact.incremental import BranchCertificate
 from repro.nn.network import Network
@@ -128,21 +128,27 @@ def extract_certificate(network: Network, input_box: Box,
                         result: BaBResult, leaves,
                         config: Optional[VerifyConfig] = None,
                         lp_baseline: Optional[int] = None,
-                        duals: Optional[list] = None) -> Certificate:
+                        duals: Optional[PackedDuals] = None) -> Certificate:
     """Package a proved solve's covering leaves (their phase matrix, or a
     list of phase maps) as a store-ready artifact.
 
-    ``duals`` is the ``collect_duals`` capture of the proving solve: one
-    ``(dual_ub, dual_eq)`` or ``None`` per leaf, by row index, as carried
-    by ``BranchCertificate.leaf_duals``.  Recording costs **zero extra LP
-    solves**: every leaf that was settled by an LP already has its
-    multipliers captured, and all of them are annotated here by one
-    LP-free, batched Lagrangian evaluation (which at the recording weights
-    reproduces each LP bound -- strong duality).  Leaves settled without
-    an LP (screen-closed) carry no duals; if a future perturbation drifts
-    one open, it pays a single delta-LP whose duals the re-record then
-    picks up -- lazy, self-healing refresh.  Duals not sized for this
-    encoding's node layout (carried over from a certificate recorded under
+    ``duals`` is the multiplier capture of the proving solve, packed by
+    leaf row as ``BranchCertificate.leaf_duals`` carries it (the
+    :class:`~repro.exact.bab.CoveringLeaves` of the search, which takes a
+    warm start the screen settled whole as one block of rows and their
+    stored duals).  Recording costs **zero extra LP solves**: every leaf
+    that was settled by an LP already has its multipliers captured, and
+    all of them are annotated here by one LP-free, batched Lagrangian
+    evaluation of this recorder's own batch (which at the recording
+    weights reproduces each LP bound -- strong duality; the search's
+    screen bounds are not reused, as batched bounds are not bitwise
+    stable under a change of batch).  Leaves settled without an LP
+    (screen-closed) carry no duals; if a future perturbation drifts one
+    open, it pays a single delta-LP whose duals the re-record then picks
+    up -- lazy, self-healing refresh.  The stored rows are picked from
+    ``duals`` by one row selection: those of feasible leaves, when the
+    rows are sized for this encoding's node layout.  Duals sized for
+    another layout (carried over from a certificate recorded under
     another unstable-neuron set, or from a malformed one) are dropped:
     they bound nothing here, and the wire packs one row width for every
     leaf.
@@ -159,13 +165,14 @@ def extract_certificate(network: Network, input_box: Box,
     leaves.setflags(write=False)
     upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
         network, input_box, leaves, c_vec)
-    if duals is None or len(duals) != len(leaves):
-        duals = [None] * len(leaves)
     sizes = enc.dual_rows()
-    packed = PackedDuals.pack([
-        dual if dual is not None and feasible[j] and
-        (np.size(dual[0]), np.size(dual[1])) == sizes else None
-        for j, dual in enumerate(duals)])
+    present = np.zeros(len(leaves), dtype=bool)
+    if duals is not None and len(duals) == len(leaves) and duals.fits(sizes):
+        present = duals.present & feasible
+    # No row present packs as the empty ``split = width = 0`` matrix.
+    packed = PackedDuals(
+        duals.matrix[feasible[duals.present]], present, sizes[0]) \
+        if present.any() else PackedDuals.absent(len(leaves), (0, 0))
     _tighten_uppers(enc, upper, -enc.output_objective(c_vec), leaves,
                     pre_lo, pre_hi, packed, np.flatnonzero(packed.present))
     bounds = np.where(feasible, upper, -np.inf)
@@ -216,26 +223,23 @@ def reverify_with_certificate(network: Network, input_box: Box,
     solver = BaBSolver.from_config(
         network, input_box,
         config.replace(node_limit=config.effective_full_node_limit))
-    new_leaves: List[np.ndarray] = []
-    new_duals: list = []
     # Leaves the screen settles LP-free keep their stored multipliers for
-    # the re-record (still the freshest available); leaves the search
-    # re-solves get this run's.
+    # the re-record (still the freshest available), as blocks of rows;
+    # leaves the search re-solves get this run's.
+    new_leaves = CoveringLeaves(solver.encoding, duals=True)
     result = solver.maximize(
         np.asarray(objective, dtype=np.float64), threshold=float(threshold),
         initial_nodes=cert.leaves, initial_duals=cert.leaf_duals,
         collect_leaves=new_leaves,
-        start_screen=dual_start_screen(solver, cert, objective),
-        collect_duals=new_duals)
+        start_screen=dual_start_screen(solver, cert, objective))
     if result.status not in ("threshold_proved", "optimal") or \
             result.upper_bound > float(threshold) + config.tol:
         return result, None
     certificate = BranchCertificate(
         objective=np.asarray(objective, dtype=np.float64).copy(),
         threshold=float(threshold),
-        leaves=np.array(new_leaves, dtype=np.int8).reshape(
-            len(new_leaves), cert.leaves.shape[1]),
+        leaves=new_leaves.matrix(),
         block_dims=network.block_dims(),
-        leaf_duals=new_duals,
+        leaf_duals=new_leaves.duals(),
     )
     return result, certificate

@@ -19,6 +19,7 @@ from repro.exact.milp import MILPResult, solve_milp
 from repro.exact.bab import (
     BaBResult,
     BaBSolver,
+    CoveringLeaves,
     maximize_output,
     minimize_output,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "tighten_preactivation_bounds",
     "BaBSolver",
     "ContainmentResult",
+    "CoveringLeaves",
     "LP_INFEASIBLE",
     "LP_OPTIMAL",
     "LP_UNBOUNDED",

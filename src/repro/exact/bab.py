@@ -19,7 +19,7 @@ global upper bound drops below (proved) or the incumbent rises above
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from repro.exact.encoding import NetworkEncoding, PackedDuals
 from repro.exact.lp import solve_lp  # noqa: F401
 from repro.nn.network import Network
 
-__all__ = ["BaBResult", "BaBSolver", "maximize_output", "minimize_output"]
+__all__ = ["BaBResult", "BaBSolver", "CoveringLeaves", "maximize_output",
+           "minimize_output"]
 
 BAB_OPTIMAL = "optimal"
 BAB_PROVED = "threshold_proved"     # max <= threshold established
@@ -101,6 +102,73 @@ class BaBResult:
         return self.upper_bound
 
 
+class CoveringLeaves:
+    """The leaves one search settles, in settle order: their phase rows
+    and, when collected with duals, each leaf's multipliers.
+
+    Leaves arrive one at a time (:meth:`add`: a phase row and its
+    ``(lambda, mu)`` or ``None``) or as one block (:meth:`add_block`: rows
+    of a phase matrix and their :class:`PackedDuals`, as when the screen
+    settles a whole warm-start batch -- no per-leaf work).  :meth:`matrix`
+    and :meth:`duals` stack what arrived; multipliers not shaped for the
+    encoding's node layout (:meth:`NetworkEncoding.dual_rows`) are kept as
+    absent, since they bound nothing there.
+    """
+
+    def __init__(self, encoding: NetworkEncoding, duals: bool = False):
+        self.width = int(sum(encoding.phase_widths))
+        #: ``(m_ub, m_eq)`` of the node layout, or ``None``: no duals.
+        self.dual_rows: Optional[Tuple[int, int]] = \
+            encoding.dual_rows() if duals else None
+        self._blocks: List[Tuple[np.ndarray, Optional[PackedDuals]]] = []
+        self._rows: List[np.ndarray] = []
+        self._duals: List = []
+
+    def add(self, row: np.ndarray, dual=None) -> None:
+        self._rows.append(row)
+        if self.dual_rows is not None:
+            self._duals.append(dual)
+
+    def add_block(self, rows: np.ndarray,
+                  duals: Optional[PackedDuals] = None) -> None:
+        """Rows of a phase matrix settled together; ``duals`` (``None``:
+        none) holds their multipliers by row."""
+        self._flush()
+        if self.dual_rows is None:
+            duals = None
+        elif duals is None or len(duals) != len(rows) or \
+                not duals.fits(self.dual_rows):
+            duals = PackedDuals.absent(len(rows), self.dual_rows)
+        self._blocks.append((rows, duals))
+
+    def _flush(self) -> None:
+        if self._rows:
+            rows = np.array(self._rows, dtype=np.int8).reshape(
+                len(self._rows), self.width)
+            duals = None if self.dual_rows is None else \
+                PackedDuals.pack(self._duals, self.dual_rows)
+            self._blocks.append((rows, duals))
+            self._rows, self._duals = [], []
+
+    def matrix(self) -> np.ndarray:
+        """The ``(N, W)`` int8 phase matrix of every leaf (a block that
+        arrived alone is returned as it is)."""
+        self._flush()
+        if len(self._blocks) == 1:
+            return self._blocks[0][0]
+        return np.concatenate([rows for rows, _ in self._blocks] or
+                              [np.zeros((0, self.width), dtype=np.int8)])
+
+    def duals(self) -> Optional[PackedDuals]:
+        """Every leaf's multipliers by row, or ``None`` when not
+        collected."""
+        self._flush()
+        if self.dual_rows is None:
+            return None
+        return PackedDuals.stack([duals for _, duals in self._blocks] or
+                                 [PackedDuals.absent(0, self.dual_rows)])
+
+
 class BaBSolver:
     """Branch-and-bound maximiser bound to one ``(network, box)`` encoding."""
 
@@ -154,9 +222,8 @@ class BaBSolver:
     def maximize(self, c: np.ndarray,
                  threshold: Optional[float] = None,
                  initial_nodes=None,
-                 collect_leaves: Optional[List[np.ndarray]] = None,
+                 collect_leaves: Optional[CoveringLeaves] = None,
                  start_screen: Optional[Callable] = None,
-                 collect_duals: Optional[List] = None,
                  initial_duals: Optional[PackedDuals] = None) -> BaBResult:
         """Maximise ``c @ f(x)`` over the input box.
 
@@ -170,11 +237,15 @@ class BaBSolver:
         maps) whose regions must jointly cover the search space -- the
         warm-start mechanism of :mod:`repro.exact.incremental`.
 
-        ``collect_leaves`` (a caller-owned list) receives the phase row of
-        every region the search *settled* -- pruned, proven, refined to a
-        consistent LP, or still open at early termination.  Together these
-        leaves cover the entire space, so they form a reusable branching
-        certificate.
+        ``collect_leaves`` (a caller-owned :class:`CoveringLeaves`)
+        receives the phase row of every region the search *settled* --
+        pruned, proven, refined to a consistent LP, or still open at early
+        termination.  Together these leaves cover the entire space, so they
+        form a reusable branching certificate.  The regions one batched
+        screen settles arrive as one block of rows: when the whole
+        warm-start batch settles on the screen, the collector receives
+        ``initial_nodes`` and ``initial_duals`` themselves, with no
+        per-leaf step.
 
         With ``interval_prune`` on (the default), every batch of candidate
         nodes -- the warm-start list and each round's children -- is first
@@ -204,13 +275,13 @@ class BaBSolver:
         child hot-starts from its parent's optimal basis, carried on the
         open-node heap; the root and warm starts solve cold.
 
-        ``collect_duals`` (a caller-owned list, with ``collect_leaves``)
-        receives one entry per collected leaf, by position: the optimal
-        dual multipliers ``(dual_ub, dual_eq)`` of the leaf's own node LP,
-        else its ``initial_duals`` entry when it is a warm start (the
-        multipliers a certificate stored for it), else ``None``.  Free for
-        the solver (HiGHS computes marginals anyway) and never consulted
-        by the search itself; certificate recording stores them so future
+        A collector made with ``duals=True`` also receives one multiplier
+        row per collected leaf, by position: the optimal dual multipliers
+        ``(dual_ub, dual_eq)`` of the leaf's own node LP, else its
+        ``initial_duals`` row when it is a warm start (the multipliers a
+        certificate stored for it), else none.  Free for the solver (HiGHS
+        computes marginals anyway) and never consulted by the search
+        itself; certificate recording stores them so future
         re-verifications can re-certify every leaf with one LP-free,
         batched Lagrangian evaluation (:mod:`repro.certs.reuse`).
 
@@ -226,7 +297,6 @@ class BaBSolver:
                                  initial_nodes=initial_nodes,
                                  collect_leaves=collect_leaves,
                                  start_screen=start_screen,
-                                 collect_duals=collect_duals,
                                  initial_duals=initial_duals)
 
     # ------------------------------------------------------- search pieces

@@ -52,6 +52,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -160,15 +161,26 @@ class PackedDuals:
     split: int
 
     @classmethod
-    def pack(cls, entries: Sequence[Optional[Tuple]]) -> "PackedDuals":
+    def pack(cls, entries: Sequence[Optional[Tuple]],
+             sizes: Optional[Tuple[int, int]] = None) -> "PackedDuals":
         """Pack per-node ``(lambda, mu)`` pairs (``None``: no multipliers);
-        every pair must have the same two lengths."""
+        every pair must have the same two lengths.  With ``sizes = (m_ub,
+        m_eq)`` a pair of other lengths counts as ``None`` instead, and the
+        matrix has that row shape even when no node is present."""
+        if sizes is not None:
+            entries = [entry if entry is not None and
+                       (np.size(entry[0]), np.size(entry[1])) == sizes
+                       else None for entry in entries]
         present = np.array([entry is not None for entry in entries],
                            dtype=bool)
         rows = [[np.asarray(part, dtype=np.float64).reshape(-1)
                  for part in entry] for entry in entries if entry is not None]
-        split = rows[0][0].size if rows else 0
-        width = split + rows[0][1].size if rows else 0
+        if sizes is not None:
+            split, width = sizes[0], sum(sizes)
+        elif rows:
+            split, width = rows[0][0].size, rows[0][0].size + rows[0][1].size
+        else:
+            split = width = 0
         if any(lam.size != split or mu.size != width - split
                for lam, mu in rows):
             raise DomainError(
@@ -176,6 +188,26 @@ class PackedDuals:
         matrix = np.array([np.concatenate(row) for row in rows],
                           dtype=np.float64).reshape(len(rows), width)
         return cls(matrix, present, split)
+
+    @classmethod
+    def absent(cls, count: int, sizes: Tuple[int, int]) -> "PackedDuals":
+        """``count`` nodes without multipliers, rows shaped ``sizes``."""
+        return cls(np.zeros((0, sum(sizes))), np.zeros(count, dtype=bool),
+                   sizes[0])
+
+    @classmethod
+    def stack(cls, parts: Sequence["PackedDuals"]) -> "PackedDuals":
+        """The nodes of ``parts`` in order; all share one row shape."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(np.concatenate([part.matrix for part in parts]),
+                   np.concatenate([part.present for part in parts]),
+                   parts[0].split)
+
+    def fits(self, sizes: Tuple[int, int]) -> bool:
+        """Are the rows shaped ``(m_ub, m_eq)`` -- ``sizes`` -- as a node
+        layout's multipliers must be?"""
+        return self.split == sizes[0] and self.matrix.shape[1] == sum(sizes)
 
     def __len__(self) -> int:
         return self.present.size
@@ -330,6 +362,10 @@ class _LPBase:
     ``phase_row`` is the index of an unstable neuron's first phase row
     (-1 for other neurons), and ``contradicts`` is the phase that
     contradicts a stable activation neuron's stability (0 for others).
+    ``a_ub_t``/``a_eq_t`` are the matrices' transposes as CSR with sorted
+    indices, built on first use: ``(a_t @ m.T).T`` is bitwise ``m @ a``
+    (each entry sums its terms in the same column order) without a
+    transpose per product.
     """
 
     a_eq: Optional[sp.csr_matrix]
@@ -340,6 +376,35 @@ class _LPBase:
     col_hi: np.ndarray
     phase_row: np.ndarray
     contradicts: np.ndarray
+
+    # Concurrent first uses may both build one; either result is the same.
+    @cached_property
+    def a_ub_t(self) -> Optional[sp.csr_matrix]:
+        return _csr_transpose(self.a_ub)
+
+    @cached_property
+    def a_eq_t(self) -> Optional[sp.csr_matrix]:
+        return _csr_transpose(self.a_eq)
+
+
+def _csr_transpose(matrix: Optional[sp.csr_matrix]
+                   ) -> Optional[sp.csr_matrix]:
+    if matrix is None:
+        return None
+    transposed = matrix.T.tocsr()
+    transposed.sort_indices()
+    return transposed
+
+
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.where(mask, a, b)`` for float64 ``a``, ``b`` of ``mask``'s
+    shape, as a branch-free bit select: ``np.where`` branches per element,
+    which costs several multiplies' time on a random mask such as the sign
+    pattern of reduced costs."""
+    pick = mask.astype(np.uint64)
+    np.negative(pick, out=pick)  # 0 -> no bits, 1 -> all bits
+    b_bits = b.view(np.uint64)
+    return (b_bits ^ ((b_bits ^ a.view(np.uint64)) & pick)).view(np.float64)
 
 
 def _bounds_list(lo: np.ndarray, hi: np.ndarray
@@ -622,33 +687,35 @@ class NetworkEncoding:
                 base.col_lo[zc], np.where(lower < np.inf, lower, -np.inf))
             hi[:, zc] = np.minimum(
                 base.col_hi[zc], np.where(upper > -np.inf, upper, np.inf))
-        # Every fixed neuron at once, as (node, column) pairs: an unstable
-        # neuron's phase row opens and only a strictly wrong-signed bound
-        # of its z column moves, so a -0.0 keeps its sign.
-        r, c = np.nonzero(phases)
-        if r.size:
-            v = phases[r, c]
-            z = self._z_cols[c]
+        # Every fixed neuron at once, as (node, column) pairs addressed by
+        # flat index: an unstable neuron's phase row opens and only a
+        # strictly wrong-signed bound of its z column moves, so a -0.0
+        # keeps its sign.
+        values = np.ravel(phases)
+        flat = np.flatnonzero(values)
+        if flat.size:
+            r, c = np.divmod(flat, phases.shape[1])
+            v = values[flat]
+            z = r * lo.shape[1] + self._z_cols[c]
             row = base.phase_row[c]
             free = row >= 0
             down = v < 0
             if b_ub is not None:
-                b_ub[r[free], row[free] + down[free]] = 0.0
-            at = r[free & ~down], z[free & ~down]
-            bound = lo[at]
-            lo[at] = np.where(bound < 0.0, 0.0, bound)
-            down &= free
-            at = r[down], z[down]
-            bound = hi[at]
-            hi[at] = np.where(bound > 0.0, 0.0, bound)
+                b_ub.reshape(-1)[(r * b_ub.shape[1] + row + down)[free]] = 0.0
+            lo_flat, hi_flat = lo.reshape(-1), hi.reshape(-1)
+            at = z[free & ~down]
+            bound = lo_flat[at]
+            lo_flat[at] = np.where(bound < 0.0, 0.0, bound)
+            at = z[free & down]
+            bound = hi_flat[at]
+            hi_flat[at] = np.where(bound > 0.0, 0.0, bound)
             # Stable neurons already carry their piece's equality; only the
             # opposite phase (an empty region) moves bounds, on the node's
             # first such column (pairs come in row-major order).
             wrong = np.flatnonzero(v == base.contradicts[c])
             if wrong.size:
-                wrong = wrong[np.unique(r[wrong], return_index=True)[1]]
-                at = r[wrong], z[wrong]
-                lo[at], hi[at] = 1.0, -1.0
+                at = z[wrong[np.unique(r[wrong], return_index=True)[1]]]
+                lo_flat[at], hi_flat[at] = 1.0, -1.0
         if single:
             return lo[0], hi[0], None if b_ub is None else b_ub[0]
         return lo, hi, b_ub
@@ -689,6 +756,13 @@ class NetworkEncoding:
         whose multipliers are missing or non-finite, or whose bound is not
         finite, gets ``+inf`` -- that node alone; multipliers not shaped
         for this layout (``split``/width) give every node ``+inf``.
+
+        The pass builds no operator per call (the base's transposed
+        matrices serve every batch) and reads the packed multipliers in
+        place when every node has a usable row.  Each entry still takes
+        the float64 operations of the formula above in the same order, so
+        a rewrite here must keep the bounds bitwise (the reference in
+        ``tests/test_lagrangian.py``).
         """
         count = len(phases)
         if len(duals) != count:
@@ -701,32 +775,41 @@ class NetworkEncoding:
             if block.activation is not None:
                 s = self._block_slope(block.activation)
                 zl, zu, a = pre_lo[k], pre_hi[k], self.a_slices[k]
+                lo_a, hi_a = box_lo[:, a], box_hi[:, a]
                 # y = max(z, s*z) is nondecreasing for s in [0, 1].
-                box_lo[:, a] = np.maximum(np.maximum(zl, s * zl), box_lo[:, a])
-                box_hi[:, a] = np.minimum(np.maximum(zu, s * zu), box_hi[:, a])
+                np.maximum(np.maximum(zl, s * zl), lo_a, out=lo_a)
+                np.minimum(np.maximum(zu, s * zu), hi_a, out=hi_a)
 
         m_ub, m_eq = self.dual_rows()
-        lam = np.zeros((count, m_ub))
-        mu = np.zeros((count, m_eq))
-        valid = np.zeros(count, dtype=bool)
         rows = duals.matrix
-        if duals.split == m_ub and rows.shape[1] == m_ub + m_eq:
+        at = np.empty(0, dtype=np.intp)
+        if duals.fits((m_ub, m_eq)):
             finite = np.isfinite(rows).all(axis=1)
             at = np.flatnonzero(duals.present)[finite]
-            lam[at], mu[at] = rows[finite, :m_ub], rows[finite, m_ub:]
-            valid[at] = True
-        g = np.broadcast_to(np.asarray(cost, dtype=np.float64), box_lo.shape)
+        valid = np.zeros(count, dtype=bool)
+        valid[at] = True
+        if at.size == count:  # every node present: row j is node j's
+            lam, mu = rows[:, :m_ub], rows[:, m_ub:]
+        else:
+            lam, mu = np.zeros((count, m_ub)), np.zeros((count, m_eq))
+            if at.size:
+                lam[at], mu[at] = rows[finite, :m_ub], rows[finite, m_ub:]
+        g = np.asarray(cost, dtype=np.float64)
         rhs = np.zeros(count)
         if m_ub:
-            finite = np.isfinite(b_ub)
-            lam = np.where(finite, np.maximum(lam, 0.0), 0.0)
-            g = g + lam @ base.a_ub
-            rhs += np.einsum("ij,ij->i", lam, np.where(finite, b_ub, 0.0))
+            lam = np.maximum(lam, 0.0)
+            unbounded = ~np.isfinite(b_ub)
+            lam[unbounded] = 0.0
+            b_ub[unbounded] = 0.0
+            g = g + (base.a_ub_t @ lam.T).T
+            rhs += np.einsum("ij,ij->i", lam, b_ub)
         if m_eq:
-            g = g + mu @ base.a_eq
+            mu = np.ascontiguousarray(mu)
+            g = g + (base.a_eq_t @ mu.T).T
             rhs += mu @ base.b_eq
         with np.errstate(invalid="ignore", over="ignore"):
-            term = np.where(g > 0, g * box_lo, g * box_hi)  # min of g @ x
+            # min of g @ x over the box; C order fixes the row sums' order.
+            term = np.multiply(g, _select(g > 0, box_lo, box_hi), order="C")
             bound = rhs - term.sum(axis=1)
         valid &= np.isfinite(term).all(axis=1) & np.isfinite(bound)
         return np.where(valid, bound, np.inf)

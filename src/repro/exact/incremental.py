@@ -42,8 +42,8 @@ from repro.api.config import (
     warn_legacy,
 )
 from repro.domains.box import Box
-from repro.exact.bab import BaBResult, BaBSolver
-from repro.exact.encoding import NetworkEncoding
+from repro.exact.bab import BaBResult, BaBSolver, CoveringLeaves
+from repro.exact.encoding import NetworkEncoding, PackedDuals
 from repro.nn.network import Network
 
 __all__ = ["BranchCertificate", "prove_with_certificate", "certify_threshold"]
@@ -64,12 +64,11 @@ class BranchCertificate:
     leaves: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 0), dtype=np.int8))
     block_dims: List[int] = field(default_factory=list)
-    #: Per-leaf node-LP dual multipliers ``(dual_ub, dual_eq)`` (or
-    #: ``None``) captured during the proving solve, aligned with the rows
-    #: of ``leaves`` -- advisory bookkeeping for certificate recording
-    #: (:mod:`repro.certs`), never consulted when re-proving from the
-    #: leaves alone.
-    leaf_duals: Optional[list] = None
+    #: Per-leaf node-LP dual multipliers captured during the proving
+    #: solve, packed by the rows of ``leaves`` -- advisory bookkeeping for
+    #: certificate recording (:mod:`repro.certs`), never consulted when
+    #: re-proving from the leaves alone.
+    leaf_duals: Optional[PackedDuals] = None
 
     @property
     def num_leaves(self) -> int:
@@ -83,7 +82,7 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
                        threshold: float,
                        encoding: Optional[NetworkEncoding] = None,
                        config: Optional[VerifyConfig] = None,
-                       collect_duals: Optional[dict] = None) -> tuple:
+                       collect_duals: bool = False) -> tuple:
     """Internal threshold certification (no deprecation): the engine path.
 
     Returns ``(BaBResult, BranchCertificate | None)`` -- the certificate is
@@ -93,10 +92,10 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
     objectives over one ``(network, box)`` pair builds the LP base exactly
     once.  The search's settled leaves form the covering certificate,
     whatever ``config.workers`` is.
-    ``collect_duals`` (a caller-owned list) additionally captures each
-    leaf's optimal node-LP dual multipliers and rides back on the returned
-    certificate's ``leaf_duals`` -- the raw material certificate
-    recording (:mod:`repro.certs`) persists.
+    ``collect_duals`` additionally captures each leaf's optimal node-LP
+    dual multipliers, which ride back packed on the returned certificate's
+    ``leaf_duals`` -- the raw material certificate recording
+    (:mod:`repro.certs`) persists.
     """
     config = config or VerifyConfig()
     # Certificates are global proofs: run under the full budget.
@@ -104,20 +103,18 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
         network, input_box,
         config.replace(node_limit=config.effective_full_node_limit),
         encoding=encoding)
-    leaves: List[np.ndarray] = []
+    leaves = CoveringLeaves(solver.encoding, duals=collect_duals)
     result = solver.maximize(np.asarray(c, dtype=np.float64),
-                             threshold=threshold, collect_leaves=leaves,
-                             collect_duals=collect_duals)
+                             threshold=threshold, collect_leaves=leaves)
     if result.status not in ("threshold_proved", "optimal") or \
             result.upper_bound > threshold + config.tol:
         return result, None
     certificate = BranchCertificate(
         objective=np.asarray(c, dtype=np.float64).copy(),
         threshold=float(threshold),
-        leaves=np.array(leaves, dtype=np.int8).reshape(
-            len(leaves), sum(solver.encoding.phase_widths)),
+        leaves=leaves.matrix(),
         block_dims=network.block_dims(),
-        leaf_duals=collect_duals,
+        leaf_duals=leaves.duals(),
     )
     return result, certificate
 

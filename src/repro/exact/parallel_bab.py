@@ -77,6 +77,7 @@ from repro.exact.bab import (
     BAB_REFUTED,
     BaBResult,
     BaBSolver,
+    CoveringLeaves,
 )
 from repro.exact.encoding import PackedDuals, as_phase_matrix
 from repro.exact.highs import kernel_for
@@ -94,9 +95,8 @@ FRONTIER_WIDTH = 8
 def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                       threshold: Optional[float] = None,
                       initial_nodes=None,
-                      collect_leaves: Optional[List[np.ndarray]] = None,
+                      collect_leaves: Optional[CoveringLeaves] = None,
                       start_screen=None,
-                      collect_duals: Optional[List] = None,
                       initial_duals: Optional[PackedDuals] = None,
                       ) -> BaBResult:
     """``max c @ f(x)`` for :meth:`BaBSolver.maximize`, which documents the
@@ -107,6 +107,8 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     the warm starts, then every round's children -- is screened as one
     ``(N, W)`` matrix, and its surviving node LPs get their bounds from
     one :meth:`~repro.exact.encoding.NetworkEncoding.node_bounds` call.
+    The nodes a screen settles reach ``collect_leaves`` as one block of
+    rows, with their multipliers as one :class:`PackedDuals`.
     """
     # Imported lazily: repro.core.parallel pulls in the proposition
     # machinery, which sits *above* the exact layer in the import graph.
@@ -124,7 +126,8 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     objective = enc.output_objective(np.asarray(c, dtype=np.float64))
     neg_obj = -objective  # linprog minimises
     c_vec = np.asarray(c, dtype=np.float64).reshape(-1)
-    want_duals = collect_duals is not None
+    want_duals = collect_leaves is not None and \
+        collect_leaves.dual_rows is not None
 
     lp_solves = 0
     nodes = 0
@@ -142,14 +145,17 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     def screen_nodes(phases: np.ndarray):
         return solver._screen_nodes(phases, c_vec)
 
+    # The collectors are called on the coordinating thread only (results
+    # are folded in submission order after each batch), so the caller's
+    # collector needs no locking.
     def record_leaf(phases: np.ndarray, dual) -> None:
-        # Called on the coordinating thread only (results are folded in
-        # submission order after each batch), so the caller's lists need
-        # no locking.
         if collect_leaves is not None:
-            collect_leaves.append(phases)
-            if collect_duals is not None:
-                collect_duals.append(dual)
+            collect_leaves.add(phases, dual)
+
+    def record_block(rows: np.ndarray,
+                     duals: Optional[PackedDuals]) -> None:
+        if collect_leaves is not None:
+            collect_leaves.add_block(rows, duals)
 
     def node_thunk(col_lo, col_hi, b_ub, basis, label: str
                    ) -> Callable[[], LPResult]:
@@ -202,53 +208,57 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             incumbent = value
             witness = x_clipped
 
-    def settle_screened(batch: List[Tuple[np.ndarray, object, object]],
-                        screened, bar: float) -> List[int]:
-        """Settle the ``(phases, parent_basis, dual)`` candidates one
-        batched screen decides: empty regions, regions whose interval bound
-        cannot beat ``bar``, and regions closed below the threshold on
-        intervals alone (folded into ``screened_bound``).  Returns the
-        survivors' batch indices, in batch order."""
+    def settle_screened(phases: np.ndarray, duals: Optional[PackedDuals],
+                        screened, bar: float) -> np.ndarray:
+        """Settle the candidate rows of ``phases`` one batched screen
+        decides: empty regions, regions whose interval bound cannot beat
+        ``bar``, and regions closed below the threshold on intervals alone
+        (folded into ``screened_bound``).  They are recorded as one block,
+        in row order, with their rows of ``duals`` (``None``: no
+        multipliers).  Returns the survivors' row indices, in order."""
         nonlocal screened_bound
         ubs, feasible, _ = screened
-        keep = []
-        for j, (phases, _, dual) in enumerate(batch):
-            if use_screen and not feasible[j]:
-                record_leaf(phases, dual)  # the phase constraints empty it
-                continue
-            if solver.interval_prune:
-                ub = float(ubs[j])
-                if ub <= bar + tol:
-                    record_leaf(phases, dual)  # dominated by the incumbent
-                    continue
-                if threshold is not None and ub <= threshold + tol:
-                    screened_bound = max(screened_bound, ub)
-                    record_leaf(phases, dual)  # closed below the threshold
-                    continue
-            keep.append(j)
-        return keep
+        settled = np.zeros(len(phases), dtype=bool)
+        if use_screen:
+            settled |= ~feasible  # the phase constraints empty them
+        if solver.interval_prune:
+            settled |= ubs <= bar + tol  # dominated by the incumbent
+            if threshold is not None:
+                closed = ~settled & (ubs <= threshold + tol)
+                if closed.any():  # closed below the threshold
+                    screened_bound = max(screened_bound,
+                                         float(ubs[closed].max()))
+                settled |= closed
+        if settled.any():
+            index = np.flatnonzero(settled)
+            record_block(phases[index],
+                         None if duals is None else duals.take(index))
+        return np.flatnonzero(~settled)
 
     # Max-heap on node upper bounds (negate for heapq); each entry carries
     # its phase row, LP point, optimal basis (its children's hot start)
     # and the multipliers recorded if it settles as a leaf.
     heap: List[Tuple] = []
 
-    def solve_and_fold(batch: List[Tuple[np.ndarray, object, object]],
-                       phases: np.ndarray, keep: List[int], pre,
-                       stage: str, kind: str) -> bool:
-        """Solve the ``keep`` survivors of ``batch`` (rows of ``phases``;
-        ``pre`` the screen's per-block tightenings or ``None``) as one
-        batch and fold the results in submission order; ``kind="child"``
-        also settles LPs dominated by the incumbent.  Returns whether any
-        LP was feasible."""
+    def solve_and_fold(phases: np.ndarray, keep: np.ndarray,
+                       bases: Optional[List], duals: Optional[PackedDuals],
+                       pre, stage: str, kind: str) -> bool:
+        """Solve the ``keep`` rows of ``phases`` as one batch and fold the
+        results in submission order: ``bases`` holds each kept row's
+        parent basis (``None``: all cold), ``duals`` the multipliers each
+        kept row records if it settles (``None``: none), ``pre`` the
+        screen's per-block tightenings or ``None``.  ``kind="child"`` also
+        settles LPs dominated by the incumbent.  Returns whether any LP
+        was feasible."""
         tight = None if pre is None else (
             [lo[keep] for lo in pre[0]], [hi[keep] for hi in pre[1]])
         results = solve_batch(
             phases if len(keep) == len(phases) else phases[keep], tight,
-            [batch[j][1] for j in keep], stage)
+            [None] * len(keep) if bases is None else bases, stage)
+        entries = [None] * len(keep) if duals is None else list(duals)
         any_feasible = False
-        for j, res in zip(keep, results):
-            row, _, dual = batch[j]
+        for j, res, dual in zip(keep, results, entries):
+            row = phases[j]
             if res.status == LP_INFEASIBLE:
                 record_leaf(row, dual)  # the region is empty: settled
                 continue
@@ -297,8 +307,8 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     # ------------------------------------------------------------- warm start
     starts = as_phase_matrix(initial_nodes, enc.phase_widths) if warm else \
         np.zeros((1, sum(enc.phase_widths)), dtype=np.int8)
-    if initial_duals is None or len(initial_duals) != len(starts):
-        initial_duals = [None] * len(starts)
+    if initial_duals is not None and len(initial_duals) != len(starts):
+        initial_duals = None
     screened = no_screen
     if use_screen:
         # A caller-supplied screen (certificate reuse's dual-bound screen)
@@ -309,23 +319,22 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         if solver.interval_prune and threshold is not None and \
                 np.all(start_ubs <= threshold + tol):
             # The covering regions all close on the screen alone: proved
-            # without a single LP.
-            for start, dual in zip(starts, initial_duals):
-                record_leaf(start, dual)
+            # without a single LP, and they are the certificate as given.
+            record_block(starts, initial_duals)
             lp_solves_saved = nodes_reused
             return result(BAB_PROVED, float(start_ubs.max()))
     # Starts screen against an -inf incumbent: all surviving start LPs
     # solve in one batch, so no earlier start's incumbent exists yet.
-    start_batch = [(start, None, dual)
-                   for start, dual in zip(starts, initial_duals)]
-    surviving = settle_screened(start_batch, screened, -np.inf)
+    surviving = settle_screened(starts, initial_duals, screened, -np.inf)
     if warm:
         lp_solves_saved = len(starts) - len(surviving)
     any_feasible = False
-    if surviving:
+    if len(surviving):
         rounds += 1
-        any_feasible = solve_and_fold(start_batch, starts, surviving,
-                                      screened[2], "start", "start")
+        any_feasible = solve_and_fold(
+            starts, surviving, None,
+            None if initial_duals is None else initial_duals.take(surviving),
+            screened[2], "start", "start")
     if not any_feasible:
         if screened_bound > -np.inf:
             # Every LP-checked region was empty, but interval-screened
@@ -362,7 +371,8 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             popped.append(entry[2:])
 
         rounds += 1
-        children: List[Tuple[np.ndarray, object, object]] = []
+        children: List[np.ndarray] = []
+        parent_bases: List = []
         for phases, x_lp, basis, dual in popped:
             nodes += 1
             column = solver._most_violated(x_lp, phases)
@@ -374,18 +384,19 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             for phase in (1, -1):
                 child = phases.copy()
                 child[column] = phase
-                children.append((child, basis, None))
+                children.append(child)
+                parent_bases.append(basis)
         if not children:
             batches.append(0)
             continue
 
         # One batched pass screens the whole round's children at once.
-        rows = np.stack([child for child, _, _ in children])
+        rows = np.stack(children)
         screened = screen_nodes(rows) if use_screen else no_screen
-        surviving = settle_screened(children, screened, incumbent)
+        surviving = settle_screened(rows, None, screened, incumbent)
         # Concurrent node-LP solves; results folded in submission order.
-        solve_and_fold(children, rows, surviving, screened[2],
-                       f"round{rounds}", "child")
+        solve_and_fold(rows, surviving, [parent_bases[j] for j in surviving],
+                       None, screened[2], f"round{rounds}", "child")
 
     # No open node remains.  The incumbent can cross the threshold during
     # the *last* round with no further top-of-heap check to notice it

@@ -19,7 +19,7 @@ from repro.domains import (
     screen_containments,
 )
 from repro.errors import DomainError, MonitorError, ShapeError
-from repro.exact import BaBSolver, maximize_output
+from repro.exact import BaBSolver, CoveringLeaves, maximize_output
 from repro.exact.encoding import phase_maps
 from repro.monitor import BoxMonitor, screen_states
 from repro.nn import Dense, LeakyReLU, Network, ReLU, random_relu_network
@@ -250,10 +250,10 @@ class TestBaBIntervalPruning:
         net = random_relu_network([3, 8, 6, 1], seed=2, weight_scale=0.9)
         box = Box(-0.7 * np.ones(3), 0.7 * np.ones(3))
         solver = BaBSolver(net, box, interval_prune=True)
-        leaves = []
+        leaves = CoveringLeaves(solver.encoding)
         opt = solver.maximize(np.array([1.0]), collect_leaves=leaves)
         assert opt.status == "optimal"
-        leaves = phase_maps(np.array(leaves), net.block_dims()[1:])
+        leaves = phase_maps(leaves.matrix(), net.block_dims()[1:])
         for x in box.sample(200, rng):
             pre = []
             values = x

@@ -27,13 +27,14 @@ from repro.api import (
 )
 from repro.certs import (
     certificate_key,
+    extract_certificate,
     load_certificate,
     structural_fingerprint,
     validate_certificate,
 )
 from repro.domains import Box
 from repro.errors import CertificateError
-from repro.exact import NetworkEncoding
+from repro.exact import CoveringLeaves, NetworkEncoding
 from repro.exact.encoding import PackedDuals
 from repro.nn.builders import random_relu_network
 
@@ -763,6 +764,112 @@ class TestRecordGate:
         assert checked.checked > 0 and hits > 0 and saved > 0
 
 
+class TestBlockRecording:
+    """Warm-start leaves the screen settles are collected as one block,
+    and the recorder picks dual rows by row selection; the certificates
+    recorded that way are exactly those of per-leaf collection and
+    per-leaf packing."""
+
+    class PerLeafLeaves(CoveringLeaves):
+        """Reference collector: each block is taken apart into per-leaf
+        rows and ``(lambda, mu)`` entries, packed leaf by leaf."""
+
+        def add_block(self, rows, duals=None):
+            entries = list(duals) if duals is not None and \
+                len(duals) == len(rows) else [None] * len(rows)
+            for row, dual in zip(rows, entries):
+                self.add(row, dual)
+
+    @staticmethod
+    def per_leaf_extract(network, input_box, objective, threshold, result,
+                         leaves, config=None, lp_baseline=None, duals=None):
+        """Reference recorder: the stored duals packed leaf by leaf --
+        each kept when its leaf is feasible and its lengths fit the node
+        layout -- before the stock recorder sees them."""
+        from repro.domains.batch import phase_clamped_affine_bounds
+
+        enc = NetworkEncoding.for_problem(network, input_box)
+        _, feasible, _, _ = phase_clamped_affine_bounds(
+            network, input_box, leaves, objective)
+        entries = list(duals) if duals is not None and \
+            len(duals) == len(leaves) else [None] * len(leaves)
+        sizes = enc.dual_rows()
+        packed = PackedDuals.pack([
+            dual if dual is not None and feasible[j] and
+            (np.size(dual[0]), np.size(dual[1])) == sizes else None
+            for j, dual in enumerate(entries)])
+        return extract_certificate(network, input_box, objective, threshold,
+                                   result, leaves, config=config,
+                                   lp_baseline=lp_baseline, duals=packed)
+
+    class Recorded(MemCerts):
+        def __init__(self):
+            super().__init__()
+            self.puts = []
+
+        def cert_put(self, cert_key, cert_json):
+            self.puts.append(cert_json)
+            super().cert_put(cert_key, cert_json)
+
+    def _record_sequence(self, specs):
+        store = self.Recorded()
+        engine = VerificationEngine(VerifyConfig(certs="reuse"), certs=store)
+        lp_solves = []
+        for spec in specs:
+            verdict = engine.verify(spec)
+            lp_solves.append((verdict.provenance.cert_hit,
+                              verdict.result.lp_solves))
+        return store.puts, lp_solves
+
+    def test_recorded_strings_match_a_per_leaf_reference(self,
+                                                         monkeypatch):
+        import repro.certs
+        import repro.certs.reuse
+        import repro.exact.incremental
+
+        specs = _tuning_sequence(steps=6)
+        puts, lp_solves = self._record_sequence(specs)
+        # A cold record, then warm hits that settled LP-free and re-records
+        # after warm starts that still needed LPs.
+        assert not lp_solves[0][0] and len(puts) >= 2
+        assert any(hit and lps == 0 for hit, lps in lp_solves)
+        assert any(hit and lps > 0 for hit, lps in lp_solves)
+        for module in (repro.certs.reuse, repro.exact.incremental):
+            monkeypatch.setattr(module, "CoveringLeaves", self.PerLeafLeaves)
+        monkeypatch.setattr(repro.certs, "extract_certificate",
+                            self.per_leaf_extract)
+        reference, reference_lps = self._record_sequence(specs)
+        assert reference_lps == lp_solves
+        assert reference == puts
+
+
+    def test_screen_settled_leaves_keep_their_stored_duals(self):
+        """A warm re-record keeps the stored multipliers of every leaf
+        the screen settled; only the leaves that paid an LP (at most one
+        per LP) carry new ones."""
+        store = self.Recorded()
+        engine = VerificationEngine(VerifyConfig(certs="reuse"), certs=store)
+        checked = 0
+        for spec in _tuning_sequence(steps=6):
+            before = len(store.puts)
+            verdict = engine.verify(spec)
+            if not (verdict.provenance.cert_hit and len(store.puts) > before):
+                continue
+            old, new = (load_certificate(text)
+                        for text in store.puts[before - 1:before + 1])
+            stored = {row.tobytes(): dual for row, dual in
+                      zip(old.leaves, old.leaf_duals) if dual is not None}
+            common = [(row.tobytes(), dual) for row, dual in
+                      zip(new.leaves, new.leaf_duals)
+                      if row.tobytes() in stored]
+            kept = sum(dual is not None and all(
+                np.array_equal(a, b) for a, b in zip(dual, stored[key]))
+                for key, dual in common)
+            assert kept >= len(common) - verdict.result.lp_solves > 0
+            checked += 1
+        assert checked
+
+
 def _tuning_sequence(steps=4):
     """The record gate's update sequence: one threshold proof of a
     [4, 12, 8, 1] net, then of ``steps - 1`` successive perturbations."""
@@ -821,15 +928,34 @@ def cert_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def cover_calls(monkeypatch):
+    """Counts the covering checks validation runs, and how many failed."""
+    import repro.certs.certificate as certificate_module
+
+    calls = {"count": 0, "false": 0}
+    check = certificate_module.leaves_cover
+
+    def counted(leaves):
+        calls["count"] += 1
+        verdict = check(leaves)
+        calls["false"] += not verdict
+        return verdict
+
+    monkeypatch.setattr(certificate_module, "leaves_cover", counted)
+    return calls
+
+
 def _cold(spec):
     return VerificationEngine(VerifyConfig()).verify(spec)
 
 
 class TestCertificateMemo:
-    """The engine's decoded-certificate memo: a hit skips only the
-    parse.  Validation and the re-screen still run, a changed string is
-    decoded afresh, and the decisions, verdicts and recorded certificates
-    are those of an engine without it."""
+    """The engine's decoded-certificate memo: a hit skips the parse and,
+    through the covering verdict kept on the decoded certificate, the
+    cover check.  Every other validation check and the re-screen still
+    run, a changed string is decoded afresh, and the decisions, verdicts
+    and recorded certificates are those of an engine without it."""
 
     def test_hit_skips_load_but_still_validates(self, threshold_problem,
                                                 cert_calls):
@@ -998,6 +1124,141 @@ class TestCertificateMemo:
         for text, cert in memo.values():
             assert text in spellings
             assert certificate_to_json(cert) == cert_json
+
+    def test_hit_skips_the_cover_check_but_not_the_problem_checks(
+            self, threshold_problem, cert_calls, cover_calls):
+        net, box, c, thr = threshold_problem
+        cert_json = _record(threshold_problem, MemCerts())
+        config = VerifyConfig(certs="reuse")
+        engine = VerificationEngine(config, certs=SameCerts(cert_json))
+        rng = np.random.default_rng(3)
+        for step in range(3):
+            spec = _spec(net.perturb(0.002, rng=rng), box, c, thr)
+            assert engine.verify(spec).provenance.cert_hit is True
+            # Only the first use decodes and checks the cover.
+            assert (cert_calls["load"], cover_calls["count"]) == (1, 1)
+        key = certificate_key(net, box, c, thr, config)
+        stored = engine._cert_memo[key][1]
+        # The remembered certificate asked about another problem: every
+        # check but the cover check still runs and rejects it.
+        other_config = VerifyConfig(certs="reuse", tol=1e-7)
+        for spec, cfg, reason in (
+                (_spec(net, box, c, thr + 1.0), config, "threshold"),
+                (_spec(net, box, c, thr), other_config, "config"),
+                (_spec(random_relu_network([3, 9, 6, 1], seed=5), box, c,
+                       thr), config, "fingerprint")):
+            with pytest.raises(CertificateError, match=reason):
+                validate_certificate(stored, spec.network, spec.objective,
+                                     spec.threshold, cfg)
+            for _ in range(2):  # a fresh decode, then a memo hit
+                verdict = engine.verify(spec, config=cfg)
+                assert verdict.provenance.cert_hit is False
+                assert verdict_decision_json(verdict) == \
+                    verdict_decision_json(_cold(spec))
+        assert cover_calls["count"] == 1
+
+    def test_string_edited_to_leave_a_gap_misses_and_is_rejected(
+            self, threshold_problem, cert_calls, cover_calls):
+        net, box, c, thr = threshold_problem
+        store = MemCerts()
+        engine = VerificationEngine(VerifyConfig(certs="reuse"),
+                                    certs=store)
+        spec = _spec(net, box, c, thr)
+        assert engine.verify(spec).provenance.cert_hit is False
+        assert engine.verify(spec).provenance.cert_hit is True
+        key, cert_json = next(iter(store.entries.items()))
+        cert = load_certificate(cert_json)
+        assert len(cert.leaves) >= 2
+        cert.leaves = cert.leaves[1:]
+        del cert.leaf_bounds[0]
+        del cert.leaf_verdicts[0]
+        cert.leaf_duals = cert.leaf_duals.take(slice(1, None))
+        store.entries[key] = certificate_to_json(cert)
+        loads, covers = cert_calls["load"], cover_calls["count"]
+        verdict = engine.verify(spec)
+        assert cert_calls["load"] == loads + 1
+        assert cover_calls["count"] == covers + 1
+        assert cover_calls["false"] == 1
+        assert verdict.provenance.cert_hit is False
+        assert verdict_decision_json(verdict) == \
+            verdict_decision_json(_cold(spec))
+
+    def test_writeable_leaves_never_cache_the_cover(self, threshold_problem,
+                                                    cover_calls):
+        net, _box, c, thr = threshold_problem
+        cert = load_certificate(_record(threshold_problem, MemCerts()))
+        assert len(cert.leaves) >= 2
+        decoded = cert.leaves
+        owned = np.array(decoded)
+        owned.setflags(write=False)  # read-only, but could be made writeable
+        for leaves in (np.array(decoded), owned):
+            cert.leaves = leaves
+            for _ in range(2):
+                validate_certificate(cert, net, c, thr, VerifyConfig())
+            assert cert._cover is None
+        assert cover_calls["count"] == 4
+        # Mutated in place, a writeable matrix is judged afresh: the
+        # first leaf now repeats the second, which leaves a gap.
+        cert.leaves = np.array(decoded)
+        validate_certificate(cert, net, c, thr, VerifyConfig())
+        cert.leaves[0] = cert.leaves[1]
+        with pytest.raises(CertificateError, match="partition"):
+            validate_certificate(cert, net, c, thr, VerifyConfig())
+        # The decoded matrix is a read-only view of bytes: cached once.
+        cert.leaves = decoded
+        for _ in range(2):
+            validate_certificate(cert, net, c, thr, VerifyConfig())
+        assert cover_calls["count"] == 7
+        assert cert._cover == (decoded, True)
+
+    def test_shared_certificate_covers_under_threads(self,
+                                                     threshold_problem):
+        """More threads than cores and a short switch interval: while one
+        thread swaps a shared certificate's leaves between a covering and
+        a gapped immutable matrix, threads asking for its covering verdict
+        never find a verdict kept with a matrix it does not belong to, and
+        get the covering matrix's verdict once the swaps stop."""
+        import sys
+        import threading
+
+        from repro.certs import leaves_cover
+
+        cert = load_certificate(_record(threshold_problem, MemCerts()))
+        good = cert.leaves
+        gapped = good[1:]
+        assert leaves_cover(good) and not leaves_cover(gapped)
+        errors = []
+        stop = threading.Event()
+
+        def swapper():
+            for j in range(400):
+                cert.leaves = gapped if j % 2 else good
+            cert.leaves = good
+            stop.set()
+
+        def asker():
+            while not stop.is_set():
+                cert.covers()
+                memo = cert._cover
+                if memo is not None and memo[1] != leaves_cover(memo[0]):
+                    errors.append("kept a verdict of another matrix")
+            if cert.covers() is not True:
+                errors.append("wrong verdict once the swaps stopped")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=asker) for _ in range(6)]
+            threads.append(threading.Thread(target=swapper))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cert._cover == (good, True)
 
     def test_memo_never_exceeds_its_cap(self, threshold_problem,
                                         monkeypatch):

@@ -4,7 +4,9 @@ and the batched node bounds it is built on.
 Properties, over generated small ReLU/LeakyReLU networks:
 
 * the batched bound equals a plain per-leaf closed form (kept below as the
-  reference) within 1e-12 relative;
+  reference) within 1e-12 relative, and is bitwise the plain batched
+  formula (also kept below) for any mix of good, missing, non-finite and
+  mis-shaped multipliers;
 * it is sound: for any nonnegative multipliers it is at least the node
   LP's maximum;
 * one malformed dual row costs that row alone (``+inf``), and
@@ -103,6 +105,46 @@ def _reference_upper(enc, cost, phases, tight, dual):
         term = np.where(g > 0, g * lo, g * hi)
         bound = rhs - float(term.sum())
     return bound if np.isfinite(term).all() and np.isfinite(bound) else np.inf
+
+
+def _reference_batch_uppers(enc, cost, phases, pre_lo, pre_hi, duals):
+    """The batched evaluator as a plain formula: fresh operators and
+    temporaries per call, ``np.where`` selects.  The evaluator must give
+    these bounds bit for bit (same operations per entry, same order)."""
+    count = len(phases)
+    base = enc._lp_base()
+    box_lo, box_hi, b_ub = enc.node_bounds(phases, (pre_lo, pre_hi))
+    for k, block in enumerate(enc.network.blocks()):
+        if block.activation is not None:
+            s = getattr(block.activation, "alpha", 0.0)
+            zl, zu, a = pre_lo[k], pre_hi[k], enc.a_slices[k]
+            box_lo[:, a] = np.maximum(np.maximum(zl, s * zl), box_lo[:, a])
+            box_hi[:, a] = np.minimum(np.maximum(zu, s * zu), box_hi[:, a])
+    m_ub, m_eq = enc.dual_rows()
+    lam = np.zeros((count, m_ub))
+    mu = np.zeros((count, m_eq))
+    valid = np.zeros(count, dtype=bool)
+    rows = duals.matrix
+    if duals.split == m_ub and rows.shape[1] == m_ub + m_eq:
+        finite = np.isfinite(rows).all(axis=1)
+        at = np.flatnonzero(duals.present)[finite]
+        lam[at], mu[at] = rows[finite, :m_ub], rows[finite, m_ub:]
+        valid[at] = True
+    g = np.broadcast_to(np.asarray(cost, dtype=np.float64), box_lo.shape)
+    rhs = np.zeros(count)
+    if m_ub:
+        finite = np.isfinite(b_ub)
+        lam = np.where(finite, np.maximum(lam, 0.0), 0.0)
+        g = g + lam @ base.a_ub
+        rhs += np.einsum("ij,ij->i", lam, np.where(finite, b_ub, 0.0))
+    if m_eq:
+        g = g + mu @ base.a_eq
+        rhs += mu @ base.b_eq
+    with np.errstate(invalid="ignore", over="ignore"):
+        term = np.where(g > 0, g * box_lo, g * box_hi)
+        bound = rhs - term.sum(axis=1)
+    valid &= np.isfinite(term).all(axis=1) & np.isfinite(bound)
+    return np.where(valid, bound, np.inf)
 
 
 # ---------------------------------------------------------------- problems
@@ -225,6 +267,44 @@ def test_matches_the_per_leaf_closed_form(problem):
             want = _reference_upper(enc, cost, leaf,
                                     _tight(pre_lo, pre_hi, j), duals[j])
             assert _close(got[j], want), (j, got[j], want)
+
+
+@SETTINGS
+@given(_problems(leaves=(1, 8)), st.data())
+def test_bitwise_the_plain_batched_formula(problem, data):
+    """Per node, good multipliers, missing ones, ones with a non-finite
+    entry (``+inf`` for that node) or, for the whole batch, ones shaped
+    for another layout (``+inf`` everywhere): the evaluator's bounds are
+    the plain formula's, bit for bit."""
+    enc, maps, pre_lo, pre_hi, cost, rng = problem
+    duals = (_own_duals(enc, cost, maps, pre_lo, pre_hi)
+             if data.draw(st.booleans()) else
+             _random_duals(enc, rng, len(maps)))
+    for j, dual in enumerate(duals):
+        fault = data.draw(st.sampled_from(["none", "none", "missing",
+                                           "nan", "inf"]))
+        if dual is None or fault == "missing":
+            duals[j] = None
+        elif fault != "none" and dual[1].size:
+            bad = np.nan if fault == "nan" else np.inf
+            duals[j] = (dual[0], np.where(np.arange(dual[1].size) == 0,
+                                          bad, dual[1]))
+    packed = PackedDuals.pack(duals)
+    shape = data.draw(st.sampled_from(["layout", "layout", "split",
+                                       "width"]))
+    if shape == "split" and packed.matrix.shape[1]:
+        packed = PackedDuals(packed.matrix, packed.present,
+                             (packed.split + 1) % packed.matrix.shape[1])
+    elif shape == "width":
+        packed = PackedDuals(
+            np.hstack([packed.matrix, np.zeros((len(packed.matrix), 1))]),
+            packed.present, packed.split)
+    got = enc.lagrangian_uppers(cost, maps, pre_lo, pre_hi, packed)
+    want = _reference_batch_uppers(enc, cost, maps, pre_lo, pre_hi, packed)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    if not packed.fits(enc.dual_rows()):
+        assert (got == np.inf).all()
 
 
 @SETTINGS

@@ -15,6 +15,7 @@ from repro.domains import Box
 from repro.errors import ReproError, SolverError
 from repro.exact import (
     BaBSolver,
+    CoveringLeaves,
     NetworkEncoding,
     certify_threshold,
     check_containment,
@@ -288,12 +289,12 @@ class TestFrontierEdgeCases:
     def test_collect_leaves_cover_space(self, fig2, enlarged_box2, rng):
         """Frontier leaves form a covering certificate: every sampled input
         is consistent with at least one settled leaf's phase pattern."""
-        leaves = []
         solver = BaBSolver(fig2, enlarged_box2, workers=2)
+        leaves = CoveringLeaves(solver.encoding)
         solver.maximize(np.array([1.0]), threshold=12.0,
                         collect_leaves=leaves)
-        assert leaves
-        leaves = phase_maps(np.array(leaves), fig2.block_dims()[1:])
+        assert len(leaves.matrix())
+        leaves = phase_maps(leaves.matrix(), fig2.block_dims()[1:])
 
         def pre_activation(x, k):
             hidden = fig2.forward_blocks(x, k)

@@ -308,6 +308,89 @@ class TestVerdictWireCounts:
         assert classify_failure(info.value) == ("SerializationError", False)
 
 
+class TestVerdictCertificateWire:
+    """The threshold verdict's certificate decodes strictly too: every
+    ``block_dims`` entry and every leaf triple's block and unit are
+    non-negative JSON integers, and a phase is the JSON integer -1 or +1.
+    Anything else is a permanent SerializationError -- never the
+    ``OverflowError`` of ``int(1e400)``, nor a silent ``int()`` cast."""
+
+    @pytest.fixture(scope="class")
+    def wire(self):
+        from repro.nn import fig2_network
+
+        verdict = VerificationEngine(VerifyConfig()).verify(ThresholdSpec(
+            network=fig2_network(),
+            input_box=Box(-np.ones(2), np.array([1.1, 1.1])),
+            objective=np.array([1.0]), threshold=6.5))
+        assert verdict.certified
+        wire = verdict_to_json(verdict)
+        assert json.loads(wire)["certificate"]["leaves"][1][1] == [1, 0, -1]
+        return wire
+
+    @pytest.mark.parametrize("value", ["1e400", "2.5", "true", "-1"])
+    @pytest.mark.parametrize("path", [
+        ("certificate", "block_dims", 0),
+        ("certificate", "block_dims", 1),
+        ("certificate", "leaves", 1, 1, 0),
+        ("certificate", "leaves", 1, 1, 1),
+    ])
+    def test_bad_integer_is_permanent_serialization_error(self, wire, path,
+                                                          value):
+        from repro.serve.resilience import classify_failure
+
+        assert verdict_to_json(verdict_from_json(wire)) == wire
+        with pytest.raises(SerializationError, match="non-negative") as info:
+            verdict_from_json(_with_bad_value(wire, path, value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+    @pytest.mark.parametrize("value", ["1e400", "2.5", "true", "0", "2",
+                                       "-1.0"])
+    def test_bad_phase_is_permanent_serialization_error(self, wire, value):
+        from repro.serve.resilience import classify_failure
+
+        path = ("certificate", "leaves", 1, 1, 2)
+        with pytest.raises(SerializationError,
+                           match="phase must be -1 or \\+1") as info:
+            verdict_from_json(_with_bad_value(wire, path, value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+
+class TestArtifactsWire:
+    """The artifacts' network-abstraction recipe decodes strictly:
+    ``netabs.num_groups`` is a non-negative JSON integer."""
+
+    @pytest.fixture(scope="class")
+    def wire(self):
+        from repro.api.verdict import BaselineVerdict
+        from repro.core.verifier import BaselineOutcome
+        from repro.netabs.abstraction import build_abstraction
+        from repro.nn import random_relu_network
+
+        net = random_relu_network([2, 6, 4, 1], seed=1)
+        box = Box(np.zeros(2), np.ones(2))
+        problem = VerificationProblem(net, box, Box(-50 * np.ones(1),
+                                                    50 * np.ones(1)))
+        artifacts = ProofArtifacts(
+            problem=problem,
+            network_abstraction=build_abstraction(net, box, num_groups=1))
+        return verdict_to_json(BaselineVerdict(
+            spec_type="baseline", holds=True, provenance=Provenance(),
+            detail="", result=BaselineOutcome(
+                holds=True, artifacts=artifacts, elapsed=1.0)))
+
+    @pytest.mark.parametrize("value", ["1e400", "2.5", "true", "-1"])
+    def test_bad_num_groups_is_permanent_serialization_error(self, wire,
+                                                             value):
+        from repro.serve.resilience import classify_failure
+
+        assert verdict_to_json(verdict_from_json(wire)) == wire
+        path = ("result", "artifacts", "netabs", "num_groups")
+        with pytest.raises(SerializationError, match="non-negative") as info:
+            verdict_from_json(_with_bad_value(wire, path, value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+
 def _with_bad_value(document: str, path, value: str) -> str:
     """``document`` with the JSON integer at ``path`` replaced by the
     literal ``value``."""
