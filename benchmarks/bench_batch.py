@@ -27,8 +27,8 @@ if __package__ in (None, ""):  # standalone: make src/ and repo root importable
         if entry not in sys.path:
             sys.path.insert(0, entry)
 
+from repro.api import MaximizeSpec, VerificationEngine, VerifyConfig
 from repro.domains import Box, BoxBatch, get_batched_propagator, get_propagator
-from repro.exact import maximize_output
 from repro.nn import fig2_network, random_relu_network
 
 from benchmarks.common import emit_json
@@ -85,9 +85,10 @@ def run_bab_pruning():
     """Fig. 2 workload: lp_solves with batched interval pruning on/off."""
     network = fig2_network()
     enlarged = Box(-np.ones(2), np.array([1.1, 1.1]))
-    c = np.array([1.0])
-    off = maximize_output(network, enlarged, c, interval_prune=False)
-    on = maximize_output(network, enlarged, c, interval_prune=True)
+    spec = MaximizeSpec(network=network, input_box=enlarged,
+                        objective=np.array([1.0]))
+    off, on = (VerificationEngine(VerifyConfig(interval_prune=prune))
+               .verify(spec).result for prune in (False, True))
     return {
         "workload": "bench_fig2 maximize n4 over [-1,1.1]^2",
         "optimum_pruning_off": off.upper_bound,

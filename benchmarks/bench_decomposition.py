@@ -11,7 +11,25 @@ sequential (sum) costs of each, on the vehicle SVbTV workload.
 import pytest
 
 from benchmarks.common import STATE_BUFFER
-from repro.core import check_prop4, check_prop5, verify_from_scratch
+from repro.api import PropositionSpec, VerificationEngine, VerifyConfig
+
+#: Local reuse checks and the full run get the budgets they always had.
+LOCAL = VerificationEngine(VerifyConfig(node_limit=20000))
+FULL = VerificationEngine(VerifyConfig(node_limit=120000,
+                                       full_node_limit=120000))
+
+
+def _prop(kind, artifacts, new_net, alphas=None):
+    """Proposition 4 or 5 (exact legs) on the new version."""
+    return LOCAL.verify(PropositionSpec(
+        kind=kind, artifacts=artifacts, new_network=new_net, alphas=alphas,
+        method="exact")).result
+
+
+def _full(problem):
+    """The complete, artifact-producing from-scratch run."""
+    return FULL.baseline(problem, state_buffer=STATE_BUFFER,
+                         rigor="range").result
 
 
 def _strategies(net):
@@ -29,16 +47,14 @@ def _run(bundle, name, kind, alphas):
     artifacts = bundle.baselines[0].artifacts
     new_net = bundle.nets[1]
     if kind == "prop4":
-        res = check_prop4(artifacts, new_net, method="exact", node_limit=20000)
+        res = _prop(4, artifacts, new_net)
         return res.holds, res.max_subproblem_time, res.total_subproblem_time
     if kind == "prop5":
-        res = check_prop5(artifacts, new_net, alphas=alphas, method="exact",
-                          node_limit=20000)
+        res = _prop(5, artifacts, new_net, alphas=alphas)
         return res.holds, res.max_subproblem_time, res.total_subproblem_time
     # "No reuse" means redoing what the original verification did: the
     # complete, artifact-producing run (not a one-shot threshold check).
-    res = verify_from_scratch(bundle.problem(1), state_buffer=STATE_BUFFER,
-                              rigor="range", node_limit=120000)
+    res = _full(bundle.problem(1))
     return res.holds, res.elapsed, res.elapsed
 
 
@@ -67,14 +83,11 @@ def test_benchmark_prop4_all_layers(vehicle_bundle, benchmark):
     artifacts = vehicle_bundle.baselines[0].artifacts
     new_net = vehicle_bundle.nets[1]
     benchmark.pedantic(
-        lambda: check_prop4(artifacts, new_net, method="exact",
-                            node_limit=20000),
+        lambda: _prop(4, artifacts, new_net),
         rounds=3, iterations=1)
 
 
 def test_benchmark_full_reverification(vehicle_bundle, benchmark):
     benchmark.pedantic(
-        lambda: verify_from_scratch(vehicle_bundle.problem(1),
-                                    state_buffer=STATE_BUFFER, rigor="range",
-                                    node_limit=120000),
+        lambda: _full(vehicle_bundle.problem(1)),
         rounds=1, iterations=1)

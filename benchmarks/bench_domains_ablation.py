@@ -13,8 +13,8 @@ Also benchmarks each method's runtime on the two-layer head subproblem.
 import numpy as np
 import pytest
 
+from repro.api import ContainmentSpec, OutputRangeSpec, VerificationEngine
 from repro.domains import Box, output_box
-from repro.exact import check_containment
 from repro.nn import fig2_network, random_relu_network
 
 DOMAIN_METHODS = ("box", "zonotope", "symbolic", "deeppoly")
@@ -30,9 +30,8 @@ def workload():
         din = Box(-0.8 * np.ones(3), 0.8 * np.ones(3))
         # S2 as an exact-method proof would store it: the true reachable
         # range of the head over Din, padded slightly.
-        from repro.exact import output_range_exact
-
-        s2 = output_range_exact(head, din).inflate(0.05)
+        s2 = VerificationEngine().verify(OutputRangeSpec(
+            network=head, input_box=din)).output_range.inflate(0.05)
         cases.append((head, din, s2))
     fig2 = fig2_network()
     fig2_din = Box(-np.ones(2), np.ones(2))
@@ -43,7 +42,9 @@ def workload():
 
 def _reusable(head, enlarged, s2, method):
     if method == "exact":
-        return check_containment(head, enlarged, s2, method="exact").holds is True
+        return VerificationEngine().verify(ContainmentSpec(
+            network=head, input_box=enlarged, target=s2,
+            method="exact")).holds is True
     return s2.contains_box(output_box(head, enlarged, method))
 
 

@@ -2,8 +2,8 @@
 
 Two questions about the unified engine (PR 4):
 
-1. *Facade overhead* -- ``engine.verify(spec)`` wraps the same internal
-   implementation the legacy free functions now shim to; how much does
+1. *Facade overhead* -- ``engine.verify(spec)`` wraps the ``_``-prefixed
+   internal implementation (``_maximize_output``); how much does
    the Spec dispatch + provenance bookkeeping cost per call?  Measured on
    the fig2 network (where the solve itself is microseconds, i.e. the
    worst case for relative overhead) as engine-vs-direct wall time.

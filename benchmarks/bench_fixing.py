@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 from benchmarks.common import STATE_BUFFER
-from repro.core import (
-    check_prop4,
-    incremental_fix,
-    run_parallel,
-    verify_from_scratch,
-)
-from repro.exact import check_containment
+from repro.api import (ContainmentSpec, PropositionSpec, VerificationEngine,
+                       VerifyConfig)
+from repro.core import incremental_fix, run_parallel
+
+#: Local reuse checks and the full run get the budgets they always had.
+LOCAL = VerificationEngine(VerifyConfig(node_limit=20000))
+FULL = VerificationEngine(VerifyConfig(node_limit=120000,
+                                       full_node_limit=120000))
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,9 @@ def broken_version(vehicle_bundle):
     # 0.2 x the abstraction width: breaks the S_2 check but stays repairable
     # (the tail verification from the rebuilt S'_2 still closes).
     broken.blocks()[1].dense.bias += 0.2 * float(np.max(widths))
-    prop4 = check_prop4(artifacts, broken, method="exact", node_limit=20000)
+    prop4 = LOCAL.verify(PropositionSpec(
+        kind=4, artifacts=artifacts, new_network=broken,
+        method="exact")).result
     return broken, prop4
 
 
@@ -61,9 +64,9 @@ def test_report_fixing_vs_full(vehicle_bundle, broken_version, capsys):
     artifacts = vehicle_bundle.baselines[0].artifacts
     fix = incremental_fix(artifacts, broken, prop4, method="exact",
                           node_limit=20000)
-    full = verify_from_scratch(vehicle_bundle.problem(0).__class__(
+    full = FULL.baseline(vehicle_bundle.problem(0).__class__(
         broken, vehicle_bundle.din, vehicle_bundle.dout),
-        state_buffer=STATE_BUFFER, rigor="range", node_limit=120000)
+        state_buffer=STATE_BUFFER, rigor="range").result
     with capsys.disabled():
         print("\nIncremental abstraction fixing (Section IV.C)")
         print(f"  prop4 failure pattern : "
@@ -97,8 +100,9 @@ def test_report_thread_pool_prop4(vehicle_bundle, capsys):
         tasks.append((
             f"layer{i}",
             lambda layer=layer, source=source, target=target:
-                check_containment(layer, source, target, method="exact",
-                                  node_limit=20000),
+                LOCAL.verify(ContainmentSpec(
+                    network=layer, input_box=source, target=target,
+                    method="exact")).result,
         ))
     results = run_parallel(tasks, workers=4)
     assert all(res.holds for _, res, _ in results)

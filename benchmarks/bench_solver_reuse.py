@@ -15,11 +15,11 @@ survive both fine-tuning and enlargement.  This bench measures:
 import numpy as np
 import pytest
 
+from repro.api import (MaximizeSpec, ThresholdSpec, VerificationEngine,
+                       VerifyConfig)
 from repro.domains import Box
 from repro.exact import (
     BaBSolver,
-    certify_threshold,
-    maximize_output,
     prove_with_certificate,
     tighten_preactivation_bounds,
 )
@@ -32,14 +32,24 @@ def hard_instance():
     """An instance whose threshold proof needs a non-trivial tree."""
     net = random_relu_network([5, 14, 12, 1], seed=11, weight_scale=0.9)
     box = Box(-0.8 * np.ones(5), 0.8 * np.ones(5))
-    opt = maximize_output(net, box, np.array([1.0]), node_limit=20000)
+    opt = VerificationEngine(VerifyConfig(node_limit=20000)).verify(
+        MaximizeSpec(network=net, input_box=box,
+                     objective=np.array([1.0]))).result
     threshold = opt.upper_bound + 1e-3  # tight: forces real bounding work
     return net, box, threshold
 
 
+def _certify(net, box, threshold):
+    """Cold threshold proof: ``(BaBResult, BranchCertificate | None)``."""
+    verdict = VerificationEngine().verify(ThresholdSpec(
+        network=net, input_box=box, objective=np.array([1.0]),
+        threshold=threshold))
+    return verdict.result, verdict.certificate
+
+
 def test_certificate_roundtrip(hard_instance):
     net, box, threshold = hard_instance
-    res, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+    res, cert = _certify(net, box, threshold)
     assert cert is not None
     tuned = net.perturb(1e-5, np.random.default_rng(0))
     warm = prove_with_certificate(tuned, box, cert)
@@ -48,9 +58,9 @@ def test_certificate_roundtrip(hard_instance):
 
 def test_report_cold_vs_warm(hard_instance, capsys):
     net, box, threshold = hard_instance
-    cold_res, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+    cold_res, cert = _certify(net, box, threshold)
     tuned = net.perturb(1e-5, np.random.default_rng(0))
-    cold_again, _ = certify_threshold(tuned, box, np.array([1.0]), threshold)
+    cold_again, _ = _certify(tuned, box, threshold)
     warm = prove_with_certificate(tuned, box, cert)
     with capsys.disabled():
         print("\nBranching-certificate reuse (fine-tuned network, "
@@ -90,13 +100,13 @@ def test_report_tightening(hard_instance, capsys):
 def test_benchmark_cold_proof(hard_instance, benchmark):
     net, box, threshold = hard_instance
     benchmark.pedantic(
-        lambda: certify_threshold(net, box, np.array([1.0]), threshold),
+        lambda: _certify(net, box, threshold),
         rounds=3, iterations=1)
 
 
 def test_benchmark_warm_proof(hard_instance, benchmark):
     net, box, threshold = hard_instance
-    _, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+    _, cert = _certify(net, box, threshold)
     tuned = net.perturb(1e-5, np.random.default_rng(0))
     benchmark.pedantic(
         lambda: prove_with_certificate(tuned, box, cert),

@@ -22,15 +22,12 @@ verification time of the previously solved problem -- exactly Table I's
 import pytest
 
 from benchmarks.common import NUM_CASES
-from repro.core import (
-    Table1Row,
-    check_prop1,
-    check_prop3,
-    check_prop5,
-    format_table1,
-    verify_from_scratch,
-)
+from repro.api import PropositionSpec, VerificationEngine, VerifyConfig
+from repro.core import Table1Row, check_prop3, format_table1
 from benchmarks.common import STATE_BUFFER
+
+#: Local reuse checks get the 20000-node budget they always had.
+LOCAL = VerificationEngine(VerifyConfig(node_limit=20000))
 
 
 def _svudc_incremental(bundle, case: int):
@@ -40,7 +37,9 @@ def _svudc_incremental(bundle, case: int):
     pre = check_prop3(artifacts, enlarged)
     if pre.holds:
         return True, pre.max_subproblem_time
-    res = check_prop1(artifacts, enlarged, method="exact", node_limit=20000)
+    res = LOCAL.verify(PropositionSpec(
+        kind=1, artifacts=artifacts, enlarged_din=enlarged,
+        method="exact")).result
     return res.holds, pre.max_subproblem_time + res.max_subproblem_time
 
 
@@ -49,8 +48,9 @@ def _svbtv_incremental(bundle, case: int):
     artifacts = bundle.baselines[case].artifacts
     new_net = bundle.nets[case + 1]
     cut = max(1, new_net.num_blocks // 2)
-    res = check_prop5(artifacts, new_net, alphas=[cut], method="exact",
-                      node_limit=20000)
+    res = LOCAL.verify(PropositionSpec(
+        kind=5, artifacts=artifacts, new_network=new_net, alphas=(cut,),
+        method="exact")).result
     return res.holds, res.max_subproblem_time
 
 
@@ -69,9 +69,11 @@ def test_svbtv_incremental_holds(vehicle_bundle, case):
 def test_benchmark_original_verification(vehicle_bundle, benchmark):
     """The denominator: complete from-scratch verification of version 1."""
     problem = vehicle_bundle.problem(0)
+    engine = VerificationEngine(VerifyConfig(node_limit=120000,
+                                             full_node_limit=120000))
     benchmark.pedantic(
-        lambda: verify_from_scratch(problem, state_buffer=STATE_BUFFER,
-                                    rigor="range", node_limit=120000),
+        lambda: engine.baseline(problem, state_buffer=STATE_BUFFER,
+                                rigor="range"),
         rounds=1, iterations=1)
 
 

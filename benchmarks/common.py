@@ -17,11 +17,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core import (
-    BaselineOutcome,
-    VerificationProblem,
-    verify_from_scratch,
-)
+from repro.api import VerificationEngine, VerifyConfig
+from repro.core import BaselineOutcome, VerificationProblem
 from repro.domains import Box
 from repro.domains.propagate import inductive_states
 from repro.monitor import BoxMonitor
@@ -126,10 +123,12 @@ def build_vehicle_bundle(seed: int = 0) -> VehicleBundle:
         bundle.nets.append(tuned)
 
     # --- baselines: from-scratch verification per version ------------------
+    engine = VerificationEngine(VerifyConfig(node_limit=120000,
+                                             full_node_limit=120000))
     for i in range(NUM_CASES):
-        outcome = verify_from_scratch(
-            bundle.problem(i), state_buffer=STATE_BUFFER, rigor="range",
-            node_limit=120000)
+        outcome = engine.baseline(bundle.problem(i),
+                                  state_buffer=STATE_BUFFER,
+                                  rigor="range").result
         if outcome.holds is not True or not outcome.artifacts.states_prove_safety:
             raise RuntimeError(
                 f"baseline verification of version {i} did not close: "

@@ -11,8 +11,9 @@ Run:  python examples/fig2_paper_example.py
 
 import numpy as np
 
+from repro.api import ContainmentSpec, MaximizeSpec, VerificationEngine
 from repro.domains import Box, propagate_network
-from repro.exact import NetworkEncoding, check_containment, maximize_output, solve_milp
+from repro.exact import NetworkEncoding, solve_milp
 from repro.nn import fig2_network
 
 
@@ -37,12 +38,15 @@ def main() -> None:
     milp = solve_milp(c, system, maximize=True)
     print(f"  MILP optimum  : {milp.value:.4g}  ({milp.nodes} B&B nodes)")
 
-    bab = maximize_output(net, enlarged, np.array([1.0]))
+    engine = VerificationEngine()
+    bab = engine.verify(MaximizeSpec(network=net, input_box=enlarged,
+                                     objective=np.array([1.0]))).result
     print(f"  BaB optimum   : {bab.upper_bound:.4g}  "
           f"(witness x = {np.round(bab.witness, 3)})")
 
     s2 = Box(np.array([0.0]), np.array([12.0]))
-    res = check_containment(net, enlarged, s2, method="exact")
+    res = engine.verify(ContainmentSpec(network=net, input_box=enlarged,
+                                        target=s2, method="exact"))
     print(f"\nProposition 1 condition g2(g1(Din ∪ Δin)) ⊆ S2 = [0, 12]: "
           f"{'HOLDS' if res.holds else 'fails'}  "
           f"(exact max {bab.upper_bound:.4g} < 12)")

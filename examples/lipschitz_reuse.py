@@ -11,6 +11,7 @@ Run:  python examples/lipschitz_reuse.py
 
 import numpy as np
 
+from repro.api import VerificationEngine
 from repro.core import (
     ContinuousVerifier,
     LipschitzCertificate,
@@ -19,7 +20,6 @@ from repro.core import (
     SVuDC,
     VerificationProblem,
     check_prop3,
-    verify_from_scratch,
 )
 from repro.domains import Box, box_kappa
 from repro.domains.propagate import inductive_states
@@ -60,7 +60,8 @@ def trained_example() -> None:
     din = Box(np.zeros(4), np.ones(4))
     sn = inductive_states(net, din, 0.03)[-1]
     problem = VerificationProblem(net, din, sn.inflate(0.5))
-    baseline = verify_from_scratch(problem, state_buffer=0.03)
+    baseline = VerificationEngine().baseline(problem,
+                                             state_buffer=0.03).result
     ell = baseline.artifacts.lipschitz.ell
     print(f"certified ell = {ell:.4g}  "
           f"(empirical witness {empirical_lipschitz(net, din.sample(200, rng)):.4g}, "

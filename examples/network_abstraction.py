@@ -12,7 +12,8 @@ Run:  python examples/network_abstraction.py
 
 import numpy as np
 
-from repro.core import check_prop6, verify_from_scratch, VerificationProblem
+from repro.api import VerificationEngine
+from repro.core import check_prop6, VerificationProblem
 from repro.domains import Box
 from repro.domains.propagate import inductive_states
 from repro.netabs import build_abstraction
@@ -39,9 +40,9 @@ def main() -> None:
     sn = inductive_states(net, din, 0.03)[-1]
     dout = bounds.union(sn).inflate(0.2)
     problem = VerificationProblem(net, din, dout)
-    baseline = verify_from_scratch(problem, state_buffer=0.03,
-                                   with_network_abstraction=True,
-                                   netabs_groups=4, netabs_margin=0.02)
+    baseline = VerificationEngine().baseline(
+        problem, state_buffer=0.03, with_network_abstraction=True,
+        netabs_groups=4, netabs_margin=0.02).result
     print(f"  original verification: safe={baseline.holds} "
           f"in {baseline.elapsed:.3f}s "
           f"(abstraction proves safety: "

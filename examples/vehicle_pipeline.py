@@ -16,6 +16,7 @@ Run:  python examples/vehicle_pipeline.py        (about a minute)
 
 import numpy as np
 
+from repro.api import VerificationEngine
 from repro.core import (
     ContinuousVerifier,
     SVbTV,
@@ -23,7 +24,6 @@ from repro.core import (
     Table1Row,
     VerificationProblem,
     format_table1,
-    verify_from_scratch,
 )
 from repro.domains.propagate import inductive_states
 from repro.monitor import BoxMonitor
@@ -66,7 +66,8 @@ def main() -> None:
     dout = sn.inflate(0.25 * float(sn.widths.max()) + 0.05)
     problem = VerificationProblem(perception.head, din, dout)
     print("verifying the head from scratch (complete, exact) ...")
-    baseline = verify_from_scratch(problem, state_buffer=0.05, rigor="range")
+    baseline = VerificationEngine().baseline(
+        problem, state_buffer=0.05, rigor="range").result
     print(f"  safe: {baseline.holds}   original time: {baseline.elapsed:.2f}s")
 
     # -------------------------------------------------- 4. drift -> SVuDC

@@ -13,7 +13,6 @@ from repro.analysis.core import Rule
 from repro.analysis.rules.certs import CertDisciplineRule
 from repro.analysis.rules.defaults import NoRestatedDefaultsRule
 from repro.analysis.rules.determinism import DeterminismRule
-from repro.analysis.rules.legacy import NoLegacyEntrypointsRule
 from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.precision import Float64SoundnessRule
 from repro.analysis.rules.storage import StoreDisciplineRule
@@ -26,7 +25,6 @@ __all__ = [
     "DeterminismRule",
     "Float64SoundnessRule",
     "LockDisciplineRule",
-    "NoLegacyEntrypointsRule",
     "NoRestatedDefaultsRule",
     "NoSwallowedTaxonomyRule",
     "StoreDisciplineRule",
@@ -34,7 +32,6 @@ __all__ = [
 ]
 
 ALL_RULES: Tuple[Rule, ...] = (
-    NoLegacyEntrypointsRule(),
     NoRestatedDefaultsRule(),
     WireDisciplineRule(),
     DeterminismRule(),

@@ -34,7 +34,6 @@ _EXPORTS = {
     # config
     "VerifyConfig": "repro.api.config",
     "ServeConfig": "repro.api.config",
-    "LegacyEntryPointWarning": "repro.api.config",
     "DEFAULT_CERT_POLICY": "repro.api.config",
     "CERT_POLICIES": "repro.api.config",
     # specs

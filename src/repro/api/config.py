@@ -8,9 +8,8 @@ those defaults:
 
 * the module-level ``DEFAULT_*`` constants below are the only place a
   default value is written down;
-* every legacy signature's keyword default references these constants
-  (``tests/test_api.py`` asserts no entry point overrides them
-  independently);
+* a knob's keyword default anywhere else references these constants
+  (the ``no-restated-defaults`` lint rule enforces it);
 * the engine and all internal orchestration pass one frozen
   :class:`VerifyConfig` instead of loose kwargs.
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional
 
@@ -43,10 +41,8 @@ __all__ = [
     "DEFAULT_CERT_POLICY",
     "ENCODING_CACHE_POLICIES",
     "CERT_POLICIES",
-    "LegacyEntryPointWarning",
     "ServeConfig",
     "VerifyConfig",
-    "warn_legacy",
 ]
 
 #: Optimality / threshold tolerance of the exact branch-and-bound legs.
@@ -89,29 +85,6 @@ _COUNT_FIELDS = ("node_limit", "full_node_limit", "max_boxes", "workers")
 #: Mirrors repro.domains.propagate.PROPAGATORS (kept static so this module
 #: stays a leaf; the registry test cross-checks the two).
 _DOMAINS = ("box", "symbolic", "zonotope", "deeppoly")
-
-
-class LegacyEntryPointWarning(DeprecationWarning):
-    """Raised (as a warning) by the pre-``repro.api`` free functions.
-
-    A distinct subclass so the CI gate can fail on *our* shims triggering
-    from inside ``src/`` without tripping over third-party deprecations.
-    """
-
-
-def warn_legacy(old: str, replacement: str) -> None:
-    """Emit the one deprecation warning a legacy shim owes its call site.
-
-    ``stacklevel=3`` attributes the warning to the *caller of the shim*
-    (shim -> here -> warnings.warn), and the standard ``__warningregistry__``
-    dedup makes it fire once per call site under the default filter.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {replacement} via repro.api "
-        "(VerificationEngine.verify)",
-        LegacyEntryPointWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -190,7 +163,7 @@ class VerifyConfig:
 
     def with_overrides(self, **maybe) -> "VerifyConfig":
         """Like :meth:`replace` but ``None`` values mean "keep mine" --
-        the adapter between legacy keyword signatures and the config."""
+        the adapter between optional keyword knobs and the config."""
         overrides = {k: v for k, v in maybe.items() if v is not None}
         return self.replace(**overrides) if overrides else self
 

@@ -13,9 +13,9 @@ and returns uniform :class:`~repro.api.verdict.Verdict` objects:
 
 Every run draws encodings from the fingerprint-keyed cache of PR 2
 (unless the config's ``encoding_cache="private"``) and reports the cache
-delta, wall time, and LP/node counts as :class:`Provenance`.  The legacy
-free functions are now thin deprecation shims over this class; new code
-and future sharding/async layers extend the engine, not N signatures.
+delta, wall time, and LP/node counts as :class:`Provenance`.  The engine
+is the one entry point for every Spec; new code and future sharding/async
+layers extend it, not N signatures.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ class VerificationEngine:
                  netabs_groups: int = 2, netabs_margin: float = 0.0,
                  config: Optional[VerifyConfig] = None) -> BaselineVerdict:
         """From-scratch verification producing reusable proof artifacts
-        (the engine-native form of the legacy ``verify_from_scratch``)."""
+        under the config's *full* node budget."""
         from repro.core.verifier import _verify_from_scratch
 
         cfg = config or self.config
@@ -399,7 +399,7 @@ class VerificationEngine:
             if holds is None and result.status == BAB_OPTIMAL:
                 # Running to optimality settles the threshold question too
                 # (same tol rule as the certificate path).  For minimize,
-                # minimize_output already negated bound and threshold back,
+                # _minimize_output already negated bound and threshold back,
                 # so the comparison flips.
                 if spec.minimize:
                     holds = result.upper_bound >= spec.threshold - cfg.tol

@@ -24,7 +24,7 @@ import base64
 import binascii
 import json
 import math
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -234,11 +234,23 @@ def config_to_json(config, **dumps_kwargs) -> str:
     return json.dumps(config.to_dict(), allow_nan=False, **dumps_kwargs)
 
 
+def _json_loads(text: str, what: str) -> Any:
+    """``json.loads`` for wire documents: nesting too deep for the parser
+    is a malformed document (a permanent :class:`SerializationError`),
+    never a bare :class:`RecursionError` a retry loop would take for a
+    transient fault."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SerializationError(
+            f"{what} JSON is nested too deeply to decode") from None
+
+
 def config_from_json(text: str):
     """Inverse of :func:`config_to_json` (unknown keys rejected loudly)."""
     from repro.api.config import VerifyConfig
 
-    data = json.loads(text)
+    data = _json_loads(text, "config")
     if not isinstance(data, dict):
         raise SerializationError(
             f"a VerifyConfig document must be a JSON object, got "
@@ -864,7 +876,7 @@ def verdict_to_json(verdict, **dumps_kwargs) -> str:
 
 def verdict_from_json(text: str):
     """Inverse of :func:`verdict_to_json`."""
-    return verdict_from_dict(json.loads(text))
+    return verdict_from_dict(_json_loads(text, "verdict"))
 
 
 #: Keys that describe *how long / how cached* a particular run was, not

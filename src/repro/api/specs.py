@@ -38,6 +38,7 @@ from repro.api.serialize import (
     box_from_jsonable,
     box_to_jsonable,
     float_to_jsonable,
+    _json_loads,
     network_from_jsonable,
     network_to_jsonable,
 )
@@ -108,7 +109,7 @@ class Spec:
 @dataclass(frozen=True, eq=False)
 class ContainmentSpec(Spec):
     """``∀x ∈ input_box : network(x) ∈ target`` (the paper's local reuse
-    condition; legacy :func:`repro.exact.verify.check_containment`)."""
+    condition)."""
 
     network: Network
     input_box: Box
@@ -136,8 +137,7 @@ class ContainmentSpec(Spec):
 
 @dataclass(frozen=True, eq=False)
 class OutputRangeSpec(Spec):
-    """The exact per-output min/max box over ``input_box`` (legacy
-    :func:`repro.exact.verify.output_range_exact`)."""
+    """The exact per-output min/max box over ``input_box``."""
 
     network: Network
     input_box: Box
@@ -159,8 +159,7 @@ class OutputRangeSpec(Spec):
 @dataclass(frozen=True, eq=False)
 class ThresholdSpec(Spec):
     """Prove ``max objective @ network(x) <= threshold`` and keep the
-    branching certificate (legacy
-    :func:`repro.exact.incremental.certify_threshold`)."""
+    branching certificate."""
 
     network: Network
     input_box: Box
@@ -188,8 +187,7 @@ class ThresholdSpec(Spec):
 @dataclass(frozen=True, eq=False)
 class MaximizeSpec(Spec):
     """``max c @ network(x)`` (or ``min`` with ``minimize=True``) over the
-    box, optionally in threshold mode (legacy
-    :func:`repro.exact.bab.maximize_output` / ``minimize_output``)."""
+    box, optionally in threshold mode."""
 
     network: Network
     input_box: Box
@@ -426,4 +424,4 @@ def spec_to_json(spec: Spec, **dumps_kwargs) -> str:
 
 def spec_from_json(text: str) -> Spec:
     """Inverse of :func:`spec_to_json`."""
-    return spec_from_dict(json.loads(text))
+    return spec_from_dict(_json_loads(text, "spec"))

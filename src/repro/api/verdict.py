@@ -1,6 +1,6 @@
 """Uniform results: every engine run returns a Verdict with provenance.
 
-The legacy entry points each grew their own result shape
+The solvers behind the engine each return their own result shape
 (:class:`~repro.exact.verify.ContainmentResult`,
 :class:`~repro.exact.bab.BaBResult`,
 :class:`~repro.core.propositions.PropositionResult`, ...).  The engine
@@ -12,7 +12,7 @@ one surface:
   queries such as an output range, or when inconclusive);
 * ``provenance`` -- wall time, LP/node counts, frontier rounds, pool
   width, and the encoding-cache reuse delta of this run;
-* ``result``     -- the underlying legacy result object, untouched.
+* ``result``     -- the underlying solver result object, untouched.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class Verdict:
 class ContainmentVerdict(Verdict):
     """Verdict of a :class:`~repro.api.specs.ContainmentSpec`."""
 
-    #: The untouched legacy result (``holds``/``method``/``counterexample``
+    #: The untouched solver result (``holds``/``method``/``counterexample``
     #: /``violation``/``lp_solves``/``nodes``).
     result: "ContainmentResult" = None  # noqa: F821
 

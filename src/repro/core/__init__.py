@@ -11,14 +11,10 @@ from repro.core.artifacts import (
 from repro.core.propositions import (
     PropositionResult,
     SubproblemReport,
-    check_prop1,
-    check_prop2,
     check_prop3,
-    check_prop4,
-    check_prop5,
     check_prop6,
 )
-from repro.core.verifier import BaselineOutcome, verify_from_scratch
+from repro.core.verifier import BaselineOutcome
 from repro.core.fixing import FixingResult, incremental_fix
 from repro.core.continuous import ContinuousResult, ContinuousVerifier
 from repro.core.loop import EngineeringLoop, LoopStep
@@ -51,11 +47,7 @@ __all__ = [
     "SubproblemReport",
     "Table1Row",
     "VerificationProblem",
-    "check_prop1",
-    "check_prop2",
     "check_prop3",
-    "check_prop4",
-    "check_prop5",
     "check_prop6",
     "format_continuous_result",
     "format_proposition_result",
@@ -67,5 +59,4 @@ __all__ = [
     "run_parallel",
     "save_artifacts",
     "sequential_time",
-    "verify_from_scratch",
 ]

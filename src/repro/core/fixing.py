@@ -83,7 +83,7 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
     """Attempt the Section IV.C repair after a failed Proposition 4.
 
     ``prop4_result`` must be the (non-early-stopped) result of
-    :func:`~repro.core.propositions.check_prop4` on the same inputs, whose
+    :func:`~repro.core.propositions._check_prop4` on the same inputs, whose
     per-layer failure pattern decides which repair applies.
 
     ``config`` (the engine path) supersedes the loose ``node_limit`` /

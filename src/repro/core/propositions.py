@@ -23,10 +23,7 @@ from repro.errors import ArtifactError
 from repro.api.config import (
     DEFAULT_DOMAIN,
     DEFAULT_METHOD,
-    DEFAULT_NODE_LIMIT,
-    DEFAULT_WORKERS,
     VerifyConfig,
-    warn_legacy,
 )
 from repro.domains.batch import screen_containments
 from repro.domains.box import Box, box_kappa
@@ -38,11 +35,7 @@ from repro.core.artifacts import ProofArtifacts
 __all__ = [
     "SubproblemReport",
     "PropositionResult",
-    "check_prop1",
-    "check_prop2",
     "check_prop3",
-    "check_prop4",
-    "check_prop5",
     "check_prop6",
 ]
 
@@ -326,7 +319,7 @@ def _check_prop5(artifacts: ProofArtifacts, new_network: Network,
     indices ``0 < α < n``, the boundary *after* block ``α``).  Each segment
     between consecutive reuse points is one independent multi-block check.
 
-    Like :func:`check_prop4`, all segments are pre-screened in one batched
+    Like :func:`_check_prop4`, all segments are pre-screened in one batched
     interval pass before any exact per-segment check runs.
     """
     config = config or VerifyConfig()
@@ -374,74 +367,6 @@ def _check_prop5(artifacts: ProofArtifacts, new_network: Network,
                 holds = None
     return _timed("prop5", started, True if holds is True else holds, subproblems,
                   f"reuse points {alphas}")
-
-
-# ------------------------------------------------------------- legacy shims
-def check_prop1(artifacts: ProofArtifacts, enlarged_din: Box,
-                method: str = DEFAULT_METHOD,
-                node_limit: int = DEFAULT_NODE_LIMIT,
-                workers: int = DEFAULT_WORKERS) -> PropositionResult:
-    """Deprecated shim: use :class:`repro.api.PropositionSpec` (kind=1)."""
-    warn_legacy("check_prop1", "PropositionSpec(kind=1)")
-    return _engine_proposition(1, artifacts, enlarged_din=enlarged_din,
-                               method=method, node_limit=node_limit,
-                               workers=workers)
-
-
-def check_prop2(artifacts: ProofArtifacts, enlarged_din: Box,
-                domain: str = DEFAULT_DOMAIN, method: str = "exact",
-                node_limit: int = DEFAULT_NODE_LIMIT,
-                workers: int = DEFAULT_WORKERS) -> PropositionResult:
-    """Deprecated shim: use :class:`repro.api.PropositionSpec` (kind=2)."""
-    warn_legacy("check_prop2", "PropositionSpec(kind=2)")
-    return _engine_proposition(2, artifacts, enlarged_din=enlarged_din,
-                               method=method, domain=domain,
-                               node_limit=node_limit, workers=workers)
-
-
-def check_prop4(artifacts: ProofArtifacts, new_network: Network,
-                enlarged_din: Optional[Box] = None,
-                method: str = DEFAULT_METHOD,
-                node_limit: int = DEFAULT_NODE_LIMIT,
-                stop_on_failure: bool = False,
-                prescreen: bool = True,
-                workers: int = DEFAULT_WORKERS) -> PropositionResult:
-    """Deprecated shim: use :class:`repro.api.PropositionSpec` (kind=4)."""
-    warn_legacy("check_prop4", "PropositionSpec(kind=4)")
-    return _engine_proposition(4, artifacts, new_network=new_network,
-                               enlarged_din=enlarged_din, method=method,
-                               stop_on_failure=stop_on_failure,
-                               prescreen=prescreen, node_limit=node_limit,
-                               workers=workers)
-
-
-def check_prop5(artifacts: ProofArtifacts, new_network: Network,
-                alphas: Sequence[int], enlarged_din: Optional[Box] = None,
-                method: str = DEFAULT_METHOD,
-                node_limit: int = DEFAULT_NODE_LIMIT,
-                prescreen: bool = True,
-                workers: int = DEFAULT_WORKERS) -> PropositionResult:
-    """Deprecated shim: use :class:`repro.api.PropositionSpec` (kind=5)."""
-    warn_legacy("check_prop5", "PropositionSpec(kind=5)")
-    return _engine_proposition(5, artifacts, new_network=new_network,
-                               alphas=tuple(int(a) for a in alphas),
-                               enlarged_din=enlarged_din, method=method,
-                               prescreen=prescreen, node_limit=node_limit,
-                               workers=workers)
-
-
-def _engine_proposition(kind: int, artifacts: ProofArtifacts, *,
-                        node_limit: int, workers: int,
-                        domain: Optional[str] = None,
-                        **spec_fields) -> PropositionResult:
-    """Shared shim body: one PropositionSpec through a fresh engine."""
-    from repro.api.engine import VerificationEngine
-    from repro.api.specs import PropositionSpec
-
-    config = VerifyConfig(node_limit=node_limit, workers=workers)
-    spec = PropositionSpec(kind=kind, artifacts=artifacts, domain=domain,
-                           **spec_fields)
-    return VerificationEngine(config).verify(spec).result
 
 
 def check_prop6(artifacts: ProofArtifacts, new_network: Network,

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ArtifactError
-from repro.api.config import (
-    DEFAULT_FULL_NODE_LIMIT,
-    DEFAULT_WORKERS,
-    VerifyConfig,
-    warn_legacy,
-)
+from repro.api.config import VerifyConfig
 from repro.domains.box import Box
 from repro.domains.propagate import inductive_states, propagate_network
 from repro.exact.verify import _check_containment, _output_range_exact
@@ -41,7 +36,7 @@ from repro.core.artifacts import (
 )
 from repro.core.problem import VerificationProblem
 
-__all__ = ["BaselineOutcome", "verify_from_scratch"]
+__all__ = ["BaselineOutcome"]
 
 RIGOR_LEVELS = ("abstract", "threshold", "range")
 
@@ -157,31 +152,3 @@ def _verify_from_scratch(problem: VerificationProblem,
     )
     return BaselineOutcome(holds=holds, artifacts=artifacts, elapsed=elapsed,
                            detail=detail, lp_solves=lp_solves, nodes=nodes)
-
-
-def verify_from_scratch(problem: VerificationProblem,
-                        domain: str = "inductive",
-                        state_buffer: float = 0.02,
-                        rigor: str = "range",
-                        lipschitz_ord: float = 2,
-                        with_network_abstraction: bool = False,
-                        netabs_groups: int = 2,
-                        netabs_margin: float = 0.0,
-                        node_limit: int = DEFAULT_FULL_NODE_LIMIT,
-                        workers: int = DEFAULT_WORKERS) -> BaselineOutcome:
-    """Deprecated shim: verify from scratch and assemble proof artifacts.
-
-    Use ``VerificationEngine.baseline(problem, ...)`` (:mod:`repro.api`)
-    instead; its :class:`~repro.api.verdict.BaselineVerdict` carries this
-    outcome plus provenance.
-    """
-    warn_legacy("verify_from_scratch", "VerificationEngine.baseline")
-    from repro.api.engine import VerificationEngine
-
-    config = VerifyConfig(node_limit=node_limit, full_node_limit=node_limit,
-                          workers=workers)
-    return VerificationEngine(config).baseline(
-        problem, domain=domain, state_buffer=state_buffer, rigor=rigor,
-        lipschitz_ord=lipschitz_ord,
-        with_network_abstraction=with_network_abstraction,
-        netabs_groups=netabs_groups, netabs_margin=netabs_margin).result

@@ -20,27 +20,16 @@ from repro.exact.bab import (
     BaBResult,
     BaBSolver,
     CoveringLeaves,
-    maximize_output,
-    minimize_output,
 )
 from repro.exact.splitting import SplitResult, check_containment_split
 from repro.exact.tighten import TightenStats, tighten_preactivation_bounds
-from repro.exact.incremental import (
-    BranchCertificate,
-    certify_threshold,
-    prove_with_certificate,
-)
-from repro.exact.verify import (
-    ContainmentResult,
-    check_containment,
-    output_range_exact,
-)
+from repro.exact.incremental import BranchCertificate, prove_with_certificate
+from repro.exact.verify import ContainmentResult
 
 __all__ = [
     "BaBResult",
     "BranchCertificate",
     "TightenStats",
-    "certify_threshold",
     "prove_with_certificate",
     "tighten_preactivation_bounds",
     "BaBSolver",
@@ -55,13 +44,9 @@ __all__ = [
     "NetworkEncoding",
     "PhaseMap",
     "SplitResult",
-    "check_containment",
     "check_containment_split",
     "clear_encoding_cache",
     "encoding_cache_stats",
-    "maximize_output",
-    "minimize_output",
-    "output_range_exact",
     "solve_lp",
     "solve_milp",
     "solve_system",

@@ -31,7 +31,6 @@ from repro.api.config import (
     DEFAULT_TOL,
     DEFAULT_WORKERS,
     VerifyConfig,
-    warn_legacy,
 )
 from repro.domains.box import Box
 from repro.domains.batch import phase_clamped_node_bounds
@@ -40,8 +39,7 @@ from repro.exact.encoding import NetworkEncoding, PackedDuals
 from repro.exact.lp import solve_lp  # noqa: F401
 from repro.nn.network import Network
 
-__all__ = ["BaBResult", "BaBSolver", "CoveringLeaves", "maximize_output",
-           "minimize_output"]
+__all__ = ["BaBResult", "BaBSolver", "CoveringLeaves"]
 
 BAB_OPTIMAL = "optimal"
 BAB_PROVED = "threshold_proved"     # max <= threshold established
@@ -368,7 +366,7 @@ class BaBSolver:
 def _maximize_output(network: Network, input_box: Box, c: np.ndarray,
                      threshold: Optional[float] = None,
                      config: Optional[VerifyConfig] = None) -> BaBResult:
-    """Internal one-shot maximisation (no deprecation): the engine path."""
+    """Internal one-shot maximisation: the engine path."""
     solver = BaBSolver.from_config(network, input_box,
                                    config or VerifyConfig())
     return solver.maximize(c, threshold=threshold)
@@ -377,49 +375,7 @@ def _maximize_output(network: Network, input_box: Box, c: np.ndarray,
 def _minimize_output(network: Network, input_box: Box, c: np.ndarray,
                      threshold: Optional[float] = None,
                      config: Optional[VerifyConfig] = None) -> BaBResult:
-    """Internal one-shot minimisation (no deprecation): the engine path."""
+    """Internal one-shot minimisation: the engine path."""
     solver = BaBSolver.from_config(network, input_box,
                                    config or VerifyConfig())
     return solver.minimize(c, threshold=threshold)
-
-
-def maximize_output(network: Network, input_box: Box, c: np.ndarray,
-                    threshold: Optional[float] = None,
-                    node_limit: int = DEFAULT_NODE_LIMIT,
-                    tol: float = DEFAULT_TOL,
-                    interval_prune: bool = DEFAULT_INTERVAL_PRUNE,
-                    workers: int = DEFAULT_WORKERS) -> BaBResult:
-    """Deprecated shim: one-shot ``max c @ f(x)`` over ``input_box``.
-
-    Use :class:`repro.api.MaximizeSpec` through the engine instead.
-    """
-    warn_legacy("maximize_output", "MaximizeSpec")
-    from repro.api.engine import VerificationEngine
-    from repro.api.specs import MaximizeSpec
-
-    config = VerifyConfig(node_limit=node_limit, tol=tol,
-                          interval_prune=interval_prune, workers=workers)
-    return VerificationEngine(config).verify(
-        MaximizeSpec(network=network, input_box=input_box, objective=c,
-                     threshold=threshold)).result
-
-
-def minimize_output(network: Network, input_box: Box, c: np.ndarray,
-                    threshold: Optional[float] = None,
-                    node_limit: int = DEFAULT_NODE_LIMIT,
-                    tol: float = DEFAULT_TOL,
-                    interval_prune: bool = DEFAULT_INTERVAL_PRUNE,
-                    workers: int = DEFAULT_WORKERS) -> BaBResult:
-    """Deprecated shim: one-shot ``min c @ f(x)`` over ``input_box``.
-
-    Use :class:`repro.api.MaximizeSpec` (``minimize=True``) instead.
-    """
-    warn_legacy("minimize_output", "MaximizeSpec(minimize=True)")
-    from repro.api.engine import VerificationEngine
-    from repro.api.specs import MaximizeSpec
-
-    config = VerifyConfig(node_limit=node_limit, tol=tol,
-                          interval_prune=interval_prune, workers=workers)
-    return VerificationEngine(config).verify(
-        MaximizeSpec(network=network, input_box=input_box, objective=c,
-                     threshold=threshold, minimize=True)).result

@@ -39,14 +39,13 @@ from repro.api.config import (
     DEFAULT_TOL,
     DEFAULT_WORKERS,
     VerifyConfig,
-    warn_legacy,
 )
 from repro.domains.box import Box
 from repro.exact.bab import BaBResult, BaBSolver, CoveringLeaves
 from repro.exact.encoding import NetworkEncoding, PackedDuals
 from repro.nn.network import Network
 
-__all__ = ["BranchCertificate", "prove_with_certificate", "certify_threshold"]
+__all__ = ["BranchCertificate", "prove_with_certificate"]
 
 
 @dataclass
@@ -83,7 +82,7 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
                        encoding: Optional[NetworkEncoding] = None,
                        config: Optional[VerifyConfig] = None,
                        collect_duals: bool = False) -> tuple:
-    """Internal threshold certification (no deprecation): the engine path.
+    """Internal threshold certification: the engine path.
 
     Returns ``(BaBResult, BranchCertificate | None)`` -- the certificate is
     ``None`` unless the proof succeeded.  ``encoding`` lets a caller supply
@@ -117,34 +116,6 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
         leaf_duals=leaves.duals(),
     )
     return result, certificate
-
-
-def certify_threshold(network: Network, input_box: Box, c: np.ndarray,
-                      threshold: float,
-                      node_limit: int = DEFAULT_FULL_NODE_LIMIT,
-                      tol: float = DEFAULT_TOL,
-                      encoding: Optional[NetworkEncoding] = None,
-                      workers: int = DEFAULT_WORKERS) -> tuple:
-    """Deprecated shim: prove ``max c @ f(x) <= threshold`` with certificate.
-
-    Use :class:`repro.api.ThresholdSpec` through the engine instead (the
-    verdict carries the :class:`BranchCertificate`).
-    """
-    warn_legacy("certify_threshold", "ThresholdSpec")
-    config = VerifyConfig(node_limit=node_limit, full_node_limit=node_limit,
-                          tol=tol, workers=workers)
-    if encoding is not None:
-        # A caller-supplied encoding cannot ride through the declarative
-        # spec; honour it on the internal path with the same config.
-        return _certify_threshold(network, input_box, c, threshold,
-                                  encoding=encoding, config=config)
-    from repro.api.engine import VerificationEngine
-    from repro.api.specs import ThresholdSpec
-
-    verdict = VerificationEngine(config).verify(
-        ThresholdSpec(network=network, input_box=input_box, objective=c,
-                      threshold=threshold))
-    return verdict.result, verdict.certificate
 
 
 def prove_with_certificate(network: Network, input_box: Box,

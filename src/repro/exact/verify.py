@@ -1,14 +1,14 @@
-"""High-level exact verification API used by the proposition checkers.
+"""Exact containment and output-range decisions behind the engine.
 
 Two primitives cover everything the continuous-verification core needs:
 
-* :func:`output_range_exact` -- the exact per-output min/max box of a
+* :func:`_output_range_exact` -- the exact per-output min/max box of a
   (sub)network over a box of inputs (branch and bound per output neuron).
-* :func:`check_containment` -- decide ``∀x ∈ box : f(x) ∈ target`` where
+* :func:`_check_containment` -- decide ``∀x ∈ box : f(x) ∈ target`` where
   ``target`` is a box; this *is* the paper's local reuse condition with
   ``target = S_{i+1}`` (Propositions 1, 2, 4, 5) or ``target = Dout``.
 
-``check_containment`` supports three methods mirroring Fig. 1's insight:
+``_check_containment`` supports three methods mirroring Fig. 1's insight:
 ``"symbolic"`` (cheap one-shot abstract transformer, may lose), ``"split"``
 (abstraction with refinement), and ``"exact"`` (complete branch and bound);
 ``"auto"`` cascades cheap-to-exact, stopping at the first conclusive answer.
@@ -23,15 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import DomainError
-from repro.api.config import (
-    DEFAULT_MAX_BOXES,
-    DEFAULT_METHOD,
-    DEFAULT_NODE_LIMIT,
-    DEFAULT_TOL,
-    DEFAULT_WORKERS,
-    VerifyConfig,
-    warn_legacy,
-)
+from repro.api.config import DEFAULT_METHOD, VerifyConfig
 from repro.domains.box import Box
 from repro.domains.propagate import output_box
 from repro.exact.bab import (
@@ -42,7 +34,7 @@ from repro.exact.bab import (
 from repro.exact.splitting import check_containment_split
 from repro.nn.network import Network
 
-__all__ = ["ContainmentResult", "check_containment", "output_range_exact"]
+__all__ = ["ContainmentResult"]
 
 METHODS = ("symbolic", "split", "exact", "auto")
 
@@ -149,7 +141,7 @@ def _check_exact(network: Network, box: Box, target: Box,
 def _check_containment(network: Network, input_box: Box, target: Box,
                        method: str = DEFAULT_METHOD,
                        config: Optional[VerifyConfig] = None) -> ContainmentResult:
-    """Internal containment decision (no deprecation): the engine path.
+    """Internal containment decision: the engine path.
 
     ``config.workers > 1`` solves the exact branch-and-bound legs' node
     LPs concurrently (:mod:`repro.exact.parallel_bab`) -- same verdicts.
@@ -209,41 +201,3 @@ def _output_range_exact(network: Network, input_box: Box,
         highs.append(hi.optimum)
         lows.append(lo.optimum)
     return Box(np.asarray(lows), np.asarray(highs)), lp_solves, nodes
-
-
-def check_containment(network: Network, input_box: Box, target: Box,
-                      method: str = DEFAULT_METHOD,
-                      node_limit: int = DEFAULT_NODE_LIMIT,
-                      max_boxes: int = DEFAULT_MAX_BOXES,
-                      tol: float = DEFAULT_TOL,
-                      workers: int = DEFAULT_WORKERS) -> ContainmentResult:
-    """Deprecated shim: decide ``∀x ∈ input_box : f(x) ∈ target``.
-
-    Use :class:`repro.api.ContainmentSpec` through the engine instead.
-    """
-    warn_legacy("check_containment", "ContainmentSpec")
-    from repro.api.engine import VerificationEngine
-    from repro.api.specs import ContainmentSpec
-
-    config = VerifyConfig(node_limit=node_limit, max_boxes=max_boxes,
-                          tol=tol, workers=workers)
-    return VerificationEngine(config).verify(
-        ContainmentSpec(network=network, input_box=input_box, target=target,
-                        method=method)).result
-
-
-def output_range_exact(network: Network, input_box: Box,
-                       node_limit: int = DEFAULT_NODE_LIMIT,
-                       tol: float = DEFAULT_TOL,
-                       workers: int = DEFAULT_WORKERS) -> Box:
-    """Deprecated shim: exact elementwise output range over ``input_box``.
-
-    Use :class:`repro.api.OutputRangeSpec` through the engine instead.
-    """
-    warn_legacy("output_range_exact", "OutputRangeSpec")
-    from repro.api.engine import VerificationEngine
-    from repro.api.specs import OutputRangeSpec
-
-    config = VerifyConfig(node_limit=node_limit, tol=tol, workers=workers)
-    return VerificationEngine(config).verify(
-        OutputRangeSpec(network=network, input_box=input_box)).output_range

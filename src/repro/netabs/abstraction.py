@@ -88,7 +88,7 @@ class NetworkAbstraction:
         """Sound bounds on the concrete network's output over ``box``,
         obtained by analysing the (smaller) abstract networks.
 
-        ``method`` is any :func:`repro.exact.verify.check_containment`
+        ``method`` is any :func:`repro.exact.verify._check_containment`
         propagation domain name or ``"exact"``.
         """
         from repro.domains.propagate import output_box

@@ -140,6 +140,9 @@ class _Handler(BaseHTTPRequestHandler):
         except json.JSONDecodeError as exc:
             raise ServeError(f"request body is not valid JSON: {exc}") \
                 from None
+        except RecursionError:
+            raise ServeError("request body JSON is nested too deeply") \
+                from None
         if not isinstance(data, dict):
             raise ServeError("request body must be a JSON object")
         return data

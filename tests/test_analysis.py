@@ -51,28 +51,6 @@ def rules_of(findings):
 
 CASES = [
     (
-        "no-legacy-entrypoints", "repro.core.fixture",
-        """
-        from repro.exact.verify import check_containment
-
-        def refresh(net, box, target):
-            return check_containment(net, box, target)
-        """,
-        """
-        from repro.api import ContainmentSpec, VerificationEngine
-
-        def refresh(net, box, target):
-            spec = ContainmentSpec(network=net, input_box=box, target=target)
-            return VerificationEngine().verify(spec)
-        """,
-        """
-        from repro.exact.verify import check_containment
-
-        def refresh(net, box, target):
-            return check_containment(net, box, target)  # repro: disable=no-legacy-entrypoints
-        """,
-    ),
-    (
         "no-restated-defaults", "repro.exact.fixture",
         """
         def solve(problem, workers: int = 1, tol: float = 1e-6):

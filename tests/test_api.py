@@ -1,18 +1,17 @@
-"""The unified repro.api engine: Specs, VerifyConfig, engine, shims.
+"""The unified repro.api engine: Specs, VerifyConfig, engine.
 
 Four contracts under test:
 
 1. *Equivalence*: every Spec run through :class:`VerificationEngine`
-   produces byte-identical verdicts/optima to the legacy entry points, on
-   the fig2 network and across the worker matrix {1, 2, 8}.
+   produces byte-identical verdicts/optima to the ``_``-prefixed solver it
+   dispatches to under the same :class:`VerifyConfig`, on the fig2
+   network and across the worker matrix {1, 2, 8}.
 2. *JSON round-trip*: ``spec == spec_from_dict(spec_to_dict(spec))`` for
    every Spec type (and through ``json.dumps`` text).
-3. *One source of defaults*: no legacy entry point overrides the
-   ``tol`` / ``node_limit`` / ``workers`` defaults independently of
-   :class:`VerifyConfig`.
-4. *Migration gate*: the legacy free functions each warn exactly once per
-   call site, and nothing inside ``src/`` triggers such a warning (all
-   internal callers are fully migrated to the engine path).
+3. *One source of defaults*: configs fold correctly through the
+   verifiers, independently of any per-call keyword.
+4. *Warning gate*: nothing inside ``src/`` raises a
+   :class:`DeprecationWarning` on any engine, loop or CLI path.
 """
 
 import json
@@ -24,7 +23,6 @@ import pytest
 from repro.api import (
     ContainmentSpec,
     ContinuousLoopSpec,
-    LegacyEntryPointWarning,
     MaximizeSpec,
     OutputRangeSpec,
     PropositionSpec,
@@ -106,50 +104,44 @@ def _assert_proposition_equal(a, b):
                                                      sb.lp_solves)
 
 
-def _legacy(callable_, *args, **kwargs):
-    """Run a legacy entry point with its deprecation warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LegacyEntryPointWarning)
-        return callable_(*args, **kwargs)
-
-
 # ======================================================== engine equivalence
 class TestEngineLegacyEquivalence:
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     def test_maximize(self, fig2, enlarged_box2, workers):
-        from repro.exact import maximize_output
+        from repro.exact.bab import _maximize_output
 
         c = np.array([1.0])
         verdict = _engine(workers).verify(MaximizeSpec(
             network=fig2, input_box=enlarged_box2, objective=c))
-        legacy = _legacy(maximize_output, fig2, enlarged_box2, c,
-                         workers=workers)
+        legacy = _maximize_output(fig2, enlarged_box2, c,
+                                  config=VerifyConfig(workers=workers))
         _assert_bab_equal(verdict.result, legacy)
         assert verdict.optimum == legacy.optimum
 
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     def test_minimize(self, fig2, enlarged_box2, workers):
-        from repro.exact import minimize_output
+        from repro.exact.bab import _minimize_output
 
         c = np.array([1.0])
         verdict = _engine(workers).verify(MaximizeSpec(
             network=fig2, input_box=enlarged_box2, objective=c,
             minimize=True))
-        legacy = _legacy(minimize_output, fig2, enlarged_box2, c,
-                         workers=workers)
+        legacy = _minimize_output(fig2, enlarged_box2, c,
+                                  config=VerifyConfig(workers=workers))
         _assert_bab_equal(verdict.result, legacy)
 
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     def test_maximize_threshold_modes(self, fig2, enlarged_box2, workers):
-        from repro.exact import maximize_output
+        from repro.exact.bab import _maximize_output
 
         c = np.array([1.0])
         for threshold, expect_holds in ((12.0, True), (5.0, False)):
             verdict = _engine(workers).verify(MaximizeSpec(
                 network=fig2, input_box=enlarged_box2, objective=c,
                 threshold=threshold))
-            legacy = _legacy(maximize_output, fig2, enlarged_box2, c,
-                             threshold=threshold, workers=workers)
+            legacy = _maximize_output(fig2, enlarged_box2, c,
+                                      threshold=threshold,
+                                      config=VerifyConfig(workers=workers))
             _assert_bab_equal(verdict.result, legacy)
             assert verdict.holds is expect_holds
         # A threshold solve that happens to terminate 'optimal' still
@@ -161,39 +153,42 @@ class TestEngineLegacyEquivalence:
 
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     def test_containment(self, fig2, enlarged_box2, workers):
-        from repro.exact import check_containment
+        from repro.exact.verify import _check_containment
 
         for target in (Box(np.array([-1.0]), np.array([7.0])),
                        Box(np.array([-1.0]), np.array([5.0]))):
             verdict = _engine(workers).verify(ContainmentSpec(
                 network=fig2, input_box=enlarged_box2, target=target,
                 method="exact"))
-            legacy = _legacy(check_containment, fig2, enlarged_box2, target,
-                             method="exact", workers=workers)
+            legacy = _check_containment(fig2, enlarged_box2, target,
+                                        method="exact",
+                                        config=VerifyConfig(workers=workers))
             _assert_containment_equal(verdict.result, legacy)
 
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     def test_output_range(self, fig2, enlarged_box2, workers):
-        from repro.exact import output_range_exact
+        from repro.exact.verify import _output_range_exact
 
         verdict = _engine(workers).verify(OutputRangeSpec(
             network=fig2, input_box=enlarged_box2))
-        legacy = _legacy(output_range_exact, fig2, enlarged_box2,
-                         workers=workers)
+        legacy, lp_solves, nodes = _output_range_exact(
+            fig2, enlarged_box2, config=VerifyConfig(workers=workers))
+        assert verdict.provenance.lp_solves == lp_solves
+        assert verdict.provenance.nodes == nodes
         assert np.array_equal(verdict.output_range.lower, legacy.lower)
         assert np.array_equal(verdict.output_range.upper, legacy.upper)
 
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     def test_threshold_certificate(self, fig2, enlarged_box2, workers):
-        from repro.exact import certify_threshold
+        from repro.exact.incremental import _certify_threshold
 
         c = np.array([1.0])
         verdict = _engine(workers).verify(ThresholdSpec(
             network=fig2, input_box=enlarged_box2, objective=c,
             threshold=12.0))
-        legacy_res, legacy_cert = _legacy(certify_threshold, fig2,
-                                          enlarged_box2, c, 12.0,
-                                          workers=workers)
+        legacy_res, legacy_cert = _certify_threshold(
+            fig2, enlarged_box2, c, 12.0,
+            config=VerifyConfig(workers=workers))
         _assert_bab_equal(verdict.result, legacy_res)
         assert verdict.holds is True and verdict.certified
         assert verdict.certificate.num_leaves == legacy_cert.num_leaves
@@ -203,41 +198,40 @@ class TestEngineLegacyEquivalence:
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     @pytest.mark.parametrize("kind", [1, 2, 3, 4, 5, 6])
     def test_propositions(self, setup, kind, workers):
-        from repro.core import (check_prop1, check_prop2, check_prop3,
-                                check_prop4, check_prop5, check_prop6)
+        from repro.core import propositions as props
 
         artifacts, problem, tuned = setup
         enlarged = problem.din.inflate(0.01)
-        engine = _engine(workers)
+        config = VerifyConfig(workers=workers)
+        engine = VerificationEngine(config)
         n = tuned.num_blocks
         if kind == 1:
             verdict = engine.verify(PropositionSpec(
                 kind=1, artifacts=artifacts, enlarged_din=enlarged))
-            legacy = _legacy(check_prop1, artifacts, enlarged,
-                             workers=workers)
+            legacy = props._check_prop1(artifacts, enlarged, config=config)
         elif kind == 2:
             verdict = engine.verify(PropositionSpec(
                 kind=2, artifacts=artifacts, enlarged_din=enlarged))
-            legacy = _legacy(check_prop2, artifacts, enlarged,
-                             workers=workers)
+            legacy = props._check_prop2(artifacts, enlarged, config=config)
         elif kind == 3:
             verdict = engine.verify(PropositionSpec(
                 kind=3, artifacts=artifacts, enlarged_din=enlarged))
-            legacy = check_prop3(artifacts, enlarged)  # not deprecated
+            legacy = props.check_prop3(artifacts, enlarged)
         elif kind == 4:
             verdict = engine.verify(PropositionSpec(
                 kind=4, artifacts=artifacts, new_network=tuned))
-            legacy = _legacy(check_prop4, artifacts, tuned, workers=workers)
+            legacy = props._check_prop4(artifacts, tuned, config=config)
         elif kind == 5:
             verdict = engine.verify(PropositionSpec(
                 kind=5, artifacts=artifacts, new_network=tuned,
                 alphas=tuple(range(1, n))))
-            legacy = _legacy(check_prop5, artifacts, tuned,
-                             alphas=list(range(1, n)), workers=workers)
+            legacy = props._check_prop5(artifacts, tuned,
+                                        alphas=list(range(1, n)),
+                                        config=config)
         else:
             verdict = engine.verify(PropositionSpec(
                 kind=6, artifacts=artifacts, new_network=tuned))
-            legacy = check_prop6(artifacts, tuned)  # not deprecated
+            legacy = props.check_prop6(artifacts, tuned)
         _assert_proposition_equal(verdict.result, legacy)
 
     @pytest.mark.parametrize("workers", (1, 2))
@@ -266,11 +260,11 @@ class TestEngineLegacyEquivalence:
         assert verdict.strategy == legacy.strategy
 
     def test_baseline_matches_verify_from_scratch(self, setup):
-        from repro.core import verify_from_scratch
+        from repro.core.verifier import _verify_from_scratch
 
         _, problem, _ = setup
         engine_outcome = VerificationEngine().baseline(problem)
-        legacy = _legacy(verify_from_scratch, problem)
+        legacy = _verify_from_scratch(problem, config=VerifyConfig())
         assert engine_outcome.holds == legacy.holds
         # rigor="range" runs per-output BaB: the effort must be accounted
         assert engine_outcome.provenance.lp_solves > 0
@@ -575,36 +569,8 @@ class TestDefaultsUnified:
         assert verdict.provenance.encoding_reuse == {"hits": 0, "misses": 0}
 
 
-# ========================================================== deprecation gate
+# ============================================================== warning gate
 class TestDeprecationShims:
-    def test_every_legacy_entry_point_warns(self, fig2, enlarged_box2,
-                                            setup):
-        from repro.core import (check_prop1, check_prop2, check_prop4,
-                                check_prop5, verify_from_scratch)
-        from repro.exact import (certify_threshold, check_containment,
-                                 maximize_output, minimize_output,
-                                 output_range_exact)
-
-        artifacts, problem, tuned = setup
-        enlarged = problem.din.inflate(0.01)
-        target = Box(np.array([-1.0]), np.array([7.0]))
-        c = np.array([1.0])
-        calls = [
-            lambda: maximize_output(fig2, enlarged_box2, c),
-            lambda: minimize_output(fig2, enlarged_box2, c),
-            lambda: check_containment(fig2, enlarged_box2, target),
-            lambda: output_range_exact(fig2, enlarged_box2),
-            lambda: certify_threshold(fig2, enlarged_box2, c, 12.0),
-            lambda: check_prop1(artifacts, enlarged),
-            lambda: check_prop2(artifacts, enlarged),
-            lambda: check_prop4(artifacts, tuned),
-            lambda: check_prop5(artifacts, tuned, alphas=[1]),
-            lambda: verify_from_scratch(problem, rigor="abstract"),
-        ]
-        for call in calls:
-            with pytest.warns(LegacyEntryPointWarning):
-                call()
-
     def test_src_internal_paths_trigger_no_legacy_warning(self, fig2,
                                                           enlarged_box2,
                                                           setup):
@@ -612,9 +578,8 @@ class TestDeprecationShims:
 
         Everything below exercises src/ end to end -- the engine over every
         Spec type, the continuous loop with fixing and fallback, the
-        engineering loop, and the CLI worked examples -- with the legacy
-        warning escalated to an error.  Any un-migrated internal call site
-        fails here.
+        engineering loop, and the CLI worked examples -- with every
+        ``DeprecationWarning`` escalated to an error.
         """
         from repro.cli import main as cli_main
         from repro.core import (ContinuousVerifier, EngineeringLoop, SVbTV,
@@ -623,7 +588,7 @@ class TestDeprecationShims:
         artifacts, problem, tuned = setup
         enlarged = problem.din.inflate(0.01)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", LegacyEntryPointWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             engine = _engine(workers=2)
             engine.verify(MaximizeSpec(network=fig2, input_box=enlarged_box2,
                                        objective=np.array([1.0])))

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import OutputRangeSpec, VerificationEngine
 from repro.core import EngineeringLoop, VerificationProblem
 from repro.domains import Box, refine_input_box
 from repro.domains.propagate import inductive_states
-from repro.exact import maximize_output, output_range_exact
 from repro.nn import fine_tune, random_relu_network
 from repro.cli import main as cli_main
 
@@ -21,7 +21,8 @@ class TestBackwardRefinement:
     def test_sound_overapproximation(self, net_and_box, rng):
         """Every input reaching the target stays in the refined box."""
         net, box = net_and_box
-        rng_box = output_range_exact(net, box)
+        rng_box = VerificationEngine().verify(OutputRangeSpec(
+            network=net, input_box=box)).output_range
         target = Box(np.array([rng_box.upper[0] - 0.2]),
                      np.array([rng_box.upper[0] + 5.0]))
         res = refine_input_box(net, box, target)

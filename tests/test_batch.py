@@ -19,7 +19,9 @@ from repro.domains import (
     screen_containments,
 )
 from repro.errors import DomainError, MonitorError, ShapeError
-from repro.exact import BaBSolver, CoveringLeaves, maximize_output
+from repro.api import (MaximizeSpec, PropositionSpec, VerificationEngine,
+                       VerifyConfig)
+from repro.exact import BaBSolver, CoveringLeaves
 from repro.exact.encoding import phase_maps
 from repro.monitor import BoxMonitor, screen_states
 from repro.nn import Dense, LeakyReLU, Network, ReLU, random_relu_network
@@ -187,12 +189,17 @@ class TestPhaseClampedBounds:
         assert ubs[1] == pytest.approx(5.0)
 
 
+def _maximize(network, box, threshold=None, **config):
+    """``max f(x)`` over ``box`` as an engine MaximizeSpec under ``config``."""
+    spec = MaximizeSpec(network=network, input_box=box,
+                        objective=np.array([1.0]), threshold=threshold)
+    return VerificationEngine(VerifyConfig(**config)).verify(spec).result
+
+
 class TestBaBIntervalPruning:
     def test_fig2_fewer_lp_solves_same_optimum(self, fig2, enlarged_box2):
-        off = maximize_output(fig2, enlarged_box2, np.array([1.0]),
-                              interval_prune=False)
-        on = maximize_output(fig2, enlarged_box2, np.array([1.0]),
-                             interval_prune=True)
+        off = _maximize(fig2, enlarged_box2, interval_prune=False)
+        on = _maximize(fig2, enlarged_box2, interval_prune=True)
         assert on.upper_bound == pytest.approx(off.upper_bound, abs=1e-9)
         assert on.lp_solves < off.lp_solves
 
@@ -201,20 +208,18 @@ class TestBaBIntervalPruning:
             net = random_relu_network([3, 8, 6, 1], seed=seed,
                                       weight_scale=0.9)
             box = Box(-0.7 * np.ones(3), 0.7 * np.ones(3))
-            off = maximize_output(net, box, np.array([1.0]),
-                                  interval_prune=False)
-            on = maximize_output(net, box, np.array([1.0]),
-                                 interval_prune=True)
+            off = _maximize(net, box, interval_prune=False)
+            on = _maximize(net, box, interval_prune=True)
             assert on.status == off.status == "optimal"
             assert on.upper_bound == pytest.approx(off.upper_bound, abs=1e-6)
             assert on.lp_solves <= off.lp_solves
 
     def test_threshold_modes_agree(self, fig2, enlarged_box2):
         for threshold in (5.0, 7.0, 13.0):
-            off = maximize_output(fig2, enlarged_box2, np.array([1.0]),
-                                  threshold=threshold, interval_prune=False)
-            on = maximize_output(fig2, enlarged_box2, np.array([1.0]),
-                                 threshold=threshold, interval_prune=True)
+            off = _maximize(fig2, enlarged_box2, threshold=threshold,
+                            interval_prune=False)
+            on = _maximize(fig2, enlarged_box2, threshold=threshold,
+                           interval_prune=True)
             refuted = "threshold_refuted"
             assert (on.status == refuted) == (off.status == refuted)
             if on.status != refuted:
@@ -223,8 +228,7 @@ class TestBaBIntervalPruning:
     def test_interval_only_threshold_proof_uses_no_lp(self, fig2, enlarged_box2):
         # The root interval bound is 12.4: any looser threshold closes
         # before a single LP is built.
-        res = maximize_output(fig2, enlarged_box2, np.array([1.0]),
-                              threshold=12.5)
+        res = _maximize(fig2, enlarged_box2, threshold=12.5)
         assert res.status in ("threshold_proved", "optimal")
         assert res.lp_solves == 0
 
@@ -238,11 +242,10 @@ class TestBaBIntervalPruning:
             net = random_relu_network([2, 4, 2, 1], seed=seed,
                                       weight_scale=1.0)
             box = Box(-np.ones(2), np.ones(2))
-            true_max = maximize_output(net, box, np.array([1.0])).upper_bound
+            true_max = _maximize(net, box).upper_bound
             for prune in (False, True):
-                res = maximize_output(net, box, np.array([1.0]),
-                                      threshold=true_max - 0.01,
-                                      interval_prune=prune)
+                res = _maximize(net, box, threshold=true_max - 0.01,
+                                interval_prune=prune)
                 assert res.status == "threshold_refuted"
                 assert res.incumbent > true_max - 0.01
 
@@ -305,35 +308,34 @@ class TestScreenContainments:
 class TestProp45Prescreen:
     @pytest.fixture(scope="class")
     def verified(self):
-        from repro.core import VerificationProblem, verify_from_scratch
+        from repro.core import VerificationProblem
         from repro.domains.propagate import inductive_states
 
         net = random_relu_network([3, 8, 6, 4, 1], seed=3, weight_scale=0.6)
         din = Box(np.zeros(3), 0.7 * np.ones(3))
         sn = inductive_states(net, din, 0.02)[-1]
         dout = sn.inflate(0.25 * sn.widths.max() + 0.1)
-        base = verify_from_scratch(VerificationProblem(net, din, dout))
+        base = VerificationEngine().baseline(
+            VerificationProblem(net, din, dout))
         assert base.holds
         return net, base.artifacts
 
     def test_prop4_verdict_unchanged_and_screened(self, verified):
-        from repro.core import check_prop4
-
         net, artifacts = verified
         tuned = net.perturb(1e-6, np.random.default_rng(1))
-        plain = check_prop4(artifacts, tuned, prescreen=False)
-        fast = check_prop4(artifacts, tuned, prescreen=True)
+        plain, fast = (VerificationEngine().verify(PropositionSpec(
+            kind=4, artifacts=artifacts, new_network=tuned,
+            prescreen=prescreen)).result for prescreen in (False, True))
         assert fast.holds is plain.holds is True
         assert len(fast.subproblems) == len(plain.subproblems)
         assert any("pre-screen" in s.detail for s in fast.subproblems)
 
     def test_prop5_verdict_unchanged(self, verified):
-        from repro.core import check_prop5
-
         net, artifacts = verified
         tuned = net.perturb(1e-6, np.random.default_rng(2))
-        plain = check_prop5(artifacts, tuned, alphas=[2], prescreen=False)
-        fast = check_prop5(artifacts, tuned, alphas=[2], prescreen=True)
+        plain, fast = (VerificationEngine().verify(PropositionSpec(
+            kind=5, artifacts=artifacts, new_network=tuned, alphas=(2,),
+            prescreen=prescreen)).result for prescreen in (False, True))
         assert fast.holds is plain.holds
         assert len(fast.subproblems) == len(plain.subproblems) == 2
 

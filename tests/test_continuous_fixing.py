@@ -4,6 +4,7 @@ and report formatting."""
 import numpy as np
 import pytest
 
+from repro.api import PropositionSpec, VerificationEngine
 from repro.domains import Box
 from repro.domains.propagate import inductive_states
 from repro.nn import fine_tune, random_relu_network
@@ -13,7 +14,6 @@ from repro.core import (
     SVuDC,
     Table1Row,
     VerificationProblem,
-    check_prop4,
     format_continuous_result,
     format_proposition_result,
     format_table1,
@@ -22,7 +22,6 @@ from repro.core import (
     parallel_time,
     run_parallel,
     sequential_time,
-    verify_from_scratch,
 )
 from repro.core.propositions import SubproblemReport
 
@@ -34,8 +33,9 @@ def setup():
     sn = inductive_states(net, din, 0.02)[-1]
     dout = sn.inflate(0.25 * sn.widths.max() + 0.1)
     problem = VerificationProblem(net, din, dout)
-    base = verify_from_scratch(problem, with_network_abstraction=True,
-                               netabs_groups=3, netabs_margin=0.05)
+    base = VerificationEngine().baseline(
+        problem, with_network_abstraction=True, netabs_groups=3,
+        netabs_margin=0.05).result
     assert base.holds
     rng = np.random.default_rng(0)
     x = din.sample(200, rng)
@@ -43,6 +43,12 @@ def setup():
     tuned = fine_tune(net, x, y + rng.normal(0, 0.01, size=y.shape),
                       learning_rate=5e-4, epochs=1)
     return problem, base, tuned
+
+
+def _prop4(artifacts, new_network):
+    """Proposition 4 as an engine PropositionSpec (default config)."""
+    return VerificationEngine().verify(PropositionSpec(
+        kind=4, artifacts=artifacts, new_network=new_network)).result
 
 
 class TestSVuDCOrchestration:
@@ -130,7 +136,7 @@ class TestIncrementalFixing:
         blk = broken.blocks()[1]
         blk.dense.bias += 0.3 * np.max(
             base.artifacts.states.layer(1).widths)
-        prop4 = check_prop4(base.artifacts, broken)
+        prop4 = _prop4(base.artifacts, broken)
         failing = [i for i, s in enumerate(prop4.subproblems)
                    if s.holds is not True]
         if prop4.holds or failing != [1]:
@@ -146,7 +152,7 @@ class TestIncrementalFixing:
 
     def test_nothing_to_fix(self, setup):
         problem, base, tuned = setup
-        prop4 = check_prop4(base.artifacts, tuned)
+        prop4 = _prop4(base.artifacts, tuned)
         assert prop4.holds
         fix = incremental_fix(base.artifacts, tuned, prop4)
         assert fix.holds is True
@@ -156,7 +162,7 @@ class TestIncrementalFixing:
         problem, base, _ = setup
         broken = problem.network.copy()
         broken.blocks()[0].dense.bias += 10.0
-        prop4 = check_prop4(base.artifacts, broken)
+        prop4 = _prop4(base.artifacts, broken)
         assert prop4.subproblems[0].holds is not True
         fix = incremental_fix(base.artifacts, broken, prop4)
         assert "full re-verification" in fix.strategy
@@ -211,7 +217,7 @@ class TestReports:
 
     def test_proposition_format(self, setup):
         problem, base, tuned = setup
-        res = check_prop4(base.artifacts, tuned)
+        res = _prop4(base.artifacts, tuned)
         text = format_proposition_result(res)
         assert "[prop4]" in text and "HOLDS" in text
 

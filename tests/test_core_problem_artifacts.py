@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import VerificationEngine
 from repro.domains import Box
 from repro.errors import ArtifactError, DomainError, ShapeError
 from repro.nn import random_relu_network
@@ -15,7 +16,6 @@ from repro.core import (
     VerificationProblem,
     load_artifacts,
     save_artifacts,
-    verify_from_scratch,
 )
 
 
@@ -70,7 +70,7 @@ class TestProblemStatements:
 
 class TestArtifacts:
     def test_state_abstraction_accessors(self, problem):
-        base = verify_from_scratch(problem, rigor="abstract")
+        base = VerificationEngine().baseline(problem, rigor="abstract").result
         states = base.artifacts.require_states()
         assert states.num_layers == problem.network.num_blocks
         assert states.matches(problem.network)
@@ -100,7 +100,7 @@ class TestArtifacts:
             artifacts.require_states()
 
     def test_tightest_output_abstraction_prefers_range(self, problem):
-        base = verify_from_scratch(problem, rigor="range")
+        base = VerificationEngine().baseline(problem, rigor="range").result
         tight = base.artifacts.tightest_output_abstraction()
         loose = base.artifacts.states.output_abstraction
         assert loose.contains_box(tight)
@@ -108,9 +108,9 @@ class TestArtifacts:
 
 class TestPersistence:
     def test_roundtrip_full(self, problem, tmp_path):
-        base = verify_from_scratch(problem, rigor="range",
-                                   with_network_abstraction=True,
-                                   netabs_groups=2, netabs_margin=0.05)
+        base = VerificationEngine().baseline(
+            problem, rigor="range", with_network_abstraction=True,
+            netabs_groups=2, netabs_margin=0.05).result
         path = tmp_path / "artifacts.npz"
         save_artifacts(base.artifacts, path)
         loaded = load_artifacts(path)
@@ -128,7 +128,7 @@ class TestPersistence:
             loaded.problem.network.forward(x), problem.network.forward(x))
 
     def test_roundtrip_minimal(self, problem, tmp_path):
-        base = verify_from_scratch(problem, rigor="abstract")
+        base = VerificationEngine().baseline(problem, rigor="abstract").result
         base.artifacts.network_abstraction = None
         path = tmp_path / "min.npz"
         save_artifacts(base.artifacts, path)

@@ -4,6 +4,7 @@ not exercised by the primary test modules."""
 import numpy as np
 import pytest
 
+from repro.api import MaximizeSpec, PropositionSpec, VerificationEngine
 from repro.domains import Box
 from repro.errors import (
     ArtifactError,
@@ -12,7 +13,7 @@ from repro.errors import (
     ShapeError,
     SolverError,
 )
-from repro.exact import NetworkEncoding, maximize_output, solve_milp
+from repro.exact import NetworkEncoding, solve_milp
 from repro.nn import (
     Dense,
     LeakyReLU,
@@ -76,7 +77,8 @@ class TestEncodingEdgeCases:
         w = np.array([[1.0, -2.0], [0.5, 0.5]])
         net = Network([Dense(2, 2, weight=w, bias=np.zeros(2))], input_dim=2)
         box = Box(-np.ones(2), np.ones(2))
-        res = maximize_output(net, box, np.array([1.0, 1.0]))
+        res = VerificationEngine().verify(MaximizeSpec(
+            network=net, input_box=box, objective=np.array([1.0, 1.0]))).result
         assert res.nodes <= 1
         corners = box.corners() @ w.T
         assert res.upper_bound == pytest.approx((corners @ [1, 1]).max())
@@ -131,7 +133,7 @@ class TestPropositionInteractions:
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        from repro.core import VerificationProblem, verify_from_scratch
+        from repro.core import VerificationProblem
         from repro.domains.propagate import inductive_states
 
         net = random_relu_network([4, 10, 8, 1], seed=13, weight_scale=0.6)
@@ -139,33 +141,35 @@ class TestPropositionInteractions:
         sn = inductive_states(net, din, 0.03)[-1]
         problem = VerificationProblem(net, din,
                                       sn.inflate(0.3 * sn.widths.max() + 0.1))
-        out = verify_from_scratch(problem, state_buffer=0.03, rigor="abstract")
+        out = VerificationEngine().baseline(problem, state_buffer=0.03,
+                                            rigor="abstract")
         assert out.holds
         return problem, out.artifacts
 
     def test_prop2_subsumes_prop1_region(self, baseline):
         """Wherever Prop 1 succeeds, Prop 2 must also find a re-entry
         (j=1 is one of its candidates when block counts allow)."""
-        from repro.core import check_prop1, check_prop2
-
         problem, artifacts = baseline
         enlarged = problem.din.inflate(0.01)
-        p1 = check_prop1(artifacts, enlarged, method="exact")
-        p2 = check_prop2(artifacts, enlarged, method="exact")
+        p1, p2 = (VerificationEngine().verify(PropositionSpec(
+            kind=kind, artifacts=artifacts, enlarged_din=enlarged,
+            method="exact")).result for kind in (1, 2))
         if p1.holds:
             assert p2.holds
 
     def test_prop5_with_all_cuts_equals_prop4(self, baseline):
         """Prop 5 with every boundary as a reuse point produces exactly the
         same subproblem structure as Prop 4 (modulo naming)."""
-        from repro.core import check_prop4, check_prop5
-
         problem, artifacts = baseline
         tuned = problem.network.perturb(1e-5, np.random.default_rng(0))
         n = tuned.num_blocks
-        p4 = check_prop4(artifacts, tuned, method="exact")
-        p5 = check_prop5(artifacts, tuned, alphas=list(range(1, n)),
-                         method="exact")
+        engine = VerificationEngine()
+        p4 = engine.verify(PropositionSpec(
+            kind=4, artifacts=artifacts, new_network=tuned,
+            method="exact")).result
+        p5 = engine.verify(PropositionSpec(
+            kind=5, artifacts=artifacts, new_network=tuned,
+            alphas=tuple(range(1, n)), method="exact")).result
         assert len(p4.subproblems) == len(p5.subproblems) == n
         assert p4.holds == p5.holds
 

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.api import (ContainmentSpec, MaximizeSpec, OutputRangeSpec,
+                       VerificationEngine)
 from repro.domains import Box
 from repro.errors import DomainError
 from repro.exact import (
     BaBSolver,
     NetworkEncoding,
-    check_containment,
     check_containment_split,
-    maximize_output,
-    minimize_output,
-    output_range_exact,
     solve_lp,
     solve_milp,
 )
@@ -92,7 +90,8 @@ class TestMILP:
             system = enc.build_milp()
             c = enc.output_objective(np.array([1.0]), num_vars=system.num_vars)
             milp = solve_milp(c, system, maximize=True)
-            bab = maximize_output(net, box, np.array([1.0]))
+            bab = VerificationEngine().verify(MaximizeSpec(
+                network=net, input_box=box, objective=np.array([1.0]))).result
             assert milp.value == pytest.approx(bab.upper_bound, abs=1e-5)
 
     def test_infeasible_milp(self):
@@ -109,7 +108,9 @@ class TestMILP:
 
 class TestBaB:
     def test_fig2_exact_max(self, fig2, enlarged_box2):
-        res = maximize_output(fig2, enlarged_box2, np.array([1.0]))
+        res = VerificationEngine().verify(MaximizeSpec(
+            network=fig2, input_box=enlarged_box2,
+            objective=np.array([1.0]))).result
         assert res.status == "optimal"
         assert res.upper_bound == pytest.approx(6.2, abs=1e-6)
         # the witness achieves the optimum
@@ -117,12 +118,16 @@ class TestBaB:
             fig2.forward(res.witness)[0], 6.2, atol=1e-6)
 
     def test_threshold_proved(self, fig2, enlarged_box2):
-        res = maximize_output(fig2, enlarged_box2, np.array([1.0]), threshold=12.0)
+        res = VerificationEngine().verify(MaximizeSpec(
+            network=fig2, input_box=enlarged_box2, objective=np.array([1.0]),
+            threshold=12.0)).result
         assert res.status in ("threshold_proved", "optimal")
         assert res.upper_bound <= 12.0 + 1e-6
 
     def test_threshold_refuted_with_witness(self, fig2, enlarged_box2):
-        res = maximize_output(fig2, enlarged_box2, np.array([1.0]), threshold=5.0)
+        res = VerificationEngine().verify(MaximizeSpec(
+            network=fig2, input_box=enlarged_box2, objective=np.array([1.0]),
+            threshold=5.0)).result
         assert res.status == "threshold_refuted"
         assert fig2.forward(res.witness)[0] > 5.0
 
@@ -130,8 +135,9 @@ class TestBaB:
         net = random_relu_network([3, 6, 5, 2], seed=5, weight_scale=0.9)
         box = Box(-0.7 * np.ones(3), 0.7 * np.ones(3))
         c = np.array([1.0, -0.5])
-        hi = maximize_output(net, box, c)
-        lo = minimize_output(net, box, c)
+        hi, lo = (VerificationEngine().verify(MaximizeSpec(
+            network=net, input_box=box, objective=c,
+            minimize=minimize)).result for minimize in (False, True))
         vals = net.forward(box.sample(3000, rng)) @ c
         assert vals.max() <= hi.upper_bound + 1e-6
         assert vals.min() >= lo.upper_bound - 1e-6
@@ -144,7 +150,8 @@ class TestBaB:
             [Dense(2, 5, rng=np.random.default_rng(0)), LeakyReLU(0.2),
              Dense(5, 1, rng=np.random.default_rng(1))], input_dim=2)
         box = Box(-np.ones(2), np.ones(2))
-        res = maximize_output(net, box, np.array([1.0]))
+        res = VerificationEngine().verify(MaximizeSpec(
+            network=net, input_box=box, objective=np.array([1.0]))).result
         vals = net.forward(box.sample(4000, rng)).reshape(-1)
         assert res.upper_bound >= vals.max() - 1e-6
         assert res.upper_bound - vals.max() < 0.1
@@ -160,7 +167,8 @@ class TestBaB:
     def test_output_range_exact_matches_bruteforce(self, rng):
         net = random_relu_network([2, 5, 4, 2], seed=8, weight_scale=1.0)
         box = Box(-np.ones(2), np.ones(2))
-        exact = output_range_exact(net, box)
+        exact = VerificationEngine().verify(OutputRangeSpec(
+            network=net, input_box=box)).output_range
         vals = net.forward(box.sample(20000, rng))
         assert np.all(vals.min(axis=0) >= exact.lower - 1e-6)
         assert np.all(vals.max(axis=0) <= exact.upper + 1e-6)
@@ -186,35 +194,41 @@ class TestSplitting:
         assert res.status in ("unknown", "safe")
 
 
+def _containment(network, box, target, method=None):
+    """``∀x ∈ box : f(x) ∈ target`` as an engine ContainmentSpec."""
+    return VerificationEngine().verify(ContainmentSpec(
+        network=network, input_box=box, target=target, method=method)).result
+
+
 class TestCheckContainment:
     def test_exact_proves_tight_target(self, fig2, enlarged_box2):
         target = Box(np.array([0.0]), np.array([6.2000001]))
-        res = check_containment(fig2, enlarged_box2, target, method="exact")
+        res = _containment(fig2, enlarged_box2, target, method="exact")
         assert res.holds is True
 
     def test_exact_refutes_with_counterexample(self, fig2, enlarged_box2):
         target = Box(np.array([0.0]), np.array([6.0]))
-        res = check_containment(fig2, enlarged_box2, target, method="exact")
+        res = _containment(fig2, enlarged_box2, target, method="exact")
         assert res.holds is False
         assert res.counterexample is not None
         assert res.violation > 0
 
     def test_symbolic_inconclusive_on_tight_target(self, fig2, enlarged_box2):
         target = Box(np.array([0.0]), np.array([6.5]))
-        res = check_containment(fig2, enlarged_box2, target, method="symbolic")
+        res = _containment(fig2, enlarged_box2, target, method="symbolic")
         assert res.holds is None  # symbolic bound is ~8.8 here
 
     def test_auto_cascades_to_exact(self, fig2, enlarged_box2):
         target = Box(np.array([0.0]), np.array([6.5]))
-        res = check_containment(fig2, enlarged_box2, target, method="auto")
+        res = _containment(fig2, enlarged_box2, target, method="auto")
         assert res.holds is True
         assert "exact" in res.method
 
     def test_dim_mismatch(self, fig2, enlarged_box2):
         with pytest.raises(DomainError):
-            check_containment(fig2, enlarged_box2, Box(np.zeros(2), np.ones(2)))
+            _containment(fig2, enlarged_box2, Box(np.zeros(2), np.ones(2)))
 
     def test_unknown_method(self, fig2, enlarged_box2):
         with pytest.raises(DomainError):
-            check_containment(fig2, enlarged_box2,
-                              Box(np.zeros(1), np.ones(1)), method="magic")
+            _containment(fig2, enlarged_box2,
+                         Box(np.zeros(1), np.ones(1)), method="magic")

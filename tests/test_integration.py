@@ -8,6 +8,7 @@ SVbTV -> save/load artifacts -> verify again.
 import numpy as np
 import pytest
 
+from repro.api import VerificationEngine
 from repro.core import (
     ContinuousVerifier,
     SVbTV,
@@ -15,7 +16,6 @@ from repro.core import (
     VerificationProblem,
     load_artifacts,
     save_artifacts,
-    verify_from_scratch,
 )
 from repro.domains import Box
 from repro.monitor import BoxMonitor
@@ -61,7 +61,8 @@ def test_full_continuous_engineering_loop(pipeline, tmp_path):
     sn = inductive_states(head, din, buffer_rel=0.05)[-1]
     dout = sn.inflate(0.25 * sn.widths.max() + 0.1)
     problem = VerificationProblem(head, din, dout)
-    baseline = verify_from_scratch(problem, state_buffer=0.05, rigor="range")
+    baseline = VerificationEngine().baseline(
+        problem, state_buffer=0.05, rigor="range").result
     assert baseline.holds is True
     assert baseline.artifacts.states_prove_safety
 

@@ -11,17 +11,16 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import (ContainmentSpec, MaximizeSpec, ThresholdSpec,
+                       VerificationEngine, VerifyConfig)
 from repro.domains import Box
 from repro.errors import ReproError, SolverError
 from repro.exact import (
     BaBSolver,
     CoveringLeaves,
     NetworkEncoding,
-    certify_threshold,
-    check_containment,
     clear_encoding_cache,
     encoding_cache_stats,
-    maximize_output,
     prove_with_certificate,
     solve_milp,
 )
@@ -102,23 +101,28 @@ class TestWorkerMatrix:
         assert stats[0] == stats[1] and stats[0][2] >= 1
 
     def test_maximize_output_exposes_workers(self, fig2, enlarged_box2):
-        res = maximize_output(fig2, enlarged_box2, np.array([1.0]), workers=2)
+        res = VerificationEngine(VerifyConfig(workers=2)).verify(MaximizeSpec(
+            network=fig2, input_box=enlarged_box2,
+            objective=np.array([1.0]))).result
         assert res.status == "optimal"
         assert res.upper_bound == pytest.approx(6.2, abs=1e-6)
         assert res.workers == 2
 
     def test_check_containment_workers(self, fig2, enlarged_box2):
         target = Box(np.array([0.0]), np.array([6.2000001]))
-        lone = check_containment(fig2, enlarged_box2, target, method="exact")
-        wide = check_containment(fig2, enlarged_box2, target, method="exact",
-                                 workers=4)
+        spec = ContainmentSpec(network=fig2, input_box=enlarged_box2,
+                               target=target, method="exact")
+        lone = VerificationEngine().verify(spec).result
+        wide = VerificationEngine(VerifyConfig(workers=4)).verify(spec).result
         assert lone.holds is True and wide.holds is True
 
 
 class TestFrontierCertificates:
     def test_certify_and_reprove_parallel(self, fig2, enlarged_box2):
-        res, cert = certify_threshold(fig2, enlarged_box2, np.array([1.0]),
-                                      threshold=12.0, workers=4)
+        verdict = VerificationEngine(VerifyConfig(workers=4)).verify(
+            ThresholdSpec(network=fig2, input_box=enlarged_box2,
+                          objective=np.array([1.0]), threshold=12.0))
+        res, cert = verdict.result, verdict.certificate
         assert res.status in ("threshold_proved", "optimal")
         assert cert is not None and cert.num_leaves >= 1
         # The frontier's settled leaves cover the region: re-proving from
@@ -129,8 +133,9 @@ class TestFrontierCertificates:
         assert reproved.upper_bound <= 12.0 + 1e-6
 
     def test_warm_start_matches_cold(self, fig2, enlarged_box2):
-        _, cert = certify_threshold(fig2, enlarged_box2, np.array([1.0]),
-                                    threshold=12.0)
+        cert = VerificationEngine().verify(ThresholdSpec(
+            network=fig2, input_box=enlarged_box2, objective=np.array([1.0]),
+            threshold=12.0)).certificate
         for w in (1, 2):
             res = prove_with_certificate(fig2, enlarged_box2, cert, workers=w)
             assert res.status in ("threshold_proved", "optimal")

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import MaximizeSpec, ThresholdSpec, VerificationEngine
 from repro.domains import Box, box_kappa, propagate_network
-from repro.exact import maximize_output
 from repro.lipschitz import empirical_lipschitz, global_lipschitz_bound, local_lipschitz_bound
 from repro.nn import random_relu_network
 from repro.netabs import build_abstraction
@@ -71,7 +71,8 @@ class TestExactSolver:
     def test_bab_dominates_sampling(self, seed):
         net = random_relu_network([2, 5, 1], seed=seed, weight_scale=1.0)
         box = Box(-np.ones(2), np.ones(2))
-        res = maximize_output(net, box, np.array([1.0]))
+        res = VerificationEngine().verify(MaximizeSpec(
+            network=net, input_box=box, objective=np.array([1.0]))).result
         xs = box.sample(500, np.random.default_rng(seed + 1))
         vals = net.forward(xs).reshape(-1)
         assert res.upper_bound >= vals.max() - 1e-7
@@ -203,13 +204,17 @@ class TestBranchCertificates:
     @SETTINGS
     @given(seed=seeds)
     def test_warm_reproof_matches_cold_verdict(self, seed):
-        from repro.exact import certify_threshold, prove_with_certificate
+        from repro.exact import prove_with_certificate
 
         net = random_relu_network([2, 5, 1], seed=seed, weight_scale=1.0)
         box = Box(-np.ones(2), np.ones(2))
-        opt = maximize_output(net, box, np.array([1.0]))
+        engine = VerificationEngine()
+        opt = engine.verify(MaximizeSpec(
+            network=net, input_box=box, objective=np.array([1.0]))).result
         threshold = opt.upper_bound + 0.1
-        _, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+        cert = engine.verify(ThresholdSpec(
+            network=net, input_box=box, objective=np.array([1.0]),
+            threshold=threshold)).certificate
         assert cert is not None
         res = prove_with_certificate(net, box, cert)
         assert res.status in ("threshold_proved", "optimal")

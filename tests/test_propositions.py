@@ -9,19 +9,15 @@ engineered to break their premises.
 import numpy as np
 import pytest
 
+from repro.api import PropositionSpec, VerificationEngine
 from repro.domains import Box
 from repro.domains.propagate import inductive_states
 from repro.nn import fine_tune, random_relu_network
 from repro.core import (
     SVbTV,
     VerificationProblem,
-    check_prop1,
-    check_prop2,
     check_prop3,
-    check_prop4,
-    check_prop5,
     check_prop6,
-    verify_from_scratch,
 )
 
 
@@ -33,8 +29,9 @@ def setup():
     sn = inductive_states(net, din, 0.02)[-1]
     dout = sn.inflate(0.25 * sn.widths.max() + 0.1)
     problem = VerificationProblem(net, din, dout)
-    base = verify_from_scratch(problem, with_network_abstraction=True,
-                               netabs_groups=3, netabs_margin=0.05)
+    base = VerificationEngine().baseline(
+        problem, with_network_abstraction=True, netabs_groups=3,
+        netabs_margin=0.05)
     assert base.holds
     rng = np.random.default_rng(0)
     x = din.sample(200, rng)
@@ -42,6 +39,12 @@ def setup():
     tuned = fine_tune(net, x, y + rng.normal(0, 0.01, size=y.shape),
                       learning_rate=5e-4, epochs=1)
     return problem, base.artifacts, tuned
+
+
+def _prop(kind, artifacts, **fields):
+    """Proposition ``kind`` as an engine PropositionSpec (default config)."""
+    return VerificationEngine().verify(
+        PropositionSpec(kind=kind, artifacts=artifacts, **fields)).result
 
 
 def _no_violation(network, box, dout, n=3000, seed=1):
@@ -54,14 +57,14 @@ class TestProp1:
     def test_holds_on_small_enlargement(self, setup):
         problem, artifacts, _ = setup
         enlarged = problem.din.inflate(0.01)
-        res = check_prop1(artifacts, enlarged)
+        res = _prop(1, artifacts, enlarged_din=enlarged)
         assert res.holds is True
         assert _no_violation(problem.network, enlarged, problem.dout)
         assert len(res.subproblems) == 1
 
     def test_fails_on_huge_enlargement(self, setup):
         problem, artifacts, _ = setup
-        res = check_prop1(artifacts, problem.din.inflate(5.0))
+        res = _prop(1, artifacts, enlarged_din=problem.din.inflate(5.0))
         assert res.holds is not True
 
     def test_fig2_scenario(self, fig2, unit_box2, enlarged_box2):
@@ -79,15 +82,17 @@ class TestProp1:
             states_prove_safety=True,
         )
         # fig2 has exactly 2 blocks: prop1 abstains (S2 == output layer).
-        res = check_prop1(artifacts, enlarged_box2)
+        res = _prop(1, artifacts, enlarged_din=enlarged_box2)
         assert res.holds is None  # needs >= 3 blocks
         # With a third (identity-ish) tail block the check becomes usable --
         # exercised in the dedicated fig2 benchmark; here we validate the
         # underlying exact check directly:
-        from repro.exact import check_containment
+        from repro.api import ContainmentSpec
 
         head = fig2.subnetwork(0, 2)
-        out = check_containment(head, enlarged_box2, boxes[-1], method="exact")
+        out = VerificationEngine().verify(ContainmentSpec(
+            network=head, input_box=enlarged_box2, target=boxes[-1],
+            method="exact")).result
         assert out.holds is True  # 6.2 <= 12
 
     def test_premise_missing(self, setup):
@@ -95,7 +100,7 @@ class TestProp1:
         from repro.core import ProofArtifacts
 
         empty = ProofArtifacts(problem=problem)
-        res = check_prop1(empty, problem.din.inflate(0.01))
+        res = _prop(1, empty, enlarged_din=problem.din.inflate(0.01))
         assert res.holds is None
 
 
@@ -103,14 +108,14 @@ class TestProp2:
     def test_reenters_early(self, setup):
         problem, artifacts, _ = setup
         enlarged = problem.din.inflate(0.01)
-        res = check_prop2(artifacts, enlarged)
+        res = _prop(2, artifacts, enlarged_din=enlarged)
         assert res.holds is True
         assert "re-entered" in res.detail
         assert _no_violation(problem.network, enlarged, problem.dout)
 
     def test_fails_on_huge_enlargement(self, setup):
         problem, artifacts, _ = setup
-        res = check_prop2(artifacts, problem.din.inflate(10.0))
+        res = _prop(2, artifacts, enlarged_din=problem.din.inflate(10.0))
         assert res.holds is False
         assert len(res.subproblems) == problem.network.num_blocks - 2
 
@@ -161,7 +166,7 @@ class TestProp3:
 class TestProp4:
     def test_small_tune_passes_all_layers(self, setup):
         problem, artifacts, tuned = setup
-        res = check_prop4(artifacts, tuned)
+        res = _prop(4, artifacts, new_network=tuned)
         assert res.holds is True
         assert len(res.subproblems) == tuned.num_blocks
         assert _no_violation(tuned, problem.din, problem.dout)
@@ -169,28 +174,28 @@ class TestProp4:
     def test_large_tune_fails_somewhere(self, setup):
         problem, artifacts, _ = setup
         big = problem.network.perturb(1.0, np.random.default_rng(9))
-        res = check_prop4(artifacts, big)
+        res = _prop(4, artifacts, new_network=big)
         assert res.holds is not True
 
     def test_enlarged_domain_supported(self, setup):
         problem, artifacts, tuned = setup
         enlarged = problem.din.inflate(0.005)
-        res = check_prop4(artifacts, tuned, enlarged_din=enlarged)
+        res = _prop(4, artifacts, new_network=tuned, enlarged_din=enlarged)
         if res.holds:
             assert _no_violation(tuned, enlarged, problem.dout)
 
     def test_stop_on_failure_short_circuits(self, setup):
         problem, artifacts, _ = setup
         big = problem.network.perturb(1.0, np.random.default_rng(9))
-        full = check_prop4(artifacts, big, stop_on_failure=False)
-        short = check_prop4(artifacts, big, stop_on_failure=True)
+        full = _prop(4, artifacts, new_network=big, stop_on_failure=False)
+        short = _prop(4, artifacts, new_network=big, stop_on_failure=True)
         assert len(short.subproblems) <= len(full.subproblems)
 
 
 class TestProp5:
     def test_segments_pass_for_small_tune(self, setup):
         problem, artifacts, tuned = setup
-        res = check_prop5(artifacts, tuned, alphas=[2])
+        res = _prop(5, artifacts, new_network=tuned, alphas=[2])
         assert res.holds is True
         assert len(res.subproblems) == 2
 
@@ -201,8 +206,8 @@ class TestProp5:
         din = Box(np.zeros(3), 0.5 * np.ones(3))
         sn = inductive_states(net, din, 0.02)[-1]
         problem = VerificationProblem(net, din, sn.inflate(1.0))
-        base = verify_from_scratch(problem, rigor="abstract")
-        res = check_prop5(base.artifacts, net.copy(), alphas=[2, 4])
+        base = VerificationEngine().baseline(problem, rigor="abstract")
+        res = _prop(5, base.artifacts, new_network=net.copy(), alphas=[2, 4])
         assert len(res.subproblems) == 3
         assert res.holds is True
 
@@ -211,9 +216,9 @@ class TestProp5:
         from repro.errors import ArtifactError
 
         with pytest.raises(ArtifactError):
-            check_prop5(artifacts, tuned, alphas=[0])
+            _prop(5, artifacts, new_network=tuned, alphas=[0])
         with pytest.raises(ArtifactError):
-            check_prop5(artifacts, tuned, alphas=[2, 2])
+            _prop(5, artifacts, new_network=tuned, alphas=[2, 2])
 
 
 class TestProp6:

@@ -674,6 +674,17 @@ class TestHTTPAndClient:
         assert status == 400
         assert "non-standard JSON" in payload["error"]
 
+    def test_http_rejects_deeply_nested_body_with_400(self, server):
+        """JSON nested past the parser's depth must come back as a 400
+        JSON error, not kill the handler thread and drop the connection."""
+        depth = 100000
+        for body in ("[" * depth + "]" * depth,
+                     '{"spec": ' + "[" * depth + "]" * depth + "}"):
+            status, payload = self._raw_post(server, body.encode())
+            assert status == 400
+            assert "nested too deeply" in payload["error"]
+        assert ServeClient(server.url).health()["ok"] is True
+
     def test_http_bad_state_filter_is_400_not_404(self, server):
         import http.client
 

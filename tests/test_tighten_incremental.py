@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.api import MaximizeSpec, ThresholdSpec, VerificationEngine
 from repro.domains import Box
 from repro.domains.symbolic import SymbolicPropagator
 from repro.errors import ArtifactError
 from repro.exact import (
     BaBSolver,
-    certify_threshold,
-    maximize_output,
     prove_with_certificate,
     tighten_preactivation_bounds,
 )
@@ -66,12 +65,26 @@ class TestTightening:
         assert warm.upper_bound == pytest.approx(plain.upper_bound, abs=1e-5)
 
 
+def _maximize(net, box):
+    """Exact ``max f(x)`` over ``box`` as an engine MaximizeSpec."""
+    return VerificationEngine().verify(MaximizeSpec(
+        network=net, input_box=box, objective=np.array([1.0]))).result
+
+
+def _certify(net, box, threshold):
+    """``(BaBResult, BranchCertificate | None)`` of a ThresholdSpec."""
+    verdict = VerificationEngine().verify(ThresholdSpec(
+        network=net, input_box=box, objective=np.array([1.0]),
+        threshold=threshold))
+    return verdict.result, verdict.certificate
+
+
 class TestBranchCertificate:
     def test_certificate_reproves_same_problem(self, net_and_box):
         net, box = net_and_box
-        opt = maximize_output(net, box, np.array([1.0]))
+        opt = _maximize(net, box)
         threshold = opt.upper_bound + 0.1
-        res, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+        res, cert = _certify(net, box, threshold)
         assert cert is not None and cert.num_leaves >= 1
         again = prove_with_certificate(net, box, cert)
         assert again.status in ("threshold_proved", "optimal")
@@ -79,9 +92,9 @@ class TestBranchCertificate:
 
     def test_warm_start_transfers_to_tuned_network(self, net_and_box):
         net, box = net_and_box
-        opt = maximize_output(net, box, np.array([1.0]))
+        opt = _maximize(net, box)
         threshold = opt.upper_bound + 0.5
-        _, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+        _, cert = _certify(net, box, threshold)
         tuned = net.perturb(1e-4, np.random.default_rng(0))
         res = prove_with_certificate(tuned, box, cert)
         assert res.status in ("threshold_proved", "optimal")
@@ -91,9 +104,9 @@ class TestBranchCertificate:
 
     def test_warm_start_transfers_to_enlarged_domain(self, net_and_box):
         net, box = net_and_box
-        opt = maximize_output(net, box, np.array([1.0]))
+        opt = _maximize(net, box)
         threshold = opt.upper_bound + 1.0
-        _, cert = certify_threshold(net, box, np.array([1.0]), threshold)
+        _, cert = _certify(net, box, threshold)
         bigger = box.inflate(0.01)
         res = prove_with_certificate(net, bigger, cert)
         if res.status in ("threshold_proved", "optimal"):
@@ -102,26 +115,23 @@ class TestBranchCertificate:
 
     def test_refutes_when_threshold_violated(self, net_and_box):
         net, box = net_and_box
-        opt = maximize_output(net, box, np.array([1.0]))
-        _, cert = certify_threshold(net, box, np.array([1.0]),
-                                    opt.upper_bound + 0.5)
+        opt = _maximize(net, box)
+        _, cert = _certify(net, box, opt.upper_bound + 0.5)
         res = prove_with_certificate(net, box, cert,
                                      threshold=opt.upper_bound - 0.5)
         assert res.status == "threshold_refuted"
 
     def test_no_certificate_on_failed_proof(self, net_and_box):
         net, box = net_and_box
-        opt = maximize_output(net, box, np.array([1.0]))
-        res, cert = certify_threshold(net, box, np.array([1.0]),
-                                      opt.upper_bound - 1.0)
+        opt = _maximize(net, box)
+        res, cert = _certify(net, box, opt.upper_bound - 1.0)
         assert cert is None
         assert res.status == "threshold_refuted"
 
     def test_architecture_mismatch_rejected(self, net_and_box):
         net, box = net_and_box
-        opt = maximize_output(net, box, np.array([1.0]))
-        _, cert = certify_threshold(net, box, np.array([1.0]),
-                                    opt.upper_bound + 1.0)
+        opt = _maximize(net, box)
+        _, cert = _certify(net, box, opt.upper_bound + 1.0)
         other = random_relu_network([4, 6, 1], seed=0)
         with pytest.raises(ArtifactError):
             prove_with_certificate(other, box, cert)
@@ -129,9 +139,8 @@ class TestBranchCertificate:
     def test_leaves_cover_space(self, net_and_box, rng):
         """Every input point satisfies some leaf's phase constraints."""
         net, box = net_and_box
-        opt = maximize_output(net, box, np.array([1.0]))
-        _, cert = certify_threshold(net, box, np.array([1.0]),
-                                    opt.upper_bound + 0.05)
+        opt = _maximize(net, box)
+        _, cert = _certify(net, box, opt.upper_bound + 0.05)
         blocks = net.blocks()
         for x in box.sample(200, rng):
             pre = []

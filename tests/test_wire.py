@@ -512,6 +512,28 @@ class TestConfigWire:
         assert config_from_json(config_to_json(config)) == config
 
 
+class TestDeeplyNestedDocuments:
+    """JSON nested past the parser's depth is a malformed document: each
+    wire decoder raises a permanent SerializationError, never a bare
+    RecursionError the retry machinery would call transient."""
+
+    DEPTH = 100000
+
+    @pytest.mark.parametrize("decoder", [
+        "spec_from_json", "config_from_json", "verdict_from_json"])
+    @pytest.mark.parametrize("wrap", ["{}", '{{"spec": {}}}'])
+    def test_decoder_raises_permanent_serialization_error(self, decoder,
+                                                          wrap):
+        import repro.api
+        from repro.serve.resilience import classify_failure
+
+        document = wrap.format("[" * self.DEPTH + "]" * self.DEPTH)
+        with pytest.raises(SerializationError, match="nested too deeply") \
+                as info:
+            getattr(repro.api, decoder)(document)
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+
 def _reference_decision_json(verdict) -> str:
     """The decision projected out of the full wire dict -- the definition
     ``verdict_decision_json`` must reproduce byte for byte."""
