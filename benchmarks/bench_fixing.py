@@ -50,7 +50,7 @@ def test_fixing_settles_the_scenario(vehicle_bundle, broken_version):
     broken, prop4 = broken_version
     artifacts = vehicle_bundle.baselines[0].artifacts
     fix = incremental_fix(artifacts, broken, prop4, method="exact",
-                          node_limit=20000)
+                          config=VerifyConfig(node_limit=20000))
     assert fix.holds is not None
     if fix.holds:
         xs = vehicle_bundle.din.sample(2000, np.random.default_rng(0))
@@ -63,7 +63,7 @@ def test_report_fixing_vs_full(vehicle_bundle, broken_version, capsys):
     broken, prop4 = broken_version
     artifacts = vehicle_bundle.baselines[0].artifacts
     fix = incremental_fix(artifacts, broken, prop4, method="exact",
-                          node_limit=20000)
+                          config=VerifyConfig(node_limit=20000))
     full = FULL.baseline(vehicle_bundle.problem(0).__class__(
         broken, vehicle_bundle.din, vehicle_bundle.dout),
         state_buffer=STATE_BUFFER, rigor="range").result
@@ -121,5 +121,5 @@ def test_benchmark_incremental_fix(vehicle_bundle, broken_version, benchmark):
     artifacts = vehicle_bundle.baselines[0].artifacts
     benchmark.pedantic(
         lambda: incremental_fix(artifacts, broken, prop4, method="exact",
-                                node_limit=20000),
+                                config=VerifyConfig(node_limit=20000)),
         rounds=3, iterations=1)

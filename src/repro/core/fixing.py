@@ -25,8 +25,6 @@ from typing import List, Optional
 from repro.api.config import (
     DEFAULT_DOMAIN,
     DEFAULT_METHOD,
-    DEFAULT_NODE_LIMIT,
-    DEFAULT_WORKERS,
     VerifyConfig,
 )
 from repro.domains.box import Box
@@ -77,20 +75,16 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
                     enlarged_din: Optional[Box] = None,
                     domain: str = DEFAULT_DOMAIN,
                     method: str = DEFAULT_METHOD,
-                    node_limit: int = DEFAULT_NODE_LIMIT,
-                    workers: int = DEFAULT_WORKERS,
                     config: Optional[VerifyConfig] = None) -> FixingResult:
     """Attempt the Section IV.C repair after a failed Proposition 4.
 
     ``prop4_result`` must be the (non-early-stopped) result of
     :func:`~repro.core.propositions._check_prop4` on the same inputs, whose
-    per-layer failure pattern decides which repair applies.
-
-    ``config`` (the engine path) supersedes the loose ``node_limit`` /
-    ``workers`` keywords, which remain for compatibility.
+    per-layer failure pattern decides which repair applies.  ``config``
+    (default :class:`VerifyConfig`) sets the exact checks' budgets and
+    workers.
     """
-    if config is None:
-        config = VerifyConfig(node_limit=node_limit, workers=workers)
+    config = config or VerifyConfig()
     started = time.perf_counter()
     states = artifacts.require_states()
     din = enlarged_din if enlarged_din is not None else artifacts.problem.din

@@ -5,15 +5,29 @@ function of a (sub)network's output over a box of inputs.  Each node of the
 search tree is a partial phase assignment for statically-unstable neurons;
 its LP relaxation (triangle hull for still-free neurons) yields an upper
 bound, and forward-evaluating the relaxation's input point yields a feasible
-lower bound (incumbent).  Branching fixes the most violated neuron's phase.
-The method is sound and complete for ReLU / LeakyReLU networks.  The
-search loop itself -- synchronous rounds of batched screens and node LPs --
-lives in :mod:`repro.exact.parallel_bab`.
+lower bound (incumbent).  The method is sound and complete for ReLU /
+LeakyReLU networks.  The search loop itself -- synchronous rounds of
+batched screens and node LPs -- lives in :mod:`repro.exact.parallel_bab`.
 
 Threshold mode makes the proposition checks cheap: when the caller only
 needs to know whether ``max <= threshold`` the search stops as soon as the
 global upper bound drops below (proved) or the incumbent rises above
 (refuted, with a concrete counterexample input).
+
+Branching
+---------
+A node splits on the free unstable neuron whose triangle-hull row
+``a - lam*z <= (slope - lam)*l`` its own LP optimum leans on hardest:
+among the neurons the LP point violates (``|a - act(z)| > tol``), the
+largest ``lambda_r * rhs_r`` on that row ``r``, with ``lambda`` the
+node LP's optimal multipliers, ties to the lowest phase-matrix column
+(:meth:`BaBSolver._split_column`).  Each child replaces that hull by
+one exact piece, so the row's share ``lambda_r * rhs_r`` of the LP's
+dual bound estimates what the split takes off the node's bound.  This
+is the LP-dual form of BaBSR (Bunel et al., "Branch and Bound for
+Piecewise Linear Neural Network Verification", JMLR 2020).  When no
+violated neuron has a positive score (the optimum rests on column
+bounds alone), the largest violation is split instead.
 """
 
 from __future__ import annotations
@@ -273,15 +287,17 @@ class BaBSolver:
         child hot-starts from its parent's optimal basis, carried on the
         open-node heap; the root and warm starts solve cold.
 
+        Every node LP returns its optimal multipliers, and a node's own
+        ``dual_ub`` chooses its split (module docstring, "Branching").
         A collector made with ``duals=True`` also receives one multiplier
         row per collected leaf, by position: the optimal dual multipliers
         ``(dual_ub, dual_eq)`` of the leaf's own node LP, else its
         ``initial_duals`` row when it is a warm start (the multipliers a
-        certificate stored for it), else none.  Free for the solver (HiGHS
-        computes marginals anyway) and never consulted by the search
-        itself; certificate recording stores them so future
-        re-verifications can re-certify every leaf with one LP-free,
-        batched Lagrangian evaluation (:mod:`repro.certs.reuse`).
+        certificate stored for it), else none.  Those recorded rows are
+        advisory: the search never reads them back; certificate recording
+        stores them so future re-verifications can re-certify every leaf
+        with one LP-free, batched Lagrangian evaluation
+        (:mod:`repro.certs.reuse`).
 
         The search runs in synchronous frontier rounds
         (:mod:`repro.exact.parallel_bab`): each round expands the best
@@ -310,37 +326,34 @@ class BaBSolver:
         return upper, feasible, (pre_lo, pre_hi) if self.node_tighten \
             else None
 
-    def _most_violated(self, x: np.ndarray,
-                       phases: np.ndarray) -> Optional[int]:
-        """The phase-matrix column of the free unstable neuron whose LP
-        values most violate a = act(z)."""
+    def _split_column(self, x: np.ndarray, phases: np.ndarray,
+                      dual_ub: Optional[np.ndarray]) -> Optional[int]:
+        """The phase-matrix column a node with LP point ``x`` and row
+        multipliers ``dual_ub`` splits on, or ``None`` when ``x`` is
+        activation-consistent.
+
+        Candidates are the free unstable neurons whose LP values violate
+        ``a = act(z)`` by more than ``tol``.  Each scores ``dual_ub[r] *
+        rhs_r`` on its triangle-hull row ``r``; the best positive score
+        wins, ties to the lowest column.  When no score is positive (or
+        there are no multipliers) the largest violation wins instead, ties
+        again to the lowest column.
+        """
         enc = self.encoding
-        phase_row = enc._lp_base().phase_row  # >= 0 exactly when unstable
-        worst: Optional[int] = None
-        worst_gap = self.tol
-        offset = 0
-        for k, block in enumerate(self.network.blocks()):
-            act = block.activation
-            offset += block.out_dim
-            if act is None:
-                continue
-            start = offset - block.out_dim
-            slope = getattr(act, "alpha", 0.0)
-            z = x[enc.z_slices[k]]
-            a = x[enc.a_slices[k]]
-            exact = np.where(z > 0, z, slope * z)
-            gaps = np.abs(a - exact)
-            for i in np.argsort(gaps)[::-1]:
-                gap = gaps[i]
-                if gap <= worst_gap:
-                    break
-                column = start + int(i)
-                if phases[column] or phase_row[column] < 0:
-                    continue
-                worst = column
-                worst_gap = gap
-                break
-        return worst
+        base = enc._lp_base()
+        z = x[enc._z_cols]
+        gap = np.abs(x[enc._a_cols] - np.where(z > 0, z, enc._slopes * z))
+        candidates = np.flatnonzero(
+            (gap > self.tol) & (phases == 0) & (base.tri_row >= 0))
+        if not candidates.size:
+            return None
+        if dual_ub is not None:
+            score = dual_ub[base.tri_row[candidates]] * \
+                base.tri_rhs[candidates]
+            best = int(np.argmax(score))
+            if score[best] > 0.0:
+                return int(candidates[best])
+        return int(candidates[np.argmax(gap[candidates])])
 
     def minimize(self, c: np.ndarray,
                  threshold: Optional[float] = None) -> BaBResult:

@@ -360,8 +360,11 @@ class _LPBase:
     ``b_ub`` ends with the two ``+inf`` phase rows of every unstable
     neuron.  Per phase-matrix column (one per neuron, block order):
     ``phase_row`` is the index of an unstable neuron's first phase row
-    (-1 for other neurons), and ``contradicts`` is the phase that
-    contradicts a stable activation neuron's stability (0 for others).
+    (-1 for other neurons), ``tri_row``/``tri_rhs`` the index and
+    right-hand side of its triangle-hull row ``a - lam*z <= (slope -
+    lam)*l`` (-1 and 0 for other neurons), and ``contradicts`` is the
+    phase that contradicts a stable activation neuron's stability (0 for
+    others).
     ``a_ub_t``/``a_eq_t`` are the matrices' transposes as CSR with sorted
     indices, built on first use: ``(a_t @ m.T).T`` is bitwise ``m @ a``
     (each entry sums its terms in the same column order) without a
@@ -375,6 +378,8 @@ class _LPBase:
     col_lo: np.ndarray
     col_hi: np.ndarray
     phase_row: np.ndarray
+    tri_row: np.ndarray
+    tri_rhs: np.ndarray
     contradicts: np.ndarray
 
     # Concurrent first uses may both build one; either result is the same.
@@ -557,6 +562,15 @@ class NetworkEncoding:
         #: each phase-matrix column -- and the blocks' neuron counts.
         self._z_cols = np.concatenate(
             [np.arange(sl.start, sl.stop) for sl in self.z_slices])
+        #: Per phase-matrix column: its ``a`` column and activation slope
+        #: (the identity's 1 on linear blocks), so ``a - act(z)`` at an LP
+        #: point is one vectorised expression.
+        self._a_cols = np.concatenate(
+            [np.arange(sl.start, sl.stop) for sl in self.a_slices])
+        self._slopes = np.concatenate(
+            [np.full(block.out_dim, 1.0 if block.activation is None
+                     else self._block_slope(block.activation))
+             for block in net.blocks()])
         self.phase_widths = [sl.stop - sl.start for sl in self.z_slices]
 
     @property
@@ -816,8 +830,7 @@ class NetworkEncoding:
 
     def solve_node(self, cost: np.ndarray, fixed_phases,
                    tight_pre: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-                   basis=None, want_duals: bool = False,
-                   label: str = "") -> LPResult:
+                   basis=None, label: str = "") -> LPResult:
         """Solve one node LP (``min cost @ x``; the node a phase map or
         one phase row, see :meth:`node_bounds`) on the calling thread's
         persistent HiGHS kernel (:func:`repro.exact.highs.kernel_for`),
@@ -827,7 +840,7 @@ class NetworkEncoding:
         """
         col_lo, col_hi, b_ub = self.node_bounds(fixed_phases, tight_pre)
         return kernel_for(self).solve(cost, col_lo, col_hi, b_ub, basis=basis,
-                                      want_duals=want_duals, label=label)
+                                      label=label)
 
     # ------------------------------------------------------ fixed base layout
     def _lp_base(self) -> _LPBase:
@@ -898,6 +911,8 @@ class NetworkEncoding:
         phase_cols: List[np.ndarray] = []
         offsets = np.concatenate([[0], np.cumsum(self.phase_widths)])
         contradicts = np.zeros(offsets[-1], dtype=np.int8)
+        tri_row = np.full(offsets[-1], -1, dtype=np.int64)
+        tri_rhs = np.zeros(offsets[-1])
 
         prev_a = self.input_slice
         for k, block in enumerate(self.network.blocks()):
@@ -937,7 +952,9 @@ class NetworkEncoding:
                     ])
                     rhs = np.zeros(3 * m)
                     rhs[2::3] = (slope - lam) * l
-                    ub.add_chunk(rows, cols, data, rhs)
+                    start = ub.add_chunk(rows, cols, data, rhs)
+                    tri_row[offsets[k] + free] = start + triple + 2
+                    tri_rhs[offsets[k] + free] = rhs[2::3]
                     lo[ai], hi[ai] = self._unstable_a_bounds(slope, l, u)
                     phase_z.append(zi)
                     phase_a.append(ai)
@@ -964,8 +981,8 @@ class NetworkEncoding:
 
         a_eq, b_eq = eq.matrices()
         a_ub, b_ub = ub.matrices()
-        return _LPBase(a_eq, b_eq, a_ub, b_ub, lo, hi, phase_row,
-                       contradicts)
+        return _LPBase(a_eq, b_eq, a_ub, b_ub, lo, hi, phase_row, tri_row,
+                       tri_rhs, contradicts)
 
     # ----------------------------------------------------------- MILP builder
     def build_milp(self) -> LinearSystem:

@@ -138,17 +138,18 @@ class NodeKernel:
         self._b_ub = np.array(b_ub, dtype=np.float64)
 
     def solve(self, cost: np.ndarray, col_lo: np.ndarray, col_hi: np.ndarray,
-              b_ub: Optional[np.ndarray], basis=None, want_duals: bool = False,
+              b_ub: Optional[np.ndarray], basis=None,
               label: str = "") -> LPResult:
         """Minimise ``cost @ x`` on the model with these bounds.
 
         ``basis`` (a parent's :attr:`LPResult.basis`) hot-starts the dual
         simplex; ``None`` solves cold.  An empty column interval (a
         contradictory phase, or tightened bounds that cross) is
-        infeasible at once, with no solve.  Statuses and the
-        ``want_duals`` multipliers follow :func:`repro.exact.lp.solve_lp`;
-        any other HiGHS outcome raises :class:`SolverError` naming
-        ``label``.
+        infeasible at once, with no solve.  Statuses follow
+        :func:`repro.exact.lp.solve_lp`, and an optimal result always
+        carries the row multipliers (HiGHS computes them with every
+        solution; the search branches on them); any other HiGHS outcome
+        raises :class:`SolverError` naming ``label``.
         """
         if np.any(col_lo > col_hi):
             return LPResult(LP_INFEASIBLE, float("nan"), None)
@@ -175,15 +176,12 @@ class NodeKernel:
         status = highs.getModelStatus()
         if status == _core.HighsModelStatus.kOptimal:
             solution = highs.getSolution()
-            dual_ub = dual_eq = None
-            if want_duals:
-                # HiGHS row duals are d(objective)/d(rhs): negate for the
-                # nonnegative ``<=`` multipliers of a minimisation.
-                duals = -np.asarray(solution.row_dual, dtype=np.float64)
-                if self.num_ub:
-                    dual_ub = duals[:self.num_ub]
-                if duals.size > self.num_ub:
-                    dual_eq = duals[self.num_ub:]
+            # HiGHS row duals are d(objective)/d(rhs): negate for the
+            # nonnegative ``<=`` multipliers of a minimisation.
+            duals = -np.asarray(solution.row_dual, dtype=np.float64)
+            dual_ub = duals[:self.num_ub] if self.num_ub else None
+            dual_eq = duals[self.num_ub:] if duals.size > self.num_ub \
+                else None
             return LPResult(LP_OPTIMAL,
                             float(highs.getInfo().objective_function_value),
                             np.asarray(solution.col_value, dtype=np.float64),

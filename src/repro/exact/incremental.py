@@ -34,12 +34,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import ArtifactError
-from repro.api.config import (
-    DEFAULT_FULL_NODE_LIMIT,
-    DEFAULT_TOL,
-    DEFAULT_WORKERS,
-    VerifyConfig,
-)
+from repro.api.config import VerifyConfig
 from repro.domains.box import Box
 from repro.exact.bab import BaBResult, BaBSolver, CoveringLeaves
 from repro.exact.encoding import NetworkEncoding, PackedDuals
@@ -121,17 +116,15 @@ def _certify_threshold(network: Network, input_box: Box, c: np.ndarray,
 def prove_with_certificate(network: Network, input_box: Box,
                            certificate: BranchCertificate,
                            threshold: Optional[float] = None,
-                           node_limit: int = DEFAULT_FULL_NODE_LIMIT,
-                           tol: float = DEFAULT_TOL,
                            encoding: Optional[NetworkEncoding] = None,
-                           workers: int = DEFAULT_WORKERS,
                            config: Optional[VerifyConfig] = None) -> BaBResult:
     """Re-prove the threshold on a *modified* problem, warm-started from the
     certificate's leaves.
 
     ``network`` may be a fine-tuned version (same block shapes) and
     ``input_box`` an enlarged domain.  ``threshold`` defaults to the
-    certified one.
+    certified one.  The search runs under ``config``'s (default
+    :class:`VerifyConfig`) full node budget, ``tol`` and ``workers``.
 
     Every leaf LP is a *delta* on one shared encoding (phase rows over the
     cached phase-free base), and the encoding itself is memoised across
@@ -145,10 +138,7 @@ def prove_with_certificate(network: Network, input_box: Box,
         raise ArtifactError(
             "branch certificate was built for a different architecture")
     threshold = certificate.threshold if threshold is None else float(threshold)
-    if config is None:
-        config = VerifyConfig(node_limit=node_limit,
-                              full_node_limit=node_limit,
-                              tol=tol, workers=workers)
+    config = config or VerifyConfig()
     solver = BaBSolver.from_config(
         network, input_box,
         config.replace(node_limit=config.effective_full_node_limit),

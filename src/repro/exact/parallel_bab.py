@@ -12,8 +12,9 @@ One round
 1. *Pop.*  Take up to ``FRONTIER_WIDTH`` best-bound nodes off the open
    heap (stopping early when bounds fall to the incumbent).
 2. *Branch.*  Each popped node -- one int8 row of the encoding's phase
-   matrix -- contributes its two phase-split children
-   (activation-consistent nodes instead register their LP point as a
+   matrix -- contributes its two phase-split children on the neuron its
+   own LP multipliers choose (:meth:`BaBSolver._split_column`;
+   activation-consistent nodes instead register their LP point as a
    feasible incumbent and settle).
 3. *Screen.*  All children of the round are stacked into one phase matrix
    and screened with **one**
@@ -163,8 +164,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         hot-started from its parent's ``basis`` (``None``: cold)."""
         def thunk() -> LPResult:
             return kernel_for(enc).solve(neg_obj, col_lo, col_hi, b_ub,
-                                         basis=basis, want_duals=want_duals,
-                                         label=label)
+                                         basis=basis, label=label)
         return thunk
 
     def solve_batch(phases: np.ndarray, tight, bases: List,
@@ -236,8 +236,9 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         return np.flatnonzero(~settled)
 
     # Max-heap on node upper bounds (negate for heapq); each entry carries
-    # its phase row, LP point, optimal basis (its children's hot start)
-    # and the multipliers recorded if it settles as a leaf.
+    # its phase row, LP point, optimal basis (its children's hot start),
+    # the LP's ``<=`` row multipliers (they choose its split) and the
+    # multipliers recorded if it settles as a leaf.
     heap: List[Tuple] = []
 
     def solve_and_fold(phases: np.ndarray, keep: np.ndarray,
@@ -278,7 +279,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                 record_leaf(row, dual)
                 continue
             heapq.heappush(heap, (res.value, next(counter), row, res.x,
-                                  res.basis, dual))
+                                  res.basis, res.dual_ub, dual))
         return any_feasible
 
     # Warm-start economics: starts adopted from the caller, and how many
@@ -301,7 +302,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     def finish(status: str, bound: float) -> BaBResult:
         # Whatever remains open is part of the covering certificate.
         for entry in heap:
-            record_leaf(entry[2], entry[5])
+            record_leaf(entry[2], entry[6])
         return result(status, bound)
 
     # ------------------------------------------------------------- warm start
@@ -373,9 +374,9 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         rounds += 1
         children: List[np.ndarray] = []
         parent_bases: List = []
-        for phases, x_lp, basis, dual in popped:
+        for phases, x_lp, basis, dual_ub, dual in popped:
             nodes += 1
-            column = solver._most_violated(x_lp, phases)
+            column = solver._split_column(x_lp, phases, dual_ub)
             if column is None:
                 # LP solution is activation-consistent: bound is attained.
                 register_feasible(x_lp[enc.input_slice])

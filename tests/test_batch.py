@@ -12,7 +12,6 @@ import pytest
 from repro.domains import (
     Box,
     BoxBatch,
-    get_batched_propagator,
     get_propagator,
     phase_clamped_objective_bounds,
     propagate_batch,

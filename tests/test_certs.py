@@ -591,7 +591,7 @@ class TestFixedLayoutDuals:
             if not feasible[j]:
                 continue
             tight = [(lo[j], hi[j]) for lo, hi in zip(pre_lo, pre_hi)]
-            res = enc.solve_node(neg_obj, leaf, tight, want_duals=True)
+            res = enc.solve_node(neg_obj, leaf, tight)
             if res.optimal:
                 assert res.dual_ub.size == enc.build_lp().b_ub.size
                 solved[j] = res
@@ -846,10 +846,11 @@ class TestBlockRecording:
     def test_screen_settled_leaves_keep_their_stored_duals(self):
         """A warm re-record keeps the stored multipliers of every leaf
         the screen settled; only the leaves that paid an LP (at most one
-        per LP) carry new ones."""
+        per LP) carry new ones.  At least one re-record of the sequence
+        has more common leaves than LPs, so the bound is not vacuous."""
         store = self.Recorded()
         engine = VerificationEngine(VerifyConfig(certs="reuse"), certs=store)
-        checked = 0
+        margins = []
         for spec in _tuning_sequence(steps=6):
             before = len(store.puts)
             verdict = engine.verify(spec)
@@ -865,9 +866,10 @@ class TestBlockRecording:
             kept = sum(dual is not None and all(
                 np.array_equal(a, b) for a, b in zip(dual, stored[key]))
                 for key, dual in common)
-            assert kept >= len(common) - verdict.result.lp_solves > 0
-            checked += 1
-        assert checked
+            margin = len(common) - verdict.result.lp_solves
+            assert kept >= margin
+            margins.append(margin)
+        assert max(margins, default=0) > 0
 
 
 def _tuning_sequence(steps=4):

@@ -10,7 +10,6 @@ from repro.errors import (
     ArtifactError,
     DomainError,
     ReproError,
-    ShapeError,
     SolverError,
 )
 from repro.exact import NetworkEncoding, solve_milp
@@ -18,7 +17,6 @@ from repro.nn import (
     Dense,
     LeakyReLU,
     Network,
-    ReLU,
     Sigmoid,
     random_relu_network,
 )

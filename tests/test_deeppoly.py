@@ -5,7 +5,7 @@ import pytest
 
 from repro.domains import Box, DeepPolyPropagator, propagate_network
 from repro.errors import UnsupportedLayerError
-from repro.nn import Dense, LeakyReLU, Network, ReLU, Sigmoid, random_relu_network
+from repro.nn import Dense, LeakyReLU, Network, Sigmoid, random_relu_network
 
 
 class TestSoundness:

@@ -14,7 +14,7 @@ from repro.domains import (
 )
 from repro.domains.propagate import inductive_states
 from repro.errors import DomainError, UnsupportedLayerError
-from repro.nn import Dense, LeakyReLU, Network, ReLU, Sigmoid, random_relu_network
+from repro.nn import Dense, LeakyReLU, Network, Sigmoid, random_relu_network
 
 
 def _sound_on(net, box, domain, rng, n=1500, tol=1e-9):

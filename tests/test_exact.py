@@ -14,7 +14,7 @@ from repro.exact import (
     solve_lp,
     solve_milp,
 )
-from repro.nn import Dense, LeakyReLU, Network, ReLU, random_relu_network
+from repro.nn import Dense, LeakyReLU, Network, random_relu_network
 
 
 class TestLP:
@@ -70,6 +70,71 @@ class TestEncoding:
         enc = NetworkEncoding(fig2, enlarged_box2)
         with pytest.raises(DomainError):
             enc.output_objective(np.ones(3))
+
+
+class TestSplitColumn:
+    """The branching rule: among free unstable neurons the LP point
+    violates, the largest triangle-row score ``dual_ub[tri_row] *
+    tri_rhs`` (ties to the lowest column), else the largest violation."""
+
+    @pytest.fixture
+    def node(self, fig2, enlarged_box2):
+        """A hand-built node on Fig. 2: an LP point whose first three
+        (block-0) neurons violate ``a = relu(z)`` by 1.0, 0.2 and 0.5,
+        and a zero multiplier row to fill in."""
+        solver = BaBSolver(fig2, enlarged_box2)
+        enc = solver.encoding
+        base = enc._lp_base()
+        assert list(base.tri_row >= 0) == [True] * 4  # all four unstable
+        x = np.zeros(enc.num_continuous)
+        z = np.array([-0.5, 0.5, 0.25, 1.0])
+        a = np.array([1.0, 0.7, 0.75, 1.0])
+        x[enc._z_cols], x[enc._a_cols] = z, a
+        duals = np.zeros(enc.dual_rows()[0])
+        return solver, base, x, duals, np.zeros(4, dtype=np.int8)
+
+    def test_triangle_rows_are_the_hull_rows(self, fig2, enlarged_box2):
+        enc = NetworkEncoding(fig2, enlarged_box2)
+        base = enc._lp_base()
+        a_ub = base.a_ub.toarray()
+        for column in range(4):
+            row = base.tri_row[column]
+            z, a = enc._z_cols[column], enc._a_cols[column]
+            assert a_ub[row, a] == 1.0 and a_ub[row, z] < 0.0
+            assert np.count_nonzero(a_ub[row]) == 2
+            assert base.b_ub[row] == base.tri_rhs[column] > 0.0
+
+    def test_score_overrides_the_largest_gap(self, node):
+        solver, base, x, duals, phases = node
+        assert solver._split_column(x, phases, duals) == 0  # max-gap
+        duals[base.tri_row[1]] = 1.0
+        assert solver._split_column(x, phases, duals) == 1
+
+    def test_ties_go_to_the_lowest_column(self, node):
+        solver, base, x, duals, phases = node
+        assert base.tri_rhs[0] == base.tri_rhs[1]  # Fig. 2 symmetry
+        duals[base.tri_row[[1, 0]]] = 2.0
+        x[solver.encoding._a_cols[1]] = 2.0  # now the larger gap
+        assert solver._split_column(x, phases, duals) == 0
+
+    def test_zero_or_absent_duals_fall_back_to_the_largest_gap(self, node):
+        solver, base, x, duals, phases = node
+        for row in (duals, None):
+            assert solver._split_column(x, phases, row) == 0
+            phases[0] = 1  # a fixed neuron is never split again
+            assert solver._split_column(x, phases, row) == 2
+            phases[0] = 0
+        # A score on a column the point does not violate is ignored.
+        duals[base.tri_row[3]] = 5.0
+        assert solver._split_column(x, phases, duals) == 0
+
+    def test_activation_consistent_point_is_a_leaf(self, node):
+        solver, base, x, duals, phases = node
+        enc = solver.encoding
+        z = x[enc._z_cols]
+        x[enc._a_cols] = np.maximum(z, 0.0) + solver.tol / 2  # within tol
+        duals[base.tri_row] = 1.0
+        assert solver._split_column(x, phases, duals) is None
 
 
 class TestMILP:

@@ -17,7 +17,6 @@ from repro.core import (
     load_artifacts,
     save_artifacts,
 )
-from repro.domains import Box
 from repro.monitor import BoxMonitor
 from repro.nn import TrainConfig, fine_tune, train
 from repro.vehicle import (

@@ -71,7 +71,9 @@ def _reference_node_bounds(enc, phases, tight_pre):
 
 def _reference_upper(enc, cost, phases, tight, dual):
     """Per-leaf closed form: finite variable box, clipped multipliers,
-    ``rhs - min_box g @ x``; ``+inf`` for unusable multipliers."""
+    ``rhs - min_box g @ x``; ``+inf`` for unusable multipliers.  The
+    ``z`` columns are the node's own (``tight`` already applied), so a
+    contradictory leaf keeps its empty ``[1, -1]`` interval as given."""
     base = enc._lp_base()
     col_lo, col_hi, b_ub = _reference_node_bounds(enc, phases, tight)
     lo = np.full(enc.num_continuous, -np.inf)
@@ -80,7 +82,6 @@ def _reference_upper(enc, cost, phases, tight, dual):
     hi[enc.input_slice] = enc.input_box.upper
     for k, block in enumerate(enc.network.blocks()):
         zl, zu = tight[k]
-        lo[enc.z_slices[k]], hi[enc.z_slices[k]] = zl, zu
         if block.activation is not None:
             s = getattr(block.activation, "alpha", 0.0)
             lo[enc.a_slices[k]] = np.maximum(zl, s * zl)
@@ -197,8 +198,7 @@ def _own_duals(enc, cost, maps, pre_lo, pre_hi):
     """Each leaf's own node-LP duals (``None`` when it has no optimum)."""
     duals = []
     for j, leaf in enumerate(maps):
-        res = enc.solve_node(cost, leaf, _tight(pre_lo, pre_hi, j),
-                             want_duals=True)
+        res = enc.solve_node(cost, leaf, _tight(pre_lo, pre_hi, j))
         duals.append((res.dual_ub, res.dual_eq) if res.optimal else None)
     return duals
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.domains import Box
 from repro.errors import UnsupportedLayerError
-from repro.nn import Dense, Network, ReLU, Sigmoid, random_relu_network
+from repro.nn import Dense, Network, Sigmoid, random_relu_network
 from repro.netabs import (
     apply_split,
     build_abstraction,

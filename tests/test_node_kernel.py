@@ -58,7 +58,7 @@ class TestHistoryIndependence:
         cost = -enc.output_objective(np.array([1.0, -0.5]))
         other = -enc.output_objective(np.array([-0.3, 1.0]))
         used = NodeKernel(enc.build_lp())
-        root = used.solve(cost, *enc.node_bounds(), want_duals=True)
+        root = used.solve(cost, *enc.node_bounds())
         assert root.optimal and root.basis is not None
         nodes = _node_maps(enc, rng, 12)
         for phases in nodes:
@@ -70,10 +70,9 @@ class TestHistoryIndependence:
                                basis=root.basis)
                     used.solve(cost, *enc.node_bounds(noise))
                 fresh = NodeKernel(enc.build_lp()).solve(
-                    cost, *enc.node_bounds(phases), basis=basis,
-                    want_duals=True)
+                    cost, *enc.node_bounds(phases), basis=basis)
                 again = used.solve(cost, *enc.node_bounds(phases),
-                                   basis=basis, want_duals=True)
+                                   basis=basis)
                 _same(fresh, again)
 
     def test_search_is_identical_on_fresh_and_used_kernels(self):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.api import (ContainmentSpec, MaximizeSpec, ThresholdSpec,
-                       VerificationEngine, VerifyConfig)
+                       VerificationEngine, VerifyConfig,
+                       canonical_verdict_json)
 from repro.domains import Box
 from repro.errors import ReproError, SolverError
 from repro.exact import (
@@ -117,6 +118,55 @@ class TestWorkerMatrix:
         assert lone.holds is True and wide.holds is True
 
 
+class TestDualBranching:
+    """Splits chosen by the node LPs' own triangle-row multipliers keep
+    the worker-count contract and solve far fewer LPs."""
+
+    #: Total ``lp_solves`` over :meth:`_parity_nets` under the max-gap
+    #: rule this one replaced.
+    MAX_GAP_LP_SOLVES = 9052
+
+    @staticmethod
+    def _parity_nets():
+        box = Box(-np.ones(5), np.ones(5))
+        return [(random_relu_network([5, 12, 12, 1], seed=seed), box)
+                for seed in range(12)]
+
+    def test_vehicle_sized_head_identical_across_workers(self):
+        net = random_relu_network([27, 16, 12, 1], seed=0)
+        box = Box(-0.2 * np.ones(27), 0.2 * np.ones(27))
+        c = np.ones(1)
+        peak = VerificationEngine().verify(MaximizeSpec(
+            network=net, input_box=box, objective=c)).result
+        assert peak.status == "optimal" and peak.lp_solves > 100
+        for spec in (
+                MaximizeSpec(network=net, input_box=box, objective=c),
+                ThresholdSpec(network=net, input_box=box, objective=c,
+                              threshold=peak.upper_bound * 1.02)):
+            verdicts = [VerificationEngine(VerifyConfig(workers=w))
+                        .verify(spec) for w in WORKER_MATRIX]
+            # The canonical bytes record the configured pool width; every
+            # other byte is the trajectory's and must agree.
+            texts = {canonical_verdict_json(v).replace(
+                f'"workers": {w}', '"workers": W')
+                for v, w in zip(verdicts, WORKER_MATRIX)}
+            assert len(texts) == 1 and '"workers": W' in texts.pop()
+        assert verdicts[0].certified
+
+    def test_fewer_lp_solves_than_max_gap_on_random_nets(self, rng):
+        total = 0
+        for net, box in self._parity_nets():
+            res = BaBSolver(net, box).maximize(np.ones(1))
+            assert res.status == "optimal"
+            # The optimum is attained at the witness and bounds samples.
+            assert net.forward(res.witness)[0] == \
+                pytest.approx(res.upper_bound, abs=1e-6)
+            assert net.forward(box.sample(500, rng)).max() <= \
+                res.upper_bound + 1e-6
+            total += res.lp_solves
+        assert total < self.MAX_GAP_LP_SOLVES
+
+
 class TestFrontierCertificates:
     def test_certify_and_reprove_parallel(self, fig2, enlarged_box2):
         verdict = VerificationEngine(VerifyConfig(workers=4)).verify(
@@ -128,7 +178,7 @@ class TestFrontierCertificates:
         # The frontier's settled leaves cover the region: re-proving from
         # them (again in parallel) must close without a fresh search.
         reproved = prove_with_certificate(fig2, enlarged_box2, cert,
-                                          workers=4)
+                                          config=VerifyConfig(workers=4))
         assert reproved.status in ("threshold_proved", "optimal")
         assert reproved.upper_bound <= 12.0 + 1e-6
 
@@ -137,7 +187,8 @@ class TestFrontierCertificates:
             network=fig2, input_box=enlarged_box2, objective=np.array([1.0]),
             threshold=12.0)).certificate
         for w in (1, 2):
-            res = prove_with_certificate(fig2, enlarged_box2, cert, workers=w)
+            res = prove_with_certificate(fig2, enlarged_box2, cert,
+                                         config=VerifyConfig(workers=w))
             assert res.status in ("threshold_proved", "optimal")
 
 

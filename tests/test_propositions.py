@@ -14,7 +14,6 @@ from repro.domains import Box
 from repro.domains.propagate import inductive_states
 from repro.nn import fine_tune, random_relu_network
 from repro.core import (
-    SVbTV,
     VerificationProblem,
     check_prop3,
     check_prop6,

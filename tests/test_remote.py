@@ -2,7 +2,6 @@
 remote executor, the shard-routing coordinator, and the kill-a-worker
 end-to-end path (verdicts must stay byte-identical to direct solves)."""
 
-import json
 import os
 import signal
 import socket

@@ -8,7 +8,6 @@ from repro.monitor import BoxMonitor
 from repro.nn import TrainConfig, train
 from repro.vehicle import (
     Camera,
-    CarPose,
     DriveConfig,
     Perception,
     PerceptionConfig,

@@ -29,7 +29,6 @@ from repro.api.verdict import (
     MaximizeVerdict,
     Provenance,
     RangeVerdict,
-    ThresholdVerdict,
 )
 from repro.core import (
     LipschitzCertificate,
@@ -325,7 +324,7 @@ class TestVerdictCertificateWire:
             objective=np.array([1.0]), threshold=6.5))
         assert verdict.certified
         wire = verdict_to_json(verdict)
-        assert json.loads(wire)["certificate"]["leaves"][1][1] == [1, 0, -1]
+        assert json.loads(wire)["certificate"]["leaves"][1][1] == [0, 1, -1]
         return wire
 
     @pytest.mark.parametrize("value", ["1e400", "2.5", "true", "-1"])
