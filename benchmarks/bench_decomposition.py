@@ -8,8 +8,6 @@ re-verification) -- and reports the parallel (max-subproblem) and
 sequential (sum) costs of each, on the vehicle SVbTV workload.
 """
 
-import pytest
-
 from benchmarks.common import STATE_BUFFER
 from repro.api import PropositionSpec, VerificationEngine, VerifyConfig
 

@@ -8,9 +8,6 @@ to zero).  This bench sweeps the buffer under a nominal and a drifted
 scenario and benchmarks monitor throughput.
 """
 
-import numpy as np
-import pytest
-
 from repro.monitor import BoxMonitor
 from repro.vehicle import DriveConfig, VehiclePlatform
 

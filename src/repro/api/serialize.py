@@ -879,13 +879,16 @@ def verdict_from_json(text: str):
     return verdict_from_dict(_json_loads(text, "verdict"))
 
 
-#: Keys that describe *how long / how cached* a particular run was, not
-#: what the answer is; stripped recursively by the canonical form.
+#: Keys that describe *how long / how cached / how wide* a particular run
+#: was, not what the answer is; stripped recursively by the canonical form.
 #: ``nodes_reused``/``lp_solves_saved`` are warm-start economics embedded
-#: in result payloads -- bookkeeping of one run, like ``elapsed``.
+#: in result payloads -- bookkeeping of one run, like ``elapsed``; a
+#: branch-and-bound result's ``workers`` is the configured pool width, which
+#: never changes the search (rounds are deterministic at any width).
 _RUN_BOOKKEEPING_KEYS = frozenset({
     "provenance", "elapsed", "winning_time", "winning_max_subproblem_time",
     "original_time", "encoding_reuse", "nodes_reused", "lp_solves_saved",
+    "workers",
 })
 
 
@@ -903,9 +906,10 @@ def canonical_verdict_json(verdict) -> str:
 
     Provenance and embedded timings (wall clocks, cache counters, pool
     width live under ``provenance``; legacy results also carry their own
-    ``elapsed`` fields) are bookkeeping about a particular run, not part
-    of the answer; they are stripped recursively so the same spec solved
-    directly, over HTTP, or replayed from the verdict cache compares
+    ``elapsed`` fields, branch-and-bound results their own ``workers``)
+    are bookkeeping about a particular run, not part of the answer; they
+    are stripped recursively so the same spec solved directly, over HTTP,
+    replayed from the verdict cache, or on any pool width compares
     byte-identical.
     """
     return json.dumps(_strip_bookkeeping(verdict_to_dict(verdict)),

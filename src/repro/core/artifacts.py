@@ -187,51 +187,122 @@ def save_artifacts(artifacts: ProofArtifacts, path: Union[str, Path]) -> None:
     np.savez(str(path), **payload)
 
 
+#: Metadata readers for :func:`load_artifacts`.  Each turns a missing or
+#: ill-typed field into a permanent :class:`ArtifactError` -- never the
+#: ``OverflowError`` of ``int(1e400)``, the ``ValueError`` of
+#: ``float("x")`` or a silent truncation of ``2.5`` to ``2``.
+_REQUIRED = object()
+
+
+def _meta_field(meta, key: str, default=_REQUIRED):
+    if not isinstance(meta, dict):
+        raise ArtifactError(
+            f"artifact metadata must be an object, got {type(meta).__name__}")
+    if key in meta:
+        return meta[key]
+    if default is _REQUIRED:
+        raise ArtifactError(f"artifact metadata lacks {key!r}")
+    return default
+
+
+def _meta_int(meta, key: str) -> int:
+    value = _meta_field(meta, key)
+    # bool is an int subclass; a JSON true is not a count.
+    if type(value) is not int or value < 0:
+        raise ArtifactError(
+            f"artifact metadata {key!r} must be a non-negative integer, "
+            f"got {value!r}")
+    return value
+
+
+def _meta_float(meta, key: str) -> float:
+    value = _meta_field(meta, key)
+    if type(value) not in (int, float):
+        raise ArtifactError(
+            f"artifact metadata {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _meta_flag(meta, key: str, default=_REQUIRED) -> bool:
+    value = _meta_field(meta, key, default)
+    if type(value) is not bool:
+        raise ArtifactError(
+            f"artifact metadata {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _meta_str(meta, key: str) -> str:
+    value = _meta_field(meta, key)
+    if not isinstance(value, str):
+        raise ArtifactError(
+            f"artifact metadata {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _array(data, key: str) -> np.ndarray:
+    try:
+        return data[key]
+    except KeyError:
+        raise ArtifactError(f"artifact file lacks array {key!r}") from None
+
+
 def load_artifacts(path: Union[str, Path]) -> ProofArtifacts:
-    """Inverse of :func:`save_artifacts`."""
+    """Inverse of :func:`save_artifacts`.
+
+    Raises :class:`ArtifactError` on a missing or ill-typed metadata field
+    or a missing array.
+    """
     with np.load(str(path)) as data:
         try:
             meta = json.loads(bytes(data["__meta__"].tobytes()).decode("utf-8"))
         except Exception as exc:
             raise ArtifactError(f"corrupt artifact file: {exc}") from exc
-        network = network_from_bytes(bytes(data["network"].tobytes()))
+        network = network_from_bytes(bytes(_array(data, "network").tobytes()))
         problem = VerificationProblem(
             network=network,
-            din=Box(data["din_lower"], data["din_upper"]),
-            dout=Box(data["dout_lower"], data["dout_upper"]),
+            din=Box(_array(data, "din_lower"), _array(data, "din_upper")),
+            dout=Box(_array(data, "dout_lower"), _array(data, "dout_upper")),
         )
         states = None
-        if meta["has_states"]:
+        if _meta_flag(meta, "has_states"):
             boxes = [
-                Box(data[f"state{i}_lower"], data[f"state{i}_upper"])
-                for i in range(int(meta["states_layers"]))
+                Box(_array(data, f"state{i}_lower"),
+                    _array(data, f"state{i}_upper"))
+                for i in range(_meta_int(meta, "states_layers"))
             ]
-            states = StateAbstractions(boxes=boxes, domain=meta["states_domain"])
+            states = StateAbstractions(boxes=boxes,
+                                       domain=_meta_str(meta, "states_domain"))
         lipschitz = None
-        if meta["has_lipschitz"]:
-            lip = meta["lipschitz"]
+        if _meta_flag(meta, "has_lipschitz"):
+            lip = _meta_field(meta, "lipschitz")
             lipschitz = LipschitzCertificate(
-                ell=float(lip["ell"]), ord=float(lip["ord"]), method=lip["method"])
+                ell=_meta_float(lip, "ell"), ord=_meta_float(lip, "ord"),
+                method=_meta_str(lip, "method"))
         netabs = None
-        if meta["has_netabs"]:
+        if _meta_flag(meta, "has_netabs"):
             from repro.netabs.abstraction import build_abstraction
 
-            recipe = meta["netabs"]
+            recipe = _meta_field(meta, "netabs")
             netabs = build_abstraction(
                 network, problem.din,
-                num_groups=int(recipe["num_groups"]),
-                margin=float(recipe["margin"]),
+                num_groups=_meta_int(recipe, "num_groups"),
+                margin=_meta_float(recipe, "margin"),
             )
         output_range = None
-        if meta.get("has_output_range"):
-            output_range = Box(data["range_lower"], data["range_upper"])
+        if _meta_flag(meta, "has_output_range", False):
+            output_range = Box(_array(data, "range_lower"),
+                               _array(data, "range_upper"))
+        notes = _meta_field(meta, "notes", {})
+        if not isinstance(notes, dict):
+            raise ArtifactError(
+                f"artifact metadata 'notes' must be an object, got {notes!r}")
     return ProofArtifacts(
         problem=problem,
         states=states,
         lipschitz=lipschitz,
         network_abstraction=netabs,
         output_range=output_range,
-        states_prove_safety=bool(meta["states_prove_safety"]),
-        original_time=float(meta["original_time"]),
-        notes=dict(meta.get("notes", {})),
+        states_prove_safety=_meta_flag(meta, "states_prove_safety"),
+        original_time=_meta_float(meta, "original_time"),
+        notes=dict(notes),
     )

@@ -1,19 +1,11 @@
-"""Abstract domains: boxes, ReluVal-style symbolic intervals, zonotopes --
-scalar propagators plus the batched engine vectorizing each over N boxes."""
+"""Abstract domains: boxes, ReluVal-style symbolic intervals, zonotopes and
+DeepPoly -- one scalar propagator per domain, plus the batched interval
+screens that bound N branch-and-bound regions or containment subproblems in
+one stacked pass."""
 
 from repro.domains.box import Box, BoxPropagator, affine_bounds, box_kappa
 from repro.domains.batch import (
-    BATCHED_PROPAGATORS,
-    BatchedBoxPropagator,
-    BatchedSymbolicPropagator,
-    BatchedZonotopePropagator,
-    BoxBatch,
-    SymbolicBatch,
-    ZonotopeBatch,
-    get_batched_propagator,
     phase_clamped_node_bounds,
-    phase_clamped_objective_bounds,
-    propagate_batch,
     screen_containments,
 )
 from repro.domains.symbolic import SymbolicInterval, SymbolicPropagator
@@ -25,40 +17,26 @@ from repro.domains.propagate import (
     PROPAGATORS,
     get_propagator,
     output_box,
-    output_box_batch,
     propagate_network,
-    propagate_network_batch,
 )
 
 __all__ = [
     "BackwardRefinement",
-    "BATCHED_PROPAGATORS",
-    "BatchedBoxPropagator",
-    "BatchedSymbolicPropagator",
-    "BatchedZonotopePropagator",
     "Box",
-    "BoxBatch",
     "DeepPolyPropagator",
     "inductive_states",
     "refine_input_box",
     "BoxPropagator",
     "PROPAGATORS",
-    "SymbolicBatch",
     "SymbolicInterval",
     "SymbolicPropagator",
     "Zonotope",
-    "ZonotopeBatch",
     "ZonotopePropagator",
     "affine_bounds",
     "box_kappa",
-    "get_batched_propagator",
     "get_propagator",
     "output_box",
-    "output_box_batch",
     "phase_clamped_node_bounds",
-    "phase_clamped_objective_bounds",
-    "propagate_batch",
     "propagate_network",
-    "propagate_network_batch",
     "screen_containments",
 ]

@@ -14,13 +14,6 @@ from typing import Dict, List
 
 from repro.errors import DomainError
 from repro.domains.box import Box, BoxPropagator
-from repro.domains.batch import (
-    BATCHED_PROPAGATORS,
-    BoxBatch,
-    get_batched_propagator,
-    output_box_batch,
-    propagate_batch,
-)
 from repro.domains.deeppoly import DeepPolyPropagator
 from repro.domains.symbolic import SymbolicPropagator
 from repro.domains.zonotope import ZonotopePropagator
@@ -28,13 +21,9 @@ from repro.nn.network import Network
 
 __all__ = [
     "PROPAGATORS",
-    "BATCHED_PROPAGATORS",
     "get_propagator",
-    "get_batched_propagator",
     "propagate_network",
-    "propagate_network_batch",
     "output_box",
-    "output_box_batch",
 ]
 
 PROPAGATORS: Dict[str, type] = {
@@ -67,16 +56,6 @@ def output_box(network: Network, input_box: Box,
                domain: str = "symbolic") -> Box:
     """Sound over-approximation of ``{f(x) : x in input_box}`` (``S_n``)."""
     return propagate_network(network, input_box, domain)[-1]
-
-
-def propagate_network_batch(network: Network, boxes, domain: str = "box") -> List[BoxBatch]:
-    """Batched twin of :func:`propagate_network`: per-block
-    :class:`~repro.domains.batch.BoxBatch` abstractions over N input boxes
-    in one stacked pass.  ``boxes`` is a :class:`BoxBatch` or a sequence of
-    same-dimension :class:`Box` instances."""
-    if not isinstance(boxes, BoxBatch):
-        boxes = BoxBatch.from_boxes(list(boxes))
-    return propagate_batch(network, boxes, domain)
 
 
 def inductive_states(network: Network, input_box: Box,

@@ -234,9 +234,9 @@ def screen_states(network, states: Sequence[Box], features: np.ndarray,
     state abstractions ``[S_1, ..., S_n]``?
 
     One batched forward pass through the network with a vectorized
-    containment check after every block -- the monitor-side use of the
-    batched engine: a window of runtime samples is screened against the
-    whole proof chain at the cost of a handful of matmuls.
+    containment check after every block: a window of runtime samples is
+    screened against the whole proof chain at the cost of a handful of
+    matmuls.
     """
     arr = np.atleast_2d(np.asarray(features, dtype=np.float64))
     blocks = network.blocks()

@@ -1,9 +1,6 @@
-"""Tests for the batched bound-propagation engine.
-
-The central contract: ``propagate_batch`` over N stacked boxes must match N
-independent single-box ``propagate`` calls for every batched domain --
-bit-for-bit up to floating-point summation-order noise (asserted at 1e-12),
-including the degenerate ``N = 1`` batch and zero-width boxes.
+"""Tests for the batched interval screens and the batched paths built on
+them: phase-clamped node bounds, branch-and-bound interval pruning, the
+Proposition 4/5 containment pre-screen, and monitor window screening.
 """
 
 import numpy as np
@@ -11,131 +8,17 @@ import pytest
 
 from repro.domains import (
     Box,
-    BoxBatch,
     get_propagator,
-    phase_clamped_objective_bounds,
-    propagate_batch,
+    phase_clamped_node_bounds,
     screen_containments,
 )
-from repro.errors import DomainError, MonitorError, ShapeError
+from repro.errors import MonitorError
 from repro.api import (MaximizeSpec, PropositionSpec, VerificationEngine,
                        VerifyConfig)
 from repro.exact import BaBSolver, CoveringLeaves
 from repro.exact.encoding import phase_maps
 from repro.monitor import BoxMonitor, screen_states
-from repro.nn import Dense, LeakyReLU, Network, ReLU, random_relu_network
-
-BATCHED_DOMAINS = ("box", "symbolic", "zonotope")
-
-
-def _random_boxes(dim, n, rng, include_degenerate=True):
-    boxes = []
-    for _ in range(n):
-        center = rng.normal(scale=0.8, size=dim)
-        radius = np.abs(rng.normal(scale=0.5, size=dim))
-        boxes.append(Box(center - radius, center + radius))
-    if include_degenerate:
-        boxes.append(Box(np.zeros(dim), np.zeros(dim)))        # zero width
-        point = rng.normal(size=dim)
-        boxes.append(Box(point, point))                        # zero width, off-origin
-    return boxes
-
-
-def _assert_batch_matches_scalar(network, boxes, domain):
-    batch = BoxBatch.from_boxes(boxes)
-    batched = propagate_batch(network, batch, domain)
-    scalar_prop = get_propagator(domain)
-    assert len(batched) == network.num_blocks
-    for i, box in enumerate(boxes):
-        scalar = scalar_prop.propagate(network, box)
-        for per_block_batch, per_block_scalar in zip(batched, scalar):
-            np.testing.assert_allclose(per_block_batch.lower[i],
-                                       per_block_scalar.lower,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(per_block_batch.upper[i],
-                                       per_block_scalar.upper,
-                                       rtol=0, atol=1e-12)
-
-
-class TestBatchScalarEquivalence:
-    @pytest.mark.parametrize("domain", BATCHED_DOMAINS)
-    def test_matches_scalar_on_random_batches(self, domain, rng):
-        for seed in range(3):
-            net = random_relu_network([4, 12, 9, 3], seed=seed,
-                                      weight_scale=0.8)
-            boxes = _random_boxes(4, 12, rng)
-            _assert_batch_matches_scalar(net, boxes, domain)
-
-    @pytest.mark.parametrize("domain", BATCHED_DOMAINS)
-    def test_single_box_batch(self, domain, rng):
-        net = random_relu_network([3, 8, 2], seed=5, weight_scale=1.0)
-        boxes = [Box(-0.5 * np.ones(3), 0.7 * np.ones(3))]
-        _assert_batch_matches_scalar(net, boxes, domain)
-
-    @pytest.mark.parametrize("domain", BATCHED_DOMAINS)
-    def test_leaky_relu_network(self, domain, rng):
-        net = Network(
-            [Dense(3, 7, rng=np.random.default_rng(0)), LeakyReLU(0.1),
-             Dense(7, 4, rng=np.random.default_rng(1)), ReLU(),
-             Dense(4, 2, rng=np.random.default_rng(2))],
-            input_dim=3)
-        boxes = _random_boxes(3, 6, rng)
-        _assert_batch_matches_scalar(net, boxes, domain)
-
-    @pytest.mark.parametrize("domain", BATCHED_DOMAINS)
-    def test_soundness_against_samples(self, domain, rng):
-        net = random_relu_network([4, 10, 6, 2], seed=9, weight_scale=0.7)
-        boxes = _random_boxes(4, 5, rng, include_degenerate=False)
-        batch = BoxBatch.from_boxes(boxes)
-        out = propagate_batch(net, batch, domain)[-1]
-        for i, box in enumerate(boxes):
-            values = net.forward(box.sample(500, rng))
-            assert np.all(values >= out.lower[i] - 1e-9)
-            assert np.all(values <= out.upper[i] + 1e-9)
-
-
-class TestBoxBatch:
-    def test_from_boxes_roundtrip(self, rng):
-        boxes = _random_boxes(5, 4, rng)
-        batch = BoxBatch.from_boxes(boxes)
-        assert batch.size == len(boxes) and batch.dim == 5
-        for original, restored in zip(boxes, batch.boxes()):
-            assert original == restored
-
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(ShapeError):
-            BoxBatch.from_boxes([Box(np.zeros(2), np.ones(2)),
-                                 Box(np.zeros(3), np.ones(3))])
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(DomainError):
-            BoxBatch(np.ones((2, 3)), np.zeros((2, 3)))
-
-    def test_unsafe_skips_validation(self):
-        # The fast path must not reshape, copy, or validate.
-        lower = np.zeros((2, 2))
-        upper = np.ones((2, 2))
-        batch = BoxBatch.unsafe(lower, upper)
-        assert batch.lower is lower and batch.upper is upper
-
-    def test_tile_and_select(self):
-        box = Box(np.zeros(3), np.ones(3))
-        batch = BoxBatch.tile(box, 4)
-        assert batch.size == 4
-        picked = batch.select(np.array([True, False, True, False]))
-        assert picked.size == 2
-        assert picked.box(0) == box
-
-    def test_contains_points_and_contained_in(self, rng):
-        boxes = _random_boxes(3, 5, rng, include_degenerate=False)
-        batch = BoxBatch.from_boxes(boxes)
-        inside = batch.contains_points(batch.center)
-        assert inside.all()
-        outer = boxes[0].union(boxes[1]).union(boxes[2]).union(
-            boxes[3]).union(boxes[4])
-        assert batch.contained_in(outer).all()
-        assert not batch.contained_in(boxes[0]).all() or all(
-            outer.contains_box(b) for b in boxes)
+from repro.nn import Dense, Network, ReLU, random_relu_network
 
 
 class TestBoxFastPath:
@@ -159,7 +42,8 @@ class TestPhaseClampedBounds:
         c = np.array([1.0])
         phase_maps = [{}, {(0, 1): 1}, {(0, 1): -1, (1, 0): 1},
                       {(0, 0): -1, (0, 2): -1}]
-        ubs, feasible = phase_clamped_objective_bounds(net, box, phase_maps, c)
+        ubs, feasible, _, __ = phase_clamped_node_bounds(
+            net, box, phase_maps, c)
         xs = box.sample(4000, rng)
         pre = []
         values = xs
@@ -182,7 +66,7 @@ class TestPhaseClampedBounds:
         net = Network([Dense(1, 1, weight=np.array([[0.0]]),
                              bias=np.array([5.0])), ReLU()], input_dim=1)
         box = Box(np.array([-1.0]), np.array([1.0]))
-        ubs, feasible = phase_clamped_objective_bounds(
+        ubs, feasible, _, __ = phase_clamped_node_bounds(
             net, box, [{(0, 0): -1}, {(0, 0): 1}], np.array([1.0]))
         assert not feasible[0] and feasible[1]
         assert ubs[1] == pytest.approx(5.0)

@@ -141,3 +141,62 @@ class TestPersistence:
         np.savez(path, junk=np.zeros(2))
         with pytest.raises(ArtifactError):
             load_artifacts(path)
+
+
+def _with_meta(src, dst, key, raw=None):
+    """Copy the artifact file ``src`` to ``dst`` with metadata ``key`` set to
+    the raw JSON text ``raw`` (dropped when ``raw`` is ``None``)."""
+    import json
+
+    with np.load(str(src)) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(arrays["__meta__"].tobytes().decode("utf-8"))
+    meta.pop(key)
+    text = json.dumps(meta)
+    if raw is not None:
+        text = text[:-1] + f', "{key}": {raw}}}'
+    arrays["__meta__"] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    np.savez(str(dst), **arrays)
+
+
+class TestStrictMetadata:
+    """Ill-typed or missing metadata fails with the permanent
+    :class:`ArtifactError`, never a bare cast error or a silent cast."""
+
+    @pytest.fixture
+    def saved(self, problem, tmp_path):
+        base = VerificationEngine().baseline(problem, rigor="abstract").result
+        path = tmp_path / "ok.npz"
+        save_artifacts(base.artifacts, path)
+        return path
+
+    @pytest.mark.parametrize("key, raw, field", [
+        ("states_layers", "1e400", None),     # was OverflowError
+        ("states_layers", "2.5", None),       # was silently truncated to 2
+        ("states_layers", "true", None),
+        ("original_time", '"x"', None),       # was ValueError
+        ("has_states", '"false"', None),      # was truthy, hence True
+        ("has_output_range", "1", None),
+        ("notes", "[1]", None),
+        ("lipschitz", '{"ell": "x", "ord": 2.0, "method": "m"}', "ell"),
+    ])
+    def test_ill_typed_field_is_artifact_error(self, saved, tmp_path,
+                                               key, raw, field):
+        bad = tmp_path / "bad.npz"
+        _with_meta(saved, bad, key, raw)
+        with pytest.raises(ArtifactError, match=field or key):
+            load_artifacts(bad)
+
+    @pytest.mark.parametrize("key", ["original_time", "states_layers",
+                                     "has_lipschitz"])
+    def test_missing_field_is_artifact_error(self, saved, tmp_path, key):
+        bad = tmp_path / "bad.npz"
+        _with_meta(saved, bad, key)
+        with pytest.raises(ArtifactError, match=key):
+            load_artifacts(bad)
+
+    def test_layer_count_beyond_stored_arrays(self, saved, tmp_path):
+        bad = tmp_path / "bad.npz"
+        _with_meta(saved, bad, "states_layers", "99")
+        with pytest.raises(ArtifactError, match="state"):
+            load_artifacts(bad)

@@ -27,18 +27,34 @@ def _sound_on(net, box, domain, rng, n=1500, tol=1e-9):
         assert np.all(values <= outs[k].upper + tol), f"{domain} layer {k} upper"
 
 
-class TestSoundness:
-    @pytest.mark.parametrize("domain", ["box", "symbolic", "zonotope"])
-    def test_relu_network(self, domain, small_net, rng):
-        box = Box(-np.ones(3), np.ones(3))
-        _sound_on(small_net, box, domain, rng)
+#: ``(domain, input)`` cases: ``unit`` is ``[-1, 1]^d``; ``origin`` and
+#: ``off-origin`` are zero-width boxes (a single point).
+SOUNDNESS_CASES = [
+    pytest.param(domain, point,
+                 id=domain if point == "unit" else f"{domain}-{point}")
+    for domain in ("box", "symbolic", "zonotope")
+    for point in ("unit", "origin", "off-origin")
+]
 
-    @pytest.mark.parametrize("domain", ["box", "symbolic", "zonotope"])
-    def test_leaky_relu_network(self, domain, rng):
+
+def _input_box(point, dim):
+    if point == "unit":
+        return Box(-np.ones(dim), np.ones(dim))
+    x = np.zeros(dim) if point == "origin" else np.linspace(-0.7, 0.9, dim)
+    return Box(x, x)
+
+
+class TestSoundness:
+    @pytest.mark.parametrize("domain, point", SOUNDNESS_CASES)
+    def test_relu_network(self, domain, point, small_net, rng):
+        _sound_on(small_net, _input_box(point, 3), domain, rng)
+
+    @pytest.mark.parametrize("domain, point", SOUNDNESS_CASES)
+    def test_leaky_relu_network(self, domain, point, rng):
         net = Network(
             [Dense(2, 6, rng=np.random.default_rng(0)), LeakyReLU(0.1),
              Dense(6, 2, rng=np.random.default_rng(1))], input_dim=2)
-        _sound_on(net, Box(-np.ones(2), np.ones(2)), domain, rng)
+        _sound_on(net, _input_box(point, 2), domain, rng)
 
     def test_box_supports_sigmoid(self, rng):
         net = Network(

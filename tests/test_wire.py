@@ -222,6 +222,17 @@ class TestCanonicalForm:
         data = json.loads(canonical_verdict_json(verdict))
         assert "elapsed" not in data["result"]
 
+    def test_canonical_strips_pool_width_wire_keeps_it(self, fig2,
+                                                        enlarged_box2):
+        spec = ThresholdSpec(network=fig2, input_box=enlarged_box2,
+                             objective=np.array([1.0]), threshold=6.5)
+        one, two = (VerificationEngine(VerifyConfig(workers=w)).verify(spec)
+                    for w in (1, 2))
+        assert canonical_verdict_json(one) == canonical_verdict_json(two)
+        assert "workers" not in json.loads(
+            canonical_verdict_json(two))["result"]
+        assert verdict_to_dict(two)["result"]["workers"] == 2
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(SerializationError, match="unknown verdict"):
             verdict_from_dict({"verdict": "nope"})
