@@ -1,4 +1,4 @@
-"""Solver-level proof reuse (Section VI): branching certificates + presolve.
+"""Solver-level proof reuse (Section VI): certificate warm starts + presolve.
 
 The paper's concluding remarks ask how exact solvers can be engineered to
 enable proof reuse, observing that MILP *cuts* lose validity upon domain
@@ -6,8 +6,9 @@ enlargement.  Branching decisions, unlike cuts, are partitions -- they
 survive both fine-tuning and enlargement.  This bench measures:
 
 * **cold vs warm threshold proofs**: LP count and wall time of a full
-  branch-and-bound proof vs re-proving the fine-tuned network from the
-  stored branching certificate;
+  branch-and-bound proof vs re-proving the fine-tuned network warm from
+  the proof's certificate (its covering leaves, through
+  :func:`repro.certs.reverify_with_certificate`);
 * **LP bound tightening**: the node-count reduction exact search gains from
   optimisation-based presolve, against its LP cost.
 """
@@ -17,12 +18,9 @@ import pytest
 
 from repro.api import (MaximizeSpec, ThresholdSpec, VerificationEngine,
                        VerifyConfig)
+from repro.certs import reverify_with_certificate
 from repro.domains import Box
-from repro.exact import (
-    BaBSolver,
-    prove_with_certificate,
-    tighten_preactivation_bounds,
-)
+from repro.exact import BaBSolver, tighten_preactivation_bounds
 from repro.exact.encoding import NetworkEncoding
 from repro.nn import random_relu_network
 
@@ -40,11 +38,17 @@ def hard_instance():
 
 
 def _certify(net, box, threshold):
-    """Cold threshold proof: ``(BaBResult, BranchCertificate | None)``."""
+    """Cold threshold proof: ``(BaBResult, Certificate | None)``."""
     verdict = VerificationEngine().verify(ThresholdSpec(
         network=net, input_box=box, objective=np.array([1.0]),
         threshold=threshold))
     return verdict.result, verdict.certificate
+
+
+def _reprove(net, box, cert):
+    """Warm re-proof of ``cert``'s threshold: its BaBResult."""
+    return reverify_with_certificate(net, box, cert.objective,
+                                     cert.threshold, cert)[0]
 
 
 def test_certificate_roundtrip(hard_instance):
@@ -52,7 +56,7 @@ def test_certificate_roundtrip(hard_instance):
     res, cert = _certify(net, box, threshold)
     assert cert is not None
     tuned = net.perturb(1e-5, np.random.default_rng(0))
-    warm = prove_with_certificate(tuned, box, cert)
+    warm = _reprove(tuned, box, cert)
     assert warm.status in ("threshold_proved", "optimal")
 
 
@@ -61,7 +65,7 @@ def test_report_cold_vs_warm(hard_instance, capsys):
     cold_res, cert = _certify(net, box, threshold)
     tuned = net.perturb(1e-5, np.random.default_rng(0))
     cold_again, _ = _certify(tuned, box, threshold)
-    warm = prove_with_certificate(tuned, box, cert)
+    warm = _reprove(tuned, box, cert)
     with capsys.disabled():
         print("\nBranching-certificate reuse (fine-tuned network, "
               f"threshold {threshold:.4g})")
@@ -109,7 +113,7 @@ def test_benchmark_warm_proof(hard_instance, benchmark):
     _, cert = _certify(net, box, threshold)
     tuned = net.perturb(1e-5, np.random.default_rng(0))
     benchmark.pedantic(
-        lambda: prove_with_certificate(tuned, box, cert),
+        lambda: _reprove(tuned, box, cert),
         rounds=3, iterations=1)
 
 

@@ -263,7 +263,7 @@ class VerificationEngine:
     def _verify_threshold(self, spec: ThresholdSpec,
                           cfg: VerifyConfig) -> ThresholdVerdict:
         from repro.exact.bab import BAB_REFUTED
-        from repro.exact.incremental import _certify_threshold
+        from repro.certs.reuse import _certify_threshold
 
         run = _Run()
         result = certificate = None

@@ -305,6 +305,27 @@ def _wire_int(value, name: str) -> int:
     return value
 
 
+#: The strings :func:`float_to_jsonable` writes for non-finite values.
+_NON_FINITE = frozenset({"inf", "-inf", "nan"})
+
+
+def _wire_float(value, name: str) -> float:
+    """A float wire scalar -- a JSON number (not a bool) or one of
+    :func:`float_to_jsonable`'s ``"inf"``/``"-inf"``/``"nan"`` -- or
+    :class:`SerializationError` (never a silent cast of ``"5"`` or
+    ``true``, nor a bare ``ValueError``/``TypeError``)."""
+    # bool is an int subclass; a JSON true is not a number.
+    if type(value) is str and value in _NON_FINITE or \
+            type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            raise SerializationError(f"{name} overflows a float") from None
+    raise SerializationError(
+        f"{name} must be a JSON number or \"inf\"/\"-inf\"/\"nan\", got "
+        f"{value!r}")
+
+
 def _wire_bytes(data, name: str) -> bytes:
     if not isinstance(data, str):
         raise SerializationError(f"{name} must be a base64 string")
@@ -457,19 +478,23 @@ def certificate_from_json(text: str):
             f"{len(leaves)} leaves")
     return Certificate(
         objective=array_from_jsonable(data["objective"]),
-        threshold=float(data["threshold"]),
+        threshold=_wire_float(data["threshold"], "certificate threshold"),
         leaves=leaves,
-        leaf_bounds=[float(b) for b in data.get("leaf_bounds", [])],
+        leaf_bounds=[_wire_float(b, "certificate leaf_bounds entry")
+                     for b in data.get("leaf_bounds", [])],
         leaf_verdicts=[str(v) for v in data.get("leaf_verdicts", [])],
         leaf_duals=leaf_duals,
-        block_dims=[int(d) for d in data["block_dims"]],
+        block_dims=[_wire_int(d, "certificate block_dims entry")
+                    for d in data["block_dims"]],
         structural_fp=str(data["structural_fp"]),
         content_fp=str(data.get("content_fp", "")),
         config_digest=str(data["config_digest"]),
         status=str(data.get("status", "")),
-        upper_bound=float(data.get("upper_bound", 0.0)),
-        lp_solves=int(data.get("lp_solves", 0)),
-        version=int(data["version"]),
+        upper_bound=_wire_float(data.get("upper_bound", 0.0),
+                                "certificate upper_bound"),
+        lp_solves=_wire_int(data.get("lp_solves", 0),
+                            "certificate lp_solves"),
+        version=_wire_int(data["version"], "certificate version"),
     )
 
 
@@ -611,13 +636,13 @@ def _certificate_to_jsonable(cert) -> Dict:
 
 
 def _certificate_from_jsonable(data: Dict):
-    from repro.exact.incremental import BranchCertificate
+    from repro.certs.certificate import Certificate
 
     block_dims = [_wire_int(d, "certificate block_dims entry")
                   for d in data["block_dims"]]
-    return BranchCertificate(
+    return Certificate(
         objective=array_from_jsonable(data["objective"]),
-        threshold=float(data["threshold"]),
+        threshold=_wire_float(data["threshold"], "certificate threshold"),
         leaves=_phase_leaves_from_jsonable(data["leaves"], block_dims[1:]),
         block_dims=block_dims,
     )

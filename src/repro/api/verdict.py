@@ -116,8 +116,10 @@ class ThresholdVerdict(Verdict):
     """Verdict of a :class:`~repro.api.specs.ThresholdSpec`."""
 
     result: "BaBResult" = None  # noqa: F821
-    #: The reusable branching certificate (``None`` unless proved).
-    certificate: Optional["BranchCertificate"] = None  # noqa: F821
+    #: The covering leaves of the proof (``None`` unless proved): the
+    #: objective, threshold, leaves and block dims of a
+    #: :class:`~repro.certs.Certificate`.
+    certificate: Optional["Certificate"] = None  # noqa: F821
 
     @property
     def certified(self) -> bool:

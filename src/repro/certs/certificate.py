@@ -1,9 +1,9 @@
 """The certificate artifact: what a proved threshold solve leaves behind.
 
-A :class:`Certificate` extends the solver-level
-:class:`~repro.exact.incremental.BranchCertificate` (a bare covering set
-of leaves, one int8 row of a phase matrix each) with everything a *store*
-needs to hand it to a future, slightly different problem:
+A :class:`Certificate` is the covering set of leaves a threshold proof
+settled (one int8 row of a phase matrix each) -- all a verdict carries --
+plus everything a *store* needs to hand it to a future, slightly
+different problem:
 
 * per-leaf bounds and verdicts from the batched float64 screen at record
   time (provenance -- the reuse path re-derives them, never trusts them);
@@ -134,11 +134,17 @@ class Certificate:
     ``leaves`` is the covering frontier of settled regions as one
     read-only ``(N, W)`` int8 phase matrix (one row per leaf, one column
     per neuron in block order, ``W = sum(block_dims[1:])``; 0 free, +-1
-    fixed -- :func:`~repro.exact.encoding.phase_matrix`), the same
-    invariant as :class:`~repro.exact.incremental.BranchCertificate`;
+    fixed -- :func:`~repro.exact.encoding.phase_matrix`);
     ``leaf_bounds`` / ``leaf_verdicts`` are the batched-screen results at
     record time.  All of it is advisory: the reuse path re-screens every
     leaf in float64 against the network it is actually given.
+
+    The search (:func:`repro.certs.reuse._certify_threshold`) returns one
+    with only ``objective``, ``threshold``, ``leaves``, ``leaf_duals`` and
+    ``block_dims`` set, and a threshold verdict carries that certificate
+    (without its duals on the wire);
+    :func:`~repro.certs.reuse.extract_certificate` fills in the rest for
+    the store.
 
     The covering verdict of the leaves (:meth:`covers`) is kept on the
     object while its leaves cannot change, so a decoded certificate used

@@ -1,6 +1,8 @@
 """Recording and replaying certificates: the delta-verification core.
 
-:func:`extract_certificate` turns one proved threshold solve (its
+Every threshold proof, cold or warm, runs one search,
+:func:`_certify_threshold`.  :func:`extract_certificate` turns one
+proved threshold solve (its
 covering leaves) into a :class:`~repro.certs.certificate.Certificate`,
 annotating every leaf with its node-LP bound, verdict, and -- the
 delta-verification workhorse -- the LP's optimal **dual multipliers** at
@@ -39,11 +41,21 @@ loosen the bound and cost an LP, never flip a verdict; a malformed dual
 row (non-finite, missing) evaluates to ``+inf`` for its own leaf only,
 so it costs that one leaf its LP.
 
-Branching decisions are weights-independent partitions, which is why
-they transfer across weight perturbations at all: a covering set of
-phase regions for the old network covers the new one verbatim
-("partitions survive, consequences do not" --
-:mod:`repro.exact.incremental`).
+Why the leaves transfer
+-----------------------
+Section VI of the paper asks how exact solvers can be engineered to
+reuse their proofs; for ReLU branch and bound the answer is the covering
+set of settled leaves.  Phase constraints are region restrictions
+(``z >= 0`` / ``z <= 0``), so they transfer verbatim to any network with
+the same block shapes, and a covering set of regions for the old problem
+covers the new one too (the input box may even grow -- each leaf's LP is
+re-built over the new box).  If every leaf still closes below the
+threshold the new property is proved at once; a leaf that no longer
+closes seeds a fresh search from that leaf only, so work is proportional
+to how much the problem changed.  The same idea is why the paper
+observes that MILP *cuts* do not transfer under domain enlargement: a
+cut is a consequence of the old feasible set, while a branching decision
+is a partition -- partitions survive, consequences do not.
 """
 
 from __future__ import annotations
@@ -52,6 +64,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import CertificateError
 from repro.api.config import VerifyConfig
 from repro.certs.certificate import (
     CERT_VERSION,
@@ -64,7 +77,6 @@ from repro.domains.batch import phase_clamped_affine_bounds
 from repro.domains.box import Box
 from repro.exact.bab import BaBResult, BaBSolver, CoveringLeaves
 from repro.exact.encoding import NetworkEncoding, PackedDuals, as_phase_matrix
-from repro.exact.incremental import BranchCertificate
 from repro.nn.network import Network
 
 __all__ = ["extract_certificate", "reverify_with_certificate",
@@ -133,7 +145,7 @@ def extract_certificate(network: Network, input_box: Box,
     list of phase maps) as a store-ready artifact.
 
     ``duals`` is the multiplier capture of the proving solve, packed by
-    leaf row as ``BranchCertificate.leaf_duals`` carries it (the
+    leaf row as :func:`_certify_threshold`'s certificate carries it (the
     :class:`~repro.exact.bab.CoveringLeaves` of the search, which takes a
     warm start the screen settled whole as one block of rows and their
     stored duals).  Recording costs **zero extra LP solves**: every leaf
@@ -197,21 +209,64 @@ def extract_certificate(network: Network, input_box: Box,
     )
 
 
+def _certify_threshold(network: Network, input_box: Box,
+                       objective: np.ndarray, threshold: float,
+                       config: Optional[VerifyConfig] = None,
+                       start: Optional[Certificate] = None,
+                       collect_duals: bool = False,
+                       ) -> Tuple[BaBResult, Optional[Certificate]]:
+    """The one threshold search, cold and warm: ``(BaBResult,
+    Certificate | None)``, the certificate (``None`` unless proved)
+    holding the search's covering leaves at any ``config.workers``.
+    Certificates are global proofs, so the search runs under ``config``'s
+    full node budget.
+
+    With no ``start`` the search begins at the root; with one (same
+    architecture, else :class:`CertificateError`) it begins from
+    ``start.leaves``, settled by :func:`dual_start_screen` -- ``network``
+    may be fine-tuned and ``input_box`` enlarged.  ``collect_duals``
+    captures each leaf's node-LP multipliers on ``leaf_duals`` (the raw
+    material of :func:`extract_certificate`); warm-start leaves the
+    screen settles keep their stored rows.
+    """
+    config = config or VerifyConfig()
+    c_vec = np.asarray(objective, dtype=np.float64)
+    solver = BaBSolver.from_config(
+        network, input_box,
+        config.replace(node_limit=config.effective_full_node_limit))
+    warm = {}
+    if start is not None:
+        if not start.compatible_with(network):
+            raise CertificateError(
+                "certificate was built for a different architecture")
+        warm = dict(initial_nodes=start.leaves,
+                    initial_duals=start.leaf_duals,
+                    start_screen=dual_start_screen(solver, start, objective))
+    leaves = CoveringLeaves(solver.encoding, duals=collect_duals)
+    result = solver.maximize(c_vec, threshold=float(threshold),
+                             collect_leaves=leaves, **warm)
+    if result.status not in ("threshold_proved", "optimal") or \
+            result.upper_bound > float(threshold) + config.tol:
+        return result, None
+    return result, Certificate(
+        objective=c_vec.copy(),
+        threshold=float(threshold),
+        leaves=leaves.matrix(),
+        leaf_duals=leaves.duals(),
+        block_dims=network.block_dims(),
+    )
+
+
 def reverify_with_certificate(network: Network, input_box: Box,
                               objective: np.ndarray, threshold: float,
                               cert: Certificate,
                               config: Optional[VerifyConfig] = None,
-                              ) -> Tuple[BaBResult,
-                                         Optional[BranchCertificate]]:
-    """Threshold solve warm-started from a validated certificate.
-
-    Mirrors :func:`repro.exact.incremental._certify_threshold` exactly --
-    full node budget, covering-leaf collection, same proof condition --
-    except the search starts from ``cert.leaves`` instead of the root,
-    and the start batch is settled by :func:`dual_start_screen`.  The
-    returned :class:`BranchCertificate` (``None`` unless proved) carries
-    the *new* covering frontier, which the caller re-records so the store
-    always warm-starts from the latest proved version.
+                              ) -> Tuple[BaBResult, Optional[Certificate]]:
+    """Threshold solve warm-started from a validated certificate:
+    :func:`_certify_threshold` from ``cert``, collecting duals.  The
+    returned certificate (``None`` unless proved) carries the *new*
+    covering frontier, which the caller re-records so the store always
+    warm-starts from the latest proved version.
 
     Soundness: the screen re-derives every bound in float64 against
     ``network``'s actual weights before settling a leaf, and the solver
@@ -219,27 +274,5 @@ def reverify_with_certificate(network: Network, input_box: Box,
     hints, not evidence.  ``result.nodes_reused`` / ``lp_solves_saved``
     report how much of the warm start paid off.
     """
-    config = config or VerifyConfig()
-    solver = BaBSolver.from_config(
-        network, input_box,
-        config.replace(node_limit=config.effective_full_node_limit))
-    # Leaves the screen settles LP-free keep their stored multipliers for
-    # the re-record (still the freshest available), as blocks of rows;
-    # leaves the search re-solves get this run's.
-    new_leaves = CoveringLeaves(solver.encoding, duals=True)
-    result = solver.maximize(
-        np.asarray(objective, dtype=np.float64), threshold=float(threshold),
-        initial_nodes=cert.leaves, initial_duals=cert.leaf_duals,
-        collect_leaves=new_leaves,
-        start_screen=dual_start_screen(solver, cert, objective))
-    if result.status not in ("threshold_proved", "optimal") or \
-            result.upper_bound > float(threshold) + config.tol:
-        return result, None
-    certificate = BranchCertificate(
-        objective=np.asarray(objective, dtype=np.float64).copy(),
-        threshold=float(threshold),
-        leaves=new_leaves.matrix(),
-        block_dims=network.block_dims(),
-        leaf_duals=new_leaves.duals(),
-    )
-    return result, certificate
+    return _certify_threshold(network, input_box, objective, threshold,
+                              config=config, start=cert, collect_duals=True)

@@ -22,6 +22,7 @@ single ``.npz`` and reloaded in a later engineering iteration.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
@@ -29,7 +30,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.api.config import DEFAULT_DOMAIN
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, ReproError
 from repro.domains.box import Box
 from repro.nn.network import Network
 from repro.nn.serialize import network_from_bytes, network_to_bytes
@@ -246,18 +247,35 @@ def _array(data, key: str) -> np.ndarray:
         raise ArtifactError(f"artifact file lacks array {key!r}") from None
 
 
+def _open_npz(path: Union[str, Path]) -> np.lib.npyio.NpzFile:
+    try:
+        data = np.load(str(path))
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ArtifactError(f"not an artifact file: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ArtifactError("not an artifact file: a bare .npy array")
+    return data
+
+
 def load_artifacts(path: Union[str, Path]) -> ProofArtifacts:
     """Inverse of :func:`save_artifacts`.
 
-    Raises :class:`ArtifactError` on a missing or ill-typed metadata field
-    or a missing array.
+    Raises :class:`ArtifactError` on a file that is not an ``.npz``
+    archive, a missing or ill-typed metadata field, a missing array, or a
+    network blob that does not decode.
     """
-    with np.load(str(path)) as data:
+    with _open_npz(path) as data:
         try:
             meta = json.loads(bytes(data["__meta__"].tobytes()).decode("utf-8"))
         except Exception as exc:
             raise ArtifactError(f"corrupt artifact file: {exc}") from exc
-        network = network_from_bytes(bytes(_array(data, "network").tobytes()))
+        blob = bytes(_array(data, "network").tobytes())
+        try:
+            network = network_from_bytes(blob)
+        except (ReproError, ValueError, TypeError, KeyError, EOFError,
+                zipfile.BadZipFile) as exc:
+            raise ArtifactError(
+                f"corrupt network in artifact file: {exc}") from exc
         problem = VerificationProblem(
             network=network,
             din=Box(_array(data, "din_lower"), _array(data, "din_upper")),

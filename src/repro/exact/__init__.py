@@ -23,14 +23,11 @@ from repro.exact.bab import (
 )
 from repro.exact.splitting import SplitResult, check_containment_split
 from repro.exact.tighten import TightenStats, tighten_preactivation_bounds
-from repro.exact.incremental import BranchCertificate, prove_with_certificate
 from repro.exact.verify import ContainmentResult
 
 __all__ = [
     "BaBResult",
-    "BranchCertificate",
     "TightenStats",
-    "prove_with_certificate",
     "tighten_preactivation_bounds",
     "BaBSolver",
     "ContainmentResult",

@@ -247,7 +247,7 @@ class BaBSolver:
         neuron, 0 free, +-1 fixed.  ``initial_nodes`` replaces the root
         with a caller-supplied ``(N, W)`` phase matrix (or list of phase
         maps) whose regions must jointly cover the search space -- the
-        warm-start mechanism of :mod:`repro.exact.incremental`.
+        warm start of certificate reuse (:mod:`repro.certs.reuse`).
 
         ``collect_leaves`` (a caller-owned :class:`CoveringLeaves`)
         receives the phase row of every region the search *settled* --

@@ -180,7 +180,7 @@ class TestEngineLegacyEquivalence:
 
     @pytest.mark.parametrize("workers", WORKER_MATRIX)
     def test_threshold_certificate(self, fig2, enlarged_box2, workers):
-        from repro.exact.incremental import _certify_threshold
+        from repro.certs.reuse import _certify_threshold
 
         c = np.array([1.0])
         verdict = _engine(workers).verify(ThresholdSpec(

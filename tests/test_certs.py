@@ -29,6 +29,7 @@ from repro.certs import (
     certificate_key,
     extract_certificate,
     load_certificate,
+    reverify_with_certificate,
     structural_fingerprint,
     validate_certificate,
 )
@@ -375,25 +376,46 @@ class TestPackedWire:
 
 
 class TestUntrustedDecode:
-    """Numbers too large for an int and nesting too deep to parse are
-    rejections like any other malformed payload."""
+    """Numbers too large for an int, ill-typed scalars and nesting too
+    deep to parse are rejections like any other malformed payload."""
 
-    @pytest.mark.parametrize("field", ["lp_solves", "version", "leaf"])
-    def test_huge_integer_is_certificate_error(self, threshold_problem,
-                                               field):
+    @pytest.mark.parametrize("field, raw", [
+        ("lp_solves", "1e400"),       # was OverflowError
+        ("version", "1e400"),         # was OverflowError
+        ("leaves.width", "1e400"),
+        ("version", "4.9"),           # was truncated to 4
+        ("version", '"4"'),           # was cast to 4
+        ("lp_solves", "2.5"),         # was truncated to 2
+        ("lp_solves", '"7"'),         # was cast to 7
+        ("lp_solves", "true"),
+        ("threshold", '"5"'),         # was cast to 5.0
+        ("threshold", "[1]"),         # was a bare TypeError
+        ("upper_bound", '"5"'),
+        ("leaf_bounds", '["1"]'),     # was cast to [1.0]
+        ("block_dims", "[3.0, 10, 6, 1]"),
+    ])
+    def test_ill_typed_number_is_certificate_error(self, threshold_problem,
+                                                   field, raw):
+        """Numbers are read strictly: no int()/float() to overflow or to
+        cast silently, a plain SerializationError instead."""
         data, _key = _wire_dict(threshold_problem)
-        if field == "leaf":
-            # Wire v4 reads the leaves' width strictly: no int() to
-            # overflow, a plain SerializationError instead.
-            data["leaves"]["width"] = "__BIG__"
-        else:
-            data[field] = "__BIG__"
-        payload = json.dumps(data).replace('"__BIG__"', "1e400")
-        with pytest.raises(CertificateError,
-                           match="SerializationError" if field == "leaf"
-                           else "OverflowError"):
+        *parents, key = field.split(".")
+        node = data
+        for part in parents:
+            node = node[part]
+        node[key] = "__BAD__"
+        payload = json.dumps(data).replace('"__BAD__"', raw)
+        with pytest.raises(CertificateError, match="SerializationError"):
             load_certificate(payload)
         _assert_cold_fallback(threshold_problem, payload)
+
+    def test_non_finite_floats_decode(self, threshold_problem):
+        """``float_to_jsonable``'s strings are the wire form of inf/nan."""
+        data, _key = _wire_dict(threshold_problem)
+        data.update(upper_bound="-inf", leaf_bounds=["inf", "nan"])
+        cert = load_certificate(json.dumps(data))
+        assert cert.upper_bound == -np.inf
+        assert cert.leaf_bounds[0] == np.inf and np.isnan(cert.leaf_bounds[1])
 
     def test_deep_nesting_is_certificate_error(self, threshold_problem):
         data, _key = _wire_dict(threshold_problem)
@@ -446,6 +468,14 @@ class TestValidation:
                                  VerifyConfig(tol=1e-7))
         with pytest.raises(CertificateError, match="threshold"):
             validate_certificate(cert, net, c, thr + 1.0, VerifyConfig())
+
+    def test_warm_start_from_another_architecture_raises(
+            self, threshold_problem):
+        net, box, c, thr = threshold_problem
+        cert = load_certificate(_record(threshold_problem, MemCerts()))
+        other = random_relu_network([3, 9, 6, 1], seed=5)
+        with pytest.raises(CertificateError, match="architecture"):
+            reverify_with_certificate(other, box, c, thr, cert)
 
     def test_dual_count_mismatch_is_rejected(self, threshold_problem):
         net, _box, c, thr = threshold_problem
@@ -825,7 +855,6 @@ class TestBlockRecording:
                                                          monkeypatch):
         import repro.certs
         import repro.certs.reuse
-        import repro.exact.incremental
 
         specs = _tuning_sequence(steps=6)
         puts, lp_solves = self._record_sequence(specs)
@@ -834,8 +863,8 @@ class TestBlockRecording:
         assert not lp_solves[0][0] and len(puts) >= 2
         assert any(hit and lps == 0 for hit, lps in lp_solves)
         assert any(hit and lps > 0 for hit, lps in lp_solves)
-        for module in (repro.certs.reuse, repro.exact.incremental):
-            monkeypatch.setattr(module, "CoveringLeaves", self.PerLeafLeaves)
+        monkeypatch.setattr(repro.certs.reuse, "CoveringLeaves",
+                            self.PerLeafLeaves)
         monkeypatch.setattr(repro.certs, "extract_certificate",
                             self.per_leaf_extract)
         reference, reference_lps = self._record_sequence(specs)

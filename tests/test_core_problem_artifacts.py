@@ -195,6 +195,27 @@ class TestStrictMetadata:
         with pytest.raises(ArtifactError, match=key):
             load_artifacts(bad)
 
+    @pytest.mark.parametrize("name, write", [
+        # was numpy's bare ValueError ("pickled (object) data")
+        ("artifacts.py", lambda p: p.write_text("import numpy\n")),
+        ("empty.npz", lambda p: p.write_bytes(b"")),    # was EOFError
+        ("bare.npy", lambda p: np.save(p, np.zeros(3))),
+    ], ids=["python-file", "empty-file", "npy-array"])
+    def test_file_that_is_not_an_archive(self, tmp_path, name, write):
+        path = tmp_path / name
+        write(path)
+        with pytest.raises(ArtifactError, match="not an artifact file"):
+            load_artifacts(path)
+
+    def test_corrupt_network_blob(self, saved, tmp_path):
+        with np.load(str(saved)) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["network"] = np.zeros(10, dtype=np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez(str(bad), **arrays)
+        with pytest.raises(ArtifactError, match="network"):
+            load_artifacts(bad)
+
     def test_layer_count_beyond_stored_arrays(self, saved, tmp_path):
         bad = tmp_path / "bad.npz"
         _with_meta(saved, bad, "states_layers", "99")

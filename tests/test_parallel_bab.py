@@ -14,6 +14,7 @@ import pytest
 from repro.api import (ContainmentSpec, MaximizeSpec, ThresholdSpec,
                        VerificationEngine, VerifyConfig,
                        canonical_verdict_json)
+from repro.certs import reverify_with_certificate
 from repro.domains import Box
 from repro.errors import ReproError, SolverError
 from repro.exact import (
@@ -22,7 +23,6 @@ from repro.exact import (
     NetworkEncoding,
     clear_encoding_cache,
     encoding_cache_stats,
-    prove_with_certificate,
     solve_milp,
 )
 from repro.exact.encoding import phase_maps
@@ -175,8 +175,9 @@ class TestFrontierCertificates:
         assert cert is not None and cert.num_leaves >= 1
         # The frontier's settled leaves cover the region: re-proving from
         # them (again in parallel) must close without a fresh search.
-        reproved = prove_with_certificate(fig2, enlarged_box2, cert,
-                                          config=VerifyConfig(workers=4))
+        reproved, _ = reverify_with_certificate(
+            fig2, enlarged_box2, cert.objective, cert.threshold, cert,
+            config=VerifyConfig(workers=4))
         assert reproved.status in ("threshold_proved", "optimal")
         assert reproved.upper_bound <= 12.0 + 1e-6
 
@@ -185,8 +186,9 @@ class TestFrontierCertificates:
             network=fig2, input_box=enlarged_box2, objective=np.array([1.0]),
             threshold=12.0)).certificate
         for w in (1, 2):
-            res = prove_with_certificate(fig2, enlarged_box2, cert,
-                                         config=VerifyConfig(workers=w))
+            res, _ = reverify_with_certificate(
+                fig2, enlarged_box2, cert.objective, cert.threshold, cert,
+                config=VerifyConfig(workers=w))
             assert res.status in ("threshold_proved", "optimal")
 
 

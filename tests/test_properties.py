@@ -200,11 +200,11 @@ class TestBackwardRefinement:
                 assert res.input_box.contains_point(x, tol=1e-7)
 
 
-class TestBranchCertificates:
+class TestCertificateWarmStart:
     @SETTINGS
     @given(seed=seeds)
     def test_warm_reproof_matches_cold_verdict(self, seed):
-        from repro.exact import prove_with_certificate
+        from repro.certs import reverify_with_certificate
 
         net = random_relu_network([2, 5, 1], seed=seed, weight_scale=1.0)
         box = Box(-np.ones(2), np.ones(2))
@@ -216,6 +216,7 @@ class TestBranchCertificates:
             network=net, input_box=box, objective=np.array([1.0]),
             threshold=threshold)).certificate
         assert cert is not None
-        res = prove_with_certificate(net, box, cert)
+        res, _ = reverify_with_certificate(net, box, cert.objective,
+                                           threshold, cert)
         assert res.status in ("threshold_proved", "optimal")
         assert res.upper_bound <= threshold + 1e-6

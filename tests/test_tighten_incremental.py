@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from repro.api import MaximizeSpec, ThresholdSpec, VerificationEngine
+from repro.certs import reverify_with_certificate
 from repro.domains import Box
 from repro.domains.symbolic import SymbolicPropagator
 from repro.errors import ArtifactError
-from repro.exact import (
-    BaBSolver,
-    prove_with_certificate,
-    tighten_preactivation_bounds,
-)
+from repro.exact import BaBSolver, tighten_preactivation_bounds
 from repro.exact.encoding import phase_maps
 from repro.nn import random_relu_network
 
@@ -72,21 +69,29 @@ def _maximize(net, box):
 
 
 def _certify(net, box, threshold):
-    """``(BaBResult, BranchCertificate | None)`` of a ThresholdSpec."""
+    """``(BaBResult, Certificate | None)`` of a ThresholdSpec."""
     verdict = VerificationEngine().verify(ThresholdSpec(
         network=net, input_box=box, objective=np.array([1.0]),
         threshold=threshold))
     return verdict.result, verdict.certificate
 
 
-class TestBranchCertificate:
+def _reprove(net, box, cert, threshold=None):
+    """The warm-started re-proof of ``cert``'s threshold (or of
+    ``threshold``) on ``net`` over ``box``: its BaBResult."""
+    return reverify_with_certificate(
+        net, box, cert.objective,
+        cert.threshold if threshold is None else threshold, cert)[0]
+
+
+class TestCertificateWarmStart:
     def test_certificate_reproves_same_problem(self, net_and_box):
         net, box = net_and_box
         opt = _maximize(net, box)
         threshold = opt.upper_bound + 0.1
         res, cert = _certify(net, box, threshold)
         assert cert is not None and cert.num_leaves >= 1
-        again = prove_with_certificate(net, box, cert)
+        again = _reprove(net, box, cert)
         assert again.status in ("threshold_proved", "optimal")
         assert again.upper_bound <= threshold + 1e-6
 
@@ -96,7 +101,7 @@ class TestBranchCertificate:
         threshold = opt.upper_bound + 0.5
         _, cert = _certify(net, box, threshold)
         tuned = net.perturb(1e-4, np.random.default_rng(0))
-        res = prove_with_certificate(tuned, box, cert)
+        res = _reprove(tuned, box, cert)
         assert res.status in ("threshold_proved", "optimal")
         # soundness: brute force respects the re-proved threshold
         vals = tuned.forward(box.sample(3000, np.random.default_rng(1)))
@@ -108,7 +113,7 @@ class TestBranchCertificate:
         threshold = opt.upper_bound + 1.0
         _, cert = _certify(net, box, threshold)
         bigger = box.inflate(0.01)
-        res = prove_with_certificate(net, bigger, cert)
+        res = _reprove(net, bigger, cert)
         if res.status in ("threshold_proved", "optimal"):
             vals = net.forward(bigger.sample(3000, np.random.default_rng(2)))
             assert vals.max() <= threshold + 1e-6
@@ -117,8 +122,7 @@ class TestBranchCertificate:
         net, box = net_and_box
         opt = _maximize(net, box)
         _, cert = _certify(net, box, opt.upper_bound + 0.5)
-        res = prove_with_certificate(net, box, cert,
-                                     threshold=opt.upper_bound - 0.5)
+        res = _reprove(net, box, cert, threshold=opt.upper_bound - 0.5)
         assert res.status == "threshold_refuted"
 
     def test_no_certificate_on_failed_proof(self, net_and_box):
@@ -134,7 +138,7 @@ class TestBranchCertificate:
         _, cert = _certify(net, box, opt.upper_bound + 1.0)
         other = random_relu_network([4, 6, 1], seed=0)
         with pytest.raises(ArtifactError):
-            prove_with_certificate(other, box, cert)
+            _reprove(other, box, cert)
 
     def test_leaves_cover_space(self, net_and_box, rng):
         """Every input point satisfies some leaf's phase constraints."""

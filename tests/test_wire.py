@@ -106,6 +106,23 @@ class TestSolvedVerdictRoundTrips:
                               verdict.certificate.leaves)
         assert clone.certificate.compatible_with(fig2)
 
+    def test_decoded_certificate_reproves_the_threshold(
+            self, engine, fig2, enlarged_box2):
+        """The verdict's certificate decodes to the store's own type, and
+        its leaves alone warm-start a proof of the same threshold."""
+        from repro.certs import Certificate, reverify_with_certificate
+
+        verdict = engine.verify(ThresholdSpec(
+            network=fig2, input_box=enlarged_box2,
+            objective=np.array([1.0]), threshold=12.0))
+        cert = verdict_from_json(verdict_to_json(verdict)).certificate
+        assert type(cert) is Certificate and cert.leaf_duals is None
+        assert cert.covers() and cert.threshold == 12.0
+        result, reproved = reverify_with_certificate(
+            fig2, enlarged_box2, cert.objective, cert.threshold, cert)
+        assert result.status in ("threshold_proved", "optimal")
+        assert reproved is not None
+
     @pytest.mark.parametrize("triple", [[0, 9, 1], [5, 0, 1], [0, 0, 2]])
     def test_certificate_leaf_outside_architecture_rejected(
             self, engine, fig2, enlarged_box2, triple):
@@ -321,9 +338,10 @@ class TestVerdictWireCounts:
 class TestVerdictCertificateWire:
     """The threshold verdict's certificate decodes strictly too: every
     ``block_dims`` entry and every leaf triple's block and unit are
-    non-negative JSON integers, and a phase is the JSON integer -1 or +1.
+    non-negative JSON integers, a phase is the JSON integer -1 or +1, and
+    the threshold is a JSON number (or ``"inf"``/``"-inf"``/``"nan"``).
     Anything else is a permanent SerializationError -- never the
-    ``OverflowError`` of ``int(1e400)``, nor a silent ``int()`` cast."""
+    ``OverflowError`` of ``int(1e400)``, nor a silent cast."""
 
     @pytest.fixture(scope="class")
     def wire(self):
@@ -363,6 +381,21 @@ class TestVerdictCertificateWire:
         with pytest.raises(SerializationError,
                            match="phase must be -1 or \\+1") as info:
             verdict_from_json(_with_bad_value(wire, path, value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+
+    @pytest.mark.parametrize("value", ['"x"', "[1]", '"5"', "true",
+                                       "null"])
+    def test_bad_threshold_is_permanent_serialization_error(self, wire,
+                                                            value):
+        from repro.serve.resilience import classify_failure
+
+        data = json.loads(wire)
+        data["certificate"]["threshold"] = "__BAD__"
+        document = json.dumps(data).replace('"__BAD__"', value)
+        with pytest.raises(SerializationError,
+                           match="certificate threshold") as info:
+            verdict_from_json(document)
         assert classify_failure(info.value) == ("SerializationError", False)
 
 
