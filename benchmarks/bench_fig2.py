@@ -11,8 +11,11 @@ Replays the exact numbers printed in the figure:
 Benchmarked: box propagation, the MILP solve, and the BaB solve.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.api import MaximizeSpec, VerificationEngine
 from repro.domains import Box, output_box
@@ -55,10 +58,12 @@ def test_equation2_milp_infeasible_above_12(fig2):
     must be infeasible (max is 6.2)."""
     enc = NetworkEncoding(fig2, ENLARGED)
     system = enc.build_milp()
-    # add n4 >= 12 as -n4 <= -12 (sparse-safe row append)
-    row = np.zeros(system.num_vars)
-    row[enc.output_slice] = -1.0
-    constrained = system.with_extra_ub(row, -12.0)
+    # add n4 >= 12 as the CSR row -n4 <= -12
+    row = np.zeros((1, system.num_vars))
+    row[0, enc.output_slice] = -1.0
+    constrained = dataclasses.replace(
+        system, a_ub=sp.vstack([system.a_ub, row], format="csr"),
+        b_ub=np.append(system.b_ub, -12.0))
     res = solve_milp(np.zeros(system.num_vars), constrained)
     assert res.status == "infeasible"
 

@@ -118,7 +118,7 @@ def run_node_lp_suite(num_nodes=NUM_NODES, seed=0):
     return {
         "net": "-".join(map(str, DIMS)),
         "num_vars": system.num_vars,
-        "num_rows": system.num_constraints,
+        "num_rows": system.a_ub.shape[0] + system.a_eq.shape[0],
         "num_unstable": len(enc.unstable_neurons()),
         "nodes": len(nodes),
         **timings,

@@ -35,8 +35,6 @@ __all__ = [
     "DEFAULT_WORKERS",
     "DEFAULT_METHOD",
     "DEFAULT_DOMAIN",
-    "DEFAULT_INTERVAL_PRUNE",
-    "DEFAULT_NODE_TIGHTEN",
     "DEFAULT_ENCODING_CACHE",
     "DEFAULT_CERT_POLICY",
     "ENCODING_CACHE_POLICIES",
@@ -61,11 +59,6 @@ DEFAULT_WORKERS = 1
 DEFAULT_METHOD = "auto"
 #: Abstract domain used for layerwise rebuilds (prop2, incremental fixing).
 DEFAULT_DOMAIN = "symbolic"
-#: Interval pre-pruning of branch-and-bound nodes before their LP solve.
-DEFAULT_INTERVAL_PRUNE = True
-#: Feed batched phase-clamped bounds into each node LP (tighter
-#: relaxations; may change the search trajectory, hence off by default).
-DEFAULT_NODE_TIGHTEN = False
 #: Encoding-cache policy: ``"shared"`` draws from the process-wide
 #: fingerprint-keyed cache (PR 2); ``"private"`` builds a fresh encoding
 #: per solve, bypassing the cache (isolation for benchmarks/tests).
@@ -103,8 +96,6 @@ class VerifyConfig:
     workers: int = DEFAULT_WORKERS
     method: str = DEFAULT_METHOD
     domain: str = DEFAULT_DOMAIN
-    interval_prune: bool = DEFAULT_INTERVAL_PRUNE
-    node_tighten: bool = DEFAULT_NODE_TIGHTEN
     encoding_cache: str = DEFAULT_ENCODING_CACHE
     #: Certificate policy (``CERT_POLICIES``): whether proved threshold
     #: solves record reusable certificates and whether verification may
@@ -179,8 +170,6 @@ class VerifyConfig:
             "tol": self.tol,
             "node_limit": self.node_limit,
             "workers": self.workers,
-            "interval_prune": self.interval_prune,
-            "node_tighten": self.node_tighten,
         }
 
     def encoding_for(self, network, input_box):

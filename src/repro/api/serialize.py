@@ -87,8 +87,25 @@ def array_to_jsonable(arr: np.ndarray) -> list:
 
 
 def array_from_jsonable(data) -> np.ndarray:
-    # np.float64 parses the "inf"/"-inf"/"nan" string encoding directly.
-    return np.asarray(data, dtype=np.float64)
+    """Inverse of :func:`array_to_jsonable`: nested lists of JSON numbers
+    (not bools) and ``"inf"``/``"-inf"``/``"nan"``, else
+    :class:`SerializationError` (never a silent cast of ``"1"``, nor a
+    bare ``ValueError`` for ``"x"`` or a ragged nesting)."""
+    values = np.asarray(data, dtype=object)
+    kinds = set(map(type, values.ravel()))
+    if kinds <= _NUMBER_TYPES:
+        # All numbers (network weights): one vectorised cast.
+        try:
+            return values.astype(np.float64)
+        except OverflowError:
+            raise SerializationError("an array entry overflows a float") \
+                from None
+    if kinds <= _NUMBER_TYPES | {str}:
+        return np.array([_wire_float(v, "array entry")
+                         for v in values.ravel()]).reshape(values.shape)
+    raise SerializationError(
+        f"array entries must be JSON numbers or \"inf\"/\"-inf\"/\"nan\" in "
+        f"a rectangular nesting, got {sorted(k.__name__ for k in kinds)}")
 
 
 # -------------------------------------------------------------------- boxes
@@ -198,7 +215,8 @@ def artifacts_from_jsonable(data: Dict) -> ProofArtifacts:
     if data.get("lipschitz") is not None:
         lip = data["lipschitz"]
         lipschitz = LipschitzCertificate(
-            ell=float(lip["ell"]), ord=float(lip["ord"]), method=lip["method"])
+            ell=_wire_float(lip["ell"], "lipschitz ell"),
+            ord=_wire_float(lip["ord"], "lipschitz ord"), method=lip["method"])
     netabs = None
     if data.get("netabs") is not None:
         from repro.netabs.abstraction import build_abstraction
@@ -207,7 +225,8 @@ def artifacts_from_jsonable(data: Dict) -> ProofArtifacts:
         netabs = build_abstraction(network, problem.din,
                                    num_groups=_wire_int(recipe["num_groups"],
                                                         "netabs num_groups"),
-                                   margin=float(recipe["margin"]))
+                                   margin=_wire_float(recipe["margin"],
+                                                      "netabs margin"))
     output_range = None
     if data.get("output_range") is not None:
         output_range = box_from_jsonable(data["output_range"])
@@ -217,8 +236,9 @@ def artifacts_from_jsonable(data: Dict) -> ProofArtifacts:
         lipschitz=lipschitz,
         network_abstraction=netabs,
         output_range=output_range,
-        states_prove_safety=bool(data["states_prove_safety"]),
-        original_time=float(data["original_time"]),
+        states_prove_safety=_wire_bool(data["states_prove_safety"],
+                                       "states_prove_safety"),
+        original_time=_wire_float(data["original_time"], "original_time"),
         notes=dict(data.get("notes", {})),
     )
 
@@ -235,15 +255,18 @@ def config_to_json(config, **dumps_kwargs) -> str:
 
 
 def _json_loads(text: str, what: str) -> Any:
-    """``json.loads`` for wire documents: nesting too deep for the parser
-    is a malformed document (a permanent :class:`SerializationError`),
-    never a bare :class:`RecursionError` a retry loop would take for a
-    transient fault."""
+    """``json.loads`` for wire documents: text that does not parse, or
+    nests too deeply for the parser, is a malformed document (a permanent
+    :class:`SerializationError`), never a bare ``JSONDecodeError`` or
+    :class:`RecursionError` a retry loop would take for a transient
+    fault."""
     try:
         return json.loads(text)
     except RecursionError:
         raise SerializationError(
             f"{what} JSON is nested too deeply to decode") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SerializationError(f"{what} is not JSON: {exc}") from None
 
 
 def config_from_json(text: str):
@@ -307,6 +330,8 @@ def _wire_int(value, name: str) -> int:
 
 #: The strings :func:`float_to_jsonable` writes for non-finite values.
 _NON_FINITE = frozenset({"inf", "-inf", "nan"})
+#: The Python types ``json.loads`` gives a JSON number (bool excluded).
+_NUMBER_TYPES = frozenset({int, float})
 
 
 def _wire_float(value, name: str) -> float:
@@ -316,7 +341,7 @@ def _wire_float(value, name: str) -> float:
     ``true``, nor a bare ``ValueError``/``TypeError``)."""
     # bool is an int subclass; a JSON true is not a number.
     if type(value) is str and value in _NON_FINITE or \
-            type(value) in (int, float):
+            type(value) in _NUMBER_TYPES:
         try:
             return float(value)
         except OverflowError:
@@ -324,6 +349,15 @@ def _wire_float(value, name: str) -> float:
     raise SerializationError(
         f"{name} must be a JSON number or \"inf\"/\"-inf\"/\"nan\", got "
         f"{value!r}")
+
+
+def _wire_bool(value, name: str) -> bool:
+    """A JSON ``true``/``false``, or :class:`SerializationError` (never
+    ``bool("false") == True``)."""
+    if type(value) is not bool:
+        raise SerializationError(
+            f"{name} must be a JSON true or false, got {value!r}")
+    return value
 
 
 def _wire_bytes(data, name: str) -> bytes:
@@ -463,7 +497,7 @@ def certificate_from_json(text: str):
     """
     from repro.certs.certificate import Certificate
 
-    data = json.loads(text)
+    data = _json_loads(text, "certificate")
     if not isinstance(data, dict):
         raise SerializationError(
             f"a certificate document must be a JSON object, got "
@@ -533,20 +567,21 @@ def _provenance_from_jsonable(data: Dict):
     from repro.api.verdict import Provenance
 
     return Provenance(
-        elapsed=float(data["elapsed"]),
+        elapsed=_wire_float(data["elapsed"], "provenance elapsed"),
         lp_solves=_wire_int(data["lp_solves"], "provenance lp_solves"),
         nodes=_wire_int(data["nodes"], "provenance nodes"),
         rounds=_wire_int(data["rounds"], "provenance rounds"),
         workers=_wire_int(data["workers"], "provenance workers"),
         encoding_reuse={str(k): _wire_int(v, f"encoding_reuse {k}")
                         for k, v in data.get("encoding_reuse", {}).items()},
-        cached=bool(data.get("cached", False)),
+        cached=_wire_bool(data.get("cached", False), "provenance cached"),
         # .get defaults: pre-certificate wire documents lack these keys.
         nodes_reused=_wire_int(data.get("nodes_reused", 0),
                                "provenance nodes_reused"),
         lp_solves_saved=_wire_int(data.get("lp_solves_saved", 0),
                                   "provenance lp_solves_saved"),
-        cert_hit=bool(data.get("cert_hit", False)),
+        cert_hit=_wire_bool(data.get("cert_hit", False),
+                            "provenance cert_hit"),
     )
 
 
@@ -580,14 +615,15 @@ def _bab_result_from_jsonable(data: Dict):
 
     return BaBResult(
         status=data["status"],
-        upper_bound=float(data["upper_bound"]),
-        incumbent=float(data["incumbent"]),
+        upper_bound=_wire_float(data["upper_bound"], "result upper_bound"),
+        incumbent=_wire_float(data["incumbent"], "result incumbent"),
         witness=_opt_array_from_jsonable(data.get("witness")),
         nodes=_wire_int(data["nodes"], "result nodes"),
         lp_solves=_wire_int(data["lp_solves"], "result lp_solves"),
         rounds=_wire_int(data.get("rounds", 0), "result rounds"),
         max_batch=_wire_int(data.get("max_batch", 0), "result max_batch"),
-        mean_batch=float(data.get("mean_batch", 0.0)),
+        mean_batch=_wire_float(data.get("mean_batch", 0.0),
+                               "result mean_batch"),
         workers=_wire_int(data.get("workers", 1), "result workers"),
         nodes_reused=_wire_int(data.get("nodes_reused", 0),
                                "result nodes_reused"),
@@ -616,8 +652,9 @@ def _containment_result_from_jsonable(data: Dict):
         holds=data["holds"],
         method=data["method"],
         counterexample=_opt_array_from_jsonable(data.get("counterexample")),
-        violation=float(data.get("violation", 0.0)),
-        elapsed=float(data.get("elapsed", 0.0)),
+        violation=_wire_float(data.get("violation", 0.0),
+                              "containment violation"),
+        elapsed=_wire_float(data.get("elapsed", 0.0), "containment elapsed"),
         lp_solves=_wire_int(data.get("lp_solves", 0),
                             "containment lp_solves"),
         nodes=_wire_int(data.get("nodes", 0), "containment nodes"),
@@ -664,7 +701,7 @@ def _subproblem_from_jsonable(data: Dict):
     return SubproblemReport(
         name=data["name"],
         holds=data["holds"],
-        elapsed=float(data["elapsed"]),
+        elapsed=_wire_float(data["elapsed"], "subproblem elapsed"),
         detail=data.get("detail", ""),
         lp_solves=_wire_int(data.get("lp_solves", 0), "subproblem lp_solves"),
     )
@@ -689,7 +726,7 @@ def _proposition_result_from_jsonable(data: Dict):
         holds=data["holds"],
         subproblems=[_subproblem_from_jsonable(s)
                      for s in data.get("subproblems", [])],
-        elapsed=float(data.get("elapsed", 0.0)),
+        elapsed=_wire_float(data.get("elapsed", 0.0), "proposition elapsed"),
         detail=data.get("detail", ""),
     )
 
@@ -720,7 +757,7 @@ def _fixing_result_from_jsonable(data) -> Optional[object]:
         reentry_layer=data.get("reentry_layer"),
         subproblems=[_subproblem_from_jsonable(s)
                      for s in data.get("subproblems", [])],
-        elapsed=float(data.get("elapsed", 0.0)),
+        elapsed=_wire_float(data.get("elapsed", 0.0), "fixing elapsed"),
     )
 
 
@@ -751,10 +788,12 @@ def _continuous_result_from_jsonable(data: Dict):
         attempts=[_proposition_result_from_jsonable(a)
                   for a in data.get("attempts", [])],
         fixing=_fixing_result_from_jsonable(data.get("fixing")),
-        elapsed=float(data.get("elapsed", 0.0)),
-        winning_max_subproblem_time=float(
-            data.get("winning_max_subproblem_time", 0.0)),
-        winning_time=float(data.get("winning_time", 0.0)),
+        elapsed=_wire_float(data.get("elapsed", 0.0), "continuous elapsed"),
+        winning_max_subproblem_time=_wire_float(
+            data.get("winning_max_subproblem_time", 0.0),
+            "winning_max_subproblem_time"),
+        winning_time=_wire_float(data.get("winning_time", 0.0),
+                                  "winning_time"),
         encoding_reuse={str(k): _wire_int(v, f"continuous encoding_reuse {k}")
                         for k, v in data.get("encoding_reuse", {}).items()},
         nodes_reused=_wire_int(data.get("nodes_reused", 0),
@@ -781,7 +820,7 @@ def _baseline_outcome_from_jsonable(data: Dict):
     return BaselineOutcome(
         holds=data["holds"],
         artifacts=artifacts_from_jsonable(data["artifacts"]),
-        elapsed=float(data["elapsed"]),
+        elapsed=_wire_float(data["elapsed"], "baseline elapsed"),
         detail=data.get("detail", ""),
         lp_solves=_wire_int(data.get("lp_solves", 0), "baseline lp_solves"),
         nodes=_wire_int(data.get("nodes", 0), "baseline nodes"),

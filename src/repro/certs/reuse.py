@@ -98,9 +98,9 @@ def _tighten_uppers(enc: NetworkEncoding, upper: np.ndarray, neg_obj: np.ndarray
 def dual_start_screen(solver: BaBSolver, cert: Certificate,
                       objective: np.ndarray) -> Callable:
     """The warm-start re-screen of certificate reuse, shaped like
-    :meth:`BaBSolver._screen_nodes` so :meth:`BaBSolver.maximize` can use
-    it verbatim for its ``initial_nodes`` batch (the certificate's phase
-    matrix).
+    :meth:`BaBSolver._screen_nodes` (an ``(upper, feasible)`` pair) so
+    :meth:`BaBSolver.maximize` can use it verbatim for its
+    ``initial_nodes`` batch (the certificate's phase matrix).
 
     Everything is recomputed in float64 from ``solver``'s actual network:
     feasibility and pre-activation bounds by the batched phase-clamped
@@ -114,10 +114,6 @@ def dual_start_screen(solver: BaBSolver, cert: Certificate,
     c_vec = np.asarray(objective, dtype=np.float64).reshape(-1)
 
     def screen(phases: np.ndarray):
-        if not solver.interval_prune:
-            # Without pruning the solver ignores screen bounds entirely;
-            # keep its stock behaviour byte-identical.
-            return solver._screen_nodes(phases, c_vec)
         upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
             solver.network, solver.input_box, phases, c_vec)
         duals = cert.leaf_duals
@@ -129,8 +125,7 @@ def dual_start_screen(solver: BaBSolver, cert: Certificate,
                                   (upper > threshold))
             _tighten_uppers(enc, upper, -enc.output_objective(c_vec),
                             phases, pre_lo, pre_hi, duals, todo)
-        return upper, feasible, (pre_lo, pre_hi) if solver.node_tighten \
-            else None
+        return upper, feasible
 
     return screen
 

@@ -20,7 +20,7 @@ Small demonstrations runnable without writing any code:
 
 Every command that touches the exact layer builds one
 :class:`~repro.api.VerifyConfig` from the shared engine flags, so every
-engine knob (``--workers``, ``--node-limit``, ``--node-tighten``, ...)
+engine knob (``--workers``, ``--node-limit``, ``--method``, ...)
 is reachable from the command line and defaults stay in one place.
 """
 
@@ -63,12 +63,6 @@ def _add_engine_args(parser: argparse.ArgumentParser,
                         help="branch-and-bound node budget for local checks")
     engine.add_argument("--full-node-limit", type=int, default=None,
                         help="node budget for global (from-scratch) solves")
-    engine.add_argument("--node-tighten",
-                        action=argparse.BooleanOptionalAction, default=None,
-                        help="feed batched phase-clamped bounds into each "
-                             "node LP (tighter relaxations; may change "
-                             "the search trajectory); --no-node-tighten "
-                             "overrides a bundled true")
     engine.add_argument("--method", default=None,
                         choices=("symbolic", "split", "exact", "auto"),
                         help="containment method cascade")
@@ -85,7 +79,6 @@ def _config_from_args(args, base=None):
         tol=getattr(args, "tol", None),
         node_limit=getattr(args, "node_limit", None),
         full_node_limit=getattr(args, "full_node_limit", None),
-        node_tighten=getattr(args, "node_tighten", None),
         method=getattr(args, "method", None),
         domain=getattr(args, "domain", None),
     )
@@ -413,7 +406,7 @@ def _cmd_verify(args) -> int:
         print(f"auto Dout: {dout}")
     problem = VerificationProblem(network, din, dout)
     # One VerifyConfig carries *every* engine knob (the historical kwargs
-    # path silently dropped --node-tighten).
+    # path silently dropped the solver-tuning flags).
     config = _config_from_args(args)
     outcome = VerificationEngine(config).baseline(
         problem, state_buffer=0.03).result
@@ -444,8 +437,7 @@ def _cmd_verify_spec(args) -> int:
 
     spec_doc, config_doc = _load_spec_document(args.spec)
     config = VerifyConfig.from_dict(config_doc or {})
-    # Command-line engine flags override whatever the file bundled
-    # (including --no-node-tighten resets).
+    # Command-line engine flags override whatever the file bundled.
     config = _config_from_args(args, base=config)
     spec = spec_from_dict(spec_doc)
     certs = None

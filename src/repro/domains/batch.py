@@ -81,8 +81,9 @@ def phase_clamped_node_bounds(
     * ``feasible`` -- rows whose clamp empties some pre-activation interval
       are marked infeasible (their region is empty);
     * ``pre_lo`` / ``pre_hi`` -- per-block ``(N, d_k)`` post-clamp
-      pre-activation bounds, the per-node ``z``-variable tightening fed to
-      :meth:`repro.exact.encoding.NetworkEncoding.node_bounds`
+      pre-activation bounds, valid ``z``-variable bounds on each region,
+      which certificate reuse passes to
+      :meth:`repro.exact.encoding.NetworkEncoding.lagrangian_uppers`
       (meaningless on infeasible rows).
     """
     from repro.exact.encoding import as_phase_matrix

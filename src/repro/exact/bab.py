@@ -39,9 +39,7 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.api.config import (
-    DEFAULT_INTERVAL_PRUNE,
     DEFAULT_NODE_LIMIT,
-    DEFAULT_NODE_TIGHTEN,
     DEFAULT_TOL,
     DEFAULT_WORKERS,
     VerifyConfig,
@@ -188,8 +186,6 @@ class BaBSolver:
                  encoding: Optional[NetworkEncoding] = None,
                  tol: float = DEFAULT_TOL,
                  node_limit: int = DEFAULT_NODE_LIMIT,
-                 interval_prune: bool = DEFAULT_INTERVAL_PRUNE,
-                 node_tighten: bool = DEFAULT_NODE_TIGHTEN,
                  workers: int = DEFAULT_WORKERS):
         self.network = network
         self.input_box = input_box
@@ -201,15 +197,6 @@ class BaBSolver:
         self.encoding = encoding or NetworkEncoding.for_problem(network, input_box)
         self.tol = float(tol)
         self.node_limit = int(node_limit)
-        #: Screen each batch of candidate nodes with batched phase-clamped
-        #: interval bounds before building their LPs (see :meth:`maximize`).
-        self.interval_prune = bool(interval_prune)
-        #: Feed each node's batched phase-clamped pre-activation bounds into
-        #: its LP as ``z``-variable bounds (a per-node presolve riding the
-        #: same stacked pass as the interval screen).  Off by default: it
-        #: tightens node relaxations, which can change the search trajectory
-        #: relative to the plain triangle LP.
-        self.node_tighten = bool(node_tighten)
         if workers < 1:
             raise SolverError(f"workers must be positive, got {workers}")
         #: How many of a frontier round's node LPs are in flight at once
@@ -259,16 +246,16 @@ class BaBSolver:
         ``initial_nodes`` and ``initial_duals`` themselves, with no
         per-leaf step.
 
-        With ``interval_prune`` on (the default), every batch of candidate
-        nodes -- the warm-start list and each round's children -- is first
-        screened with one batched phase-clamped interval pass
+        Every batch of candidate nodes -- the warm-start list and each
+        round's children -- is first screened with one batched
+        phase-clamped interval pass
         (:func:`~repro.domains.batch.phase_clamped_node_bounds`).
         Nodes whose region is empty, cannot beat the incumbent, or already
         proves the threshold are settled without building their LP, which
         cuts ``lp_solves`` while preserving soundness, the optimum, and the
-        covering-leaves invariant.  With ``node_tighten`` on, the same pass
-        additionally hands each surviving node its clamped pre-activation
-        bounds, installed as ``z``-variable bounds in the node's LP.
+        covering-leaves invariant.  The survivors' LPs keep the encoding's
+        own pre-activation bounds: the screen only decides which nodes
+        need one.
 
         ``start_screen`` optionally replaces the batched screen for the
         *initial-nodes batch only* (signature and return contract of
@@ -316,15 +303,12 @@ class BaBSolver:
     # ------------------------------------------------------- search pieces
     def _screen_nodes(self, phases: np.ndarray, c_vec: np.ndarray):
         """One batched clamped-interval pass over the candidate nodes of a
-        phase matrix: objective upper bounds (when pruning), feasibility,
-        and -- with ``node_tighten`` -- the per-block ``(pre_lo, pre_hi)``
-        pre-activation tightenings: the stock screen of every batch the
-        search settles."""
-        upper, feasible, pre_lo, pre_hi = phase_clamped_node_bounds(
-            self.network, self.input_box, phases,
-            c_vec if self.interval_prune else None)
-        return upper, feasible, (pre_lo, pre_hi) if self.node_tighten \
-            else None
+        phase matrix: ``(upper, feasible)``, each node's objective upper
+        bound and whether its phase constraints leave it nonempty -- the
+        stock screen of every batch the search settles."""
+        upper, feasible, _, _ = phase_clamped_node_bounds(
+            self.network, self.input_box, phases, c_vec)
+        return upper, feasible
 
     def _split_column(self, x: np.ndarray, phases: np.ndarray,
                       dual_ub: Optional[np.ndarray]) -> Optional[int]:

@@ -265,51 +265,6 @@ class LinearSystem:
                     f"({self.num_vars},)"
                 )
 
-    # ---------------------------------------------------------- introspection
-    @property
-    def is_sparse(self) -> bool:
-        """Whether any constraint matrix is stored sparse."""
-        return sp.issparse(self.a_ub) or sp.issparse(self.a_eq)
-
-    @property
-    def nnz(self) -> int:
-        """Total structural nonzeros across both constraint matrices."""
-        total = 0
-        for matrix in (self.a_ub, self.a_eq):
-            if matrix is None:
-                continue
-            total += matrix.nnz if sp.issparse(matrix) else int(
-                np.count_nonzero(matrix))
-        return total
-
-    @property
-    def num_constraints(self) -> int:
-        """Total row count across both constraint groups."""
-        return sum(matrix.shape[0] for matrix in (self.a_ub, self.a_eq)
-                   if matrix is not None)
-
-    # ------------------------------------------------------------- derivation
-    def with_extra_ub(self, rows: np.ndarray, rhs) -> "LinearSystem":
-        """New system with extra ``rows @ x <= rhs`` constraints appended,
-        preserving the storage form (the sparse-safe ``np.vstack``)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-        if rows.shape != (rhs.size, self.num_vars):
-            raise DomainError(
-                f"extra rows shape {rows.shape} != ({rhs.size}, {self.num_vars})"
-            )
-        if self.a_ub is None:
-            a_ub: Matrix = rows
-            b_ub = rhs
-        elif sp.issparse(self.a_ub):
-            a_ub = sp.vstack([self.a_ub, sp.csr_matrix(rows)], format="csr")
-            b_ub = np.concatenate([self.b_ub, rhs])
-        else:
-            a_ub = np.vstack([self.a_ub, rows])
-            b_ub = np.concatenate([self.b_ub, rhs])
-        return LinearSystem(self.num_vars, a_ub, b_ub, self.a_eq, self.b_eq,
-                            list(self.bounds), self.integer_mask)
-
 
 class _CooBuilder:
     """Accumulates whole layers of constraint rows as COO triplets.

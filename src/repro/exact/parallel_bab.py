@@ -140,8 +140,6 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
     # Sound max over regions the interval screen settled above the
     # incumbent (threshold mode); folded into every reported bound.
     screened_bound = -np.inf
-    use_screen = solver.interval_prune or solver.node_tighten
-    no_screen = (None, None, None)
 
     def screen_nodes(phases: np.ndarray):
         return solver._screen_nodes(phases, c_vec)
@@ -167,7 +165,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
                                          basis=basis, label=label)
         return thunk
 
-    def solve_batch(phases: np.ndarray, tight, bases: List,
+    def solve_batch(phases: np.ndarray, bases: List,
                     stage: str) -> List[LPResult]:
         """Solve one round's surviving node LPs, order-preserving.
 
@@ -181,7 +179,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         batches.append(len(bases))
         if not bases:
             return []
-        col_lo, col_hi, b_ub = enc.node_bounds(phases, tight)
+        col_lo, col_hi, b_ub = enc.node_bounds(phases)
         thunks = [node_thunk(col_lo[j], col_hi[j],
                              None if b_ub is None else b_ub[j], basis,
                              f"{stage} node {j}")
@@ -217,18 +215,15 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         in row order, with their rows of ``duals`` (``None``: no
         multipliers).  Returns the survivors' row indices, in order."""
         nonlocal screened_bound
-        ubs, feasible, _ = screened
-        settled = np.zeros(len(phases), dtype=bool)
-        if use_screen:
-            settled |= ~feasible  # the phase constraints empty them
-        if solver.interval_prune:
-            settled |= ubs <= bar + tol  # dominated by the incumbent
-            if threshold is not None:
-                closed = ~settled & (ubs <= threshold + tol)
-                if closed.any():  # closed below the threshold
-                    screened_bound = max(screened_bound,
-                                         float(ubs[closed].max()))
-                settled |= closed
+        ubs, feasible = screened
+        settled = ~feasible  # the phase constraints empty them
+        settled |= ubs <= bar + tol  # dominated by the incumbent
+        if threshold is not None:
+            closed = ~settled & (ubs <= threshold + tol)
+            if closed.any():  # closed below the threshold
+                screened_bound = max(screened_bound,
+                                     float(ubs[closed].max()))
+            settled |= closed
         if settled.any():
             index = np.flatnonzero(settled)
             record_block(phases[index],
@@ -243,18 +238,15 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
 
     def solve_and_fold(phases: np.ndarray, keep: np.ndarray,
                        bases: Optional[List], duals: Optional[PackedDuals],
-                       pre, stage: str, kind: str) -> bool:
+                       stage: str, kind: str) -> bool:
         """Solve the ``keep`` rows of ``phases`` as one batch and fold the
         results in submission order: ``bases`` holds each kept row's
         parent basis (``None``: all cold), ``duals`` the multipliers each
-        kept row records if it settles (``None``: none), ``pre`` the
-        screen's per-block tightenings or ``None``.  ``kind="child"`` also
-        settles LPs dominated by the incumbent.  Returns whether any LP
-        was feasible."""
-        tight = None if pre is None else (
-            [lo[keep] for lo in pre[0]], [hi[keep] for hi in pre[1]])
+        kept row records if it settles (``None``: none).
+        ``kind="child"`` also settles LPs dominated by the incumbent.
+        Returns whether any LP was feasible."""
         results = solve_batch(
-            phases if len(keep) == len(phases) else phases[keep], tight,
+            phases if len(keep) == len(phases) else phases[keep],
             [None] * len(keep) if bases is None else bases, stage)
         entries = [None] * len(keep) if duals is None else list(duals)
         any_feasible = False
@@ -310,20 +302,17 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         np.zeros((1, sum(enc.phase_widths)), dtype=np.int8)
     if initial_duals is not None and len(initial_duals) != len(starts):
         initial_duals = None
-    screened = no_screen
-    if use_screen:
-        # A caller-supplied screen (certificate reuse's dual-bound screen)
-        # applies to the warm-start batch only; branching children below
-        # always go through the stock batched screen.
-        screened = (start_screen or screen_nodes)(starts)
-        start_ubs = screened[0]
-        if solver.interval_prune and threshold is not None and \
-                np.all(start_ubs <= threshold + tol):
-            # The covering regions all close on the screen alone: proved
-            # without a single LP, and they are the certificate as given.
-            record_block(starts, initial_duals)
-            lp_solves_saved = nodes_reused
-            return result(BAB_PROVED, float(start_ubs.max()))
+    # A caller-supplied screen (certificate reuse's dual-bound screen)
+    # applies to the warm-start batch only; branching children below
+    # always go through the stock batched screen.
+    screened = (start_screen or screen_nodes)(starts)
+    start_ubs = screened[0]
+    if threshold is not None and np.all(start_ubs <= threshold + tol):
+        # The covering regions all close on the screen alone: proved
+        # without a single LP, and they are the certificate as given.
+        record_block(starts, initial_duals)
+        lp_solves_saved = nodes_reused
+        return result(BAB_PROVED, float(start_ubs.max()))
     # Starts screen against an -inf incumbent: all surviving start LPs
     # solve in one batch, so no earlier start's incumbent exists yet.
     surviving = settle_screened(starts, initial_duals, screened, -np.inf)
@@ -335,7 +324,7 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         any_feasible = solve_and_fold(
             starts, surviving, None,
             None if initial_duals is None else initial_duals.take(surviving),
-            screened[2], "start", "start")
+            "start", "start")
     if not any_feasible:
         if screened_bound > -np.inf:
             # Every LP-checked region was empty, but interval-screened
@@ -393,11 +382,10 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
 
         # One batched pass screens the whole round's children at once.
         rows = np.stack(children)
-        screened = screen_nodes(rows) if use_screen else no_screen
-        surviving = settle_screened(rows, None, screened, incumbent)
+        surviving = settle_screened(rows, None, screen_nodes(rows), incumbent)
         # Concurrent node-LP solves; results folded in submission order.
         solve_and_fold(rows, surviving, [parent_bases[j] for j in surviving],
-                       None, screened[2], f"round{rounds}", "child")
+                       None, f"round{rounds}", "child")
 
     # No open node remains.  The incumbent can cross the threshold during
     # the *last* round with no further top-of-heap check to notice it

@@ -11,7 +11,7 @@ tightened layer into the next.
 Tightening is optional (it costs two LP solves per tightened neuron) and
 pays off when it flips unstable neurons to stable — every stabilised neuron
 halves the branch-and-bound search space.  The trade-off is measured in
-``benchmarks/bench_tightening.py``.
+``benchmarks/bench_solver_reuse.py``.
 """
 
 from __future__ import annotations

@@ -524,7 +524,7 @@ class TestDefaultsUnified:
             VerifyConfig().full_node_limit
 
     def test_config_validation_and_round_trip(self):
-        config = VerifyConfig(workers=4, node_tighten=True,
+        config = VerifyConfig(workers=4, domain="box",
                               max_boxes=16, encoding_cache="private")
         assert VerifyConfig.from_dict(config.to_dict()) == config
         with pytest.raises(ReproError):

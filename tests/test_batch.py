@@ -15,7 +15,7 @@ from repro.domains import (
 from repro.errors import MonitorError
 from repro.api import (MaximizeSpec, PropositionSpec, VerificationEngine,
                        VerifyConfig)
-from repro.exact import BaBSolver, CoveringLeaves
+from repro.exact import BaBSolver, CoveringLeaves, NetworkEncoding, solve_milp
 from repro.exact.encoding import phase_maps
 from repro.monitor import BoxMonitor, screen_states
 from repro.nn import Dense, Network, ReLU, random_relu_network
@@ -79,34 +79,42 @@ def _maximize(network, box, threshold=None, **config):
     return VerificationEngine(VerifyConfig(**config)).verify(spec).result
 
 
-class TestBaBIntervalPruning:
-    def test_fig2_fewer_lp_solves_same_optimum(self, fig2, enlarged_box2):
-        off = _maximize(fig2, enlarged_box2, interval_prune=False)
-        on = _maximize(fig2, enlarged_box2, interval_prune=True)
-        assert on.upper_bound == pytest.approx(off.upper_bound, abs=1e-9)
-        assert on.lp_solves < off.lp_solves
+def _milp_max(network, box):
+    """``max f(x)`` over ``box`` by the MILP encoding, which shares no
+    screen with the branch and bound: the reference a pruned search must
+    match."""
+    enc = NetworkEncoding(network, box)
+    system = enc.build_milp()
+    c = enc.output_objective(np.array([1.0]), num_vars=system.num_vars)
+    res = solve_milp(c, system, maximize=True)
+    assert res.optimal
+    return res.value
 
-    def test_optimum_unchanged_on_random_nets(self):
+
+class TestBaBIntervalPruning:
+    def test_fig2_same_optimum_as_milp(self, fig2, enlarged_box2):
+        res = _maximize(fig2, enlarged_box2)
+        assert res.upper_bound == pytest.approx(
+            _milp_max(fig2, enlarged_box2), abs=1e-6)
+
+    def test_optimum_matches_milp_on_random_nets(self):
         for seed in range(3):
             net = random_relu_network([3, 8, 6, 1], seed=seed,
                                       weight_scale=0.9)
             box = Box(-0.7 * np.ones(3), 0.7 * np.ones(3))
-            off = _maximize(net, box, interval_prune=False)
-            on = _maximize(net, box, interval_prune=True)
-            assert on.status == off.status == "optimal"
-            assert on.upper_bound == pytest.approx(off.upper_bound, abs=1e-6)
-            assert on.lp_solves <= off.lp_solves
+            res = _maximize(net, box)
+            assert res.status == "optimal"
+            assert res.upper_bound == pytest.approx(_milp_max(net, box),
+                                                    abs=1e-6)
 
-    def test_threshold_modes_agree(self, fig2, enlarged_box2):
+    def test_threshold_modes_agree_with_milp(self, fig2, enlarged_box2):
+        exact = _milp_max(fig2, enlarged_box2)
         for threshold in (5.0, 7.0, 13.0):
-            off = _maximize(fig2, enlarged_box2, threshold=threshold,
-                            interval_prune=False)
-            on = _maximize(fig2, enlarged_box2, threshold=threshold,
-                           interval_prune=True)
+            res = _maximize(fig2, enlarged_box2, threshold=threshold)
             refuted = "threshold_refuted"
-            assert (on.status == refuted) == (off.status == refuted)
-            if on.status != refuted:
-                assert on.upper_bound <= threshold + 1e-6
+            assert (res.status == refuted) == (exact > threshold)
+            if res.status != refuted:
+                assert res.upper_bound <= threshold + 1e-6
 
     def test_interval_only_threshold_proof_uses_no_lp(self, fig2, enlarged_box2):
         # The root interval bound is 12.4: any looser threshold closes
@@ -126,16 +134,14 @@ class TestBaBIntervalPruning:
                                       weight_scale=1.0)
             box = Box(-np.ones(2), np.ones(2))
             true_max = _maximize(net, box).upper_bound
-            for prune in (False, True):
-                res = _maximize(net, box, threshold=true_max - 0.01,
-                                interval_prune=prune)
-                assert res.status == "threshold_refuted"
-                assert res.incumbent > true_max - 0.01
+            res = _maximize(net, box, threshold=true_max - 0.01)
+            assert res.status == "threshold_refuted"
+            assert res.incumbent > true_max - 0.01
 
     def test_pruned_leaves_still_cover_space(self, rng):
         net = random_relu_network([3, 8, 6, 1], seed=2, weight_scale=0.9)
         box = Box(-0.7 * np.ones(3), 0.7 * np.ones(3))
-        solver = BaBSolver(net, box, interval_prune=True)
+        solver = BaBSolver(net, box)
         leaves = CoveringLeaves(solver.encoding)
         opt = solver.maximize(np.array([1.0]), collect_leaves=leaves)
         assert opt.status == "optimal"

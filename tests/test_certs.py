@@ -422,7 +422,7 @@ class TestUntrustedDecode:
         data["leaves"] = "__DEEP__"
         payload = json.dumps(data).replace(
             '"__DEEP__"', "[" * 100_000 + "]" * 100_000)
-        with pytest.raises(CertificateError, match="RecursionError"):
+        with pytest.raises(CertificateError, match="nested too deeply"):
             load_certificate(payload)
         _assert_cold_fallback(threshold_problem, payload)
 
@@ -605,7 +605,7 @@ class TestFixedLayoutDuals:
         from repro.exact import BaBSolver
 
         net, box, c, _thr = threshold_problem
-        solver = BaBSolver(net, box, node_tighten=True)
+        solver = BaBSolver(net, box)
         enc = solver.encoding
         neg_obj = -enc.output_objective(c)
         unstable = enc.unstable_neurons()

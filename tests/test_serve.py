@@ -674,6 +674,16 @@ class TestHTTPAndClient:
         assert status == 400
         assert "non-standard JSON" in payload["error"]
 
+    @pytest.mark.parametrize("key", ["interval_prune", "node_tighten"])
+    def test_http_rejects_removed_search_switch_with_400(
+            self, server, maximize_spec, key):
+        body = json.dumps({"spec": spec_to_dict(maximize_spec),
+                           "config": {key: False}})
+        status, payload = self._raw_post(server, body.encode())
+        assert status == 400
+        assert "unknown VerifyConfig keys" in payload["error"]
+        assert key in payload["error"]
+
     def test_http_rejects_deeply_nested_body_with_400(self, server):
         """JSON nested past the parser's depth must come back as a 400
         JSON error, not kill the handler thread and drop the connection."""

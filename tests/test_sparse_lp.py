@@ -13,6 +13,7 @@ the fingerprint-keyed encoding cache.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.domains import Box
 from repro.exact import (
@@ -69,7 +70,7 @@ def _assert_equivalent(enc, phases, objectives):
     """The node kernel (cold, then hot-started from the root basis) and
     ``linprog`` over ``build_lp`` agree on one node."""
     system = enc.build_lp(phases)
-    assert system.is_sparse
+    assert sp.issparse(system.a_ub) or sp.issparse(system.a_eq)
     kernel = NodeKernel(enc.build_lp())
     for c in objectives:
         oracle = solve_system(c, system)
@@ -119,7 +120,9 @@ class TestSparseDenseLP:
                                           base.b_ub[:-phase_rows])
             assert np.count_nonzero(node.b_ub == 0.0) - \
                 np.count_nonzero(base.b_ub == 0.0) == len(phases)
-        assert base.nnz == base.a_ub.nnz + base.a_eq.nnz
+        # CSR storage keeps no explicit zeros.
+        for matrix in (base.a_ub, base.a_eq):
+            assert matrix.nnz == np.count_nonzero(matrix.toarray()) > 0
 
     def test_fully_stable_net_has_no_inequalities(self):
         """All neurons stable: no triangle and no phase rows at all."""
@@ -192,7 +195,7 @@ class TestSparseDenseMILP:
         box = Box(-np.ones(dims[0]), np.ones(dims[0]))
         enc = NetworkEncoding(net, box)
         system = enc.build_milp()
-        assert system.is_sparse
+        assert sp.issparse(system.a_ub) and sp.issparse(system.a_eq)
         c = enc.output_objective(np.ones(dims[-1]), num_vars=system.num_vars)
         milp = solve_milp(c, system, maximize=True)
         bab = BaBSolver(net, box, encoding=enc).maximize(np.ones(dims[-1]))
@@ -226,25 +229,18 @@ class TestLinearSystemHelpers:
             LinearSystem(3, None, None, None, None, [(None, None)] * 3,
                          integer_mask=np.zeros(2, dtype=bool))
 
-    def test_nnz_and_is_sparse(self, fig2, enlarged_box2):
+    def test_dense_copy_solves_like_csr(self, fig2, enlarged_box2):
+        """A dense copy of a node system is the same LP to ``linprog``:
+        the dense form stays a valid reference for the CSR encoding."""
         enc = NetworkEncoding(fig2, enlarged_box2)
-        sparse = enc.build_lp()
-        dense = _dense_copy(sparse)
-        assert sparse.is_sparse and not dense.is_sparse
-        assert sparse.nnz == dense.nnz > 0
-        assert sparse.num_constraints == dense.num_constraints
-
-    def test_with_extra_ub_both_forms(self, fig2, enlarged_box2):
-        """Extra rows keep the storage form, CSR or dense."""
-        enc = NetworkEncoding(fig2, enlarged_box2)
-        sparse = enc.build_lp()
-        for system in (sparse, _dense_copy(sparse)):
-            row = np.zeros(system.num_vars)
-            row[enc.output_slice] = -1.0
-            bigger = system.with_extra_ub(row, -100.0)
-            assert bigger.a_ub.shape[0] == system.a_ub.shape[0] + 1
-            c = enc.output_objective(np.array([1.0]))
-            assert solve_system(c, bigger).status == "infeasible"
+        c = enc.output_objective(np.array([1.0]))
+        for phases in ({}, {enc.unstable_neurons()[0]: -1}):
+            sparse = enc.build_lp(phases)
+            dense = _dense_copy(sparse)
+            assert not sp.issparse(dense.a_ub)
+            expected, got = solve_system(c, sparse), solve_system(c, dense)
+            assert got.status == expected.status == "optimal"
+            assert got.value == pytest.approx(expected.value, abs=1e-9)
 
 
 class TestEncodingReuse:
@@ -290,16 +286,3 @@ class TestEncodingReuse:
         }
         assert len(encodings) == 3
 
-
-class TestBaBFormEquivalence:
-    def test_node_tighten_stays_sound(self):
-        net = random_relu_network([3, 12, 8, 1], seed=4, weight_scale=1.3)
-        box = Box(-np.ones(3), np.ones(3))
-        plain = BaBSolver(net, box, node_limit=200).maximize(np.ones(1))
-        tight = BaBSolver(net, box, node_limit=200,
-                          node_tighten=True).maximize(np.ones(1))
-        # Tightened node LPs can only shrink upper bounds, never lose the
-        # true optimum.
-        assert tight.upper_bound <= plain.upper_bound + 1e-9
-        if plain.status == tight.status == "optimal":
-            assert tight.optimum == pytest.approx(plain.optimum, abs=1e-6)

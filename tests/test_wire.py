@@ -434,17 +434,26 @@ class TestArtifactsWire:
         assert classify_failure(info.value) == ("SerializationError", False)
 
 
-def _with_bad_value(document: str, path, value: str) -> str:
-    """``document`` with the JSON integer at ``path`` replaced by the
+def _replaced(document: str, path, value: str) -> str:
+    """``document`` with the JSON value at ``path`` replaced by the
     literal ``value``."""
     data = json.loads(document)
     *parents, key = path
     node = data
     for part in parents:
         node = node[part]
-    assert type(node[key]) is int
     node[key] = "__BAD__"
     return json.dumps(data).replace('"__BAD__"', value)
+
+
+def _with_bad_value(document: str, path, value: str) -> str:
+    """``document`` with the JSON integer at ``path`` replaced by the
+    literal ``value``."""
+    node = json.loads(document)
+    for part in path:
+        node = node[part]
+    assert type(node) is int
+    return _replaced(document, path, value)
 
 
 def _payload_verdicts(fig2, box):
@@ -511,7 +520,7 @@ class TestSpecWireCounts:
 
 class TestConfigWire:
     def test_roundtrip(self):
-        config = VerifyConfig(workers=3, tol=1e-7, node_tighten=True,
+        config = VerifyConfig(workers=3, tol=1e-7, method="exact",
                               node_limit=9)
         assert config_from_json(config_to_json(config)) == config
 
@@ -549,6 +558,20 @@ class TestConfigWire:
         assert classify_failure(info.value) == (type(info.value).__name__,
                                                 False)
 
+    @pytest.mark.parametrize("key", ["interval_prune", "node_tighten"])
+    @pytest.mark.parametrize("value", [True, False, "false"])
+    def test_removed_search_switches_rejected_permanently(self, key, value):
+        # The search runs one configuration; a document that still picks
+        # one fails loudly instead of decoding "false" as bool("false").
+        from repro.errors import ReproError
+        from repro.serve.resilience import classify_failure
+
+        document = json.dumps({**VerifyConfig().to_dict(), key: value})
+        with pytest.raises(ReproError, match=key) as info:
+            config_from_json(document)
+        assert classify_failure(info.value) == (type(info.value).__name__,
+                                                False)
+
     def test_numpy_integer_counts_accepted(self):
         config = VerifyConfig(workers=np.int64(2), node_limit=np.int32(7))
         assert config.workers == 2 and type(config.workers) is int
@@ -563,7 +586,8 @@ class TestDeeplyNestedDocuments:
     DEPTH = 100000
 
     @pytest.mark.parametrize("decoder", [
-        "spec_from_json", "config_from_json", "verdict_from_json"])
+        "spec_from_json", "config_from_json", "verdict_from_json",
+        "certificate_from_json"])
     @pytest.mark.parametrize("wrap", ["{}", '{{"spec": {}}}'])
     def test_decoder_raises_permanent_serialization_error(self, decoder,
                                                           wrap):
@@ -575,6 +599,162 @@ class TestDeeplyNestedDocuments:
                 as info:
             getattr(repro.api, decoder)(document)
         assert classify_failure(info.value) == ("SerializationError", False)
+
+
+class TestUnparsableDocuments:
+    """Text that is not JSON is a malformed document for every wire
+    decoder: a permanent SerializationError, never a bare
+    ``JSONDecodeError``."""
+
+    @pytest.mark.parametrize("decoder", [
+        "spec_from_json", "config_from_json", "verdict_from_json",
+        "certificate_from_json"])
+    @pytest.mark.parametrize("document", ["{not json", "", '{"a": 1,}'])
+    def test_not_json_is_permanent_serialization_error(self, decoder,
+                                                       document):
+        import repro.api
+        from repro.serve.resilience import classify_failure
+
+        with pytest.raises(SerializationError, match="is not JSON") as info:
+            getattr(repro.api, decoder)(document)
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+
+def _scalar_wires():
+    """Verdict wire documents that carry every float, flag and array
+    field the decoder reads, keyed by name."""
+    from repro.api.verdict import (
+        BaselineVerdict,
+        ContinuousVerdict,
+        PropositionVerdict,
+    )
+    from repro.core.continuous import ContinuousResult
+    from repro.core.fixing import FixingResult
+    from repro.core.propositions import PropositionResult, SubproblemReport
+    from repro.core.verifier import BaselineOutcome
+    from repro.exact.verify import ContainmentResult
+    from repro.netabs.abstraction import build_abstraction
+    from repro.nn import fig2_network, random_relu_network
+
+    net = fig2_network()
+    box = Box(-np.ones(2), np.array([1.1, 1.1]))
+    engine = VerificationEngine(VerifyConfig())
+    common = {"holds": True, "provenance": Provenance(elapsed=0.5),
+              "detail": ""}
+    # The abstraction needs a linear output block, which Fig. 2 lacks.
+    head = random_relu_network([2, 6, 4, 1], seed=1)
+    problem = VerificationProblem(head, box, Box(-50 * np.ones(1),
+                                                 50 * np.ones(1)))
+    artifacts = ProofArtifacts(
+        problem=problem, lipschitz=LipschitzCertificate(ell=20.0),
+        network_abstraction=build_abstraction(head, box, num_groups=1),
+        states_prove_safety=True, original_time=1.5)
+    sub = SubproblemReport("s0", True, 0.5, lp_solves=2)
+    verdicts = {
+        "maximize": engine.verify(MaximizeSpec(
+            network=net, input_box=box, objective=np.array([1.0]))),
+        "threshold": engine.verify(ThresholdSpec(
+            network=net, input_box=box, objective=np.array([1.0]),
+            threshold=6.5)),
+        "containment": ContainmentVerdict(
+            spec_type="containment", **common, result=ContainmentResult(
+                holds=False, method="exact", violation=0.25, elapsed=0.5,
+                counterexample=np.array([0.5, 1.0]))),
+        "proposition": PropositionVerdict(
+            spec_type="proposition", **common, result=PropositionResult(
+                proposition="prop3", holds=True, subproblems=[sub],
+                elapsed=0.75)),
+        "continuous": ContinuousVerdict(
+            spec_type="continuous", **common, result=ContinuousResult(
+                holds=True, strategy="fixing", elapsed=0.75,
+                fixing=FixingResult(holds=True, strategy="prop6",
+                                    subproblems=[sub], elapsed=0.5),
+                winning_max_subproblem_time=0.5, winning_time=0.5)),
+        "baseline": BaselineVerdict(
+            spec_type="baseline", **common, result=BaselineOutcome(
+                holds=True, artifacts=artifacts, elapsed=1.0)),
+    }
+    return {name: verdict_to_json(verdict)
+            for name, verdict in verdicts.items()}
+
+
+_FLOAT_FIELDS = [
+    ("maximize", ("provenance", "elapsed")),
+    ("maximize", ("result", "upper_bound")),
+    ("maximize", ("result", "incumbent")),
+    ("maximize", ("result", "mean_batch")),
+    ("containment", ("result", "violation")),
+    ("containment", ("result", "elapsed")),
+    ("proposition", ("result", "elapsed")),
+    ("proposition", ("result", "subproblems", 0, "elapsed")),
+    ("continuous", ("result", "elapsed")),
+    ("continuous", ("result", "winning_max_subproblem_time")),
+    ("continuous", ("result", "winning_time")),
+    ("continuous", ("result", "fixing", "elapsed")),
+    ("baseline", ("result", "elapsed")),
+    ("baseline", ("result", "artifacts", "original_time")),
+    ("baseline", ("result", "artifacts", "lipschitz", "ell")),
+    ("baseline", ("result", "artifacts", "lipschitz", "ord")),
+    ("baseline", ("result", "artifacts", "netabs", "margin")),
+]
+_BOOL_FIELDS = [
+    ("maximize", ("provenance", "cached")),
+    ("maximize", ("provenance", "cert_hit")),
+    ("baseline", ("result", "artifacts", "states_prove_safety")),
+]
+_ARRAY_FIELDS = [
+    ("maximize", ("result", "witness")),
+    ("threshold", ("certificate", "objective")),
+    ("containment", ("result", "counterexample")),
+    ("baseline", ("result", "artifacts", "problem", "din", "lower")),
+]
+
+
+class TestVerdictWireScalars:
+    """Every float, flag and array a verdict carries decodes strictly: a
+    float is a JSON number or ``"inf"``/``"-inf"``/``"nan"``, a flag is
+    JSON ``true``/``false``, and an array holds only such floats in a
+    rectangular nesting.  Anything else is a permanent SerializationError
+    -- never ``bool("false") == True``, ``float("5")`` or a bare
+    ``ValueError``/``TypeError``."""
+
+    @pytest.fixture(scope="class")
+    def wires(self):
+        return _scalar_wires()
+
+    def test_valid_documents_round_trip_byte_identical(self, wires):
+        for wire in wires.values():
+            assert verdict_to_json(verdict_from_json(wire)) == wire
+
+    def _assert_permanent(self, document, match):
+        from repro.serve.resilience import classify_failure
+
+        with pytest.raises(SerializationError, match=match) as info:
+            verdict_from_json(document)
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+    @pytest.mark.parametrize("value", ['"5"', '"x"', "true", "null", "[1]"])
+    @pytest.mark.parametrize("kind,path", _FLOAT_FIELDS)
+    def test_bad_float_is_permanent_serialization_error(self, wires, kind,
+                                                        path, value):
+        self._assert_permanent(_replaced(wires[kind], path, value),
+                               "must be a JSON number")
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1",
+                                       "null"])
+    @pytest.mark.parametrize("kind,path", _BOOL_FIELDS)
+    def test_bad_flag_is_permanent_serialization_error(self, wires, kind,
+                                                       path, value):
+        self._assert_permanent(_replaced(wires[kind], path, value),
+                               "must be a JSON true or false")
+
+    @pytest.mark.parametrize("value", ['["1"]', '["x"]', "[true]", "[null]",
+                                       "[[1.0], [1.0, 2.0]]"])
+    @pytest.mark.parametrize("kind,path", _ARRAY_FIELDS)
+    def test_bad_array_is_permanent_serialization_error(self, wires, kind,
+                                                        path, value):
+        self._assert_permanent(_replaced(wires[kind], path, value),
+                               "JSON number")
 
 
 def _reference_decision_json(verdict) -> str:
