@@ -360,6 +360,15 @@ def _wire_bool(value, name: str) -> bool:
     return value
 
 
+def _wire_holds(value, name: str) -> Optional[bool]:
+    """A verdict's ``holds``: JSON ``true``, ``false`` or ``null`` (proved,
+    refuted, inconclusive), or :class:`SerializationError`."""
+    if value is not None and type(value) is not bool:
+        raise SerializationError(
+            f"{name} must be a JSON true, false or null, got {value!r}")
+    return value
+
+
 def _wire_bytes(data, name: str) -> bytes:
     if not isinstance(data, str):
         raise SerializationError(f"{name} must be a base64 string")
@@ -649,7 +658,7 @@ def _containment_result_from_jsonable(data: Dict):
     from repro.exact.verify import ContainmentResult
 
     return ContainmentResult(
-        holds=data["holds"],
+        holds=_wire_holds(data["holds"], "containment holds"),
         method=data["method"],
         counterexample=_opt_array_from_jsonable(data.get("counterexample")),
         violation=_wire_float(data.get("violation", 0.0),
@@ -700,7 +709,7 @@ def _subproblem_from_jsonable(data: Dict):
 
     return SubproblemReport(
         name=data["name"],
-        holds=data["holds"],
+        holds=_wire_holds(data["holds"], "subproblem holds"),
         elapsed=_wire_float(data["elapsed"], "subproblem elapsed"),
         detail=data.get("detail", ""),
         lp_solves=_wire_int(data.get("lp_solves", 0), "subproblem lp_solves"),
@@ -723,7 +732,7 @@ def _proposition_result_from_jsonable(data: Dict):
 
     return PropositionResult(
         proposition=data["proposition"],
-        holds=data["holds"],
+        holds=_wire_holds(data["holds"], "proposition holds"),
         subproblems=[_subproblem_from_jsonable(s)
                      for s in data.get("subproblems", [])],
         elapsed=_wire_float(data.get("elapsed", 0.0), "proposition elapsed"),
@@ -751,7 +760,7 @@ def _fixing_result_from_jsonable(data) -> Optional[object]:
     from repro.core.fixing import FixingResult
 
     return FixingResult(
-        holds=data["holds"],
+        holds=_wire_holds(data["holds"], "fixing holds"),
         strategy=data["strategy"],
         replaced_layer=data.get("replaced_layer"),
         reentry_layer=data.get("reentry_layer"),
@@ -783,7 +792,7 @@ def _continuous_result_from_jsonable(data: Dict):
     from repro.core.continuous import ContinuousResult
 
     return ContinuousResult(
-        holds=data["holds"],
+        holds=_wire_holds(data["holds"], "continuous holds"),
         strategy=data["strategy"],
         attempts=[_proposition_result_from_jsonable(a)
                   for a in data.get("attempts", [])],
@@ -818,7 +827,7 @@ def _baseline_outcome_from_jsonable(data: Dict):
     from repro.core.verifier import BaselineOutcome
 
     return BaselineOutcome(
-        holds=data["holds"],
+        holds=_wire_holds(data["holds"], "baseline holds"),
         artifacts=artifacts_from_jsonable(data["artifacts"]),
         elapsed=_wire_float(data["elapsed"], "baseline elapsed"),
         detail=data.get("detail", ""),
@@ -894,7 +903,7 @@ def verdict_from_dict(data: Dict):
     try:
         common = {
             "spec_type": data["spec_type"],
-            "holds": data["holds"],
+            "holds": _wire_holds(data["holds"], "verdict holds"),
             "detail": data.get("detail", ""),
             "provenance": _provenance_from_jsonable(data["provenance"]),
         }

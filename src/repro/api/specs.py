@@ -41,6 +41,9 @@ from repro.api.serialize import (
     _json_loads,
     network_from_jsonable,
     network_to_jsonable,
+    _wire_bool,
+    _wire_float,
+    _wire_int,
 )
 
 __all__ = [
@@ -66,6 +69,14 @@ def _canonical(payload: Dict) -> str:
     # asserts the payloads really are strict RFC-8259 JSON (non-finite
     # floats are string-encoded by repro.api.serialize).
     return json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
+def _wire_ints(data, name: str) -> Tuple[int, ...]:
+    """A JSON list of non-negative integers, as a tuple."""
+    if not isinstance(data, list):
+        raise SerializationError(
+            f"{name} must be a JSON list of integers, got {data!r}")
+    return tuple(_wire_int(value, f"{name} entry") for value in data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +192,7 @@ class ThresholdSpec(Spec):
         return cls(network=network_from_jsonable(data["network"]),
                    input_box=box_from_jsonable(data["input_box"]),
                    objective=array_from_jsonable(data["objective"]),
-                   threshold=float(data["threshold"]))
+                   threshold=_wire_float(data["threshold"], "threshold"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +224,10 @@ class MaximizeSpec(Spec):
         return cls(network=network_from_jsonable(data["network"]),
                    input_box=box_from_jsonable(data["input_box"]),
                    objective=array_from_jsonable(data["objective"]),
-                   threshold=None if threshold is None else float(threshold),
-                   minimize=bool(data.get("minimize", False)))
+                   threshold=None if threshold is None
+                   else _wire_float(threshold, "threshold"),
+                   minimize=_wire_bool(data.get("minimize", False),
+                                       "minimize"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,20 +308,22 @@ class PropositionSpec(Spec):
     @classmethod
     def _from_payload(cls, data: Dict) -> "PropositionSpec":
         return cls(
-            kind=int(data["kind"]),
+            kind=_wire_int(data["kind"], "proposition kind"),
             artifacts=artifacts_from_jsonable(data["artifacts"]),
             enlarged_din=None if data.get("enlarged_din") is None
             else box_from_jsonable(data["enlarged_din"]),
             new_network=None if data.get("new_network") is None
             else network_from_jsonable(data["new_network"]),
             alphas=None if data.get("alphas") is None
-            else tuple(int(a) for a in data["alphas"]),
+            else _wire_ints(data["alphas"], "alphas"),
             method=data.get("method"),
             domain=data.get("domain"),
-            ord=float(data.get("ord", 2.0)),
-            stop_on_failure=bool(data.get("stop_on_failure", False)),
-            prescreen=bool(data.get("prescreen", True)),
-            recheck_safety=bool(data.get("recheck_safety", False)),
+            ord=_wire_float(data.get("ord", 2.0), "ord"),
+            stop_on_failure=_wire_bool(data.get("stop_on_failure", False),
+                                       "stop_on_failure"),
+            prescreen=_wire_bool(data.get("prescreen", True), "prescreen"),
+            recheck_safety=_wire_bool(data.get("recheck_safety", False),
+                                      "recheck_safety"),
         )
 
 
@@ -366,8 +381,9 @@ class ContinuousLoopSpec(Spec):
             strategies=None if data.get("strategies") is None
             else tuple(data["strategies"]),
             prop5_alphas=None if data.get("prop5_alphas") is None
-            else tuple(data["prop5_alphas"]),
-            with_fixing=bool(data.get("with_fixing", True)),
+            else _wire_ints(data["prop5_alphas"], "prop5_alphas"),
+            with_fixing=_wire_bool(data.get("with_fixing", True),
+                                   "with_fixing"),
         )
 
 

@@ -25,6 +25,15 @@ a function of the node and its parent's basis only, never of which nodes
 the thread's kernel solved before.  That keeps the frontier search's
 verdicts byte-identical across worker counts.
 
+Pricing
+-------
+Because ``clearSolver`` also discards the dual simplex's edge weights,
+the default dual steepest-edge pricing would recompute its exact weights
+from scratch at every hot start -- a cost paid per node for weights a
+child then uses for only a few iterations.  The kernel prices with Devex
+instead, which starts from unit reference weights and updates them
+cheaply as it goes (Forrest & Goldfarb, 1992; Huangfu & Hall, 2018).
+
 Private API
 -----------
 This is the only module that uses scipy's private binding
@@ -63,9 +72,13 @@ REQUIRED_METHODS = (
 )
 
 #: Solver options of every kernel: quiet, serial dual simplex, and no
-#: presolve, so a hot start runs on the model exactly as passed.
+#: presolve, so a hot start runs on the model exactly as passed.  Devex
+#: pricing (strategy 1): ``clearSolver`` throws the edge weights away
+#: before every node, and Devex restarts from unit weights where dual
+#: steepest edge would recompute exact ones at each hot start.
 _OPTIONS = (("output_flag", False), ("presolve", "off"),
-            ("solver", "simplex"), ("simplex_strategy", 1))
+            ("solver", "simplex"), ("simplex_strategy", 1),
+            ("simplex_dual_edge_weight_strategy", 1))
 
 
 def check_binding() -> None:

@@ -12,6 +12,12 @@ Two primitives cover everything the continuous-verification core needs:
 ``"symbolic"`` (cheap one-shot abstract transformer, may lose), ``"split"``
 (abstraction with refinement), and ``"exact"`` (complete branch and bound);
 ``"auto"`` cascades cheap-to-exact, stopping at the first conclusive answer.
+
+``"exact"`` screens each target bound symbolically first: one
+symbolic-interval pass (ReluVal, Wang et al., 2018) gives an output box,
+and only the bounds that box does not already prove get a
+branch-and-bound search.  A bound the screen proves cannot be refuted, so
+the screen never changes which output a refutation names.
 """
 
 from __future__ import annotations
@@ -65,14 +71,13 @@ class ContainmentResult:
         return self.holds is not None
 
 
-def _check_symbolic(network: Network, box: Box, target: Box) -> ContainmentResult:
-    out = output_box(network, box, domain="symbolic")
-    if target.contains_box(out):
+def _check_symbolic(screen: Box, target: Box) -> ContainmentResult:
+    if target.contains_box(screen):
         return ContainmentResult(holds=True, method="symbolic")
     return ContainmentResult(
         holds=None,
         method="symbolic",
-        violation=target.containment_violation(out),
+        violation=target.containment_violation(screen),
         detail="symbolic over-approximation exceeds target",
     )
 
@@ -91,49 +96,57 @@ def _check_split(network: Network, box: Box, target: Box,
 
 
 def _check_exact(network: Network, box: Box, target: Box,
-                 config: VerifyConfig) -> ContainmentResult:
+                 config: VerifyConfig,
+                 screen: Optional[Box] = None) -> ContainmentResult:
+    """Exact containment: one threshold search per finite target bound
+    that ``screen`` -- the symbolic-interval output box, computed here
+    unless the caller has it -- does not already prove.  Searches run in
+    the order output ``i``, its max then its min, so a refutation names
+    the lowest-index violated output whether or not the screen ran."""
+    if screen is None:
+        screen = output_box(network, box, domain="symbolic")
+    d = network.output_dim
+    # (output, bound, sense) of every bound left open, in search order.  A
+    # bound is proved only when the screen's own bound lies inside it,
+    # with no tolerance.
+    searches = []
+    for i in range(d):
+        hi = float(target.upper[i])
+        lo = float(target.lower[i])
+        if np.isfinite(hi) and not screen.upper[i] <= hi:
+            searches.append((i, hi, "max"))
+        if np.isfinite(lo) and not screen.lower[i] >= lo:
+            searches.append((i, lo, "min"))
+    if not searches:
+        return ContainmentResult(holds=True, method="exact")
     solver = BaBSolver.from_config(network, box, config)
     lp_total = 0
     node_total = 0
-    d = network.output_dim
-    for i in range(d):
+    for i, bound, sense in searches:
         c = np.zeros(d)
         c[i] = 1.0
-        hi = float(target.upper[i])
-        lo = float(target.lower[i])
-        if np.isfinite(hi):
-            # Status discipline (see BaBResult.optimum): only REFUTED,
-            # NODE_LIMIT and the sound ``upper_bound`` are consumed here --
-            # never the off-optimal "optimum".
-            res = solver.maximize(c, threshold=hi)
-            lp_total += res.lp_solves
-            node_total += res.nodes
-            if res.status == BAB_REFUTED:
-                return ContainmentResult(
-                    holds=False, method="exact", counterexample=res.witness,
-                    violation=res.incumbent - hi, lp_solves=lp_total,
-                    nodes=node_total, detail=f"output {i} exceeds upper bound",
-                )
-            if res.status == BAB_NODE_LIMIT:
-                return ContainmentResult(
-                    holds=None, method="exact", lp_solves=lp_total,
-                    nodes=node_total, detail=f"node limit on output {i} (max)",
-                )
-        if np.isfinite(lo):
-            res = solver.minimize(c, threshold=lo)
-            lp_total += res.lp_solves
-            node_total += res.nodes
-            if res.status == BAB_REFUTED:
-                return ContainmentResult(
-                    holds=False, method="exact", counterexample=res.witness,
-                    violation=lo - res.incumbent, lp_solves=lp_total,
-                    nodes=node_total, detail=f"output {i} below lower bound",
-                )
-            if res.status == BAB_NODE_LIMIT:
-                return ContainmentResult(
-                    holds=None, method="exact", lp_solves=lp_total,
-                    nodes=node_total, detail=f"node limit on output {i} (min)",
-                )
+        # Status discipline (see BaBResult.optimum): only REFUTED,
+        # NODE_LIMIT and the sound ``upper_bound`` are consumed here --
+        # never the off-optimal "optimum".
+        if sense == "max":
+            res = solver.maximize(c, threshold=bound)
+            violation, side = res.incumbent - bound, "exceeds upper"
+        else:
+            res = solver.minimize(c, threshold=bound)
+            violation, side = bound - res.incumbent, "below lower"
+        lp_total += res.lp_solves
+        node_total += res.nodes
+        if res.status == BAB_REFUTED:
+            return ContainmentResult(
+                holds=False, method="exact", counterexample=res.witness,
+                violation=violation, lp_solves=lp_total, nodes=node_total,
+                detail=f"output {i} {side} bound",
+            )
+        if res.status == BAB_NODE_LIMIT:
+            return ContainmentResult(
+                holds=None, method="exact", lp_solves=lp_total,
+                nodes=node_total, detail=f"node limit on output {i} ({sense})",
+            )
     return ContainmentResult(holds=True, method="exact",
                              lp_solves=lp_total, nodes=node_total)
 
@@ -154,16 +167,15 @@ def _check_containment(network: Network, input_box: Box, target: Box,
             f"target dim {target.dim} != network output dim {network.output_dim}"
         )
     start = time.perf_counter()
-    if method == "symbolic":
-        result = _check_symbolic(network, input_box, target)
-    elif method == "split":
+    if method == "split":
         result = _check_split(network, input_box, target, config.max_boxes)
     elif method == "exact":
         result = _check_exact(network, input_box, target, config)
-    else:  # auto: cheap first, exact as the decider
-        result = _check_symbolic(network, input_box, target)
-        if not result.conclusive:
-            result = _check_exact(network, input_box, target, config)
+    else:  # symbolic, or auto: symbolic first, exact as the decider
+        screen = output_box(network, input_box, domain="symbolic")
+        result = _check_symbolic(screen, target)
+        if method == "auto" and not result.conclusive:
+            result = _check_exact(network, input_box, target, config, screen)
             result.method = "auto(exact)"
     result.elapsed = time.perf_counter() - start
     return result

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.api import (ContainmentSpec, MaximizeSpec, OutputRangeSpec,
-                       VerificationEngine)
+                       VerificationEngine, VerifyConfig)
 from repro.domains import Box
+from repro.domains.propagate import output_box
 from repro.errors import DomainError
 from repro.exact import (
     BaBSolver,
@@ -14,6 +15,7 @@ from repro.exact import (
     solve_lp,
     solve_milp,
 )
+from repro.exact.verify import _check_exact
 from repro.nn import Dense, LeakyReLU, Network, random_relu_network
 
 
@@ -297,3 +299,99 @@ class TestCheckContainment:
         with pytest.raises(DomainError):
             _containment(fig2, enlarged_box2,
                          Box(np.zeros(1), np.ones(1)), method="magic")
+
+
+class TestExactSymbolicScreen:
+    """``exact`` containment searches only the target bounds the
+    symbolic-interval output box leaves open, in the order output ``i``,
+    max then min."""
+
+    @pytest.fixture
+    def net3(self):
+        # Symbolic box ~[-3.5, 2.3] x [-2.0, 6.7] x [-6.7, 6.9]; exact
+        # range ~[-0.72, 0.59] x [-0.48, 3.02] x [-1.88, 3.34].
+        return random_relu_network([3, 10, 8, 3], seed=0, weight_scale=0.9)
+
+    @pytest.fixture
+    def box3(self):
+        return Box(-np.ones(3), np.ones(3))
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """``(output, "max"|"min")`` of every BaB search run (``minimize``
+        maximises the negated objective)."""
+        runs = []
+        maximize = BaBSolver.maximize
+
+        def spy(self, c, *args, **kwargs):
+            res = maximize(self, c, *args, **kwargs)
+            i = int(np.flatnonzero(c)[0])
+            runs.append((i, "max" if c[i] > 0 else "min"))
+            return res
+
+        monkeypatch.setattr(BaBSolver, "maximize", spy)
+        return runs
+
+    def test_screen_proves_every_bound_without_a_search(
+            self, fig2, enlarged_box2, searches):
+        target = Box(np.array([-50.0]), np.array([50.0]))
+        res = _check_exact(fig2, enlarged_box2, target, VerifyConfig())
+        assert (res.holds, res.method, res.lp_solves, res.nodes) == \
+            (True, "exact", 0, 0)
+        assert searches == []
+
+    def test_only_unproved_bounds_are_searched(self, net3, box3, searches):
+        screen = output_box(net3, box3, "symbolic")
+        target = Box(np.array([-5.0, -np.inf, -3.0]),
+                     np.array([3.0, 5.0, 7.0]))
+        # Output 0 and output 2's upper bound are proved by the screen.
+        assert np.all(screen.lower[[0]] >= target.lower[[0]])
+        assert np.all(screen.upper[[0, 2]] <= target.upper[[0, 2]])
+        assert screen.upper[1] > 5.0 and screen.lower[2] < -3.0
+        config = VerifyConfig()
+        res = _check_exact(net3, box3, target, config)
+        assert res.holds is True
+        assert searches == [(1, "max"), (2, "min")]
+        solver = BaBSolver.from_config(net3, box3, config)
+        expected = solver.maximize(np.array([0.0, 1.0, 0.0]),
+                                   threshold=5.0).lp_solves
+        expected += solver.minimize(np.array([0.0, 0.0, 1.0]),
+                                    threshold=-3.0).lp_solves
+        assert expected > 0
+        assert res.lp_solves == expected
+
+    def test_refutation_same_with_and_without_screen(self, net3, box3,
+                                                     searches):
+        # Output 0 is proved by the screen; output 1's max (~3.02) breaks
+        # the upper bound 2.
+        target = Box(np.array([-5.0, -np.inf, -np.inf]),
+                     np.array([3.0, 2.0, np.inf]))
+        config = VerifyConfig()
+        screened = _check_exact(net3, box3, target, config)
+        assert searches == [(1, "max")]
+        unbounded = Box(np.full(3, -np.inf), np.full(3, np.inf))
+        unscreened = _check_exact(net3, box3, target, config, unbounded)
+        assert searches[1:] == [(0, "max"), (0, "min"), (1, "max")]
+        for res in (screened, unscreened):
+            assert res.holds is False
+            assert res.detail == "output 1 exceeds upper bound"
+            assert net3.forward(res.counterexample)[1] > 2.0
+        assert np.array_equal(screened.counterexample,
+                              unscreened.counterexample)
+        assert screened.violation == unscreened.violation
+
+    def test_auto_propagates_symbolically_once(self, fig2, enlarged_box2,
+                                               monkeypatch):
+        from repro.exact import verify
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2] if len(args) > 2 else kwargs["domain"])
+            return output_box(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "output_box", counting)
+        target = Box(np.array([0.0]), np.array([6.5]))  # symbolic ~8.8
+        res = _containment(fig2, enlarged_box2, target, method="auto")
+        assert (res.holds, res.method) == (True, "auto(exact)")
+        assert calls == ["symbolic"]

@@ -370,3 +370,33 @@ class TestFrontierEdgeCases:
                     consistent = True
                     break
             assert consistent
+
+
+#: Generated nets small enough for the big-M oracle: uniform weights and
+#: biases in [-1, 1] over a radius-0.1 box leave a few unstable neurons.
+_MILP_NETS = [(dims, seed) for dims in ((5, 12, 12, 2), (6, 16, 16, 2))
+              for seed in range(4)]
+
+
+class TestOptimaMatchMILP:
+    """On generated nets, every BaB max/min optimum equals the big-M MILP
+    oracle's within ``tol``, bitwise identical at workers 1 and 2."""
+
+    @pytest.mark.parametrize("dims,seed", _MILP_NETS, ids=[
+        "-".join(map(str, dims)) + f"-s{seed}" for dims, seed in _MILP_NETS])
+    def test_optima_match_milp_at_workers_1_and_2(self, dims, seed):
+        net = random_relu_network(list(dims), seed=seed, weight_scale=1.0)
+        box = Box(-0.1 * np.ones(dims[0]), 0.1 * np.ones(dims[0]))
+        tol = VerifyConfig().tol
+        for i in range(net.output_dim):
+            c = np.zeros(net.output_dim)
+            c[i] = 1.0
+            for maximize in (True, False):
+                one, two = (BaBSolver(net, box, workers=w) for w in (1, 2))
+                one = one.maximize(c) if maximize else one.minimize(c)
+                two = two.maximize(c) if maximize else two.minimize(c)
+                assert one.status == two.status == "optimal"
+                assert (one.optimum, one.lp_solves, one.nodes) == \
+                    (two.optimum, two.lp_solves, two.nodes)
+                assert one.optimum == pytest.approx(
+                    _milp_optimum(net, box, c, maximize), abs=tol)

@@ -518,6 +518,83 @@ class TestSpecWireCounts:
         assert classify_failure(info.value) == ("SerializationError", False)
 
 
+def _spec_wires():
+    """Spec wire documents that carry every threshold, flag, count and
+    list field the spec decoder reads, keyed by spec type."""
+    from repro.api import ContinuousLoopSpec, spec_to_json
+    from repro.nn import fig2_network
+
+    net = fig2_network()
+    box = Box(-np.ones(2), np.ones(2))
+    artifacts = ProofArtifacts(problem=VerificationProblem(
+        net, box, Box(-50 * np.ones(1), 50 * np.ones(1))))
+    c = np.array([1.0])
+    specs = {
+        "threshold": ThresholdSpec(network=net, input_box=box, objective=c,
+                                   threshold=6.5),
+        "maximize": MaximizeSpec(network=net, input_box=box, objective=c,
+                                 threshold=6.5),
+        "proposition": PropositionSpec(kind=5, artifacts=artifacts,
+                                       new_network=net, alphas=(1,)),
+        "continuous": ContinuousLoopSpec(artifacts=artifacts,
+                                         new_network=net, prop5_alphas=(1,)),
+    }
+    return {name: spec_to_json(spec) for name, spec in specs.items()}
+
+
+class TestSpecWireScalars:
+    """Every spec field decodes strictly: a ``"false"`` flag, a ``"7"``
+    threshold or a ``"5"`` proposition kind is a permanent
+    SerializationError, never a silent cast that changes the request (a
+    maximize spec with ``"minimize": "false"`` used to run as a minimize
+    spec)."""
+
+    @pytest.fixture(scope="class")
+    def wires(self):
+        return _spec_wires()
+
+    def test_valid_documents_round_trip_byte_identical(self, wires):
+        from repro.api import spec_from_json, spec_to_json
+
+        for wire in wires.values():
+            assert spec_to_json(spec_from_json(wire)) == wire
+
+    @pytest.mark.parametrize("kind,field,value,match", [
+        ("threshold", "threshold", '"7"', "must be a JSON number"),
+        ("maximize", "threshold", '"7"', "must be a JSON number"),
+        ("maximize", "minimize", '"false"', "must be a JSON true or false"),
+        ("proposition", "kind", '"5"', "must be a non-negative integer"),
+        ("proposition", "alphas", '["1"]', "must be a non-negative integer"),
+        ("proposition", "ord", '"2"', "must be a JSON number"),
+        ("proposition", "stop_on_failure", '"false"',
+         "must be a JSON true or false"),
+        ("proposition", "prescreen", '"false"',
+         "must be a JSON true or false"),
+        ("proposition", "recheck_safety", '"false"',
+         "must be a JSON true or false"),
+        ("continuous", "with_fixing", '"false"',
+         "must be a JSON true or false"),
+        ("continuous", "prop5_alphas", '["1"]',
+         "must be a non-negative integer"),
+    ])
+    def test_bad_field_is_permanent_serialization_error(self, wires, kind,
+                                                        field, value, match):
+        from repro.api import spec_from_json
+        from repro.serve.resilience import classify_failure
+
+        with pytest.raises(SerializationError, match=match) as info:
+            spec_from_json(_replaced(wires[kind], (field,), value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+    @pytest.mark.parametrize("field", ["alphas", "prop5_alphas"])
+    def test_reuse_points_must_be_a_list(self, wires, field):
+        from repro.api import spec_from_json
+
+        kind = "proposition" if field == "alphas" else "continuous"
+        with pytest.raises(SerializationError, match="must be a JSON list"):
+            spec_from_json(_replaced(wires[kind], (field,), '"12"'))
+
+
 class TestConfigWire:
     def test_roundtrip(self):
         config = VerifyConfig(workers=3, tol=1e-7, method="exact",
@@ -708,6 +785,15 @@ _ARRAY_FIELDS = [
     ("containment", ("result", "counterexample")),
     ("baseline", ("result", "artifacts", "problem", "din", "lower")),
 ]
+_HOLDS_FIELDS = [
+    ("maximize", ("holds",)),
+    ("containment", ("result", "holds")),
+    ("proposition", ("result", "holds")),
+    ("proposition", ("result", "subproblems", 0, "holds")),
+    ("continuous", ("result", "holds")),
+    ("continuous", ("result", "fixing", "holds")),
+    ("baseline", ("result", "holds")),
+]
 
 
 class TestVerdictWireScalars:
@@ -755,6 +841,18 @@ class TestVerdictWireScalars:
                                                         path, value):
         self._assert_permanent(_replaced(wires[kind], path, value),
                                "JSON number")
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "[]"])
+    @pytest.mark.parametrize("kind,path", _HOLDS_FIELDS)
+    def test_bad_holds_is_permanent_serialization_error(self, wires, kind,
+                                                        path, value):
+        self._assert_permanent(_replaced(wires[kind], path, value),
+                               "must be a JSON true, false or null")
+
+    @pytest.mark.parametrize("kind,path", _HOLDS_FIELDS)
+    def test_inconclusive_holds_decodes(self, wires, kind, path):
+        document = _replaced(wires[kind], path, "null")
+        assert verdict_to_json(verdict_from_json(document)) == document
 
 
 def _reference_decision_json(verdict) -> str:
