@@ -79,6 +79,15 @@ def _wire_ints(data, name: str) -> Tuple[int, ...]:
     return tuple(_wire_int(value, f"{name} entry") for value in data)
 
 
+def _wire_strs(data, name: str) -> Tuple[str, ...]:
+    """A JSON list of strings, as a tuple."""
+    if not isinstance(data, list) or \
+            not all(isinstance(value, str) for value in data):
+        raise SerializationError(
+            f"{name} must be a JSON list of strings, got {data!r}")
+    return tuple(data)
+
+
 @dataclass(frozen=True, eq=False)
 class Spec:
     """Base of the declarative request hierarchy (see module docstring)."""
@@ -379,7 +388,7 @@ class ContinuousLoopSpec(Spec):
             new_network=None if data.get("new_network") is None
             else network_from_jsonable(data["new_network"]),
             strategies=None if data.get("strategies") is None
-            else tuple(data["strategies"]),
+            else _wire_strs(data["strategies"], "strategies"),
             prop5_alphas=None if data.get("prop5_alphas") is None
             else _wire_ints(data["prop5_alphas"], "prop5_alphas"),
             with_fixing=_wire_bool(data.get("with_fixing", True),

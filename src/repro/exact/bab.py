@@ -272,13 +272,16 @@ class BaBSolver:
         :meth:`NetworkEncoding.node_bounds` call and solves each node on
         :func:`~repro.exact.highs.kernel_for` ``(encoding).solve``.  Each
         child hot-starts from its parent's optimal basis, carried on the
-        open-node heap; the root and warm starts solve cold.
+        open-node heap, and stops early once its dual bound falls to the
+        round's bar (:mod:`repro.exact.parallel_bab`); the root and warm
+        starts solve cold, to optimality.
 
-        Every node LP returns its optimal multipliers, and a node's own
+        Every node LP returns its multipliers, and a node's own
         ``dual_ub`` chooses its split (module docstring, "Branching").
         A collector made with ``duals=True`` also receives one multiplier
-        row per collected leaf, by position: the optimal dual multipliers
-        ``(dual_ub, dual_eq)`` of the leaf's own node LP, else its
+        row per collected leaf, by position: the dual multipliers
+        ``(dual_ub, dual_eq)`` of the leaf's own node LP (optimal, or the
+        dual iterate a cut-off child stopped at), else its
         ``initial_duals`` row when it is a warm start (the multipliers a
         certificate stored for it), else none.  Those recorded rows are
         advisory: the search never reads them back; certificate recording

@@ -21,9 +21,24 @@ History independence
 --------------------
 ``clearSolver`` discards everything the previous solve left in the
 instance (factorization, edge weights, solution), so a node's result is
-a function of the node and its parent's basis only, never of which nodes
-the thread's kernel solved before.  That keeps the frontier search's
-verdicts byte-identical across worker counts.
+a function of the node, its parent's basis and its cutoff only, never of
+which nodes the thread's kernel solved before.  That keeps the frontier
+search's verdicts byte-identical across worker counts.  The cutoff (HiGHS
+``objective_bound``) is an option, which ``clearSolver`` keeps, so the
+kernel treats it as a per-solve input: every solve whose cutoff differs
+from the kernel's last one sets the option again, and a solve without a
+cutoff runs exactly as on a fresh kernel.
+
+Cutoff
+------
+A branch-and-bound child is only worth solving to optimality if its
+bound can beat the search's bar.  ``cutoff`` hands the dual simplex that
+objective limit (Achterberg, 2007): once the *exact*, unperturbed dual
+objective of its dual feasible iterate exceeds ``cutoff``, HiGHS stops
+with ``kObjectiveBound``.  By weak duality that dual objective is a lower
+bound on the node's minimum, so the node is settled: the kernel returns
+:data:`~repro.exact.lp.LP_CUTOFF` with the dual objective as ``value``
+and the iterate's row multipliers, but no primal point and no basis.
 
 Pricing
 -------
@@ -52,7 +67,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import SolverError
-from repro.exact.lp import LP_INFEASIBLE, LP_OPTIMAL, LP_UNBOUNDED, LPResult
+from repro.exact.lp import (LP_CUTOFF, LP_INFEASIBLE, LP_OPTIMAL,
+                            LP_UNBOUNDED, LPResult)
 
 try:
     from scipy.optimize._highspy import _core
@@ -67,8 +83,8 @@ __all__ = ["REQUIRED_METHODS", "NodeKernel", "check_binding", "kernel_for"]
 #: Every ``_Highs`` method the kernel calls.
 REQUIRED_METHODS = (
     "passModel", "changeColsCost", "changeColsBounds", "changeRowBounds",
-    "clearSolver", "setBasis", "getBasis", "run", "getSolution", "getInfo",
-    "getModelStatus",
+    "clearSolver", "setBasis", "getBasis", "run", "getSolution",
+    "getObjectiveValue", "getModelStatus", "setOptionValue",
 )
 
 #: Solver options of every kernel: quiet, serial dual simplex, and no
@@ -143,34 +159,41 @@ class NodeKernel:
             raise SolverError("HiGHS rejected the node-LP model")
         self._highs = highs
         self._cols = np.arange(n, dtype=np.int32)
-        # The model's current cost, column bounds and b_ub: a node only
-        # sends HiGHS the entries that differ.
+        # The model's current cost, cutoff, column bounds and b_ub: a
+        # node only sends HiGHS the entries that differ.
         self._cost = np.zeros(n)
+        self._cutoff = np.inf
         self._col_lo = col_lo
         self._col_hi = col_hi
         self._b_ub = np.array(b_ub, dtype=np.float64)
 
     def solve(self, cost: np.ndarray, col_lo: np.ndarray, col_hi: np.ndarray,
               b_ub: Optional[np.ndarray], basis=None,
-              label: str = "") -> LPResult:
+              label: str = "", cutoff: float = np.inf) -> LPResult:
         """Minimise ``cost @ x`` on the model with these bounds.
 
         ``basis`` (a parent's :attr:`LPResult.basis`) hot-starts the dual
-        simplex; ``None`` solves cold.  An empty column interval (a
-        contradictory phase, or tightened bounds that cross) is
-        infeasible at once, with no solve.  Statuses follow
-        :func:`repro.exact.lp.solve_lp`, and an optimal result always
-        carries the row multipliers (HiGHS computes them with every
-        solution; the search branches on them); any other HiGHS outcome
-        raises :class:`SolverError` naming ``label``.
+        simplex; ``None`` solves cold.  A finite ``cutoff`` ends the solve
+        as soon as the dual objective exceeds it (:data:`LP_CUTOFF`; see
+        the module docstring).  An empty column interval (a contradictory
+        phase, or tightened bounds that cross) is infeasible at once, with
+        no solve.  Other statuses follow :func:`repro.exact.lp.solve_lp`,
+        and an optimal or cut result always carries the row multipliers
+        (HiGHS computes them with every solution; the search branches on
+        them); any other HiGHS outcome raises :class:`SolverError` naming
+        ``label``.  ``cost`` must not change in place between the solves
+        that pass it: the kernel recognises the array it last loaded.
         """
-        if np.any(col_lo > col_hi):
+        if (col_lo > col_hi).any():
             return LPResult(LP_INFEASIBLE, float("nan"), None)
         highs = self._highs
         highs.clearSolver()
-        if not np.array_equal(cost, self._cost):
+        if cost is not self._cost and not np.array_equal(cost, self._cost):
             highs.changeColsCost(self._cols.size, self._cols, cost)
-            self._cost = np.array(cost, dtype=np.float64)
+            self._cost = cost
+        if cutoff != self._cutoff:
+            highs.setOptionValue("objective_bound", float(cutoff))
+            self._cutoff = cutoff
         moved = np.flatnonzero((col_lo != self._col_lo) | (col_hi != self._col_hi))
         if moved.size:
             highs.changeColsBounds(moved.size, self._cols[moved],
@@ -187,7 +210,8 @@ class NodeKernel:
         if highs.run() == _core.HighsStatus.kError:
             raise SolverError(f"HiGHS node solve failed{where}")
         status = highs.getModelStatus()
-        if status == _core.HighsModelStatus.kOptimal:
+        optimal = status == _core.HighsModelStatus.kOptimal
+        if optimal or status == _core.HighsModelStatus.kObjectiveBound:
             solution = highs.getSolution()
             # HiGHS row duals are d(objective)/d(rhs): negate for the
             # nonnegative ``<=`` multipliers of a minimisation.
@@ -195,8 +219,10 @@ class NodeKernel:
             dual_ub = duals[:self.num_ub] if self.num_ub else None
             dual_eq = duals[self.num_ub:] if duals.size > self.num_ub \
                 else None
-            return LPResult(LP_OPTIMAL,
-                            float(highs.getInfo().objective_function_value),
+            value = float(highs.getObjectiveValue())
+            if not optimal:  # cut: a dual bound, no primal point
+                return LPResult(LP_CUTOFF, value, None, dual_ub, dual_eq)
+            return LPResult(LP_OPTIMAL, value,
                             np.asarray(solution.col_value, dtype=np.float64),
                             dual_ub, dual_eq, basis=highs.getBasis())
         if status == _core.HighsModelStatus.kInfeasible:

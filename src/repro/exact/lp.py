@@ -24,11 +24,14 @@ from scipy.optimize import linprog
 from repro.errors import SolverError
 
 __all__ = ["LPResult", "solve_lp", "solve_system",
-           "LP_OPTIMAL", "LP_INFEASIBLE", "LP_UNBOUNDED"]
+           "LP_OPTIMAL", "LP_INFEASIBLE", "LP_UNBOUNDED", "LP_CUTOFF"]
 
 LP_OPTIMAL = "optimal"
 LP_INFEASIBLE = "infeasible"
 LP_UNBOUNDED = "unbounded"
+#: A node-kernel solve ended at its cutoff (:mod:`repro.exact.highs`):
+#: ``value`` is a dual bound, no primal point.
+LP_CUTOFF = "cutoff"
 
 _STATUS_MAP = {0: LP_OPTIMAL, 2: LP_INFEASIBLE, 3: LP_UNBOUNDED}
 
@@ -36,9 +39,12 @@ _STATUS_MAP = {0: LP_OPTIMAL, 2: LP_INFEASIBLE, 3: LP_UNBOUNDED}
 class LPResult:
     """Outcome of one LP solve.
 
-    ``value`` and ``x`` are only meaningful when ``status == LP_OPTIMAL``.
-    ``dual_ub`` / ``dual_eq`` are the optimal row multipliers (sign
-    convention: ``lambda >= 0`` for the ``<=`` rows of a minimisation),
+    ``value`` and ``x`` are only meaningful when ``status == LP_OPTIMAL``;
+    at ``LP_CUTOFF`` ``value`` is the dual objective that passed the
+    cutoff (a lower bound on the minimum) and ``x`` is ``None``.
+    ``dual_ub`` / ``dual_eq`` are the optimal row multipliers, or at
+    ``LP_CUTOFF`` the dual iterate's (sign convention: ``lambda >= 0``
+    for the ``<=`` rows of a minimisation),
     populated only when the solve was asked for them.  ``basis`` is the
     optimal HiGHS basis of a node-kernel solve, the hot start of the
     node's children (``None`` from :func:`solve_lp`).

@@ -9,8 +9,15 @@ shared worker pool of :mod:`repro.core.parallel` when ``workers > 1``.
 
 One round
 ---------
+Each round has one *bar*: ``incumbent + tol``, or ``max(incumbent,
+threshold) + tol`` in a threshold search that collects no covering
+leaves.  A node whose bound is at most the bar cannot change the answer:
+it is dominated by the incumbent or closed below the threshold.
+
 1. *Pop.*  Take up to ``FRONTIER_WIDTH`` best-bound nodes off the open
-   heap (stopping early when bounds fall to the incumbent).
+   heap, stopping at the first whose bound is at most the bar.  Such a
+   node is never expanded; it stays open and counts in the global
+   bound.
 2. *Branch.*  Each popped node -- one int8 row of the encoding's phase
    matrix -- contributes its two phase-split children on the neuron its
    own LP multipliers choose (:meth:`BaBSolver._split_column`;
@@ -28,11 +35,16 @@ One round
    own thread's kernel for the shared encoding
    (:func:`~repro.exact.highs.kernel_for`),
    hot-started from the popped parent's basis, which travels with the
-   node.  Idle workers
+   node, and cut off at the bar: the bar is fixed once per batch before
+   any task is dispatched, and a child whose dual bound falls to it
+   stops early (:data:`~repro.exact.lp.LP_CUTOFF`).  Start batches (the
+   root and certificate warm starts) get no cutoff.  Idle workers
    pick up whatever task is next in the round's queue (pool-level work
    stealing), so heterogeneous node costs do not serialise the round.
 5. *Fold.*  Results are folded back **in submission order** on the
-   coordinating thread: incumbents update, surviving children are pushed.
+   coordinating thread: incumbents update, surviving children are pushed,
+   and cut children settle as leaves (with their dual iterate, when the
+   caller collects multipliers) without touching the incumbent.
 
 Soundness
 ---------
@@ -47,6 +59,20 @@ incumbent -- a sound upper bound at every instant, including early
 termination inside a round (node limit).  The covering-leaves invariant is
 preserved the same way: every popped node either settles as a leaf or
 contributes both children, each of which settles or returns to the heap.
+
+A cut child settles on HiGHS's dual objective instead of its LP value.
+That objective belongs to a dual feasible iterate, so by weak duality it
+is at most the LP minimum: the upper bound it gives on the child's
+maximum is no weaker (no smaller) than the LP value it replaces.  A cut
+above the incumbent, closed below the threshold, is folded into the
+interval-settled bound exactly like a screened region.  Both the screens
+and this bound are evaluated in round-to-nearest float64; certifying
+them is ROADMAP's "certified settlement" item.
+
+Leaf-collecting searches use the incumbent bar only.  Recording a
+certificate wants its leaves fine enough for later re-screens: closing
+nodes at the threshold gives fewer, coarser leaves that a perturbed
+network's re-screen can no longer settle without LPs.
 
 Determinism
 -----------
@@ -82,8 +108,9 @@ from repro.exact.bab import (
 )
 from repro.exact.encoding import PackedDuals, as_phase_matrix
 from repro.exact.highs import kernel_for
+from repro.exact.lp import LP_CUTOFF, LP_INFEASIBLE, LP_OPTIMAL, LPResult
 # solve_lp stays bound here: perfbench's tracer looks it up by name.
-from repro.exact.lp import LP_INFEASIBLE, LP_OPTIMAL, LPResult, solve_lp  # noqa: F401
+from repro.exact.lp import solve_lp  # noqa: F401
 
 __all__ = ["FRONTIER_WIDTH", "maximize_frontier"]
 
@@ -156,18 +183,26 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         if collect_leaves is not None:
             collect_leaves.add_block(rows, duals)
 
-    def node_thunk(col_lo, col_hi, b_ub, basis, label: str
-                   ) -> Callable[[], LPResult]:
+    def bar() -> float:
+        """The bound a node must beat to matter (module docstring)."""
+        if threshold is None or collect_leaves is not None:
+            return incumbent + tol
+        return max(incumbent, threshold) + tol
+
+    def node_thunk(col_lo, col_hi, b_ub, basis, label: str,
+                   cutoff: float) -> Callable[[], LPResult]:
         """One worker task: solve the node on this thread's kernel,
         hot-started from its parent's ``basis`` (``None``: cold)."""
         def thunk() -> LPResult:
             return kernel_for(enc).solve(neg_obj, col_lo, col_hi, b_ub,
-                                         basis=basis, label=label)
+                                         basis=basis, label=label,
+                                         cutoff=cutoff)
         return thunk
 
-    def solve_batch(phases: np.ndarray, bases: List,
-                    stage: str) -> List[LPResult]:
-        """Solve one round's surviving node LPs, order-preserving.
+    def solve_batch(phases: np.ndarray, bases: List, stage: str,
+                    cut: bool) -> List[LPResult]:
+        """Solve one round's surviving node LPs, order-preserving; with
+        ``cut``, each stops once its bound falls to the bar.
 
         ``workers > 1`` submits the whole batch to the shared pool in one
         :func:`run_parallel` call; a single worker (or a single task) runs
@@ -180,9 +215,12 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         if not bases:
             return []
         col_lo, col_hi, b_ub = enc.node_bounds(phases)
+        # One cutoff for the whole batch, fixed before any dispatch, so
+        # the worker count cannot move it.
+        cutoff = -bar() if cut else np.inf
         thunks = [node_thunk(col_lo[j], col_hi[j],
                              None if b_ub is None else b_ub[j], basis,
-                             f"{stage} node {j}")
+                             f"{stage} node {j}", cutoff)
                   for j, basis in enumerate(bases)]
         # Re-clamp per batch against the width other callers currently
         # hold: while the pool is occupied elsewhere this degrades to
@@ -243,11 +281,13 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
         results in submission order: ``bases`` holds each kept row's
         parent basis (``None``: all cold), ``duals`` the multipliers each
         kept row records if it settles (``None``: none).
-        ``kind="child"`` also settles LPs dominated by the incumbent.
-        Returns whether any LP was feasible."""
+        ``kind="child"`` cuts each LP off at the bar and also settles LPs
+        dominated by the incumbent.  Returns whether any LP was feasible."""
+        nonlocal screened_bound
         results = solve_batch(
             phases if len(keep) == len(phases) else phases[keep],
-            [None] * len(keep) if bases is None else bases, stage)
+            [None] * len(keep) if bases is None else bases, stage,
+            kind == "child")
         entries = [None] * len(keep) if duals is None else list(duals)
         any_feasible = False
         for j, res, dual in zip(keep, results, entries):
@@ -255,17 +295,28 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
             if res.status == LP_INFEASIBLE:
                 record_leaf(row, dual)  # the region is empty: settled
                 continue
-            if res.status != LP_OPTIMAL:
+            if res.status not in (LP_OPTIMAL, LP_CUTOFF):
                 # An unbounded (or otherwise failed) relaxation can never be
                 # *settled*: node LPs over a bounded input box are bounded,
                 # so this is always a solver/encoding failure to surface.
                 raise SolverError(f"{kind} LP ended with status {res.status}")
-            any_feasible = True
             if want_duals:
                 dual = (res.dual_ub if res.dual_ub is not None
                         else np.zeros(0),
                         res.dual_eq if res.dual_eq is not None
                         else np.zeros(0))
+            if res.status == LP_CUTOFF:
+                # Its dual bound fell to the bar: dominated, or closed
+                # below the threshold (folded like a screened region).
+                bound = -res.value
+                if bound > incumbent + tol:
+                    if threshold is None or bound > threshold + tol:
+                        raise SolverError(
+                            f"{kind} LP cut off above its bar ({bound!r})")
+                    screened_bound = max(screened_bound, bound)
+                record_leaf(row, dual)
+                continue
+            any_feasible = True
             register_feasible(res.x[enc.input_slice])
             if kind == "child" and -res.value <= incumbent + tol:
                 record_leaf(row, dual)
@@ -351,10 +402,11 @@ def maximize_frontier(solver: BaBSolver, c: np.ndarray,
 
         # Pop the round's frontier (heap order => bounds non-increasing).
         popped: List[Tuple] = []
+        round_bar = bar()
         while heap and len(popped) < min(FRONTIER_WIDTH, budget):
             entry = heapq.heappop(heap)
-            if -entry[0] <= incumbent + tol:
-                # This and every later node is dominated; leave them open
+            if -entry[0] <= round_bar:
+                # This and every later node cannot matter; leave them open
                 # (the next round's top-of-heap check settles the search).
                 heapq.heappush(heap, entry)
                 break

@@ -1,11 +1,13 @@
 """The persistent, hot-started HiGHS node kernel (``repro.exact.highs``).
 
-Three properties: a node's result does not depend on what the kernel
+Four properties: a node's result does not depend on what the kernel
 solved before (history independence -- what keeps the frontier search
-byte-identical across worker counts); the kernel agrees with the
-``linprog`` oracle over ``build_lp`` on generated networks and phase maps;
-and a scipy binding without a required method fails loudly with a
-permanent taxonomy error instead of falling back.
+byte-identical across worker counts); a cutoff either ends a solve on a
+dual bound no weaker than the LP value, or leaves the solve bitwise
+unchanged; the kernel agrees with the ``linprog`` oracle over
+``build_lp`` on generated networks and phase maps; and a scipy binding
+without a required method fails loudly with a permanent taxonomy error
+instead of falling back.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.errors import SolverError
 from repro.exact import BaBSolver, NetworkEncoding, solve_system
 from repro.exact import highs
 from repro.exact.highs import NodeKernel, check_binding
+from repro.exact.lp import LP_CUTOFF, LP_OPTIMAL
 from repro.nn import Dense, LeakyReLU, Network, ReLU, random_relu_network
 from repro.serve.resilience import classify_failure
 
@@ -93,6 +96,67 @@ class TestHistoryIndependence:
         assert fresh.upper_bound == used.upper_bound
         assert fresh.incumbent == used.incumbent
         assert fresh.witness.tobytes() == used.witness.tobytes()
+
+
+class TestCutoff:
+    """``cutoff`` (HiGHS ``objective_bound``): a cut solve settles on a dual
+    bound with its multipliers, and the option never leaks into a later
+    solve that does not ask for it."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        net = random_relu_network([6, 16, 12, 2], seed=3, weight_scale=1.2)
+        box = Box(-np.ones(6), np.ones(6))
+        enc = NetworkEncoding(net, box)
+        cost = -enc.output_objective(np.array([1.0, -0.5]))
+        root = NodeKernel(enc.build_lp()).solve(cost, *enc.node_bounds())
+        nodes = _node_maps(enc, np.random.default_rng(0), 20, depth=3)
+        return enc, cost, root, nodes
+
+    @staticmethod
+    def _cutoff(root, full):
+        # Well below the node's minimum, just above its parent's.
+        return root.value + 0.3 * (full.value - root.value)
+
+    def test_cut_solve_settles_with_finite_duals(self, problem):
+        enc, cost, root, nodes = problem
+        kernel = NodeKernel(enc.build_lp())
+        cuts = 0
+        for phases in nodes:
+            bounds = enc.node_bounds(phases)
+            full = kernel.solve(cost, *bounds, basis=root.basis)
+            if not full.optimal:
+                continue
+            cutoff = self._cutoff(root, full)
+            res = kernel.solve(cost, *bounds, basis=root.basis, cutoff=cutoff)
+            if res.status == LP_OPTIMAL:
+                _same(res, full)  # the check never moves a solve it spares
+                continue
+            assert res.status == LP_CUTOFF
+            cuts += 1
+            assert res.x is None and res.basis is None
+            # Past the cutoff, and a lower bound on the LP minimum: as an
+            # upper bound on the node's maximum, no weaker than the LP's.
+            assert cutoff < res.value <= full.value
+            for dual in (res.dual_ub, res.dual_eq):
+                assert dual is not None and np.isfinite(dual).all()
+        assert cuts > 0
+
+    def test_plain_solve_after_a_cutoff_matches_a_fresh_kernel(self, problem):
+        enc, cost, root, nodes = problem
+        used = NodeKernel(enc.build_lp())
+        cuts = 0
+        for phases in nodes:
+            bounds = enc.node_bounds(phases)
+            full = NodeKernel(enc.build_lp()).solve(cost, *bounds,
+                                                    basis=root.basis)
+            if not full.optimal:
+                continue
+            cut = used.solve(cost, *bounds, basis=root.basis,
+                             cutoff=self._cutoff(root, full))
+            cuts += cut.status == LP_CUTOFF
+            _same(full, used.solve(cost, *bounds, basis=root.basis))
+        assert cuts > 0
 
 
 # ----------------------------------------------------- differential oracle

@@ -372,6 +372,71 @@ class TestFrontierEdgeCases:
             assert consistent
 
 
+class TestThresholdBar:
+    """A threshold search that collects no leaves never expands a node
+    already closed below the threshold; a leaf-collecting one keeps the
+    incumbent bar, so its certificate does not coarsen."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        net = random_relu_network([4, 16, 12, 1], seed=3, weight_scale=1.2)
+        box = Box(-np.ones(4), np.ones(4))
+        c = np.ones(1)
+        peak = BaBSolver(net, box).maximize(c).optimum
+        return net, box, c, peak, peak + 0.1 * abs(peak)
+
+    @staticmethod
+    def _popped_bounds(solver, c):
+        """Record the LP bound of every node the search expands."""
+        objective = solver.encoding.output_objective(c)
+        bounds = []
+        split = solver._split_column
+
+        def recording(x_lp, phases, dual_ub):
+            bounds.append(float(objective @ x_lp))
+            return split(x_lp, phases, dual_ub)
+
+        solver._split_column = recording
+        return bounds
+
+    def test_never_pops_a_node_closed_below_the_threshold(self, problem):
+        net, box, c, peak, threshold = problem
+        solver = BaBSolver(net, box)
+        popped = self._popped_bounds(solver, c)
+        res = solver.maximize(c, threshold=threshold)
+        assert res.status == "threshold_proved"
+        assert peak - solver.tol <= res.upper_bound <= threshold + solver.tol
+        assert popped and min(popped) > threshold + solver.tol
+        # The incumbent bar alone expanded 18 nodes (6 of them already
+        # closed below the threshold) with 37 LPs.
+        assert (res.nodes, res.lp_solves) == (12, 25)
+
+    def test_leaf_collecting_search_keeps_its_leaves(self, problem):
+        net, box, c, _, threshold = problem
+        solver = BaBSolver(net, box)
+        leaves = CoveringLeaves(solver.encoding, duals=True)
+        res = solver.maximize(c, threshold=threshold, collect_leaves=leaves)
+        assert res.status == "threshold_proved"
+        assert (len(leaves.matrix()), res.lp_solves) == (19, 37)
+
+    def test_workers_identical_on_the_threshold_bar(self, problem):
+        net, box, c, _, threshold = problem
+        outs = []
+        for workers in WORKER_MATRIX:
+            plain = BaBSolver(net, box, workers=workers).maximize(
+                c, threshold=threshold)
+            solver = BaBSolver(net, box, workers=workers)
+            leaves = CoveringLeaves(solver.encoding, duals=True)
+            collected = solver.maximize(c, threshold=threshold,
+                                        collect_leaves=leaves)
+            duals = leaves.duals()
+            outs.append([(r.status, r.upper_bound, r.incumbent, r.nodes,
+                          r.lp_solves) for r in (plain, collected)] +
+                        [leaves.matrix().tobytes(),
+                         duals.matrix.tobytes(), duals.present.tobytes()])
+        assert outs[0] == outs[1] == outs[2]
+
+
 #: Generated nets small enough for the big-M oracle: uniform weights and
 #: biases in [-1, 1] over a radius-0.1 box leave a few unstable neurons.
 _MILP_NETS = [(dims, seed) for dims in ((5, 12, 12, 2), (6, 16, 16, 2))

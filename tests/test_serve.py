@@ -684,6 +684,22 @@ class TestHTTPAndClient:
         assert "unknown VerifyConfig keys" in payload["error"]
         assert key in payload["error"]
 
+    @pytest.mark.parametrize("strategies", ['"prop4"', '[4]'])
+    def test_http_rejects_non_list_strategies_with_400(
+            self, server, fig2, enlarged_box2, strategies):
+        from repro.api import ContinuousLoopSpec
+        from repro.core import ProofArtifacts, VerificationProblem
+
+        spec = ContinuousLoopSpec(
+            artifacts=ProofArtifacts(problem=VerificationProblem(
+                fig2, enlarged_box2, Box(-50 * np.ones(1), 50 * np.ones(1)))),
+            new_network=fig2, strategies=("prop4",))
+        body = json.dumps({"spec": spec_to_dict(spec)}).replace(
+            '["prop4"]', strategies)
+        status, payload = self._raw_post(server, body.encode())
+        assert status == 400
+        assert "strategies must be a JSON list of strings" in payload["error"]
+
     def test_http_rejects_deeply_nested_body_with_400(self, server):
         """JSON nested past the parser's depth must come back as a 400
         JSON error, not kill the handler thread and drop the connection."""

@@ -595,6 +595,29 @@ class TestSpecWireScalars:
             spec_from_json(_replaced(wires[kind], (field,), '"12"'))
 
 
+    @pytest.mark.parametrize("value", ['"prop4"', '[4]'])
+    def test_strategies_must_be_a_list_of_strings(self, wires, value):
+        """A bare string used to decode to its characters and ``[4]`` to
+        ``('4',)``; both are a permanent SerializationError now."""
+        from repro.api import spec_from_json
+        from repro.serve.resilience import classify_failure
+
+        with pytest.raises(SerializationError,
+                           match="strategies must be a JSON list of "
+                                 "strings") as info:
+            spec_from_json(_replaced(wires["continuous"], ("strategies",),
+                                     value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+    def test_strategies_list_round_trips(self, wires):
+        from repro.api import spec_from_json, spec_to_json
+
+        wire = _replaced(wires["continuous"], ("strategies",),
+                         '["prop3", "prop1"]')
+        spec = spec_from_json(wire)
+        assert spec.strategies == ("prop3", "prop1")
+        assert spec_to_json(spec) == wire
+
 class TestConfigWire:
     def test_roundtrip(self):
         config = VerifyConfig(workers=3, tol=1e-7, method="exact",
