@@ -77,14 +77,20 @@ class SymbolicPropagator:
     name = "symbolic"
 
     def propagate_block(self, block, state: SymbolicInterval) -> SymbolicInterval:
-        state = self._affine(block.dense.weight, block.dense.bias, state)
-        act = block.activation
+        return self.activate(
+            block.activation,
+            self._affine(block.dense.weight, block.dense.bias, state))
+
+    @classmethod
+    def activate(cls, act, state: SymbolicInterval) -> SymbolicInterval:
+        """Apply one block's activation (``None``: linear) to its
+        pre-activation state."""
         if act is None:
             return state
         if isinstance(act, ReLU):
-            return self._relu(state, slope_neg=0.0)
+            return cls._relu(state, slope_neg=0.0)
         if isinstance(act, LeakyReLU):
-            return self._relu(state, slope_neg=act.alpha)
+            return cls._relu(state, slope_neg=act.alpha)
         raise UnsupportedLayerError(
             f"symbolic intervals support ReLU/LeakyReLU, not {type(act).__name__}"
         )
@@ -158,14 +164,18 @@ class SymbolicPropagator:
                     low_b[i] = 0.0
         return SymbolicInterval(box, low_w, low_b, up_w, up_b)
 
-    def propagate_states(self, network: Network, input_box: Box) -> List[SymbolicInterval]:
-        """Symbolic state after every block."""
+    @staticmethod
+    def _input_state(network: Network, input_box: Box) -> SymbolicInterval:
         if input_box.dim != network.input_dim:
             raise ShapeError(
                 f"input box dim {input_box.dim} != network input {network.input_dim}"
             )
+        return SymbolicInterval.identity(input_box)
+
+    def propagate_states(self, network: Network, input_box: Box) -> List[SymbolicInterval]:
+        """Symbolic state after every block."""
         states = []
-        state = SymbolicInterval.identity(input_box)
+        state = self._input_state(network, input_box)
         for block in network.blocks():
             state = self.propagate_block(block, state)
             states.append(state)
@@ -182,24 +192,22 @@ class SymbolicPropagator:
         These are the ``[l, u]`` intervals the exact encodings need to decide
         neuron stability and to size the big-M / triangle relaxations.
         """
-        if input_box.dim != network.input_dim:
-            raise ShapeError(
-                f"input box dim {input_box.dim} != network input {network.input_dim}"
-            )
         pre_boxes = []
-        state = SymbolicInterval.identity(input_box)
+        state = self._input_state(network, input_box)
         for block in network.blocks():
             pre = self._affine(block.dense.weight, block.dense.bias, state)
             pre_boxes.append(pre.concretize())
-            act = block.activation
-            if act is None:
-                state = pre
-            elif isinstance(act, ReLU):
-                state = self._relu(pre, slope_neg=0.0)
-            elif isinstance(act, LeakyReLU):
-                state = self._relu(pre, slope_neg=act.alpha)
-            else:
-                raise UnsupportedLayerError(
-                    f"symbolic intervals support ReLU/LeakyReLU, not {type(act).__name__}"
-                )
+            state = self.activate(block.activation, pre)
         return pre_boxes
+
+    def output_boxes(self, network: Network, input_box: Box) -> Tuple[Box, Box]:
+        """``(pre, post)`` of the final block from one propagation: its
+        pre-activation box and ``S_n``, each bitwise what
+        :meth:`propagate` gives for the network without and with that
+        block's activation."""
+        *front, last = network.blocks()
+        state = self._input_state(network, input_box)
+        for block in front:
+            state = self.propagate_block(block, state)
+        pre = self._affine(last.dense.weight, last.dense.bias, state)
+        return pre.concretize(), self.activate(last.activation, pre).concretize()

@@ -18,13 +18,22 @@ symbolic-interval pass (ReluVal, Wang et al., 2018) gives an output box,
 and only the bounds that box does not already prove get a
 branch-and-bound search.  A bound the screen proves cannot be refuted, so
 the screen never changes which output a refutation names.
+
+When the network ends in a ReLU or LeakyReLU, ``"exact"`` checks the
+target on the final pre-activations instead, whenever every finite
+target bound has an exact float64 preimage under that monotone
+activation (:func:`_behind_activation`): the screen and the searches
+then run on the network without it, so the output neurons are never
+relaxed or branched on.  The decision, the search order and the detail
+text are those of the check on the real network; a counterexample is
+still an input, and its ``violation`` is measured on the real network.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +47,7 @@ from repro.exact.bab import (
     BaBSolver,
 )
 from repro.exact.splitting import check_containment_split
+from repro.nn.layers import LeakyReLU, ReLU
 from repro.nn.network import Network
 
 __all__ = ["ContainmentResult"]
@@ -95,31 +105,77 @@ def _check_split(network: Network, box: Box, target: Box,
     )
 
 
+def _behind_activation(network: Network, target: Box,
+                       tol: float) -> Optional[Tuple[Network, Box]]:
+    """``(head, pre_target)``: ``network`` without its final activation
+    and the bounds its final pre-activations ``z`` must meet for
+    ``act(z) ∈ target`` -- or ``None`` when some bound has no exact
+    float64 preimage and the check stays on ``network``.
+
+    A threshold search decides a bound up to ``tol``, so the preimage is
+    taken of the widened bounds ``hi + tol`` and ``lo - tol``, where the
+    activation is monotone and the identity on ``[0, inf)``:
+
+    * ``hi >= 0`` stays ``z <= hi``; ``hi < 0`` has no such preimage;
+    * ``lo`` stays ``z >= lo`` when ``lo - tol >= 0`` (``> 0`` under a
+      ReLU, where ``act(z) < 0`` is impossible);
+    * under a ReLU, ``lo - tol <= 0`` always holds and is dropped;
+      under a LeakyReLU, ``lo - tol < 0`` needs a division by its slope
+      and has no exact preimage.
+    """
+    act = network.block(network.num_blocks - 1).activation
+    if isinstance(act, ReLU):
+        slope = 0.0
+    elif isinstance(act, LeakyReLU):
+        slope = act.alpha
+    else:
+        return None
+    lower, upper = target.lower, target.upper
+    if np.any(np.isfinite(upper) & (upper < 0)):
+        return None
+    widened = lower - tol
+    if slope == 0.0:
+        lower = np.where(widened <= 0, -np.inf, lower)
+    elif np.any(np.isfinite(lower) & (widened < 0)):
+        return None
+    head = Network(network.layers[:-1], input_dim=network.input_dim)
+    return head, Box(lower, upper)
+
+
 def _check_exact(network: Network, box: Box, target: Box,
                  config: VerifyConfig,
                  screen: Optional[Box] = None) -> ContainmentResult:
     """Exact containment: one threshold search per finite target bound
-    that ``screen`` -- the symbolic-interval output box, computed here
-    unless the caller has it -- does not already prove.  Searches run in
-    the order output ``i``, its max then its min, so a refutation names
-    the lowest-index violated output whether or not the screen ran."""
+    that ``screen`` does not already prove.  Searches run in the order
+    output ``i``, its max then its min, so a refutation names the
+    lowest-index violated output whether or not the screen ran.
+
+    When :func:`_behind_activation` moves the check onto the final
+    pre-activations, the screen and the searches bound those, against
+    the preimage bounds; otherwise they bound the outputs against
+    ``target``.  ``screen`` is the symbolic-interval box of whichever
+    values they bound, computed here unless the caller has it.  Either
+    way a refutation's ``violation`` is measured on ``network`` itself at
+    the witness input."""
+    behind = _behind_activation(network, target, float(config.tol))
+    searched, bounds = behind if behind is not None else (network, target)
     if screen is None:
-        screen = output_box(network, box, domain="symbolic")
+        screen = output_box(searched, box, domain="symbolic")
     d = network.output_dim
     # (output, bound, sense) of every bound left open, in search order.  A
     # bound is proved only when the screen's own bound lies inside it,
     # with no tolerance.
     searches = []
     for i in range(d):
-        hi = float(target.upper[i])
-        lo = float(target.lower[i])
+        hi = float(bounds.upper[i])
+        lo = float(bounds.lower[i])
         if np.isfinite(hi) and not screen.upper[i] <= hi:
             searches.append((i, hi, "max"))
         if np.isfinite(lo) and not screen.lower[i] >= lo:
             searches.append((i, lo, "min"))
     if not searches:
         return ContainmentResult(holds=True, method="exact")
-    solver = BaBSolver.from_config(network, box, config)
+    solver = BaBSolver.from_config(searched, box, config)
     lp_total = 0
     node_total = 0
     for i, bound, sense in searches:
@@ -130,13 +186,16 @@ def _check_exact(network: Network, box: Box, target: Box,
         # never the off-optimal "optimum".
         if sense == "max":
             res = solver.maximize(c, threshold=bound)
-            violation, side = res.incumbent - bound, "exceeds upper"
         else:
             res = solver.minimize(c, threshold=bound)
-            violation, side = bound - res.incumbent, "below lower"
         lp_total += res.lp_solves
         node_total += res.nodes
         if res.status == BAB_REFUTED:
+            # The real network's value at the witness; a bound searched
+            # behind the activation keeps the target's value.
+            value = float(network.forward(res.witness)[i])
+            violation, side = (value - bound, "exceeds upper") \
+                if sense == "max" else (bound - value, "below lower")
             return ContainmentResult(
                 holds=False, method="exact", counterexample=res.witness,
                 violation=violation, lp_solves=lp_total, nodes=node_total,
@@ -172,10 +231,19 @@ def _check_containment(network: Network, input_box: Box, target: Box,
     elif method == "exact":
         result = _check_exact(network, input_box, target, config)
     else:  # symbolic, or auto: symbolic first, exact as the decider
-        screen = output_box(network, input_box, domain="symbolic")
+        # One propagation serves both legs of ``auto``: when the exact leg
+        # runs behind the final activation it screens the pre-activation
+        # box, and the symbolic leg applies the activation to that state.
+        behind = method == "auto" and _behind_activation(
+            network, target, float(config.tol)) is not None
+        if behind:
+            pre, screen = output_box(network, input_box, domain="symbolic",
+                                     pre_activation=True)
+        else:
+            pre = screen = output_box(network, input_box, domain="symbolic")
         result = _check_symbolic(screen, target)
         if method == "auto" and not result.conclusive:
-            result = _check_exact(network, input_box, target, config, screen)
+            result = _check_exact(network, input_box, target, config, pre)
             result.method = "auto(exact)"
     result.elapsed = time.perf_counter() - start
     return result

@@ -82,6 +82,11 @@ def serve_http(service, host: str = "127.0.0.1",
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: Seconds one socket read or write may block.  A client that declares
+    #: more body than it sends, or goes quiet mid-request, loses its
+    #: connection instead of holding a handler thread for as long as it
+    #: keeps the socket open.
+    timeout = 30.0
 
     # ------------------------------------------------------------ plumbing
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -119,8 +124,19 @@ class _Handler(BaseHTTPRequestHandler):
             payload.update(extra)
         self._send_json(status, payload, headers=headers)
 
+    def _content_length(self) -> int:
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise ServeError(
+                f"Content-Length must be a decimal byte count, got "
+                f"{declared[:32]!r}")
+        # Compared as text first: int() refuses very long digit strings.
+        if len(declared.lstrip("0")) > len(str(_MAX_BODY)):
+            raise ServeError(f"request body over {_MAX_BODY} bytes")
+        return int(declared)
+
     def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         if length <= 0:
             raise ServeError("request body required")
         if length > _MAX_BODY:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (ContainmentSpec, MaximizeSpec, OutputRangeSpec,
                        VerificationEngine, VerifyConfig)
@@ -15,7 +17,8 @@ from repro.exact import (
     solve_lp,
     solve_milp,
 )
-from repro.exact.verify import _check_exact
+from repro.exact.bab import BAB_NODE_LIMIT, BAB_REFUTED
+from repro.exact.verify import _behind_activation, _check_exact
 from repro.nn import Dense, LeakyReLU, Network, random_relu_network
 
 
@@ -395,3 +398,236 @@ class TestExactSymbolicScreen:
         res = _containment(fig2, enlarged_box2, target, method="auto")
         assert (res.holds, res.method) == (True, "auto(exact)")
         assert calls == ["symbolic"]
+
+
+def _reference_containment(net, box, target, config, screen=None):
+    """``(holds, detail, lp_solves)`` of threshold searches on the
+    untouched network, output ``i`` max then min, skipping the bounds
+    ``screen`` (a box over the outputs, or ``None``) already proves."""
+    solver = BaBSolver.from_config(net, box, config)
+    d = net.output_dim
+    lp_solves = 0
+    for i in range(d):
+        c = np.zeros(d)
+        c[i] = 1.0
+        hi, lo = float(target.upper[i]), float(target.lower[i])
+        for sense, bound in (("max", hi), ("min", lo)):
+            if not np.isfinite(bound):
+                continue
+            if screen is not None and (screen.upper[i] <= hi if sense == "max"
+                                       else screen.lower[i] >= lo):
+                continue
+            res = solver.maximize(c, threshold=bound) if sense == "max" \
+                else solver.minimize(c, threshold=bound)
+            lp_solves += res.lp_solves
+            if res.status == BAB_REFUTED:
+                side = "exceeds upper" if sense == "max" else "below lower"
+                return False, f"output {i} {side} bound", lp_solves
+            if res.status == BAB_NODE_LIMIT:
+                return None, f"node limit on output {i} ({sense})", lp_solves
+    return True, "", lp_solves
+
+
+def _with_final(net, act):
+    """``net`` with its final activation replaced by ``act``."""
+    return Network(net.layers[:-1] + [act], input_dim=net.input_dim)
+
+
+class TestBehindFinalActivation:
+    """On a network ending in a ReLU or LeakyReLU, ``exact`` containment
+    checks the final pre-activations against the preimage bounds; the
+    decision and detail are those of searches on the real network."""
+
+    TOL = VerifyConfig().tol
+
+    @pytest.fixture
+    def head(self):
+        # A 4-8-6 ReLU head whose 6 output neurons are all unstable over
+        # [-1, 1]^4, so the real network's encoding relaxes them.
+        return random_relu_network([4, 8, 6], seed=3, weight_scale=1.0,
+                                   final_activation=True)
+
+    @pytest.fixture
+    def box4(self):
+        return Box(-np.ones(4), np.ones(4))
+
+    @pytest.mark.parametrize("lower,upper,expected", [
+        # ReLU: hi >= 0 kept; lo - tol <= 0 dropped; lo - tol > 0 kept.
+        ([0.5, 0.0, -1.0, 1e-6, -np.inf], [1.0, 0.0, 2.0, 1.0, np.inf],
+         [0.5, -np.inf, -np.inf, -np.inf, -np.inf]),
+        ([0.0, -1.0, 0.0, 0.0, 0.0], [1.0, -0.5, 1.0, 1.0, 1.0], None),
+    ])
+    def test_relu_preimage_rules(self, lower, upper, expected):
+        net = random_relu_network([2, 5], seed=0, final_activation=True)
+        target = Box(np.array(lower), np.array(upper))
+        behind = _behind_activation(net, target, self.TOL)
+        if expected is None:
+            assert behind is None
+            return
+        head, bounds = behind
+        assert head.block(0).activation is None
+        assert np.array_equal(head.forward(np.ones(2)),
+                              net.layers[0].forward(np.ones(2)))
+        assert np.array_equal(bounds.lower, np.array(expected))
+        assert np.array_equal(bounds.upper, target.upper)
+
+    @pytest.mark.parametrize("lower,kept", [
+        ([0.5, 2e-6, -np.inf], True),
+        ([0.5, 0.0, -np.inf], False),   # 0 - tol < 0 needs a division
+        ([0.5, -0.3, -np.inf], False),
+    ])
+    def test_leaky_preimage_rules(self, lower, kept):
+        net = _with_final(random_relu_network([2, 3], seed=0,
+                                              final_activation=True),
+                          LeakyReLU(0.1))
+        target = Box(np.array(lower), np.full(3, 4.0))
+        behind = _behind_activation(net, target, self.TOL)
+        assert (behind is not None) == kept
+        if kept:
+            assert np.array_equal(behind[1].lower, target.lower)
+
+    def test_linear_output_stays_on_the_network(self):
+        net = random_relu_network([2, 4, 3], seed=0)
+        target = Box(np.zeros(3), np.ones(3))
+        assert _behind_activation(net, target, self.TOL) is None
+
+    def test_relu_head_searches_pre_activations(self, head, box4,
+                                                monkeypatch):
+        """Pinned by content: no output neuron is relaxed or branched on,
+        and fewer LPs are solved than by the screened searches on the
+        real network, with the same decision."""
+        config = VerifyConfig()
+        post = output_box(head, box4, "symbolic")
+        target = Box(np.zeros(6), 0.8 * post.upper)
+        real = NetworkEncoding(head, box4)
+        assert {k for k, _ in real.unstable_neurons()} == {0, 1}
+        encodings = []
+        maximize = BaBSolver.maximize
+
+        def spy(self, c, *args, **kwargs):
+            encodings.append(self.encoding)
+            return maximize(self, c, *args, **kwargs)
+
+        monkeypatch.setattr(BaBSolver, "maximize", spy)
+        res = _check_exact(head, box4, target, config)
+        assert encodings
+        for enc in encodings:
+            assert enc.network.block(enc.network.num_blocks - 1) \
+                .activation is None
+            assert {k for k, _ in enc.unstable_neurons()} == {0}
+        encodings.clear()
+        holds, detail, lp_solves = _reference_containment(
+            head, box4, target, config, screen=post)
+        assert all(enc.network.block(1).activation is not None
+                   for enc in encodings)  # the reference's real network
+        assert (res.holds, res.detail) == (holds, detail) == (True, "")
+        assert 0 < res.lp_solves < lp_solves
+
+    def test_refutation_is_measured_on_the_real_network(self, head, box4):
+        post = output_box(head, box4, "symbolic")
+        for target, side in (
+                (Box(np.zeros(6), 0.5 * post.upper), "exceeds upper"),
+                (Box(np.full(6, 0.01), np.full(6, np.inf)), "below lower")):
+            res = _check_exact(head, box4, target, VerifyConfig())
+            holds, detail, _ = _reference_containment(head, box4, target,
+                                                      VerifyConfig())
+            assert (res.holds, res.detail) == (holds, detail)
+            assert res.holds is False and side in res.detail
+            assert box4.contains_point(res.counterexample, tol=0.0)
+            i = int(res.detail.split()[1])
+            y = head.forward(res.counterexample)[i]
+            if side == "exceeds upper":
+                assert res.violation == y - target.upper[i] > self.TOL
+            else:
+                # The witness drives the pre-activation below 0, where the
+                # real output is 0: the violation is the bound itself.
+                assert y == 0.0
+                assert res.violation == target.lower[i] == 0.01
+
+    def test_relu_lower_within_tol_of_zero_holds(self, head, box4):
+        """``relu(z) >= lo - tol`` always holds for ``0 < lo <= tol``,
+        though ``z >= lo`` does not."""
+        target = Box(np.full(6, 5e-7), np.full(6, np.inf))
+        res = _check_exact(head, box4, target, VerifyConfig())
+        holds, detail, _ = _reference_containment(head, box4, target,
+                                                  VerifyConfig())
+        assert (res.holds, res.detail) == (holds, detail) == (True, "")
+
+
+@st.composite
+def _final_activation_cases(draw):
+    """A small uniform-weight net ending in a ReLU or LeakyReLU over a
+    radius-0.1 box, and a target mixing kept, dropped and fallback
+    bounds: ``lo > 0``, ``lo`` within ``tol`` of 0, ``hi < 0`` and
+    negative LeakyReLU lower bounds.  Only output ``hot`` (none in a
+    ``safe`` target) may draw a bound inside the sampled output range, so
+    most of the other bounds hold and ``hot``'s decides."""
+    seed = draw(st.integers(0, 2 ** 16))
+    dims = draw(st.sampled_from([(3, 6, 4), (4, 8, 3), (2, 5, 4, 3)]))
+    alpha = draw(st.sampled_from([None, 0.0, 0.1, 0.5]))
+    net = random_relu_network(list(dims), seed=seed, weight_scale=1.0,
+                              final_activation=True)
+    hot = draw(st.sampled_from([None] + list(range(net.output_dim))))
+    if alpha is not None:
+        net = _with_final(net, LeakyReLU(alpha))
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-1.0, 1.0, size=dims[0])
+    box = Box(center - 0.1, center + 0.1)
+    outputs = net.forward(box.sample(128, rng))
+    seen_lo, seen_hi = outputs.min(axis=0), outputs.max(axis=0)
+    lower, upper = [], []
+    for i in range(net.output_dim):
+        safe = i != hot
+        span = max(seen_hi[i] - seen_lo[i], 0.05)
+        frac = draw(st.floats(0.0, 0.6))
+        above, below = seen_hi[i] + frac * span, seen_lo[i] - frac * span
+        hi = {"inf": np.inf, "above": above, "below": seen_hi[i] - frac * span,
+              "zero": 0.0, "negative": -0.05}[draw(st.sampled_from(
+                  ["inf", "above"] if safe else
+                  ["inf", "above", "below", "zero", "negative"]))]
+        lo = {"-inf": -np.inf, "below": below,
+              "above": seen_lo[i] + frac * span, "zero": 0.0, "tiny": 5e-7,
+              "negative": -0.05}[draw(st.sampled_from(
+                  ["-inf", "below", "above", "zero", "tiny", "negative"]))]
+        upper.append(hi)
+        lower.append(min(lo, below) if safe else lo)
+    lower = np.minimum(lower, upper)
+    return net, box, Box(lower, np.array(upper))
+
+
+def _milp_range(net, box, i):
+    """Exact ``(min, max)`` of output ``i`` from the big-M MILP oracle."""
+    enc = NetworkEncoding(net, box)
+    system = enc.build_milp()
+    c = np.zeros(net.output_dim)
+    c[i] = 1.0
+    objective = enc.output_objective(c, num_vars=system.num_vars)
+    values = []
+    for maximize in (False, True):
+        res = solve_milp(objective, system, maximize=maximize)
+        assert res.status == "optimal"
+        values.append(res.value)
+    return values
+
+
+@settings(max_examples=50, deadline=None)
+@given(_final_activation_cases())
+def test_behind_activation_matches_searches_on_the_real_network(case):
+    net, box, target = case
+    config = VerifyConfig()
+    res = _check_exact(net, box, target, config)
+    holds, detail, _ = _reference_containment(net, box, target, config)
+    assert (res.holds, res.detail) == (holds, detail)
+    if res.holds is False:
+        x = res.counterexample
+        assert box.contains_point(x, tol=0.0)
+        i = int(res.detail.split()[1])
+        y = net.forward(x)[i]
+        expected = y - target.upper[i] if "exceeds" in res.detail \
+            else target.lower[i] - y
+        assert res.violation == expected > 0
+    elif res.holds:
+        for i in range(net.output_dim):
+            low, high = _milp_range(net, box, i)
+            assert high <= target.upper[i] + 2 * config.tol
+            assert low >= target.lower[i] - 2 * config.tol

@@ -756,6 +756,57 @@ class TestHTTPAndClient:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("path", ["/jobs", "/workers"])
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", "²",
+                                          "9" * 5000], ids=[
+        "letters", "negative", "exponent", "superscript", "5000-digits"])
+    def test_http_bad_content_length_is_400(self, server, path, declared):
+        """A Content-Length that is not a decimal byte count is a 400
+        naming the header, not a leaked ``int()`` error or a crashed
+        handler."""
+        import http.client
+
+        target = ServeClient(server.url)
+        conn = http.client.HTTPConnection(target.host, target.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", declared.encode("utf-8"))
+            conn.endheaders()
+            response = conn.getresponse()
+            error = json.loads(response.read())["error"]
+            assert response.status == 400
+            assert "ValueError" not in error
+            assert "Content-Length" in error or "over" in error
+        finally:
+            conn.close()
+        assert target.health()["ok"] is True
+
+    def test_http_truncated_body_closes_the_connection(self, server,
+                                                       monkeypatch):
+        """A body shorter than its Content-Length costs the server one
+        socket timeout, then the connection; the handler thread does not
+        wait for as long as the client holds the socket."""
+        import socket
+
+        from repro.serve.http import _Handler
+
+        # The handler bounds every socket wait itself; the test only
+        # shortens that bound.
+        assert 0 < vars(_Handler)["timeout"] <= 60
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        target = ServeClient(server.url)
+        with socket.create_connection((target.host, target.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 12\r\n\r\n{}")
+            started = time.monotonic()
+            assert sock.recv(4096) == b""  # closed without an answer
+            assert time.monotonic() - started < 5
+        assert target.health()["ok"] is True
+
     def test_http_jobs_limit_filter(self, server, fig2, enlarged_box2):
         client = ServeClient(server.url)
         for k in (1, 2, 3):
