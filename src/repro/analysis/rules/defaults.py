@@ -12,7 +12,7 @@ Flagged: a parameter or class-body annotated field whose name is a knob
 and whose default is a literal constant *equal to the knob's canonical
 default* -- the drift hazard.  A literal that *differs* from the
 canonical value is a deliberate per-entry-point override (``method=
-"exact"`` for Proposition 2) and stays legal; so do ``None`` (resolved
+"symbolic"`` for Proposition 6) and stays legal; so do ``None`` (resolved
 at use) and name references (``DEFAULT_WORKERS``, ``config.workers``).
 The canonical values are read live from ``VerifyConfig()``, so the rule
 can never itself drift out of sync.

@@ -37,6 +37,8 @@ __all__ = [
     "DEFAULT_DOMAIN",
     "DEFAULT_ENCODING_CACHE",
     "DEFAULT_CERT_POLICY",
+    "METHODS",
+    "DOMAINS",
     "ENCODING_CACHE_POLICIES",
     "CERT_POLICIES",
     "ServeConfig",
@@ -55,8 +57,8 @@ DEFAULT_MAX_BOXES = 2000
 #: Worker-pool width: how many of a branch-and-bound round's node LPs are
 #: in flight at once (verdicts do not depend on the pool width).
 DEFAULT_WORKERS = 1
-#: Containment method cascade (``repro.exact.verify.METHODS``).
-DEFAULT_METHOD = "auto"
+#: Containment method (one of :data:`METHODS`).
+DEFAULT_METHOD = "exact"
 #: Abstract domain used for layerwise rebuilds (prop2, incremental fixing).
 DEFAULT_DOMAIN = "symbolic"
 #: Encoding-cache policy: ``"shared"`` draws from the process-wide
@@ -70,14 +72,18 @@ DEFAULT_ENCODING_CACHE = "shared"
 #: before acceptance, so the policy can change cost but never a verdict.
 DEFAULT_CERT_POLICY = "off"
 
+#: Containment methods (``repro.exact.verify._check_containment``): a
+#: one-shot symbolic-interval bound that may lose, abstraction with split
+#: refinement, and complete branch and bound behind a symbolic screen.
+METHODS = ("symbolic", "split", "exact")
+#: Abstract domains for layerwise rebuilds.  Mirrors
+#: repro.domains.propagate.PROPAGATORS (kept static so this module stays a
+#: leaf; the registry test cross-checks the two).
+DOMAINS = ("box", "symbolic", "zonotope", "deeppoly")
 ENCODING_CACHE_POLICIES = ("shared", "private")
 CERT_POLICIES = ("off", "record", "reuse")
 
-_METHODS = ("symbolic", "split", "exact", "auto")
 _COUNT_FIELDS = ("node_limit", "full_node_limit", "max_boxes", "workers")
-#: Mirrors repro.domains.propagate.PROPAGATORS (kept static so this module
-#: stays a leaf; the registry test cross-checks the two).
-_DOMAINS = ("box", "symbolic", "zonotope", "deeppoly")
 
 
 @dataclass(frozen=True)
@@ -132,12 +138,12 @@ class VerifyConfig:
             raise ReproError(f"max_boxes must be >= 1, got {self.max_boxes}")
         if self.workers < 1:
             raise ReproError(f"workers must be positive, got {self.workers}")
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise ReproError(
-                f"unknown method {self.method!r}; choose from {_METHODS}")
-        if self.domain not in _DOMAINS:
+                f"unknown method {self.method!r}; choose from {METHODS}")
+        if self.domain not in DOMAINS:
             raise ReproError(
-                f"unknown domain {self.domain!r}; choose from {_DOMAINS}")
+                f"unknown domain {self.domain!r}; choose from {DOMAINS}")
         if self.encoding_cache not in ENCODING_CACHE_POLICIES:
             raise ReproError(
                 f"unknown encoding-cache policy {self.encoding_cache!r}; "

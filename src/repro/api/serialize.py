@@ -360,6 +360,14 @@ def _wire_bool(value, name: str) -> bool:
     return value
 
 
+def _wire_str(value, name: str) -> str:
+    """A JSON string, or :class:`SerializationError`."""
+    if type(value) is not str:
+        raise SerializationError(
+            f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
 def _wire_holds(value, name: str) -> Optional[bool]:
     """A verdict's ``holds``: JSON ``true``, ``false`` or ``null`` (proved,
     refuted, inconclusive), or :class:`SerializationError`."""
@@ -659,7 +667,8 @@ def _containment_result_from_jsonable(data: Dict):
 
     return ContainmentResult(
         holds=_wire_holds(data["holds"], "containment holds"),
-        method=data["method"],
+        # Any label: stored verdicts carry retired method names.
+        method=_wire_str(data["method"], "containment method"),
         counterexample=_opt_array_from_jsonable(data.get("counterexample")),
         violation=_wire_float(data.get("violation", 0.0),
                               "containment violation"),

@@ -27,6 +27,7 @@ from typing import ClassVar, Dict, Optional, Tuple, Type
 import numpy as np
 
 from repro.errors import SerializationError
+from repro.api.config import DOMAINS, METHODS
 from repro.domains.box import Box
 from repro.nn.network import Network
 from repro.core.artifacts import ProofArtifacts
@@ -88,6 +89,17 @@ def _wire_strs(data, name: str) -> Tuple[str, ...]:
     return tuple(data)
 
 
+def _wire_choice(value, name: str,
+                 choices: Tuple[str, ...]) -> Optional[str]:
+    """JSON ``null`` (defer to the engine config) or one of ``choices``,
+    or :class:`SerializationError` -- never a value the engine rejects
+    only after the job was accepted."""
+    if value is None or (type(value) is str and value in choices):
+        return value
+    raise SerializationError(
+        f"{name} must be null or one of {choices}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Spec:
     """Base of the declarative request hierarchy (see module docstring)."""
@@ -134,7 +146,8 @@ class ContainmentSpec(Spec):
     network: Network
     input_box: Box
     target: Box
-    #: Containment method cascade; ``None`` defers to the engine config.
+    #: Containment method (``METHODS``); ``None`` defers to the engine
+    #: config.
     method: Optional[str] = None
 
     spec_type: ClassVar[str] = "containment"
@@ -152,7 +165,8 @@ class ContainmentSpec(Spec):
         return cls(network=network_from_jsonable(data["network"]),
                    input_box=box_from_jsonable(data["input_box"]),
                    target=box_from_jsonable(data["target"]),
-                   method=data.get("method"))
+                   method=_wire_choice(data.get("method"), "method",
+                                       METHODS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,8 +339,8 @@ class PropositionSpec(Spec):
             else network_from_jsonable(data["new_network"]),
             alphas=None if data.get("alphas") is None
             else _wire_ints(data["alphas"], "alphas"),
-            method=data.get("method"),
-            domain=data.get("domain"),
+            method=_wire_choice(data.get("method"), "method", METHODS),
+            domain=_wire_choice(data.get("domain"), "domain", DOMAINS),
             ord=_wire_float(data.get("ord", 2.0), "ord"),
             stop_on_failure=_wire_bool(data.get("stop_on_failure", False),
                                        "stop_on_failure"),

@@ -48,6 +48,8 @@ def _add_engine_args(parser: argparse.ArgumentParser,
     skips ``--workers`` for subcommands that overload the flag (``serve``
     reuses it for the coordinator's worker URL list).
     """
+    from repro.api.config import DEFAULT_METHOD, METHODS
+
     engine = parser.add_argument_group("engine options")
     if pool_flag:
         engine.add_argument("--workers", type=int, default=None,
@@ -63,9 +65,11 @@ def _add_engine_args(parser: argparse.ArgumentParser,
                         help="branch-and-bound node budget for local checks")
     engine.add_argument("--full-node-limit", type=int, default=None,
                         help="node budget for global (from-scratch) solves")
-    engine.add_argument("--method", default=None,
-                        choices=("symbolic", "split", "exact", "auto"),
-                        help="containment method cascade")
+    engine.add_argument("--method", default=None, choices=METHODS,
+                        help="containment method: a one-shot symbolic "
+                             "bound that may lose, split refinement, or "
+                             "exact branch and bound behind a symbolic "
+                             f"screen (default: {DEFAULT_METHOD})")
     engine.add_argument("--domain", default=None,
                         help="abstract domain for layerwise rebuilds")
 

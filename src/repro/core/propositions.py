@@ -141,10 +141,11 @@ def _check_prop1(artifacts: ProofArtifacts, enlarged_din: Box,
                  config: Optional[VerifyConfig] = None) -> PropositionResult:
     """Proposition 1 (proof reuse at layers 1 and 2) -- engine path.
 
-    Checks ``∀x ∈ Din ∪ Δin : g2(g1(x)) ∈ S2`` with an exact (or cascaded)
-    method on the two-layer head only.  The two-layer depth is deliberate:
-    abstract interpretation typically loses precision after two nonlinear
-    layers, leaving room for exact local solving (paper footnote 1).
+    Checks ``∀x ∈ Din ∪ Δin : g2(g1(x)) ∈ S2`` with the containment
+    ``method`` (exact by default) on the two-layer head only.  The
+    two-layer depth is deliberate: abstract interpretation typically loses
+    precision after two nonlinear layers, leaving room for exact local
+    solving (paper footnote 1).
     """
     config = config or VerifyConfig()
     started = time.perf_counter()
@@ -165,7 +166,7 @@ def _check_prop1(artifacts: ProofArtifacts, enlarged_din: Box,
 
 
 def _check_prop2(artifacts: ProofArtifacts, enlarged_din: Box,
-                 domain: str = DEFAULT_DOMAIN, method: str = "exact",
+                 domain: str = DEFAULT_DOMAIN, method: str = DEFAULT_METHOD,
                  config: Optional[VerifyConfig] = None) -> PropositionResult:
     """Proposition 2 (proof reuse at layer ``j+1``) -- engine path.
 

@@ -53,20 +53,9 @@ def propagate_network(network: Network, input_box: Box,
 
 
 def output_box(network: Network, input_box: Box,
-               domain: str = "symbolic", pre_activation: bool = False):
-    """Sound over-approximation of ``{f(x) : x in input_box}`` (``S_n``).
-
-    With ``pre_activation`` (symbolic domain only) it returns the pair
-    ``(pre, S_n)`` from one propagation, ``pre`` bounding the final
-    block's values before its activation
-    (:meth:`SymbolicPropagator.output_boxes`)."""
-    if not pre_activation:
-        return propagate_network(network, input_box, domain)[-1]
-    if domain != SymbolicPropagator.name:
-        raise DomainError(
-            f"pre-activation output boxes need the symbolic domain, "
-            f"not {domain!r}")
-    return SymbolicPropagator().output_boxes(network, input_box)
+               domain: str = "symbolic") -> Box:
+    """Sound over-approximation of ``{f(x) : x in input_box}`` (``S_n``)."""
+    return propagate_network(network, input_box, domain)[-1]
 
 
 def inductive_states(network: Network, input_box: Box,

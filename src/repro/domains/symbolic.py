@@ -199,15 +199,3 @@ class SymbolicPropagator:
             pre_boxes.append(pre.concretize())
             state = self.activate(block.activation, pre)
         return pre_boxes
-
-    def output_boxes(self, network: Network, input_box: Box) -> Tuple[Box, Box]:
-        """``(pre, post)`` of the final block from one propagation: its
-        pre-activation box and ``S_n``, each bitwise what
-        :meth:`propagate` gives for the network without and with that
-        block's activation."""
-        *front, last = network.blocks()
-        state = self._input_state(network, input_box)
-        for block in front:
-            state = self.propagate_block(block, state)
-        pre = self._affine(last.dense.weight, last.dense.bias, state)
-        return pre.concretize(), self.activate(last.activation, pre).concretize()

@@ -32,7 +32,7 @@ bounds alone), the largest violation is split instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -347,20 +347,9 @@ class BaBSolver:
         """Minimise ``c @ f(x)``; thresholds mean ``min >= threshold``."""
         neg_threshold = None if threshold is None else -float(threshold)
         res = self.maximize(-np.asarray(c, dtype=np.float64), threshold=neg_threshold)
-        return BaBResult(
-            status=res.status,
-            upper_bound=-res.upper_bound,   # now a sound *lower* bound
-            incumbent=-res.incumbent,
-            witness=res.witness,
-            nodes=res.nodes,
-            lp_solves=res.lp_solves,
-            rounds=res.rounds,
-            max_batch=res.max_batch,
-            mean_batch=res.mean_batch,
-            workers=res.workers,
-            nodes_reused=res.nodes_reused,
-            lp_solves_saved=res.lp_solves_saved,
-        )
+        # ``upper_bound`` becomes a sound *lower* bound.
+        return replace(res, upper_bound=-res.upper_bound,
+                       incumbent=-res.incumbent)
 
 
 def _maximize_output(network: Network, input_box: Box, c: np.ndarray,

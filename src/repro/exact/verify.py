@@ -10,8 +10,8 @@ Two primitives cover everything the continuous-verification core needs:
 
 ``_check_containment`` supports three methods mirroring Fig. 1's insight:
 ``"symbolic"`` (cheap one-shot abstract transformer, may lose), ``"split"``
-(abstraction with refinement), and ``"exact"`` (complete branch and bound);
-``"auto"`` cascades cheap-to-exact, stopping at the first conclusive answer.
+(abstraction with refinement), and ``"exact"`` (complete branch and bound,
+the default).
 
 ``"exact"`` screens each target bound symbolically first: one
 symbolic-interval pass (ReluVal, Wang et al., 2018) gives an output box,
@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import DomainError
-from repro.api.config import DEFAULT_METHOD, VerifyConfig
+from repro.api.config import DEFAULT_METHOD, METHODS, VerifyConfig
 from repro.domains.box import Box
 from repro.domains.propagate import output_box
 from repro.exact.bab import (
@@ -51,8 +51,6 @@ from repro.nn.layers import LeakyReLU, ReLU
 from repro.nn.network import Network
 
 __all__ = ["ContainmentResult"]
-
-METHODS = ("symbolic", "split", "exact", "auto")
 
 
 @dataclass
@@ -75,10 +73,6 @@ class ContainmentResult:
     lp_solves: int = 0
     nodes: int = 0
     detail: str = ""
-
-    @property
-    def conclusive(self) -> bool:
-        return self.holds is not None
 
 
 def _check_symbolic(screen: Box, target: Box) -> ContainmentResult:
@@ -143,24 +137,21 @@ def _behind_activation(network: Network, target: Box,
 
 
 def _check_exact(network: Network, box: Box, target: Box,
-                 config: VerifyConfig,
-                 screen: Optional[Box] = None) -> ContainmentResult:
+                 config: VerifyConfig) -> ContainmentResult:
     """Exact containment: one threshold search per finite target bound
-    that ``screen`` does not already prove.  Searches run in the order
-    output ``i``, its max then its min, so a refutation names the
-    lowest-index violated output whether or not the screen ran.
+    that the symbolic-interval screen does not already prove.  Searches
+    run in the order output ``i``, its max then its min, so a refutation
+    names the lowest-index violated output whether or not the screen
+    proved other bounds.
 
     When :func:`_behind_activation` moves the check onto the final
     pre-activations, the screen and the searches bound those, against
     the preimage bounds; otherwise they bound the outputs against
-    ``target``.  ``screen`` is the symbolic-interval box of whichever
-    values they bound, computed here unless the caller has it.  Either
-    way a refutation's ``violation`` is measured on ``network`` itself at
-    the witness input."""
+    ``target``.  Either way a refutation's ``violation`` is measured on
+    ``network`` itself at the witness input."""
     behind = _behind_activation(network, target, float(config.tol))
     searched, bounds = behind if behind is not None else (network, target)
-    if screen is None:
-        screen = output_box(searched, box, domain="symbolic")
+    screen = output_box(searched, box, domain="symbolic")
     d = network.output_dim
     # (output, bound, sense) of every bound left open, in search order.  A
     # bound is proved only when the screen's own bound lies inside it,
@@ -226,25 +217,13 @@ def _check_containment(network: Network, input_box: Box, target: Box,
             f"target dim {target.dim} != network output dim {network.output_dim}"
         )
     start = time.perf_counter()
-    if method == "split":
+    if method == "symbolic":
+        result = _check_symbolic(
+            output_box(network, input_box, domain="symbolic"), target)
+    elif method == "split":
         result = _check_split(network, input_box, target, config.max_boxes)
-    elif method == "exact":
+    else:
         result = _check_exact(network, input_box, target, config)
-    else:  # symbolic, or auto: symbolic first, exact as the decider
-        # One propagation serves both legs of ``auto``: when the exact leg
-        # runs behind the final activation it screens the pre-activation
-        # box, and the symbolic leg applies the activation to that state.
-        behind = method == "auto" and _behind_activation(
-            network, target, float(config.tol)) is not None
-        if behind:
-            pre, screen = output_box(network, input_box, domain="symbolic",
-                                     pre_activation=True)
-        else:
-            pre = screen = output_box(network, input_box, domain="symbolic")
-        result = _check_symbolic(screen, target)
-        if method == "auto" and not result.conclusive:
-            result = _check_exact(network, input_box, target, config, pre)
-            result.method = "auto(exact)"
     result.elapsed = time.perf_counter() - start
     return result
 

@@ -60,9 +60,9 @@ CASES = [
         from repro.api.config import DEFAULT_TOL, DEFAULT_WORKERS
 
         def solve(problem, workers: int = DEFAULT_WORKERS,
-                  tol: float = DEFAULT_TOL, method: str = "exact"):
-            # method="exact" is a deliberate override of the canonical
-            # "auto", not a restated default -- must stay legal.
+                  tol: float = DEFAULT_TOL, method: str = "symbolic"):
+            # method="symbolic" is a deliberate override of the canonical
+            # "exact", not a restated default -- must stay legal.
             return problem
         """,
         """

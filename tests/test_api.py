@@ -551,10 +551,10 @@ class TestDefaultsUnified:
             VerifyConfig.from_dict({"frobnicate": 1})
 
     def test_config_domains_mirror_propagator_registry(self):
-        from repro.api.config import _DOMAINS
+        from repro.api.config import DOMAINS
         from repro.domains.propagate import PROPAGATORS
 
-        assert set(_DOMAINS) == set(PROPAGATORS)
+        assert set(DOMAINS) == set(PROPAGATORS)
 
     def test_private_encoding_cache_bypasses_shared_cache(self, fig2,
                                                           enlarged_box2):

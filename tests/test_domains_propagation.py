@@ -119,30 +119,6 @@ class TestSymbolicInternals:
             values = blk.forward(values)
 
 
-    @pytest.mark.parametrize("final", [None, "relu", 0.0, 0.2])
-    def test_pre_activation_output_boxes_are_bitwise(self, final):
-        """One propagation gives the final block's pre-activation box and
-        ``S_n``, each bitwise what a propagation of the network without /
-        with the final activation gives."""
-        net = random_relu_network([3, 9, 7, 4], seed=5,
-                                  final_activation=final is not None)
-        if isinstance(final, float):
-            net = Network(net.layers[:-1] + [LeakyReLU(final)], input_dim=3)
-        head = Network(net.layers[:-1], input_dim=3) if final is not None \
-            else net
-        box = Box(np.array([-1.0, 0.0, -0.5]), np.array([0.5, 1.0, 2.0]))
-        pre, post = output_box(net, box, "symbolic", pre_activation=True)
-        for got, want in ((pre, output_box(head, box, "symbolic")),
-                          (post, output_box(net, box, "symbolic"))):
-            assert got.lower.tobytes() == want.lower.tobytes()
-            assert got.upper.tobytes() == want.upper.tobytes()
-
-    def test_pre_activation_output_boxes_need_symbolic(self, small_net):
-        with pytest.raises(DomainError):
-            output_box(small_net, Box(-np.ones(3), np.ones(3)), "box",
-                       pre_activation=True)
-
-
 class TestZonotopeInternals:
     def test_from_box_concretize_roundtrip(self):
         box = Box(np.array([-1.0, 0.0]), np.array([2.0, 4.0]))

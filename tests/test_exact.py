@@ -288,20 +288,23 @@ class TestCheckContainment:
         res = _containment(fig2, enlarged_box2, target, method="symbolic")
         assert res.holds is None  # symbolic bound is ~8.8 here
 
-    def test_auto_cascades_to_exact(self, fig2, enlarged_box2):
+    def test_exact_proves_what_symbolic_loses(self, fig2, enlarged_box2):
+        # Fig. 1's point: where the abstract transformer loses (the
+        # symbolic test above), exact local solving still decides.
         target = Box(np.array([0.0]), np.array([6.5]))
-        res = _containment(fig2, enlarged_box2, target, method="auto")
-        assert res.holds is True
-        assert "exact" in res.method
+        res = _containment(fig2, enlarged_box2, target, method="exact")
+        assert (res.holds, res.method) == (True, "exact")
+        assert res.lp_solves > 0
 
     def test_dim_mismatch(self, fig2, enlarged_box2):
         with pytest.raises(DomainError):
             _containment(fig2, enlarged_box2, Box(np.zeros(2), np.ones(2)))
 
-    def test_unknown_method(self, fig2, enlarged_box2):
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("method", ["magic", "auto"])
+    def test_unknown_method(self, fig2, enlarged_box2, method):
+        with pytest.raises(DomainError, match="unknown method"):
             _containment(fig2, enlarged_box2,
-                         Box(np.zeros(1), np.ones(1)), method="magic")
+                         Box(np.zeros(1), np.ones(1)), method=method)
 
 
 class TestExactSymbolicScreen:
@@ -364,7 +367,9 @@ class TestExactSymbolicScreen:
         assert res.lp_solves == expected
 
     def test_refutation_same_with_and_without_screen(self, net3, box3,
-                                                     searches):
+                                                     searches, monkeypatch):
+        from repro.exact import verify
+
         # Output 0 is proved by the screen; output 1's max (~3.02) breaks
         # the upper bound 2.
         target = Box(np.array([-5.0, -np.inf, -np.inf]),
@@ -373,7 +378,8 @@ class TestExactSymbolicScreen:
         screened = _check_exact(net3, box3, target, config)
         assert searches == [(1, "max")]
         unbounded = Box(np.full(3, -np.inf), np.full(3, np.inf))
-        unscreened = _check_exact(net3, box3, target, config, unbounded)
+        monkeypatch.setattr(verify, "output_box", lambda *a, **k: unbounded)
+        unscreened = _check_exact(net3, box3, target, config)
         assert searches[1:] == [(0, "max"), (0, "min"), (1, "max")]
         for res in (screened, unscreened):
             assert res.holds is False
@@ -383,8 +389,8 @@ class TestExactSymbolicScreen:
                               unscreened.counterexample)
         assert screened.violation == unscreened.violation
 
-    def test_auto_propagates_symbolically_once(self, fig2, enlarged_box2,
-                                               monkeypatch):
+    def test_exact_propagates_symbolically_once(self, fig2, enlarged_box2,
+                                                monkeypatch):
         from repro.exact import verify
 
         calls = []
@@ -395,8 +401,8 @@ class TestExactSymbolicScreen:
 
         monkeypatch.setattr(verify, "output_box", counting)
         target = Box(np.array([0.0]), np.array([6.5]))  # symbolic ~8.8
-        res = _containment(fig2, enlarged_box2, target, method="auto")
-        assert (res.holds, res.method) == (True, "auto(exact)")
+        res = _containment(fig2, enlarged_box2, target, method="exact")
+        assert (res.holds, res.method) == (True, "exact")
         assert calls == ["symbolic"]
 
 

@@ -684,6 +684,29 @@ class TestHTTPAndClient:
         assert "unknown VerifyConfig keys" in payload["error"]
         assert key in payload["error"]
 
+    @pytest.mark.parametrize("method", ["auto", "bogus", ["exact"], 7])
+    def test_http_rejects_bad_spec_method_with_400(
+            self, server, fig2, enlarged_box2, method):
+        # Rejected at submission: none of these can ever execute.
+        spec = spec_to_dict(ContainmentSpec(
+            network=fig2, input_box=enlarged_box2,
+            target=Box(np.zeros(1), np.full(1, 6.5))))
+        status, payload = self._raw_post(
+            server, json.dumps({"spec": {**spec, "method": method}}).encode())
+        assert status == 400
+        assert "SerializationError: method must be null or one of" in \
+            payload["error"]
+        assert ServeClient(server.url).jobs() == []
+
+    def test_http_rejects_auto_config_method_with_400(
+            self, server, maximize_spec):
+        body = json.dumps({"spec": spec_to_dict(maximize_spec),
+                           "config": {"method": "auto"}})
+        status, payload = self._raw_post(server, body.encode())
+        assert status == 400
+        assert "unknown method 'auto'" in payload["error"]
+        assert ServeClient(server.url).jobs() == []
+
     @pytest.mark.parametrize("strategies", ['"prop4"', '[4]'])
     def test_http_rejects_non_list_strategies_with_400(
             self, server, fig2, enlarged_box2, strategies):
@@ -902,6 +925,21 @@ class TestServeCLI:
         assert _verdict_exit_code({"verdict": "containment",
                                    "holds": False}) == 1
         assert _verdict_exit_code({"verdict": "failed", "holds": None}) == 3
+
+    def test_auto_method_rejected_on_the_command_line(
+            self, tmp_path, maximize_spec, capsys):
+        from repro.errors import ReproError
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"spec": spec_to_dict(maximize_spec)}))
+        with pytest.raises(SystemExit) as info:
+            cli_main(["verify-spec", str(path), "--method", "auto"])
+        assert info.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        path.write_text(json.dumps({"spec": spec_to_dict(maximize_spec),
+                                    "config": {"method": "auto"}}))
+        with pytest.raises(ReproError, match="unknown method 'auto'"):
+            cli_main(["verify-spec", str(path)])
 
     def test_verify_spec_reads_stdin(self, maximize_spec, capsys,
                                      monkeypatch):

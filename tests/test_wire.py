@@ -23,6 +23,7 @@ from repro.api import (
     verdict_to_dict,
     verdict_to_json,
 )
+from repro.api.config import DEFAULT_METHOD, DOMAINS, METHODS
 from repro.api.verdict import (
     ContainmentVerdict,
     FailedVerdict,
@@ -530,12 +531,16 @@ def _spec_wires():
         net, box, Box(-50 * np.ones(1), 50 * np.ones(1))))
     c = np.array([1.0])
     specs = {
+        "containment": ContainmentSpec(
+            network=net, input_box=box,
+            target=Box(np.zeros(1), np.full(1, 6.5)), method="exact"),
         "threshold": ThresholdSpec(network=net, input_box=box, objective=c,
                                    threshold=6.5),
         "maximize": MaximizeSpec(network=net, input_box=box, objective=c,
                                  threshold=6.5),
         "proposition": PropositionSpec(kind=5, artifacts=artifacts,
-                                       new_network=net, alphas=(1,)),
+                                       new_network=net, alphas=(1,),
+                                       domain="symbolic"),
         "continuous": ContinuousLoopSpec(artifacts=artifacts,
                                          new_network=net, prop5_alphas=(1,)),
     }
@@ -585,6 +590,37 @@ class TestSpecWireScalars:
         with pytest.raises(SerializationError, match=match) as info:
             spec_from_json(_replaced(wires[kind], (field,), value))
         assert classify_failure(info.value) == ("SerializationError", False)
+
+    @pytest.mark.parametrize("value", ['"auto"', '"bogus"', '["exact"]',
+                                       "7", "true"])
+    @pytest.mark.parametrize("kind,field", [
+        ("containment", "method"), ("proposition", "method"),
+        ("proposition", "domain")])
+    def test_bad_method_or_domain_is_permanent_serialization_error(
+            self, wires, kind, field, value):
+        # A bad value must fail at decoding, not after the job was
+        # accepted; "auto" is a retired method, not an alias.
+        from repro.api import spec_from_json
+        from repro.serve.resilience import classify_failure
+
+        with pytest.raises(SerializationError,
+                           match=f"{field} must be null or one of") as info:
+            spec_from_json(_replaced(wires[kind], (field,), value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+    @pytest.mark.parametrize("kind,field,choices", [
+        ("containment", "method", METHODS),
+        ("proposition", "method", METHODS),
+        ("proposition", "domain", DOMAINS)])
+    def test_method_and_domain_choices_round_trip(self, wires, kind, field,
+                                                  choices):
+        from repro.api import spec_from_json, spec_to_json
+
+        for value in (None,) + choices:
+            wire = _replaced(wires[kind], (field,), json.dumps(value))
+            spec = spec_from_json(wire)
+            assert getattr(spec, field) == value
+            assert spec_to_json(spec) == wire
 
     @pytest.mark.parametrize("field", ["alphas", "prop5_alphas"])
     def test_reuse_points_must_be_a_list(self, wires, field):
@@ -657,6 +693,25 @@ class TestConfigWire:
             config_from_json(document)
         assert classify_failure(info.value) == (type(info.value).__name__,
                                                 False)
+
+    def test_auto_method_rejected_permanently(self):
+        # "auto" was folded into "exact"; a document that still names it
+        # fails loudly instead of being mapped onto another method.
+        from repro.errors import ReproError
+        from repro.serve.resilience import classify_failure
+
+        document = json.dumps({**VerifyConfig().to_dict(), "method": "auto"})
+        with pytest.raises(ReproError, match="unknown method 'auto'") \
+                as info:
+            config_from_json(document)
+        assert classify_failure(info.value) == (type(info.value).__name__,
+                                                False)
+        with pytest.raises(ReproError, match="unknown method 'auto'"):
+            VerifyConfig(method="auto")
+
+    def test_default_method_is_exact(self):
+        assert VerifyConfig().method == DEFAULT_METHOD == "exact"
+        assert METHODS == ("symbolic", "split", "exact")
 
     @pytest.mark.parametrize("key", ["interval_prune", "node_tighten"])
     @pytest.mark.parametrize("value", [True, False, "false"])
@@ -876,6 +931,22 @@ class TestVerdictWireScalars:
     def test_inconclusive_holds_decodes(self, wires, kind, path):
         document = _replaced(wires[kind], path, "null")
         assert verdict_to_json(verdict_from_json(document)) == document
+
+    @pytest.mark.parametrize("value", ["7", "null", '["exact"]', "true"])
+    def test_bad_containment_method_is_permanent_serialization_error(
+            self, wires, value):
+        self._assert_permanent(
+            _replaced(wires["containment"], ("result", "method"), value),
+            "containment method must be a JSON string")
+
+    @pytest.mark.parametrize("label", ["auto(exact)", "symbolic", "exact"])
+    def test_any_containment_method_label_decodes(self, wires, label):
+        # Stored verdicts carry the labels of retired methods.
+        document = _replaced(wires["containment"], ("result", "method"),
+                             json.dumps(label))
+        verdict = verdict_from_json(document)
+        assert verdict.result.method == label
+        assert verdict_to_json(verdict) == document
 
 
 def _reference_decision_json(verdict) -> str:
