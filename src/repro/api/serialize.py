@@ -24,7 +24,7 @@ import base64
 import binascii
 import json
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NoReturn, Optional
 
 import numpy as np
 
@@ -254,14 +254,24 @@ def config_to_json(config, **dumps_kwargs) -> str:
     return json.dumps(config.to_dict(), allow_nan=False, **dumps_kwargs)
 
 
-def _json_loads(text: str, what: str) -> Any:
-    """``json.loads`` for wire documents: text that does not parse, or
-    nests too deeply for the parser, is a malformed document (a permanent
+def _reject_constant(token: str) -> NoReturn:
+    """``parse_constant`` hook: the wire is strict RFC 8259, so the
+    ``NaN``/``Infinity``/``-Infinity`` tokens Python's ``json`` would
+    accept are malformed (non-finite floats travel as strings)."""
+    raise ValueError(
+        f"non-standard JSON token {token!r}; encode non-finite floats as "
+        'the strings "inf"/"-inf"/"nan"')
+
+
+def _json_loads(text: str | bytes, what: str) -> Any:
+    """``json.loads`` for wire documents (``str`` or UTF-8 ``bytes``):
+    text that does not parse, holds a ``NaN``/``Infinity`` token, or
+    nests too deeply for the parser is a malformed document (a permanent
     :class:`SerializationError`), never a bare ``JSONDecodeError`` or
     :class:`RecursionError` a retry loop would take for a transient
     fault."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except RecursionError:
         raise SerializationError(
             f"{what} JSON is nested too deeply to decode") from None
@@ -282,42 +292,6 @@ def config_from_json(text: str):
 
 
 # ------------------------------------------------------------- certificates
-def _phase_leaves_to_jsonable(leaves: np.ndarray, widths) -> list:
-    """Per-leaf ``[block, unit, phase]`` triples of a phase matrix, in
-    column -- i.e. sorted ``(block, unit)`` -- order, so one leaf set has
-    one canonical byte form."""
-    from repro.exact.encoding import phase_columns
-
-    rows, cols = np.nonzero(leaves)
-    blocks, units = phase_columns(widths)
-    triples = np.stack([blocks[cols], units[cols],
-                        leaves[rows, cols].astype(np.int64)], axis=1).tolist()
-    ends = np.searchsorted(rows, np.arange(len(leaves) + 1)).tolist()
-    return [triples[a:b] for a, b in zip(ends[:-1], ends[1:])]
-
-
-def _wire_phase(value) -> int:
-    """A fixed neuron's phase: the JSON integer -1 or +1."""
-    if type(value) is not int or value not in (1, -1):
-        raise SerializationError(
-            f"certificate leaves: a phase must be -1 or +1, got {value!r}")
-    return value
-
-
-def _phase_leaves_from_jsonable(data, widths) -> np.ndarray:
-    from repro.exact.encoding import phase_matrix
-    from repro.errors import DomainError
-
-    try:
-        return phase_matrix([{(_wire_int(layer, "certificate leaf block"),
-                               _wire_int(unit, "certificate leaf unit")):
-                              _wire_phase(phase)
-                              for layer, unit, phase in leaf}
-                             for leaf in data], widths)
-    except DomainError as exc:
-        raise SerializationError(f"certificate leaves: {exc}") from None
-
-
 def _wire_int(value, name: str) -> int:
     """A non-negative integer wire count, or :class:`SerializationError`
     (never the transient ``OverflowError`` of ``int(1e400)``)."""
@@ -404,7 +378,7 @@ def _phase_matrix_from_jsonable(data) -> np.ndarray:
     if not isinstance(data, dict):
         raise SerializationError(
             "leaves must be a packed object with width and data "
-            f"(certificate wire v4), got {type(data).__name__}")
+            f"(certificate wire v5), got {type(data).__name__}")
     width = _wire_int(data["width"], "leaves width")
     raw = _wire_bytes(data["data"], "leaves data")
     if not width or len(raw) % width:
@@ -469,7 +443,7 @@ def certificate_to_json(cert, **dumps_kwargs) -> str:
 
     ``sort_keys`` is forced: the serve-side store persists and compares
     these strings, so one certificate value must map to one byte string.
-    The leaves travel as one packed int8 phase matrix (wire v4,
+    The leaves travel as one packed int8 phase matrix (since wire v4,
     :func:`_phase_matrix_to_jsonable`) and the per-leaf duals -- most of
     the payload -- as one packed little-endian float64 matrix (since v3,
     :func:`_leaf_duals_to_jsonable`), rather than as JSON lists.
@@ -486,15 +460,10 @@ def certificate_to_json(cert, **dumps_kwargs) -> str:
         "objective": array_to_jsonable(cert.objective),
         "threshold": float_to_jsonable(cert.threshold),
         "leaves": _phase_matrix_to_jsonable(cert.leaves),
-        "leaf_bounds": [float_to_jsonable(b) for b in cert.leaf_bounds],
-        "leaf_verdicts": [str(v) for v in cert.leaf_verdicts],
         "leaf_duals": _leaf_duals_to_jsonable(duals),
         "block_dims": [int(d) for d in cert.block_dims],
         "structural_fp": str(cert.structural_fp),
-        "content_fp": str(cert.content_fp),
         "config_digest": str(cert.config_digest),
-        "status": str(cert.status),
-        "upper_bound": float_to_jsonable(cert.upper_bound),
         "lp_solves": int(cert.lp_solves),
     }
     dumps_kwargs.setdefault("sort_keys", True)
@@ -531,18 +500,13 @@ def certificate_from_json(text: str):
         objective=array_from_jsonable(data["objective"]),
         threshold=_wire_float(data["threshold"], "certificate threshold"),
         leaves=leaves,
-        leaf_bounds=[_wire_float(b, "certificate leaf_bounds entry")
-                     for b in data.get("leaf_bounds", [])],
-        leaf_verdicts=[str(v) for v in data.get("leaf_verdicts", [])],
         leaf_duals=leaf_duals,
         block_dims=[_wire_int(d, "certificate block_dims entry")
                     for d in data["block_dims"]],
-        structural_fp=str(data["structural_fp"]),
-        content_fp=str(data.get("content_fp", "")),
-        config_digest=str(data["config_digest"]),
-        status=str(data.get("status", "")),
-        upper_bound=_wire_float(data.get("upper_bound", 0.0),
-                                "certificate upper_bound"),
+        structural_fp=_wire_str(data["structural_fp"],
+                                "certificate structural_fp"),
+        config_digest=_wire_str(data["config_digest"],
+                                "certificate config_digest"),
         lp_solves=_wire_int(data.get("lp_solves", 0),
                             "certificate lp_solves"),
         version=_wire_int(data["version"], "certificate version"),
@@ -684,8 +648,7 @@ def _certificate_to_jsonable(cert) -> Dict:
     return {
         "objective": array_to_jsonable(cert.objective),
         "threshold": float_to_jsonable(cert.threshold),
-        "leaves": _phase_leaves_to_jsonable(cert.leaves,
-                                            cert.block_dims[1:]),
+        "leaves": _phase_matrix_to_jsonable(cert.leaves),
         "block_dims": [int(d) for d in cert.block_dims],
     }
 
@@ -695,10 +658,15 @@ def _certificate_from_jsonable(data: Dict):
 
     block_dims = [_wire_int(d, "certificate block_dims entry")
                   for d in data["block_dims"]]
+    leaves = _phase_matrix_from_jsonable(data["leaves"])
+    if leaves.shape[1] != sum(block_dims[1:]):
+        raise SerializationError(
+            f"certificate leaves have width {leaves.shape[1]}, not one "
+            f"column per neuron of block_dims {block_dims}")
     return Certificate(
         objective=array_from_jsonable(data["objective"]),
         threshold=_wire_float(data["threshold"], "certificate threshold"),
-        leaves=_phase_leaves_from_jsonable(data["leaves"], block_dims[1:]),
+        leaves=leaves,
         block_dims=block_dims,
     )
 

@@ -89,17 +89,6 @@ def _wire_strs(data, name: str) -> Tuple[str, ...]:
     return tuple(data)
 
 
-def _wire_choice(value, name: str,
-                 choices: Tuple[str, ...]) -> Optional[str]:
-    """JSON ``null`` (defer to the engine config) or one of ``choices``,
-    or :class:`SerializationError` -- never a value the engine rejects
-    only after the job was accepted."""
-    if value is None or (type(value) is str and value in choices):
-        return value
-    raise SerializationError(
-        f"{name} must be null or one of {choices}, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Spec:
     """Base of the declarative request hierarchy (see module docstring)."""
@@ -137,6 +126,20 @@ class Spec:
     def __hash__(self) -> int:
         return hash((type(self).__name__, self._canonical_form()))
 
+    def _check_choices(self, **choices: Tuple[str, ...]) -> None:
+        """Each named field is ``None`` (defer to the engine config) or
+        one of its ``choices``, else :class:`SerializationError` -- at
+        construction, so neither a decoded document nor an in-process
+        submission can queue a job the engine rejects only at
+        execution."""
+        for name, allowed in choices.items():
+            value = getattr(self, name)
+            if value is not None and (type(value) is not str or
+                                      value not in allowed):
+                raise SerializationError(
+                    f"{name} must be null or one of {allowed}, got "
+                    f"{value!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class ContainmentSpec(Spec):
@@ -152,6 +155,9 @@ class ContainmentSpec(Spec):
 
     spec_type: ClassVar[str] = "containment"
 
+    def __post_init__(self):
+        self._check_choices(method=METHODS)
+
     def _payload(self) -> Dict:
         return {
             "network": network_to_jsonable(self.network),
@@ -165,8 +171,7 @@ class ContainmentSpec(Spec):
         return cls(network=network_from_jsonable(data["network"]),
                    input_box=box_from_jsonable(data["input_box"]),
                    target=box_from_jsonable(data["target"]),
-                   method=_wire_choice(data.get("method"), "method",
-                                       METHODS))
+                   method=data.get("method"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +292,7 @@ class PropositionSpec(Spec):
     spec_type: ClassVar[str] = "proposition"
 
     def __post_init__(self):
+        self._check_choices(method=METHODS, domain=DOMAINS)
         if self.kind not in PROPOSITION_KINDS:
             raise SerializationError(
                 f"proposition kind must be one of {PROPOSITION_KINDS}, "
@@ -339,8 +345,8 @@ class PropositionSpec(Spec):
             else network_from_jsonable(data["new_network"]),
             alphas=None if data.get("alphas") is None
             else _wire_ints(data["alphas"], "alphas"),
-            method=_wire_choice(data.get("method"), "method", METHODS),
-            domain=_wire_choice(data.get("domain"), "domain", DOMAINS),
+            method=data.get("method"),
+            domain=data.get("domain"),
             ord=_wire_float(data.get("ord", 2.0), "ord"),
             stop_on_failure=_wire_bool(data.get("stop_on_failure", False),
                                        "stop_on_failure"),

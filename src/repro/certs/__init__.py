@@ -5,9 +5,9 @@ from-scratch branch and bound pays the full search each time even though
 consecutive networks differ by a small perturbation.  This package turns a
 *proved* threshold solve into a persistent :class:`Certificate` -- the
 final covering frontier of settled leaves as one int8 phase matrix (a
-row per leaf, a column per neuron), their per-leaf bounds and verdicts,
-their node-LP **dual multipliers** packed as one float64 matrix, plus the
-fingerprints pinning what was proved -- and replays it against the
+row per leaf, a column per neuron), their node-LP **dual multipliers**
+packed as one float64 matrix, plus the architecture fingerprint and
+config digest pinning what was proved -- and replays it against the
 *next* network version: one batched float64 re-screen of all stored
 leaves against the new weights (phase-clamped interval/affine bounds,
 tightened by the stored duals, matched to leaves by row index, through
@@ -38,7 +38,6 @@ from repro.certs.certificate import (
     CERT_VERSION,
     Certificate,
     certificate_key,
-    content_fingerprint,
     leaves_cover,
     load_certificate,
     structural_fingerprint,
@@ -54,7 +53,6 @@ __all__ = [
     "CERT_VERSION",
     "Certificate",
     "certificate_key",
-    "content_fingerprint",
     "dual_start_screen",
     "extract_certificate",
     "leaves_cover",

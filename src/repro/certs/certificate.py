@@ -5,15 +5,12 @@ settled (one int8 row of a phase matrix each) -- all a verdict carries --
 plus everything a *store* needs to hand it to a future, slightly
 different problem:
 
-* per-leaf bounds and verdicts from the batched float64 screen at record
-  time (provenance -- the reuse path re-derives them, never trusts them);
 * per-leaf LP **dual multipliers**, the delta-verification workhorse: on
   reuse they re-certify leaves against the *new* weights via one LP-free,
   batched Lagrangian evaluation, sound for any multipliers (weak duality);
 * a **structural** network fingerprint (architecture only, no weights) so
   lookups tolerate weight-only changes -- the whole point of delta
-  verification -- plus the **content** fingerprint of the exact network
-  that was proved, for provenance;
+  verification;
 * the solver-config digest and the from-scratch ``lp_solves`` baseline
   the savings are measured against.
 
@@ -37,14 +34,12 @@ from repro.api.serialize import (
     array_to_jsonable,
     box_to_jsonable,
     float_to_jsonable,
-    network_to_jsonable,
 )
 
 __all__ = [
     "CERT_VERSION",
     "Certificate",
     "certificate_key",
-    "content_fingerprint",
     "leaves_cover",
     "load_certificate",
     "structural_fingerprint",
@@ -57,8 +52,11 @@ __all__ = [
 #: two phase rows per unstable neuron).  Version 3: the duals travel as
 #: one packed little-endian float64 matrix instead of JSON number lists.
 #: Version 4: the leaves travel as one packed int8 phase matrix instead of
-#: per-leaf ``[block, unit, phase]`` triples.
-CERT_VERSION = 4
+#: per-leaf ``[block, unit, phase]`` triples.  Version 5: the record-time
+#: per-leaf screen bounds and verdicts, the content fingerprint and the
+#: recording solve's status and bound are gone (nothing read them), and
+#: a threshold verdict packs its leaves the same way.
+CERT_VERSION = 5
 
 #: Memory bound of one chunk of the pairwise disjointness test (bytes of
 #: the ``chunk x n x words`` bit tensor).
@@ -95,13 +93,6 @@ def structural_fingerprint(network: Network) -> str:
     return _sha256(payload)
 
 
-def content_fingerprint(network: Network) -> str:
-    """Exact-weights fingerprint of the canonical wire form -- identifies
-    the one network a certificate was actually proved on (provenance
-    only; lookups key on :func:`structural_fingerprint`)."""
-    return _sha256(network_to_jsonable(network))
-
-
 def certificate_key(network: Network, input_box, objective: np.ndarray,
                     threshold: float, config) -> str:
     """The store key of a threshold certificate.
@@ -134,17 +125,16 @@ class Certificate:
     ``leaves`` is the covering frontier of settled regions as one
     read-only ``(N, W)`` int8 phase matrix (one row per leaf, one column
     per neuron in block order, ``W = sum(block_dims[1:])``; 0 free, +-1
-    fixed -- :func:`~repro.exact.encoding.phase_matrix`);
-    ``leaf_bounds`` / ``leaf_verdicts`` are the batched-screen results at
-    record time.  All of it is advisory: the reuse path re-screens every
-    leaf in float64 against the network it is actually given.
+    fixed -- :func:`~repro.exact.encoding.phase_matrix`).  Leaves and
+    duals are advisory: the reuse path re-screens every leaf in float64
+    against the network it is actually given.
 
     The search (:func:`repro.certs.reuse._certify_threshold`) returns one
     with only ``objective``, ``threshold``, ``leaves``, ``leaf_duals`` and
     ``block_dims`` set, and a threshold verdict carries that certificate
     (without its duals on the wire);
-    :func:`~repro.certs.reuse.extract_certificate` fills in the rest for
-    the store.
+    :func:`~repro.certs.reuse.extract_certificate` adds the fingerprint,
+    config digest and LP baseline the store needs.
 
     The covering verdict of the leaves (:meth:`covers`) is kept on the
     object while its leaves cannot change, so a decoded certificate used
@@ -155,11 +145,6 @@ class Certificate:
     threshold: float
     leaves: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 0), dtype=np.int8))
-    #: Screened objective upper bound per leaf at record time.
-    leaf_bounds: List[float] = field(default_factory=list)
-    #: Screen verdict per leaf at record time: "proved" (closed below the
-    #: threshold on intervals alone), "empty", or "open" (needed its LP).
-    leaf_verdicts: List[str] = field(default_factory=list)
     #: Optimal LP dual multipliers per leaf, packed: ``leaf_duals[j]`` is
     #: leaf ``j``'s ``(dual_ub, dual_eq)`` or ``None`` -- the
     #: delta-verification workhorse.  On reuse they are evaluated as a
@@ -170,13 +155,8 @@ class Certificate:
     block_dims: List[int] = field(default_factory=list)
     #: Architecture fingerprint lookups key on (weight-tolerant).
     structural_fp: str = ""
-    #: Exact-weights fingerprint of the proved network (provenance).
-    content_fp: str = ""
     #: sha256 of the recording config (minus the cert policy field).
     config_digest: str = ""
-    #: BaB status / sound bound of the recording solve.
-    status: str = ""
-    upper_bound: float = 0.0
     #: From-scratch LP count of the recording solve -- the denominator
     #: ``lp_solves_saved`` is compared against.
     lp_solves: int = 0

@@ -2,13 +2,13 @@
 
 Every threshold proof, cold or warm, runs one search,
 :func:`_certify_threshold`.  :func:`extract_certificate` turns one
-proved threshold solve (its
-covering leaves) into a :class:`~repro.certs.certificate.Certificate`,
-annotating every leaf with its node-LP bound, verdict, and -- the
-delta-verification workhorse -- the LP's optimal **dual multipliers** at
-record time.  :func:`reverify_with_certificate` is the other direction:
-given a (possibly perturbed) network, warm-start the solver from the
-stored leaves, settling them with :func:`dual_start_screen` -- one
+proved threshold solve (its covering leaves) into a
+:class:`~repro.certs.certificate.Certificate`, keeping for every leaf
+the delta-verification workhorse: its node LP's **dual multipliers** at
+record time, captured by the search itself.
+:func:`reverify_with_certificate` is the other direction: given a
+(possibly perturbed) network, warm-start the solver from the stored
+leaves, settling them with :func:`dual_start_screen` -- one
 batched float64 re-screen against the new weights that combines the
 phase-clamped interval/affine bounds with the exact layer's weak-duality
 evaluator, :meth:`repro.exact.encoding.NetworkEncoding.lagrangian_uppers`,
@@ -60,7 +60,7 @@ is a partition -- partitions survive, consequences do not.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +70,6 @@ from repro.certs.certificate import (
     CERT_VERSION,
     Certificate,
     config_digest,
-    content_fingerprint,
     structural_fingerprint,
 )
 from repro.domains.batch import phase_clamped_affine_bounds
@@ -81,18 +80,6 @@ from repro.nn.network import Network
 
 __all__ = ["extract_certificate", "reverify_with_certificate",
            "dual_start_screen"]
-
-
-def _tighten_uppers(enc: NetworkEncoding, upper: np.ndarray, neg_obj: np.ndarray,
-                    phases: np.ndarray, pre_lo: List[np.ndarray],
-                    pre_hi: List[np.ndarray], duals: PackedDuals,
-                    todo: np.ndarray) -> None:
-    """Lower ``upper[todo]`` to the leaves' weak-duality bounds, one
-    batched evaluation (:meth:`NetworkEncoding.lagrangian_uppers`)."""
-    if todo.size:
-        upper[todo] = np.minimum(upper[todo], enc.lagrangian_uppers(
-            neg_obj, phases[todo], [lo[todo] for lo in pre_lo],
-            [hi[todo] for hi in pre_hi], duals.take(todo)))
 
 
 def dual_start_screen(solver: BaBSolver, cert: Certificate,
@@ -123,8 +110,11 @@ def dual_start_screen(solver: BaBSolver, cert: Certificate,
             # Leaves already settled, empty, or without duals keep theirs.
             todo = np.flatnonzero(feasible & duals.present &
                                   (upper > threshold))
-            _tighten_uppers(enc, upper, -enc.output_objective(c_vec),
-                            phases, pre_lo, pre_hi, duals, todo)
+            if todo.size:
+                upper[todo] = np.minimum(upper[todo], enc.lagrangian_uppers(
+                    -enc.output_objective(c_vec), phases[todo],
+                    [lo[todo] for lo in pre_lo], [hi[todo] for hi in pre_hi],
+                    duals.take(todo)))
         return upper, feasible
 
     return screen
@@ -144,21 +134,16 @@ def extract_certificate(network: Network, input_box: Box,
     :class:`~repro.exact.bab.CoveringLeaves` of the search, which takes a
     warm start the screen settled whole as one block of rows and their
     stored duals).  Recording costs **zero extra LP solves**: every leaf
-    that was settled by an LP already has its multipliers captured, and
-    all of them are annotated here by one LP-free, batched Lagrangian
-    evaluation of this recorder's own batch (which at the recording
-    weights reproduces each LP bound -- strong duality; the search's
-    screen bounds are not reused, as batched bounds are not bitwise
-    stable under a change of batch).  Leaves settled without an LP
-    (screen-closed) carry no duals; if a future perturbation drifts one
-    open, it pays a single delta-LP whose duals the re-record then picks
-    up -- lazy, self-healing refresh.  The stored rows are picked from
-    ``duals`` by one row selection: those of feasible leaves, when the
-    rows are sized for this encoding's node layout.  Duals sized for
-    another layout (carried over from a certificate recorded under
-    another unstable-neuron set, or from a malformed one) are dropped:
-    they bound nothing here, and the wire packs one row width for every
-    leaf.
+    that was settled by an LP already has its multipliers captured.
+    Leaves settled without an LP (screen-closed) carry no duals; if a
+    future perturbation drifts one open, it pays a single delta-LP whose
+    duals the re-record then picks up -- lazy, self-healing refresh.  The
+    stored rows are picked from ``duals`` by one row selection: those of
+    leaves the batched phase-clamped pass finds feasible, when the rows
+    are sized for this encoding's node layout.  Duals sized for another
+    layout (carried over from a certificate recorded under another
+    unstable-neuron set, or from a malformed one) are dropped: they bound
+    nothing here, and the wire packs one row width for every leaf.
 
     ``lp_baseline`` overrides the stored from-scratch LP count (the
     savings denominator): when a *warm-started* solve re-records, the
@@ -170,8 +155,8 @@ def extract_certificate(network: Network, input_box: Box,
     enc = NetworkEncoding.for_problem(network, input_box)
     leaves = np.array(as_phase_matrix(leaves, enc.phase_widths))
     leaves.setflags(write=False)
-    upper, feasible, pre_lo, pre_hi = phase_clamped_affine_bounds(
-        network, input_box, leaves, c_vec)
+    feasible = phase_clamped_affine_bounds(network, input_box, leaves,
+                                           c_vec)[1]
     sizes = enc.dual_rows()
     present = np.zeros(len(leaves), dtype=bool)
     if duals is not None and len(duals) == len(leaves) and duals.fits(sizes):
@@ -180,24 +165,14 @@ def extract_certificate(network: Network, input_box: Box,
     packed = PackedDuals(
         duals.matrix[feasible[duals.present]], present, sizes[0]) \
         if present.any() else PackedDuals.absent(len(leaves), (0, 0))
-    _tighten_uppers(enc, upper, -enc.output_objective(c_vec), leaves,
-                    pre_lo, pre_hi, packed, np.flatnonzero(packed.present))
-    bounds = np.where(feasible, upper, -np.inf)
-    verdicts = np.where(~feasible, "empty", np.where(
-        bounds <= float(threshold) + config.tol, "proved", "open"))
     return Certificate(
         objective=c_vec.copy(),
         threshold=float(threshold),
         leaves=leaves,
-        leaf_bounds=bounds.tolist(),
-        leaf_verdicts=verdicts.tolist(),
         leaf_duals=packed,
         block_dims=network.block_dims(),
         structural_fp=structural_fingerprint(network),
-        content_fp=content_fingerprint(network),
         config_digest=config_digest(config),
-        status=result.status,
-        upper_bound=float(result.upper_bound),
         lp_solves=int(result.lp_solves if lp_baseline is None
                       else lp_baseline),
         version=CERT_VERSION,

@@ -136,29 +136,14 @@ class _Handler(BaseHTTPRequestHandler):
         return int(declared)
 
     def _read_body(self) -> Dict:
+        from repro.api.serialize import _json_loads
+
         length = self._content_length()
         if length <= 0:
             raise ServeError("request body required")
         if length > _MAX_BODY:
             raise ServeError(f"request body over {_MAX_BODY} bytes")
-        raw = self.rfile.read(length)
-
-        def _reject_constant(token):
-            # The wire protocol is strict RFC 8259: non-finite floats
-            # travel as "inf"/"-inf"/"nan" *strings*, never as the
-            # Infinity/NaN tokens Python's json would otherwise accept.
-            raise ServeError(
-                f"non-standard JSON token {token!r}; encode non-finite "
-                'floats as the strings "inf"/"-inf"/"nan"')
-
-        try:
-            data = json.loads(raw, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ServeError(f"request body is not valid JSON: {exc}") \
-                from None
-        except RecursionError:
-            raise ServeError("request body JSON is nested too deeply") \
-                from None
+        data = _json_loads(self.rfile.read(length), "request body")
         if not isinstance(data, dict):
             raise ServeError("request body must be a JSON object")
         return data
@@ -319,7 +304,7 @@ class _Handler(BaseHTTPRequestHandler):
                     'worker registration needs a "url" string '
                     '(the worker\'s own repro serve endpoint)')
             state = self.service.register_worker(url)
-        except ServeError as exc:
+        except (ServeError, SerializationError) as exc:
             # Either a malformed document or "not a coordinator".
             self._error(400, str(exc))
             return

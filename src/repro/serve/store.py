@@ -158,7 +158,10 @@ _CERTIFICATES_MIGRATIONS: Dict[str, str] = {}
 #: the code that filled it (a persistent ``--db`` across upgrades), so a
 #: solver change that can alter any verdict value MUST bump this -- old
 #: cache entries then simply miss and re-solve under the new code.
-FINGERPRINT_VERSION = 1
+#: Version 2: a threshold verdict's certificate leaves travel as one
+#: packed int8 phase matrix (certificate wire v5), so cached verdicts
+#: holding per-leaf triples miss instead of failing to decode.
+FINGERPRINT_VERSION = 2
 
 
 def job_fingerprint(spec, config) -> str:

@@ -91,10 +91,8 @@ class TestWire:
         cert = certificate_from_json(cert_json)
         again = certificate_from_json(certificate_to_json(cert))
         assert again.structural_fp == cert.structural_fp
-        assert again.content_fp == cert.content_fp
+        assert again.config_digest == cert.config_digest
         assert np.array_equal(again.leaves, cert.leaves)
-        assert again.leaf_bounds == cert.leaf_bounds
-        assert again.leaf_verdicts == cert.leaf_verdicts
         assert again.lp_solves == cert.lp_solves
         assert len(again.leaf_duals) == len(cert.leaf_duals)
         for a, b in zip(again.leaf_duals, cert.leaf_duals):
@@ -140,7 +138,10 @@ class TestPackedWire:
         cert_json = _record(threshold_problem, MemCerts())
         assert certificate_to_json(load_certificate(cert_json)) == cert_json
         data = json.loads(cert_json)
-        assert data["version"] == 4
+        assert data["version"] == 5
+        assert set(data) == {"version", "objective", "threshold", "leaves",
+                             "leaf_duals", "block_dims", "structural_fp",
+                             "config_digest", "lp_solves"}
         assert set(data["leaves"]) == {"width", "data"}
         assert set(data["leaf_duals"]) == {"present", "split", "width",
                                            "data"}
@@ -233,23 +234,22 @@ class TestPackedWire:
                                  VerifyConfig(certs="reuse"))
         _assert_cold_fallback(threshold_problem, payload)
 
-    def test_v3_leaf_triples_are_rejected_and_fall_back_cold(
+    def test_v4_payload_is_rejected_and_falls_back_cold(
             self, threshold_problem):
-        """A v3 payload (leaves as per-leaf ``[block, unit, phase]``
-        triples) misses by key in a store; forced under a v4 key, it is
-        unreadable and the solve runs cold."""
-        from repro.exact.encoding import phase_maps
-
-        net = threshold_problem[0]
+        """A v4 payload (with the record-time screen bounds and verdicts,
+        content fingerprint, status and bound that v5 dropped) misses by
+        key in a store; forced under a v5 key, it decodes but fails
+        validation, and the solve runs cold."""
+        net, _box, c, thr = threshold_problem
         data, _key = _wire_dict(threshold_problem)
-        cert = load_certificate(json.dumps(data))
-        data["version"] = 3
-        data["leaves"] = [[[k, i, p] for (k, i), p in leaf.items()]
-                          for leaf in phase_maps(cert.leaves,
-                                                 net.block_dims()[1:])]
+        n = len(data["leaf_duals"]["present"])
+        data.update(version=4, leaf_bounds=[0.0] * n,
+                    leaf_verdicts=["open"] * n, content_fp="0" * 64,
+                    status="threshold_proved", upper_bound=0.0)
         payload = json.dumps(data, sort_keys=True)
-        with pytest.raises(CertificateError, match="wire v4"):
-            load_certificate(payload)
+        with pytest.raises(CertificateError, match="version 4 != 5"):
+            validate_certificate(load_certificate(payload), net, c, thr,
+                                 VerifyConfig(certs="reuse"))
         _assert_cold_fallback(threshold_problem, payload)
 
     def test_non_finite_dual_row_costs_its_leaf_only(self,
@@ -390,8 +390,6 @@ class TestUntrustedDecode:
         ("lp_solves", "true"),
         ("threshold", '"5"'),         # was cast to 5.0
         ("threshold", "[1]"),         # was a bare TypeError
-        ("upper_bound", '"5"'),
-        ("leaf_bounds", '["1"]'),     # was cast to [1.0]
         ("block_dims", "[3.0, 10, 6, 1]"),
     ])
     def test_ill_typed_number_is_certificate_error(self, threshold_problem,
@@ -409,13 +407,26 @@ class TestUntrustedDecode:
             load_certificate(payload)
         _assert_cold_fallback(threshold_problem, payload)
 
+    @pytest.mark.parametrize("field, raw", [
+        ("structural_fp", "7"),       # was cast to "7"
+        ("config_digest", "null"),    # was cast to "None"
+    ])
+    def test_non_string_digest_is_certificate_error(self, threshold_problem,
+                                                    field, raw):
+        data, _key = _wire_dict(threshold_problem)
+        data[field] = "__BAD__"
+        payload = json.dumps(data).replace('"__BAD__"', raw)
+        with pytest.raises(CertificateError,
+                           match=f"certificate {field} must be a JSON string"):
+            load_certificate(payload)
+        _assert_cold_fallback(threshold_problem, payload)
+
     def test_non_finite_floats_decode(self, threshold_problem):
         """``float_to_jsonable``'s strings are the wire form of inf/nan."""
         data, _key = _wire_dict(threshold_problem)
-        data.update(upper_bound="-inf", leaf_bounds=["inf", "nan"])
+        data.update(threshold="-inf", objective=["nan"])
         cert = load_certificate(json.dumps(data))
-        assert cert.upper_bound == -np.inf
-        assert cert.leaf_bounds[0] == np.inf and np.isnan(cert.leaf_bounds[1])
+        assert cert.threshold == -np.inf and np.isnan(cert.objective[0])
 
     def test_deep_nesting_is_certificate_error(self, threshold_problem):
         data, _key = _wire_dict(threshold_problem)
@@ -582,8 +593,6 @@ class TestSoundness:
         if len(cert.leaves) < 2:
             pytest.skip("frontier collapsed to one leaf")
         cert.leaves = cert.leaves[1:]
-        del cert.leaf_bounds[0]
-        del cert.leaf_verdicts[0]
         cert.leaf_duals = cert.leaf_duals.take(slice(1, None))
         store.entries[key] = certificate_to_json(cert)
         warm = VerificationEngine(VerifyConfig(certs="reuse"),
@@ -1201,8 +1210,6 @@ class TestCertificateMemo:
         cert = load_certificate(cert_json)
         assert len(cert.leaves) >= 2
         cert.leaves = cert.leaves[1:]
-        del cert.leaf_bounds[0]
-        del cert.leaf_verdicts[0]
         cert.leaf_duals = cert.leaf_duals.take(slice(1, None))
         store.entries[key] = certificate_to_json(cert)
         loads, covers = cert_calls["load"], cover_calls["count"]

@@ -9,7 +9,7 @@ from repro.api import (ContainmentSpec, MaximizeSpec, OutputRangeSpec,
                        VerificationEngine, VerifyConfig)
 from repro.domains import Box
 from repro.domains.propagate import output_box
-from repro.errors import DomainError
+from repro.errors import DomainError, SerializationError
 from repro.exact import (
     BaBSolver,
     NetworkEncoding,
@@ -302,9 +302,16 @@ class TestCheckContainment:
 
     @pytest.mark.parametrize("method", ["magic", "auto"])
     def test_unknown_method(self, fig2, enlarged_box2, method):
+        # The spec refuses it when built, before any engine sees it; the
+        # containment layer refuses it too when called directly.
+        from repro.exact.verify import _check_containment
+
+        target = Box(np.zeros(1), np.ones(1))
+        with pytest.raises(SerializationError,
+                           match="method must be null or one of"):
+            _containment(fig2, enlarged_box2, target, method=method)
         with pytest.raises(DomainError, match="unknown method"):
-            _containment(fig2, enlarged_box2,
-                         Box(np.zeros(1), np.ones(1)), method=method)
+            _check_containment(fig2, enlarged_box2, target, method=method)
 
 
 class TestExactSymbolicScreen:

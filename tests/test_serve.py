@@ -643,13 +643,13 @@ class TestHTTPAndClient:
             client._request("POST", "/jobs",
                             {"spec": spec_doc, "timeout": -1})
 
-    def _raw_post(self, server, body: bytes):
+    def _raw_post(self, server, body: bytes, path: str = "/jobs"):
         import http.client
 
         target = ServeClient(server.url)
         conn = http.client.HTTPConnection(target.host, target.port)
         try:
-            conn.request("POST", "/jobs", body=body,
+            conn.request("POST", path, body=body,
                          headers={"Content-Type": "application/json"})
             response = conn.getresponse()
             return response.status, json.loads(response.read())
@@ -668,11 +668,28 @@ class TestHTTPAndClient:
             server, f'{{"spec": {spec_json}, "timeout": 1e999}}'.encode())
         assert status == 400
         assert "timeout must be" in payload["error"]
-        status, payload = self._raw_post(
-            server,
-            f'{{"spec": {spec_json}, "timeout": Infinity}}'.encode())
+        for token in ("Infinity", "-Infinity", "NaN"):
+            status, payload = self._raw_post(
+                server, f'{{"spec": {spec_json}, "timeout": {token}}}'.encode())
+            assert status == 400
+            assert "non-standard JSON token" in payload["error"]
+            # Inside the spec too: one reader for every wire document.
+            nan_spec = spec_json.replace('"threshold": null',
+                                         f'"threshold": {token}')
+            assert nan_spec != spec_json
+            status, payload = self._raw_post(
+                server, f'{{"spec": {nan_spec}}}'.encode())
+            assert status == 400
+            assert "non-standard JSON token" in payload["error"]
+        assert ServeClient(server.url).jobs() == []
+
+    @pytest.mark.parametrize("body", [b"{", b'{"url": NaN}', b"[]"])
+    def test_http_worker_registration_rejects_bad_body_with_400(
+            self, server, body):
+        status, payload = self._raw_post(server, body, path="/workers")
         assert status == 400
-        assert "non-standard JSON" in payload["error"]
+        assert "request body" in payload["error"]
+        assert ServeClient(server.url).health()["ok"] is True
 
     @pytest.mark.parametrize("key", ["interval_prune", "node_tighten"])
     def test_http_rejects_removed_search_switch_with_400(

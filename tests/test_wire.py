@@ -124,19 +124,19 @@ class TestSolvedVerdictRoundTrips:
         assert result.status in ("threshold_proved", "optimal")
         assert reproved is not None
 
-    @pytest.mark.parametrize("triple", [[0, 9, 1], [5, 0, 1], [0, 0, 2]])
-    def test_certificate_leaf_outside_architecture_rejected(
-            self, engine, fig2, enlarged_box2, triple):
-        """The verdict's certificate leaves decode into a phase matrix of
-        the recorded architecture; a triple naming a neuron outside it,
-        or a phase other than +-1, is a SerializationError."""
+    def test_root_screen_proved_threshold(self, engine, fig2,
+                                          enlarged_box2):
+        """A threshold the root screen closes proves with no LP; its
+        certificate is the one free root leaf, and it round-trips."""
         verdict = engine.verify(ThresholdSpec(
             network=fig2, input_box=enlarged_box2,
-            objective=np.array([1.0]), threshold=12.0))
-        data = json.loads(verdict_to_json(verdict))
-        data["certificate"]["leaves"][0].append(triple)
-        with pytest.raises(SerializationError, match="certificate leaves"):
-            verdict_from_json(json.dumps(data))
+            objective=np.array([1.0]), threshold=1000.0))
+        assert verdict.certified and verdict.result.lp_solves == 0
+        assert verdict.certificate.leaves.tolist() == [[0, 0, 0, 0]]
+        clone = _roundtrip(verdict)
+        assert np.array_equal(clone.certificate.leaves,
+                              verdict.certificate.leaves)
+        assert clone.certificate.covers()
 
     def test_proposition(self, engine, fig2, unit_box2, enlarged_box2):
         problem = VerificationProblem(
@@ -337,12 +337,13 @@ class TestVerdictWireCounts:
 
 
 class TestVerdictCertificateWire:
-    """The threshold verdict's certificate decodes strictly too: every
-    ``block_dims`` entry and every leaf triple's block and unit are
-    non-negative JSON integers, a phase is the JSON integer -1 or +1, and
-    the threshold is a JSON number (or ``"inf"``/``"-inf"``/``"nan"``).
-    Anything else is a permanent SerializationError -- never the
-    ``OverflowError`` of ``int(1e400)``, nor a silent cast."""
+    """The threshold verdict's certificate decodes strictly too: its
+    leaves are the store's packed int8 phase matrix, of width one column
+    per neuron of ``block_dims``; every ``block_dims`` entry and the
+    width are non-negative JSON integers, and the threshold is a JSON
+    number (or ``"inf"``/``"-inf"``/``"nan"``).  Anything else is a
+    permanent SerializationError -- never the ``OverflowError`` of
+    ``int(1e400)``, nor a silent cast."""
 
     @pytest.fixture(scope="class")
     def wire(self):
@@ -353,16 +354,23 @@ class TestVerdictCertificateWire:
             input_box=Box(-np.ones(2), np.array([1.1, 1.1])),
             objective=np.array([1.0]), threshold=6.5))
         assert verdict.certified
-        wire = verdict_to_json(verdict)
-        assert json.loads(wire)["certificate"]["leaves"][1][1] == [0, 1, -1]
-        return wire
+        assert verdict.certificate.leaves.tolist() == [
+            [-1, 0, 0, 0], [1, -1, 0, 0], [1, 1, 0, 0]]
+        return verdict_to_json(verdict)
+
+    def test_leaves_use_the_store_encoding(self, wire):
+        from repro.api.serialize import certificate_to_json
+
+        cert = verdict_from_json(wire).certificate
+        leaves = json.loads(wire)["certificate"]["leaves"]
+        assert leaves == {"width": 4, "data": "/wAAAAH/AAABAQAA"}
+        assert leaves == json.loads(certificate_to_json(cert))["leaves"]
 
     @pytest.mark.parametrize("value", ["1e400", "2.5", "true", "-1"])
     @pytest.mark.parametrize("path", [
         ("certificate", "block_dims", 0),
         ("certificate", "block_dims", 1),
-        ("certificate", "leaves", 1, 1, 0),
-        ("certificate", "leaves", 1, 1, 1),
+        ("certificate", "leaves", "width"),
     ])
     def test_bad_integer_is_permanent_serialization_error(self, wire, path,
                                                           value):
@@ -373,17 +381,37 @@ class TestVerdictCertificateWire:
             verdict_from_json(_with_bad_value(wire, path, value))
         assert classify_failure(info.value) == ("SerializationError", False)
 
-    @pytest.mark.parametrize("value", ["1e400", "2.5", "true", "0", "2",
-                                       "-1.0"])
-    def test_bad_phase_is_permanent_serialization_error(self, wire, value):
+    @pytest.mark.parametrize("leaves, match", [
+        pytest.param({"width": 2, "data": "/wAAAAH/AAABAQAA"},
+                     "leaves have width 2, not one column per neuron",
+                     id="wrong-width"),
+        pytest.param({"width": 12, "data": "/wAAAAH/AAABAQAA"},
+                     "leaves have width 12, not one column per neuron",
+                     id="one-wide-row"),
+        pytest.param({"width": 5, "data": "/wAAAAH/AAABAQAA"},
+                     "not whole rows of width 5", id="ragged-width"),
+        pytest.param({"width": 4, "data": "/wAAAAH/AAABAQAC"},
+                     "phase outside -1/0/1", id="byte-2"),
+        pytest.param({"width": 4, "data": "/wAAAAH/AAABAQCA"},
+                     "phase outside -1/0/1", id="byte-minus-128"),
+        pytest.param({"width": 4, "data": ""}, "no rows", id="no-rows"),
+        pytest.param({"width": 4, "data": "!!not base64!!"}, "not base64",
+                     id="not-base64"),
+        pytest.param({"width": 4, "data": [255, 0, 0, 0]}, "base64 string",
+                     id="data-list"),
+        pytest.param([[[0, 0, -1]], [[0, 0, 1], [0, 1, -1]],
+                      [[0, 0, 1], [0, 1, 1]]], "packed object",
+                     id="leaf-triples"),
+    ])
+    def test_bad_packed_leaves_are_permanent_serialization_error(
+            self, wire, leaves, match):
         from repro.serve.resilience import classify_failure
 
-        path = ("certificate", "leaves", 1, 1, 2)
-        with pytest.raises(SerializationError,
-                           match="phase must be -1 or \\+1") as info:
-            verdict_from_json(_with_bad_value(wire, path, value))
+        data = json.loads(wire)
+        data["certificate"]["leaves"] = leaves
+        with pytest.raises(SerializationError, match=match) as info:
+            verdict_from_json(json.dumps(data))
         assert classify_failure(info.value) == ("SerializationError", False)
-
 
     @pytest.mark.parametrize("value", ['"x"', "[1]", '"5"', "true",
                                        "null"])
@@ -607,6 +635,49 @@ class TestSpecWireScalars:
                            match=f"{field} must be null or one of") as info:
             spec_from_json(_replaced(wires[kind], (field,), value))
         assert classify_failure(info.value) == ("SerializationError", False)
+
+    @pytest.mark.parametrize("value", ["auto", "bogus", ["exact"], 7, True])
+    @pytest.mark.parametrize("kind,field", [
+        ("containment", "method"), ("proposition", "method"),
+        ("proposition", "domain")])
+    def test_bad_method_or_domain_is_rejected_at_construction(
+            self, wires, kind, field, value):
+        # The constructor is the one check, so an in-process submission
+        # can no more queue a spec the engine would reject than a
+        # decoded document can.
+        from dataclasses import replace
+
+        from repro.api import spec_from_json
+
+        spec = spec_from_json(wires[kind])
+        with pytest.raises(SerializationError,
+                           match=f"{field} must be null or one of"):
+            replace(spec, **{field: value})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_number_tokens_are_rejected(self, wires, token):
+        """The wire is strict RFC 8259: ``NaN``/``Infinity`` tokens are a
+        permanent SerializationError in every document, never a float."""
+        from repro.api import spec_from_json
+        from repro.api.serialize import certificate_from_json
+        from repro.serve.resilience import classify_failure
+
+        documents = [
+            lambda: spec_from_json(
+                _replaced(wires["threshold"], ("threshold",), token)),
+            lambda: config_from_json(json.dumps(
+                {**VerifyConfig().to_dict(), "tol": "__BAD__"}).replace(
+                    '"__BAD__"', token)),
+            lambda: verdict_from_json(
+                f'{{"verdict": "failed", "holds": {token}}}'),
+            lambda: certificate_from_json(f'{{"threshold": {token}}}'),
+        ]
+        for decode in documents:
+            with pytest.raises(SerializationError,
+                               match="non-standard JSON token") as info:
+                decode()
+            assert classify_failure(info.value) == ("SerializationError",
+                                                    False)
 
     @pytest.mark.parametrize("kind,field,choices", [
         ("containment", "method", METHODS),
