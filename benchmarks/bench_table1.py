@@ -106,7 +106,7 @@ def test_report_table1(vehicle_bundle, capsys):
     with capsys.disabled():
         print("\n" + table)
         print("(paper: SVuDC 0.16%-5.27%, SVbTV 4.19%-37.52%; both columns "
-              "far below 100% -- see EXPERIMENTS.md)")
+              "far below 100%)")
     # Shape assertions: every incremental run is far cheaper than the
     # original, the paper's headline claim ("less than ten percent").
     for row in rows:

@@ -148,7 +148,7 @@ def build_vehicle_bundle(seed: int = 0) -> VehicleBundle:
         enlarged = run_monitor.enlarged_box()
         if run_monitor.out_of_bound_count == 0:
             # Extremely tame run: fall back to a synthetic enlargement so
-            # the SVuDC case still exists (documented in EXPERIMENTS.md).
+            # the SVuDC case still exists.
             enlarged = din.inflate(0.002 * (i + 1))
         bundle.enlarged.append(enlarged)
 

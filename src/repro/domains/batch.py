@@ -60,6 +60,7 @@ def _block_slope(act) -> float:
 def phase_clamped_node_bounds(
         network: Network, input_box: Box, phases,
         c: Optional[np.ndarray] = None,
+        groups: Optional[Sequence[int]] = None,
 ) -> Tuple[Optional[np.ndarray], np.ndarray, List[np.ndarray], List[np.ndarray]]:
     """One clamped interval pass over N phase-constrained regions, returning
     everything a branch-and-bound node needs.
@@ -74,10 +75,17 @@ def phase_clamped_node_bounds(
     every real execution of the region satisfies both the interval
     enclosure and the sign constraint.
 
+    ``c`` is one objective ``(d,)`` for every region, or a ``(G, d)``
+    matrix of G objectives.  With ``groups``, G row counts summing to N,
+    objective ``g`` bounds the ``g``-th run of rows: the rows of several
+    branch-and-bound searches screened in one pass.  Without ``groups``
+    every objective bounds every region.
+
     Returns ``(upper, feasible, pre_lo, pre_hi)``:
 
-    * ``upper`` -- interval upper bounds of ``c @ f(x)`` per region
-      (``None`` when no objective is supplied; ``-inf`` on infeasible rows);
+    * ``upper`` -- interval upper bounds of the objective per region, or
+      ``(N, G)`` for a matrix without ``groups`` (``None`` when no
+      objective is supplied; ``-inf`` on infeasible rows);
     * ``feasible`` -- rows whose clamp empties some pre-activation interval
       are marked infeasible (their region is empty);
     * ``pre_lo`` / ``pre_hi`` -- per-block ``(N, d_k)`` post-clamp
@@ -85,6 +93,14 @@ def phase_clamped_node_bounds(
       which certificate reuse passes to
       :meth:`repro.exact.encoding.NetworkEncoding.lagrangian_uppers`
       (meaningless on infeasible rows).
+
+    A row's bounds keep their bits when it is stacked with other rows as
+    long as BLAS rounds each row of a matrix product alone, which the
+    tests check on the project's networks.  numpy multiplies a one-row or
+    one-column operand as a matrix-vector product instead, whose rounding
+    of a row depends on its place in the batch; with ``groups``, those
+    products and the objective's are taken run by run, so every run gets
+    the bits of a call with its rows alone.
     """
     from repro.exact.encoding import as_phase_matrix
 
@@ -98,14 +114,28 @@ def phase_clamped_node_bounds(
     feasible = np.ones(n, dtype=bool)
     pre_lo: List[np.ndarray] = []
     pre_hi: List[np.ndarray] = []
+    if groups is None:
+        runs = [slice(0, n)]
+    else:
+        ends = np.cumsum(groups).tolist()
+        runs = [slice(end - size, end) for end, size in zip(ends, groups)]
+    one_row_run = len(runs) > 1 and \
+        min(run.stop - run.start for run in runs) == 1
+
+    def product(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """``x @ m``, run by run where numpy would take a matrix-vector
+        product of the stack."""
+        if len(runs) == 1 or not (one_row_run or m.shape[1] == 1):
+            return x @ m
+        return np.concatenate([x[run] @ m for run in runs])
 
     offset = 0
     for k, block in enumerate(network.blocks()):
         w, b = block.dense.weight, block.dense.bias
         center = 0.5 * (lo + hi)
         radius = 0.5 * (hi - lo)
-        zc = center @ w.T + b
-        zr = radius @ np.abs(w).T
+        zc = product(center, w.T) + b
+        zr = product(radius, np.abs(w).T)
         zl, zu = zc - zr, zc + zr
         fixed = phases[:, offset:offset + block.out_dim]
         offset += block.out_dim
@@ -133,12 +163,22 @@ def phase_clamped_node_bounds(
 
     if c is None:
         return None, feasible, pre_lo, pre_hi
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    c_pos = np.maximum(c, 0.0)
-    c_neg = np.minimum(c, 0.0)
-    upper = hi @ c_pos + lo @ c_neg
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim == 1:
+        upper = _objective_upper(lo, hi, c)
+    elif groups is None:
+        upper = np.stack([_objective_upper(lo, hi, row) for row in c], axis=1)
+    else:
+        upper = np.concatenate([_objective_upper(lo[run], hi[run], row)
+                                for run, row in zip(runs, c)])
     upper[~feasible] = -np.inf
     return upper, feasible, pre_lo, pre_hi
+
+
+def _objective_upper(lo: np.ndarray, hi: np.ndarray,
+                     c: np.ndarray) -> np.ndarray:
+    """Interval upper bound of ``c @ y`` for every row of ``[lo, hi]``."""
+    return hi @ np.maximum(c, 0.0) + lo @ np.minimum(c, 0.0)
 
 
 def phase_clamped_affine_bounds(

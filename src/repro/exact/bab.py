@@ -7,7 +7,9 @@ its LP relaxation (triangle hull for still-free neurons) yields an upper
 bound, and forward-evaluating the relaxation's input point yields a feasible
 lower bound (incumbent).  The method is sound and complete for ReLU /
 LeakyReLU networks.  The search loop itself -- synchronous rounds of
-batched screens and node LPs -- lives in :mod:`repro.exact.parallel_bab`.
+batched screens and node LPs, shared by the threshold searches of one
+check (:meth:`BaBSolver.maximize_thresholds`) -- lives in
+:mod:`repro.exact.parallel_bab`.
 
 Threshold mode makes the proposition checks cheap: when the caller only
 needs to know whether ``max <= threshold`` the search stops as soon as the
@@ -33,7 +35,7 @@ bounds alone), the largest violation is split instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -303,14 +305,35 @@ class BaBSolver:
                                  start_screen=start_screen,
                                  initial_duals=initial_duals)
 
+    def maximize_thresholds(self, searches: Sequence[Tuple[np.ndarray, float]]
+                            ) -> List[BaBResult]:
+        """Decide ``max c @ f(x) <= threshold`` for each ``(c, threshold)``
+        in order, as running each through :meth:`maximize` alone and
+        stopping at the first one refuted or at its node limit would:
+        the results of the searches that loop runs, bit for bit.
+
+        The searches share frontier rounds: each round screens the
+        children of every open search in one batched pass and solves their
+        LPs as one batch (:mod:`repro.exact.parallel_bab`, "The searches
+        of one check").  A search the loop would not have run is not
+        reported, and its LPs and nodes are counted in no result.
+        """
+        from repro.exact.parallel_bab import maximize_thresholds
+
+        return maximize_thresholds(self, searches)
+
     # ------------------------------------------------------- search pieces
-    def _screen_nodes(self, phases: np.ndarray, c_vec: np.ndarray):
+    def _screen_nodes(self, phases: np.ndarray, c: np.ndarray,
+                      groups: Optional[Sequence[int]] = None):
         """One batched clamped-interval pass over the candidate nodes of a
         phase matrix: ``(upper, feasible)``, each node's objective upper
         bound and whether its phase constraints leave it nonempty -- the
-        stock screen of every batch the search settles."""
+        stock screen of every batch the search settles.  ``c`` and
+        ``groups`` are those of
+        :func:`~repro.domains.batch.phase_clamped_node_bounds`: one
+        objective, or one per search of a shared round."""
         upper, feasible, _, _ = phase_clamped_node_bounds(
-            self.network, self.input_box, phases, c_vec)
+            self.network, self.input_box, phases, c, groups)
         return upper, feasible
 
     def _split_column(self, x: np.ndarray, phases: np.ndarray,

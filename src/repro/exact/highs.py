@@ -6,8 +6,9 @@ matrix (the fixed node layout of :mod:`repro.exact.encoding`), and a
 child differs from its parent only in a few column bounds and right-hand
 sides.  So instead of rebuilding the model and re-validating its inputs
 for every node (what ``linprog`` does), this module keeps a HiGHS model
-of the encoding on each thread that solves its nodes (:func:`kernel_for`)
-and solves a node as::
+of the encoding on each thread that solves its nodes (:func:`kernel_for`;
+a thread keeps the models of its few most recent encodings) and solves a
+node as::
 
     clearSolver() -> set the node's bounds -> setBasis(parent) -> run()
 
@@ -17,17 +18,24 @@ of iterations (Huangfu & Hall, 2018, "Parallelizing the dual revised
 simplex method").  Nodes without a parent -- the root and certificate
 warm starts -- solve cold on the same model.
 
-History independence
---------------------
-``clearSolver`` discards everything the previous solve left in the
-instance (factorization, edge weights, solution), so a node's result is
-a function of the node, its parent's basis and its cutoff only, never of
-which nodes the thread's kernel solved before.  That keeps the frontier
-search's verdicts byte-identical across worker counts.  The cutoff (HiGHS
+History
+-------
+``clearSolver`` discards the factorization, edge weights and solution
+the previous solve left in the instance, and the kernel re-sends every
+input that differs from the model's current one.  The cutoff (HiGHS
 ``objective_bound``) is an option, which ``clearSolver`` keeps, so the
-kernel treats it as a per-solve input: every solve whose cutoff differs
-from the kernel's last one sets the option again, and a solve without a
-cutoff runs exactly as on a fresh kernel.
+kernel treats it as a per-solve input too: every solve whose cutoff
+differs from the kernel's last one sets the option again.  A node's
+result is then a function of the node, its parent's basis and its cutoff
+-- up to state HiGHS keeps across ``clearSolver`` until the model is
+passed again: after a solve with another objective, a node can take
+other pivots (the exact output range of a random 6-16-12-6 network takes
+1064 node LPs on a kernel that first maximised a six-term objective, and
+1096 on a new one).  Passing the model again resets that state, at a
+small part of a new kernel's cost, so :func:`kernel_for` does it
+whenever a thread comes back to an encoding: a kept kernel's history is
+exactly that of a kernel built at that moment, the solves since the
+thread last switched encodings.
 
 Cutoff
 ------
@@ -155,17 +163,23 @@ class NodeKernel:
         highs = _core._Highs()
         for name, value in _OPTIONS:
             highs.setOptionValue(name, value)
-        if highs.passModel(lp) == _core.HighsStatus.kError:
-            raise SolverError("HiGHS rejected the node-LP model")
         self._highs = highs
+        self._lp = lp
+        self._base = (col_lo, col_hi, np.array(b_ub, dtype=np.float64))
         self._cols = np.arange(n, dtype=np.int32)
-        # The model's current cost, cutoff, column bounds and b_ub: a
-        # node only sends HiGHS the entries that differ.
-        self._cost = np.zeros(n)
         self._cutoff = np.inf
-        self._col_lo = col_lo
-        self._col_hi = col_hi
-        self._b_ub = np.array(b_ub, dtype=np.float64)
+        self.reset()
+
+    def reset(self) -> None:
+        """Pass the model again: the kernel then solves every node as a
+        newly built one would (module docstring, "History")."""
+        if self._highs.passModel(self._lp) == _core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the node-LP model")
+        # The model's current cost, column bounds and b_ub (and, above,
+        # the cutoff option, which a new model keeps): a node only sends
+        # HiGHS the entries that differ.
+        self._cost = np.zeros(self._cols.size)
+        self._col_lo, self._col_hi, self._b_ub = self._base
 
     def solve(self, cost: np.ndarray, col_lo: np.ndarray, col_hi: np.ndarray,
               b_ub: Optional[np.ndarray], basis=None,
@@ -233,18 +247,37 @@ class NodeKernel:
             f"HiGHS node solve failed{where}: model status {status.name}")
 
 
-#: Each thread's ``(encoding, kernel)``.  One slot per thread: a live
-#: HiGHS instance holds ~0.15 MB, so kernels are not kept for every
-#: cached encoding; a thread that moves to another encoding reloads.
+#: Kernels each thread keeps.  A check's caller alternates between a few
+#: cached encodings (the continuous loop re-checks the same layers round
+#: after round), and a kernel rebuilt for each switch costs its model
+#: assembly again; a fixed handful bounds the memory of a thread that
+#: serves a new encoding per job (a solved kernel of the 27-16-12-1
+#: vehicle head holds about 0.4 MB).
+_KERNELS_PER_THREAD = 4
+
+#: Each thread's ``[(encoding, kernel), ...]``, least recently used
+#: first: one kernel per encoding, at most ``_KERNELS_PER_THREAD``.  A
+#: kernel the thread comes back to is reset (module docstring,
+#: "History"), so keeping it changes no result.
 _LOCAL = threading.local()
 
 
 def kernel_for(encoding: "NetworkEncoding") -> NodeKernel:
     """The calling thread's kernel holding ``encoding``'s fixed node-LP
     model, loaded from :meth:`~repro.exact.encoding.NetworkEncoding.
-    build_lp` when the thread last solved for another encoding."""
-    slot = getattr(_LOCAL, "slot", None)
-    if slot is None or slot[0] is not encoding:
-        slot = (encoding, NodeKernel(encoding.build_lp()))
-        _LOCAL.slot = slot
-    return slot[1]
+    build_lp` when the thread keeps none for it (evicting its least
+    recently used kernel beyond ``_KERNELS_PER_THREAD``)."""
+    kernels = getattr(_LOCAL, "kernels", None)
+    if kernels is None:
+        kernels = _LOCAL.kernels = []
+    for k, (held, kernel) in enumerate(kernels):
+        if held is encoding:
+            if k != len(kernels) - 1:
+                kernels.append(kernels.pop(k))
+                kernel.reset()  # back from another encoding
+            return kernel
+    kernel = NodeKernel(encoding.build_lp())
+    kernels.append((encoding, kernel))
+    if len(kernels) > _KERNELS_PER_THREAD:
+        del kernels[0]
+    return kernel

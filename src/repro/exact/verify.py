@@ -139,10 +139,20 @@ def _behind_activation(network: Network, target: Box,
 def _check_exact(network: Network, box: Box, target: Box,
                  config: VerifyConfig) -> ContainmentResult:
     """Exact containment: one threshold search per finite target bound
-    that the symbolic-interval screen does not already prove.  Searches
-    run in the order output ``i``, its max then its min, so a refutation
-    names the lowest-index violated output whether or not the screen
-    proved other bounds.
+    that the symbolic-interval screen does not already prove.
+
+    Searches are ordered output ``i``, its max then its min, and decided
+    as running them one by one in that order and stopping at the first
+    refuted (or node-limited) one would: a refutation names the
+    lowest-index violated output whether or not the screen proved other
+    bounds.  :meth:`BaBSolver.maximize_thresholds` runs them together.
+    It solves their roots one at a time, in order, and starts no search
+    after an earlier one has ended refuted or at its node limit; the
+    searches whose roots leave them open then share frontier rounds.  A
+    search the one-by-one order would never have run -- it comes after a
+    search that refutes during those rounds -- is abandoned, and its LPs
+    and nodes are not counted: ``lp_solves`` and ``nodes`` are those of
+    the one-by-one order.
 
     When :func:`_behind_activation` moves the check onto the final
     pre-activations, the screen and the searches bound those, against
@@ -166,37 +176,37 @@ def _check_exact(network: Network, box: Box, target: Box,
             searches.append((i, lo, "min"))
     if not searches:
         return ContainmentResult(holds=True, method="exact")
-    solver = BaBSolver.from_config(searched, box, config)
-    lp_total = 0
-    node_total = 0
+    objectives = []
     for i, bound, sense in searches:
         c = np.zeros(d)
         c[i] = 1.0
-        # Status discipline (see BaBResult.optimum): only REFUTED,
-        # NODE_LIMIT and the sound ``upper_bound`` are consumed here --
-        # never the off-optimal "optimum".
-        if sense == "max":
-            res = solver.maximize(c, threshold=bound)
-        else:
-            res = solver.minimize(c, threshold=bound)
-        lp_total += res.lp_solves
-        node_total += res.nodes
-        if res.status == BAB_REFUTED:
-            # The real network's value at the witness; a bound searched
-            # behind the activation keeps the target's value.
-            value = float(network.forward(res.witness)[i])
-            violation, side = (value - bound, "exceeds upper") \
-                if sense == "max" else (bound - value, "below lower")
-            return ContainmentResult(
-                holds=False, method="exact", counterexample=res.witness,
-                violation=violation, lp_solves=lp_total, nodes=node_total,
-                detail=f"output {i} {side} bound",
-            )
-        if res.status == BAB_NODE_LIMIT:
-            return ContainmentResult(
-                holds=None, method="exact", lp_solves=lp_total,
-                nodes=node_total, detail=f"node limit on output {i} ({sense})",
-            )
+        # A min search maximises the negated objective, as minimize does.
+        objectives.append((c, bound) if sense == "max" else (-c, -bound))
+    solver = BaBSolver.from_config(searched, box, config)
+    results = solver.maximize_thresholds(objectives)
+    lp_total = sum(res.lp_solves for res in results)
+    node_total = sum(res.nodes for res in results)
+    # Status discipline (see BaBResult.optimum): only REFUTED, NODE_LIMIT
+    # and the witness are consumed here -- never the off-optimal
+    # "optimum".  Only the last search can have ended either way.
+    res = results[-1]
+    i, bound, sense = searches[len(results) - 1]
+    if res.status == BAB_REFUTED:
+        # The real network's value at the witness; a bound searched
+        # behind the activation keeps the target's value.
+        value = float(network.forward(res.witness)[i])
+        violation, side = (value - bound, "exceeds upper") \
+            if sense == "max" else (bound - value, "below lower")
+        return ContainmentResult(
+            holds=False, method="exact", counterexample=res.witness,
+            violation=violation, lp_solves=lp_total, nodes=node_total,
+            detail=f"output {i} {side} bound",
+        )
+    if res.status == BAB_NODE_LIMIT:
+        return ContainmentResult(
+            holds=None, method="exact", lp_solves=lp_total,
+            nodes=node_total, detail=f"node limit on output {i} ({sense})",
+        )
     return ContainmentResult(holds=True, method="exact",
                              lp_solves=lp_total, nodes=node_total)
 

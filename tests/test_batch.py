@@ -72,6 +72,93 @@ class TestPhaseClampedBounds:
         assert ubs[1] == pytest.approx(5.0)
 
 
+def _children(network, rng, pairs):
+    """``2 * pairs`` phase rows shaped like a frontier round's children:
+    a few fixed phases per parent, then both phases of one more free
+    neuron."""
+    width = sum(network.block_dims()[1:])
+    rows = []
+    for _ in range(pairs):
+        parent = np.zeros(width, dtype=np.int8)
+        fixed = rng.choice(width, size=4, replace=False)
+        parent[fixed[:3]] = rng.choice((-1, 1), size=3)
+        for phase in (1, -1):
+            child = parent.copy()
+            child[fixed[3]] = phase
+            rows.append(child)
+    return np.stack(rows)
+
+
+def _stacked_screen_cases():
+    """``(network, box)`` pairs: the vehicle perception head's first two
+    blocks behind their final ReLU (27-16-12) and the whole head
+    (27-16-12-1, whose one-column last layer numpy multiplies as a
+    matrix-vector product), plus generated nets."""
+    from repro.vehicle import Perception, PerceptionConfig
+
+    head = Perception.build(PerceptionConfig(hidden_dims=(16, 12))).head
+    features = Box(np.zeros(27), np.full(27, 0.6))
+    cases = [(Network(head.layers[:3], input_dim=27), features),
+             (head, features)]
+    for seed, dims in enumerate(([4, 16, 12, 3], [5, 12, 12, 4],
+                                 [6, 16, 12, 6], [3, 10, 8, 2])):
+        cases.append((random_relu_network(dims, seed=seed),
+                      Box(-np.ones(dims[0]), np.ones(dims[0]))))
+    return cases
+
+
+class TestStackedScreen:
+    """Children of several searches screened in one pass, each run of
+    rows under its own objective, keep every row's bits: ``upper`` and
+    ``feasible`` equal what each search's own batch gives.  numpy's
+    matrix product can round a row differently with the operand's shape,
+    so this is checked bit for bit."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_runs_keep_their_own_batch_bits(self, case):
+        network, box = _stacked_screen_cases()[case]
+        rng = np.random.default_rng(case)
+        d = network.output_dim
+        for trial in range(6):
+            # Round sizes as frontier rounds make them (even, 2..16),
+            # and odd ones to reach the per-run products.
+            sizes = rng.integers(1, 9, size=int(rng.integers(2, 13))) * 2
+            if trial % 2:
+                sizes = sizes - rng.integers(0, 2, size=sizes.size)
+            runs = [_children(network, rng, 8)[:size] for size in sizes]
+            objectives = []
+            for _ in runs:
+                c = np.zeros(d)
+                c[int(rng.integers(d))] = 1.0
+                objectives.append(c if rng.random() < 0.5 else -c)
+            upper, feasible, _, _ = phase_clamped_node_bounds(
+                network, box, np.concatenate(runs), np.stack(objectives),
+                [len(rows) for rows in runs])
+            at = 0
+            for rows, c in zip(runs, objectives):
+                alone, alone_feasible, _, _ = phase_clamped_node_bounds(
+                    network, box, rows, c)
+                part = slice(at, at + len(rows))
+                at += len(rows)
+                assert upper[part].tobytes() == alone.tobytes()
+                assert feasible[part].tobytes() == alone_feasible.tobytes()
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_shared_root_screen_keeps_each_objective_bits(self, case):
+        network, box = _stacked_screen_cases()[case]
+        d = network.output_dim
+        root = np.zeros((1, sum(network.block_dims()[1:])), dtype=np.int8)
+        objectives = np.concatenate([np.eye(d), -np.eye(d)])
+        upper, feasible, _, _ = phase_clamped_node_bounds(
+            network, box, root, objectives)
+        assert upper.shape == (1, 2 * d)
+        for k, c in enumerate(objectives):
+            alone, alone_feasible, _, _ = phase_clamped_node_bounds(
+                network, box, root, c)
+            assert upper[:, k].tobytes() == alone.tobytes()
+            assert feasible.tobytes() == alone_feasible.tobytes()
+
+
 def _maximize(network, box, threshold=None, **config):
     """``max f(x)`` over ``box`` as an engine MaximizeSpec under ``config``."""
     spec = MaximizeSpec(network=network, input_box=box,

@@ -1,5 +1,7 @@
 """Tests for the exact verification stack: LP, MILP, BaB, splitting."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from repro.exact import (
     solve_milp,
 )
 from repro.exact.bab import BAB_NODE_LIMIT, BAB_REFUTED
-from repro.exact.verify import _behind_activation, _check_exact
+from repro.exact.verify import (_behind_activation, _check_exact,
+                                _output_range_exact)
 from repro.nn import Dense, LeakyReLU, Network, random_relu_network
 
 
@@ -331,18 +334,19 @@ class TestExactSymbolicScreen:
 
     @pytest.fixture
     def searches(self, monkeypatch):
-        """``(output, "max"|"min")`` of every BaB search run (``minimize``
-        maximises the negated objective)."""
+        """``(output, "max"|"min")`` of every BaB search a check reports
+        (a min search maximises the negated objective)."""
         runs = []
-        maximize = BaBSolver.maximize
+        maximize_thresholds = BaBSolver.maximize_thresholds
 
-        def spy(self, c, *args, **kwargs):
-            res = maximize(self, c, *args, **kwargs)
-            i = int(np.flatnonzero(c)[0])
-            runs.append((i, "max" if c[i] > 0 else "min"))
-            return res
+        def spy(self, objectives):
+            results = maximize_thresholds(self, objectives)
+            for (c, _), _ in zip(objectives, results):
+                i = int(np.flatnonzero(c)[0])
+                runs.append((i, "max" if c[i] > 0 else "min"))
+            return results
 
-        monkeypatch.setattr(BaBSolver, "maximize", spy)
+        monkeypatch.setattr(BaBSolver, "maximize_thresholds", spy)
         return runs
 
     def test_screen_proves_every_bound_without_a_search(
@@ -516,12 +520,18 @@ class TestBehindFinalActivation:
         assert {k for k, _ in real.unstable_neurons()} == {0, 1}
         encodings = []
         maximize = BaBSolver.maximize
+        maximize_thresholds = BaBSolver.maximize_thresholds
 
         def spy(self, c, *args, **kwargs):
             encodings.append(self.encoding)
             return maximize(self, c, *args, **kwargs)
 
+        def spy_check(self, objectives):
+            encodings.append(self.encoding)
+            return maximize_thresholds(self, objectives)
+
         monkeypatch.setattr(BaBSolver, "maximize", spy)
+        monkeypatch.setattr(BaBSolver, "maximize_thresholds", spy_check)
         res = _check_exact(head, box4, target, config)
         assert encodings
         for enc in encodings:
@@ -644,3 +654,154 @@ def test_behind_activation_matches_searches_on_the_real_network(case):
             low, high = _milp_range(net, box, i)
             assert high <= target.upper[i] + 2 * config.tol
             assert low >= target.lower[i] - 2 * config.tol
+
+
+def _searches_one_by_one(net, box, target, config, stop=True):
+    """``_check_exact``'s open searches run one by one with
+    ``BaBSolver.maximize``/``minimize``, in search order: ``(fields,
+    runs)`` where ``fields`` are the check's ``(holds, detail,
+    counterexample bytes, violation, lp_solves, nodes)`` when the loop
+    stops at the first refuted or node-limit search, and ``runs`` the
+    ``(status, rounds, lp_solves)`` of every search run (all of them
+    unless ``stop``)."""
+    behind = _behind_activation(net, target, config.tol)
+    searched, bounds = behind if behind is not None else (net, target)
+    screen = output_box(searched, box, "symbolic")
+    solver = BaBSolver.from_config(searched, box, config)
+    d = net.output_dim
+    fields = None
+    runs = []
+    lp_solves = nodes = 0
+    for i in range(d):
+        c = np.zeros(d)
+        c[i] = 1.0
+        for sense, bound in (("max", float(bounds.upper[i])),
+                             ("min", float(bounds.lower[i]))):
+            if not np.isfinite(bound) or (
+                    screen.upper[i] <= bound if sense == "max"
+                    else screen.lower[i] >= bound):
+                continue
+            res = solver.maximize(c, threshold=bound) if sense == "max" \
+                else solver.minimize(c, threshold=bound)
+            runs.append((res.status, res.rounds, res.lp_solves))
+            if fields is not None:
+                continue
+            lp_solves += res.lp_solves
+            nodes += res.nodes
+            if res.status == BAB_REFUTED:
+                y = float(net.forward(res.witness)[i])
+                violation, side = (y - bound, "exceeds upper") \
+                    if sense == "max" else (bound - y, "below lower")
+                fields = (False, f"output {i} {side} bound",
+                          res.witness.tobytes(), violation, lp_solves, nodes)
+            elif res.status == BAB_NODE_LIMIT:
+                fields = (None, f"node limit on output {i} ({sense})", None,
+                          0.0, lp_solves, nodes)
+            if fields is not None and stop:
+                return fields, runs
+    return fields or (True, "", None, 0.0, lp_solves, nodes), runs
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_range(seed):
+    """A generated 4-16-12-3 net, ``[-1, 1]^4`` and its exact range."""
+    net = random_relu_network([4, 16, 12, 3], seed=seed)
+    box = Box(-np.ones(4), np.ones(4))
+    exact, _, _ = _output_range_exact(net, box, VerifyConfig(node_limit=5000))
+    return net, box, exact
+
+
+def _fields(res):
+    return (res.holds, res.detail, None if res.counterexample is None
+            else res.counterexample.tobytes(), res.violation, res.lp_solves,
+            res.nodes)
+
+
+class TestLockstepCheck:
+    """``_check_exact`` runs its threshold searches in shared frontier
+    rounds, and reports what running them one by one reports: the same
+    decision, detail, witness bits, violation, ``lp_solves`` and
+    ``nodes``, with the LPs of searches the one-by-one order never runs
+    left out."""
+
+    PROVED = ("threshold_proved", "optimal")
+
+    @staticmethod
+    def _case(seed, margins, node_limit):
+        """A generated 4-16-12-3 net over ``[-1, 1]^4`` and a target
+        ``margins`` (fractions of each output's exact range) above its
+        maxima, well below its minima."""
+        net, box, exact = _generated_range(seed)
+        span = exact.upper - exact.lower
+        target = Box(exact.lower - 0.3 * span,
+                     exact.upper + np.asarray(margins) * span)
+        return net, box, target, VerifyConfig(node_limit=node_limit)
+
+    def _check(self, case):
+        net, box, target, config = case
+        res = _check_exact(net, box, target, config)
+        expected, _ = _searches_one_by_one(net, box, target, config)
+        assert _fields(res) == expected
+        return res
+
+    def test_every_search_proved(self):
+        case = self._case(0, [0.002, 0.002, 0.002], 4000)
+        _, runs = _searches_one_by_one(*case, stop=False)
+        assert len(runs) >= 3
+        assert all(status in self.PROVED for status, _, _ in runs)
+        assert sum(rounds > 1 for _, rounds, _ in runs) >= 2
+        assert self._check(case).holds is True
+
+    def test_later_root_refutes_while_an_earlier_search_proves(self):
+        case = self._case(0, [0.002, 0.002, -0.5], 4000)
+        _, runs = _searches_one_by_one(*case, stop=False)
+        statuses = [status for status, _, _ in runs]
+        first = statuses.index("threshold_refuted")
+        # It refutes at its root; an earlier search is still open after
+        # its own root and then proves.
+        assert runs[first][1] == 1
+        assert all(status in self.PROVED for status in statuses[:first])
+        assert any(rounds > 1 for _, rounds, _ in runs[:first])
+        res = self._check(case)
+        assert res.holds is False and res.detail == \
+            "output 2 exceeds upper bound"
+
+    def test_earlier_search_refutes_after_a_later_root_refuted(self):
+        case = self._case(0, [0.002, -0.02, -0.5], 4000)
+        _, runs = _searches_one_by_one(*case, stop=False)
+        statuses = [status for status, _, _ in runs]
+        first = statuses.index("threshold_refuted")
+        later = statuses.index("threshold_refuted", first + 1)
+        assert runs[first][1] > 1 and runs[later][1] == 1
+        assert all(status in self.PROVED for status in statuses[:first])
+        res = self._check(case)
+        assert res.detail == "output 1 exceeds upper bound"
+        # The later search's root LP, and any LP of the searches between
+        # them, counts in no total.
+        assert res.lp_solves == sum(lp for _, _, lp in runs[:first + 1])
+        assert res.lp_solves < sum(lp for _, _, lp in runs[:later + 1])
+
+    def test_earlier_search_hits_its_node_limit(self):
+        case = self._case(2, [0.3, 0.002, 0.002], 6)
+        _, runs = _searches_one_by_one(*case, stop=False)
+        statuses = [status for status, _, _ in runs]
+        first = statuses.index("node_limit")
+        assert first > 0
+        assert all(status in self.PROVED for status in statuses[:first])
+        assert "node_limit" in statuses[first + 1:]
+        res = self._check(case)
+        assert res.holds is None and res.detail == \
+            "node limit on output 0 (min)"
+
+    @pytest.mark.parametrize("margins,node_limit", [
+        ([0.002, 0.002, 0.002], 4000),
+        ([0.002, -0.02, -0.5], 4000),
+        ([0.3, 0.002, 0.002], 6),
+    ])
+    def test_workers_are_byte_identical(self, margins, node_limit):
+        net, box, target, config = self._case(
+            2 if node_limit == 6 else 0, margins, node_limit)
+        results = [_fields(_check_exact(net, box, target,
+                                        config.replace(workers=w)))
+                   for w in (1, 2, 8)]
+        assert results[0] == results[1] == results[2]

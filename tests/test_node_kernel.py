@@ -1,7 +1,8 @@
 """The persistent, hot-started HiGHS node kernel (``repro.exact.highs``).
 
 Four properties: a node's result does not depend on what the kernel
-solved before (history independence -- what keeps the frontier search
+solved before, and a kernel a thread comes back to after another
+encoding solves as a new one (what keeps the frontier search
 byte-identical across worker counts); a cutoff either ends a solve on a
 dual bound no weaker than the LP value, or leaves the solve bitwise
 unchanged; the kernel agrees with the ``linprog`` oracle over
@@ -96,6 +97,53 @@ class TestHistoryIndependence:
         assert fresh.upper_bound == used.upper_bound
         assert fresh.incumbent == used.incumbent
         assert fresh.witness.tobytes() == used.witness.tobytes()
+
+
+    def test_kernel_kept_across_another_encoding_solves_as_new(self):
+        """A, B, A on one thread: the kernel kept for A solves A's nodes
+        bitwise as a new kernel does, although its first solve (a
+        six-term objective's root on this net) leaves HiGHS state that
+        changes later cold solves on a kernel that is not reset."""
+        net = random_relu_network([6, 16, 12, 6], seed=9, weight_scale=1.0,
+                                  final_activation=True)
+        box = Box(-np.ones(6), np.ones(6))
+        enc_a = NetworkEncoding(net, box)
+        enc_b = NetworkEncoding(random_relu_network([6, 16, 12, 6], seed=8),
+                                box)
+        rng = np.random.default_rng(3)
+        dense = -enc_a.output_objective(np.linspace(1.0, -0.7, 6))
+        costs = [-enc_a.output_objective(sign * np.eye(6)[i])
+                 for i in range(6) for sign in (1.0, -1.0)]
+        nodes = [{}] + _node_maps(enc_a, rng, 6)
+
+        def solve_all(kernel):
+            return [kernel.solve(cost, *enc_a.node_bounds(phases))
+                    for cost in costs for phases in nodes]
+
+        fresh = solve_all(NodeKernel(enc_a.build_lp()))
+        tainted = NodeKernel(enc_a.build_lp())
+        tainted.solve(dense, *enc_a.node_bounds())
+        assert any(r.value != f.value
+                   for r, f in zip(solve_all(tainted), fresh))
+
+        kept = highs.kernel_for(enc_a)
+        kept.solve(dense, *enc_a.node_bounds())
+        b_cost = -enc_b.output_objective(np.ones(6))
+        highs.kernel_for(enc_b).solve(b_cost, *enc_b.node_bounds())
+        assert highs.kernel_for(enc_a) is kept
+        for again, new in zip(solve_all(kept), fresh):
+            _same(new, again)
+
+    def test_each_thread_keeps_a_few_kernels(self):
+        box = Box(-np.ones(3), np.ones(3))
+        encodings = [NetworkEncoding(random_relu_network([3, 6, 2], seed=s),
+                                     box)
+                     for s in range(highs._KERNELS_PER_THREAD + 1)]
+        kernels = [highs.kernel_for(enc) for enc in encodings]
+        # The most recent ones are kept; the least recently used went.
+        assert highs.kernel_for(encodings[-1]) is kernels[-1]
+        assert highs.kernel_for(encodings[1]) is kernels[1]
+        assert highs.kernel_for(encodings[0]) is not kernels[0]
 
 
 class TestCutoff:
