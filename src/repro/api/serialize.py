@@ -592,10 +592,15 @@ def _bab_result_to_jsonable(result) -> Dict:
 
 
 def _bab_result_from_jsonable(data: Dict):
-    from repro.exact.bab import BaBResult
+    from repro.exact.bab import BAB_STATUSES, BaBResult
 
+    status = _wire_str(data["status"], "result status")
+    if status not in BAB_STATUSES:
+        raise SerializationError(
+            f"result status must be one of {', '.join(BAB_STATUSES)}, got "
+            f"{status!r}")
     return BaBResult(
-        status=data["status"],
+        status=status,
         upper_bound=_wire_float(data["upper_bound"], "result upper_bound"),
         incumbent=_wire_float(data["incumbent"], "result incumbent"),
         witness=_opt_array_from_jsonable(data.get("witness")),

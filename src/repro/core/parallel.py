@@ -187,8 +187,10 @@ def run_parallel(tasks: Sequence[Tuple[str, Callable[[], object]]],
                  ) -> List[Tuple[str, object, float]]:
     """Execute named thunks on a thread pool, timing each inside its worker.
 
-    Returns ``[(name, result, elapsed), ...]`` in submission order.  LP
-    solving in HiGHS releases the GIL, so layer checks genuinely overlap.
+    Returns ``[(name, result, elapsed), ...]`` in submission order.
+    HiGHS releases the GIL inside a solve, so tasks made of large LPs
+    overlap; tasks made of many sub-millisecond node LPs (the vehicle
+    head's) measured about serial speed on two threads.
 
     ``timeout`` is a deadline (seconds) over the whole call: tasks that
     have not *finished* when it expires are reported with the

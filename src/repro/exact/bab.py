@@ -60,6 +60,9 @@ BAB_PROVED = "threshold_proved"     # max <= threshold established
 BAB_REFUTED = "threshold_refuted"   # witness with value > threshold found
 BAB_INFEASIBLE = "infeasible"
 BAB_NODE_LIMIT = "node_limit"
+#: Every status a :class:`BaBResult` can carry; the wire decodes no other.
+BAB_STATUSES = (BAB_OPTIMAL, BAB_PROVED, BAB_REFUTED, BAB_INFEASIBLE,
+                BAB_NODE_LIMIT)
 
 
 @dataclass

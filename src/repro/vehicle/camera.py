@@ -13,7 +13,7 @@ exactly as the paper reconstructs ``(x, y) = (int(224 * vout), 75)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +72,18 @@ class Camera:
     def render(self, track: Track, pose: CarPose,
                brightness: float = 1.0) -> RenderedFrame:
         """Render the scene from ``pose`` and compute the waypoint label."""
+        image = self.image(track, pose, brightness=brightness)
+        vout, wp = self.waypoint_vout(track, pose)
+        return RenderedFrame(image=image, vout=vout, waypoint_world=wp, pose=pose)
+
+    def image(self, track: Track, pose: CarPose, brightness: float = 1.0,
+              noise_seed: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The ``(3, H, W)`` frame seen from ``pose``, without its label.
+
+        Pixel noise comes from the camera's own generator, or, when
+        ``noise_seed`` is given, from a generator seeded with it, so that
+        rendering the same pose again repeats the same frame.
+        """
         size = self.frame_size
         image = np.empty((3, size, size))
         # Sky above the horizon.
@@ -86,11 +98,16 @@ class Camera:
         colors = track.world_colors(world, brightness=brightness)
         image[:, self.horizon_row + 1:, :] = np.moveaxis(colors, -1, 0)
         if self.noise_std > 0:
+            rng = (self._rng if noise_seed is None
+                   else np.random.default_rng(noise_seed))
             image = np.clip(
-                image + self._rng.normal(0.0, self.noise_std, size=image.shape),
+                image + rng.normal(0.0, self.noise_std, size=image.shape),
                 0.0, 1.0)
-        vout, wp = self.waypoint_vout(track, pose)
-        return RenderedFrame(image=image, vout=vout, waypoint_world=wp, pose=pose)
+        return image
+
+    def draw_seed(self) -> int:
+        """One seed from the camera's generator, for a ``noise_seed``."""
+        return int(self._rng.integers(2**63))
 
     def waypoint_vout(self, track: Track, pose: CarPose) -> Tuple[float, np.ndarray]:
         """Normalised image column of the lookahead centerline point."""

@@ -159,6 +159,48 @@ class TestDatasetAndLoop:
         assert x.shape == (10, perception.extractor.feature_dim)
         assert y.shape == (10, 1)
 
+    # 31/32/33 and 70 straddle the 32-frame render chunk.
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+    def test_chunked_features_equal_one_batch_bitwise(self, track, camera,
+                                                      perception, n):
+        data = generate_dataset(track, camera, n, ScenarioConfig(seed=4))
+        renders = [camera.render(track, pose) for pose in data.poses]
+        stacked = np.stack([r.image for r in renders])
+        x, y = feature_dataset(perception.extractor, data)
+        assert x.tobytes() == perception.extractor.extract(stacked).tobytes()
+        assert data.vout.tobytes() == np.array([r.vout for r in renders]).tobytes()
+        assert y.tobytes() == data.vout[:, None].tobytes()
+        assert data.frames.tobytes() == stacked.tobytes()
+
+    def test_feature_extraction_memory_does_not_grow_with_frames(self, track):
+        import tracemalloc
+
+        camera = Camera(frame_size=32)
+        perception = Perception.build(PerceptionConfig())
+        tracemalloc.start()
+        try:
+            data = generate_dataset(track, camera, 800, ScenarioConfig(seed=5))
+            feature_dataset(perception.extractor, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # All 800 frames at once would take 19.7 MB before any conv
+        # temporaries; one 32-frame chunk of frames takes 0.8 MB.
+        assert peak < 4 * 2**20
+
+    def test_noisy_camera_renders_the_same_frames_every_pass(self, track,
+                                                             perception):
+        noisy = Camera(frame_size=24, noise_std=0.05, seed=3)
+        data = generate_dataset(track, noisy, 40, ScenarioConfig(seed=6))
+        frames = data.frames
+        assert frames.tobytes() == data.frames.tobytes()
+        x, _ = feature_dataset(perception.extractor, data)
+        assert x.tobytes() == perception.extractor.extract(frames).tobytes()
+        clean = Camera(frame_size=24)
+        assert not np.array_equal(
+            frames, np.stack([clean.render(track, p).image
+                              for p in data.poses]))
+
     def test_trained_car_follows_lane(self, track, camera, perception):
         data = generate_dataset(track, camera, 200, ScenarioConfig(seed=2))
         x, y = feature_dataset(perception.extractor, data)

@@ -39,6 +39,7 @@ from repro.core import (
 )
 from repro.domains import Box
 from repro.errors import SerializationError
+from repro.exact.bab import BAB_STATUSES
 
 
 def _roundtrip(verdict):
@@ -1002,6 +1003,24 @@ class TestVerdictWireScalars:
     def test_inconclusive_holds_decodes(self, wires, kind, path):
         document = _replaced(wires[kind], path, "null")
         assert verdict_to_json(verdict_from_json(document)) == document
+
+    @pytest.mark.parametrize("value", ["7", '["x"]', "{}", "null",
+                                       '"bogus"'])
+    @pytest.mark.parametrize("kind", ["maximize", "threshold"])
+    def test_bad_bab_status_is_permanent_serialization_error(self, wires,
+                                                             kind, value):
+        self._assert_permanent(
+            _replaced(wires[kind], ("result", "status"), value),
+            "result status must be")
+
+    @pytest.mark.parametrize("status", BAB_STATUSES)
+    @pytest.mark.parametrize("kind", ["maximize", "threshold"])
+    def test_every_bab_status_round_trips(self, wires, kind, status):
+        document = _replaced(wires[kind], ("result", "status"),
+                             json.dumps(status))
+        verdict = verdict_from_json(document)
+        assert verdict.result.status == status
+        assert verdict_to_json(verdict) == document
 
     @pytest.mark.parametrize("value", ["7", "null", '["exact"]', "true"])
     def test_bad_containment_method_is_permanent_serialization_error(
