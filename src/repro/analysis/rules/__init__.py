@@ -17,7 +17,7 @@ from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.precision import Float64SoundnessRule
 from repro.analysis.rules.storage import StoreDisciplineRule
 from repro.analysis.rules.taxonomy import NoSwallowedTaxonomyRule
-from repro.analysis.rules.wire import WireDisciplineRule
+from repro.analysis.rules.wire import WireDisciplineRule, WireScalarsRule
 
 __all__ = [
     "ALL_RULES",
@@ -29,11 +29,13 @@ __all__ = [
     "NoSwallowedTaxonomyRule",
     "StoreDisciplineRule",
     "WireDisciplineRule",
+    "WireScalarsRule",
 ]
 
 ALL_RULES: Tuple[Rule, ...] = (
     NoRestatedDefaultsRule(),
     WireDisciplineRule(),
+    WireScalarsRule(),
     DeterminismRule(),
     LockDisciplineRule(),
     Float64SoundnessRule(),

@@ -1,4 +1,7 @@
-"""``wire-discipline``: the executor boundary speaks strings, not objects.
+"""Wire rules: the executor boundary speaks strings, and only the codec
+reads wire documents.
+
+``wire-discipline``: the executor boundary speaks strings, not objects.
 
 PR 5's serving design keeps every executor behind one contract --
 ``execute(spec_json, config_json, timeout=None) -> verdict dict`` -- so
@@ -17,6 +20,15 @@ Two checks, both scoped to ``repro.serve``:
   ``json.dumps``), a string constant, or a plain string variable already
   on the wire.  Database cursors (``conn.execute(sql)``) are a different
   protocol and are left to ``store-discipline``.
+
+``wire-scalars``: every wire document is decoded by the table-driven
+codec in ``repro.api.serialize``, which checks each value's kind once,
+as it is read.  A hand-written ``data["key"]`` or ``data.get("key")``
+elsewhere in ``repro.api`` is a decoder with no kind check -- the
+pass-through that let ``"false"`` decode as a true flag.  Receivers
+named like a wire document (``data``, ``doc``, ``document``,
+``payload``, ``body``, ``wire``) may not be subscripted or ``.get``-read
+outside the codec module.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from typing import Iterator
 
 from repro.analysis.core import Finding, ModuleContext, Rule
 
-__all__ = ["WireDisciplineRule"]
+__all__ = ["WireDisciplineRule", "WireScalarsRule"]
 
 #: Receivers whose ``.execute`` is the DB-API, not the executor contract.
 _DB_RECEIVERS = frozenset({"conn", "_conn", "connection", "cursor", "cur",
@@ -109,3 +121,36 @@ class WireDisciplineRule(Rule):
                 and isinstance(index.value, str) \
                 and index.value.endswith("_json")
         return False
+
+
+#: Names that mark a variable as a wire document.
+_DOCUMENT_NAMES = frozenset({"data", "doc", "document", "payload", "body",
+                             "wire"})
+
+
+class WireScalarsRule(Rule):
+    name = "wire-scalars"
+    description = ("wire documents in repro.api are read only by the "
+                   "codec (no data[...] or data.get(...) outside "
+                   "repro.api.serialize)")
+    scope = ("repro.api",)
+    exempt = ("repro.api.serialize",)
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, ast.Load):
+                receiver = node.value
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "get":
+                receiver = node.func.value
+            else:
+                continue
+            if isinstance(receiver, ast.Name) \
+                    and receiver.id in _DOCUMENT_NAMES:
+                yield self.finding(
+                    ctx, node,
+                    f"wire document read by hand ({ast.unparse(node)}); "
+                    "describe the field in a repro.api.serialize table "
+                    "so its kind is checked when it is read")

@@ -129,6 +129,8 @@ class VerifyConfig:
             raise ReproError(f"tol must be a finite real, got {self.tol!r}")
         if not (self.tol > 0):
             raise ReproError(f"tol must be positive, got {self.tol}")
+        # A plain float, so to_dict and the wire write the same number.
+        object.__setattr__(self, "tol", float(self.tol))
         if self.node_limit < 1:
             raise ReproError(f"node_limit must be >= 1, got {self.node_limit}")
         if self.full_node_limit < 1:
@@ -194,14 +196,13 @@ class VerifyConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "VerifyConfig":
-        """Build from a mapping, rejecting unknown keys loudly."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ReproError(
-                f"unknown VerifyConfig keys {sorted(unknown)}; "
-                f"known: {sorted(known)}")
-        return cls(**data)
+        """Decode the mapping by the wire codec's config table (unknown
+        keys and wrongly typed values are a
+        :class:`~repro.errors.SerializationError`)."""
+        from repro.api.serialize import CONFIG
+
+        config: VerifyConfig = CONFIG.decode(data)
+        return config
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,27 @@
-"""JSON-safe encodings of the object model the Specs reference.
+"""The wire codec: every document repro ships, described once as a table.
 
-Spec files must survive ``json.dumps`` / ``json.loads`` byte-exactly --
-*and* be readable by non-Python peers (the ROADMAP plans remote executors
-speaking this wire form) -- so everything here maps to strict RFC-8259
-JSON:
+Spec, verdict, certificate, proof-artifact and config documents are strict
+RFC-8259 JSON, readable by non-Python peers (remote executors speak it).
+Each wire type is one :class:`Record` -- a table of :class:`Field` rows,
+each naming a key, its :class:`Kind`, the value an absent key stands for,
+and whether the key is run bookkeeping -- and one encoder and one decoder
+walk those tables for every document:
 
 * arrays -> nested lists (Python's ``json`` emits ``repr``-style doubles,
   which round-trip binary64 exactly); non-finite values, legal for box
-  bounds and recorded timings, are encoded as the strings ``"inf"`` /
-  ``"-inf"`` / ``"nan"`` instead of the non-standard ``Infinity``/``NaN``
-  tokens (``float()`` parses them back exactly);
+  bounds and recorded timings, are the strings ``"inf"`` / ``"-inf"`` /
+  ``"nan"`` instead of the non-standard ``Infinity``/``NaN`` tokens;
 * networks -> ``{"input_dim", "layers": [{"class", "config", "arrays"}]}``
-  reusing each layer's own ``config()`` / ``arrays()`` contract (the same
-  one the ``.npz`` serializer trusts);
+  reusing each layer's own ``config()`` / ``arrays()`` contract;
+* certificate leaves and duals -> packed base64 int8 / float64 matrices;
 * proof artifacts -> the :func:`repro.core.artifacts.save_artifacts`
-  layout transliterated to JSON, with the network abstraction stored as
-  its deterministic build recipe.
+  layout, with the network abstraction stored as its build recipe.
+
+Decoding checks every value once, as it is read: a wrong shape, a value
+outside an enum, an unknown key or a constructor that rejects a decoded
+value is a permanent :class:`~repro.errors.SerializationError`, never a
+bare ``TypeError``/``KeyError`` a retry loop would take for a transient
+fault.
 """
 
 from __future__ import annotations
@@ -24,31 +30,71 @@ import base64
 import binascii
 import json
 import math
-from typing import Any, Dict, NoReturn, Optional
+import re
+from operator import attrgetter
+from typing import Any, Callable, Dict, NoReturn, Optional
 
 import numpy as np
 
-from repro.errors import SerializationError
+from repro.errors import ReproError, SerializationError
+from repro.api.config import (
+    DEFAULT_CERT_POLICY,
+    DEFAULT_DOMAIN,
+    DEFAULT_ENCODING_CACHE,
+    DEFAULT_FULL_NODE_LIMIT,
+    DEFAULT_MAX_BOXES,
+    DEFAULT_METHOD,
+    DEFAULT_NODE_LIMIT,
+    DEFAULT_TOL,
+    DEFAULT_WORKERS,
+    VerifyConfig,
+)
+from repro.api.verdict import (
+    BaselineVerdict,
+    ContainmentVerdict,
+    ContinuousVerdict,
+    FailedVerdict,
+    MaximizeVerdict,
+    PropositionVerdict,
+    Provenance,
+    RangeVerdict,
+    ThresholdVerdict,
+)
 from repro.domains.box import Box
 from repro.nn.network import Network
 from repro.nn.serialize import _LAYER_CLASSES
 from repro.core.artifacts import (
+    STATE_DOMAINS,
     LipschitzCertificate,
     ProofArtifacts,
     StateAbstractions,
 )
+from repro.core.continuous import CONTINUOUS_STRATEGIES, ContinuousResult
+from repro.core.fixing import FIXING_STRATEGIES, FixingResult
 from repro.core.problem import VerificationProblem
+from repro.core.propositions import (
+    PROPOSITIONS,
+    PropositionResult,
+    SubproblemReport,
+)
+from repro.core.verifier import BaselineOutcome
+from repro.exact.bab import BAB_STATUSES, BaBResult
+from repro.exact.encoding import PackedDuals
+from repro.exact.verify import ContainmentResult
+from repro.netabs.abstraction import build_abstraction
 
 __all__ = [
+    # the codec: kinds and tables
+    "Kind", "Scalar", "OneOf", "Nullable", "ListOf", "MapOf", "Leaf",
+    "Field", "Record", "Tagged", "INT", "FLOAT", "BOOL", "STR", "HOLDS",
+    "ANY", "ARRAY", "BOX", "NETWORK", "ARTIFACTS", "CONFIG", "CERTIFICATE",
+    "VERDICT",
+    # documents
     "float_to_jsonable",
     "array_to_jsonable",
     "array_from_jsonable",
     "box_to_jsonable",
-    "box_from_jsonable",
     "network_to_jsonable",
-    "network_from_jsonable",
-    "artifacts_to_jsonable",
-    "artifacts_from_jsonable",
     "config_to_json",
     "config_from_json",
     "certificate_to_json",
@@ -63,197 +109,7 @@ __all__ = [
 ]
 
 
-# ------------------------------------------------------------------- floats
-def float_to_jsonable(value: float):
-    """A strict-JSON scalar: the float itself, or ``"inf"``/``"-inf"``/
-    ``"nan"`` for the values RFC 8259 cannot carry (``float()`` inverts)."""
-    value = float(value)
-    return value if math.isfinite(value) else str(value)
-
-
-def _encode_nested(values):
-    if isinstance(values, list):
-        return [_encode_nested(v) for v in values]
-    return float_to_jsonable(values)
-
-
-# ------------------------------------------------------------------- arrays
-def array_to_jsonable(arr: np.ndarray) -> list:
-    arr = np.asarray(arr, dtype=np.float64)
-    nested = arr.tolist()
-    if np.isfinite(arr).all():
-        return nested
-    return _encode_nested(nested)
-
-
-def array_from_jsonable(data) -> np.ndarray:
-    """Inverse of :func:`array_to_jsonable`: nested lists of JSON numbers
-    (not bools) and ``"inf"``/``"-inf"``/``"nan"``, else
-    :class:`SerializationError` (never a silent cast of ``"1"``, nor a
-    bare ``ValueError`` for ``"x"`` or a ragged nesting)."""
-    values = np.asarray(data, dtype=object)
-    kinds = set(map(type, values.ravel()))
-    if kinds <= _NUMBER_TYPES:
-        # All numbers (network weights): one vectorised cast.
-        try:
-            return values.astype(np.float64)
-        except OverflowError:
-            raise SerializationError("an array entry overflows a float") \
-                from None
-    if kinds <= _NUMBER_TYPES | {str}:
-        return np.array([_wire_float(v, "array entry")
-                         for v in values.ravel()]).reshape(values.shape)
-    raise SerializationError(
-        f"array entries must be JSON numbers or \"inf\"/\"-inf\"/\"nan\" in "
-        f"a rectangular nesting, got {sorted(k.__name__ for k in kinds)}")
-
-
-# -------------------------------------------------------------------- boxes
-def box_to_jsonable(box: Box) -> Dict:
-    return {"lower": array_to_jsonable(box.lower),
-            "upper": array_to_jsonable(box.upper)}
-
-
-def box_from_jsonable(data: Dict) -> Box:
-    return Box(array_from_jsonable(data["lower"]),
-               array_from_jsonable(data["upper"]))
-
-
-# ----------------------------------------------------------------- networks
-def network_to_jsonable(network: Network) -> Dict:
-    return {
-        "input_dim": int(network.input_dim),
-        "layers": [
-            {
-                "class": type(layer).__name__,
-                "config": layer.config(),
-                "arrays": {name: array_to_jsonable(arr)
-                           for name, arr in layer.arrays().items()},
-            }
-            for layer in network.layers
-        ],
-    }
-
-
-#: Layer ``config()`` entries that are integer sizes (checked as wire
-#: counts before a layer constructor sees them).
-_INT_LAYER_CONFIG = frozenset({"in_dim", "out_dim", "in_channels",
-                               "out_channels", "kernel_size", "stride",
-                               "pool_size"})
-
-
-def network_from_jsonable(data: Dict) -> Network:
-    layers = []
-    for spec in data["layers"]:
-        cls_name = spec["class"]
-        if cls_name not in _LAYER_CLASSES:
-            raise SerializationError(f"unknown layer class {cls_name!r}")
-        arrays = {name: array_from_jsonable(arr)
-                  for name, arr in spec["arrays"].items()}
-        config = spec["config"]
-        for name in _INT_LAYER_CONFIG.intersection(config):
-            _wire_int(config[name], f"{cls_name} config {name}")
-        layers.append(_LAYER_CLASSES[cls_name]._from_parts(config, arrays))
-    return Network(layers,
-                   input_dim=_wire_int(data["input_dim"], "network input_dim"))
-
-
-# ---------------------------------------------------------------- artifacts
-def artifacts_to_jsonable(artifacts: ProofArtifacts) -> Dict:
-    """JSON twin of :func:`repro.core.artifacts.save_artifacts`."""
-    data: Dict = {
-        "problem": {
-            "network": network_to_jsonable(artifacts.problem.network),
-            "din": box_to_jsonable(artifacts.problem.din),
-            "dout": box_to_jsonable(artifacts.problem.dout),
-        },
-        "states_prove_safety": bool(artifacts.states_prove_safety),
-        "original_time": float_to_jsonable(artifacts.original_time),
-        "notes": dict(artifacts.notes),
-        "states": None,
-        "lipschitz": None,
-        "netabs": None,
-        "output_range": None,
-    }
-    if artifacts.states is not None:
-        data["states"] = {
-            "domain": artifacts.states.domain,
-            "boxes": [box_to_jsonable(b) for b in artifacts.states.boxes],
-        }
-    if artifacts.lipschitz is not None:
-        data["lipschitz"] = {
-            # ell is validated finite, but ord=inf (the L∞ norm) is legal.
-            "ell": float_to_jsonable(artifacts.lipschitz.ell),
-            "ord": float_to_jsonable(artifacts.lipschitz.ord),
-            "method": artifacts.lipschitz.method,
-        }
-    if artifacts.network_abstraction is not None:
-        absn = artifacts.network_abstraction
-        data["netabs"] = {
-            "num_groups": int(absn.num_groups),
-            "margin": float(absn.margin),
-        }
-    if artifacts.output_range is not None:
-        data["output_range"] = box_to_jsonable(artifacts.output_range)
-    return data
-
-
-def artifacts_from_jsonable(data: Dict) -> ProofArtifacts:
-    network = network_from_jsonable(data["problem"]["network"])
-    problem = VerificationProblem(
-        network=network,
-        din=box_from_jsonable(data["problem"]["din"]),
-        dout=box_from_jsonable(data["problem"]["dout"]),
-    )
-    states = None
-    if data.get("states") is not None:
-        states = StateAbstractions(
-            boxes=[box_from_jsonable(b) for b in data["states"]["boxes"]],
-            domain=data["states"]["domain"],
-        )
-    lipschitz = None
-    if data.get("lipschitz") is not None:
-        lip = data["lipschitz"]
-        lipschitz = LipschitzCertificate(
-            ell=_wire_float(lip["ell"], "lipschitz ell"),
-            ord=_wire_float(lip["ord"], "lipschitz ord"), method=lip["method"])
-    netabs = None
-    if data.get("netabs") is not None:
-        from repro.netabs.abstraction import build_abstraction
-
-        recipe = data["netabs"]
-        netabs = build_abstraction(network, problem.din,
-                                   num_groups=_wire_int(recipe["num_groups"],
-                                                        "netabs num_groups"),
-                                   margin=_wire_float(recipe["margin"],
-                                                      "netabs margin"))
-    output_range = None
-    if data.get("output_range") is not None:
-        output_range = box_from_jsonable(data["output_range"])
-    return ProofArtifacts(
-        problem=problem,
-        states=states,
-        lipschitz=lipschitz,
-        network_abstraction=netabs,
-        output_range=output_range,
-        states_prove_safety=_wire_bool(data["states_prove_safety"],
-                                       "states_prove_safety"),
-        original_time=_wire_float(data["original_time"], "original_time"),
-        notes=dict(data.get("notes", {})),
-    )
-
-
-# ------------------------------------------------------------------ configs
-def config_to_json(config, **dumps_kwargs) -> str:
-    """Canonical JSON of a :class:`~repro.api.config.VerifyConfig`.
-
-    ``sort_keys`` is forced so one config value maps to one byte string --
-    the serving layer fingerprints ``(spec, config)`` pairs with this.
-    """
-    dumps_kwargs.setdefault("sort_keys", True)
-    return json.dumps(config.to_dict(), allow_nan=False, **dumps_kwargs)
-
-
+# ------------------------------------------------------------------ reading
 def _reject_constant(token: str) -> NoReturn:
     """``parse_constant`` hook: the wire is strict RFC 8259, so the
     ``NaN``/``Infinity``/``-Infinity`` tokens Python's ``json`` would
@@ -275,31 +131,67 @@ def _json_loads(text: str | bytes, what: str) -> Any:
     except RecursionError:
         raise SerializationError(
             f"{what} JSON is nested too deeply to decode") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, TypeError) as exc:  # bad text, or not text at all
         raise SerializationError(f"{what} is not JSON: {exc}") from None
 
 
-def config_from_json(text: str):
-    """Inverse of :func:`config_to_json` (unknown keys rejected loudly)."""
-    from repro.api.config import VerifyConfig
-
-    data = _json_loads(text, "config")
-    if not isinstance(data, dict):
-        raise SerializationError(
-            f"a VerifyConfig document must be a JSON object, got "
-            f"{type(data).__name__}")
-    return VerifyConfig.from_dict(data)
+def _show(value: Any) -> str:
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
-# ------------------------------------------------------------- certificates
-def _wire_int(value, name: str) -> int:
-    """A non-negative integer wire count, or :class:`SerializationError`
-    (never the transient ``OverflowError`` of ``int(1e400)``)."""
-    # bool is an int subclass; a JSON true is not a count.
-    if type(value) is not int or value < 0:
-        raise SerializationError(
-            f"{name} must be a non-negative integer, got {value!r}")
-    return value
+def _bad(where: str, expect: str, value: Any) -> SerializationError:
+    return SerializationError(f"{where} must be {expect}, got {_show(value)}")
+
+
+# -------------------------------------------------------------------- kinds
+class Kind:
+    """How one wire value is written (:meth:`encode`) and read
+    (:meth:`decode`, which raises :class:`SerializationError` naming
+    ``where`` for anything but ``expect``)."""
+
+    #: What a wire value of this kind is, for error messages.
+    expect = "a JSON value"
+    #: The same, plural, for lists of this kind.
+    plural = "values"
+
+    def encode(self, value: Any, canonical: bool = False) -> Any:
+        return value
+
+    def decode(self, data: Any, where: str) -> Any:
+        return data
+
+
+class Scalar(Kind):
+    """A JSON scalar: ``check`` admits it, ``cast`` (if any) converts it,
+    ``write`` (if any) converts a value for the wire."""
+
+    def __init__(self, expect: str, plural: str,
+                 check: Callable[[Any], bool],
+                 write: Optional[Callable[[Any], Any]] = None,
+                 cast: Optional[Callable[[Any], Any]] = None) -> None:
+        self.expect, self.plural = expect, plural
+        self.check, self.write, self.cast = check, write, cast
+
+    def encode(self, value: Any, canonical: bool = False) -> Any:
+        return value if self.write is None else self.write(value)
+
+    def decode(self, data: Any, where: str) -> Any:
+        if not self.check(data):
+            raise _bad(where, self.expect, data)
+        if self.cast is None:
+            return data
+        try:
+            return self.cast(data)
+        except OverflowError:
+            raise SerializationError(f"{where} overflows a float") from None
+
+
+def float_to_jsonable(value: float) -> Any:
+    """A strict-JSON scalar: the float itself, or ``"inf"``/``"-inf"``/
+    ``"nan"`` for the values RFC 8259 cannot carry (``float()`` inverts)."""
+    value = float(value)
+    return value if math.isfinite(value) else str(value)
 
 
 #: The strings :func:`float_to_jsonable` writes for non-finite values.
@@ -307,51 +199,258 @@ _NON_FINITE = frozenset({"inf", "-inf", "nan"})
 #: The Python types ``json.loads`` gives a JSON number (bool excluded).
 _NUMBER_TYPES = frozenset({int, float})
 
+#: A count: a JSON integer >= 0 (bool is an int subclass, but a JSON
+#: ``true`` is not a count; ``1e400`` is a float, not an overflow).
+INT = Scalar("a non-negative integer", "non-negative integers",
+             lambda v: type(v) is int and v >= 0, write=int)
+#: A JSON number or one of ``"inf"``/``"-inf"``/``"nan"`` (never ``"5"``).
+FLOAT = Scalar('a JSON number or "inf"/"-inf"/"nan"', "numbers",
+               lambda v: type(v) in _NUMBER_TYPES
+               or type(v) is str and v in _NON_FINITE,
+               write=float_to_jsonable, cast=float)
+#: JSON ``true``/``false`` (never ``bool("false") == True``).
+BOOL = Scalar("a JSON true or false", "flags",
+              lambda v: type(v) is bool, write=bool)
+STR = Scalar("a JSON string", "strings", lambda v: type(v) is str)
+#: A three-valued answer: proved, refuted or inconclusive.
+HOLDS = Scalar("a JSON true, false or null", "answers",
+               lambda v: v is None or type(v) is bool)
+#: Free-form JSON, passed through as read.
+ANY = Scalar("a JSON value", "values", lambda v: True)
 
-def _wire_float(value, name: str) -> float:
-    """A float wire scalar -- a JSON number (not a bool) or one of
-    :func:`float_to_jsonable`'s ``"inf"``/``"-inf"``/``"nan"`` -- or
-    :class:`SerializationError` (never a silent cast of ``"5"`` or
-    ``true``, nor a bare ``ValueError``/``TypeError``)."""
-    # bool is an int subclass; a JSON true is not a number.
-    if type(value) is str and value in _NON_FINITE or \
-            type(value) in _NUMBER_TYPES:
+
+class OneOf(Scalar):
+    """A JSON string from a listed set; ``{n}`` in a listed string stands
+    for a positive decimal count."""
+
+    def __init__(self, *choices: str) -> None:
+        self.choices = choices
+        pattern = re.compile("|".join(
+            re.escape(c).replace(re.escape("{n}"), "[1-9][0-9]*")
+            for c in choices))
+        super().__init__(f"one of {choices}", "strings",
+                         lambda v: type(v) is str
+                         and pattern.fullmatch(v) is not None)
+
+
+class Nullable(Kind):
+    """``null``, or a value of ``kind``."""
+
+    def __init__(self, kind: Kind) -> None:
+        self.kind = kind
+        self.expect = f"null or {kind.expect}"
+
+    def encode(self, value: Any, canonical: bool = False) -> Any:
+        return None if value is None else self.kind.encode(value, canonical)
+
+    def decode(self, data: Any, where: str) -> Any:
+        if data is None:
+            return None
+        if isinstance(self.kind, OneOf) and not self.kind.check(data):
+            # An enum's message lists every accepted value, null included.
+            raise _bad(where, self.expect, data)
+        return self.kind.decode(data, where)
+
+
+class ListOf(Kind):
+    """A JSON list of ``kind`` values."""
+
+    def __init__(self, kind: Kind) -> None:
+        self.kind = kind
+        self.expect = f"a JSON list of {kind.plural}"
+
+    def encode(self, value: Any, canonical: bool = False) -> Any:
+        return [self.kind.encode(v, canonical) for v in value]
+
+    def decode(self, data: Any, where: str) -> Any:
+        if type(data) is not list:
+            raise _bad(where, self.expect, data)
         try:
-            return float(value)
+            return [self.kind.decode(v, f"{where} entry") for v in data]
+        except SerializationError as exc:
+            raise SerializationError(
+                f"{where} must be {self.expect}: {exc}") from None
+
+
+class MapOf(Kind):
+    """A JSON object from string keys to ``kind`` values."""
+
+    expect = "a JSON object"
+
+    def __init__(self, kind: Kind) -> None:
+        self.kind = kind
+
+    def encode(self, value: Any, canonical: bool = False) -> Any:
+        return {str(k): self.kind.encode(v, canonical)
+                for k, v in value.items()}
+
+    def decode(self, data: Any, where: str) -> Any:
+        if type(data) is not dict:
+            raise _bad(where, self.expect, data)
+        return {k: self.kind.decode(v, f"{where} {k}")
+                for k, v in data.items()}
+
+
+class Leaf(Kind):
+    """A value with its own codec pair (arrays, packed matrices)."""
+
+    def __init__(self, expect: str, write: Callable[[Any], Any],
+                 read: Callable[[Any], Any]) -> None:
+        self.expect, self.write, self.read = expect, write, read
+
+    def encode(self, value: Any, canonical: bool = False) -> Any:
+        return self.write(value)
+
+    def decode(self, data: Any, where: str) -> Any:
+        try:
+            return self.read(data)
+        except SerializationError as exc:
+            raise SerializationError(f"{where}: {exc}") from None
+
+
+#: Marks a :class:`Field` whose key must be present.
+REQUIRED: Any = object()
+
+
+class Field:
+    """One key of a wire type: its :class:`Kind`, the wire value an absent
+    key stands for (``REQUIRED``: none), whether it is run bookkeeping
+    (dropped from the canonical form), and how to read it off the object
+    (default: the attribute of the same name)."""
+
+    def __init__(self, name: str, kind: Kind, default: Any = REQUIRED, *,
+                 bookkeeping: bool = False,
+                 get: Optional[Callable[[Any], Any]] = None) -> None:
+        self.name, self.kind, self.default = name, kind, default
+        self.bookkeeping = bookkeeping
+        self.get: Callable[[Any], Any] = get or attrgetter(name)
+
+
+class Record(Kind):
+    """A JSON object with a fixed table of fields, decoded to
+    ``build(**fields)`` (keyword per wire key).  Errors name a field as
+    ``"<label> <key>"`` (``label`` defaults to ``name``)."""
+
+    expect = "a JSON object"
+    plural = "objects"
+
+    def __init__(self, name: str, build: Any, *fields: Field,
+                 label: Optional[str] = None) -> None:
+        self.name, self.build, self.fields = name, build, fields
+        self.names = frozenset(f.name for f in fields)
+        self.label = name if label is None else label
+
+    def encode(self, value: Any, canonical: bool = False) -> Any:
+        return {f.name: f.kind.encode(f.get(value), canonical)
+                for f in self.fields if not (canonical and f.bookkeeping)}
+
+    def decode(self, data: Any, where: str = "") -> Any:
+        if type(data) is not dict:
+            raise _bad(where or self.name, self.expect, data)
+        unknown = data.keys() - self.names
+        if unknown:
+            raise SerializationError(
+                f"unknown {self.name} keys {sorted(unknown)}; known: "
+                f"{sorted(self.names)}")
+        values = {}
+        for f in self.fields:
+            wire = data.get(f.name, f.default)
+            if wire is REQUIRED:
+                raise SerializationError(
+                    f"{self.name} is missing required key {f.name!r}")
+            values[f.name] = None if f.name not in data and wire is None \
+                else f.kind.decode(wire, f"{self.label} {f.name}".lstrip())
+        try:
+            return self.build(**values)
+        except SerializationError:
+            raise
+        except (ReproError, ArithmeticError, AttributeError, LookupError,
+                TypeError, ValueError) as exc:
+            # Every value passed its kind, so the document is at fault.
+            raise SerializationError(
+                f"{self.name} rejected its fields: {type(exc).__name__}: "
+                f"{exc}") from exc
+
+
+class Tagged(Kind):
+    """A JSON object whose ``key`` names the :class:`Record` (one per
+    class, its ``build``) that describes the other keys."""
+
+    expect = "a JSON object"
+
+    def __init__(self, what: str, key: str,
+                 records: Dict[str, Record]) -> None:
+        self.what, self.key, self.records = what, key, records
+
+    def tag_of(self, value: Any) -> str:
+        for tag, record in self.records.items():
+            if type(value) is record.build:
+                return tag
+        raise SerializationError(
+            f"not a wire-serializable {self.what}: {type(value).__name__}")
+
+    def encode(self, value: Any, canonical: bool = False) -> Any:
+        tag = self.tag_of(value)
+        return {self.key: tag,
+                **self.records[tag].encode(value, canonical)}
+
+    def decode(self, data: Any, where: str = "") -> Any:
+        tag = data.get(self.key) if type(data) is dict else None
+        if tag is None:
+            raise SerializationError(
+                f'a {self.what} dict needs a "{self.key}" tag (one of '
+                f"{sorted(self.records)})")
+        if type(tag) is not str or tag not in self.records:
+            raise SerializationError(
+                f"unknown {self.what} type {_show(tag)}; known: "
+                f"{sorted(self.records)}")
+        return self.records[tag].decode(
+            {k: v for k, v in data.items() if k != self.key})
+
+
+# ------------------------------------------------------------------- arrays
+def _encode_nested(values: Any) -> Any:
+    if isinstance(values, list):
+        return [_encode_nested(v) for v in values]
+    return float_to_jsonable(values)
+
+
+def array_to_jsonable(arr: np.ndarray) -> list:
+    arr = np.asarray(arr, dtype=np.float64)
+    nested = arr.tolist()
+    if np.isfinite(arr).all():
+        return nested
+    return _encode_nested(nested)
+
+
+def array_from_jsonable(data: Any) -> np.ndarray:
+    """Inverse of :func:`array_to_jsonable`: nested lists of JSON numbers
+    (not bools) and ``"inf"``/``"-inf"``/``"nan"``, else
+    :class:`SerializationError` (never a silent cast of ``"1"``, nor a
+    bare ``ValueError`` for ``"x"`` or a ragged nesting)."""
+    values = np.asarray(data, dtype=object)
+    kinds = set(map(type, values.ravel()))
+    if kinds <= _NUMBER_TYPES:
+        # All numbers (network weights): one vectorised cast.
+        try:
+            return values.astype(np.float64)
         except OverflowError:
-            raise SerializationError(f"{name} overflows a float") from None
+            raise SerializationError("an array entry overflows a float") \
+                from None
+    if kinds <= _NUMBER_TYPES | {str}:
+        return np.array([FLOAT.decode(v, "array entry")
+                         for v in values.ravel()]).reshape(values.shape)
     raise SerializationError(
-        f"{name} must be a JSON number or \"inf\"/\"-inf\"/\"nan\", got "
-        f"{value!r}")
+        f"array entries must be JSON numbers or \"inf\"/\"-inf\"/\"nan\" in "
+        f"a rectangular nesting, got {sorted(k.__name__ for k in kinds)}")
 
 
-def _wire_bool(value, name: str) -> bool:
-    """A JSON ``true``/``false``, or :class:`SerializationError` (never
-    ``bool("false") == True``)."""
-    if type(value) is not bool:
-        raise SerializationError(
-            f"{name} must be a JSON true or false, got {value!r}")
-    return value
+ARRAY = Leaf("a JSON array of numbers", array_to_jsonable,
+             array_from_jsonable)
 
 
-def _wire_str(value, name: str) -> str:
-    """A JSON string, or :class:`SerializationError`."""
-    if type(value) is not str:
-        raise SerializationError(
-            f"{name} must be a JSON string, got {value!r}")
-    return value
-
-
-def _wire_holds(value, name: str) -> Optional[bool]:
-    """A verdict's ``holds``: JSON ``true``, ``false`` or ``null`` (proved,
-    refuted, inconclusive), or :class:`SerializationError`."""
-    if value is not None and type(value) is not bool:
-        raise SerializationError(
-            f"{name} must be a JSON true, false or null, got {value!r}")
-    return value
-
-
-def _wire_bytes(data, name: str) -> bytes:
+# ------------------------------------------------------ packed certificates
+def _wire_bytes(data: Any, name: str) -> bytes:
     if not isinstance(data, str):
         raise SerializationError(f"{name} must be a base64 string")
     try:
@@ -371,15 +470,15 @@ def _phase_matrix_to_jsonable(leaves: np.ndarray) -> Dict:
             "data": base64.b64encode(matrix.tobytes()).decode("ascii")}
 
 
-def _phase_matrix_from_jsonable(data) -> np.ndarray:
+def _phase_matrix_from_jsonable(data: Any) -> np.ndarray:
     """Inverse of :func:`_phase_matrix_to_jsonable`: a read-only
     ``np.frombuffer`` view, rejected unless it holds at least one row of
     values in {-1, 0, 1}."""
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or data.keys() != {"width", "data"}:
         raise SerializationError(
             "leaves must be a packed object with width and data "
             f"(certificate wire v5), got {type(data).__name__}")
-    width = _wire_int(data["width"], "leaves width")
+    width = INT.decode(data["width"], "leaves width")
     raw = _wire_bytes(data["data"], "leaves data")
     if not width or len(raw) % width:
         raise SerializationError(
@@ -397,7 +496,7 @@ def _phase_matrix_from_jsonable(data) -> np.ndarray:
 _DUAL_DTYPE = np.dtype("<f8")
 
 
-def _leaf_duals_to_jsonable(duals) -> Dict:
+def _leaf_duals_to_jsonable(duals: PackedDuals) -> Dict:
     """A :class:`~repro.exact.encoding.PackedDuals` as one object:
     ``present`` flags the leaves that carry multipliers, every present row
     is ``dual_ub`` followed by ``dual_eq`` split at ``split``, and
@@ -408,12 +507,11 @@ def _leaf_duals_to_jsonable(duals) -> Dict:
             "data": base64.b64encode(matrix.tobytes()).decode("ascii")}
 
 
-def _leaf_duals_from_jsonable(data):
+def _leaf_duals_from_jsonable(data: Any) -> PackedDuals:
     """Inverse of :func:`_leaf_duals_to_jsonable`; the matrix is a
     read-only ``np.frombuffer`` view."""
-    from repro.exact.encoding import PackedDuals
-
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or \
+            data.keys() != {"present", "split", "width", "data"}:
         raise SerializationError(
             "leaf_duals must be a packed object with present, split, "
             f"width and data (certificate wire v3), got "
@@ -423,8 +521,8 @@ def _leaf_duals_from_jsonable(data):
             any(type(p) is not int or p not in (0, 1) for p in present):
         raise SerializationError(
             "leaf_duals present must be a list of 0/1 flags")
-    split = _wire_int(data["split"], "leaf_duals split")
-    width = _wire_int(data["width"], "leaf_duals width")
+    split = INT.decode(data["split"], "leaf_duals split")
+    width = INT.decode(data["width"], "leaf_duals width")
     if split > width:
         raise SerializationError(
             f"leaf_duals split {split} exceeds width {width}")
@@ -438,398 +536,330 @@ def _leaf_duals_from_jsonable(data):
     return PackedDuals(matrix, np.array(present, dtype=bool), split)
 
 
-def certificate_to_json(cert, **dumps_kwargs) -> str:
+PHASES = Leaf("a packed phase matrix", _phase_matrix_to_jsonable,
+              _phase_matrix_from_jsonable)
+DUALS = Leaf("packed leaf duals", _leaf_duals_to_jsonable,
+             _leaf_duals_from_jsonable)
+
+
+# ---------------------------------------------------------- boxes, networks
+BOX = Record("box", Box, Field("lower", ARRAY), Field("upper", ARRAY))
+
+#: Layer ``config()`` entries that are integer sizes or float slopes,
+#: checked before a layer constructor sees them.
+_LAYER_CONFIG_KINDS = {
+    **dict.fromkeys(("in_dim", "out_dim", "in_channels", "out_channels",
+                     "kernel_size", "stride", "pool_size"), INT),
+    "alpha": FLOAT,
+}
+
+
+def _layer(**fields: Any) -> Any:
+    name, config = fields["class"], fields["config"]
+    for key, value in config.items():
+        _LAYER_CONFIG_KINDS.get(key, ANY).decode(value,
+                                                 f"{name} config {key}")
+    # Arrays go to the constructor, which checks their names and shapes.
+    return _LAYER_CLASSES[name](**config, **fields["arrays"])
+
+
+LAYER = Record(
+    "layer", _layer,
+    Field("class", OneOf(*_LAYER_CLASSES), get=lambda l: type(l).__name__),
+    Field("config", MapOf(ANY), get=lambda l: l.config()),
+    Field("arrays", MapOf(ARRAY), get=lambda l: l.arrays()),
+)
+NETWORK = Record(
+    "network", lambda input_dim, layers: Network(layers, input_dim),
+    Field("input_dim", INT),
+    Field("layers", ListOf(LAYER)),
+)
+
+
+# ---------------------------------------------------------------- artifacts
+def _artifacts(problem: VerificationProblem, netabs: Optional[Dict],
+               **fields: Any) -> ProofArtifacts:
+    absn = None if netabs is None else \
+        build_abstraction(problem.network, problem.din, **netabs)
+    return ProofArtifacts(problem=problem, network_abstraction=absn,
+                          **fields)
+
+
+ARTIFACTS = Record(
+    "artifacts", _artifacts,
+    Field("problem", Record("problem", VerificationProblem,
+                            Field("network", NETWORK),
+                            Field("din", BOX),
+                            Field("dout", BOX))),
+    Field("states_prove_safety", BOOL),
+    Field("original_time", FLOAT, bookkeeping=True),
+    Field("notes", MapOf(ANY), {}),
+    Field("states", Nullable(Record("states", StateAbstractions,
+                                    Field("domain", OneOf(*STATE_DOMAINS)),
+                                    Field("boxes", ListOf(BOX)))), None),
+    # ell is validated finite, but ord=inf (the L∞ norm) is legal.
+    Field("lipschitz", Nullable(Record("lipschitz", LipschitzCertificate,
+                                       Field("ell", FLOAT),
+                                       Field("ord", FLOAT),
+                                       Field("method", STR))), None),
+    # The network abstraction travels as its deterministic build recipe.
+    Field("netabs", Nullable(Record("netabs", dict,
+                                    Field("num_groups", INT),
+                                    Field("margin", FLOAT))), None,
+          get=attrgetter("network_abstraction")),
+    Field("output_range", Nullable(BOX), None),
+)
+
+box_to_jsonable = BOX.encode
+network_to_jsonable = NETWORK.encode
+
+
+# ------------------------------------------------------------------ configs
+CONFIG = Record(
+    "VerifyConfig", VerifyConfig,
+    Field("tol", FLOAT, DEFAULT_TOL),
+    Field("node_limit", INT, DEFAULT_NODE_LIMIT),
+    Field("full_node_limit", INT, DEFAULT_FULL_NODE_LIMIT),
+    Field("max_boxes", INT, DEFAULT_MAX_BOXES),
+    Field("workers", INT, DEFAULT_WORKERS),
+    # VerifyConfig names the choices of these itself.
+    Field("method", STR, DEFAULT_METHOD),
+    Field("domain", STR, DEFAULT_DOMAIN),
+    Field("encoding_cache", STR, DEFAULT_ENCODING_CACHE),
+    Field("certs", STR, DEFAULT_CERT_POLICY),
+)
+
+
+def config_to_json(config: VerifyConfig, **dumps_kwargs: Any) -> str:
+    """Canonical JSON of a :class:`~repro.api.config.VerifyConfig`.
+
+    ``sort_keys`` is forced so one config value maps to one byte string --
+    the serving layer fingerprints ``(spec, config)`` pairs with this.
+    """
+    dumps_kwargs.setdefault("sort_keys", True)
+    return json.dumps(CONFIG.encode(config), allow_nan=False, **dumps_kwargs)
+
+
+def config_from_json(text: str) -> VerifyConfig:
+    """Inverse of :func:`config_to_json` (unknown keys rejected loudly)."""
+    config: VerifyConfig = CONFIG.decode(_json_loads(text, "config"))
+    return config
+
+
+# ------------------------------------------------------------- certificates
+def _certificate(**fields: Any) -> Any:
+    from repro.certs.certificate import Certificate
+
+    duals = fields.get("leaf_duals")
+    if duals is not None and len(duals) != len(fields["leaves"]):
+        raise SerializationError(
+            f"leaf_duals present mask has {len(duals)} flags for "
+            f"{len(fields['leaves'])} leaves")
+    return Certificate(**fields)
+
+
+def _verdict_certificate(**fields: Any) -> Any:
+    width, dims = fields["leaves"].shape[1], fields["block_dims"]
+    if width != sum(dims[1:]):
+        raise SerializationError(
+            f"certificate leaves have width {width}, not one column per "
+            f"neuron of block_dims {dims}")
+    return _certificate(**fields)
+
+
+def _packed_duals(cert: Any) -> PackedDuals:
+    duals = cert.leaf_duals
+    return PackedDuals.pack([None] * len(cert.leaves)) if duals is None \
+        else duals
+
+
+#: The store's certificate document (``certificate_to_json``).
+CERTIFICATE = Record(
+    "certificate", _certificate,
+    Field("version", INT),
+    Field("objective", ARRAY),
+    Field("threshold", FLOAT),
+    Field("leaves", PHASES),
+    Field("leaf_duals", DUALS, None, get=_packed_duals),
+    Field("block_dims", ListOf(INT)),
+    Field("structural_fp", STR),
+    Field("config_digest", STR),
+    Field("lp_solves", INT, 0),
+)
+
+
+def certificate_to_json(cert: Any, **dumps_kwargs: Any) -> str:
     """Canonical wire form of a :class:`repro.certs.Certificate`.
 
     ``sort_keys`` is forced: the serve-side store persists and compares
     these strings, so one certificate value must map to one byte string.
-    The leaves travel as one packed int8 phase matrix (since wire v4,
-    :func:`_phase_matrix_to_jsonable`) and the per-leaf duals -- most of
-    the payload -- as one packed little-endian float64 matrix (since v3,
-    :func:`_leaf_duals_to_jsonable`), rather than as JSON lists.
+    The leaves travel as one packed int8 phase matrix (since wire v4) and
+    the per-leaf duals -- most of the payload -- as one packed
+    little-endian float64 matrix (since v3), rather than as JSON lists.
     This is the *only* form certificate payloads travel in between
     modules (the ``cert-discipline`` lint rule holds callers to it).
     """
-    from repro.exact.encoding import PackedDuals
-
-    duals = cert.leaf_duals
-    if duals is None:
-        duals = PackedDuals.pack([None] * len(cert.leaves))
-    data = {
-        "version": int(cert.version),
-        "objective": array_to_jsonable(cert.objective),
-        "threshold": float_to_jsonable(cert.threshold),
-        "leaves": _phase_matrix_to_jsonable(cert.leaves),
-        "leaf_duals": _leaf_duals_to_jsonable(duals),
-        "block_dims": [int(d) for d in cert.block_dims],
-        "structural_fp": str(cert.structural_fp),
-        "config_digest": str(cert.config_digest),
-        "lp_solves": int(cert.lp_solves),
-    }
     dumps_kwargs.setdefault("sort_keys", True)
-    return json.dumps(data, allow_nan=False, **dumps_kwargs)
+    return json.dumps(CERTIFICATE.encode(cert), allow_nan=False,
+                      **dumps_kwargs)
 
 
-def certificate_from_json(text: str):
+def certificate_from_json(text: str) -> Any:
     """Inverse of :func:`certificate_to_json`.
 
     Raises :class:`SerializationError` on structural garbage (a v3
-    payload, whose leaves are per-leaf triples, is garbage here); numeric
-    fields parse strictly.  The decoded leaves and duals are read-only
-    views into one int8 and one float64 buffer.  Callers replaying
-    *untrusted* store content should go through
-    :func:`repro.certs.load_certificate`, which funnels every malformation
-    into one rejection path.
+    payload, whose leaves are per-leaf triples, is garbage here).  The
+    decoded leaves and duals are read-only views into one int8 and one
+    float64 buffer.  Callers replaying *untrusted* store content should go
+    through :func:`repro.certs.load_certificate`, which funnels every
+    malformation into one rejection path.
     """
-    from repro.certs.certificate import Certificate
-
-    data = _json_loads(text, "certificate")
-    if not isinstance(data, dict):
-        raise SerializationError(
-            f"a certificate document must be a JSON object, got "
-            f"{type(data).__name__}")
-    leaves = _phase_matrix_from_jsonable(data["leaves"])
-    leaf_duals = None
-    if "leaf_duals" in data:
-        leaf_duals = _leaf_duals_from_jsonable(data["leaf_duals"])
-    if leaf_duals is not None and len(leaf_duals) != len(leaves):
-        raise SerializationError(
-            f"leaf_duals present mask has {len(leaf_duals)} flags for "
-            f"{len(leaves)} leaves")
-    return Certificate(
-        objective=array_from_jsonable(data["objective"]),
-        threshold=_wire_float(data["threshold"], "certificate threshold"),
-        leaves=leaves,
-        leaf_duals=leaf_duals,
-        block_dims=[_wire_int(d, "certificate block_dims entry")
-                    for d in data["block_dims"]],
-        structural_fp=_wire_str(data["structural_fp"],
-                                "certificate structural_fp"),
-        config_digest=_wire_str(data["config_digest"],
-                                "certificate config_digest"),
-        lp_solves=_wire_int(data.get("lp_solves", 0),
-                            "certificate lp_solves"),
-        version=_wire_int(data["version"], "certificate version"),
-    )
+    return CERTIFICATE.decode(_json_loads(text, "certificate"))
 
 
 # ----------------------------------------------------------------- verdicts
-#: Wire tag <-> Verdict class name (classes resolved lazily; the verdict
-#: module sits above the solver layers this module must not eagerly pull).
-VERDICT_TAGS = {
-    "containment": "ContainmentVerdict",
-    "range": "RangeVerdict",
-    "threshold": "ThresholdVerdict",
-    "maximize": "MaximizeVerdict",
-    "proposition": "PropositionVerdict",
-    "continuous": "ContinuousVerdict",
-    "baseline": "BaselineVerdict",
-    "failed": "FailedVerdict",
-}
+PROVENANCE = Record(
+    "provenance", Provenance,
+    Field("elapsed", FLOAT),
+    Field("lp_solves", INT),
+    Field("nodes", INT),
+    Field("rounds", INT),
+    Field("workers", INT),
+    Field("encoding_reuse", MapOf(INT), {}),
+    Field("cached", BOOL, False),
+    # Pre-certificate wire documents lack these keys.
+    Field("nodes_reused", INT, 0),
+    Field("lp_solves_saved", INT, 0),
+    Field("cert_hit", BOOL, False),
+)
+
+#: A branch-and-bound result.  ``workers`` is the configured pool width,
+#: which never changes the search; ``nodes_reused``/``lp_solves_saved``
+#: are one run's warm-start economics.
+BAB_RESULT = Record(
+    "result", BaBResult,
+    Field("status", OneOf(*BAB_STATUSES)),
+    Field("upper_bound", FLOAT),
+    Field("incumbent", FLOAT),
+    Field("witness", Nullable(ARRAY), None),
+    Field("nodes", INT),
+    Field("lp_solves", INT),
+    Field("rounds", INT, 0),
+    Field("max_batch", INT, 0),
+    Field("mean_batch", FLOAT, 0.0),
+    Field("workers", INT, DEFAULT_WORKERS, bookkeeping=True),
+    Field("nodes_reused", INT, 0, bookkeeping=True),
+    Field("lp_solves_saved", INT, 0, bookkeeping=True),
+)
+
+CONTAINMENT_RESULT = Record(
+    "containment", ContainmentResult,
+    Field("holds", HOLDS),
+    # Any label: stored verdicts carry retired method names.
+    Field("method", STR),
+    Field("counterexample", Nullable(ARRAY), None),
+    Field("violation", FLOAT, 0.0),
+    Field("elapsed", FLOAT, 0.0, bookkeeping=True),
+    Field("lp_solves", INT, 0),
+    Field("nodes", INT, 0),
+    Field("detail", STR, ""),
+)
+
+SUBPROBLEM = Record(
+    "subproblem", SubproblemReport,
+    Field("name", STR),
+    Field("holds", HOLDS),
+    Field("elapsed", FLOAT, bookkeeping=True),
+    Field("detail", STR, ""),
+    Field("lp_solves", INT, 0),
+)
+
+PROPOSITION_RESULT = Record(
+    "proposition", PropositionResult,
+    Field("proposition", OneOf(*PROPOSITIONS)),
+    Field("holds", HOLDS),
+    Field("subproblems", ListOf(SUBPROBLEM), []),
+    Field("elapsed", FLOAT, 0.0, bookkeeping=True),
+    Field("detail", STR, ""),
+)
+
+CONTINUOUS_RESULT = Record(
+    "continuous", ContinuousResult,
+    Field("holds", HOLDS),
+    Field("strategy", OneOf(*CONTINUOUS_STRATEGIES)),
+    Field("attempts", ListOf(PROPOSITION_RESULT), []),
+    Field("fixing", Nullable(Record(
+        "fixing", FixingResult,
+        Field("holds", HOLDS),
+        Field("strategy", OneOf(*FIXING_STRATEGIES)),
+        Field("replaced_layer", Nullable(INT), None),
+        Field("reentry_layer", Nullable(INT), None),
+        Field("subproblems", ListOf(SUBPROBLEM), []),
+        Field("elapsed", FLOAT, 0.0, bookkeeping=True),
+    )), None),
+    Field("elapsed", FLOAT, 0.0, bookkeeping=True),
+    Field("winning_max_subproblem_time", FLOAT, 0.0, bookkeeping=True),
+    Field("winning_time", FLOAT, 0.0, bookkeeping=True),
+    Field("encoding_reuse", MapOf(INT), {}, bookkeeping=True),
+    Field("nodes_reused", INT, 0, bookkeeping=True),
+    Field("lp_solves_saved", INT, 0, bookkeeping=True),
+)
+
+BASELINE_OUTCOME = Record(
+    "baseline", BaselineOutcome,
+    Field("holds", HOLDS),
+    Field("artifacts", ARTIFACTS),
+    Field("elapsed", FLOAT, bookkeeping=True),
+    Field("detail", STR, ""),
+    Field("lp_solves", INT, 0),
+    Field("nodes", INT, 0),
+)
 
 
-def _provenance_to_jsonable(prov) -> Dict:
-    return {
-        "elapsed": float_to_jsonable(prov.elapsed),
-        "lp_solves": int(prov.lp_solves),
-        "nodes": int(prov.nodes),
-        "rounds": int(prov.rounds),
-        "workers": int(prov.workers),
-        "encoding_reuse": {str(k): int(v)
-                           for k, v in prov.encoding_reuse.items()},
-        "cached": bool(prov.cached),
-        "nodes_reused": int(prov.nodes_reused),
-        "lp_solves_saved": int(prov.lp_solves_saved),
-        "cert_hit": bool(prov.cert_hit),
-    }
+def _verdict(tag: str, cls: type, *payload: Field) -> Record:
+    """A verdict envelope: the fields every verdict shares, then its
+    type-specific payload.  ``provenance`` describes how long, how cached
+    and how wide one run was, not what the answer is."""
+    return Record(f"{tag} verdict", cls,
+                  Field("spec_type", STR),
+                  Field("holds", HOLDS),
+                  Field("detail", STR, ""),
+                  Field("provenance", PROVENANCE, bookkeeping=True),
+                  *payload)
 
 
-def _provenance_from_jsonable(data: Dict):
-    from repro.api.verdict import Provenance
+VERDICT = Tagged("verdict", "verdict", {
+    "containment": _verdict("containment", ContainmentVerdict,
+                            Field("result", CONTAINMENT_RESULT)),
+    "range": _verdict("range", RangeVerdict, Field("output_range", BOX)),
+    "threshold": _verdict(
+        "threshold", ThresholdVerdict, Field("result", BAB_RESULT),
+        # The covering leaves of the proof (not the store's fields).
+        Field("certificate", Nullable(Record(
+            "certificate", _verdict_certificate,
+            Field("objective", ARRAY),
+            Field("threshold", FLOAT),
+            Field("leaves", PHASES),
+            Field("block_dims", ListOf(INT)),
+        )), None)),
+    "maximize": _verdict("maximize", MaximizeVerdict,
+                         Field("result", BAB_RESULT)),
+    "proposition": _verdict("proposition", PropositionVerdict,
+                            Field("result", PROPOSITION_RESULT)),
+    "continuous": _verdict("continuous", ContinuousVerdict,
+                           Field("result", CONTINUOUS_RESULT)),
+    "baseline": _verdict("baseline", BaselineVerdict,
+                         Field("result", BASELINE_OUTCOME)),
+    "failed": _verdict("failed", FailedVerdict, Field("error", STR, ""),
+                       Field("error_type", STR, "")),
+})
 
-    return Provenance(
-        elapsed=_wire_float(data["elapsed"], "provenance elapsed"),
-        lp_solves=_wire_int(data["lp_solves"], "provenance lp_solves"),
-        nodes=_wire_int(data["nodes"], "provenance nodes"),
-        rounds=_wire_int(data["rounds"], "provenance rounds"),
-        workers=_wire_int(data["workers"], "provenance workers"),
-        encoding_reuse={str(k): _wire_int(v, f"encoding_reuse {k}")
-                        for k, v in data.get("encoding_reuse", {}).items()},
-        cached=_wire_bool(data.get("cached", False), "provenance cached"),
-        # .get defaults: pre-certificate wire documents lack these keys.
-        nodes_reused=_wire_int(data.get("nodes_reused", 0),
-                               "provenance nodes_reused"),
-        lp_solves_saved=_wire_int(data.get("lp_solves_saved", 0),
-                                  "provenance lp_solves_saved"),
-        cert_hit=_wire_bool(data.get("cert_hit", False),
-                            "provenance cert_hit"),
-    )
-
-
-def _opt_array_to_jsonable(arr) -> Optional[list]:
-    return None if arr is None else array_to_jsonable(arr)
-
-
-def _opt_array_from_jsonable(data) -> Optional[np.ndarray]:
-    return None if data is None else array_from_jsonable(data)
-
-
-def _bab_result_to_jsonable(result) -> Dict:
-    return {
-        "status": result.status,
-        "upper_bound": float_to_jsonable(result.upper_bound),
-        "incumbent": float_to_jsonable(result.incumbent),
-        "witness": _opt_array_to_jsonable(result.witness),
-        "nodes": int(result.nodes),
-        "lp_solves": int(result.lp_solves),
-        "rounds": int(result.rounds),
-        "max_batch": int(result.max_batch),
-        "mean_batch": float_to_jsonable(result.mean_batch),
-        "workers": int(result.workers),
-        "nodes_reused": int(result.nodes_reused),
-        "lp_solves_saved": int(result.lp_solves_saved),
-    }
+#: Wire tag <-> Verdict class name.
+VERDICT_TAGS = {tag: record.build.__name__
+                for tag, record in VERDICT.records.items()}
 
 
-def _bab_result_from_jsonable(data: Dict):
-    from repro.exact.bab import BAB_STATUSES, BaBResult
-
-    status = _wire_str(data["status"], "result status")
-    if status not in BAB_STATUSES:
-        raise SerializationError(
-            f"result status must be one of {', '.join(BAB_STATUSES)}, got "
-            f"{status!r}")
-    return BaBResult(
-        status=status,
-        upper_bound=_wire_float(data["upper_bound"], "result upper_bound"),
-        incumbent=_wire_float(data["incumbent"], "result incumbent"),
-        witness=_opt_array_from_jsonable(data.get("witness")),
-        nodes=_wire_int(data["nodes"], "result nodes"),
-        lp_solves=_wire_int(data["lp_solves"], "result lp_solves"),
-        rounds=_wire_int(data.get("rounds", 0), "result rounds"),
-        max_batch=_wire_int(data.get("max_batch", 0), "result max_batch"),
-        mean_batch=_wire_float(data.get("mean_batch", 0.0),
-                               "result mean_batch"),
-        workers=_wire_int(data.get("workers", 1), "result workers"),
-        nodes_reused=_wire_int(data.get("nodes_reused", 0),
-                               "result nodes_reused"),
-        lp_solves_saved=_wire_int(data.get("lp_solves_saved", 0),
-                                  "result lp_solves_saved"),
-    )
-
-
-def _containment_result_to_jsonable(result) -> Dict:
-    return {
-        "holds": result.holds,
-        "method": result.method,
-        "counterexample": _opt_array_to_jsonable(result.counterexample),
-        "violation": float_to_jsonable(result.violation),
-        "elapsed": float_to_jsonable(result.elapsed),
-        "lp_solves": int(result.lp_solves),
-        "nodes": int(result.nodes),
-        "detail": result.detail,
-    }
-
-
-def _containment_result_from_jsonable(data: Dict):
-    from repro.exact.verify import ContainmentResult
-
-    return ContainmentResult(
-        holds=_wire_holds(data["holds"], "containment holds"),
-        # Any label: stored verdicts carry retired method names.
-        method=_wire_str(data["method"], "containment method"),
-        counterexample=_opt_array_from_jsonable(data.get("counterexample")),
-        violation=_wire_float(data.get("violation", 0.0),
-                              "containment violation"),
-        elapsed=_wire_float(data.get("elapsed", 0.0), "containment elapsed"),
-        lp_solves=_wire_int(data.get("lp_solves", 0),
-                            "containment lp_solves"),
-        nodes=_wire_int(data.get("nodes", 0), "containment nodes"),
-        detail=data.get("detail", ""),
-    )
-
-
-def _certificate_to_jsonable(cert) -> Dict:
-    return {
-        "objective": array_to_jsonable(cert.objective),
-        "threshold": float_to_jsonable(cert.threshold),
-        "leaves": _phase_matrix_to_jsonable(cert.leaves),
-        "block_dims": [int(d) for d in cert.block_dims],
-    }
-
-
-def _certificate_from_jsonable(data: Dict):
-    from repro.certs.certificate import Certificate
-
-    block_dims = [_wire_int(d, "certificate block_dims entry")
-                  for d in data["block_dims"]]
-    leaves = _phase_matrix_from_jsonable(data["leaves"])
-    if leaves.shape[1] != sum(block_dims[1:]):
-        raise SerializationError(
-            f"certificate leaves have width {leaves.shape[1]}, not one "
-            f"column per neuron of block_dims {block_dims}")
-    return Certificate(
-        objective=array_from_jsonable(data["objective"]),
-        threshold=_wire_float(data["threshold"], "certificate threshold"),
-        leaves=leaves,
-        block_dims=block_dims,
-    )
-
-
-def _subproblem_to_jsonable(sub) -> Dict:
-    return {
-        "name": sub.name,
-        "holds": sub.holds,
-        "elapsed": float_to_jsonable(sub.elapsed),
-        "detail": sub.detail,
-        "lp_solves": int(sub.lp_solves),
-    }
-
-
-def _subproblem_from_jsonable(data: Dict):
-    from repro.core.propositions import SubproblemReport
-
-    return SubproblemReport(
-        name=data["name"],
-        holds=_wire_holds(data["holds"], "subproblem holds"),
-        elapsed=_wire_float(data["elapsed"], "subproblem elapsed"),
-        detail=data.get("detail", ""),
-        lp_solves=_wire_int(data.get("lp_solves", 0), "subproblem lp_solves"),
-    )
-
-
-def _proposition_result_to_jsonable(result) -> Dict:
-    return {
-        "proposition": result.proposition,
-        "holds": result.holds,
-        "subproblems": [_subproblem_to_jsonable(s)
-                        for s in result.subproblems],
-        "elapsed": float_to_jsonable(result.elapsed),
-        "detail": result.detail,
-    }
-
-
-def _proposition_result_from_jsonable(data: Dict):
-    from repro.core.propositions import PropositionResult
-
-    return PropositionResult(
-        proposition=data["proposition"],
-        holds=_wire_holds(data["holds"], "proposition holds"),
-        subproblems=[_subproblem_from_jsonable(s)
-                     for s in data.get("subproblems", [])],
-        elapsed=_wire_float(data.get("elapsed", 0.0), "proposition elapsed"),
-        detail=data.get("detail", ""),
-    )
-
-
-def _fixing_result_to_jsonable(result) -> Optional[Dict]:
-    if result is None:
-        return None
-    return {
-        "holds": result.holds,
-        "strategy": result.strategy,
-        "replaced_layer": result.replaced_layer,
-        "reentry_layer": result.reentry_layer,
-        "subproblems": [_subproblem_to_jsonable(s)
-                        for s in result.subproblems],
-        "elapsed": float_to_jsonable(result.elapsed),
-    }
-
-
-def _fixing_result_from_jsonable(data) -> Optional[object]:
-    if data is None:
-        return None
-    from repro.core.fixing import FixingResult
-
-    return FixingResult(
-        holds=_wire_holds(data["holds"], "fixing holds"),
-        strategy=data["strategy"],
-        replaced_layer=data.get("replaced_layer"),
-        reentry_layer=data.get("reentry_layer"),
-        subproblems=[_subproblem_from_jsonable(s)
-                     for s in data.get("subproblems", [])],
-        elapsed=_wire_float(data.get("elapsed", 0.0), "fixing elapsed"),
-    )
-
-
-def _continuous_result_to_jsonable(result) -> Dict:
-    return {
-        "holds": result.holds,
-        "strategy": result.strategy,
-        "attempts": [_proposition_result_to_jsonable(a)
-                     for a in result.attempts],
-        "fixing": _fixing_result_to_jsonable(result.fixing),
-        "elapsed": float_to_jsonable(result.elapsed),
-        "winning_max_subproblem_time":
-            float_to_jsonable(result.winning_max_subproblem_time),
-        "winning_time": float_to_jsonable(result.winning_time),
-        "encoding_reuse": {str(k): int(v)
-                           for k, v in result.encoding_reuse.items()},
-        "nodes_reused": int(result.nodes_reused),
-        "lp_solves_saved": int(result.lp_solves_saved),
-    }
-
-
-def _continuous_result_from_jsonable(data: Dict):
-    from repro.core.continuous import ContinuousResult
-
-    return ContinuousResult(
-        holds=_wire_holds(data["holds"], "continuous holds"),
-        strategy=data["strategy"],
-        attempts=[_proposition_result_from_jsonable(a)
-                  for a in data.get("attempts", [])],
-        fixing=_fixing_result_from_jsonable(data.get("fixing")),
-        elapsed=_wire_float(data.get("elapsed", 0.0), "continuous elapsed"),
-        winning_max_subproblem_time=_wire_float(
-            data.get("winning_max_subproblem_time", 0.0),
-            "winning_max_subproblem_time"),
-        winning_time=_wire_float(data.get("winning_time", 0.0),
-                                  "winning_time"),
-        encoding_reuse={str(k): _wire_int(v, f"continuous encoding_reuse {k}")
-                        for k, v in data.get("encoding_reuse", {}).items()},
-        nodes_reused=_wire_int(data.get("nodes_reused", 0),
-                               "continuous nodes_reused"),
-        lp_solves_saved=_wire_int(data.get("lp_solves_saved", 0),
-                                  "continuous lp_solves_saved"),
-    )
-
-
-def _baseline_outcome_to_jsonable(outcome) -> Dict:
-    return {
-        "holds": outcome.holds,
-        "artifacts": artifacts_to_jsonable(outcome.artifacts),
-        "elapsed": float_to_jsonable(outcome.elapsed),
-        "detail": outcome.detail,
-        "lp_solves": int(outcome.lp_solves),
-        "nodes": int(outcome.nodes),
-    }
-
-
-def _baseline_outcome_from_jsonable(data: Dict):
-    from repro.core.verifier import BaselineOutcome
-
-    return BaselineOutcome(
-        holds=_wire_holds(data["holds"], "baseline holds"),
-        artifacts=artifacts_from_jsonable(data["artifacts"]),
-        elapsed=_wire_float(data["elapsed"], "baseline elapsed"),
-        detail=data.get("detail", ""),
-        lp_solves=_wire_int(data.get("lp_solves", 0), "baseline lp_solves"),
-        nodes=_wire_int(data.get("nodes", 0), "baseline nodes"),
-    )
-
-
-def _verdict_tag(verdict) -> str:
-    """The wire tag of a Verdict's exact class, or SerializationError."""
-    from repro.api import verdict as verdict_module
-
-    for tag, cls_name in VERDICT_TAGS.items():
-        if type(verdict) is getattr(verdict_module, cls_name):
-            return tag
-    raise SerializationError(
-        f"not a wire-serializable Verdict: {type(verdict).__name__}")
-
-
-def verdict_to_dict(verdict) -> Dict:
+def verdict_to_dict(verdict: Any) -> Dict:
     """The JSON-safe wire form of any :class:`~repro.api.verdict.Verdict`.
 
     The envelope is ``{"verdict": <tag>, "spec_type", "holds", "detail",
@@ -837,141 +867,43 @@ def verdict_to_dict(verdict) -> Dict:
     (non-finite floats travel as ``"inf"``/``"-inf"``/``"nan"`` strings),
     so remote executors can ship verdicts back over any JSON channel.
     """
-    tag = _verdict_tag(verdict)
-    data: Dict = {
-        "verdict": tag,
-        "spec_type": verdict.spec_type,
-        "holds": verdict.holds,
-        "detail": verdict.detail,
-        "provenance": _provenance_to_jsonable(verdict.provenance),
-    }
-    if tag == "containment":
-        data["result"] = _containment_result_to_jsonable(verdict.result)
-    elif tag == "range":
-        data["output_range"] = box_to_jsonable(verdict.output_range)
-    elif tag == "threshold":
-        data["result"] = _bab_result_to_jsonable(verdict.result)
-        data["certificate"] = (
-            None if verdict.certificate is None
-            else _certificate_to_jsonable(verdict.certificate))
-    elif tag == "maximize":
-        data["result"] = _bab_result_to_jsonable(verdict.result)
-    elif tag == "proposition":
-        data["result"] = _proposition_result_to_jsonable(verdict.result)
-    elif tag == "continuous":
-        data["result"] = _continuous_result_to_jsonable(verdict.result)
-    elif tag == "baseline":
-        data["result"] = _baseline_outcome_to_jsonable(verdict.result)
-    else:  # failed
-        data["error"] = verdict.error
-        data["error_type"] = verdict.error_type
+    data: Dict = VERDICT.encode(verdict)
     return data
 
 
-def verdict_from_dict(data: Dict):
+def verdict_from_dict(data: Any) -> Any:
     """Inverse of :func:`verdict_to_dict`."""
-    from repro.api import verdict as verdict_module
-
-    try:
-        tag = data["verdict"]
-    except (TypeError, KeyError):
-        raise SerializationError(
-            'a verdict dict needs a "verdict" tag '
-            f"(one of {sorted(VERDICT_TAGS)})") from None
-    if tag not in VERDICT_TAGS:
-        raise SerializationError(
-            f"unknown verdict type {tag!r}; known: {sorted(VERDICT_TAGS)}")
-    cls = getattr(verdict_module, VERDICT_TAGS[tag])
-    try:
-        common = {
-            "spec_type": data["spec_type"],
-            "holds": _wire_holds(data["holds"], "verdict holds"),
-            "detail": data.get("detail", ""),
-            "provenance": _provenance_from_jsonable(data["provenance"]),
-        }
-        if tag == "containment":
-            return cls(result=_containment_result_from_jsonable(
-                data["result"]), **common)
-        if tag == "range":
-            return cls(output_range=box_from_jsonable(data["output_range"]),
-                       **common)
-        if tag == "threshold":
-            certificate = data.get("certificate")
-            return cls(
-                result=_bab_result_from_jsonable(data["result"]),
-                certificate=None if certificate is None
-                else _certificate_from_jsonable(certificate),
-                **common)
-        if tag == "maximize":
-            return cls(result=_bab_result_from_jsonable(data["result"]),
-                       **common)
-        if tag == "proposition":
-            return cls(result=_proposition_result_from_jsonable(
-                data["result"]), **common)
-        if tag == "continuous":
-            return cls(result=_continuous_result_from_jsonable(
-                data["result"]), **common)
-        if tag == "baseline":
-            return cls(result=_baseline_outcome_from_jsonable(
-                data["result"]), **common)
-        return cls(error=data.get("error", ""),
-                   error_type=data.get("error_type", ""), **common)
-    except KeyError as exc:
-        raise SerializationError(
-            f"verdict type {tag!r} is missing required key {exc.args[0]!r}"
-        ) from None
+    return VERDICT.decode(data)
 
 
-def verdict_to_json(verdict, **dumps_kwargs) -> str:
+def verdict_to_json(verdict: Any, **dumps_kwargs: Any) -> str:
     """``json.dumps`` of :func:`verdict_to_dict` (strict RFC-8259)."""
     dumps_kwargs.setdefault("sort_keys", True)
     return json.dumps(verdict_to_dict(verdict), allow_nan=False,
                       **dumps_kwargs)
 
 
-def verdict_from_json(text: str):
+def verdict_from_json(text: str) -> Any:
     """Inverse of :func:`verdict_to_json`."""
     return verdict_from_dict(_json_loads(text, "verdict"))
 
 
-#: Keys that describe *how long / how cached / how wide* a particular run
-#: was, not what the answer is; stripped recursively by the canonical form.
-#: ``nodes_reused``/``lp_solves_saved`` are warm-start economics embedded
-#: in result payloads -- bookkeeping of one run, like ``elapsed``; a
-#: branch-and-bound result's ``workers`` is the configured pool width, which
-#: never changes the search (rounds are deterministic at any width).
-_RUN_BOOKKEEPING_KEYS = frozenset({
-    "provenance", "elapsed", "winning_time", "winning_max_subproblem_time",
-    "original_time", "encoding_reuse", "nodes_reused", "lp_solves_saved",
-    "workers",
-})
-
-
-def _strip_bookkeeping(value):
-    if isinstance(value, dict):
-        return {k: _strip_bookkeeping(v) for k, v in value.items()
-                if k not in _RUN_BOOKKEEPING_KEYS}
-    if isinstance(value, list):
-        return [_strip_bookkeeping(v) for v in value]
-    return value
-
-
-def canonical_verdict_json(verdict) -> str:
+def canonical_verdict_json(verdict: Any) -> str:
     """The *value* of a verdict as one canonical byte string.
 
-    Provenance and embedded timings (wall clocks, cache counters, pool
-    width live under ``provenance``; legacy results also carry their own
-    ``elapsed`` fields, branch-and-bound results their own ``workers``)
-    are bookkeeping about a particular run, not part of the answer; they
-    are stripped recursively so the same spec solved directly, over HTTP,
-    replayed from the verdict cache, or on any pool width compares
-    byte-identical.
+    The fields the tables mark as run bookkeeping -- the ``provenance``
+    envelope, each result's own ``elapsed`` and timings, cache counters,
+    warm-start economics and a branch-and-bound result's pool width --
+    describe a particular run, not the answer; they are dropped so the
+    same spec solved directly, over HTTP, replayed from the verdict
+    cache, or on any pool width compares byte-identical.  Free-form
+    content such as ``artifacts.notes`` is kept whole.
     """
-    return json.dumps(_strip_bookkeeping(verdict_to_dict(verdict)),
+    return json.dumps(VERDICT.encode(verdict, canonical=True),
                       allow_nan=False, sort_keys=True)
 
 
-def verdict_decision_json(verdict) -> str:
+def verdict_decision_json(verdict: Any) -> str:
     """The *decision* of a verdict as one canonical byte string.
 
     Even the canonical form keeps the full result payload -- LP counts,
@@ -987,7 +919,7 @@ def verdict_decision_json(verdict) -> str:
     the :func:`verdict_to_dict` payload, and byte-identical to projecting
     these four keys out of it.
     """
-    tag = _verdict_tag(verdict)
+    tag = VERDICT.tag_of(verdict)
     decision = {
         "verdict": tag,
         "spec_type": verdict.spec_type,

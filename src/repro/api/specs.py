@@ -21,8 +21,9 @@ and golden files in tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import ClassVar, Dict, Optional, Tuple, Type
+import math
+from dataclasses import dataclass
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -32,19 +33,20 @@ from repro.domains.box import Box
 from repro.nn.network import Network
 from repro.core.artifacts import ProofArtifacts
 from repro.api.serialize import (
-    array_from_jsonable,
-    array_to_jsonable,
-    artifacts_from_jsonable,
-    artifacts_to_jsonable,
-    box_from_jsonable,
-    box_to_jsonable,
-    float_to_jsonable,
+    ARRAY,
+    ARTIFACTS,
+    BOOL,
+    BOX,
+    FLOAT,
+    INT,
+    NETWORK,
+    Field,
+    ListOf,
+    Nullable,
+    OneOf,
+    Record,
+    Tagged,
     _json_loads,
-    network_from_jsonable,
-    network_to_jsonable,
-    _wire_bool,
-    _wire_float,
-    _wire_int,
 )
 
 __all__ = [
@@ -63,6 +65,8 @@ __all__ = [
 ]
 
 PROPOSITION_KINDS = (1, 2, 3, 4, 5, 6)
+#: The strategies a continuous round can cascade through.
+STRATEGIES = ("prop1", "prop2", "prop3", "prop4", "prop5", "prop6")
 
 
 def _canonical(payload: Dict) -> str:
@@ -72,21 +76,12 @@ def _canonical(payload: Dict) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
-def _wire_ints(data, name: str) -> Tuple[int, ...]:
-    """A JSON list of non-negative integers, as a tuple."""
-    if not isinstance(data, list):
+def _check_threshold(threshold: Optional[float]) -> None:
+    """A NaN threshold asks nothing (every comparison with it is false),
+    and the search would report ``max <= NaN`` as proved."""
+    if threshold is not None and math.isnan(threshold):
         raise SerializationError(
-            f"{name} must be a JSON list of integers, got {data!r}")
-    return tuple(_wire_int(value, f"{name} entry") for value in data)
-
-
-def _wire_strs(data, name: str) -> Tuple[str, ...]:
-    """A JSON list of strings, as a tuple."""
-    if not isinstance(data, list) or \
-            not all(isinstance(value, str) for value in data):
-        raise SerializationError(
-            f"{name} must be a JSON list of strings, got {data!r}")
-    return tuple(data)
+            "threshold must be a number or +-inf, not NaN")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +89,6 @@ class Spec:
     """Base of the declarative request hierarchy (see module docstring)."""
 
     spec_type: ClassVar[str] = ""
-
-    # -- canonical form -----------------------------------------------------
-    def _payload(self) -> Dict:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @classmethod
-    def _from_payload(cls, data: Dict) -> "Spec":  # pragma: no cover
-        raise NotImplementedError
 
     # -- value semantics ----------------------------------------------------
     def _canonical_form(self) -> str:
@@ -114,7 +101,7 @@ class Spec:
         """
         cached = getattr(self, "_canonical_cache", None)
         if cached is None:
-            cached = _canonical(self._payload())
+            cached = _canonical(SPEC.records[self.spec_type].encode(self))
             object.__setattr__(self, "_canonical_cache", cached)
         return cached
 
@@ -158,20 +145,6 @@ class ContainmentSpec(Spec):
     def __post_init__(self):
         self._check_choices(method=METHODS)
 
-    def _payload(self) -> Dict:
-        return {
-            "network": network_to_jsonable(self.network),
-            "input_box": box_to_jsonable(self.input_box),
-            "target": box_to_jsonable(self.target),
-            "method": self.method,
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Dict) -> "ContainmentSpec":
-        return cls(network=network_from_jsonable(data["network"]),
-                   input_box=box_from_jsonable(data["input_box"]),
-                   target=box_from_jsonable(data["target"]),
-                   method=data.get("method"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,16 +156,6 @@ class OutputRangeSpec(Spec):
 
     spec_type: ClassVar[str] = "output_range"
 
-    def _payload(self) -> Dict:
-        return {
-            "network": network_to_jsonable(self.network),
-            "input_box": box_to_jsonable(self.input_box),
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Dict) -> "OutputRangeSpec":
-        return cls(network=network_from_jsonable(data["network"]),
-                   input_box=box_from_jsonable(data["input_box"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,20 +170,9 @@ class ThresholdSpec(Spec):
 
     spec_type: ClassVar[str] = "threshold"
 
-    def _payload(self) -> Dict:
-        return {
-            "network": network_to_jsonable(self.network),
-            "input_box": box_to_jsonable(self.input_box),
-            "objective": array_to_jsonable(self.objective),
-            "threshold": float_to_jsonable(self.threshold),
-        }
+    def __post_init__(self):
+        _check_threshold(self.threshold)
 
-    @classmethod
-    def _from_payload(cls, data: Dict) -> "ThresholdSpec":
-        return cls(network=network_from_jsonable(data["network"]),
-                   input_box=box_from_jsonable(data["input_box"]),
-                   objective=array_from_jsonable(data["objective"]),
-                   threshold=_wire_float(data["threshold"], "threshold"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,26 +188,9 @@ class MaximizeSpec(Spec):
 
     spec_type: ClassVar[str] = "maximize"
 
-    def _payload(self) -> Dict:
-        return {
-            "network": network_to_jsonable(self.network),
-            "input_box": box_to_jsonable(self.input_box),
-            "objective": array_to_jsonable(self.objective),
-            "threshold": None if self.threshold is None
-            else float_to_jsonable(self.threshold),
-            "minimize": bool(self.minimize),
-        }
+    def __post_init__(self):
+        _check_threshold(self.threshold)
 
-    @classmethod
-    def _from_payload(cls, data: Dict) -> "MaximizeSpec":
-        threshold = data.get("threshold")
-        return cls(network=network_from_jsonable(data["network"]),
-                   input_box=box_from_jsonable(data["input_box"]),
-                   objective=array_from_jsonable(data["objective"]),
-                   threshold=None if threshold is None
-                   else _wire_float(threshold, "threshold"),
-                   minimize=_wire_bool(data.get("minimize", False),
-                                       "minimize"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,43 +252,6 @@ class PropositionSpec(Spec):
             object.__setattr__(self, "alphas",
                                tuple(int(a) for a in self.alphas))
 
-    def _payload(self) -> Dict:
-        return {
-            "kind": int(self.kind),
-            "artifacts": artifacts_to_jsonable(self.artifacts),
-            "enlarged_din": None if self.enlarged_din is None
-            else box_to_jsonable(self.enlarged_din),
-            "new_network": None if self.new_network is None
-            else network_to_jsonable(self.new_network),
-            "alphas": None if self.alphas is None else list(self.alphas),
-            "method": self.method,
-            "domain": self.domain,
-            "ord": float_to_jsonable(self.ord),
-            "stop_on_failure": bool(self.stop_on_failure),
-            "prescreen": bool(self.prescreen),
-            "recheck_safety": bool(self.recheck_safety),
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Dict) -> "PropositionSpec":
-        return cls(
-            kind=_wire_int(data["kind"], "proposition kind"),
-            artifacts=artifacts_from_jsonable(data["artifacts"]),
-            enlarged_din=None if data.get("enlarged_din") is None
-            else box_from_jsonable(data["enlarged_din"]),
-            new_network=None if data.get("new_network") is None
-            else network_from_jsonable(data["new_network"]),
-            alphas=None if data.get("alphas") is None
-            else _wire_ints(data["alphas"], "alphas"),
-            method=data.get("method"),
-            domain=data.get("domain"),
-            ord=_wire_float(data.get("ord", 2.0), "ord"),
-            stop_on_failure=_wire_bool(data.get("stop_on_failure", False),
-                                       "stop_on_failure"),
-            prescreen=_wire_bool(data.get("prescreen", True), "prescreen"),
-            recheck_safety=_wire_bool(data.get("recheck_safety", False),
-                                      "recheck_safety"),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,82 +283,70 @@ class ContinuousLoopSpec(Spec):
             object.__setattr__(self, "prop5_alphas",
                                tuple(int(a) for a in self.prop5_alphas))
 
-    def _payload(self) -> Dict:
-        return {
-            "artifacts": artifacts_to_jsonable(self.artifacts),
-            "enlarged_din": None if self.enlarged_din is None
-            else box_to_jsonable(self.enlarged_din),
-            "new_network": None if self.new_network is None
-            else network_to_jsonable(self.new_network),
-            "strategies": None if self.strategies is None
-            else list(self.strategies),
-            "prop5_alphas": None if self.prop5_alphas is None
-            else list(self.prop5_alphas),
-            "with_fixing": bool(self.with_fixing),
-        }
 
-    @classmethod
-    def _from_payload(cls, data: Dict) -> "ContinuousLoopSpec":
-        return cls(
-            artifacts=artifacts_from_jsonable(data["artifacts"]),
-            enlarged_din=None if data.get("enlarged_din") is None
-            else box_from_jsonable(data["enlarged_din"]),
-            new_network=None if data.get("new_network") is None
-            else network_from_jsonable(data["new_network"]),
-            strategies=None if data.get("strategies") is None
-            else _wire_strs(data["strategies"], "strategies"),
-            prop5_alphas=None if data.get("prop5_alphas") is None
-            else _wire_ints(data["prop5_alphas"], "prop5_alphas"),
-            with_fixing=_wire_bool(data.get("with_fixing", True),
-                                   "with_fixing"),
-        )
+def _spec(cls: Type[Spec], *fields: Field) -> Record:
+    # A spec's fields are the request itself: errors name them bare.
+    return Record(f"{cls.spec_type} spec", cls, *fields, label="")
 
+
+_METHOD = Field("method", Nullable(OneOf(*METHODS)), None)
+_ENLARGED_DIN = Field("enlarged_din", Nullable(BOX), None)
+_NEW_NETWORK = Field("new_network", Nullable(NETWORK), None)
+
+#: Every spec document: ``{"type": <spec_type>, ...fields}``, one table
+#: per spec type.  Payload keys mirror the dataclass fields one-to-one,
+#: and unknown keys are rejected (a silently dropped "thresold" would
+#: change the verdict).
+SPEC = Tagged("spec", "type", {record.build.spec_type: record for record in (
+    _spec(
+        ContainmentSpec, Field("network", NETWORK), Field("input_box", BOX),
+        Field("target", BOX), _METHOD),
+    _spec(
+        OutputRangeSpec, Field("network", NETWORK),
+        Field("input_box", BOX)),
+    _spec(
+        ThresholdSpec, Field("network", NETWORK), Field("input_box", BOX),
+        Field("objective", ARRAY), Field("threshold", FLOAT)),
+    _spec(
+        MaximizeSpec, Field("network", NETWORK), Field("input_box", BOX),
+        Field("objective", ARRAY),
+        Field("threshold", Nullable(FLOAT), None),
+        Field("minimize", BOOL, False)),
+    _spec(
+        PropositionSpec, Field("kind", INT), Field("artifacts", ARTIFACTS),
+        _ENLARGED_DIN, _NEW_NETWORK,
+        Field("alphas", Nullable(ListOf(INT)), None), _METHOD,
+        Field("domain", Nullable(OneOf(*DOMAINS)), None),
+        Field("ord", FLOAT, 2.0),
+        Field("stop_on_failure", BOOL, False),
+        Field("prescreen", BOOL, True),
+        Field("recheck_safety", BOOL, False)),
+    _spec(
+        ContinuousLoopSpec, Field("artifacts", ARTIFACTS), _ENLARGED_DIN,
+        _NEW_NETWORK,
+        Field("strategies", Nullable(ListOf(OneOf(*STRATEGIES))), None),
+        Field("prop5_alphas", Nullable(ListOf(INT)), None),
+        Field("with_fixing", BOOL, True)),
+)})
 
 #: Registry keyed by the wire-format ``"type"`` tag.
 SPEC_TYPES: Dict[str, Type[Spec]] = {
-    cls.spec_type: cls
-    for cls in (ContainmentSpec, OutputRangeSpec, ThresholdSpec,
-                MaximizeSpec, PropositionSpec, ContinuousLoopSpec)
-}
+    tag: record.build for tag, record in SPEC.records.items()}
 
 
 def spec_to_dict(spec: Spec) -> Dict:
     """The JSON-safe wire form: ``{"type": <kind>, ...payload}``."""
-    if type(spec) not in SPEC_TYPES.values():
-        raise SerializationError(f"not a Spec: {type(spec).__name__}")
-    return {"type": spec.spec_type, **spec._payload()}
+    data: Dict = SPEC.encode(spec)
+    return data
 
 
-def spec_from_dict(data: Dict) -> Spec:
+def spec_from_dict(data: Any) -> Spec:
     """Inverse of :func:`spec_to_dict`."""
-    try:
-        tag = data["type"]
-    except (TypeError, KeyError):
-        raise SerializationError(
-            'a spec dict needs a "type" tag '
-            f"(one of {sorted(SPEC_TYPES)})") from None
-    if tag not in SPEC_TYPES:
-        raise SerializationError(
-            f"unknown spec type {tag!r}; known: {sorted(SPEC_TYPES)}")
-    cls = SPEC_TYPES[tag]
-    payload = {k: v for k, v in data.items() if k != "type"}
-    # Payload keys mirror the dataclass fields one-to-one; reject typos
-    # loudly (a silently dropped "thresold" would change the verdict).
-    known = {f.name for f in dataclass_fields(cls)}
-    unknown = set(payload) - known
-    if unknown:
-        raise SerializationError(
-            f"unknown keys {sorted(unknown)} for spec type {tag!r}; "
-            f"known: {sorted(known)}")
-    try:
-        return cls._from_payload(payload)
-    except KeyError as exc:
-        raise SerializationError(
-            f"spec type {tag!r} is missing required key {exc.args[0]!r}"
-        ) from None
+    spec: Spec = SPEC.decode(data)
+    return spec
 
 
-def spec_to_json(spec: Spec, **dumps_kwargs) -> str:
+def spec_to_json(spec: Spec, **dumps_kwargs: Any) -> str:
     """``json.dumps`` of :func:`spec_to_dict` -- strict RFC-8259 text
     (non-finite floats travel as ``"inf"``/``"-inf"``/``"nan"`` strings,
     so any JSON parser can read the wire form)."""

@@ -353,8 +353,7 @@ def load_certificate(cert_json: str) -> Certificate:
 
     try:
         return certificate_from_json(cert_json)
-    except (ReproError, ValueError, TypeError, KeyError, OverflowError,
-            RecursionError) as exc:
+    except ReproError as exc:  # the codec raises nothing else
         raise CertificateError(
             f"unreadable certificate payload: {type(exc).__name__}: {exc}"
         ) from exc

@@ -425,11 +425,14 @@ def _cmd_verify(args) -> int:
 def _load_spec_document(path: str):
     """Read a spec file (or stdin for ``-``): returns ``(spec_doc,
     config_doc_or_None)`` for both the bare and bundled layouts."""
+    from repro.api.serialize import _json_loads
+
     if path == "-":
-        document = json.load(sys.stdin)
+        text = sys.stdin.read()
     else:
         with open(path) as handle:
-            document = json.load(handle)
+            text = handle.read()
+    document = _json_loads(text, "spec document")
     if isinstance(document, dict) and "spec" in document:
         return document["spec"], document.get("config")
     return document, None

@@ -29,15 +29,19 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.api.config import DEFAULT_DOMAIN
+from repro.api.config import DEFAULT_DOMAIN, DOMAINS
 from repro.errors import ArtifactError, ReproError
 from repro.domains.box import Box
 from repro.nn.network import Network
 from repro.nn.serialize import network_from_bytes, network_to_bytes
 from repro.core.problem import VerificationProblem
 
-__all__ = ["StateAbstractions", "LipschitzCertificate", "ProofArtifacts",
-           "save_artifacts", "load_artifacts"]
+__all__ = ["STATE_DOMAINS", "StateAbstractions", "LipschitzCertificate",
+           "ProofArtifacts", "save_artifacts", "load_artifacts"]
+
+#: How state abstractions can be built: the inductive box chain of the
+#: baseline verifier, or one abstract domain's layerwise propagation.
+STATE_DOMAINS = ("inductive",) + DOMAINS
 
 
 @dataclass

@@ -30,9 +30,10 @@ from repro.exact.encoding import encoding_cache_stats
 from repro.exact.verify import _check_containment
 from repro.nn.network import Network
 from repro.core.artifacts import ProofArtifacts
-from repro.core.fixing import FixingResult, incremental_fix
+from repro.core.fixing import FIXING_STRATEGIES, FixingResult, incremental_fix
 from repro.core.problem import SVbTV, SVuDC
 from repro.core.propositions import (
+    PROPOSITIONS,
     PropositionResult,
     SubproblemReport,
     _check_prop1,
@@ -43,7 +44,13 @@ from repro.core.propositions import (
     check_prop6,
 )
 
-__all__ = ["ContinuousResult", "ContinuousVerifier"]
+__all__ = ["CONTINUOUS_STRATEGIES", "ContinuousResult", "ContinuousVerifier"]
+
+#: Every strategy a :class:`ContinuousResult` can name: the winning
+#: proposition, the fixing procedure's strategy, or the fallback; the wire
+#: decodes no other.
+CONTINUOUS_STRATEGIES = (PROPOSITIONS + ("full re-verification",)
+                         + tuple(f"fixing: {s}" for s in FIXING_STRATEGIES))
 
 
 def _cache_delta(snapshot: Dict[str, int]) -> Dict[str, int]:

@@ -34,7 +34,18 @@ from repro.nn.network import Network
 from repro.core.artifacts import ProofArtifacts
 from repro.core.propositions import PropositionResult, SubproblemReport
 
-__all__ = ["FixingResult", "incremental_fix"]
+__all__ = ["FIXING_STRATEGIES", "FixingResult", "incremental_fix"]
+
+#: Every strategy a :class:`FixingResult` can name (``{n}`` is the count
+#: of broken layers); the wire decodes no other.
+FIXING_STRATEGIES = (
+    "nothing to fix",
+    "{n} layers broken -> full re-verification",
+    "first abstraction broken -> full re-verification",
+    "output layer repair",
+    "single-layer repair with re-entry",
+    "single-layer repair, no re-entry (tail verified)",
+)
 
 
 @dataclass

@@ -33,11 +33,19 @@ from repro.nn.network import Network
 from repro.core.artifacts import ProofArtifacts
 
 __all__ = [
+    "PROPOSITIONS",
     "SubproblemReport",
     "PropositionResult",
     "check_prop3",
     "check_prop6",
 ]
+
+
+#: Every name a :class:`PropositionResult` can carry (the SVbTV composites
+#: and the full re-verification fallback included); the wire decodes no
+#: other.
+PROPOSITIONS = ("prop1", "prop2", "prop3", "prop4", "prop5", "prop6",
+                "prop6+prop1", "prop6+prop3", "full")
 
 
 @dataclass
@@ -399,7 +407,9 @@ def check_prop6(artifacts: ProofArtifacts, new_network: Network,
     if not check.holds:
         return _timed("prop6", started, False, subproblems, check.reason)
 
-    safety_ok = bool(artifacts.notes.get("netabs_proves_safety", False))
+    # Only a recorded JSON true counts: notes are free-form, and a "false"
+    # string or a 1 must not skip the containment check.
+    safety_ok = artifacts.notes.get("netabs_proves_safety") is True
     if recheck_safety or not safety_ok:
         t0 = time.perf_counter()
         bounds = absn.output_bounds(artifacts.problem.din, method=method)

@@ -282,12 +282,9 @@ class _Handler(BaseHTTPRequestHandler):
                         headers={"Retry-After":
                                  f"{max(exc.retry_after, 0):g}"})
             return
-        except (ServeError, SerializationError, ReproError,
-                ValueError, TypeError, KeyError) as exc:
-            # ValueError/TypeError/KeyError: structurally-plausible specs
-            # that still explode during deserialization (ragged weight
-            # arrays, wrong scalar kinds) must be a 400, not a dropped
-            # connection from a crashed handler.
+        except ReproError as exc:
+            # The wire codec turns every malformed document -- wrong
+            # shapes and kinds included -- into a SerializationError.
             self._error(400, f"{type(exc).__name__}: {exc}")
             return
         self._send_json(201, record.to_public_dict())

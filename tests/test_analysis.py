@@ -99,6 +99,28 @@ CASES = [
         """,
     ),
     (
+        "wire-scalars", "repro.api.fixture",
+        """
+        def spec_from_dict(data):
+            return Spec(threshold=data["threshold"],
+                        minimize=data.get("minimize", False))
+        """,
+        """
+        from repro.api.serialize import FLOAT, Field, Record
+
+        SPEC = Record("spec", Spec, Field("threshold", FLOAT))
+
+        def spec_from_dict(data):
+            data["seen"] = True  # a write, not a read
+            return SPEC.decode(data), config["tol"]
+        """,
+        """
+        def spec_from_dict(data):
+            return Spec(threshold=data["threshold"],  # repro: disable=wire-scalars
+                        minimize=data.get("minimize", False))  # repro: disable=wire-scalars
+        """,
+    ),
+    (
         "determinism", "repro.exact.fixture",
         """
         import time

@@ -679,6 +679,21 @@ class TestVerifySpecCLI:
         assert record["status"] == "optimal"
         assert record["optimum"] == pytest.approx(6.2)
 
+    def test_verify_spec_reads_by_the_strict_wire_reader(self, tmp_path,
+                                                         fig2, enlarged_box2):
+        # The executor protocol's reader is the codec's: a NaN token is a
+        # malformed document, not a NaN threshold.
+        from repro.cli import main as cli_main
+
+        spec = ThresholdSpec(network=fig2, input_box=enlarged_box2,
+                             objective=np.array([1.0]), threshold=6.5)
+        path = tmp_path / "spec.json"
+        path.write_text(spec_to_json(spec).replace('"threshold": 6.5',
+                                                   '"threshold": NaN'))
+        with pytest.raises(SerializationError,
+                           match="non-standard JSON token"):
+            cli_main(["verify-spec", str(path)])
+
     def test_verify_spec_failing_spec_exits_nonzero(self, tmp_path, fig2,
                                                     enlarged_box2):
         from repro.cli import main as cli_main

@@ -238,18 +238,24 @@ class TestPackedWire:
             self, threshold_problem):
         """A v4 payload (with the record-time screen bounds and verdicts,
         content fingerprint, status and bound that v5 dropped) misses by
-        key in a store; forced under a v5 key, it decodes but fails
-        validation, and the solve runs cold."""
+        key in a store; forced under a v5 key, its version fails
+        validation and its unknown keys fail to decode, and the solve runs
+        cold."""
         net, _box, c, thr = threshold_problem
         data, _key = _wire_dict(threshold_problem)
+        data["version"] = 4
+        with pytest.raises(CertificateError, match="version 4 != 5"):
+            validate_certificate(
+                load_certificate(json.dumps(data, sort_keys=True)), net, c,
+                thr, VerifyConfig(certs="reuse"))
         n = len(data["leaf_duals"]["present"])
-        data.update(version=4, leaf_bounds=[0.0] * n,
+        data.update(leaf_bounds=[0.0] * n,
                     leaf_verdicts=["open"] * n, content_fp="0" * 64,
                     status="threshold_proved", upper_bound=0.0)
         payload = json.dumps(data, sort_keys=True)
-        with pytest.raises(CertificateError, match="version 4 != 5"):
-            validate_certificate(load_certificate(payload), net, c, thr,
-                                 VerifyConfig(certs="reuse"))
+        with pytest.raises(CertificateError,
+                           match="unknown certificate keys"):
+            load_certificate(payload)
         _assert_cold_fallback(threshold_problem, payload)
 
     def test_non_finite_dual_row_costs_its_leaf_only(self,

@@ -715,6 +715,20 @@ class TestHTTPAndClient:
             payload["error"]
         assert ServeClient(server.url).jobs() == []
 
+    @pytest.mark.parametrize("arrays", [[], 5, {"weight": "x"}])
+    def test_http_rejects_malformed_layer_arrays_with_400(
+            self, server, maximize_spec, arrays):
+        # A layer whose "arrays" is not an object of arrays used to raise
+        # a bare AttributeError in the decoder, which dropped the
+        # connection instead of answering.
+        spec = spec_to_dict(maximize_spec)
+        spec["network"]["layers"][0]["arrays"] = arrays
+        status, payload = self._raw_post(
+            server, json.dumps({"spec": spec}).encode())
+        assert status == 400
+        assert payload["error"].startswith("SerializationError: ")
+        assert ServeClient(server.url).jobs() == []
+
     def test_http_rejects_auto_config_method_with_400(
             self, server, maximize_spec):
         body = json.dumps({"spec": spec_to_dict(maximize_spec),

@@ -620,6 +620,24 @@ class TestSpecWireScalars:
             spec_from_json(_replaced(wires[kind], (field,), value))
         assert classify_failure(info.value) == ("SerializationError", False)
 
+    @pytest.mark.parametrize("kind", ["threshold", "maximize"])
+    def test_nan_threshold_is_permanent_serialization_error(self, wires,
+                                                            kind):
+        # max <= NaN asks nothing; the search used to report it proved.
+        from repro.api import spec_from_json
+        from repro.serve.resilience import classify_failure
+
+        with pytest.raises(SerializationError, match="not NaN") as info:
+            spec_from_json(_replaced(wires[kind], ("threshold",), '"nan"'))
+        assert classify_failure(info.value) == ("SerializationError", False)
+        for value in ('"inf"', '"-inf"'):
+            wire = _replaced(wires[kind], ("threshold",), value)
+            assert spec_from_json(wire).threshold == float(value[1:-1])
+        spec = spec_from_json(wires[kind])
+        with pytest.raises(SerializationError, match="not NaN"):
+            type(spec)(network=spec.network, input_box=spec.input_box,
+                       objective=spec.objective, threshold=float("nan"))
+
     @pytest.mark.parametrize("value", ['"auto"', '"bogus"', '["exact"]',
                                        "7", "true"])
     @pytest.mark.parametrize("kind,field", [
@@ -893,8 +911,9 @@ def _scalar_wires():
                 elapsed=0.75)),
         "continuous": ContinuousVerdict(
             spec_type="continuous", **common, result=ContinuousResult(
-                holds=True, strategy="fixing", elapsed=0.75,
-                fixing=FixingResult(holds=True, strategy="prop6",
+                holds=True, strategy="fixing: output layer repair",
+                elapsed=0.75,
+                fixing=FixingResult(holds=True, strategy="output layer repair",
                                     subproblems=[sub], elapsed=0.5),
                 winning_max_subproblem_time=0.5, winning_time=0.5)),
         "baseline": BaselineVerdict(
@@ -1136,3 +1155,182 @@ class TestDecisionJson:
 
         with pytest.raises(SerializationError, match="not a wire"):
             verdict_decision_json(object())
+
+
+class TestWrongShapes:
+    """A value of the wrong JSON shape anywhere in a document is a
+    permanent SerializationError, never the bare ``TypeError``/
+    ``AttributeError`` a hand-written decoder raised for it."""
+
+    @pytest.fixture(scope="class")
+    def wires(self):
+        return {"verdict": _scalar_wires()["maximize"],
+                "spec": _spec_wires()["threshold"]}
+
+    @pytest.mark.parametrize("doc,path,value", [
+        ("verdict", ("provenance",), "[]"),
+        ("verdict", ("result",), "3"),
+        ("verdict", ("provenance", "encoding_reuse"), "[1]"),
+        ("spec", ("network",), "[]"),
+        ("spec", ("network", "layers"), "5"),
+        ("spec", ("input_box",), "[]"),
+        ("spec", ("network", "layers", 0, "class"), '["Dense"]'),
+        ("spec", ("network", "layers", 0, "config"), "[]"),
+        ("spec", ("network", "layers", 0, "arrays"), "[]"),
+    ])
+    def test_wrong_shape_is_permanent_serialization_error(self, wires, doc,
+                                                          path, value):
+        from repro.api import spec_from_json
+        from repro.serve.resilience import classify_failure
+
+        decode = verdict_from_json if doc == "verdict" else spec_from_json
+        with pytest.raises(SerializationError) as info:
+            decode(_replaced(wires[doc], path, value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+
+def _prop6_spec_wire():
+    """A kind-6 spec whose stored abstraction is recorded as proving
+    safety, so Proposition 6 may skip its f̂(Din) ⊆ Dout check."""
+    from repro.api import spec_to_json
+    from repro.netabs.abstraction import build_abstraction
+    from repro.nn import random_relu_network
+
+    head = random_relu_network([2, 6, 4, 1], seed=1)
+    box = Box(-np.ones(2), np.ones(2))
+    artifacts = ProofArtifacts(
+        problem=VerificationProblem(head, box, Box(-50 * np.ones(1),
+                                                   50 * np.ones(1))),
+        network_abstraction=build_abstraction(head, box, num_groups=1),
+        notes={"netabs_proves_safety": True})
+    return spec_to_json(PropositionSpec(kind=6, artifacts=artifacts,
+                                        new_network=head))
+
+
+class TestProp6SafetyFlag:
+    """Proposition 6 trusts a recorded safety flag only when it is the
+    JSON ``true``: notes are free-form, so ``"false"`` or ``1`` make it
+    run the f̂(Din) ⊆ Dout check instead of skipping it."""
+
+    @pytest.mark.parametrize("flag,checked", [
+        ("true", False), ('"false"', True), ("1", True), ('"true"', True)])
+    def test_only_a_json_true_skips_the_check(self, flag, checked):
+        from repro.api import spec_from_json
+
+        wire = _replaced(_prop6_spec_wire(),
+                         ("artifacts", "notes", "netabs_proves_safety"),
+                         flag)
+        verdict = VerificationEngine(VerifyConfig()).verify(
+            spec_from_json(wire))
+        names = [s.name for s in verdict.result.subproblems]
+        assert ("f̂(Din) ⊆ Dout" in names) is checked
+        assert verdict.holds is True
+
+
+def test_canonical_form_keeps_free_form_notes_keys():
+    """Only the fields the tables mark as bookkeeping leave the canonical
+    form: a key named ``elapsed`` inside ``artifacts.notes`` is content."""
+    from repro.api.verdict import BaselineVerdict
+    from repro.core.verifier import BaselineOutcome
+    from repro.nn import fig2_network
+
+    box = Box(-np.ones(2), np.ones(2))
+    artifacts = ProofArtifacts(
+        problem=VerificationProblem(fig2_network(), box,
+                                    Box(-50 * np.ones(1), 50 * np.ones(1))),
+        original_time=2.0, notes={"elapsed": 1.5, "workers": 3})
+    verdict = BaselineVerdict(
+        spec_type="baseline", holds=True, provenance=Provenance(elapsed=1.0),
+        result=BaselineOutcome(holds=True, artifacts=artifacts, elapsed=1.0))
+    data = json.loads(canonical_verdict_json(verdict))
+    assert data["result"]["artifacts"]["notes"] == {"elapsed": 1.5,
+                                                    "workers": 3}
+    assert "original_time" not in data["result"]["artifacts"]
+    assert "elapsed" not in data["result"]
+
+
+class TestNewlyStrictFields:
+    """Values the hand-written decoders passed through untyped now decode
+    only as their declared kind: strings, listed enums, optional counts,
+    objects with exactly their table's keys."""
+
+    @pytest.fixture(scope="class")
+    def wires(self):
+        from repro.api import spec_to_json
+        from repro.api.verdict import FailedVerdict
+        from repro.nn import random_relu_network
+        from repro.nn.layers import Dense, LeakyReLU
+        from repro.nn.network import Network
+
+        head = random_relu_network([2, 3, 1], seed=1)
+        box = Box(-np.ones(2), np.ones(2))
+        baseline = VerificationEngine(VerifyConfig()).baseline(
+            VerificationProblem(head, box, Box(-50 * np.ones(1),
+                                               50 * np.ones(1))))
+        return {
+            **_scalar_wires(), **{f"{k} spec": v
+                                  for k, v in _spec_wires().items()},
+            "states": verdict_to_json(baseline),
+            "failed": verdict_to_json(FailedVerdict(
+                spec_type="maximize", holds=None, provenance=Provenance(),
+                error="boom", error_type="ShapeError")),
+            "leaky spec": spec_to_json(OutputRangeSpec(
+                network=Network([Dense(2, 3, weight=np.ones((3, 2))),
+                                 LeakyReLU(0.1),
+                                 Dense(3, 1, weight=np.ones((1, 3)))],
+                                input_dim=2),
+                input_box=box)),
+        }
+
+    @pytest.mark.parametrize("doc,path,value,match", [
+        ("containment", ("spec_type",), "[1]", "must be a JSON string"),
+        ("containment", ("detail",), "7", "must be a JSON string"),
+        ("containment", ("result", "detail"), "null",
+         "must be a JSON string"),
+        ("proposition", ("result", "subproblems", 0, "name"), "3",
+         "must be a JSON string"),
+        ("proposition", ("result", "proposition"), '"prop7"',
+         "proposition proposition must be one of"),
+        ("continuous", ("result", "strategy"), '"fixing"',
+         "continuous strategy must be one of"),
+        ("continuous", ("result", "fixing", "strategy"), '"prop6"',
+         "fixing strategy must be one of"),
+        ("continuous", ("result", "fixing", "replaced_layer"), '"2"',
+         "must be a non-negative integer"),
+        ("continuous", ("result", "fixing", "reentry_layer"), "-1",
+         "must be a non-negative integer"),
+        ("baseline", ("result", "detail"), "false", "must be a JSON string"),
+        ("baseline", ("result", "artifacts", "notes"), '[["a", 1]]',
+         "notes must be a JSON object"),
+        ("baseline", ("result", "artifacts", "lipschitz", "method"), "null",
+         "must be a JSON string"),
+        ("states", ("result", "artifacts", "states", "domain"),
+         '"interval"', "states domain must be one of"),
+        ("failed", ("error",), "1", "must be a JSON string"),
+        ("failed", ("error_type",), "null", "must be a JSON string"),
+        ("maximize", ("provenance", "bogus"), "1",
+         "unknown provenance keys"),
+        ("maximize", ("result", "bogus"), "1", "unknown result keys"),
+        ("baseline", ("result", "artifacts", "problem", "din", "bogus"),
+         "1", "unknown box keys"),
+        ("threshold", ("certificate", "leaves", "bogus"), "1",
+         "packed object"),
+        ("continuous spec", ("strategies",), '["prop7"]',
+         "strategies must be a JSON list of strings"),
+        ("threshold spec", ("network", "layers", 0, "config", "bogus"), "1",
+         "layer rejected its fields"),
+        ("threshold spec", ("network", "layers", 0, "arrays", "gain"),
+         "[1.0]", "layer rejected its fields"),
+        ("leaky spec", ("network", "layers", 1, "config", "alpha"), '"0.1"',
+         "LeakyReLU config alpha must be a JSON number"),
+    ])
+    def test_is_permanent_serialization_error(self, wires, doc, path, value,
+                                              match):
+        from repro.api import spec_from_json
+        from repro.serve.resilience import classify_failure
+
+        decode = spec_from_json if doc.endswith("spec") else verdict_from_json
+        assert decode(wires[doc]) is not None
+        with pytest.raises(SerializationError, match=match) as info:
+            decode(_replaced(wires[doc], path, value))
+        assert classify_failure(info.value) == ("SerializationError", False)
