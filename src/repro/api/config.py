@@ -129,8 +129,6 @@ class VerifyConfig:
             raise ReproError(f"tol must be a finite real, got {self.tol!r}")
         if not (self.tol > 0):
             raise ReproError(f"tol must be positive, got {self.tol}")
-        # A plain float, so to_dict and the wire write the same number.
-        object.__setattr__(self, "tol", float(self.tol))
         if self.node_limit < 1:
             raise ReproError(f"node_limit must be >= 1, got {self.node_limit}")
         if self.full_node_limit < 1:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import dataclasses
 import json
 import math
 import re
@@ -37,18 +38,7 @@ from typing import Any, Callable, Dict, NoReturn, Optional
 import numpy as np
 
 from repro.errors import ReproError, SerializationError
-from repro.api.config import (
-    DEFAULT_CERT_POLICY,
-    DEFAULT_DOMAIN,
-    DEFAULT_ENCODING_CACHE,
-    DEFAULT_FULL_NODE_LIMIT,
-    DEFAULT_MAX_BOXES,
-    DEFAULT_METHOD,
-    DEFAULT_NODE_LIMIT,
-    DEFAULT_TOL,
-    DEFAULT_WORKERS,
-    VerifyConfig,
-)
+from repro.api.config import DEFAULT_WORKERS, VerifyConfig
 from repro.api.verdict import (
     BaselineVerdict,
     ContainmentVerdict,
@@ -545,27 +535,45 @@ DUALS = Leaf("packed leaf duals", _leaf_duals_to_jsonable,
 # ---------------------------------------------------------- boxes, networks
 BOX = Record("box", Box, Field("lower", ARRAY), Field("upper", ARRAY))
 
-#: Layer ``config()`` entries that are integer sizes or float slopes,
-#: checked before a layer constructor sees them.
-_LAYER_CONFIG_KINDS = {
-    **dict.fromkeys(("in_dim", "out_dim", "in_channels", "out_channels",
-                     "kernel_size", "stride", "pool_size"), INT),
-    "alpha": FLOAT,
+_WEIGHTS = ("weight", "bias")
+_CONV = ("in_channels", "out_channels", "kernel_size", "stride")
+
+#: Each layer class's ``config()`` keys with their kinds, and its
+#: ``arrays()`` names: exactly what the encoder writes.  A Dense or Conv2D
+#: missing its weights would draw random ones, so every key is required.
+_LAYER_PARTS: Dict[str, Any] = {
+    "Dense": ({"in_dim": INT, "out_dim": INT}, _WEIGHTS),
+    "ReLU": ({}, ()),
+    "LeakyReLU": ({"alpha": FLOAT}, ()),
+    "Sigmoid": ({}, ()),
+    "Tanh": ({}, ()),
+    "Flatten": ({}, ()),
+    "Conv2D": (dict.fromkeys(_CONV, INT), _WEIGHTS),
+    "AvgPool2D": ({"pool_size": INT}, ()),
 }
 
 
+def _exact_keys(where: str, data: Dict, names: Any) -> None:
+    if data.keys() != set(names):
+        raise SerializationError(
+            f"{where} must have exactly the keys {sorted(names)}, got "
+            f"{sorted(data)}")
+
+
 def _layer(**fields: Any) -> Any:
-    name, config = fields["class"], fields["config"]
+    name, config, arrays = fields["class"], fields["config"], fields["arrays"]
+    kinds, array_names = _LAYER_PARTS[name]
+    _exact_keys(f"{name} config", config, kinds)
+    _exact_keys(f"{name} arrays", arrays, array_names)
     for key, value in config.items():
-        _LAYER_CONFIG_KINDS.get(key, ANY).decode(value,
-                                                 f"{name} config {key}")
-    # Arrays go to the constructor, which checks their names and shapes.
-    return _LAYER_CLASSES[name](**config, **fields["arrays"])
+        kinds[key].decode(value, f"{name} config {key}")
+    # The constructor checks the arrays' shapes.
+    return _LAYER_CLASSES[name](**config, **arrays)
 
 
 LAYER = Record(
     "layer", _layer,
-    Field("class", OneOf(*_LAYER_CLASSES), get=lambda l: type(l).__name__),
+    Field("class", OneOf(*_LAYER_PARTS), get=lambda l: type(l).__name__),
     Field("config", MapOf(ANY), get=lambda l: l.config()),
     Field("arrays", MapOf(ARRAY), get=lambda l: l.arrays()),
 )
@@ -615,19 +623,21 @@ network_to_jsonable = NETWORK.encode
 
 
 # ------------------------------------------------------------------ configs
-CONFIG = Record(
-    "VerifyConfig", VerifyConfig,
-    Field("tol", FLOAT, DEFAULT_TOL),
-    Field("node_limit", INT, DEFAULT_NODE_LIMIT),
-    Field("full_node_limit", INT, DEFAULT_FULL_NODE_LIMIT),
-    Field("max_boxes", INT, DEFAULT_MAX_BOXES),
-    Field("workers", INT, DEFAULT_WORKERS),
-    # VerifyConfig names the choices of these itself.
-    Field("method", STR, DEFAULT_METHOD),
-    Field("domain", STR, DEFAULT_DOMAIN),
-    Field("encoding_cache", STR, DEFAULT_ENCODING_CACHE),
-    Field("certs", STR, DEFAULT_CERT_POLICY),
-)
+#: The kind of each :class:`VerifyConfig` field type (the config itself
+#: checks ranges and the method/domain/policy choices).  A float is read
+#: as written, so a decoded config re-encodes to the same bytes.
+_CONFIG_KINDS = {
+    "float": Scalar("a JSON number", "numbers",
+                    lambda v: type(v) in _NUMBER_TYPES),
+    "int": INT,
+    "str": STR,
+}
+
+#: Decodes a config document; one field per :class:`VerifyConfig` field,
+#: its default the field's own.  ``VerifyConfig.to_dict`` encodes.
+CONFIG = Record("VerifyConfig", VerifyConfig, *(
+    Field(f.name, _CONFIG_KINDS[f.type], f.default)
+    for f in dataclasses.fields(VerifyConfig)))
 
 
 def config_to_json(config: VerifyConfig, **dumps_kwargs: Any) -> str:
@@ -637,7 +647,7 @@ def config_to_json(config: VerifyConfig, **dumps_kwargs: Any) -> str:
     the serving layer fingerprints ``(spec, config)`` pairs with this.
     """
     dumps_kwargs.setdefault("sort_keys", True)
-    return json.dumps(CONFIG.encode(config), allow_nan=False, **dumps_kwargs)
+    return json.dumps(config.to_dict(), allow_nan=False, **dumps_kwargs)
 
 
 def config_from_json(text: str) -> VerifyConfig:

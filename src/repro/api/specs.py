@@ -32,6 +32,7 @@ from repro.api.config import DOMAINS, METHODS
 from repro.domains.box import Box
 from repro.nn.network import Network
 from repro.core.artifacts import ProofArtifacts
+from repro.core.propositions import SINGLE_PROPOSITIONS
 from repro.api.serialize import (
     ARRAY,
     ARTIFACTS,
@@ -66,7 +67,7 @@ __all__ = [
 
 PROPOSITION_KINDS = (1, 2, 3, 4, 5, 6)
 #: The strategies a continuous round can cascade through.
-STRATEGIES = ("prop1", "prop2", "prop3", "prop4", "prop5", "prop6")
+STRATEGIES = SINGLE_PROPOSITIONS
 
 
 def _canonical(payload: Dict) -> str:

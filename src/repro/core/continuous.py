@@ -33,6 +33,15 @@ from repro.core.artifacts import ProofArtifacts
 from repro.core.fixing import FIXING_STRATEGIES, FixingResult, incremental_fix
 from repro.core.problem import SVbTV, SVuDC
 from repro.core.propositions import (
+    FULL,
+    PROP1,
+    PROP2,
+    PROP3,
+    PROP4,
+    PROP5,
+    PROP6,
+    PROP6_PROP1,
+    PROP6_PROP3,
     PROPOSITIONS,
     PropositionResult,
     SubproblemReport,
@@ -46,11 +55,14 @@ from repro.core.propositions import (
 
 __all__ = ["CONTINUOUS_STRATEGIES", "ContinuousResult", "ContinuousVerifier"]
 
+FULL_REVERIFICATION = "full re-verification"
+#: Prefixes the fixing procedure's strategy when fixing settles a round.
+FIXING_PREFIX = "fixing: "
 #: Every strategy a :class:`ContinuousResult` can name: the winning
 #: proposition, the fixing procedure's strategy, or the fallback; the wire
 #: decodes no other.
-CONTINUOUS_STRATEGIES = (PROPOSITIONS + ("full re-verification",)
-                         + tuple(f"fixing: {s}" for s in FIXING_STRATEGIES))
+CONTINUOUS_STRATEGIES = (PROPOSITIONS + (FULL_REVERIFICATION,)
+                         + tuple(FIXING_PREFIX + s for s in FIXING_STRATEGIES))
 
 
 def _cache_delta(snapshot: Dict[str, int]) -> Dict[str, int]:
@@ -158,7 +170,7 @@ class ContinuousVerifier:
 
     # ------------------------------------------------------------------ SVuDC
     def verify_domain_change(self, problem: SVuDC,
-                             strategies: Sequence[str] = ("prop3", "prop1", "prop2"),
+                             strategies: Sequence[str] = (PROP3, PROP1, PROP2),
                              ) -> ContinuousResult:
         """Settle an SVuDC instance by artifact reuse."""
         snapshot = encoding_cache_stats()
@@ -180,19 +192,19 @@ class ContinuousVerifier:
                                    problem.enlarged_din, started, attempts)
 
     def _run_svudc_strategy(self, strategy: str, enlarged: Box) -> PropositionResult:
-        if strategy == "prop1":
+        if strategy == PROP1:
             return _check_prop1(self.artifacts, enlarged, method=self.method,
                                 config=self.config)
-        if strategy == "prop2":
+        if strategy == PROP2:
             return _check_prop2(self.artifacts, enlarged, domain=self.domain,
                                 method=self.method, config=self.config)
-        if strategy == "prop3":
+        if strategy == PROP3:
             return check_prop3(self.artifacts, enlarged)
         raise ArtifactError(f"unknown SVuDC strategy {strategy!r}")
 
     # ------------------------------------------------------------------ SVbTV
     def verify_new_version(self, problem: SVbTV,
-                           strategies: Sequence[str] = ("prop6", "prop4", "prop5"),
+                           strategies: Sequence[str] = (PROP6, PROP4, PROP5),
                            prop5_alphas: Optional[Sequence[int]] = None,
                            with_fixing: bool = True) -> ContinuousResult:
         """Settle an SVbTV instance by artifact reuse.
@@ -221,16 +233,16 @@ class ContinuousVerifier:
         prop4_result: Optional[PropositionResult] = None
 
         for strategy in strategies:
-            if strategy == "prop6":
+            if strategy == PROP6:
                 if self.artifacts.network_abstraction is None:
                     continue
                 result = self._prop6_composite(new_network, enlarged)
-            elif strategy == "prop4":
+            elif strategy == PROP4:
                 result = _check_prop4(self.artifacts, new_network,
                                       enlarged_din=enlarged,
                                       method=self.method, config=self.config)
                 prop4_result = result
-            elif strategy == "prop5":
+            elif strategy == PROP5:
                 alphas = list(prop5_alphas) if prop5_alphas is not None else \
                     self._default_alphas(new_network)
                 if not alphas:
@@ -253,7 +265,7 @@ class ContinuousVerifier:
                 elapsed = time.perf_counter() - started
                 return ContinuousResult(
                     holds=fix.holds,
-                    strategy=f"fixing: {fix.strategy}",
+                    strategy=FIXING_PREFIX + fix.strategy,
                     attempts=attempts,
                     fixing=fix,
                     elapsed=elapsed,
@@ -294,14 +306,14 @@ class ContinuousVerifier:
             subproblems = (result.subproblems + head_check.subproblems
                            + tail_checks.subproblems)
             return PropositionResult(
-                proposition="prop6+prop1",
+                proposition=PROP6_PROP1,
                 holds=combined_holds,
                 subproblems=subproblems,
                 elapsed=result.elapsed + head_check.elapsed + tail_checks.elapsed,
                 detail="abstraction transfer + exact head check on Δin",
             )
         return PropositionResult(
-            proposition="prop6+prop3",
+            proposition=PROP6_PROP3,
             holds=True,
             subproblems=result.subproblems + tail.subproblems,
             elapsed=result.elapsed + tail.elapsed,
@@ -340,15 +352,15 @@ class ContinuousVerifier:
                 config=self.config.replace(
                     node_limit=self.config.effective_full_node_limit))
             detail = "no reuse possible"
-        report = SubproblemReport.from_containment("full re-verification", res)
+        report = SubproblemReport.from_containment(FULL_REVERIFICATION, res)
         fallback = PropositionResult(
-            proposition="full", holds=res.holds, subproblems=[report],
+            proposition=FULL, holds=res.holds, subproblems=[report],
             elapsed=res.elapsed, detail=detail,
         )
         attempts.append(fallback)
         return ContinuousResult(
             holds=res.holds,
-            strategy="full re-verification",
+            strategy=FULL_REVERIFICATION,
             attempts=attempts,
             elapsed=time.perf_counter() - started,
             winning_max_subproblem_time=res.elapsed,

@@ -36,16 +36,17 @@ from repro.core.propositions import PropositionResult, SubproblemReport
 
 __all__ = ["FIXING_STRATEGIES", "FixingResult", "incremental_fix"]
 
-#: Every strategy a :class:`FixingResult` can name (``{n}`` is the count
-#: of broken layers); the wire decodes no other.
-FIXING_STRATEGIES = (
-    "nothing to fix",
-    "{n} layers broken -> full re-verification",
-    "first abstraction broken -> full re-verification",
-    "output layer repair",
-    "single-layer repair with re-entry",
-    "single-layer repair, no re-entry (tail verified)",
-)
+NOTHING_TO_FIX = "nothing to fix"
+#: ``{n}`` is the count of broken layers.
+LAYERS_BROKEN = "{n} layers broken -> full re-verification"
+FIRST_BROKEN = "first abstraction broken -> full re-verification"
+OUTPUT_REPAIR = "output layer repair"
+REPAIR_REENTRY = "single-layer repair with re-entry"
+REPAIR_TAIL = "single-layer repair, no re-entry (tail verified)"
+#: Every strategy a :class:`FixingResult` can name; the wire decodes no
+#: other.
+FIXING_STRATEGIES = (NOTHING_TO_FIX, LAYERS_BROKEN, FIRST_BROKEN,
+                     OUTPUT_REPAIR, REPAIR_REENTRY, REPAIR_TAIL)
 
 
 @dataclass
@@ -106,20 +107,20 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
     failing = [idx for idx, sub in enumerate(prop4_result.subproblems)
                if sub.holds is not True]
     if not failing:
-        return FixingResult(holds=True, strategy="nothing to fix",
+        return FixingResult(holds=True, strategy=NOTHING_TO_FIX,
                             elapsed=time.perf_counter() - started)
     if len(failing) > 1:
         # Several broken abstractions: the paper's single-layer repair does not
         # apply; fall back to the traditional method on the whole network.
         return _full_reverification(
             new_network, din, dout, method, config, subproblems, started,
-            strategy=f"{len(failing)} layers broken -> full re-verification")
+            strategy=LAYERS_BROKEN.format(n=len(failing)))
     i = failing[0]
     if i == 0:
         # The very first abstraction broke: nothing upstream to reuse.
         return _full_reverification(
             new_network, din, dout, method, config, subproblems, started,
-            strategy="first abstraction broken -> full re-verification")
+            strategy=FIRST_BROKEN)
     if i == n - 1:
         # The final check S_{n-1} -> Dout broke; there is no later proof to
         # re-enter, so verify the remaining tail exactly (blocks i..n over
@@ -131,7 +132,7 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
             f"blocks[{i}:{n}] -> Dout (tail re-verification)", res))
         return FixingResult(
             holds=res.holds,
-            strategy="output layer repair",
+            strategy=OUTPUT_REPAIR,
             replaced_layer=i,
             subproblems=subproblems,
             elapsed=time.perf_counter() - started,
@@ -162,7 +163,7 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
         if res.holds:
             return FixingResult(
                 holds=True,
-                strategy="single-layer repair with re-entry",
+                strategy=REPAIR_REENTRY,
                 replaced_layer=i,
                 reentry_layer=k + 1,
                 subproblems=subproblems,
@@ -179,7 +180,7 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
         f"S'_{n - 1} -> Dout (tail)", res))
     return FixingResult(
         holds=res.holds,
-        strategy="single-layer repair, no re-entry (tail verified)",
+        strategy=REPAIR_TAIL,
         replaced_layer=i,
         reentry_layer=None,
         subproblems=subproblems,

@@ -26,8 +26,13 @@ from repro.api.config import VerifyConfig
 from repro.domains.box import Box
 from repro.nn.network import Network
 from repro.core.artifacts import ProofArtifacts
-from repro.core.continuous import ContinuousResult, ContinuousVerifier
+from repro.core.continuous import (
+    FIXING_PREFIX,
+    ContinuousResult,
+    ContinuousVerifier,
+)
 from repro.core.problem import SVbTV, SVuDC, VerificationProblem
+from repro.core.propositions import FULL, PROP6
 from repro.core.verifier import _verify_from_scratch
 
 __all__ = ["LoopStep", "EngineeringLoop"]
@@ -159,7 +164,7 @@ class EngineeringLoop:
             din = enlarged_din if enlarged_din is not None else self.problem.din
             new_problem = VerificationProblem(new_network, din,
                                               self.problem.dout)
-            if result.strategy.startswith(("prop6", "full", "fixing")):
+            if result.strategy.startswith((PROP6, FULL, FIXING_PREFIX)):
                 # Either we already paid a full run, or the accepted
                 # strategy does not yield fresh layered artifacts: refresh.
                 self._refresh(new_problem)

@@ -34,6 +34,7 @@ from repro.core.artifacts import ProofArtifacts
 
 __all__ = [
     "PROPOSITIONS",
+    "SINGLE_PROPOSITIONS",
     "SubproblemReport",
     "PropositionResult",
     "check_prop3",
@@ -41,11 +42,14 @@ __all__ = [
 ]
 
 
-#: Every name a :class:`PropositionResult` can carry (the SVbTV composites
-#: and the full re-verification fallback included); the wire decodes no
+#: The paper's six propositions, each one strategy of a continuous round.
+SINGLE_PROPOSITIONS = PROP1, PROP2, PROP3, PROP4, PROP5, PROP6 = (
+    "prop1", "prop2", "prop3", "prop4", "prop5", "prop6")
+#: The SVbTV enlargement composites and the full re-verification fallback.
+PROP6_PROP1, PROP6_PROP3, FULL = "prop6+prop1", "prop6+prop3", "full"
+#: Every name a :class:`PropositionResult` can carry; the wire decodes no
 #: other.
-PROPOSITIONS = ("prop1", "prop2", "prop3", "prop4", "prop5", "prop6",
-                "prop6+prop1", "prop6+prop3", "full")
+PROPOSITIONS = SINGLE_PROPOSITIONS + (PROP6_PROP1, PROP6_PROP3, FULL)
 
 
 @dataclass
@@ -159,17 +163,17 @@ def _check_prop1(artifacts: ProofArtifacts, enlarged_din: Box,
     started = time.perf_counter()
     premise_gap = _states_premise(artifacts)
     if premise_gap:
-        return _timed("prop1", started, None, [], premise_gap)
+        return _timed(PROP1, started, None, [], premise_gap)
     network = artifacts.problem.network
     if network.num_blocks < 3:
-        return _timed("prop1", started, None, [],
+        return _timed(PROP1, started, None, [],
                       "network has fewer than 3 blocks; S2 does not cover a tail")
     head = network.subnetwork(0, 2)
     s2 = artifacts.states.layer(1)
     res = _check_containment(head, enlarged_din, s2, method=method,
                              config=config)
     report = SubproblemReport.from_containment("g2∘g1 ⊆ S2", res)
-    return _timed("prop1", started, res.holds, [report],
+    return _timed(PROP1, started, res.holds, [report],
                   f"two-layer head vs S2 ({res.method})")
 
 
@@ -187,7 +191,7 @@ def _check_prop2(artifacts: ProofArtifacts, enlarged_din: Box,
     started = time.perf_counter()
     premise_gap = _states_premise(artifacts)
     if premise_gap:
-        return _timed("prop2", started, None, [], premise_gap)
+        return _timed(PROP2, started, None, [], premise_gap)
     network = artifacts.problem.network
     n = network.num_blocks
     propagator = get_propagator(domain)
@@ -210,9 +214,9 @@ def _check_prop2(artifacts: ProofArtifacts, enlarged_din: Box,
         )
         subproblems.append(report)
         if res.holds:
-            return _timed("prop2", started, True, subproblems,
+            return _timed(PROP2, started, True, subproblems,
                           f"re-entered old proof at layer {j + 1}")
-    return _timed("prop2", started, False, subproblems,
+    return _timed(PROP2, started, False, subproblems,
                   "no layer re-entry point found")
 
 
@@ -241,7 +245,7 @@ def check_prop3(artifacts: ProofArtifacts, enlarged_din: Box,
         detail=f"kappa={kappa:.6g} ell={lipschitz.ell:.6g} "
                f"inflation={inflation:.6g}",
     )
-    return _timed("prop3", started, holds, [report], report.detail)
+    return _timed(PROP3, started, holds, [report], report.detail)
 
 
 # --------------------------------------------------------------------- SVbTV
@@ -275,7 +279,7 @@ def _check_prop4(artifacts: ProofArtifacts, new_network: Network,
     started = time.perf_counter()
     premise_gap = _states_premise(artifacts)
     if premise_gap:
-        return _timed("prop4", started, None, [], premise_gap)
+        return _timed(PROP4, started, None, [], premise_gap)
     states = artifacts.states
     n = new_network.num_blocks
     din = enlarged_din if enlarged_din is not None else artifacts.problem.din
@@ -310,7 +314,7 @@ def _check_prop4(artifacts: ProofArtifacts, new_network: Network,
             if stop_on_failure:
                 break
     verdict = True if holds is True else holds
-    return _timed("prop4", started, verdict, subproblems,
+    return _timed(PROP4, started, verdict, subproblems,
                   f"{sum(1 for s in subproblems if s.holds) }/{len(subproblems)} "
                   "layer checks passed")
 
@@ -335,7 +339,7 @@ def _check_prop5(artifacts: ProofArtifacts, new_network: Network,
     started = time.perf_counter()
     premise_gap = _states_premise(artifacts)
     if premise_gap:
-        return _timed("prop5", started, None, [], premise_gap)
+        return _timed(PROP5, started, None, [], premise_gap)
     states = artifacts.states
     n = new_network.num_blocks
     din = enlarged_din if enlarged_din is not None else artifacts.problem.din
@@ -374,7 +378,7 @@ def _check_prop5(artifacts: ProofArtifacts, new_network: Network,
                 holds = False
             elif holds is True:
                 holds = None
-    return _timed("prop5", started, True if holds is True else holds, subproblems,
+    return _timed(PROP5, started, True if holds is True else holds, subproblems,
                   f"reuse points {alphas}")
 
 
@@ -405,7 +409,7 @@ def check_prop6(artifacts: ProofArtifacts, new_network: Network,
         detail=check.reason,
     ))
     if not check.holds:
-        return _timed("prop6", started, False, subproblems, check.reason)
+        return _timed(PROP6, started, False, subproblems, check.reason)
 
     # Only a recorded JSON true counts: notes are free-form, and a "false"
     # string or a 1 must not skip the containment check.
@@ -421,7 +425,7 @@ def check_prop6(artifacts: ProofArtifacts, new_network: Network,
             detail=f"abstract output bounds {bounds}",
         ))
     if not safety_ok:
-        return _timed("prop6", started, False, subproblems,
+        return _timed(PROP6, started, False, subproblems,
                       "abstraction does not prove Dout containment")
-    return _timed("prop6", started, True, subproblems,
+    return _timed(PROP6, started, True, subproblems,
                   "abstraction transfers to the new network")

@@ -817,6 +817,17 @@ class TestConfigWire:
         assert classify_failure(info.value) == (type(info.value).__name__,
                                                 False)
 
+    def test_decoded_config_re_encodes_to_the_same_bytes(self):
+        # VerifyConfig.to_dict is the one encoder; the table that decodes
+        # is read off the dataclass, so a float is kept as written.
+        from repro.api.serialize import CONFIG
+
+        assert [(f.name, f.default) for f in CONFIG.fields] == \
+            list(VerifyConfig().to_dict().items())
+        document = config_to_json(VerifyConfig(tol=1, workers=2))
+        assert '"tol": 1,' in document
+        assert config_to_json(config_from_json(document)) == document
+
     def test_numpy_integer_counts_accepted(self):
         config = VerifyConfig(workers=np.int64(2), node_limit=np.int32(7))
         assert config.workers == 2 and type(config.workers) is int
@@ -1318,9 +1329,9 @@ class TestNewlyStrictFields:
         ("continuous spec", ("strategies",), '["prop7"]',
          "strategies must be a JSON list of strings"),
         ("threshold spec", ("network", "layers", 0, "config", "bogus"), "1",
-         "layer rejected its fields"),
+         "Dense config must have exactly the keys"),
         ("threshold spec", ("network", "layers", 0, "arrays", "gain"),
-         "[1.0]", "layer rejected its fields"),
+         "[1.0]", "Dense arrays must have exactly the keys"),
         ("leaky spec", ("network", "layers", 1, "config", "alpha"), '"0.1"',
          "LeakyReLU config alpha must be a JSON number"),
     ])
@@ -1334,3 +1345,53 @@ class TestNewlyStrictFields:
         with pytest.raises(SerializationError, match=match) as info:
             decode(_replaced(wires[doc], path, value))
         assert classify_failure(info.value) == ("SerializationError", False)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda l: l.update(arrays={}), "arrays must have exactly"),
+        (lambda l: l["arrays"].pop("weight"), "arrays must have exactly"),
+        (lambda l: l["arrays"].pop("bias"), "arrays must have exactly"),
+        # Weights moved into config would skip the array kind's checks.
+        (lambda l: l["config"].update(weight=l["arrays"].pop("weight")),
+         "config must have exactly"),
+        (lambda l: l["config"].update(
+            weight=[["1"] * 2] * 3, bias=l["arrays"].pop("bias")),
+         "config must have exactly"),
+        (lambda l: l["config"].update(rng=0), "config must have exactly"),
+        (lambda l: l["config"].pop("in_dim"), "config must have exactly"),
+    ], ids=["no-arrays", "no-weight", "no-bias", "weight-in-config",
+            "string-weight-in-config", "rng-in-config", "no-in_dim"])
+    def test_a_layer_holds_exactly_what_its_encoder_writes(self, wires, edit,
+                                                           match):
+        """A Dense without its weights would be built on random ones, and
+        a config key the class does not write would reach the constructor
+        unchecked; both are rejected."""
+        from repro.api import spec_from_json
+
+        data = json.loads(wires["threshold spec"])
+        layer = data["network"]["layers"][0]
+        assert layer["class"] == "Dense"
+        edit(layer)
+        with pytest.raises(SerializationError, match=f"Dense {match}"):
+            spec_from_json(json.dumps(data))
+
+    def test_every_layer_class_has_its_wire_parts(self):
+        """The codec's per-class table names every concrete layer class,
+        with the keys that class's ``config()``/``arrays()`` write."""
+        import inspect
+
+        from repro.api.serialize import _LAYER_PARTS
+        from repro.nn.layers import AvgPool2D, Conv2D, Dense, LeakyReLU
+        from repro.nn.serialize import _LAYER_CLASSES
+
+        concrete = {name for name, cls in _LAYER_CLASSES.items()
+                    if not inspect.isabstract(cls)}
+        assert set(_LAYER_PARTS) == concrete
+        samples = [Dense(2, 3, rng=np.random.default_rng(0)), LeakyReLU(0.1),
+                   Conv2D(1, 2, 3, rng=np.random.default_rng(0)),
+                   AvgPool2D(2)]
+        samples += [_LAYER_CLASSES[name]() for name in concrete
+                    - {type(s).__name__ for s in samples}]
+        for layer in samples:
+            kinds, arrays = _LAYER_PARTS[type(layer).__name__]
+            assert layer.config().keys() == kinds.keys()
+            assert layer.arrays().keys() == set(arrays)
