@@ -49,7 +49,7 @@ def test_scenario_breaks_prop4(broken_version):
 def test_fixing_settles_the_scenario(vehicle_bundle, broken_version):
     broken, prop4 = broken_version
     artifacts = vehicle_bundle.baselines[0].artifacts
-    fix = incremental_fix(artifacts, broken, prop4, method="exact",
+    fix = incremental_fix(artifacts, broken, prop4,
                           config=VerifyConfig(node_limit=20000))
     assert fix.holds is not None
     if fix.holds:
@@ -62,7 +62,7 @@ def test_fixing_settles_the_scenario(vehicle_bundle, broken_version):
 def test_report_fixing_vs_full(vehicle_bundle, broken_version, capsys):
     broken, prop4 = broken_version
     artifacts = vehicle_bundle.baselines[0].artifacts
-    fix = incremental_fix(artifacts, broken, prop4, method="exact",
+    fix = incremental_fix(artifacts, broken, prop4,
                           config=VerifyConfig(node_limit=20000))
     full = FULL.baseline(vehicle_bundle.problem(0).__class__(
         broken, vehicle_bundle.din, vehicle_bundle.dout),
@@ -120,6 +120,6 @@ def test_benchmark_incremental_fix(vehicle_bundle, broken_version, benchmark):
     broken, prop4 = broken_version
     artifacts = vehicle_bundle.baselines[0].artifacts
     benchmark.pedantic(
-        lambda: incremental_fix(artifacts, broken, prop4, method="exact",
+        lambda: incremental_fix(artifacts, broken, prop4,
                                 config=VerifyConfig(node_limit=20000)),
         rounds=3, iterations=1)

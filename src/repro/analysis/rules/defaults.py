@@ -16,6 +16,10 @@ canonical value is a deliberate per-entry-point override (``method=
 at use) and name references (``DEFAULT_WORKERS``, ``config.workers``).
 The canonical values are read live from ``VerifyConfig()``, so the rule
 can never itself drift out of sync.
+
+Also flagged, whatever its default: a knob-named parameter (or dataclass
+field) beside a ``config`` one -- a second channel for a setting the
+config carries.  Callers derive one config instead.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ class NoRestatedDefaultsRule(Rule):
                          node: ast.AST) -> Iterator[Finding]:
         args = node.args
         positional = args.posonlyargs + args.args
+        params = positional + args.kwonlyargs
+        yield from self._check_channels(
+            ctx, f"{node.name}()", [(arg.arg, arg) for arg in params])
         # Defaults right-align against the positional parameters.
         for arg, default in zip(positional[len(positional)
                                            - len(args.defaults):],
@@ -74,11 +81,29 @@ class NoRestatedDefaultsRule(Rule):
 
     def _check_class_body(self, ctx: ModuleContext,
                           node: ast.ClassDef) -> Iterator[Finding]:
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
-                    and isinstance(stmt.target, ast.Name):
-                yield from self._check_default(ctx, stmt.target.id,
-                                               stmt.value)
+        # Annotated fields: a dataclass's generated __init__ takes them.
+        fields = [(stmt.target.id, stmt) for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)]
+        yield from self._check_channels(ctx, node.name, fields)
+        for name, stmt in fields:
+            if stmt.value is not None:
+                yield from self._check_default(ctx, name, stmt.value)
+
+    def _check_channels(self, ctx: ModuleContext, owner: str,
+                        params) -> Iterator[Finding]:
+        """Flag each knob-named parameter beside a ``config`` one."""
+        if not any(name == "config" for name, _ in params):
+            return
+        canonical = canonical_defaults()
+        for name, node in params:
+            if name in canonical:
+                yield self.finding(
+                    ctx, node,
+                    f"{owner} takes both 'config' and the knob {name!r}; "
+                    "read it from the config (a caller wanting another "
+                    "value derives one with config.replace) so a setting "
+                    "has one channel")
 
     def _check_default(self, ctx: ModuleContext, name: str,
                        default: ast.expr) -> Iterator[Finding]:

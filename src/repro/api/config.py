@@ -158,12 +158,6 @@ class VerifyConfig:
         """A copy with ``overrides`` applied (validation re-runs)."""
         return replace(self, **overrides)
 
-    def with_overrides(self, **maybe) -> "VerifyConfig":
-        """Like :meth:`replace` but ``None`` values mean "keep mine" --
-        the adapter between optional keyword knobs and the config."""
-        overrides = {k: v for k, v in maybe.items() if v is not None}
-        return self.replace(**overrides) if overrides else self
-
     @property
     def effective_full_node_limit(self) -> int:
         """Budget for global solves: never below the local budget."""

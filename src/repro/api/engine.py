@@ -52,12 +52,10 @@ from repro.api.verdict import (
 
 __all__ = ["VerificationEngine", "verify", "submit"]
 
-#: Historical per-proposition containment-method defaults (``None`` means
-#: "use the config's method"): prop2 rebuilds layerwise and decides each
-#: re-entry exactly; prop6's safety re-check is an abstract bound.
-_PROP_METHOD_DEFAULTS: Dict[int, Optional[str]] = {
-    1: None, 2: "exact", 4: None, 5: None, 6: "symbolic",
-}
+#: Per-proposition containment methods a spec without ``method`` runs
+#: (other kinds run the config's): prop2 rebuilds layerwise and decides
+#: each re-entry exactly; prop6's safety re-check is an abstract bound.
+_PROP_METHOD_DEFAULTS: Dict[int, str] = {2: "exact", 6: "symbolic"}
 
 #: Certificate keys whose last decoded certificate one engine remembers,
 #: least recently used out (a decoded vehicle-head certificate is ~0.5 MB).
@@ -109,8 +107,10 @@ class VerificationEngine:
     re-screen still run on every use.
     """
 
+    # ``certs`` is the certificate provider; the config's ``certs`` field
+    # is the policy on using it -- two concepts, one name.
     def __init__(self, config: Optional[VerifyConfig] = None, *,
-                 certs=None):
+                 certs=None):  # repro: disable=no-restated-defaults
         self.config = config or VerifyConfig()
         self.certs = certs
         self._cert_lock = threading.Lock()
@@ -199,21 +199,23 @@ class VerificationEngine:
         )
 
     # -------------------------------------------------------------- baseline
-    def baseline(self, problem, *, domain: str = "inductive",
+    def baseline(self, problem, *, states_domain: str = "inductive",
                  state_buffer: float = 0.02, rigor: str = "range",
                  lipschitz_ord: float = 2,
                  with_network_abstraction: bool = False,
                  netabs_groups: int = 2, netabs_margin: float = 0.0,
                  config: Optional[VerifyConfig] = None) -> BaselineVerdict:
         """From-scratch verification producing reusable proof artifacts
-        under the config's *full* node budget."""
+        under the config's *full* node budget.  ``states_domain`` is how
+        the state abstractions are built (``"inductive"`` or a propagation
+        domain), not the config's rebuild ``domain``."""
         from repro.core.verifier import _verify_from_scratch
 
         cfg = config or self.config
         run = _Run()
         outcome = _verify_from_scratch(
-            problem, domain=domain, state_buffer=state_buffer, rigor=rigor,
-            lipschitz_ord=lipschitz_ord,
+            problem, states_domain=states_domain, state_buffer=state_buffer,
+            rigor=rigor, lipschitz_ord=lipschitz_ord,
             with_network_abstraction=with_network_abstraction,
             netabs_groups=netabs_groups, netabs_margin=netabs_margin,
             config=cfg)
@@ -232,10 +234,9 @@ class VerificationEngine:
         from repro.exact.verify import _check_containment
 
         run = _Run()
-        result = _check_containment(
-            spec.network, spec.input_box, spec.target,
-            method=spec.method if spec.method is not None else cfg.method,
-            config=cfg)
+        local = cfg.replace(method=spec.method or cfg.method)
+        result = _check_containment(spec.network, spec.input_box,
+                                    spec.target, config=local)
         return ContainmentVerdict(
             spec_type=spec.spec_type,
             holds=result.holds,
@@ -418,36 +419,35 @@ class VerificationEngine:
                             cfg: VerifyConfig) -> PropositionVerdict:
         from repro.core import propositions as props
 
-        method = spec.method
-        if method is None:  # kind 3 is pure arithmetic: no method at all
-            method = _PROP_METHOD_DEFAULTS.get(spec.kind) or cfg.method
+        # The spec's own settings, else the kind's method default, else the
+        # caller's; provenance keeps reporting the caller's ``cfg``.
+        local = cfg.replace(
+            method=spec.method or _PROP_METHOD_DEFAULTS.get(spec.kind,
+                                                            cfg.method),
+            domain=spec.domain or cfg.domain)
         run = _Run()
         if spec.kind == 1:
             result = props._check_prop1(spec.artifacts, spec.enlarged_din,
-                                        method=method, config=cfg)
+                                        config=local)
         elif spec.kind == 2:
-            result = props._check_prop2(
-                spec.artifacts, spec.enlarged_din,
-                domain=spec.domain if spec.domain is not None else cfg.domain,
-                method=method, config=cfg)
+            result = props._check_prop2(spec.artifacts, spec.enlarged_din,
+                                        config=local)
         elif spec.kind == 3:
             result = props.check_prop3(spec.artifacts, spec.enlarged_din,
                                        ord=spec.ord)
         elif spec.kind == 4:
             result = props._check_prop4(
                 spec.artifacts, spec.new_network,
-                enlarged_din=spec.enlarged_din, method=method,
-                stop_on_failure=spec.stop_on_failure,
-                prescreen=spec.prescreen, config=cfg)
+                enlarged_din=spec.enlarged_din,
+                stop_on_failure=spec.stop_on_failure, config=local)
         elif spec.kind == 5:
             result = props._check_prop5(
                 spec.artifacts, spec.new_network, spec.alphas,
-                enlarged_din=spec.enlarged_din, method=method,
-                prescreen=spec.prescreen, config=cfg)
+                enlarged_din=spec.enlarged_din, config=local)
         else:
             result = props.check_prop6(spec.artifacts, spec.new_network,
                                        recheck_safety=spec.recheck_safety,
-                                       method=method)
+                                       method=local.method)
         return PropositionVerdict(
             spec_type=spec.spec_type,
             holds=result.holds,

@@ -100,6 +100,11 @@ __all__ = [
 
 
 # ------------------------------------------------------------------ reading
+#: The largest wire document :func:`_json_loads` decodes (bytes, or
+#: characters of a ``str``): a spec carries full float64 weights.
+MAX_DOCUMENT_BYTES = 256 * 1024 * 1024
+
+
 def _reject_constant(token: str) -> NoReturn:
     """``parse_constant`` hook: the wire is strict RFC 8259, so the
     ``NaN``/``Infinity``/``-Infinity`` tokens Python's ``json`` would
@@ -111,11 +116,14 @@ def _reject_constant(token: str) -> NoReturn:
 
 def _json_loads(text: str | bytes, what: str) -> Any:
     """``json.loads`` for wire documents (``str`` or UTF-8 ``bytes``):
-    text that does not parse, holds a ``NaN``/``Infinity`` token, or
-    nests too deeply for the parser is a malformed document (a permanent
-    :class:`SerializationError`), never a bare ``JSONDecodeError`` or
-    :class:`RecursionError` a retry loop would take for a transient
-    fault."""
+    text over :data:`MAX_DOCUMENT_BYTES`, text that does not parse, holds
+    a ``NaN``/``Infinity`` token, or nests too deeply for the parser is a
+    malformed document (a permanent :class:`SerializationError`), never a
+    bare ``JSONDecodeError`` or :class:`RecursionError` a retry loop
+    would take for a transient fault."""
+    if len(text) > MAX_DOCUMENT_BYTES:
+        raise SerializationError(
+            f"{what} over {MAX_DOCUMENT_BYTES} bytes")
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except RecursionError:
@@ -567,8 +575,7 @@ def _layer(**fields: Any) -> Any:
     _exact_keys(f"{name} arrays", arrays, array_names)
     for key, value in config.items():
         kinds[key].decode(value, f"{name} config {key}")
-    # The constructor checks the arrays' shapes.
-    return _LAYER_CLASSES[name](**config, **arrays)
+    return _LAYER_CLASSES[name]._from_parts(config, arrays)
 
 
 LAYER = Record(

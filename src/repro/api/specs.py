@@ -203,7 +203,8 @@ class PropositionSpec(Spec):
     kind 6 settles a new version over the *original* domain only (the
     enlargement composite lives in :class:`ContinuousLoopSpec`).
     ``method`` of ``None`` keeps each proposition's historical default
-    (prop2: ``"exact"``, prop6: ``"symbolic"``, else the config method).
+    (prop2: ``"exact"``, prop6: ``"symbolic"``, else the config method);
+    the engine folds ``method`` and ``domain`` into one derived config.
     """
 
     kind: int
@@ -219,8 +220,6 @@ class PropositionSpec(Spec):
     #: Prop4: run every layer check even after a failure (the parallel
     #: execution model; the fixing fallback needs the full pattern).
     stop_on_failure: bool = False
-    #: Prop4/5: batched interval pre-screen before exact per-check work.
-    prescreen: bool = True
     #: Prop6: re-verify the stored abstraction's safety instead of
     #: trusting the recorded flag.
     recheck_safety: bool = False
@@ -320,7 +319,6 @@ SPEC = Tagged("spec", "type", {record.build.spec_type: record for record in (
         Field("domain", Nullable(OneOf(*DOMAINS)), None),
         Field("ord", FLOAT, 2.0),
         Field("stop_on_failure", BOOL, False),
-        Field("prescreen", BOOL, True),
         Field("recheck_safety", BOOL, False)),
     _spec(
         ContinuousLoopSpec, Field("artifacts", ARTIFACTS), _ENLARGED_DIN,

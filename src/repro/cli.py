@@ -10,7 +10,8 @@ Small demonstrations runnable without writing any code:
 * ``verify-spec`` -- execute a declarative :mod:`repro.api` Spec from a
   JSON file (or stdin with ``-``) through the
   :class:`~repro.api.engine.VerificationEngine`; ``--wire`` emits the full
-  verdict wire JSON, which is the executor protocol of :mod:`repro.serve`;
+  verdict wire JSON (or ``{"error_type", "error"}`` when the job raises),
+  which is the executor protocol of :mod:`repro.serve`;
 * ``serve``       -- run the asynchronous verification service (persistent
   job store + HTTP API);
 * ``submit``      -- queue a spec file on a running server (``--wait``
@@ -75,17 +76,15 @@ def _add_engine_args(parser: argparse.ArgumentParser,
 
 
 def _config_from_args(args, base=None):
-    """Fold the engine flags over ``base`` (default: canonical defaults)."""
+    """Fold the engine flags a command was given over ``base`` (default:
+    canonical defaults); a flag left unset keeps the base's value."""
     from repro.api import VerifyConfig
 
-    return (base or VerifyConfig()).with_overrides(
-        workers=getattr(args, "workers", None),
-        tol=getattr(args, "tol", None),
-        node_limit=getattr(args, "node_limit", None),
-        full_node_limit=getattr(args, "full_node_limit", None),
-        method=getattr(args, "method", None),
-        domain=getattr(args, "domain", None),
-    )
+    flags = ("workers", "tol", "node_limit", "full_node_limit", "method",
+             "domain")
+    given = {name: getattr(args, name, None) for name in flags}
+    return (base or VerifyConfig()).replace(
+        **{name: value for name, value in given.items() if value is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="emit the *full* verdict wire JSON "
                                   "(repro.api.verdict_to_json): the form "
                                   "remote executors ship back and "
-                                  "verdict_from_json reconstructs")
+                                  "verdict_from_json reconstructs; a job "
+                                  "that raises prints {error_type, error}")
     verify_spec.add_argument("--certs", default=None, metavar="PATH",
                              help="certificate store path (a repro serve "
                                   "job db): proved threshold solves are "
@@ -438,9 +438,10 @@ def _load_spec_document(path: str):
     return document, None
 
 
-def _cmd_verify_spec(args) -> int:
-    from repro.api import (MaximizeVerdict, RangeVerdict, VerificationEngine,
-                           VerifyConfig, spec_from_dict)
+def _run_spec_document(args):
+    """Decode the verify-spec document (spec plus optional bundled
+    config, engine flags folded over it) and run it."""
+    from repro.api import VerificationEngine, VerifyConfig, spec_from_dict
 
     spec_doc, config_doc = _load_spec_document(args.spec)
     config = VerifyConfig.from_dict(config_doc or {})
@@ -456,10 +457,24 @@ def _cmd_verify_spec(args) -> int:
             # --certs without an explicit policy means "use it".
             config = config.replace(certs="reuse")
     try:
-        verdict = VerificationEngine(config, certs=certs).verify(spec)
+        return VerificationEngine(config, certs=certs).verify(spec)
     finally:
         if certs is not None:
             certs.close()
+
+
+def _cmd_verify_spec(args) -> int:
+    from repro.api import MaximizeVerdict, RangeVerdict
+
+    try:
+        verdict = _run_spec_document(args)
+    except Exception as exc:  # noqa: BLE001 - reported, then classified
+        if not args.wire:
+            raise
+        # The executor protocol: the parent re-raises it as its class.
+        print(json.dumps({"error_type": type(exc).__name__,
+                          "error": str(exc)}, sort_keys=True))
+        return 1
     # A RangeVerdict, or a MaximizeVerdict with no threshold that ran to
     # optimality, is a *value* query: holds is None by design and the
     # computed value is the success.

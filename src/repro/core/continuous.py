@@ -105,15 +105,24 @@ class ContinuousResult:
 
 
 class ContinuousVerifier:
-    """Reuses ``artifacts`` to settle modified verification problems."""
+    """Reuses ``artifacts`` to settle modified verification problems.
 
+    Every exact leg -- propositions 1/2/4/5, incremental fixing and the
+    full re-verification fallback -- reads its settings (``method``,
+    ``domain``, budgets, ``workers``) from :attr:`config` only; a caller
+    wanting others derives one config with :meth:`VerifyConfig.replace`.
+    The fallback is a global proof: ``method="exact"`` under the full
+    node budget.
+    """
+
+    # ``certs`` is the certificate provider, as at the engine; the
+    # config's ``certs`` field is the policy on using it.
     def __init__(self, artifacts: ProofArtifacts,
-                 method: Optional[str] = None, domain: Optional[str] = None,
-                 node_limit: Optional[int] = None,
-                 workers: Optional[int] = None,
                  config: Optional[VerifyConfig] = None,
-                 certs=None):
+                 certs=None):  # repro: disable=no-restated-defaults
         self.artifacts = artifacts
+        #: Every setting of every exact leg (see the class docstring).
+        self.config = config or VerifyConfig()
         #: Optional certificate provider (``cert_get``/``cert_put`` of JSON
         #: wire strings, :mod:`repro.certs`).  When set and the config's
         #: ``certs`` policy is not ``"off"``, the full re-verification
@@ -121,52 +130,6 @@ class ContinuousVerifier:
         #: path, so repeated fallbacks across fine-tuning steps warm-start
         #: from the stored frontier instead of re-searching.
         self.certs = certs
-        #: One :class:`VerifyConfig` drives every exact leg of the cascade
-        #: (the engine path).  The loose keywords remain as per-knob
-        #: overrides for compatibility; their defaults live in the config.
-        self.config = (config or VerifyConfig()).with_overrides(
-            method=method, domain=domain, node_limit=node_limit,
-            workers=workers)
-
-    # The historical loose attributes stay *live*: reads come from the
-    # config and assignment folds back into it, so pre-existing callers
-    # that mutate e.g. ``verifier.node_limit`` keep affecting every
-    # subsequent exact leg instead of silently updating a dead mirror.
-    @property
-    def method(self) -> str:
-        return self.config.method
-
-    @method.setter
-    def method(self, value: str) -> None:
-        self.config = self.config.replace(method=value)
-
-    @property
-    def domain(self) -> str:
-        return self.config.domain
-
-    @domain.setter
-    def domain(self, value: str) -> None:
-        self.config = self.config.replace(domain=value)
-
-    @property
-    def node_limit(self) -> int:
-        return self.config.node_limit
-
-    @node_limit.setter
-    def node_limit(self, value: int) -> None:
-        self.config = self.config.replace(node_limit=value)
-
-    @property
-    def workers(self) -> int:
-        """Worker-pool width handed to every exact branch-and-bound leg:
-        how many of a frontier round's node LPs are in flight at once
-        (:mod:`repro.exact.parallel_bab`); verdicts are worker-count
-        independent by construction."""
-        return self.config.workers
-
-    @workers.setter
-    def workers(self, value: int) -> None:
-        self.config = self.config.replace(workers=value)
 
     # ------------------------------------------------------------------ SVuDC
     def verify_domain_change(self, problem: SVuDC,
@@ -193,11 +156,9 @@ class ContinuousVerifier:
 
     def _run_svudc_strategy(self, strategy: str, enlarged: Box) -> PropositionResult:
         if strategy == PROP1:
-            return _check_prop1(self.artifacts, enlarged, method=self.method,
-                                config=self.config)
+            return _check_prop1(self.artifacts, enlarged, config=self.config)
         if strategy == PROP2:
-            return _check_prop2(self.artifacts, enlarged, domain=self.domain,
-                                method=self.method, config=self.config)
+            return _check_prop2(self.artifacts, enlarged, config=self.config)
         if strategy == PROP3:
             return check_prop3(self.artifacts, enlarged)
         raise ArtifactError(f"unknown SVuDC strategy {strategy!r}")
@@ -240,7 +201,7 @@ class ContinuousVerifier:
             elif strategy == PROP4:
                 result = _check_prop4(self.artifacts, new_network,
                                       enlarged_din=enlarged,
-                                      method=self.method, config=self.config)
+                                      config=self.config)
                 prop4_result = result
             elif strategy == PROP5:
                 alphas = list(prop5_alphas) if prop5_alphas is not None else \
@@ -249,7 +210,7 @@ class ContinuousVerifier:
                     continue
                 result = _check_prop5(self.artifacts, new_network, alphas,
                                       enlarged_din=enlarged,
-                                      method=self.method, config=self.config)
+                                      config=self.config)
             else:
                 raise ArtifactError(f"unknown SVbTV strategy {strategy!r}")
             attempts.append(result)
@@ -259,8 +220,7 @@ class ContinuousVerifier:
 
         if with_fixing and prop4_result is not None:
             fix = incremental_fix(self.artifacts, new_network, prop4_result,
-                                  enlarged_din=enlarged, domain=self.domain,
-                                  method=self.method, config=self.config)
+                                  enlarged_din=enlarged, config=self.config)
             if fix.holds is not None:
                 elapsed = time.perf_counter() - started
                 return ContinuousResult(
@@ -295,13 +255,12 @@ class ContinuousVerifier:
                 states_prove_safety=self.artifacts.states_prove_safety,
             )
             head_check = _check_prop1(new_artifacts, enlarged,
-                                      method=self.method, config=self.config)
+                                      config=self.config)
             # Soundness: prop1 on f' needs every S_i->S_{i+1} step of f' for
             # i >= 2, which prop6 alone does not give; require prop4's tail
             # checks for blocks 1..n.
             tail_checks = _check_prop4(self.artifacts, new_network,
-                                       enlarged_din=None, method=self.method,
-                                       config=self.config)
+                                       enlarged_din=None, config=self.config)
             combined_holds = bool(head_check.holds and tail_checks.holds)
             subproblems = (result.subproblems + head_check.subproblems
                            + tail_checks.subproblems)
@@ -348,8 +307,9 @@ class ContinuousVerifier:
             detail = "full re-verification (certificate warm start)"
         else:
             res = _check_containment(
-                network, din, self.artifacts.problem.dout, method="exact",
+                network, din, self.artifacts.problem.dout,
                 config=self.config.replace(
+                    method="exact",
                     node_limit=self.config.effective_full_node_limit))
             detail = "no reuse possible"
         report = SubproblemReport.from_containment(FULL_REVERIFICATION, res)

@@ -22,11 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.api.config import (
-    DEFAULT_DOMAIN,
-    DEFAULT_METHOD,
-    VerifyConfig,
-)
+from repro.api.config import VerifyConfig
 from repro.domains.box import Box
 from repro.domains.propagate import get_propagator
 from repro.exact.verify import _check_containment
@@ -68,11 +64,10 @@ class FixingResult:
 
 
 def _full_reverification(new_network: Network, din: Box, dout: Box,
-                         method: str, config: VerifyConfig,
+                         config: VerifyConfig,
                          subproblems: List[SubproblemReport],
                          started: float, strategy: str) -> FixingResult:
-    res = _check_containment(new_network, din, dout, method=method,
-                             config=config)
+    res = _check_containment(new_network, din, dout, config=config)
     subproblems.append(SubproblemReport.from_containment("full re-verification", res))
     return FixingResult(
         holds=res.holds,
@@ -85,16 +80,15 @@ def _full_reverification(new_network: Network, din: Box, dout: Box,
 def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
                     prop4_result: PropositionResult,
                     enlarged_din: Optional[Box] = None,
-                    domain: str = DEFAULT_DOMAIN,
-                    method: str = DEFAULT_METHOD,
                     config: Optional[VerifyConfig] = None) -> FixingResult:
     """Attempt the Section IV.C repair after a failed Proposition 4.
 
     ``prop4_result`` must be the (non-early-stopped) result of
     :func:`~repro.core.propositions._check_prop4` on the same inputs, whose
     per-layer failure pattern decides which repair applies.  ``config``
-    (default :class:`VerifyConfig`) sets the exact checks' budgets and
-    workers.
+    (default :class:`VerifyConfig`) sets everything else: the containment
+    ``method`` and budgets of every check, and the ``domain`` the
+    replacement abstraction is propagated in.
     """
     config = config or VerifyConfig()
     started = time.perf_counter()
@@ -113,13 +107,13 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
         # Several broken abstractions: the paper's single-layer repair does not
         # apply; fall back to the traditional method on the whole network.
         return _full_reverification(
-            new_network, din, dout, method, config, subproblems, started,
+            new_network, din, dout, config, subproblems, started,
             strategy=LAYERS_BROKEN.format(n=len(failing)))
     i = failing[0]
     if i == 0:
         # The very first abstraction broke: nothing upstream to reuse.
         return _full_reverification(
-            new_network, din, dout, method, config, subproblems, started,
+            new_network, din, dout, config, subproblems, started,
             strategy=FIRST_BROKEN)
     if i == n - 1:
         # The final check S_{n-1} -> Dout broke; there is no later proof to
@@ -127,7 +121,7 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
         # S_{n-1} failed already => re-verify from the last *intact* box).
         source = states.layer(i - 1)
         res = _check_containment(new_network.subnetwork(i, n), source, dout,
-                                 method=method, config=config)
+                                 config=config)
         subproblems.append(SubproblemReport.from_containment(
             f"blocks[{i}:{n}] -> Dout (tail re-verification)", res))
         return FixingResult(
@@ -139,7 +133,7 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
         )
 
     # --- single broken hidden abstraction S_{i+1} -------------------------
-    propagator = get_propagator(domain)
+    propagator = get_propagator(config.domain)
     t0 = time.perf_counter()
     replacement = propagator.propagate(
         new_network.subnetwork(i, i + 1), states.layer(i - 1))[-1]
@@ -151,13 +145,13 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
         name=f"rebuild S'_{i + 1}",
         holds=True,
         elapsed=time.perf_counter() - t0,
-        detail=f"replacement box via {domain}",
+        detail=f"replacement box via {config.domain}",
     ))
 
     for k in range(i + 1, n - 1):
         layer = new_network.subnetwork(k, k + 1)
         res = _check_containment(layer, current, states.layer(k),
-                                 method=method, config=config)
+                                 config=config)
         subproblems.append(SubproblemReport.from_containment(
             f"S'_{k} -> S_{k + 1} (re-entry)", res))
         if res.holds:
@@ -175,7 +169,7 @@ def incremental_fix(artifacts: ProofArtifacts, new_network: Network,
 
     # No re-entry: verify the remaining tail from the propagated S'.
     res = _check_containment(new_network.subnetwork(n - 1, n), current, dout,
-                             method=method, config=config)
+                             config=config)
     subproblems.append(SubproblemReport.from_containment(
         f"S'_{n - 1} -> Dout (tail)", res))
     return FixingResult(

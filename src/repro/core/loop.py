@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.api.config import VerifyConfig
+from repro.api.config import DEFAULT_NODE_LIMIT, VerifyConfig
 from repro.domains.box import Box
 from repro.nn.network import Network
 from repro.core.artifacts import ProofArtifacts
@@ -57,7 +57,11 @@ class LoopStep:
 
 @dataclass
 class EngineeringLoop:
-    """Stateful continuous-verification driver."""
+    """Stateful continuous-verification driver.
+
+    ``config`` (default :class:`VerifyConfig`) is the one source of solver
+    settings for every step (see :meth:`_config` for its node budget).
+    """
 
     problem: VerificationProblem
     state_buffer: float = 0.03
@@ -65,37 +69,26 @@ class EngineeringLoop:
     with_network_abstraction: bool = False
     netabs_groups: int = 4
     netabs_margin: float = 0.02
-    #: Per-knob overrides folded over ``config`` at run time; ``None``
-    #: keeps the config's value (so a caller-supplied ``config`` is never
-    #: silently clobbered by field defaults).
-    method: Optional[str] = None
-    node_limit: Optional[int] = None
     #: Engine configuration for every exact leg.
     config: Optional[VerifyConfig] = None
     #: Optional certificate provider (``cert_get``/``cert_put`` of JSON
     #: wire strings) handed to every :class:`ContinuousVerifier`; with a
     #: ``certs="record"``/``"reuse"`` config policy the full-fallback legs
     #: persist and warm-start from stored frontiers across iterations.
-    certs: Optional[object] = None
+    certs: Optional[object] = None  # repro: disable=no-restated-defaults
 
     artifacts: Optional[ProofArtifacts] = None
     history: List[LoopStep] = field(default_factory=list)
 
     def _config(self) -> VerifyConfig:
-        base = self.config or VerifyConfig()
-        resolved = base.with_overrides(method=self.method,
-                                       node_limit=self.node_limit)
-        if self.node_limit is None and \
-                base.node_limit == VerifyConfig().node_limit:
-            # Historical loop behaviour: unless the caller chose a budget
-            # (via the field or a non-default config value), the
-            # proposition checks also run under the *full* node budget,
-            # not the local-check default.  A caller wanting the loop at a
-            # genuinely small budget sets node_limit (and full_node_limit)
-            # explicitly.
-            resolved = resolved.replace(
-                node_limit=resolved.effective_full_node_limit)
-        return resolved
+        config = self.config or VerifyConfig()
+        if config.node_limit == DEFAULT_NODE_LIMIT:
+            # Unless the config chose a local budget, the proposition
+            # checks also run under the *full* node budget; a small loop
+            # budget sets node_limit (and full_node_limit) in the config.
+            config = config.replace(
+                node_limit=config.effective_full_node_limit)
+        return config
 
     # ----------------------------------------------------------------- setup
     def initial_verification(self) -> LoopStep:

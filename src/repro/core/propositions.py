@@ -20,11 +20,7 @@ from typing import List, Optional, Sequence
 
 
 from repro.errors import ArtifactError
-from repro.api.config import (
-    DEFAULT_DOMAIN,
-    DEFAULT_METHOD,
-    VerifyConfig,
-)
+from repro.api.config import VerifyConfig
 from repro.domains.batch import screen_containments
 from repro.domains.box import Box, box_kappa
 from repro.domains.propagate import get_propagator
@@ -129,33 +125,53 @@ def _states_premise(artifacts: ProofArtifacts) -> Optional[str]:
     return None
 
 
-def _batched_prescreen(triples, enabled: bool):
-    """Screen ``(subnetwork, source, target)`` containment subproblems in one
-    batched stacked-interval pass (see
-    :func:`repro.domains.batch.screen_containments`).
+def _screened_checks(names: Sequence[str], triples, config: VerifyConfig,
+                     stop_on_failure: bool = False):
+    """Props 4/5's independent containment subproblems ``(subnetwork,
+    source, target)``: all are screened in one batched stacked-interval
+    pass (:func:`repro.domains.batch.screen_containments`), and only
+    those the screen leaves open get a containment check under
+    ``config``.  The screen is sound, so it never changes a verdict.
 
-    Returns the per-subproblem verdict list (``True`` / ``None``) and the
-    per-subproblem share of the screen's wall-clock time.  Every report --
-    screened *and* surviving -- carries its share, so summed subproblem
-    times keep accounting for the whole batched call (Table I fidelity).
+    Returns ``(reports, holds)``.  Every report -- screened *and*
+    checked -- carries an equal share of the screen's wall-clock time,
+    so summed subproblem times account for the whole batched call
+    (Table I fidelity).  A refutation survives later inconclusive checks.
     """
-    if not enabled or not triples:
-        return [None] * len(triples), 0.0
     t0 = time.perf_counter()
-    verdicts = screen_containments(triples)
-    elapsed = time.perf_counter() - t0
-    return verdicts, elapsed / len(triples)
+    screened = screen_containments(triples)
+    share = (time.perf_counter() - t0) / len(triples)
+    reports: List[SubproblemReport] = []
+    holds: Optional[bool] = True
+    for name, verdict, (network, source, target) in zip(names, screened,
+                                                        triples):
+        if verdict is True:
+            reports.append(SubproblemReport(
+                name=name, holds=True, elapsed=share,
+                detail="batched box pre-screen"))
+            continue
+        res = _check_containment(network, source, target, config=config)
+        report = SubproblemReport.from_containment(name, res)
+        report.elapsed += share
+        reports.append(report)
+        if res.holds is not True:
+            if res.holds is False:
+                holds = False
+            elif holds is True:
+                holds = None
+            if stop_on_failure:
+                break
+    return reports, holds
 
 
 # --------------------------------------------------------------------- SVuDC
 def _check_prop1(artifacts: ProofArtifacts, enlarged_din: Box,
-                 method: str = DEFAULT_METHOD,
                  config: Optional[VerifyConfig] = None) -> PropositionResult:
     """Proposition 1 (proof reuse at layers 1 and 2) -- engine path.
 
-    Checks ``∀x ∈ Din ∪ Δin : g2(g1(x)) ∈ S2`` with the containment
-    ``method`` (exact by default) on the two-layer head only.  The
-    two-layer depth is deliberate: abstract interpretation typically loses
+    Checks ``∀x ∈ Din ∪ Δin : g2(g1(x)) ∈ S2`` with the config's
+    containment ``method`` (exact by default) on the two-layer head only.
+    The two-layer depth is deliberate: abstract interpretation typically loses
     precision after two nonlinear layers, leaving room for exact local
     solving (paper footnote 1).
     """
@@ -170,20 +186,19 @@ def _check_prop1(artifacts: ProofArtifacts, enlarged_din: Box,
                       "network has fewer than 3 blocks; S2 does not cover a tail")
     head = network.subnetwork(0, 2)
     s2 = artifacts.states.layer(1)
-    res = _check_containment(head, enlarged_din, s2, method=method,
-                             config=config)
+    res = _check_containment(head, enlarged_din, s2, config=config)
     report = SubproblemReport.from_containment("g2∘g1 ⊆ S2", res)
     return _timed(PROP1, started, res.holds, [report],
                   f"two-layer head vs S2 ({res.method})")
 
 
 def _check_prop2(artifacts: ProofArtifacts, enlarged_din: Box,
-                 domain: str = DEFAULT_DOMAIN, method: str = DEFAULT_METHOD,
                  config: Optional[VerifyConfig] = None) -> PropositionResult:
     """Proposition 2 (proof reuse at layer ``j+1``) -- engine path.
 
     Builds fresh abstractions ``S'_1 … S'_j`` over the enlarged domain
-    layer by layer; after each one, checks exactly whether
+    layer by layer in the config's ``domain``; after each one, checks
+    (by the config's ``method``) whether
     ``∀x_j ∈ S'_j : g_{j+1}(x_j) ∈ S_{j+1}``.  The first success re-enters
     the old proof and guarantees safety for the whole network.
     """
@@ -194,7 +209,7 @@ def _check_prop2(artifacts: ProofArtifacts, enlarged_din: Box,
         return _timed(PROP2, started, None, [], premise_gap)
     network = artifacts.problem.network
     n = network.num_blocks
-    propagator = get_propagator(domain)
+    propagator = get_propagator(config.domain)
     subproblems: List[SubproblemReport] = []
 
     current = enlarged_din
@@ -204,7 +219,7 @@ def _check_prop2(artifacts: ProofArtifacts, enlarged_din: Box,
         build_time = time.perf_counter() - t0
         layer = network.subnetwork(j, j + 1)
         res = _check_containment(layer, current, artifacts.states.layer(j),
-                                 method=method, config=config)
+                                 config=config)
         report = SubproblemReport(
             name=f"S'_{j} -> S_{j + 1}",
             holds=res.holds,
@@ -251,9 +266,7 @@ def check_prop3(artifacts: ProofArtifacts, enlarged_din: Box,
 # --------------------------------------------------------------------- SVbTV
 def _check_prop4(artifacts: ProofArtifacts, new_network: Network,
                  enlarged_din: Optional[Box] = None,
-                 method: str = DEFAULT_METHOD,
                  stop_on_failure: bool = False,
-                 prescreen: bool = True,
                  config: Optional[VerifyConfig] = None) -> PropositionResult:
     """Proposition 4 (reusing state abstraction, single layer) -- engine path.
 
@@ -263,12 +276,9 @@ def _check_prop4(artifacts: ProofArtifacts, new_network: Network,
     * ``S_i --g'_{i+1}--> S_{i+1}`` for ``i = 1 … n-2``,
     * ``S_{n-1} --g'_n--> Dout``.
 
-    With ``prescreen`` on (the default), all ``n`` subproblem boxes are
-    first screened in one batched stacked-interval pass
-    (:func:`~repro.domains.batch.screen_containments`); only the survivors
-    fall back to per-subproblem exact checks.  The screen is sound (and, for
-    single-block subproblems, its interval bound is exact), so verdicts are
-    unchanged -- passing layers just stop paying one propagator run each.
+    All ``n`` are first screened in one batched interval pass; only the
+    ones it leaves open get a containment check under ``config`` (its
+    ``method`` and budgets), see :func:`_screened_checks`.
 
     With ``stop_on_failure=False`` every subproblem runs (the parallel
     execution model); the per-subproblem reports feed both the max-time
@@ -283,46 +293,23 @@ def _check_prop4(artifacts: ProofArtifacts, new_network: Network,
     states = artifacts.states
     n = new_network.num_blocks
     din = enlarged_din if enlarged_din is not None else artifacts.problem.din
-    triples = []
+    triples, names = [], []
     for i in range(n):
         source = din if i == 0 else states.layer(i - 1)
         target = artifacts.problem.dout if i == n - 1 else states.layer(i)
         triples.append((new_network.subnetwork(i, i + 1), source, target))
-    screened, screen_share = _batched_prescreen(triples, prescreen)
-    subproblems: List[SubproblemReport] = []
-    holds = True
-    for i, (layer, source, target) in enumerate(triples):
-        name = ("Din∪Δin -> S_1" if i == 0
-                else f"S_{n - 1} -> Dout" if i == n - 1
-                else f"S_{i} -> S_{i + 1}")
-        if screened[i] is True:
-            subproblems.append(SubproblemReport(
-                name=name, holds=True, elapsed=screen_share,
-                detail="batched box pre-screen"))
-            continue
-        res = _check_containment(layer, source, target, method=method,
-                                 config=config)
-        report = SubproblemReport.from_containment(name, res)
-        report.elapsed += screen_share
-        subproblems.append(report)
-        if res.holds is not True:
-            # A definite refutation must survive later inconclusive checks.
-            if res.holds is False:
-                holds = False
-            elif holds is True:
-                holds = None
-            if stop_on_failure:
-                break
-    verdict = True if holds is True else holds
-    return _timed(PROP4, started, verdict, subproblems,
+        names.append("Din∪Δin -> S_1" if i == 0
+                     else f"S_{n - 1} -> Dout" if i == n - 1
+                     else f"S_{i} -> S_{i + 1}")
+    subproblems, holds = _screened_checks(names, triples, config,
+                                          stop_on_failure)
+    return _timed(PROP4, started, holds, subproblems,
                   f"{sum(1 for s in subproblems if s.holds) }/{len(subproblems)} "
                   "layer checks passed")
 
 
 def _check_prop5(artifacts: ProofArtifacts, new_network: Network,
                  alphas: Sequence[int], enlarged_din: Optional[Box] = None,
-                 method: str = DEFAULT_METHOD,
-                 prescreen: bool = True,
                  config: Optional[VerifyConfig] = None) -> PropositionResult:
     """Proposition 5 (reusing state abstraction, multiple layers) -- engine
     path.
@@ -332,8 +319,8 @@ def _check_prop5(artifacts: ProofArtifacts, new_network: Network,
     indices ``0 < α < n``, the boundary *after* block ``α``).  Each segment
     between consecutive reuse points is one independent multi-block check.
 
-    Like :func:`_check_prop4`, all segments are pre-screened in one batched
-    interval pass before any exact per-segment check runs.
+    Like :func:`_check_prop4`, all segments are screened in one batched
+    interval pass before any per-segment check runs.
     """
     config = config or VerifyConfig()
     started = time.perf_counter()
@@ -350,35 +337,15 @@ def _check_prop5(artifacts: ProofArtifacts, new_network: Network,
             f"got {alphas}"
         )
     cuts = [0] + alphas + [n]
-    triples = []
+    triples, names = [], []
     for seg_start, seg_end in zip(cuts[:-1], cuts[1:]):
         source = din if seg_start == 0 else states.layer(seg_start - 1)
         target = artifacts.problem.dout if seg_end == n else states.layer(seg_end - 1)
         triples.append((new_network.subnetwork(seg_start, seg_end), source, target))
-    screened, screen_share = _batched_prescreen(triples, prescreen)
-    subproblems: List[SubproblemReport] = []
-    holds = True
-    for j, (seg_start, seg_end) in enumerate(zip(cuts[:-1], cuts[1:])):
-        segment, source, target = triples[j]
-        name = (f"blocks[{seg_start}:{seg_end}] -> "
-                + ("Dout" if seg_end == n else f"S_{seg_end}"))
-        if screened[j] is True:
-            subproblems.append(SubproblemReport(
-                name=name, holds=True, elapsed=screen_share,
-                detail="batched box pre-screen"))
-            continue
-        res = _check_containment(segment, source, target, method=method,
-                                 config=config)
-        report = SubproblemReport.from_containment(name, res)
-        report.elapsed += screen_share
-        subproblems.append(report)
-        if res.holds is not True:
-            # A definite refutation must survive later inconclusive checks.
-            if res.holds is False:
-                holds = False
-            elif holds is True:
-                holds = None
-    return _timed(PROP5, started, True if holds is True else holds, subproblems,
+        names.append(f"blocks[{seg_start}:{seg_end}] -> "
+                     + ("Dout" if seg_end == n else f"S_{seg_end}"))
+    subproblems, holds = _screened_checks(names, triples, config)
+    return _timed(PROP5, started, holds, subproblems,
                   f"reuse points {alphas}")
 
 

@@ -56,7 +56,7 @@ class BaselineOutcome:
 
 
 def _verify_from_scratch(problem: VerificationProblem,
-                         domain: str = "inductive",
+                         states_domain: str = "inductive",
                          state_buffer: float = 0.02,
                          rigor: str = "range",
                          lipschitz_ord: float = 2,
@@ -68,27 +68,29 @@ def _verify_from_scratch(problem: VerificationProblem,
     (internal engine path; the exact legs run under the config's *full*
     node budget -- this is a global proof, not a local reuse check).
 
-    ``domain="inductive"`` (default) generates state abstractions with the
-    inductive box chain plus a relative ``state_buffer`` -- the only form
-    whose single-layer chain conditions hold by construction, as the reuse
-    propositions assume.  Other domain names (``"symbolic"``, ``"zonotope"``,
-    ``"box"``) store that domain's concretised per-layer boxes instead;
-    these are tighter but generally *not* inductive, which the domain
-    ablation benchmark quantifies.
+    ``states_domain="inductive"`` (default) generates state abstractions
+    with the inductive box chain plus a relative ``state_buffer`` -- the
+    only form whose single-layer chain conditions hold by construction, as
+    the reuse propositions assume.  Other domain names (``"symbolic"``,
+    ``"zonotope"``, ``"box"``) store that domain's concretised per-layer
+    boxes instead; these are tighter but generally *not* inductive, which
+    the domain ablation benchmark quantifies.  It names how the artifacts
+    are built and is unrelated to ``config.domain``.
     """
     if rigor not in RIGOR_LEVELS:
         raise ArtifactError(f"rigor must be one of {RIGOR_LEVELS}, got {rigor!r}")
     config = config or VerifyConfig()
-    exact_config = config.replace(node_limit=config.effective_full_node_limit)
+    exact_config = config.replace(
+        method="exact", node_limit=config.effective_full_node_limit)
     network, din, dout = problem.network, problem.din, problem.dout
     started = time.perf_counter()
 
     # 1. Layered state abstraction (the ReluVal-style proof attempt).
-    if domain == "inductive":
+    if states_domain == "inductive":
         boxes = inductive_states(network, din, buffer_rel=state_buffer)
     else:
-        boxes = propagate_network(network, din, domain=domain)
-    states = StateAbstractions(boxes=boxes, domain=domain)
+        boxes = propagate_network(network, din, domain=states_domain)
+    states = StateAbstractions(boxes=boxes, domain=states_domain)
     layered_proof = dout.contains_box(states.output_abstraction)
 
     holds: Optional[bool] = True if layered_proof else None
@@ -98,8 +100,7 @@ def _verify_from_scratch(problem: VerificationProblem,
     lp_solves = 0
     nodes = 0
     if rigor in ("threshold", "range") and holds is None:
-        res = _check_containment(network, din, dout, method="exact",
-                                 config=exact_config)
+        res = _check_containment(network, din, dout, config=exact_config)
         holds = res.holds
         detail = f"exact containment: {res.detail or res.holds}"
         lp_solves += res.lp_solves
@@ -134,8 +135,8 @@ def _verify_from_scratch(problem: VerificationProblem,
 
         netabs = build_abstraction(network, din, num_groups=netabs_groups,
                                    margin=netabs_margin)
-        abs_method = domain if domain in ("box", "symbolic", "zonotope") \
-            else "symbolic"
+        abs_method = states_domain \
+            if states_domain in ("box", "symbolic", "zonotope") else "symbolic"
         abs_bounds = netabs.output_bounds(din, method=abs_method)
         notes["netabs_proves_safety"] = bool(dout.contains_box(abs_bounds))
 

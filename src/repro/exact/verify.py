@@ -8,10 +8,10 @@ Two primitives cover everything the continuous-verification core needs:
   ``target`` is a box; this *is* the paper's local reuse condition with
   ``target = S_{i+1}`` (Propositions 1, 2, 4, 5) or ``target = Dout``.
 
-``_check_containment`` supports three methods mirroring Fig. 1's insight:
-``"symbolic"`` (cheap one-shot abstract transformer, may lose), ``"split"``
-(abstraction with refinement), and ``"exact"`` (complete branch and bound,
-the default).
+``_check_containment`` decides by the config's ``method``, one of three
+mirroring Fig. 1's insight: ``"symbolic"`` (cheap one-shot abstract
+transformer, may lose), ``"split"`` (abstraction with refinement), and
+``"exact"`` (complete branch and bound, the default).
 
 ``"exact"`` screens each target bound symbolically first: one
 symbolic-interval pass (ReluVal, Wang et al., 2018) gives an output box,
@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import DomainError
-from repro.api.config import DEFAULT_METHOD, METHODS, VerifyConfig
+from repro.api.config import VerifyConfig
 from repro.domains.box import Box
 from repro.domains.propagate import output_box
 from repro.exact.bab import (
@@ -212,25 +212,23 @@ def _check_exact(network: Network, box: Box, target: Box,
 
 
 def _check_containment(network: Network, input_box: Box, target: Box,
-                       method: str = DEFAULT_METHOD,
                        config: Optional[VerifyConfig] = None) -> ContainmentResult:
-    """Internal containment decision: the engine path.
+    """Internal containment decision: the engine path, by
+    ``config.method``.
 
     ``config.workers > 1`` solves the exact branch-and-bound legs' node
     LPs concurrently (:mod:`repro.exact.parallel_bab`) -- same verdicts.
     """
     config = config or VerifyConfig()
-    if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
     if target.dim != network.output_dim:
         raise DomainError(
             f"target dim {target.dim} != network output dim {network.output_dim}"
         )
     start = time.perf_counter()
-    if method == "symbolic":
+    if config.method == "symbolic":
         result = _check_symbolic(
             output_box(network, input_box, domain="symbolic"), target)
-    elif method == "split":
+    elif config.method == "split":
         result = _check_split(network, input_box, target, config.max_boxes)
     else:
         result = _check_exact(network, input_box, target, config)

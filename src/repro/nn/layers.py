@@ -113,10 +113,10 @@ class Layer(abc.ABC):
 
     @classmethod
     def _from_parts(cls, config: Dict, arrays: Dict[str, np.ndarray]) -> "Layer":
-        layer = cls(**config)
-        for name, arr in arrays.items():
-            setattr(layer, name, np.asarray(arr, dtype=np.float64))
-        return layer
+        """Rebuild from :meth:`config` and :meth:`arrays`.  The arrays go
+        to the constructor, which checks their shapes -- a layer with
+        weights never draws (and discards) random ones here."""
+        return cls(**config, **arrays)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cfg = ", ".join(f"{k}={v}" for k, v in self.config().items())

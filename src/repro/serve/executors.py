@@ -30,8 +30,10 @@ from repro.errors import (
     ExecutorCrashError,
     JobTimeoutError,
     MalformedWireError,
+    SerializationError,
     ServeError,
 )
+from repro.serve.resilience import raise_reported_failure
 
 __all__ = ["InProcessExecutor", "SubprocessExecutor", "make_executor"]
 
@@ -123,14 +125,14 @@ class SubprocessExecutor:
             raise JobTimeoutError(
                 f"job exceeded its {timeout:g}s budget "
                 "(executor subprocess killed)") from None
-        # verify-spec exit codes are the *verdict* (0 holds / 1 fails /
-        # 2 inconclusive), not health -- but an uncaught exception in the
-        # child *also* exits 1 (with an empty stdout), so the real success
-        # test is whether a verdict document came back; on failure the
-        # child's stderr carries the actual diagnosis.
+        # Exit codes are the *verdict*, not health: what came back is a
+        # verdict, a job's ``{"error_type", "error"}`` (re-raised as its
+        # own class), or nothing -- a crash, diagnosed by the stderr.
+        from repro.api.serialize import _json_loads
+
         try:
-            verdict = json.loads(out)
-        except json.JSONDecodeError:
+            verdict = _json_loads(out, "executor subprocess output")
+        except SerializationError:
             diagnosis = err.strip()[-500:] or "(no stderr)"
             if not out.strip():
                 # Nothing came back at all: the child crashed (uncaught
@@ -149,6 +151,10 @@ class SubprocessExecutor:
             raise MalformedWireError(
                 "executor subprocess replied with JSON that is not a "
                 f"verdict document: {type(verdict).__name__}")
+        if verdict.keys() == {"error_type", "error"}:
+            raise_reported_failure(
+                verdict["error_type"],
+                f"{verdict['error_type']}: {verdict['error']}")
         return verdict
 
     def _reap(self, proc: subprocess.Popen) -> None:

@@ -50,9 +50,6 @@ from repro.errors import (
 
 __all__ = ["ServeAPIServer", "serve_http"]
 
-_MAX_BODY = 256 * 1024 * 1024  # a spec carries full float64 weights
-
-
 class ServeAPIServer(ThreadingHTTPServer):
     """``ThreadingHTTPServer`` bound to one :class:`VerificationService`.
 
@@ -125,14 +122,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, payload, headers=headers)
 
     def _content_length(self) -> int:
+        from repro.api import serialize
+
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
             raise ServeError(
                 f"Content-Length must be a decimal byte count, got "
                 f"{declared[:32]!r}")
-        # Compared as text first: int() refuses very long digit strings.
-        if len(declared.lstrip("0")) > len(str(_MAX_BODY)):
-            raise ServeError(f"request body over {_MAX_BODY} bytes")
+        # Checked before any byte is read, so an oversize body never is;
+        # compared as text first: int() refuses very long digit strings.
+        cap = serialize.MAX_DOCUMENT_BYTES
+        if len(declared.lstrip("0")) > len(str(cap)) or int(declared) > cap:
+            raise ServeError(f"request body over {cap} bytes")
         return int(declared)
 
     def _read_body(self) -> Dict:
@@ -141,8 +142,6 @@ class _Handler(BaseHTTPRequestHandler):
         length = self._content_length()
         if length <= 0:
             raise ServeError("request body required")
-        if length > _MAX_BODY:
-            raise ServeError(f"request body over {_MAX_BODY} bytes")
         data = _json_loads(self.rfile.read(length), "request body")
         if not isinstance(data, dict):
             raise ServeError("request body must be a JSON object")

@@ -39,16 +39,13 @@ topology and failure semantics are documented in ``docs/distributed.md``.
 from __future__ import annotations
 
 import bisect
-import builtins
 import hashlib
 import json
 import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
-import repro.errors as _errors
 from repro.errors import (
-    ExecutorCrashError,
     JobTimeoutError,
     QueueFullError,
     RemoteProtocolError,
@@ -60,6 +57,7 @@ from repro.serve.resilience import (
     CircuitBreaker,
     ExecutorUnavailableError,
     classify_failure,
+    raise_reported_failure,
 )
 
 __all__ = [
@@ -396,24 +394,16 @@ class RemoteExecutor:
                     "a verdict document")
             return verdict
         if state == "failed":
-            self._raise_remote_failure(job_id, final)
+            # The shard's classification travels as the class name: a bad
+            # spec stays permanent, a crashed remote executor stays
+            # transient and retries (likely elsewhere).
+            error_type = final.get("error_type") or "ExecutorCrashError"
+            raise_reported_failure(
+                error_type, f"shard {self.url} failed job {job_id}: "
+                f"{error_type}: {final.get('error')}")
         raise RemoteProtocolError(
             f"shard {self.url} reports job {job_id} in unexpected "
             f"terminal state {state!r}")
-
-    def _raise_remote_failure(self, job_id: str, record: Dict) -> None:
-        """Re-raise a remote job failure as the matching local class, so
-        the coordinator's classify_failure sees the same transience the
-        worker saw (a bad spec stays permanent; a crashed remote
-        executor stays transient and retries -- likely elsewhere)."""
-        error_type = record.get("error_type") or "ExecutorCrashError"
-        message = (f"shard {self.url} failed job {job_id}: "
-                   f"{error_type}: {record.get('error')}")
-        cls = getattr(_errors, error_type, None) \
-            or getattr(builtins, error_type, None)
-        if isinstance(cls, type) and issubclass(cls, Exception):
-            raise cls(message)
-        raise ExecutorCrashError(message)
 
 
 # --------------------------------------------------------------- shard router

@@ -32,13 +32,15 @@ The pieces compose bottom-up:
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
+import repro.errors as _errors
 from repro.errors import (
     ExecutorCrashError,
     JobTimeoutError,
@@ -53,6 +55,7 @@ from repro.errors import (
 
 __all__ = [
     "classify_failure",
+    "raise_reported_failure",
     "RetryPolicy",
     "CircuitBreaker",
     "BREAKER_CLOSED",
@@ -117,6 +120,19 @@ def classify_failure(exc: BaseException) -> Tuple[str, bool]:
     if isinstance(exc, _PERMANENT_FAMILIES):
         return type(exc).__name__, False
     return type(exc).__name__, True
+
+
+def raise_reported_failure(error_type: str, message: str) -> NoReturn:
+    """Re-raise a failure an executor subprocess or remote shard reported
+    by class name as that :mod:`repro.errors` or builtin class, so a bad
+    spec stays permanent; any other name is an :class:`ExecutorCrashError`."""
+    cls = None
+    if isinstance(error_type, str):
+        cls = getattr(_errors, error_type, None) \
+            or getattr(builtins, error_type, None)
+    if isinstance(cls, type) and issubclass(cls, Exception):
+        raise cls(message)
+    raise ExecutorCrashError(message)
 
 
 # ------------------------------------------------------------- retry policy

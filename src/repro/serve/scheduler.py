@@ -611,7 +611,9 @@ class _CertProvider:
 
 def _mark_cached(verdict_json: str) -> str:
     """Re-mark a cached verdict's provenance before replaying it."""
-    data = json.loads(verdict_json)
+    from repro.api.serialize import _json_loads
+
+    data = _json_loads(verdict_json, "cached verdict")
     provenance = data.setdefault("provenance", {})
     provenance["cached"] = True
     return json.dumps(data, allow_nan=False, sort_keys=True)

@@ -238,8 +238,11 @@ class JobRecord:
             "deadline": self.deadline,
         }
         if include_verdict:
+            from repro.api.serialize import _json_loads
+
             data["verdict"] = (None if self.verdict_json is None
-                               else json.loads(self.verdict_json))
+                               else _json_loads(self.verdict_json,
+                                                "stored verdict"))
         return data
 
 

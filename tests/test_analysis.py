@@ -343,6 +343,54 @@ class TestScoping:
                         "no-restated-defaults")
         assert len(findings) == 1 and "workers" in findings[0].message
 
+    def test_defaults_rule_flags_a_second_settings_channel(self):
+        # A knob parameter beside ``config`` is a second channel for a
+        # setting the config carries, whatever its default -- in a
+        # signature or in a dataclass's fields.
+        source = """
+        from dataclasses import dataclass
+
+        def check(network, box, method: str = "symbolic", config=None):
+            return network
+
+        def fix(network, *, domain=None, config=None):
+            return network
+
+        @dataclass
+        class Loop:
+            node_limit: int = 50
+            config: object = None
+        """
+        findings = lint(source, "repro.core.fixture",
+                        "no-restated-defaults")
+        assert [(f.line, f.message.split(" takes")[0]) for f in findings] \
+            == [(4, "check()"), (7, "fix()"), (12, "Loop")]
+        assert all("takes both 'config' and the knob" in f.message
+                   for f in findings)
+
+    def test_defaults_rule_allows_one_settings_channel(self):
+        source = """
+        from dataclasses import dataclass
+
+        def check(network, box, config=None):
+            return config.method
+
+        def baseline(problem, states_domain="inductive", config=None):
+            # a state-abstraction domain is not the config's knob
+            return problem
+
+        def bounds(network, box, method="symbolic"):
+            # no config here: the keyword is this function's only channel
+            return network
+
+        @dataclass
+        class Loop:
+            rigor: str = "range"
+            config: object = None
+        """
+        assert lint(source, "repro.core.fixture",
+                    "no-restated-defaults") == []
+
 
 class TestLockDiscipline:
     def test_seeded_race_fixture_is_flagged(self):

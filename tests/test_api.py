@@ -161,7 +161,6 @@ class TestEngineLegacyEquivalence:
                 network=fig2, input_box=enlarged_box2, target=target,
                 method="exact"))
             legacy = _check_containment(fig2, enlarged_box2, target,
-                                        method="exact",
                                         config=VerifyConfig(workers=workers))
             _assert_containment_equal(verdict.result, legacy)
 
@@ -242,7 +241,8 @@ class TestEngineLegacyEquivalence:
         enlarged = problem.din.inflate(0.01)
         verdict = _engine(workers).verify(ContinuousLoopSpec(
             artifacts=artifacts, enlarged_din=enlarged))
-        legacy = ContinuousVerifier(artifacts, workers=workers) \
+        legacy = ContinuousVerifier(
+            artifacts, config=VerifyConfig(workers=workers)) \
             .verify_domain_change(SVuDC(problem, enlarged))
         assert verdict.holds == legacy.holds
         assert verdict.strategy == legacy.strategy
@@ -496,14 +496,15 @@ class TestDefaultsUnified:
         from repro.core.continuous import ContinuousVerifier
 
         artifacts, _, _ = setup
-        reference = VerifyConfig()
-        verifier = ContinuousVerifier(artifacts)
-        assert verifier.config == reference
-        assert (verifier.method, verifier.node_limit, verifier.workers) == (
-            reference.method, reference.node_limit, reference.workers)
-        # per-knob overrides still fold into the config
-        tuned = ContinuousVerifier(artifacts, workers=3, node_limit=99)
-        assert (tuned.config.workers, tuned.config.node_limit) == (3, 99)
+        assert ContinuousVerifier(artifacts).config == VerifyConfig()
+        # the config is the one channel: no per-knob attribute shadows it
+        tuned = VerifyConfig(workers=3, node_limit=99)
+        verifier = ContinuousVerifier(artifacts, config=tuned)
+        assert verifier.config is tuned
+        for knob in ("method", "domain", "node_limit", "workers"):
+            assert not hasattr(verifier, knob)
+        with pytest.raises(TypeError):
+            ContinuousVerifier(artifacts, workers=3)
 
     def test_engineering_loop_honours_supplied_config(self, setup):
         from repro.core import EngineeringLoop
@@ -512,9 +513,11 @@ class TestDefaultsUnified:
         custom = VerifyConfig(method="exact", node_limit=500, workers=2)
         loop = EngineeringLoop(problem, config=custom)
         assert loop._config() == custom  # field defaults must not clobber
-        # explicit field overrides still win over the config
-        assert EngineeringLoop(problem, config=custom,
-                               node_limit=50)._config().node_limit == 50
+        # the config is the one channel: no per-knob field shadows it
+        for knob in ("method", "node_limit"):
+            assert not hasattr(loop, knob)
+        with pytest.raises(TypeError):
+            EngineeringLoop(problem, node_limit=50)
         # and with no config at all, the historical full budget applies
         assert EngineeringLoop(problem)._config().node_limit == \
             VerifyConfig().full_node_limit

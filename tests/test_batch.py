@@ -296,24 +296,41 @@ class TestProp45Prescreen:
         assert base.holds
         return net, base.artifacts
 
+    @staticmethod
+    def _direct(artifacts, network, cuts):
+        """Each ``[a:b]`` segment's own containment check, no screen."""
+        from repro.exact.verify import _check_containment
+
+        states, problem = artifacts.states, artifacts.problem
+        n = network.num_blocks
+        return [_check_containment(
+            network.subnetwork(a, b),
+            problem.din if a == 0 else states.layer(a - 1),
+            problem.dout if b == n else states.layer(b - 1)).holds
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
     def test_prop4_verdict_unchanged_and_screened(self, verified):
         net, artifacts = verified
         tuned = net.perturb(1e-6, np.random.default_rng(1))
-        plain, fast = (VerificationEngine().verify(PropositionSpec(
-            kind=4, artifacts=artifacts, new_network=tuned,
-            prescreen=prescreen)).result for prescreen in (False, True))
-        assert fast.holds is plain.holds is True
-        assert len(fast.subproblems) == len(plain.subproblems)
+        fast = VerificationEngine().verify(PropositionSpec(
+            kind=4, artifacts=artifacts, new_network=tuned)).result
+        direct = self._direct(artifacts, tuned,
+                              list(range(tuned.num_blocks + 1)))
+        assert [s.holds for s in fast.subproblems] == direct
+        assert fast.holds is True
         assert any("pre-screen" in s.detail for s in fast.subproblems)
 
     def test_prop5_verdict_unchanged(self, verified):
         net, artifacts = verified
         tuned = net.perturb(1e-6, np.random.default_rng(2))
-        plain, fast = (VerificationEngine().verify(PropositionSpec(
-            kind=5, artifacts=artifacts, new_network=tuned, alphas=(2,),
-            prescreen=prescreen)).result for prescreen in (False, True))
-        assert fast.holds is plain.holds
-        assert len(fast.subproblems) == len(plain.subproblems) == 2
+        fast = VerificationEngine().verify(PropositionSpec(
+            kind=5, artifacts=artifacts, new_network=tuned,
+            alphas=(2,))).result
+        direct = self._direct(artifacts, tuned, [0, 2, tuned.num_blocks])
+        assert [s.holds for s in fast.subproblems] == direct
+        expected = True if all(h is True for h in direct) else \
+            False if False in direct else None
+        assert fast.holds is expected
 
 
 class TestMonitorBatching:

@@ -4,7 +4,7 @@ and report formatting."""
 import numpy as np
 import pytest
 
-from repro.api import PropositionSpec, VerificationEngine
+from repro.api import PropositionSpec, VerificationEngine, VerifyConfig
 from repro.domains import Box
 from repro.domains.propagate import inductive_states
 from repro.nn import fine_tune, random_relu_network
@@ -75,7 +75,8 @@ class TestSVuDCOrchestration:
 
     def test_full_fallback_on_massive_enlargement(self, setup):
         problem, base, _ = setup
-        cv = ContinuousVerifier(base.artifacts, node_limit=4000)
+        cv = ContinuousVerifier(base.artifacts,
+                                config=VerifyConfig(node_limit=4000))
         res = cv.verify_domain_change(SVuDC(problem, problem.din.inflate(3.0)))
         # strategy cascade exhausted; full (exact) verification decides
         assert res.strategy == "full re-verification"

@@ -11,7 +11,7 @@ from repro.api import (ContainmentSpec, MaximizeSpec, OutputRangeSpec,
                        VerificationEngine, VerifyConfig)
 from repro.domains import Box
 from repro.domains.propagate import output_box
-from repro.errors import DomainError, SerializationError
+from repro.errors import DomainError, ReproError, SerializationError
 from repro.exact import (
     BaBSolver,
     NetworkEncoding,
@@ -306,15 +306,14 @@ class TestCheckContainment:
     @pytest.mark.parametrize("method", ["magic", "auto"])
     def test_unknown_method(self, fig2, enlarged_box2, method):
         # The spec refuses it when built, before any engine sees it; the
-        # containment layer refuses it too when called directly.
-        from repro.exact.verify import _check_containment
-
+        # containment layer reads its method from a config, which refuses
+        # it too.
         target = Box(np.zeros(1), np.ones(1))
         with pytest.raises(SerializationError,
                            match="method must be null or one of"):
             _containment(fig2, enlarged_box2, target, method=method)
-        with pytest.raises(DomainError, match="unknown method"):
-            _check_containment(fig2, enlarged_box2, target, method=method)
+        with pytest.raises(ReproError, match="unknown method"):
+            VerifyConfig(method=method)
 
 
 class TestExactSymbolicScreen:

@@ -37,6 +37,33 @@ class TestSerialize:
         assert loaded.num_blocks == net.num_blocks
         assert loaded.input_dim == net.input_dim
 
+    def test_copies_and_loads_draw_no_random_weights(self, tmp_path,
+                                                      monkeypatch):
+        # Copies and loads hand their arrays to the layer constructors; a
+        # Dense built without them would first draw He weights.
+        net = random_relu_network([27, 16, 12, 1], seed=0)
+        path = tmp_path / "head.npz"
+        save_network(net, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a copy or load drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for rebuilt in (net.copy(), net.subnetwork(0), load_network(path),
+                        network_from_bytes(network_to_bytes(net))):
+            assert len(rebuilt.layers) == len(net.layers)
+            for ours, theirs in zip(net.layers, rebuilt.layers):
+                assert type(ours) is type(theirs)
+                assert ours.config() == theirs.config()
+                for name, array in ours.arrays().items():
+                    copied = theirs.arrays()[name]
+                    assert copied.dtype == array.dtype
+                    assert copied.tobytes() == array.tobytes()
+        head = net.subnetwork(1, 3)
+        for ours, theirs in zip(net.layers[2:], head.layers):
+            for name, array in ours.arrays().items():
+                assert theirs.arrays()[name].tobytes() == array.tobytes()
+
     def test_corrupt_payload_raises(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, junk=np.zeros(3))

@@ -46,6 +46,19 @@ def maximize_spec(fig2, enlarged_box2):
 
 
 @pytest.fixture
+def no_lipschitz_spec(fig2, enlarged_box2):
+    """Deserializes fine, then fails permanently: Proposition 3 needs a
+    Lipschitz artifact these artifacts do not have."""
+    from repro.api import PropositionSpec
+    from repro.core import ProofArtifacts, VerificationProblem
+
+    problem = VerificationProblem(fig2, enlarged_box2,
+                                  Box(np.full(1, -100.0), np.full(1, 100.0)))
+    return PropositionSpec(kind=3, artifacts=ProofArtifacts(problem=problem),
+                           enlarged_din=enlarged_box2.inflate(0.1))
+
+
+@pytest.fixture
 def bad_spec(fig2):
     """Deserializes fine but raises at solve time (dim mismatch)."""
     return ContainmentSpec(network=fig2,
@@ -691,6 +704,32 @@ class TestHTTPAndClient:
         assert "request body" in payload["error"]
         assert ServeClient(server.url).health()["ok"] is True
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_http_rejects_retired_prescreen_with_400(
+            self, server, no_lipschitz_spec, value):
+        # Props 4/5 always screen; a document that still picks is refused.
+        spec = {**spec_to_dict(no_lipschitz_spec), "prescreen": value}
+        status, payload = self._raw_post(
+            server, json.dumps({"spec": spec}).encode())
+        assert status == 400
+        assert "SerializationError: unknown proposition spec keys " \
+            "['prescreen']" in payload["error"]
+        assert ServeClient(server.url).jobs() == []
+
+    def test_http_refuses_oversize_body_unread(self, server, maximize_spec,
+                                               monkeypatch):
+        from repro.api import serialize
+
+        body = json.dumps({"spec": spec_to_dict(maximize_spec)}).encode()
+        monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(body) - 1)
+        status, payload = self._raw_post(server, body)
+        assert status == 400
+        assert payload["error"] == \
+            f"ServeError: request body over {len(body) - 1} bytes"
+        monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(body))
+        status, _ = self._raw_post(server, body)
+        assert status == 201
+
     @pytest.mark.parametrize("key", ["interval_prune", "node_tighten"])
     def test_http_rejects_removed_search_switch_with_400(
             self, server, maximize_spec, key):
@@ -888,13 +927,46 @@ class TestSubprocessExecutor:
             executor.execute(_wire(maximize_spec), _CONFIG_JSON,
                              timeout=0.05)
 
-    def test_crashed_child_surfaces_real_error(self, bad_spec):
-        """A child that dies on an uncaught exception also exits 1 (the
-        'verdict fails' code); the executor must report the stderr
-        diagnosis, not 'unparseable output'."""
+    def test_failed_child_surfaces_real_error(self, bad_spec):
+        """A child whose job raises also exits 1 (the 'verdict fails'
+        code); the executor re-raises the child's own error class, not
+        'unparseable output' or a crash."""
+        from repro.errors import ShapeError
+        from repro.serve.resilience import classify_failure
+
         executor = SubprocessExecutor()
-        with pytest.raises(ServeError, match="ShapeError"):
+        with pytest.raises(ShapeError, match="ShapeError") as info:
             executor.execute(_wire(bad_spec), _CONFIG_JSON, timeout=300)
+        assert classify_failure(info.value) == ("ShapeError", False)
+
+    def test_permanent_error_fails_once_under_either_executor(
+            self, no_lipschitz_spec):
+        from repro.api import ServeConfig
+
+        outcomes = {}
+        for executor in ("inprocess", "subprocess"):
+            with VerificationService(
+                    executor=executor,
+                    serve_config=ServeConfig(retry_attempts=3)) as service:
+                record = service.wait(
+                    service.submit(no_lipschitz_spec).job_id, timeout=300)
+            outcomes[executor] = (record.state, record.attempts,
+                                  record.error_type)
+        assert outcomes["inprocess"] == outcomes["subprocess"] == (
+            JOB_FAILED, 1, "ArtifactError")
+
+    def test_empty_child_output_stays_transient(self, tmp_path,
+                                                maximize_spec):
+        # A child that dies before writing any document is a crash.
+        from repro.serve.resilience import classify_failure
+
+        silent = tmp_path / "silent"
+        silent.write_text("#!/bin/sh\nexit 3\n")
+        silent.chmod(0o755)
+        executor = SubprocessExecutor(python=str(silent))
+        with pytest.raises(ServeError, match="without a verdict") as info:
+            executor.execute(_wire(maximize_spec), _CONFIG_JSON, timeout=60)
+        assert classify_failure(info.value) == ("ExecutorCrashError", True)
 
 
 class TestServeCLI:

@@ -602,8 +602,6 @@ class TestSpecWireScalars:
         ("proposition", "ord", '"2"', "must be a JSON number"),
         ("proposition", "stop_on_failure", '"false"',
          "must be a JSON true or false"),
-        ("proposition", "prescreen", '"false"',
-         "must be a JSON true or false"),
         ("proposition", "recheck_safety", '"false"',
          "must be a JSON true or false"),
         ("continuous", "with_fixing", '"false"',
@@ -618,6 +616,22 @@ class TestSpecWireScalars:
 
         with pytest.raises(SerializationError, match=match) as info:
             spec_from_json(_replaced(wires[kind], (field,), value))
+        assert classify_failure(info.value) == ("SerializationError", False)
+
+    @pytest.mark.parametrize("value", ["true", "false", '"false"'])
+    def test_retired_prescreen_is_permanent_unknown_key(self, wires, value):
+        # Props 4/5 always screen, so the flag that chose is gone; a
+        # document that still carries it fails instead of being ignored.
+        from repro.api import spec_from_json
+        from repro.serve.resilience import classify_failure
+
+        document = json.loads(wires["proposition"])
+        document["prescreen"] = "__BAD__"
+        wire = json.dumps(document).replace('"__BAD__"', value)
+        with pytest.raises(SerializationError,
+                           match=r"unknown proposition spec keys "
+                                 r"\['prescreen'\]") as info:
+            spec_from_json(wire)
         assert classify_failure(info.value) == ("SerializationError", False)
 
     @pytest.mark.parametrize("kind", ["threshold", "maximize"])
@@ -855,6 +869,39 @@ class TestDeeplyNestedDocuments:
                 as info:
             getattr(repro.api, decoder)(document)
         assert classify_failure(info.value) == ("SerializationError", False)
+
+
+class TestDocumentSizeCap:
+    """One size cap for every wire document: each decoder refuses text
+    over ``MAX_DOCUMENT_BYTES`` with a permanent SerializationError
+    (request bodies, stored rows and executor output decode the same
+    way).  The cap is monkeypatched small; 256 MB is never built."""
+
+    @pytest.mark.parametrize("decoder", [
+        "spec_from_json", "config_from_json", "verdict_from_json",
+        "certificate_from_json"])
+    def test_decoder_refuses_oversize_document(self, decoder, monkeypatch):
+        import repro.api
+        from repro.api import serialize
+        from repro.serve.resilience import classify_failure
+
+        document = json.dumps({"padding": "x" * 64})
+        monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES",
+                            len(document) - 1)
+        for text in (document, document.encode()):
+            with pytest.raises(SerializationError,
+                               match=f"over {len(document) - 1} bytes") \
+                    as info:
+                getattr(repro.api, decoder)(text)
+            assert classify_failure(info.value) == ("SerializationError",
+                                                    False)
+
+    def test_document_at_the_cap_decodes(self, monkeypatch):
+        from repro.api import serialize
+
+        document = config_to_json(VerifyConfig(workers=2))
+        monkeypatch.setattr(serialize, "MAX_DOCUMENT_BYTES", len(document))
+        assert config_from_json(document) == VerifyConfig(workers=2)
 
 
 class TestUnparsableDocuments:
